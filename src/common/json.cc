@@ -229,7 +229,7 @@ namespace {
 class Parser
 {
   public:
-    explicit Parser(const std::string& text) : text_(text) {}
+    explicit Parser(std::string_view text) : text_(text) {}
 
     Json
     parse()
@@ -292,15 +292,17 @@ class Parser
         expect('"');
         std::string out;
         while (true) {
+            // Copy the run up to the next quote or escape in one append.
+            std::size_t stop = pos_;
+            while (stop < text_.size() && text_[stop] != '"' &&
+                   text_[stop] != '\\')
+                ++stop;
+            out.append(text_.substr(pos_, stop - pos_));
+            pos_ = stop;
             if (pos_ >= text_.size())
                 fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
+            if (text_[pos_++] == '"')
                 return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (pos_ >= text_.size())
                 fail("unterminated escape");
             char e = text_[pos_++];
@@ -381,45 +383,60 @@ class Parser
     }
 
     Json
+    object()
+    {
+        expect('{');
+        Json obj = Json::object();
+        if (peek() == '}') {
+            ++pos_;
+            return obj;
+        }
+        while (true) {
+            skipWs();
+            std::string key = string();
+            expect(':');
+            obj[key] = value();
+            char sep = peek();
+            ++pos_;
+            if (sep == '}')
+                return obj;
+            if (sep != ',')
+                fail("expected ',' or '}'");
+        }
+    }
+
+    Json
+    array()
+    {
+        expect('[');
+        Json arr = Json::array();
+        if (peek() == ']') {
+            ++pos_;
+            return arr;
+        }
+        while (true) {
+            arr.push(value());
+            char sep = peek();
+            ++pos_;
+            if (sep == ']')
+                return arr;
+            if (sep != ',')
+                fail("expected ',' or ']'");
+        }
+    }
+
+    Json
     value()
     {
         char c = peek();
-        if (c == '{') {
-            ++pos_;
-            Json obj = Json::object();
-            if (peek() == '}') {
-                ++pos_;
-                return obj;
-            }
-            while (true) {
-                skipWs();
-                std::string key = string();
-                expect(':');
-                obj[key] = value();
-                char sep = peek();
-                ++pos_;
-                if (sep == '}')
-                    return obj;
-                if (sep != ',')
-                    fail("expected ',' or '}'");
-            }
-        }
-        if (c == '[') {
-            ++pos_;
-            Json arr = Json::array();
-            if (peek() == ']') {
-                ++pos_;
-                return arr;
-            }
-            while (true) {
-                arr.push(value());
-                char sep = peek();
-                ++pos_;
-                if (sep == ']')
-                    return arr;
-                if (sep != ',')
-                    fail("expected ',' or ']'");
-            }
+        if (c == '{' || c == '[') {
+            // Each level is a recursion; bound it so hostile input
+            // fails cleanly instead of overflowing the stack.
+            if (++depth_ > kMaxJsonDepth)
+                fail("nesting deeper than kMaxJsonDepth");
+            Json v = c == '{' ? object() : array();
+            --depth_;
+            return v;
         }
         if (c == '"')
             return Json(string());
@@ -434,14 +451,15 @@ class Parser
         fail("unexpected character");
     }
 
-    const std::string& text_;
+    std::string_view text_;
     std::size_t pos_ = 0;
+    int depth_ = 0; ///< Open arrays/objects enclosing pos_.
 };
 
 } // namespace
 
 Json
-Json::parse(const std::string& text)
+Json::parse(std::string_view text)
 {
     return Parser(text).parse();
 }

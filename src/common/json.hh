@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -53,6 +54,14 @@ appendCanonicalString(std::string& out, const std::string& s)
     out += s;
     out += ' ';
 }
+
+/**
+ * Deepest array/object nesting Json::parse accepts. Parsing recurses
+ * once per level, so an unbounded depth lets one hostile line (a serve
+ * request, a worker frame, a cache file) exhaust the stack. Every
+ * document LIBRA writes nests fewer than ten levels.
+ */
+inline constexpr int kMaxJsonDepth = 256;
 
 /** Insertion-ordered JSON value. */
 class Json
@@ -114,8 +123,11 @@ class Json
      */
     std::string dump(int indent = -1) const;
 
-    /** Parse @p text. @throws FatalError on malformed input. */
-    static Json parse(const std::string& text);
+    /**
+     * Parse @p text. @throws FatalError on malformed input, including
+     * arrays and objects nested deeper than kMaxJsonDepth.
+     */
+    static Json parse(std::string_view text);
 
   private:
     explicit Json(Kind kind) : kind_(kind) {}

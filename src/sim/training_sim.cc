@@ -1,10 +1,58 @@
 #include "sim/training_sim.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <string>
+#include <unordered_map>
 
 #include "common/logging.hh"
 
 namespace libra {
+
+namespace {
+
+template <typename T>
+void
+appendBits(std::string& key, const T& v)
+{
+    char raw[sizeof(T)];
+    std::memcpy(raw, &v, sizeof(T));
+    key.append(raw, sizeof(T));
+}
+
+/**
+ * Exact bits of every CollectiveJob field ChunkTimeline::run reads.
+ * Equal keys mean identical inputs to run() under one bandwidth
+ * vector, hence bit-identical makespan and per-dimension busy times.
+ */
+std::string
+timelineKey(const std::vector<CollectiveJob>& jobs)
+{
+    std::string key;
+    for (const auto& job : jobs) {
+        appendBits(key, static_cast<int>(job.type));
+        appendBits(key, job.size);
+        appendBits(key, job.numChunks);
+        appendBits(key, job.releaseTime);
+        appendBits(key, static_cast<int>(job.policy));
+        appendBits(key, job.spans.size());
+        for (const auto& span : job.spans) {
+            appendBits(key, span.dim);
+            appendBits(key, span.groupSize);
+            appendBits(key, span.efficiency);
+        }
+    }
+    return key;
+}
+
+/** The parts of a TimelineResult the training loop consumes. */
+struct TimelineTotals
+{
+    Seconds makespan = 0.0;
+    std::vector<Seconds> dimBusy;
+};
+
+} // namespace
 
 TrainingSim::TrainingSim(Network net, TrainingSimOptions options)
     : net_(std::move(net)), options_(options)
@@ -59,7 +107,26 @@ TrainingSim::simulate(const Workload& w, const BwConfig& bw) const
     TrainingSimResult result;
     result.dimBusy.assign(net_.numDims(), 0.0);
 
-    auto accumulate = [&result](const TimelineResult& tl) {
+    // Workloads repeat layers (MSFT-1T is 128 identical ones), so the
+    // same job lists recur. run() is a pure function of its jobs and
+    // the bandwidth vector, which is fixed for this call: replay a
+    // repeated list from the memo instead of re-simulating its chunks.
+    std::unordered_map<std::string, TimelineTotals> memo;
+    auto run = [&](const std::vector<CollectiveJob>& jobs)
+        -> const TimelineTotals& {
+        std::string key = timelineKey(jobs);
+        auto it = memo.find(key);
+        if (it == memo.end()) {
+            TimelineResult tl = timeline.run(jobs);
+            it = memo.emplace(std::move(key),
+                              TimelineTotals{tl.makespan,
+                                             std::move(tl.dimBusy)})
+                     .first;
+        }
+        return it->second;
+    };
+
+    auto accumulate = [&result](const TimelineTotals& tl) {
         for (std::size_t d = 0; d < tl.dimBusy.size(); ++d)
             result.dimBusy[d] += tl.dimBusy[d];
         result.commTime += tl.makespan;
@@ -71,7 +138,7 @@ TrainingSim::simulate(const Workload& w, const BwConfig& bw) const
         for (const auto& job : jobs) {
             CollectiveJob j = job;
             j.releaseTime = 0.0;
-            t += accumulate(timeline.run({j}));
+            t += accumulate(run({j}));
         }
         return t;
     };
@@ -109,8 +176,7 @@ TrainingSim::simulate(const Workload& w, const BwConfig& bw) const
             if (jobs.empty()) {
                 tail = layer.wgCompute;
             } else {
-                TimelineResult tl = timeline.run(jobs);
-                tail = std::max(accumulate(tl), layer.wgCompute);
+                tail = std::max(accumulate(run(jobs)), layer.wgCompute);
             }
             result.total += tail;
             break;

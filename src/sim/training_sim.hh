@@ -44,7 +44,11 @@ class TrainingSim
   public:
     TrainingSim(Network net, TrainingSimOptions options = {});
 
-    /** Simulate one iteration of @p w under @p bw. */
+    /**
+     * Simulate one iteration of @p w under @p bw. Repeated layers
+     * replay their first timeline run from a per-call memo, so the
+     * cost scales with the workload's distinct layers.
+     */
     TrainingSimResult simulate(const Workload& w, const BwConfig& bw) const;
 
   private:

@@ -141,7 +141,7 @@ canonicalStudyKey(const LibraInputs& inputs)
 }
 
 std::uint64_t
-studyCacheHashOfKey(const std::string& canonical)
+studyCacheHashOfKey(std::string_view canonical)
 {
     std::uint64_t h = 0xcbf29ce484222325ull; // FNV-1a offset basis.
     for (unsigned char c : canonical) {
@@ -219,7 +219,7 @@ namespace {
 
 /** Hex form of the FNV-1a checksum stored in the entry envelope. */
 std::string
-checksumHex(const std::string& text)
+checksumHex(std::string_view text)
 {
     char buf[24];
     std::snprintf(buf, sizeof(buf), "%016llx",
@@ -227,6 +227,17 @@ checksumHex(const std::string& text)
                       studyCacheHashOfKey(text)));
     return buf;
 }
+
+/**
+ * Fixed framing of a cache entry: kEnvelopeHead, 16 hex checksum
+ * digits, kEnvelopeMid, the checksummed body text, kEnvelopeTail.
+ */
+constexpr std::string_view kEnvelopeHead = "{\"fnv\":\"";
+constexpr std::string_view kEnvelopeMid = "\",\"body\":";
+constexpr std::string_view kEnvelopeTail = "}\n";
+constexpr std::size_t kChecksumDigits = 16;
+constexpr std::size_t kBodyOffset =
+    kEnvelopeHead.size() + kChecksumDigits + kEnvelopeMid.size();
 
 /**
  * Bounded retry with backoff for a best-effort filesystem operation.
@@ -401,21 +412,37 @@ ResultCache::load(std::uint64_t key, const std::string& canonical,
              "; recomputing the point");
         return false;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
+    std::ostringstream read;
+    read << in.rdbuf();
     if (in.bad()) {
         loadFailures_.fetch_add(1, std::memory_order_relaxed);
         warn("read error on cache entry ", file,
              "; recomputing the point");
         return false;
     }
+    const std::string text = std::move(read).str();
+    // Check the fixed framing first; only then is the body range known.
+    // Entries in any other layout (truncated, hand-edited, written by
+    // an older engine) fail here and are recomputed.
+    if (text.size() < kBodyOffset + kEnvelopeTail.size() ||
+        text.compare(0, kEnvelopeHead.size(), kEnvelopeHead) != 0 ||
+        text.compare(kEnvelopeHead.size() + kChecksumDigits,
+                     kEnvelopeMid.size(), kEnvelopeMid) != 0 ||
+        text.compare(text.size() - kEnvelopeTail.size(),
+                     kEnvelopeTail.size(), kEnvelopeTail) != 0) {
+        quarantine(file, "malformed envelope");
+        return false;
+    }
+    const std::string_view bodyText(
+        text.data() + kBodyOffset,
+        text.size() - kBodyOffset - kEnvelopeTail.size());
+    if (text.compare(kEnvelopeHead.size(), kChecksumDigits,
+                     checksumHex(bodyText)) != 0) {
+        quarantine(file, "checksum mismatch");
+        return false;
+    }
     try {
-        Json j = Json::parse(text.str());
-        const Json& body = j.at("body");
-        if (j.at("fnv").asString() != checksumHex(body.dump(1))) {
-            quarantine(file, "checksum mismatch");
-            return false;
-        }
+        Json body = Json::parse(bodyText);
         if (body.at("version").asNumber() !=
             static_cast<double>(kStudyCacheVersion)) {
             quarantine(file, "engine version skew");
@@ -432,8 +459,8 @@ ResultCache::load(std::uint64_t key, const std::string& canonical,
         *out = reportFromJson(body.at("report"));
         return true;
     } catch (const FatalError& e) {
-        // Truncated, non-JSON, or structurally wrong (including
-        // pre-envelope legacy entries): quarantine and recompute.
+        // Checksummed but structurally wrong (the checksum signs bytes,
+        // not schema): quarantine and recompute.
         quarantine(file, e.what());
         return false;
     }
@@ -450,12 +477,15 @@ ResultCache::store(std::uint64_t key, const std::string& canonical,
     body["version"] = static_cast<double>(kStudyCacheVersion);
     body["inputs"] = canonical;
     body["report"] = reportToJson(report);
-    std::string bodyText = body.dump(1);
+    const std::string bodyText = body.dump();
 
-    Json j = Json::object();
-    j["fnv"] = checksumHex(bodyText);
-    j["body"] = std::move(body);
-    const std::string payload = j.dump(1) + "\n";
+    std::string payload;
+    payload.reserve(kBodyOffset + bodyText.size() + kEnvelopeTail.size());
+    payload += kEnvelopeHead;
+    payload += checksumHex(bodyText);
+    payload += kEnvelopeMid;
+    payload += bodyText;
+    payload += kEnvelopeTail;
 
     // Write-then-rename so concurrent runs never observe a torn file;
     // the tmp name is per-writer — pid for cross-process uniqueness

@@ -24,7 +24,10 @@
  * identical inputs); stale entries are then simply never hit again.
  *
  * Storage is one JSON file per key in the cache directory, wrapped in
- * an FNV-checksummed envelope `{"fnv": <hex>, "body": {...}}`. Reports
+ * an FNV-checksummed envelope written by concatenation:
+ * `{"fnv":"<16 hex>","body":` + body text + `}` + newline. The checksum
+ * covers exactly the stored body bytes, so load() verifies the byte
+ * range it is about to parse without re-serializing anything. Reports
  * round-trip bit-exactly (shortest round-trip double formatting), so a
  * matrix run served from cache emits byte-identical output to the run
  * that populated it.
@@ -52,6 +55,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "common/json.hh"
 #include "core/framework.hh"
@@ -71,7 +75,7 @@ std::string canonicalStudyKey(const LibraInputs& inputs);
 bool studyPointCacheable(const LibraInputs& inputs);
 
 /** FNV-1a over an already canonicalized key text. */
-std::uint64_t studyCacheHashOfKey(const std::string& canonical);
+std::uint64_t studyCacheHashOfKey(std::string_view canonical);
 
 /** FNV-1a hash of the canonical key, salted with kStudyCacheVersion. */
 std::uint64_t studyCacheHash(const LibraInputs& inputs);

@@ -2,9 +2,10 @@
  * @file
  * Fault-tolerance tests: the deterministic fault injector, the
  * self-healing ResultCache under adversarial on-disk entries
- * (truncated, bit-flipped, checksum-mismatched, version-skewed,
- * hash-colliding, legacy), stale tmp reaping, and per-point failure
- * isolation through runLibraSweepIsolated and the scenario matrix.
+ * (truncated, short, bit-flipped, checksum-mismatched, version-skewed,
+ * deeply nested, hash-colliding, legacy and old-layout), stale tmp
+ * reaping, and per-point failure isolation through
+ * runLibraSweepIsolated and the scenario matrix.
  * See docs/ROBUSTNESS.md.
  */
 
@@ -70,6 +71,47 @@ freshDir(const char* name)
     std::string dir = testing::TempDir() + name;
     std::filesystem::remove_all(dir);
     return dir;
+}
+
+/** The 16-hex-digit FNV checksum a cache entry carries for @p text. */
+std::string
+fnvHex(const std::string& text)
+{
+    char fnv[24];
+    std::snprintf(fnv, sizeof(fnv), "%016llx",
+                  static_cast<unsigned long long>(
+                      studyCacheHashOfKey(text)));
+    return fnv;
+}
+
+/**
+ * Write @p bodyText to @p file in the current entry layout,
+ * `{"fnv":"<16 hex>","body":<bodyText>}` plus a newline, with a valid
+ * checksum — so a load gets past the checksum to whatever @p bodyText
+ * holds.
+ */
+void
+writeEnvelope(const std::string& file, const std::string& bodyText)
+{
+    std::ofstream out(file, std::ios::trunc);
+    out << "{\"fnv\":\"" << fnvHex(bodyText) << "\",\"body\":" << bodyText
+        << "}\n";
+}
+
+/**
+ * Rewrite the entry at @p file into the nested layout earlier engines
+ * wrote: `{"fnv": ..., "body": {...}}` pretty-printed as one value,
+ * the checksum over the body's own pretty-printed text.
+ */
+void
+rewriteInOldLayout(const std::string& file)
+{
+    Json body = Json::parse(readFile(file)).at("body");
+    Json j = Json::object();
+    j["fnv"] = fnvHex(body.dump(1));
+    j["body"] = std::move(body);
+    std::ofstream out(file, std::ios::trunc);
+    out << j.dump(1) << "\n";
 }
 
 // --- Fault-spec parsing ------------------------------------------------
@@ -257,24 +299,65 @@ TEST(CacheAdversarial, VersionSkewIsQuarantinedEvenWithValidChecksum)
 {
     std::string dir = freshDir("libra-fault-version");
     SeededCache s(dir);
-    // A structurally perfect entry from a "future" engine: correct
-    // checksum over its body, wrong engine version.
-    Json body = Json::object();
-    body["version"] = static_cast<double>(kStudyCacheVersion + 1);
-    body["inputs"] = s.canonical;
-    body["report"] = reportToJson(s.report);
-    char fnv[24];
-    std::snprintf(fnv, sizeof(fnv), "%016llx",
-                  static_cast<unsigned long long>(
-                      studyCacheHashOfKey(body.dump(1))));
-    Json j = Json::object();
-    j["fnv"] = std::string(fnv);
-    j["body"] = std::move(body);
-    {
-        std::ofstream out(s.file, std::ios::trunc);
-        out << j.dump(1) << "\n";
-    }
+    auto bodyText = [&s](double version) {
+        Json body = Json::object();
+        body["version"] = version;
+        body["inputs"] = s.canonical;
+        body["report"] = reportToJson(s.report);
+        return body.dump();
+    };
 
+    // The fixture is a valid entry in the current layout: with the
+    // engine's own version it hits.
+    setInformEnabled(false);
+    LibraReport out;
+    writeEnvelope(s.file,
+                  bodyText(static_cast<double>(kStudyCacheVersion)));
+    ASSERT_TRUE(s.cache.load(s.key, s.canonical, &out));
+    EXPECT_EQ(out.optimized.bw, s.report.optimized.bw);
+
+    // The same entry from a "future" engine: correct checksum over
+    // its body, wrong engine version.
+    writeEnvelope(s.file,
+                  bodyText(static_cast<double>(kStudyCacheVersion + 1)));
+    EXPECT_FALSE(s.cache.load(s.key, s.canonical, &out));
+    EXPECT_EQ(s.cache.stats().quarantined, 1u);
+    EXPECT_TRUE(std::filesystem::exists(s.file + ".corrupt"));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CacheAdversarial, FileShorterThanTheEnvelopeIsQuarantined)
+{
+    std::string dir = freshDir("libra-fault-short");
+    SeededCache s(dir);
+    const std::string full = readFile(s.file);
+    setInformEnabled(false);
+    std::size_t quarantined = 0;
+    // Empty, one byte, mid-header, and header-but-no-tail files: the
+    // fixed framing is bounds-checked before any offset is used.
+    for (std::size_t len : {std::size_t{0}, std::size_t{1},
+                            std::size_t{20}, std::size_t{34}}) {
+        {
+            std::ofstream out(s.file, std::ios::trunc);
+            out << full.substr(0, len);
+        }
+        LibraReport out;
+        EXPECT_FALSE(s.cache.load(s.key, s.canonical, &out)) << len;
+        EXPECT_EQ(s.cache.stats().quarantined, ++quarantined) << len;
+        EXPECT_TRUE(std::filesystem::exists(s.file + ".corrupt"));
+        EXPECT_FALSE(std::filesystem::exists(s.file));
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CacheAdversarial, DeeplyNestedBodyIsQuarantinedNotACrash)
+{
+    std::string dir = freshDir("libra-fault-deep");
+    SeededCache s(dir);
+    // Checksummed correctly, so the bytes reach the parser, which must
+    // refuse the nesting instead of recursing off the stack.
+    writeEnvelope(s.file, std::string(200000, '[') +
+                              std::string(200000, ']'));
     setInformEnabled(false);
     LibraReport out;
     EXPECT_FALSE(s.cache.load(s.key, s.canonical, &out));
@@ -643,6 +726,51 @@ TEST(MatrixFaults, InjectedCacheFaultsNeverChangeTheOutput)
     MatrixResult flaky =
         runScenarioMatrix({faultMiniScenarioName()}, options);
     EXPECT_EQ(matrixToJson(flaky).dump(1), cleanJson);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(MatrixFaults, OldLayoutEntriesAreQuarantinedOnceThenHit)
+{
+    setInformEnabled(false);
+    MatrixResult clean = runScenarioMatrix({faultMiniScenarioName()});
+    const std::string cleanJson = matrixToJson(clean).dump(1);
+
+    std::string dir = freshDir("libra-fault-old-layout");
+    MatrixOptions options;
+    options.cacheDir = dir;
+    MatrixResult fill =
+        runScenarioMatrix({faultMiniScenarioName()}, options);
+    ASSERT_EQ(fill.computed, fill.unique);
+    std::vector<std::string> entries;
+    for (const auto& e : std::filesystem::directory_iterator(dir))
+        entries.push_back(e.path().string());
+    ASSERT_EQ(entries.size(), fill.unique);
+    for (const auto& file : entries)
+        rewriteInOldLayout(file);
+
+    // Every old entry fails the envelope check once, is recomputed,
+    // and the run's bytes cannot change.
+    MatrixResult rerun =
+        runScenarioMatrix({faultMiniScenarioName()}, options);
+    EXPECT_EQ(matrixToJson(rerun).dump(1), cleanJson);
+    EXPECT_EQ(rerun.fromCache, 0u);
+    EXPECT_EQ(rerun.computed, rerun.unique);
+    for (const auto& file : entries)
+        EXPECT_TRUE(std::filesystem::exists(file + ".corrupt")) << file;
+
+    // The recomputed entries are stored in the current layout: the
+    // next run is served entirely from the cache, quarantining none.
+    MatrixResult next =
+        runScenarioMatrix({faultMiniScenarioName()}, options);
+    EXPECT_EQ(matrixToJson(next).dump(1), cleanJson);
+    EXPECT_EQ(next.fromCache, next.unique);
+    EXPECT_EQ(next.computed, 0u);
+    std::size_t files = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+        (void)e;
+        ++files;
+    }
+    EXPECT_EQ(files, 2 * entries.size());
     std::filesystem::remove_all(dir);
 }
 

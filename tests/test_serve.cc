@@ -688,6 +688,28 @@ TEST(Serve, WorkersFieldIsValidatedAndClampedByMaxWorkers)
         << reply.status.dump();
 }
 
+TEST(Serve, DeeplyNestedRequestIsAnErrorAndTheServerServesOn)
+{
+    const std::string scenario = serveScenarioName();
+    ServeOptions options;
+    options.socketPath = testing::TempDir() + "libra-serve-j.sock";
+    Server server(std::move(options)); // handleLine needs no socket.
+    bool shutdown = false;
+
+    // ~400 KB, under kMaxFrameLine, so it reaches the JSON parser.
+    const std::string hostile = "{\"op\":" + std::string(200000, '[') +
+                                std::string(200000, ']') + "}";
+    ServeReply bad = splitResponse(server.handleLine(hostile, &shutdown));
+    EXPECT_FALSE(bad.status.at("ok").asBool());
+    EXPECT_FALSE(shutdown);
+
+    ServeReply next = splitResponse(server.handleLine(
+        "{\"scenario\": \"" + scenario + "\"}", &shutdown));
+    ASSERT_TRUE(next.status.at("ok").asBool()) << next.status.dump();
+    EXPECT_EQ(next.payload, oneShotJson(scenario));
+    EXPECT_EQ(server.stats().errors, 1u);
+}
+
 #ifdef LIBRA_CLI_PATH
 
 TEST(Serve, ShardedRequestsStayByteIdenticalToOneShot)

@@ -69,6 +69,37 @@ TEST(StudyJson, RejectsMalformedInput)
     EXPECT_THROW(Json::parse("nul"), FatalError);
 }
 
+TEST(StudyJson, RejectsUnterminatedStringsAndEscapes)
+{
+    EXPECT_THROW(Json::parse("\"abc"), FatalError);
+    EXPECT_THROW(Json::parse("\"abc\\"), FatalError);
+    EXPECT_THROW(Json::parse("[\"a\\\"]"), FatalError);
+    EXPECT_EQ(Json::parse("\"a\\\"b\\\\c\"").asString(), "a\"b\\c");
+}
+
+TEST(StudyJson, NestingDeeperThanTheLimitThrows)
+{
+    // The request line that used to overflow the parser's stack.
+    const std::string hostile = "{\"op\":" + std::string(200000, '[') +
+                                std::string(200000, ']') + "}";
+    EXPECT_THROW(Json::parse(hostile), FatalError);
+
+    // Exactly kMaxJsonDepth levels parse; one more does not.
+    auto nested = [](int depth) {
+        return std::string(static_cast<std::size_t>(depth), '[') +
+               std::string(static_cast<std::size_t>(depth), ']');
+    };
+    EXPECT_NO_THROW(Json::parse(nested(kMaxJsonDepth)));
+    EXPECT_THROW(Json::parse(nested(kMaxJsonDepth + 1)), FatalError);
+    // Depth is nesting, not count: many shallow siblings are fine.
+    std::string wide = "[";
+    for (int i = 0; i < 2 * kMaxJsonDepth; ++i)
+        wide += i ? ",{\"a\":[]}" : "{\"a\":[]}";
+    wide += "]";
+    EXPECT_EQ(Json::parse(wide).items().size(),
+              static_cast<std::size_t>(2 * kMaxJsonDepth));
+}
+
 TEST(StudyJson, NumberFormattingIsShortestRoundTrip)
 {
     EXPECT_EQ(jsonNumberToString(48.0), "48");

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "collective/mapping.hh"
 #include "common/logging.hh"
 #include "core/estimator.hh"
 #include "sim/training_sim.hh"
@@ -111,6 +112,159 @@ TEST(TrainingSim, DpOnlyWorkloadOnTorus)
     // DP spans all dims; with prefix reduction dim 1 works hardest.
     EXPECT_GT(r.dimBusy[0], r.dimBusy[1]);
     EXPECT_GT(r.dimBusy[1], r.dimBusy[2]);
+}
+
+// --- Per-call timeline memo ------------------------------------------
+
+/**
+ * Memo-free reference for TrainingSim::simulate: the same training
+ * loop, with a fresh ChunkTimeline::run for every collective of every
+ * layer and the same additions in the same order.
+ */
+TrainingSimResult
+replayPerLayer(const Network& net, const TrainingSimOptions& opt,
+               const Workload& w, const BwConfig& bw)
+{
+    ChunkTimeline timeline(net.numDims(), bw);
+    auto jobsFor = [&](const std::vector<CommOp>& ops, Seconds release) {
+        std::vector<CollectiveJob> jobs;
+        const Parallelization& p = w.strategy;
+        for (const auto& op : ops) {
+            bool eff = opt.modelPartialDimEfficiency;
+            std::vector<DimSpan> spans;
+            switch (op.scope) {
+              case CommScope::Tp:
+                spans = mapGroupToDims(net, 1, p.tp, eff);
+                break;
+              case CommScope::Pp:
+                spans = mapGroupToDims(net, p.tp, p.pp, eff);
+                break;
+              case CommScope::Dp:
+                spans = mapGroupToDims(net, p.tp * p.pp, p.dp, eff);
+                break;
+              case CommScope::All:
+                spans = mapGroupToDims(net, 1, net.npus(), eff);
+                break;
+            }
+            if (spans.empty())
+                continue;
+            CollectiveJob job;
+            job.type = op.type;
+            job.size = op.size;
+            job.spans = std::move(spans);
+            job.numChunks = opt.chunksPerCollective;
+            job.releaseTime = release;
+            job.policy = opt.policy;
+            jobs.push_back(std::move(job));
+        }
+        return jobs;
+    };
+
+    TrainingSimResult r;
+    r.dimBusy.assign(net.numDims(), 0.0);
+    auto accumulate = [&r](const TimelineResult& tl) {
+        for (std::size_t d = 0; d < tl.dimBusy.size(); ++d)
+            r.dimBusy[d] += tl.dimBusy[d];
+        r.commTime += tl.makespan;
+        return tl.makespan;
+    };
+    auto runSequential = [&](const std::vector<CommOp>& ops) {
+        Seconds t = 0.0;
+        for (const auto& job : jobsFor(ops, 0.0))
+            t += accumulate(timeline.run({job}));
+        return t;
+    };
+
+    for (const auto& layer : w.layers) {
+        r.total += layer.fwdCompute;
+        r.computeTotal += layer.fwdCompute;
+        r.total += runSequential(layer.fwdComm);
+        if (opt.loop == TrainingLoop::NoOverlap) {
+            r.total += layer.igCompute;
+            r.computeTotal += layer.igCompute;
+            r.total += runSequential(layer.igComm);
+            r.total += layer.wgCompute;
+            r.computeTotal += layer.wgCompute;
+            r.total += runSequential(layer.wgComm);
+            continue;
+        }
+        r.total += layer.igCompute;
+        r.computeTotal += layer.igCompute + layer.wgCompute;
+        auto jobs = jobsFor(layer.igComm, 0.0);
+        auto wgJobs = jobsFor(layer.wgComm, layer.wgCompute);
+        jobs.insert(jobs.end(), wgJobs.begin(), wgJobs.end());
+        r.total += jobs.empty() ? layer.wgCompute
+                                : std::max(accumulate(timeline.run(jobs)),
+                                           layer.wgCompute);
+    }
+
+    double sumBw = 0.0;
+    double weighted = 0.0;
+    for (std::size_t d = 0; d < net.numDims(); ++d) {
+        sumBw += bw[d];
+        weighted += r.dimBusy[d] * bw[d];
+    }
+    if (r.commTime > 0.0 && sumBw > 0.0)
+        r.avgBwUtilization = weighted / (r.commTime * sumBw);
+    return r;
+}
+
+/** simulate() must match the memo-free replay bit for bit. */
+void
+expectMatchesReplay(const Network& net, const TrainingSimOptions& opt,
+                    const Workload& w, const BwConfig& bw)
+{
+    TrainingSimResult got = TrainingSim(net, opt).simulate(w, bw);
+    TrainingSimResult want = replayPerLayer(net, opt, w, bw);
+    EXPECT_GT(want.commTime, 0.0);
+    EXPECT_EQ(got.total, want.total);
+    EXPECT_EQ(got.commTime, want.commTime);
+    EXPECT_EQ(got.computeTotal, want.computeTotal);
+    EXPECT_EQ(got.dimBusy, want.dimBusy);
+    EXPECT_EQ(got.avgBwUtilization, want.avgBwUtilization);
+}
+
+TEST(TrainingSimMemo, RepeatedLayersMatchReplayNoOverlap)
+{
+    // MSFT-1T: 128 identical layers, so all but the first layer's
+    // collectives replay from the memo.
+    Network net = topo::threeD4K();
+    expectMatchesReplay(net, {}, wl::msft1T(net.npus()),
+                        BwConfig{255.0, 30.0, 15.0});
+}
+
+TEST(TrainingSimMemo, RepeatedLayersMatchReplayTpDpOverlap)
+{
+    Network net = topo::threeD4K();
+    TrainingSimOptions opt;
+    opt.loop = TrainingLoop::TpDpOverlap;
+    expectMatchesReplay(net, opt, wl::msft1T(net.npus()),
+                        net.equalBw(300.0));
+}
+
+TEST(TrainingSimMemo, RepeatedLayersMatchReplayGreedy)
+{
+    Network net = topo::fourD4K();
+    TrainingSimOptions opt;
+    opt.policy = SchedulePolicy::Greedy;
+    opt.chunksPerCollective = 16;
+    expectMatchesReplay(net, opt, wl::gpt3(net.npus()),
+                        net.equalBw(300.0));
+    opt.loop = TrainingLoop::TpDpOverlap;
+    expectMatchesReplay(net, opt, wl::gpt3(net.npus()),
+                        net.equalBw(300.0));
+}
+
+TEST(TrainingSimMemo, DistinctLayersMatchReplay)
+{
+    // ResNet-50's layers differ in size, so the memo misses too.
+    Network net = topo::threeDTorus();
+    expectMatchesReplay(net, {}, wl::resnet50(net.npus()),
+                        net.equalBw(300.0));
+    TrainingSimOptions opt;
+    opt.loop = TrainingLoop::TpDpOverlap;
+    expectMatchesReplay(net, opt, wl::resnet50(net.npus()),
+                        BwConfig{150.0, 100.0, 50.0});
 }
 
 /** Parameterized: simulator tracks estimator across BW budgets. */

@@ -178,6 +178,24 @@ if [[ -z "${MODE}" ]]; then
   "${BUILD_DIR}/libra_cli" serve-request --socket "${SMOKE_DIR}/serve.sock" \
     '{"scenario": "golden", "emit": "json"}' \
     > "${SMOKE_DIR}/ssecond.json" 2> "${SMOKE_DIR}/ssecond.status"
+  # A ~400 KB line nested 200,000 deep stays under the 1 MiB line cap,
+  # so it reaches the JSON parser, which must answer it ok:false
+  # instead of overflowing the server's stack (docs/SERVE.md). argv
+  # cannot carry a line that long, so it goes over the socket directly.
+  python3 - "${SMOKE_DIR}/serve.sock" <<'PY'
+import socket
+import sys
+
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.connect(sys.argv[1])
+depth = 200000
+conn.sendall(b'{"op":' + b"[" * depth + b"]" * depth + b"}\n")
+status = conn.makefile("rb").readline()
+assert b'"ok":false' in status, status
+PY
+  "${BUILD_DIR}/libra_cli" serve-request --socket "${SMOKE_DIR}/serve.sock" \
+    '{"scenario": "golden", "emit": "json"}' \
+    > "${SMOKE_DIR}/sthird.json" 2> /dev/null
   "${BUILD_DIR}/libra_cli" serve-request --socket "${SMOKE_DIR}/serve.sock" \
     '{"op": "stats"}' > "${SMOKE_DIR}/sstats.json" 2> /dev/null
   "${BUILD_DIR}/libra_cli" serve-request --socket "${SMOKE_DIR}/serve.sock" \
@@ -185,9 +203,10 @@ if [[ -z "${MODE}" ]]; then
   wait "${SERVE_PID}"
   cmp "${SMOKE_DIR}/soneshot.json" "${SMOKE_DIR}/sfirst.json"
   cmp "${SMOKE_DIR}/soneshot.json" "${SMOKE_DIR}/ssecond.json"
+  cmp "${SMOKE_DIR}/soneshot.json" "${SMOKE_DIR}/sthird.json"
   grep -q '"computed":0,' "${SMOKE_DIR}/ssecond.status"
   grep -Eq '"lruHits": [1-9]' "${SMOKE_DIR}/sstats.json"
-  echo "serve smoke: byte-identical golden payloads (one-shot vs disk-served vs LRU-served)"
+  echo "serve smoke: byte-identical golden payloads (one-shot vs disk-served vs LRU-served, and after a nested-bomb request)"
 
   # Sharded smoke: run-matrix --workers forks worker processes and
   # merges their results through the cache; the matrix JSON must be
