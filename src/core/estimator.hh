@@ -34,7 +34,6 @@ namespace libra {
 enum class TrainingLoop { NoOverlap, TpDpOverlap };
 
 class TimingBackend;
-class WorkloadIncremental;
 
 namespace detail {
 template <typename Lane> struct BatchKernel;
@@ -161,8 +160,9 @@ class CompiledWorkload
     /**
      * Evaluate @p n bandwidth configurations into @p out, SIMD lanes
      * laid across candidates (core/eval_kernels_impl.hh). Each out[i]
-     * is bit-identical to estimate(bws[i]); candidates beyond the last
-     * full SIMD block take the scalar path directly.
+     * is bit-identical to estimate(bws[i]). A remainder of two or
+     * more candidates past the last full SIMD block runs as one padded
+     * block; a lone leftover candidate takes the scalar path.
      */
     void estimateBatch(const BwConfig* bws, std::size_t n,
                        Seconds* out) const;
@@ -191,9 +191,6 @@ class CompiledWorkload
 
     /** The batched SIMD kernels evaluate the SoA arrays directly. */
     template <typename Lane> friend struct detail::BatchKernel;
-
-    /** The incremental evaluator caches per-op/per-dim partials. */
-    friend class WorkloadIncremental;
 
     /** One collective resolved to (dimension, bytes) pairs. */
     using Op = std::vector<std::pair<std::size_t, Bytes>>;

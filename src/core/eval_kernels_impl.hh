@@ -22,6 +22,7 @@
 #ifndef LIBRA_CORE_EVAL_KERNELS_IMPL_HH
 #define LIBRA_CORE_EVAL_KERNELS_IMPL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -39,9 +40,11 @@ struct BatchKernel
 
     /**
      * Evaluate @p n candidates: full kWidth-wide blocks through the
-     * lane kernel, remainder candidates through the scalar path (which
-     * is bit-identical by the lane contract, so the split is
-     * invisible in the results).
+     * lane kernel, then a remainder of two or more as one padded
+     * block whose unused lanes repeat the last real candidate (their
+     * outputs are dropped). Lanes never interact, so padding changes
+     * no result. A lone leftover candidate takes the scalar path,
+     * which is bit-identical by the lane contract.
      */
     static void
     run(const CompiledWorkload& cw, const BwConfig* bws, std::size_t n,
@@ -57,8 +60,22 @@ struct BatchKernel
         }
         std::size_t i = 0;
         if constexpr (kWidth > 1) {
-            for (; i + kWidth <= n; i += kWidth)
-                block(cw, bws + i, out + i, recipT);
+            const BwConfig* lanes[kWidth] = {};
+            for (; i + kWidth <= n; i += kWidth) {
+                for (std::size_t l = 0; l < kWidth; ++l)
+                    lanes[l] = bws + i + l;
+                block(cw, lanes, out + i, recipT);
+            }
+            const std::size_t rest = n - i;
+            if (rest >= 2) {
+                alignas(64) Seconds padded[kWidth] = {};
+                for (std::size_t l = 0; l < kWidth; ++l)
+                    lanes[l] = bws + i + std::min(l, rest - 1);
+                block(cw, lanes, padded, recipT);
+                for (std::size_t l = 0; l < rest; ++l)
+                    out[i + l] = padded[l];
+                i = n;
+            }
         }
         for (; i < n; ++i)
             out[i] = cw.estimate(bws[i]);
@@ -66,12 +83,12 @@ struct BatchKernel
 
   private:
     /**
-     * One kWidth-candidate block. @p recipT is the transposed
-     * reciprocal scratch: recipT[d * kWidth + lane].
+     * One kWidth-candidate block; lane l evaluates *lanes[l]. @p recipT
+     * is the transposed reciprocal scratch: recipT[d * kWidth + lane].
      */
     static void
-    block(const CompiledWorkload& cw, const BwConfig* bws, Seconds* out,
-          double* recipT)
+    block(const CompiledWorkload& cw, const BwConfig* const* lanes,
+          Seconds* out, double* recipT)
     {
         const std::size_t dims = cw.numDims_;
 
@@ -82,7 +99,7 @@ struct BatchKernel
         const Lane giga = Lane::broadcast(kGiga);
         for (std::size_t d = 0; d < dims; ++d) {
             for (std::size_t l = 0; l < kWidth; ++l)
-                pack[l] = bws[l][d];
+                pack[l] = (*lanes[l])[d];
             (one / (Lane::load(pack) * giga))
                 .store(recipT + d * kWidth);
         }

@@ -1,14 +1,11 @@
 #include "core/objective.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
 #include <functional>
 #include <memory>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "core/incremental.hh"
 
 namespace libra {
 
@@ -96,99 +93,6 @@ CompiledObjective::evaluateBatch(const Vec* xs, std::size_t n,
     });
 }
 
-/**
- * Objective-level incremental evaluator: one WorkloadIncremental per
- * compiled workload, combined with the same weighted sum (and cost
- * multiply) as evaluateOne. evaluate() picks the cheapest exact path
- * by diffing against the base bit-for-bit: bit-equal inputs evaluate
- * identically, so reusing the cached value / probing the single
- * changed coordinate cannot alter any result.
- */
-class CompiledObjective::Incremental final : public IncrementalEval
-{
-  public:
-    explicit Incremental(const CompiledObjective& obj) : obj_(&obj)
-    {
-        subs_.reserve(obj.compiled_.size());
-        for (const auto& [cw, weight] : obj.compiled_)
-            subs_.emplace_back(cw);
-    }
-
-    void
-    setBase(const Vec& x, const double* knownValue) override
-    {
-        base_ = x;
-        for (auto& sub : subs_)
-            sub.setBase(x);
-        haveValue_ = knownValue != nullptr;
-        if (knownValue)
-            value_ = *knownValue;
-    }
-
-    double
-    baseValue() override
-    {
-        if (!haveValue_) {
-            value_ = obj_->evaluateOne(base_);
-            haveValue_ = true;
-        }
-        return value_;
-    }
-
-    double
-    probe(std::size_t dim, double value) override
-    {
-        Seconds t = 0.0;
-        const auto& compiled = obj_->compiled_;
-        for (std::size_t i = 0; i < subs_.size(); ++i)
-            t += compiled[i].second * subs_[i].probe(dim, value);
-        if (obj_->objective_ == OptimizationObjective::PerfOpt)
-            return t;
-        scratch_ = base_;
-        scratch_[dim] = value;
-        return obj_->applyCost(t, scratch_);
-    }
-
-    double
-    evaluate(const Vec& x) override
-    {
-        std::size_t diffs = 0;
-        std::size_t changed = 0;
-        if (x.size() == base_.size()) {
-            for (std::size_t i = 0; i < x.size() && diffs < 2; ++i) {
-                if (std::bit_cast<std::uint64_t>(x[i]) !=
-                    std::bit_cast<std::uint64_t>(base_[i])) {
-                    ++diffs;
-                    changed = i;
-                }
-            }
-        } else {
-            diffs = 2;
-        }
-        if (diffs == 0)
-            return baseValue();
-        if (diffs == 1)
-            return probe(changed, x[changed]);
-        const double v = obj_->evaluateOne(x);
-        setBase(x, &v);
-        return v;
-    }
-
-  private:
-    const CompiledObjective* obj_;
-    std::vector<WorkloadIncremental> subs_;
-    Vec base_;
-    Vec scratch_;
-    double value_ = 0.0;
-    bool haveValue_ = false;
-};
-
-std::unique_ptr<IncrementalEval>
-CompiledObjective::makeIncremental() const
-{
-    return std::make_unique<Incremental>(*this);
-}
-
 ScalarObjective
 makeObjective(OptimizationObjective objective,
               const TrainingEstimator& estimator,
@@ -219,8 +123,8 @@ makeObjective(OptimizationObjective objective,
     // Precompiled path: the solver calls the objective tens of
     // thousands of times, so resolve every collective's per-dimension
     // traffic once up front. Wrapping the CompiledObjective in
-    // BatchableObjective lets solvers recover the batched/incremental
-    // facets with batchFacet().
+    // BatchableObjective lets solvers recover the batched facet with
+    // batchFacet().
     return BatchableObjective{std::make_shared<const CompiledObjective>(
         objective, estimator, cost_model, targets)};
 }

@@ -12,7 +12,6 @@
 #ifndef LIBRA_CORE_OBJECTIVE_HH
 #define LIBRA_CORE_OBJECTIVE_HH
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -49,13 +48,11 @@ Seconds weightedTime(const TrainingEstimator& estimator,
  * Precompiled analytical objective: the weighted-time (optionally
  * x network-cost) function over per-workload CompiledWorkloads.
  *
- * Exposes the fast evaluation facets solvers recover with
- * batchFacet(): candidate-major SIMD batches (evaluateBatch, blocked
- * and fanned across the thread pool) and incremental coordinate-move
- * evaluation (makeIncremental). Both are bit-identical to
- * evaluateOne, which itself performs exactly the historical scalar
- * evaluation-order — one sum over workloads in declaration order,
- * then one cost multiply.
+ * Exposes the batched facet solvers recover with batchFacet():
+ * candidate-major SIMD batches (evaluateBatch, blocked and fanned
+ * across the thread pool), bit-identical to evaluateOne, which itself
+ * performs exactly the historical scalar evaluation-order — one sum
+ * over workloads in declaration order, then one cost multiply.
  *
  * Immutable after construction; shared by any number of solver
  * threads. Only valid under the built-in analytical timing model
@@ -74,11 +71,8 @@ class CompiledObjective final : public BatchEvaluable
     double evaluateOne(const Vec& x) const override;
     void evaluateBatch(const Vec* xs, std::size_t n,
                        double* out) const override;
-    std::unique_ptr<IncrementalEval> makeIncremental() const override;
 
   private:
-    class Incremental;
-
     /** Cost factor under PerfPerCostOpt; 1-free pass for PerfOpt. */
     double applyCost(Seconds time, const Vec& x) const;
 
@@ -94,7 +88,7 @@ class CompiledObjective final : public BatchEvaluable
  *
  * Under the built-in analytical timing model the returned callable is
  * a BatchableObjective over a CompiledObjective, so solvers can
- * recover the batched/incremental facets with batchFacet(); custom
+ * recover the batched facet with batchFacet(); custom
  * timing models fall back to a plain per-call lambda.
  */
 ScalarObjective makeObjective(OptimizationObjective objective,

@@ -1,21 +1,19 @@
 /**
  * @file
- * Batched / incremental evaluation facets of a scalar objective.
+ * Batched evaluation facet of a scalar objective.
  *
  * Every solver takes a type-erased `ScalarObjective`; the compiled
- * analytical objective (core/objective.cc) additionally supports two
- * much faster evaluation modes:
+ * analytical objective (core/objective.cc) additionally evaluates
+ * whole sets of points at once through the SIMD candidate-major
+ * kernels (CompiledWorkload::estimateBatch). Population strategies
+ * (CMA-ES, DE) score each generation this way, and the subgradient's
+ * central-difference gradient scores its 2n probes in one batch.
  *
- *  - whole-population batches through the SIMD candidate-major kernels
- *    (CompiledWorkload::estimateBatch), and
- *  - incremental re-evaluation of coordinate-local moves (pattern
- *    search polls and subgradient probes change one dimension).
+ * Batched results are bit-identical to calling the scalar objective
+ * per point, so a solver may use the facet opportunistically without
+ * changing any result.
  *
- * Both modes are bit-identical to calling the scalar objective — they
- * are pure evaluation-order-preserving reformulations — so a solver
- * may use them opportunistically without changing any result.
- *
- * The facets ride inside the `std::function`: `makeObjective` returns
+ * The facet rides inside the `std::function`: `makeObjective` returns
  * a `BatchableObjective` wrapper, and solvers recover it with
  * `batchFacet()` (`std::function::target`). Objectives that are plain
  * lambdas — custom timing models, counting wrappers, tests — simply
@@ -32,45 +30,7 @@
 
 namespace libra {
 
-/**
- * Incremental re-evaluation around a movable base point.
- *
- * Mutable and strictly single-threaded: each solver invocation builds
- * its own instance (the shared objective stays immutable). Heavy
- * per-dimension caches are built lazily on the first probe, so
- * rebasing after an accepted move costs one vector copy.
- */
-class IncrementalEval
-{
-  public:
-    virtual ~IncrementalEval() = default;
-
-    /**
-     * Move the base point to @p x. Pass @p knownValue when f(x) was
-     * already computed; otherwise the value is evaluated on demand.
-     */
-    virtual void setBase(const Vec& x,
-                         const double* knownValue = nullptr) = 0;
-
-    /** Objective value at the current base point. */
-    virtual double baseValue() = 0;
-
-    /**
-     * f(base with coordinate @p dim set to @p value) — bit-identical
-     * to a full evaluation at that point. Does not move the base.
-     */
-    virtual double probe(std::size_t dim, double value) = 0;
-
-    /**
-     * Evaluate @p x, choosing the cheapest exact path: the cached base
-     * value when x == base, a probe when x differs from the base in
-     * exactly one coordinate, and a full evaluation (which rebases to
-     * x) otherwise. Always bit-identical to f(x).
-     */
-    virtual double evaluate(const Vec& x) = 0;
-};
-
-/** The batched/incremental evaluation facet of an objective. */
+/** The batched evaluation facet of an objective. */
 class BatchEvaluable
 {
   public:
@@ -86,14 +46,11 @@ class BatchEvaluable
      */
     virtual void evaluateBatch(const Vec* xs, std::size_t n,
                                double* out) const = 0;
-
-    /** New single-threaded incremental evaluator over this objective. */
-    virtual std::unique_ptr<IncrementalEval> makeIncremental() const = 0;
 };
 
 /**
  * The concrete callable `makeObjective` stores in the ScalarObjective
- * when the fast facets are available. Copyable (shared impl), so the
+ * when the batched facet is available. Copyable (shared impl), so the
  * std::function stays cheap to pass around.
  */
 struct BatchableObjective

@@ -1,47 +1,40 @@
 #include "solver/subgradient.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <memory>
+#include <vector>
 
 #include "solver/batch_eval.hh"
 #include "solver/qp.hh"
 
 namespace libra {
 
-namespace {
-
-/**
- * numericGradient through an incremental evaluator whose base is x:
- * every finite-difference point is a single-coordinate move, so each
- * f-call collapses to a probe. Same h, same probe points, same
- * divisions as the full-evaluation path — bit-identical gradients.
- */
-Vec
-incrementalGradient(IncrementalEval& inc, const Vec& x, double rel_step)
-{
-    Vec g(x.size(), 0.0);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        double h = rel_step * std::max(std::abs(x[i]), 1e-3);
-        double xp = x[i] + h;
-        double xm = std::max(x[i] - h, 1e-12);
-        g[i] = (inc.probe(i, xp) - inc.probe(i, xm)) / (xp - xm);
-    }
-    return g;
-}
-
-} // namespace
-
 Vec
 numericGradient(const ScalarObjective& f, const Vec& x, double rel_step)
 {
-    Vec g(x.size(), 0.0);
-    for (std::size_t i = 0; i < x.size(); ++i) {
+    // All 2n probe points first, (x + h e_i, x - h e_i) per dimension,
+    // then one evaluation pass: the compiled objective scores them in
+    // a single SIMD batch, plain objectives call f in the same
+    // per-dimension order. Batched values are bit-identical to f, so
+    // the gradient does not depend on the route.
+    const std::size_t n = x.size();
+    std::vector<Vec> probes(2 * n, x);
+    for (std::size_t i = 0; i < n; ++i) {
         double h = rel_step * std::max(std::abs(x[i]), 1e-3);
-        Vec xp = x;
-        Vec xm = x;
-        xp[i] += h;
-        xm[i] = std::max(xm[i] - h, 1e-12);
-        g[i] = (f(xp) - f(xm)) / (xp[i] - xm[i]);
+        probes[2 * i][i] += h;
+        probes[2 * i + 1][i] = std::max(x[i] - h, 1e-12);
+    }
+    Vec values(2 * n, 0.0);
+    if (const BatchEvaluable* batch = batchFacet(f)) {
+        batch->evaluateBatch(probes.data(), probes.size(), values.data());
+    } else {
+        for (std::size_t k = 0; k < probes.size(); ++k)
+            values[k] = f(probes[k]);
+    }
+    Vec g(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        g[i] = (values[2 * i] - values[2 * i + 1]) /
+               (probes[2 * i][i] - probes[2 * i + 1][i]);
     }
     return g;
 }
@@ -51,37 +44,21 @@ projectedSubgradient(const ScalarObjective& f,
                      const ConstraintSet& constraints, const Vec& x0,
                      SubgradientOptions options)
 {
-    // The compiled objective evaluates finite-difference probes
-    // incrementally (each is a one-coordinate move off the iterate);
-    // plain objectives pay the full evaluation per probe. Either way
-    // every number computed is bit-identical.
-    const BatchEvaluable* batch = batchFacet(f);
-    std::unique_ptr<IncrementalEval> inc;
-    if (batch)
-        inc = batch->makeIncremental();
-
     Vec x = x0;
     SearchResult best{x, f(x), 0};
-    double fx = best.value;
     double scaleBase = std::max(norm(x0), 1.0) * options.initialStep;
     int sinceImprove = 0;
 
     for (int k = 1; k <= options.maxIterations; ++k) {
         best.iterations = k;
-        Vec g;
-        if (inc) {
-            inc->setBase(x, &fx);
-            g = incrementalGradient(*inc, x, kGradientRelStep);
-        } else {
-            g = numericGradient(f, x);
-        }
+        Vec g = numericGradient(f, x);
         double gn = norm(g);
         if (gn <= 0.0)
             break;
         double step = scaleBase / (std::sqrt(static_cast<double>(k)) * gn);
         Vec candidate = axpy(x, -step, g);
         x = projectOntoConstraints(constraints, candidate);
-        fx = inc ? inc->evaluate(x) : f(x);
+        double fx = f(x);
         if (fx < best.value - options.tol * std::abs(best.value)) {
             best.value = fx;
             best.x = x;

@@ -25,7 +25,12 @@ using ScalarObjective = std::function<double(const Vec&)>;
 /** Default relative step of the central-difference gradient. */
 inline constexpr double kGradientRelStep = 1e-6;
 
-/** Central-difference gradient of @p f at @p x with relative step. */
+/**
+ * Central-difference gradient of @p f at @p x with relative step.
+ * When @p f carries the batched facet (solver/batch_eval.hh) all 2n
+ * probes are scored in one evaluateBatch call; the result is
+ * bit-identical to per-probe calls.
+ */
 Vec numericGradient(const ScalarObjective& f, const Vec& x,
                     double rel_step = kGradientRelStep);
 

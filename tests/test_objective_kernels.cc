@@ -1,16 +1,17 @@
 /**
  * @file
- * Bit-identity contracts of the fast objective-evaluation kernels.
+ * Bit-identity contracts of the batched objective-evaluation path.
  *
- * The SIMD-batched candidate-major path (estimateBatch) and the
- * incremental coordinate-move evaluator (WorkloadIncremental,
- * surfaced to solvers through the CompiledObjective facets) promise
- * results *bit-identical* to the scalar SoA estimate() — not merely
- * close. These tests enforce that promise with std::bit_cast
- * comparisons across dimension counts chosen to cover full SIMD
- * lanes, remainder lanes, and the scalar tail (1, 2, 8, 15, 16, 17),
- * both training loops, odd batch sizes, and a seeded coordinate-move
- * walk with periodic rebases.
+ * The SIMD-batched candidate-major path (estimateBatch, surfaced to
+ * solvers through the CompiledObjective facet) promises results
+ * *bit-identical* to the scalar SoA estimate() — not merely close.
+ * These tests enforce that promise with std::bit_cast comparisons
+ * across dimension counts chosen to cover full SIMD lanes, remainder
+ * lanes, and the scalar tail (1, 2, 8, 15, 16, 17), both training
+ * loops, and batch sizes leaving every padded remainder of the AVX2
+ * and AVX-512 kernels; and they check that projected subgradient
+ * descent, whose gradients go through the batch, retraces the
+ * per-call search exactly.
  */
 
 #include <bit>
@@ -22,10 +23,12 @@
 
 #include "common/random.hh"
 #include "core/estimator.hh"
-#include "core/incremental.hh"
 #include "core/objective.hh"
 #include "cost/cost_model.hh"
 #include "solver/batch_eval.hh"
+#include "solver/constraint_set.hh"
+#include "solver/qp.hh"
+#include "solver/subgradient.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
 
@@ -132,13 +135,14 @@ class ObjectiveKernels : public ::testing::TestWithParam<KernelCase>
 
 /**
  * estimateBatch must agree with per-candidate estimate() to the last
- * bit, at batch sizes exercising a lone candidate, sub-lane batches,
- * exactly-full SIMD blocks, and blocks plus a remainder tail.
+ * bit, at batch sizes exercising a lone candidate, exactly-full SIMD
+ * blocks, a lone scalar leftover, and every padded remainder from 2
+ * to 7 of the width-4 (AVX2) and width-8 (AVX-512) kernels.
  */
 TEST_P(ObjectiveKernels, BatchMatchesScalarBitExact)
 {
     Rng rng(0x5EED + GetParam().dims);
-    for (std::size_t n : {1, 3, 8, 33}) {
+    for (std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 33}) {
         std::vector<BwConfig> pool;
         for (std::size_t i = 0; i < n; ++i)
             pool.push_back(randomPoint(rng, net_->numDims()));
@@ -148,44 +152,6 @@ TEST_P(ObjectiveKernels, BatchMatchesScalarBitExact)
             EXPECT_EQ(bits(out[i]), bits(cw_->estimate(pool[i])))
                 << "candidate " << i << " of " << n << " ("
                 << activeSimdKernel() << " kernel)";
-        }
-    }
-}
-
-/**
- * A seeded coordinate-move walk: every probe must match a full
- * evaluation of the moved point bit-for-bit, the base estimate must
- * match the base point, and probing must never disturb the base.
- * Accepted moves periodically rebase to exercise the lazy cache
- * rebuild.
- */
-TEST_P(ObjectiveKernels, IncrementalMatchesFullBitExact)
-{
-    const std::size_t dims = net_->numDims();
-    Rng rng(0xA11CE + GetParam().dims);
-    WorkloadIncremental inc(*cw_);
-
-    BwConfig base = randomPoint(rng, dims);
-    inc.setBase(base);
-    ASSERT_EQ(bits(inc.baseEstimate()), bits(cw_->estimate(base)));
-
-    for (int step = 0; step < 200; ++step) {
-        const std::size_t d =
-            static_cast<std::size_t>(rng.uniformInt(0, dims - 1));
-        const double v = rng.uniform(1.0, 600.0);
-        BwConfig moved = base;
-        moved[d] = v;
-
-        const Seconds probed = inc.probe(d, v);
-        EXPECT_EQ(bits(probed), bits(cw_->estimate(moved)))
-            << "step " << step << " dim " << d << " value " << v;
-        // The probe must leave the base evaluation untouched.
-        EXPECT_EQ(bits(inc.baseEstimate()), bits(cw_->estimate(base)))
-            << "base disturbed at step " << step;
-
-        if (step % 7 == 3) {
-            base = moved;
-            inc.setBase(base);
         }
     }
 }
@@ -252,12 +218,11 @@ class ObjectiveFacets
 {};
 
 /**
- * The facets must reproduce the plain call operator exactly: the
- * batched path over a mixed-weight two-workload ensemble and the
- * incremental path over single-coordinate moves, under both
- * objectives (PerfPerCostOpt adds the cost multiply after the sum).
+ * The batched facet must reproduce the plain call operator exactly
+ * over a mixed-weight two-workload ensemble, under both objectives
+ * (PerfPerCostOpt adds the cost multiply after the sum).
  */
-TEST_P(ObjectiveFacets, BatchAndIncrementalMatchCallOperator)
+TEST_P(ObjectiveFacets, BatchMatchesCallOperator)
 {
     Network net = Network::parse("RI(4)_FC(4)_SW(4)");
     TrainingEstimator est(net);
@@ -281,33 +246,6 @@ TEST_P(ObjectiveFacets, BatchAndIncrementalMatchCallOperator)
         EXPECT_EQ(bits(out[i]), bits(f(pool[i]))) << "candidate " << i;
         EXPECT_EQ(bits(out[i]), bits(batch->evaluateOne(pool[i])));
     }
-
-    std::unique_ptr<IncrementalEval> inc = batch->makeIncremental();
-    ASSERT_NE(inc, nullptr);
-    Vec base = pool[0];
-    inc->setBase(base, nullptr);
-    for (int step = 0; step < 60; ++step) {
-        const std::size_t d = static_cast<std::size_t>(
-            rng.uniformInt(0, net.numDims() - 1));
-        const double v = rng.uniform(1.0, 600.0);
-        Vec moved = base;
-        moved[d] = v;
-        EXPECT_EQ(bits(inc->probe(d, v)), bits(f(moved)))
-            << "step " << step;
-        // evaluate() detects the actual diff itself: a one-coordinate
-        // move probes, identical input returns the cached base, and a
-        // multi-coordinate move falls back to a full evaluation.
-        EXPECT_EQ(bits(inc->evaluate(moved)), bits(f(moved)));
-        EXPECT_EQ(bits(inc->evaluate(base)), bits(f(base)));
-        Vec twoMoves = moved;
-        twoMoves[(d + 1) % net.numDims()] += 5.0;
-        EXPECT_EQ(bits(inc->evaluate(twoMoves)), bits(f(twoMoves)));
-        inc->setBase(base, nullptr);
-        if (step % 11 == 5) {
-            base = moved;
-            inc->setBase(base, nullptr);
-        }
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -317,6 +255,89 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<OptimizationObjective>& info) {
         return objectiveName(info.param);
     });
+
+struct SubgradientCase
+{
+    const char* network;
+    TrainingLoop loop;
+    OptimizationObjective objective;
+};
+
+std::string
+subgradientCaseName(const ::testing::TestParamInfo<SubgradientCase>& info)
+{
+    return std::to_string(Network::parse(info.param.network).numDims()) +
+           "d_" +
+           (info.param.loop == TrainingLoop::NoOverlap ? "NoOverlap_"
+                                                       : "TpDpOverlap_") +
+           objectiveName(info.param.objective);
+}
+
+class SubgradientBatch : public ::testing::TestWithParam<SubgradientCase>
+{};
+
+/**
+ * projectedSubgradient scores each iterate's 2n gradient probes in one
+ * evaluateBatch call when the objective carries the batched facet. A
+ * plain lambda around the same objective hides the facet and forces
+ * per-probe calls; both runs must take the same path to the same bits.
+ */
+// Same GCC 12 std::function::target() false positive as above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+TEST_P(SubgradientBatch, BatchedGradientsRetraceThePerCallSearch)
+{
+    const SubgradientCase& param = GetParam();
+    Network net = Network::parse(param.network);
+    EstimatorOptions opt;
+    opt.loop = param.loop;
+    TrainingEstimator est(net, opt);
+    CostModel cost = CostModel::defaultModel();
+    std::vector<TargetWorkload> targets = {
+        {wl::resnet50(net.npus()), 0.75},
+        {wl::gpt3(net.npus()), 0.25}};
+
+    ScalarObjective batched =
+        makeObjective(param.objective, est, cost, targets);
+    ASSERT_NE(batchFacet(batched), nullptr);
+    ScalarObjective plain = [&batched](const Vec& x) {
+        return batched(x);
+    };
+    ASSERT_EQ(batchFacet(plain), nullptr);
+
+    ConstraintSet cs(net.numDims());
+    cs.addTotalBw(400.0, Relation::Eq);
+    cs.addLowerBounds(1.0);
+    Rng rng(0x5B6D + net.numDims());
+    const Vec x0 = projectOntoConstraints(
+        cs, rng.simplexPoint(net.numDims(), 400.0));
+
+    const SearchResult a = projectedSubgradient(batched, cs, x0);
+    const SearchResult b = projectedSubgradient(plain, cs, x0);
+    EXPECT_GT(a.iterations, 1);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(bits(a.value), bits(b.value));
+    ASSERT_EQ(a.x.size(), b.x.size());
+    for (std::size_t i = 0; i < a.x.size(); ++i)
+        EXPECT_EQ(bits(a.x[i]), bits(b.x[i])) << "dim " << i;
+}
+#pragma GCC diagnostic pop
+
+INSTANTIATE_TEST_SUITE_P(
+    NetworksLoopsObjectives, SubgradientBatch,
+    ::testing::ValuesIn([] {
+        std::vector<SubgradientCase> cases;
+        for (const char* network :
+             {"RI(4)_FC(4)_SW(4)", "RI(4)_FC(2)_RI(4)_SW(4)"})
+            for (TrainingLoop loop :
+                 {TrainingLoop::NoOverlap, TrainingLoop::TpDpOverlap})
+                for (OptimizationObjective objective :
+                     {OptimizationObjective::PerfOpt,
+                      OptimizationObjective::PerfPerCostOpt})
+                    cases.push_back({network, loop, objective});
+        return cases;
+    }()),
+    subgradientCaseName);
 
 } // namespace
 } // namespace libra

@@ -6,6 +6,8 @@
  * topology-exploration point, plus the parallel study-sweep path.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
@@ -148,6 +150,41 @@ TEST(ParallelDeterminism, EvaluateBatchIsThreadCountInvariant)
         }
     }
     ThreadPool::setGlobalThreads(1);
+}
+
+/**
+ * A 17-dimension objective gives each subgradient iterate 34 gradient
+ * probes, more than one 32-candidate evaluateBatch block. With the
+ * multistart fan-out off, the search runs on the calling thread, so
+ * the gradient batch itself fans its blocks across the pool — and
+ * optimize() must still be bit-identical at any thread count.
+ */
+TEST(ParallelDeterminism, MultiBlockGradientBatchIsThreadCountInvariant)
+{
+    std::string text;
+    for (int i = 0; i < 17; ++i)
+        text += i == 0 ? "RI(2)" : (i % 2 ? "_FC(2)" : "_RI(2)");
+    Network net = Network::parse(text);
+    ASSERT_EQ(net.numDims(), 17u);
+
+    Workload w;
+    w.name = "wide-17d";
+    w.strategy = {2, net.npus() / 2};
+    Layer l;
+    l.fwdCompute = 1e-3;
+    l.fwdComm.push_back({CollectiveType::AllGather, CommScope::Tp, 3e8});
+    l.wgComm.push_back({CollectiveType::AllReduce, CommScope::Dp, 5e8});
+    l.wgComm.push_back({CollectiveType::AllToAll, CommScope::All, 1e8});
+    w.layers.push_back(l);
+
+    expectIdenticalAcrossThreadCounts([&] {
+        BwOptimizer opt(net, CostModel::defaultModel());
+        OptimizerConfig cfg;
+        cfg.totalBw = 1700.0;
+        cfg.search.starts = 1;
+        cfg.search.parallel = false;
+        return opt.optimize({{w, 1.0}}, cfg);
+    });
 }
 
 /**

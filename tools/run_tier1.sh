@@ -297,9 +297,11 @@ PY
   echo "simd smoke: byte-identical matrix JSON (LIBRA_SIMD=off vs auto, fresh 1t vs cached 8t)"
 
   # Objective-throughput smoke: the bench must run and emit parseable
-  # metrics with the scalar-SoA speedup the perf docs track.
+  # metrics with the scalar-SoA and gradient-batch speedups the perf
+  # docs track.
   BENCH_BIN="$(pwd)/${BUILD_DIR}/micro_objective_eval"
   (cd "${SMOKE_DIR}" && "${BENCH_BIN}")
   grep -q '"soa_speedup_vs_nested":' "${SMOKE_DIR}/BENCH_objective.json"
+  grep -q '"gradient_batch_speedup_vs_soa":' "${SMOKE_DIR}/BENCH_objective.json"
   echo "objective bench smoke: BENCH_objective.json emitted with speedup metrics"
 fi
