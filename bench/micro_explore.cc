@@ -23,18 +23,22 @@
  *
  * A third section does the same for *adaptive* exploration: frontier-xl
  * under `--explore prune`, whose screening and promotion rounds cross
- * the wire as eval frames on the warm worker pool instead of recipe
- * slot indices. It records both wall clocks, the detected core count,
+ * the wire as eval frames on the warm worker pool, like every other
+ * shipped point. It records both wall clocks, the detected core count,
  * and `shard_adaptive_byte_identical` — the acceptance flag that the
  * sharded adaptive run emits the single-process bytes.
+ *
+ * Sharding does not pay off on one host yet. On a 4-core AVX-512 VM
+ * (Release, 3 runs) the exhaustive section prints a sharded/single
+ * wall-clock ratio of 1.40–1.49 (sharded is slower) and the prune
+ * section an adaptive prune speedup of 0.68–0.89x.
  *
  * Emits machine-readable BENCH_explore.json for CI tracking next to
  * BENCH_objective/solver/backend.json. The acceptance contract:
  * `prune_matches_exhaustive_winner` true with
  * `prune_full_runs <= 0.5 * exhaustive_full_runs`,
  * `shard_byte_identical` true, and `shard_adaptive_byte_identical`
- * true (with >= 1.3x `shard_prune_speedup` expected on multi-core
- * hosts).
+ * true. The shard wall clocks are reported, not asserted.
  */
 
 #include <chrono>
@@ -177,11 +181,11 @@ shardSection(Json* j)
 /**
  * Sharded adaptive exploration: frontier-xl under `--explore prune`,
  * single-process vs `--workers 2`. The prune rounds are synthesized
- * mid-search, so the pool serves them as eval frames (serialized wire
- * points) rather than recipe slot indices — this section pins that
- * path's byte-transparency and records its wall clocks. The speedup is
- * reported, not asserted: it needs >= 2 cores, so the detected core
- * count lands in the JSON next to it.
+ * mid-search and served by the warm pool as eval frames (serialized
+ * wire points) — this section pins that path's byte-transparency and
+ * records its wall clocks. The speedup is reported, not asserted: it
+ * needs >= 2 cores, so the detected core count lands in the JSON next
+ * to it.
  */
 void
 shardPruneSection(Json* j)
@@ -236,8 +240,8 @@ shardPruneSection(Json* j)
     t.print(std::cout);
     std::cout << "adaptive prune speedup: " << Table::num(speedup, 2)
               << "x on " << cores
-              << " detected core(s) (>= 1.3x expected with 2+ "
-                 "cores; identity is the contract)\n";
+              << " detected core(s) (reported, not asserted; "
+                 "identity is the contract)\n";
 
     (*j)["shard_prune_single_seconds"] = singleSec;
     (*j)["shard_prune_workers2_seconds"] = shardedSec;

@@ -4,7 +4,6 @@
 #include <iterator>
 #include <optional>
 #include <ostream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/fault.hh"
@@ -37,24 +36,20 @@ struct SweepBatch
 
 /**
  * The warm worker pool for one run-matrix invocation. Workers are
- * forked and handshaken at most once — on the first sweep with work to
- * dispatch — then reused by the shared batch and every adaptive
+ * forked and version-checked at most once — on the first sweep with a
+ * point to ship — then reused by the shared batch and every adaptive
  * explore round, paying fork/exec/handshake once per run instead of
- * once per round (docs/SHARDING.md). The handshake expectation is the
- * *shared-batch* slot map (what workers rebuild from the recipe),
- * recorded by the phase-2 sweep before any dispatch.
+ * once per round (docs/SHARDING.md).
  */
 struct ShardRuntime
 {
     ShardOptions options;
-    std::size_t expectedSlots = 0;
-    std::string expectedFingerprint;
     std::optional<ShardPool> pool;
 
     ShardPool& ensurePool()
     {
         if (!pool)
-            pool.emplace(options, expectedSlots, expectedFingerprint);
+            pool.emplace(options);
         return *pool;
     }
 
@@ -67,15 +62,12 @@ struct ShardRuntime
 
 /**
  * Execution add-ons for one cached sweep: a warm shard pool evaluates
- * the owned batch in worker processes (by slot index for the shared
- * batch, by serialized wire point for adaptive rounds), and a
+ * the owned points that have a wire form in worker processes, and a
  * checkpoint log records completed slots durably.
  */
 struct SweepContext
 {
     ShardRuntime* shard = nullptr; ///< Null = in-process only.
-    bool shardByRecipe = false;    ///< Ship recipe slot indices
-                                   ///< (the phase-2 shared batch).
     CheckpointLog* checkpoint = nullptr;
     std::size_t checkpointChunk = 8;
 };
@@ -114,6 +106,12 @@ struct SweepContext
  * results merge by slot index as they arrive (store + publish +
  * checkpoint per slot), and the final assembly below is index-ordered
  * — so emitted bytes are identical at any worker count.
+ *
+ * The compute phase has one shape: a wire leg ships every owned point
+ * with a study-file form to the shard pool as an eval frame (only when
+ * ctx.shard is set), and a local leg runs the rest in-process — in
+ * chunks of ctx.checkpointChunk when a checkpoint is armed, as one
+ * call otherwise. Both legs merge through the same finishSlot.
  */
 SweepBatch
 cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
@@ -181,10 +179,10 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         }
     }
 
-    // Compute phase: one sharded sweep over every owned point.
-    // Injected point-eval faults replace the evaluation (keyed by
-    // content, so the same points fail fresh or cached, at any thread
-    // count); their failure is published like any other outcome.
+    // Compute phase. Injected point-eval faults replace the
+    // evaluation (keyed by content, so the same points fail fresh or
+    // cached, at any thread count); their failure is published like
+    // any other outcome.
     std::vector<LibraInputs> batch;
     std::vector<std::size_t> batchSlot;
     batch.reserve(owned.size());
@@ -228,113 +226,47 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         done[k] = 1;
     };
     try {
-        if (ctx.shard && ctx.shardByRecipe) {
-            // The shared batch defines the handshake: workers rebuild
-            // exactly this slot map from the recipe. Record it even
-            // when everything was cached — a later adaptive round may
-            // be the first to actually need the pool.
-            ctx.shard->expectedSlots = map.slots();
-            ctx.shard->expectedFingerprint = slotMapFingerprint(map);
+        // Wire leg. Serializing is the wirability test, so each point
+        // is serialized once; a point with no study-file form (custom
+        // commTimeFn, non-zoo workload) throws and stays local.
+        std::vector<WirePoint> wire;
+        std::vector<std::size_t> local;
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+            if (ctx.shard) {
+                try {
+                    std::string text = studyConfigToString(batch[k]);
+                    wire.push_back(
+                        {k, std::move(text), pointWireKey(batch[k])});
+                    continue;
+                } catch (const FatalError&) {
+                    // No wire form: falls through to the local leg.
+                }
+            }
+            local.push_back(k);
         }
-        if (ctx.shard && ctx.shardByRecipe && !batchSlot.empty()) {
-            // Sharded shared batch: ship slot indices to worker
-            // processes; merge each result as it lands. Workers
-            // rebuild the identical point list, so `batch` itself
-            // never crosses the wire.
-            std::unordered_map<std::size_t, std::size_t> batchIndex;
-            batchIndex.reserve(batchSlot.size());
-            for (std::size_t k = 0; k < batchSlot.size(); ++k)
-                batchIndex.emplace(batchSlot[k], k);
-            ctx.shard->ensurePool().evaluate(
-                batchSlot,
-                [&](std::size_t slot, PointStatus status,
-                    LibraReport report) {
-                    auto it = batchIndex.find(slot);
-                    if (it == batchIndex.end())
-                        fatal("shard: result for undispatched slot ",
-                              slot);
-                    finishSlot(it->second, std::move(status),
-                               std::move(report));
-                });
-        } else if (ctx.shard && !batchSlot.empty()) {
-            // Sharded adaptive round: no recipe describes these
-            // points, so each ships as its studyConfigToString wire
-            // form (an eval frame). The rare point without a wire
-            // form — custom commTimeFn, non-zoo workload — stays
-            // in-process; both legs merge through finishSlot, so
-            // store/publish/checkpoint semantics are identical.
-            std::vector<WirePoint> wire;
-            std::vector<std::size_t> local;
-            for (std::size_t k = 0; k < batchSlot.size(); ++k) {
-                if (studyConfigSerializable(batch[k])) {
-                    WirePoint wp;
-                    wp.index = k;
-                    wp.text = studyConfigToString(batch[k]);
-                    wp.key = pointWireKey(batch[k]);
-                    wire.push_back(std::move(wp));
-                } else {
-                    local.push_back(k);
-                }
-            }
-            if (!wire.empty()) {
-                ctx.shard->ensurePool().evaluatePoints(
-                    wire,
-                    [&](std::size_t k, PointStatus status,
-                        LibraReport report) {
-                        if (k >= batchSlot.size())
-                            fatal("shard: eval result for unknown "
-                                  "item ", k);
-                        finishSlot(k, std::move(status),
-                                   std::move(report));
-                    });
-            }
-            if (!local.empty()) {
-                const std::size_t chunkSize =
-                    ctx.checkpoint ? ctx.checkpointChunk
-                                   : local.size();
-                for (std::size_t base = 0; base < local.size();
-                     base += chunkSize) {
-                    const std::size_t count =
-                        std::min(chunkSize, local.size() - base);
-                    std::vector<LibraInputs> chunk;
-                    chunk.reserve(count);
-                    for (std::size_t j = 0; j < count; ++j)
-                        chunk.push_back(batch[local[base + j]]);
-                    SweepOutcome computed =
-                        runLibraSweepIsolated(chunk);
-                    for (std::size_t j = 0; j < count; ++j)
-                        finishSlot(local[base + j],
-                                   std::move(computed.status[j]),
-                                   std::move(computed.reports[j]));
-                }
-            }
-        } else if (ctx.checkpoint &&
-                   batchSlot.size() > ctx.checkpointChunk) {
-            // Checkpointed in-process run: compute in chunks so
-            // progress reaches the cache + manifest as it happens.
-            // Sub-batching cannot change results — evaluation is a
-            // pure function of each point (the property the
-            // content-addressed cache already relies on).
-            for (std::size_t base = 0; base < batchSlot.size();
-                 base += ctx.checkpointChunk) {
-                const std::size_t count = std::min(
-                    ctx.checkpointChunk, batchSlot.size() - base);
-                std::vector<LibraInputs> chunk(
-                    batch.begin() +
-                        static_cast<std::ptrdiff_t>(base),
-                    batch.begin() +
-                        static_cast<std::ptrdiff_t>(base + count));
-                SweepOutcome computed = runLibraSweepIsolated(chunk);
-                for (std::size_t j = 0; j < count; ++j)
-                    finishSlot(base + j,
-                               std::move(computed.status[j]),
-                               std::move(computed.reports[j]));
-            }
-        } else {
-            SweepOutcome computed = runLibraSweepIsolated(batch);
-            for (std::size_t k = 0; k < batchSlot.size(); ++k)
-                finishSlot(k, std::move(computed.status[k]),
-                           std::move(computed.reports[k]));
+        if (!wire.empty())
+            ctx.shard->ensurePool().evaluatePoints(wire, finishSlot);
+
+        // Local leg. Checkpointed runs compute in chunks so progress
+        // reaches the cache + manifest as it happens; sub-batching
+        // cannot change results — evaluation is a pure function of
+        // each point (the property the content-addressed cache
+        // already relies on).
+        const std::size_t chunkSize =
+            ctx.checkpoint ? ctx.checkpointChunk : local.size();
+        for (std::size_t base = 0; base < local.size();
+             base += chunkSize) {
+            const std::size_t count =
+                std::min(chunkSize, local.size() - base);
+            std::vector<LibraInputs> chunk;
+            chunk.reserve(count);
+            for (std::size_t j = 0; j < count; ++j)
+                chunk.push_back(std::move(batch[local[base + j]]));
+            SweepOutcome computed = runLibraSweepIsolated(chunk);
+            for (std::size_t j = 0; j < count; ++j)
+                finishSlot(local[base + j],
+                           std::move(computed.status[j]),
+                           std::move(computed.reports[j]));
         }
     } catch (...) {
         // An internal error is unwinding this sweep. Every owned claim
@@ -413,9 +345,7 @@ struct MatrixPlan
 
 /**
  * Phase 1: resolve @p names, validate overrides, and build every
- * scenario's design points into one batch. Fully deterministic — the
- * property shard workers rely on to rebuild the master's batch from
- * nothing but the (names, options) recipe.
+ * scenario's design points into one batch.
  *
  * Design-space scenarios expand through the explore layer: under the
  * exhaustive default their candidates join the shared batch
@@ -498,13 +428,6 @@ buildMatrixPlan(const std::vector<std::string>& names,
 
 } // namespace
 
-std::vector<LibraInputs>
-buildMatrixSharedBatch(const std::vector<std::string>& names,
-                       const MatrixOptions& options)
-{
-    return std::move(buildMatrixPlan(names, options).points);
-}
-
 MatrixResult
 runScenarioMatrix(const std::vector<std::string>& names,
                   const MatrixOptions& options)
@@ -547,16 +470,11 @@ runScenarioMatrix(const std::vector<std::string>& names,
         shardRuntime.options.workers = options.workers;
         shardRuntime.options.workerExe = options.workerExe;
         shardRuntime.options.workerThreads = options.workerThreads;
-        shardRuntime.options.scenarios = names;
-        shardRuntime.options.solverPipeline = options.solverPipeline;
-        shardRuntime.options.timingBackend = options.timingBackend;
-        shardRuntime.options.exploreSpec = options.exploreSpec;
     }
     if (options.checkpointChunk == 0)
         fatal("checkpoint chunk size must be >= 1");
     SweepContext mainCtx;
     mainCtx.shard = sharded ? &shardRuntime : nullptr;
-    mainCtx.shardByRecipe = true;
     mainCtx.checkpoint = checkpoint ? &*checkpoint : nullptr;
     mainCtx.checkpointChunk = options.checkpointChunk;
 
@@ -591,17 +509,13 @@ runScenarioMatrix(const std::vector<std::string>& names,
             // failing point aborts this exploration (deterministic
             // lowest-index error), and under Isolate that error is
             // recorded instead of unwinding the matrix.
-            // Adaptive rounds reuse the warm worker pool: batches the
-            // recipe cannot describe ship as serialized wire points
-            // (eval frames), and completed slots still checkpoint
-            // mid-round.
-            SweepContext adaptiveCtx = mainCtx;
-            adaptiveCtx.shardByRecipe = false;
+            // Adaptive rounds reuse the warm worker pool, and
+            // completed slots still checkpoint mid-round.
             ExploreSweepFn sweep =
-                [&, adaptiveCtx](const std::vector<LibraInputs>& batch) {
+                [&](const std::vector<LibraInputs>& batch) {
                     SweepBatch b =
                         cachedSweep(batch, store, options.updateCache,
-                                    FailMode::Abort, adaptiveCtx);
+                                    FailMode::Abort, mainCtx);
                     run.points += batch.size();
                     result.points += batch.size();
                     result.unique += b.unique;

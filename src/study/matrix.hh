@@ -96,12 +96,12 @@ struct MatrixOptions
      * Shard owned computation across this many forked worker
      * processes — the `--workers` flag (docs/SHARDING.md). 0 or 1
      * keeps the classic in-process sweep. The pool is warm: workers
-     * fork and handshake once per run, serve the shared batch by slot
-     * index, and serve adaptive (non-default EXPLORE) rounds as
-     * serialized wire points (eval frames). Results merge by index
-     * through the content-addressed cache, so emitted bytes are
-     * identical at any worker count. Points without a study-file wire
-     * form (custom commTimeFn, non-zoo workloads) stay in-process.
+     * fork and handshake once per run, then serve the shared batch
+     * and every adaptive (non-default EXPLORE) round as serialized
+     * wire points (eval frames). Results merge by index through the
+     * content-addressed cache, so emitted bytes are identical at any
+     * worker count. Points without a study-file wire form (custom
+     * commTimeFn, non-zoo workloads) stay in-process.
      */
     std::size_t workers = 0;
 
@@ -179,19 +179,6 @@ struct MatrixResult
  */
 MatrixResult runScenarioMatrix(const std::vector<std::string>& names,
                                const MatrixOptions& options = {});
-
-/**
- * Build the matrix's phase-1 shared batch: every selected scenario's
- * design points (exhaustive design spaces expanded through the explore
- * layer) with @p options' solver/backend/explore overrides applied, in
- * scenario order. Deterministic — shard workers call this with the
- * master's recipe to rebuild the identical point list, so the master
- * only ever ships slot indices (src/study/shard.hh).
- * @throws FatalError on an unknown scenario name or invalid override.
- */
-std::vector<LibraInputs>
-buildMatrixSharedBatch(const std::vector<std::string>& names,
-                       const MatrixOptions& options);
 
 /**
  * Stable JSON form of a matrix result. Contains only run-independent

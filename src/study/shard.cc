@@ -20,7 +20,6 @@
 #include "common/thread_pool.hh"
 #include "core/study_config.hh"
 #include "study/cache.hh"
-#include "study/matrix.hh"
 
 namespace libra {
 
@@ -70,10 +69,9 @@ std::string
 slotMapFingerprint(const SlotMap& map)
 {
     // Length-prefixed keys in slot order: equal fingerprints mean
-    // equal key sequences, so slot indices carry the same identity in
-    // both processes. Private slots contribute their (empty) key and
-    // their representative point index — content-free, but position
-    // must still agree.
+    // equal key sequences. Private slots contribute their (empty) key
+    // and their representative point index — content-free, but
+    // position must still agree.
     std::string text;
     text += std::to_string(map.slotOf.size());
     text += '/';
@@ -199,10 +197,7 @@ frameOp(const Frame& frame, const char* who)
 // ShardPool (master side)
 // ---------------------------------------------------------------------
 
-ShardPool::ShardPool(const ShardOptions& options,
-                     std::size_t expectedSlots,
-                     const std::string& expectedFingerprint)
-    : options_(options)
+ShardPool::ShardPool(const ShardOptions& options) : options_(options)
 {
     if (options_.workers < 2)
         fatal("shard: need at least 2 workers to shard (got ",
@@ -218,51 +213,51 @@ ShardPool::ShardPool(const ShardOptions& options,
         threads = static_cast<int>(
             std::max<std::size_t>(hw / options_.workers, 1));
     }
-
     Json body = Json::object();
-    Json scenarios = Json::array();
-    for (const auto& name : options_.scenarios)
-        scenarios.push(name);
-    body["scenarios"] = std::move(scenarios);
-    Json solver = Json::array();
-    for (const auto& name : options_.solverPipeline)
-        solver.push(name);
-    body["solver"] = std::move(solver);
-    body["backend"] = options_.timingBackend;
-    body["explore"] = options_.exploreSpec;
     body["threads"] = threads;
     const std::string init =
         frameMessage(okStatus("init"), body.dump());
 
-    workers_.resize(options_.workers);
-    for (Worker& w : workers_) {
-        spawnWorker(&w);
-        if (!sendAllFd(w.fd, init))
-            fatal("shard: cannot send init to worker ", w.pid);
-    }
-
-    // Handshake: every worker must rebuild the exact slot map this
-    // master holds, or slot indices would silently mean different
-    // design points.
-    for (Worker& w : workers_) {
-        Frame ready = readFrameFd(w.fd, w.buffer, "shard");
-        if (frameOp(ready, "shard") != "ready")
-            fatal("shard: worker sent ", ready.status.dump(),
-                  " instead of ready");
-        Json info = Json::parse(ready.payload);
-        const auto slots =
-            static_cast<std::size_t>(info.at("slots").asNumber());
-        const std::string& fp = info.at("fingerprint").asString();
-        if (slots != expectedSlots || fp != expectedFingerprint) {
-            fatal("shard: worker slot map mismatch (worker ", slots,
-                  " slots/", fp, ", master ", expectedSlots,
-                  " slots/", expectedFingerprint,
-                  ") — worker executable out of sync?");
+    // A constructor that throws never runs the destructor: kill what
+    // was already spawned so a rejected pool leaves no workers behind.
+    try {
+        workers_.resize(options_.workers);
+        for (Worker& w : workers_) {
+            spawnWorker(&w);
+            if (!sendAllFd(w.fd, init))
+                fatal("shard: cannot send init to worker ", w.pid);
         }
+        // Version check: every point is re-verified by its key hash
+        // anyway (pointWireKey), but a worker from another build is
+        // better rejected before any work is dispatched.
+        for (Worker& w : workers_) {
+            Frame ready = readFrameFd(w.fd, w.buffer, "shard");
+            if (frameOp(ready, "shard") != "ready")
+                fatal("shard: worker sent ", ready.status.dump(),
+                      " instead of ready");
+            const Json info = Json::parse(ready.payload);
+            if (!info.isObject() || !info.has("engineVersion") ||
+                !info.at("engineVersion").isNumber() ||
+                info.at("engineVersion").asNumber() !=
+                    kStudyCacheVersion) {
+                fatal("shard: worker ", w.pid, " is not engine version ",
+                      kStudyCacheVersion,
+                      " — worker executable out of sync?");
+            }
+        }
+    } catch (...) {
+        killWorkers();
+        throw;
     }
 }
 
 ShardPool::~ShardPool()
+{
+    killWorkers();
+}
+
+void
+ShardPool::killWorkers()
 {
     // Abnormal teardown (shutdown() was not reached): don't wait for
     // a worker mid-batch, kill and reap.
@@ -385,36 +380,17 @@ ShardPool::splitIndices(std::size_t count) const
 }
 
 void
-ShardPool::evaluate(const std::vector<std::size_t>& slots,
-                    const ResultFn& onResult)
-{
-    if (slots.empty())
-        return;
-    std::vector<PendingBatch> batches;
-    for (const std::vector<std::size_t>& span :
-         splitIndices(slots.size())) {
-        PendingBatch b;
-        Json status = okStatus("batch");
-        status["id"] = batches.size();
-        Json body = Json::object();
-        Json list = Json::array();
-        for (std::size_t k : span) {
-            b.items.push_back(slots[k]);
-            list.push(slots[k]);
-        }
-        body["slots"] = std::move(list);
-        b.frame = frameMessage(std::move(status), body.dump());
-        batches.push_back(std::move(b));
-    }
-    runBatches(batches, onResult);
-}
-
-void
 ShardPool::evaluatePoints(const std::vector<WirePoint>& points,
                           const ResultFn& onResult)
 {
-    if (points.empty())
-        return;
+    // One dispatchable request: the expected result indices (in
+    // payload order) plus the precomputed frame — requeues resend the
+    // same bytes.
+    struct PendingBatch
+    {
+        std::vector<std::size_t> items;
+        std::string frame;
+    };
     std::vector<PendingBatch> batches;
     for (const std::vector<std::size_t>& span :
          splitIndices(points.size())) {
@@ -430,13 +406,7 @@ ShardPool::evaluatePoints(const std::vector<WirePoint>& points,
                                evalPayloadJson(chunk).dump());
         batches.push_back(std::move(b));
     }
-    runBatches(batches, onResult);
-}
 
-void
-ShardPool::runBatches(std::vector<PendingBatch>& batches,
-                      const ResultFn& onResult)
-{
     std::deque<int> queue;
     for (std::size_t i = 0; i < batches.size(); ++i)
         queue.push_back(static_cast<int>(i));
@@ -460,11 +430,11 @@ ShardPool::runBatches(std::vector<PendingBatch>& batches,
                   " results for ", batch.items.size(), " items");
         for (std::size_t k = 0; k < results.size(); ++k) {
             const Json& entry = results[k];
-            const auto slot = static_cast<std::size_t>(
-                entry.at("slot").asNumber());
-            if (slot != batch.items[k])
+            const auto index = static_cast<std::size_t>(
+                entry.at("index").asNumber());
+            if (index != batch.items[k])
                 fatal("shard: batch ", id, " result ", k,
-                      " is for item ", slot, ", expected ",
+                      " is for item ", index, ", expected ",
                       batch.items[k]);
             PointStatus status;
             LibraReport report;
@@ -475,9 +445,8 @@ ShardPool::runBatches(std::vector<PendingBatch>& batches,
                 status.ok = false;
                 status.error = entry.at("error").asString();
             }
-            onResult(slot, std::move(status), std::move(report));
+            onResult(index, std::move(status), std::move(report));
         }
-        batch.done = true;
         ++doneBatches;
         w.batch = -1;
     };
@@ -612,28 +581,19 @@ runShardWorker()
             return 0;
         if (frameOp(init, "worker") != "init")
             fatal("worker: expected init, got ", init.status.dump());
+        // The thread count sizes the worker's pool: accept exactly the
+        // CLI's --threads range, never a raw cast of a peer's number.
         const Json config = Json::parse(init.payload);
-
-        std::vector<std::string> names;
-        for (const Json& n : config.at("scenarios").items())
-            names.push_back(n.asString());
-        MatrixOptions options;
-        for (const Json& n : config.at("solver").items())
-            options.solverPipeline.push_back(n.asString());
-        options.timingBackend = config.at("backend").asString();
-        options.exploreSpec = config.at("explore").asString();
-        ThreadPool::setGlobalThreads(static_cast<std::size_t>(
-            config.at("threads").asNumber()));
-
-        // Rebuild the master's shared batch and slot map from the
-        // recipe; the fingerprint lets the master verify the rebuild.
-        const std::vector<LibraInputs> points =
-            buildMatrixSharedBatch(names, options);
-        const SlotMap map = buildSlotMap(points);
+        const double threads = config.at("threads").asNumber();
+        if (!(threads >= 1 && threads <= 4096) ||
+            threads != std::floor(threads))
+            fatal("worker: init threads must be an integer in 1..4096, "
+                  "got ", config.at("threads").dump());
+        ThreadPool::setGlobalThreads(static_cast<std::size_t>(threads));
 
         Json ready = Json::object();
-        ready["slots"] = map.slots();
-        ready["fingerprint"] = slotMapFingerprint(map);
+        ready["engineVersion"] =
+            static_cast<std::size_t>(kStudyCacheVersion);
         if (!sendAllFd(1, frameMessage(okStatus("ready"),
                                        ready.dump())))
             return 1;
@@ -643,39 +603,24 @@ runShardWorker()
             const std::string op = frameOp(frame, "worker");
             if (op == "exit")
                 return 0;
-            if (op != "batch" && op != "eval")
+            if (op != "eval")
                 fatal("worker: unexpected op '", op, "'");
-            const Json request = Json::parse(frame.payload);
 
+            // Reparse each serialized point and verify its canonical-
+            // key hash, so a version-skewed build is rejected before
+            // it can return a result for the wrong design point.
             std::vector<std::size_t> items;
             std::vector<LibraInputs> batch;
-            if (op == "batch") {
-                for (const Json& s : request.at("slots").items()) {
-                    const auto slot =
-                        static_cast<std::size_t>(s.asNumber());
-                    if (slot >= map.slots())
-                        fatal("worker: slot ", slot,
-                              " out of range (", map.slots(),
-                              " slots)");
-                    items.push_back(slot);
-                    batch.push_back(points[map.slotRep[slot]]);
-                }
-            } else {
-                // Serialized design points: reparse each and verify
-                // its canonical-key hash, so a version-skewed build
-                // is rejected exactly like a fingerprint mismatch in
-                // the handshake.
-                for (const WirePoint& wp : parseEvalPayload(request)) {
-                    LibraInputs p = parseStudyConfigString(wp.text);
-                    const std::string key = pointWireKey(p);
-                    if (key != wp.key)
-                        fatal("worker: eval point ", wp.index,
-                              " key mismatch (reparse ", key,
-                              ", frame ", wp.key,
-                              ") — worker executable out of sync?");
-                    items.push_back(wp.index);
-                    batch.push_back(std::move(p));
-                }
+            for (const WirePoint& wp :
+                 parseEvalPayload(Json::parse(frame.payload))) {
+                LibraInputs p = parseStudyConfigString(wp.text);
+                const std::string key = pointWireKey(p);
+                if (key != wp.key)
+                    fatal("worker: eval point ", wp.index,
+                          " key mismatch (reparse ", key, ", frame ",
+                          wp.key, ") — worker executable out of sync?");
+                items.push_back(wp.index);
+                batch.push_back(std::move(p));
             }
             // Per-point isolation mirrors the in-process sweep: a
             // failing point becomes a status, never a dead worker.
@@ -684,7 +629,7 @@ runShardWorker()
             Json results = Json::array();
             for (std::size_t k = 0; k < items.size(); ++k) {
                 Json entry = Json::object();
-                entry["slot"] = items[k];
+                entry["index"] = items[k];
                 entry["ok"] = outcome.status[k].ok;
                 if (outcome.status[k].ok)
                     entry["report"] = reportToJson(outcome.reports[k]);

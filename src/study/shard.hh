@@ -9,27 +9,17 @@
  * them over the serve layer's newline-JSON framing
  * (src/serve/framing.hh) on a socketpair.
  *
- * Work crosses the wire in two forms:
+ * Work crosses the wire in one form: **eval frames** of serialized
+ * design points. Each point travels as its studyConfigToString text (a
+ * WirePoint) tagged with the hash of its canonical study key; the
+ * worker reparses the text and verifies the hash, so a version-skewed
+ * worker is rejected point by point before any result can be merged.
+ * The handshake itself only checks that both sides run the same engine
+ * version (kStudyCacheVersion). Points without a study-file form
+ * (custom commTimeFn, non-zoo workloads) cannot ship and stay in the
+ * master.
  *
- * - **batch frames** ship slot indices into the shared phase-1 batch.
- *   The master sends the *recipe* — scenario names plus the
- *   point-rewriting overrides — in the init frame, and each worker
- *   rebuilds the identical shared batch and slot map through the same
- *   library code (buildMatrixSharedBatch + buildSlotMap, both
- *   deterministic). The handshake compares slot counts and a
- *   fingerprint over every canonical slot key, so a version-skewed or
- *   misconfigured worker is rejected before any result can be merged.
- *
- * - **eval frames** ship serialized design points for work no recipe
- *   describes: the rounds an adaptive ExploreStrategy synthesizes
- *   mid-search. Each point travels as its studyConfigToString text (a
- *   WirePoint) tagged with its canonical-key hash; the worker reparses
- *   the text and verifies the hash, extending the same skew rejection
- *   to points that never appeared in the handshake. Points without a
- *   study-file form (custom commTimeFn, non-zoo workloads) cannot ship
- *   and stay in the master.
- *
- * Either way, results return inline as bit-exact report JSON
+ * Results return inline as bit-exact report JSON
  * (reportToJson/reportFromJson) and the master merges them by index
  * and stores them through the content-addressed ResultCache — which is
  * why emitted matrix JSON is cmp-equal to a single-process run at any
@@ -64,9 +54,7 @@ namespace libra {
 /**
  * Content-identity dedup of a point list: every point maps to a slot,
  * equal canonical keys share one slot, and uncacheable points (custom
- * commTimeFn — no content identity) get a private slot each. Built
- * identically by the master's cached sweep and by every worker, so a
- * slot index means the same design point on both sides.
+ * commTimeFn — no content identity) get a private slot each.
  */
 struct SlotMap
 {
@@ -82,8 +70,8 @@ SlotMap buildSlotMap(const std::vector<LibraInputs>& points);
 
 /**
  * Order-sensitive fingerprint over a slot map's canonical keys
- * (16-hex). Two processes that agree on it agree on every slot's
- * content identity and position, making slot indices safe to exchange.
+ * (16-hex). Only the benchmark's shard probe (perfbench/layers.cc)
+ * calls it.
  */
 std::string slotMapFingerprint(const SlotMap& map);
 
@@ -91,8 +79,7 @@ std::string slotMapFingerprint(const SlotMap& map);
  * One design point in wire form: the studyConfigToString text plus the
  * 16-hex hash of its canonical study key, under a caller-chosen item
  * index. The text is the authoritative payload — the key only lets the
- * receiver prove its reparse means the same design point (the eval
- * frames' analogue of the handshake fingerprint).
+ * receiver prove its reparse means the same design point.
  */
 struct WirePoint
 {
@@ -127,43 +114,41 @@ struct ShardOptions
 
     /** Threads per worker; 0 = hardware concurrency / workers. */
     int workerThreads = 0;
-
-    /**
-     * The batch recipe workers rebuild from: the expanded scenario
-     * names and every override that rewrites points before dedup.
-     * Must match what the master's buildMatrixSharedBatch saw.
-     */
-    std::vector<std::string> scenarios;
-    std::vector<std::string> solverPipeline;
-    std::string timingBackend;
-    std::string exploreSpec;
 };
 
 /**
- * The master side: spawns workers, handshakes them against the
- * master's own slot map, and drives batch dispatch; see file comment.
+ * The master side: spawns workers, checks their engine version, and
+ * drives eval-frame dispatch; see file comment.
  */
 class ShardPool
 {
   public:
     /**
-     * Result delivery: one call per evaluated item, in completion
-     * order (NOT index order — the caller merges by index). For
-     * evaluate() the index is a slot; for evaluatePoints() it is the
-     * WirePoint's caller-chosen index.
+     * Result delivery: one call per evaluated point, in completion
+     * order (NOT index order — the caller merges by the WirePoint's
+     * caller-chosen index).
      */
     using ResultFn = std::function<void(
-        std::size_t slot, PointStatus status, LibraReport report)>;
+        std::size_t index, PointStatus status, LibraReport report)>;
 
     /**
-     * Fork and handshake @p options.workers workers against the
-     * master's slot map, given as its size and fingerprint (what the
-     * handshake actually compares).
-     * @throws FatalError when spawning fails or a worker's slot count
-     * / fingerprint disagrees with the master's.
+     * Fork @p options.workers workers and check that each runs this
+     * build's engine version (kStudyCacheVersion).
+     * @throws FatalError when spawning fails or a worker reports
+     * another engine version; already spawned workers are killed.
      */
-    ShardPool(const ShardOptions& options, std::size_t expectedSlots,
-              const std::string& expectedFingerprint);
+    explicit ShardPool(const ShardOptions& options);
+
+    /**
+     * Same as ShardPool(options); the last two arguments are ignored.
+     * Its only caller is the benchmark's shard probe
+     * (perfbench/layers.cc).
+     */
+    ShardPool(const ShardOptions& options, std::size_t,
+              const std::string&)
+        : ShardPool(options)
+    {
+    }
 
     /** Kills (SIGKILL) and reaps any worker shutdown() didn't. */
     ~ShardPool();
@@ -172,20 +157,13 @@ class ShardPool
     ShardPool& operator=(const ShardPool&) = delete;
 
     /**
-     * Evaluate @p slots across the pool: deterministic index-ordered
-     * batches, dispatched dynamically to idle workers. Returns when
-     * every slot was delivered through @p onResult exactly once.
+     * Evaluate serialized design points across the pool via eval
+     * frames: deterministic index-ordered batches, dispatched
+     * dynamically to idle workers. Returns when every point was
+     * delivered through @p onResult exactly once, under its
+     * WirePoint's index. Callable any number of times on a warm pool.
      * @throws FatalError when a batch exhausts its retries or every
      * worker died with work outstanding.
-     */
-    void evaluate(const std::vector<std::size_t>& slots,
-                  const ResultFn& onResult);
-
-    /**
-     * Evaluate serialized design points across the pool via eval
-     * frames — same batching, dispatch, requeue, and delivery
-     * contract as evaluate(), with @p onResult receiving each
-     * WirePoint's index. Callable any number of times on a warm pool.
      */
     void evaluatePoints(const std::vector<WirePoint>& points,
                         const ResultFn& onResult);
@@ -208,22 +186,6 @@ class ShardPool
         FrameBuffer buffer{"shard"};
     };
 
-    /**
-     * One dispatchable request: the expected result item ids (slot
-     * indices or WirePoint indices, in payload order) plus the
-     * precomputed request frame — requeues resend the same bytes.
-     */
-    struct PendingBatch
-    {
-        std::vector<std::size_t> items;
-        std::string frame;
-        bool done = false;
-    };
-
-    /** Shared dispatch/requeue/merge loop behind both evaluate()s. */
-    void runBatches(std::vector<PendingBatch>& batches,
-                    const ResultFn& onResult);
-
     /** Deterministic index-ordered split, ~4 batches per worker. */
     std::vector<std::vector<std::size_t>>
     splitIndices(std::size_t count) const;
@@ -232,6 +194,7 @@ class ShardPool
     void workerFailed(Worker* w, std::vector<int>* requeue,
                       std::vector<int>* attempts);
     void reap(Worker* w);
+    void killWorkers();
 
     ShardOptions options_;
     std::vector<Worker> workers_;

@@ -714,8 +714,8 @@ TEST(Serve, DeeplyNestedRequestIsAnErrorAndTheServerServesOn)
 
 TEST(Serve, ShardedRequestsStayByteIdenticalToOneShot)
 {
-    // A registry scenario (not the locally registered test scenario —
-    // forked workers rebuild the batch from the registry by name).
+    // A registry scenario whose points all have a study-file form, so
+    // every one crosses to the forked workers as an eval frame.
     const std::string scenario = "explore-frontier";
     const std::string expected = oneShotJson(scenario);
 

@@ -9,7 +9,10 @@
  * kill-mid-run resume.
  */
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -25,9 +28,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/estimator.hh"
 #include "core/study_config.hh"
+#include "serve/framing.hh"
 #include "study/cache.hh"
 #include "study/checkpoint.hh"
 #include "study/shard.hh"
@@ -186,19 +191,21 @@ constexpr const char* kScenario = "explore-frontier";
 
 TEST(ShardCli, WorkerCountsEmitByteIdenticalMatrixJson)
 {
+    // explore-frontier's points all ship as eval frames; fig21 adds
+    // points with no study-file form, which stay in the master — one
+    // static batch exercises both legs of the sweep.
+    const std::string scenarios = std::string(kScenario) + " fig21";
     std::string dir = freshDir("libra-shard-e2e");
     std::string ref = dir + "/ref.json";
-    ASSERT_EQ(runCli(std::string(kScenario) + " --emit json --out " +
-                     ref),
-              0);
+    ASSERT_EQ(runCli(scenarios + " --emit json --out " + ref), 0);
     const std::string expected = slurp(ref);
     ASSERT_FALSE(expected.empty());
 
     // Fresh sharded runs at several worker counts (1 = classic path).
     for (const char* workers : {"1", "2", "4"}) {
         std::string out = dir + "/w" + workers + ".json";
-        ASSERT_EQ(runCli(std::string(kScenario) + " --workers " +
-                         workers + " --emit json --out " + out),
+        ASSERT_EQ(runCli(scenarios + " --workers " + workers +
+                         " --emit json --out " + out),
                   0)
             << "workers=" << workers;
         EXPECT_EQ(slurp(out), expected) << "workers=" << workers;
@@ -208,8 +215,7 @@ TEST(ShardCli, WorkerCountsEmitByteIdenticalMatrixJson)
     std::string cache = dir + "/cache";
     for (const char* label : {"cold", "warm"}) {
         std::string out = dir + "/cache-" + label + ".json";
-        ASSERT_EQ(runCli(std::string(kScenario) +
-                         " --workers 2 --cache-dir " + cache +
+        ASSERT_EQ(runCli(scenarios + " --workers 2 --cache-dir " + cache +
                          " --emit json --out " + out),
                   0)
             << label;
@@ -496,13 +502,10 @@ TEST(ShardCli, KilledShardedAdaptivePruneResumes)
 
 TEST(ShardPoolEval, WarmPoolServesEvalFramesAndRequeuesOnWorkerDeath)
 {
-    // A pool handshaken over an empty recipe is a pure eval-frame
-    // server: nothing in the shared batch, everything over the wire.
     ShardOptions options;
     options.workers = 2;
     options.workerExe = LIBRA_CLI_PATH;
-    SlotMap empty = buildSlotMap(std::vector<LibraInputs>{});
-    ShardPool pool(options, empty.slots(), slotMapFingerprint(empty));
+    ShardPool pool(options);
     ASSERT_EQ(pool.liveWorkers(), 2u);
 
     auto makeRound = [](int seedBase, std::size_t count) {
@@ -563,6 +566,110 @@ TEST(ShardPoolEval, WarmPoolServesEvalFramesAndRequeuesOnWorkerDeath)
     EXPECT_EQ(pool.liveWorkers(), 1u);
 
     pool.shutdown();
+}
+
+// --- Handshake and init-frame validation --------------------------------
+
+/** Frame status `{"ok":true,"op":<op>}`. */
+Json
+opStatus(const char* op)
+{
+    Json status = Json::object();
+    status["ok"] = true;
+    status["op"] = op;
+    return status;
+}
+
+TEST(ShardPoolHandshake, WorkerWithAnotherEngineVersionIsRejected)
+{
+    // A stand-in worker that reads the init status line and answers
+    // ready with an engine version this build does not run.
+    Json ready = Json::object();
+    ready["engineVersion"] =
+        static_cast<std::size_t>(kStudyCacheVersion + 1);
+    const std::string frame =
+        frameMessage(opStatus("ready"), ready.dump());
+    std::string dir = freshDir("libra-shard-skew");
+    std::string script = dir + "/skewed-worker";
+    {
+        std::ofstream f(script);
+        f << "#!/bin/sh\nread -r status\nprintf '%s' '" << frame
+          << "'\nexec cat > /dev/null\n";
+    }
+    ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+
+    ShardOptions options;
+    options.workers = 2;
+    options.workerExe = script;
+    try {
+        ShardPool pool(options);
+        ADD_FAILURE() << "a skewed worker passed the handshake";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("out of sync"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * Spawn `libra_cli worker` on a socketpair, send one init frame with
+ * @p payload, and return the worker's reply status and exit code
+ * (closing the channel right after the reply, so a healthy worker
+ * sees EOF and exits 0).
+ */
+std::pair<Json, int>
+workerInitReply(const std::string& payload)
+{
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
+        return {Json(), -1};
+    pid_t pid = ::fork();
+    if (pid == 0) {
+        ::dup2(sv[1], 0);
+        ::dup2(sv[1], 1);
+        int devnull = ::open("/dev/null", O_WRONLY);
+        ::dup2(devnull, 2);
+        ::close(sv[0]);
+        ::close(sv[1]);
+        ::execl(LIBRA_CLI_PATH, LIBRA_CLI_PATH, "worker",
+                static_cast<char*>(nullptr));
+        _exit(127);
+    }
+    ::close(sv[1]);
+    Json status;
+    if (sendAllFd(sv[0], frameMessage(opStatus("init"), payload))) {
+        FrameBuffer buffer("test");
+        status = readFrameFd(sv[0], buffer, "test").status;
+    }
+    ::close(sv[0]);
+    int wstatus = 0;
+    ::waitpid(pid, &wstatus, 0);
+    return {status, WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1};
+}
+
+TEST(ShardWorker, InitThreadsOutsideTheCliRangeAreAnsweredNotFatal)
+{
+    // In range: the worker answers ready and leaves cleanly on EOF.
+    auto [ok, okCode] = workerInitReply("{\"threads\": 1}");
+    ASSERT_TRUE(ok.isObject());
+    EXPECT_TRUE(ok.at("ok").asBool()) << ok.dump();
+    EXPECT_EQ(ok.at("op").asString(), "ready");
+    EXPECT_EQ(okCode, 0);
+
+    // Out of range: an error frame and exit code 1, never an abort
+    // from sizing a thread pool with a raw cast.
+    for (const char* payload :
+         {"{\"threads\": -1}", "{\"threads\": 1e9}",
+          "{\"threads\": 0}", "{\"threads\": 2.5}"}) {
+        auto [status, code] = workerInitReply(payload);
+        ASSERT_TRUE(status.isObject()) << payload;
+        EXPECT_FALSE(status.at("ok").asBool()) << payload;
+        EXPECT_NE(status.at("error").asString().find("1..4096"),
+                  std::string::npos)
+            << status.dump();
+        EXPECT_EQ(code, 1) << payload;
+    }
 }
 
 #endif // LIBRA_CLI_PATH

@@ -15,9 +15,11 @@
 #              fault-free cached run (docs/ROBUSTNESS.md), a SIMD
 #              smoke that rebuilds the CLI with LIBRA_SIMD=off and
 #              asserts the golden matrix JSON is byte-identical to
-#              the default build's (docs/PERF.md), and an objective
+#              the default build's (docs/PERF.md), an objective
 #              bench smoke asserting BENCH_objective.json emits the
-#              tracked speedup metrics.
+#              tracked speedup metrics, and a benchmark-build smoke
+#              that builds perfbench/ in build-perfbench/ and runs
+#              its self-test.
 #   --tsan     ThreadSanitizer build in build-tsan/; runs the threading
 #              contract tests (thread pool, parallel determinism, the
 #              scenario-matrix engine whose sweeps exercise
@@ -304,4 +306,14 @@ PY
   grep -q '"soa_speedup_vs_nested":' "${SMOKE_DIR}/BENCH_objective.json"
   grep -q '"gradient_batch_speedup_vs_soa":' "${SMOKE_DIR}/BENCH_objective.json"
   echo "objective bench smoke: BENCH_objective.json emitted with speedup metrics"
+
+  # Benchmark-build smoke: perfbench/ compiles against the library's
+  # public API, so a src/ change that breaks it must fail here, not
+  # first in a benchmark run. Its own build dir, its own generator
+  # self-test.
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-perfbench -j"${JOBS}" \
+    --target perfbench perfbench_selftest
+  build-perfbench/perfbench_selftest
+  echo "perfbench smoke: benchmark package builds and its self-test passes"
 fi
