@@ -6,12 +6,13 @@
  * axes that matter for study runtime:
  *
  *  - per-collective queries/sec of the analytical backend vs the
- *    chunk-sim backend, with the sim's per-thread memo cache cold
- *    (every query a fresh simulation) and warm (repeated identical
- *    collectives, the layered-workload pattern the memo exists for);
- *  - full objective evaluations/sec under each backend on a
- *    Turing-NLG study point (analytical uses the compiled SoA fast
- *    path; chunk-sim necessarily runs the direct estimator).
+ *    chunk-sim backend, every query a fresh simulation (the backend
+ *    keeps no cache);
+ *  - TrainingEstimator::estimate() calls/sec at a crossval design
+ *    point (Turing-NLG on RI(4)_FC(4)_SW(4) at a 250 GB/s budget)
+ *    under each backend. Under chunk-sim each call simulates every
+ *    distinct collective of the workload once, which is the cost the
+ *    crossval scenario pays per objective evaluation.
  *
  * Emits machine-readable BENCH_backend.json for CI tracking next to
  * BENCH_objective.json and BENCH_solver.json, so sim-backend
@@ -24,7 +25,7 @@
 #include "common/json.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
-#include "core/objective.hh"
+#include "core/estimator.hh"
 #include "core/timing_backend.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
@@ -40,19 +41,17 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Queries/sec of @p backend over @p iters collective-timing calls.
- *  @p vary_size defeats the memo cache (every query unique). */
+/** Queries/sec of @p backend over @p iters distinct collectives. */
 double
 timingQueriesPerSec(const TimingBackend* backend, int iters,
                     const std::vector<DimSpan>& spans,
-                    const BwConfig& bw, bool vary_size)
+                    const BwConfig& bw)
 {
-    // Warm-up (and memo fill for the repeated-query case).
     backend->timing(CollectiveType::AllReduce, 1e9, spans, bw, false);
     double sink = 0.0;
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
-        Bytes size = vary_size ? 1e9 + static_cast<double>(i) : 1e9;
+        Bytes size = 1e9 + static_cast<double>(i);
         sink += backend
                     ->timing(CollectiveType::AllReduce, size, spans, bw,
                              false)
@@ -64,98 +63,81 @@ timingQueriesPerSec(const TimingBackend* backend, int iters,
     return elapsed > 0.0 ? iters / elapsed : 0.0;
 }
 
-/** Objective evaluations/sec for @p backendName on the bench point. */
+/** estimate() calls/sec for @p backendName on the crossval point. */
 double
-objectiveEvalsPerSec(const Network& net,
-                     const std::vector<TargetWorkload>& targets,
-                     const std::string& backendName, int evals)
+estimatesPerSec(const Network& net, const Workload& w,
+                const std::string& backendName, int calls)
 {
     EstimatorOptions opt;
     opt.timingBackend = backendName;
     TrainingEstimator estimator(net, opt);
-    CostModel costModel = CostModel::defaultModel();
-    ScalarObjective f = makeObjective(OptimizationObjective::PerfOpt,
-                                      estimator, costModel, targets);
 
     Rng rng(0xBEAC'4E11ull);
     std::vector<Vec> points;
     points.reserve(16);
     for (int i = 0; i < 16; ++i)
-        points.push_back(rng.simplexPoint(net.numDims(), 300.0));
+        points.push_back(rng.simplexPoint(net.numDims(), 250.0));
 
-    f(points[0]); // Warm-up (compile / memo fill).
+    estimator.estimate(w, points[0]); // Warm-up.
     double sink = 0.0;
     auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < evals; ++i)
-        sink += f(points[static_cast<std::size_t>(i) % points.size()]);
+    for (int i = 0; i < calls; ++i) {
+        sink += estimator.estimate(
+            w, points[static_cast<std::size_t>(i) % points.size()]);
+    }
     double elapsed = secondsSince(start);
     if (sink < 0.0)
         std::cout << "";
-    return elapsed > 0.0 ? evals / elapsed : 0.0;
+    return elapsed > 0.0 ? calls / elapsed : 0.0;
 }
 
 void
 run()
 {
     bench::banner("micro",
-                  "timing-backend throughput (analytical vs chunk-sim, "
-                  "memo cold/warm)");
+                  "timing-backend throughput (analytical vs chunk-sim)");
 
     // Single-threaded so queries/sec measures the seam, not the pool.
     ThreadPool::setGlobalThreads(1);
 
     Network net = Network::parse("RI(4)_FC(4)_SW(4)");
     auto spans = mapGroupToDims(net, 1, net.npus());
-    BwConfig bw = net.equalBw(300.0);
+    BwConfig bw = net.equalBw(250.0);
     const TimingBackend* analytical =
         resolveTimingBackend(kAnalyticalTimingBackendName);
     const TimingBackend* chunkSim =
         resolveTimingBackend(kChunkSimTimingBackendName);
 
-    double anaQps = timingQueriesPerSec(analytical, 200000, spans, bw,
-                                        true);
-    setChunkSimMemoEnabled(false);
-    double simColdQps =
-        timingQueriesPerSec(chunkSim, 2000, spans, bw, true);
-    setChunkSimMemoEnabled(true);
-    double simFreshQps =
-        timingQueriesPerSec(chunkSim, 2000, spans, bw, true);
-    double simWarmQps =
-        timingQueriesPerSec(chunkSim, 200000, spans, bw, false);
+    double anaQps = timingQueriesPerSec(analytical, 200000, spans, bw);
+    double simQps = timingQueriesPerSec(chunkSim, 2000, spans, bw);
 
-    std::vector<TargetWorkload> targets{
-        {wl::turingNlg(net.npus()), 1.0}};
-    double anaEvals = objectiveEvalsPerSec(
-        net, targets, kAnalyticalTimingBackendName, 20000);
-    double simEvals = objectiveEvalsPerSec(
-        net, targets, kChunkSimTimingBackendName, 200);
+    Workload w = wl::turingNlg(net.npus());
+    double anaEst = estimatesPerSec(net, w, kAnalyticalTimingBackendName,
+                                    2000);
+    double simEst = estimatesPerSec(net, w, kChunkSimTimingBackendName,
+                                    400);
 
     Table t;
     t.header({"Path", "throughput/s"});
     t.row({"analytical query", Table::num(anaQps, 0)});
-    t.row({"chunk-sim query (memo off)", Table::num(simColdQps, 0)});
-    t.row({"chunk-sim query (memo miss)", Table::num(simFreshQps, 0)});
-    t.row({"chunk-sim query (memo hit)", Table::num(simWarmQps, 0)});
-    t.row({"objective eval, analytical (SoA)", Table::num(anaEvals, 0)});
-    t.row({"objective eval, chunk-sim", Table::num(simEvals, 0)});
+    t.row({"chunk-sim query (fresh simulation)", Table::num(simQps, 0)});
+    t.row({"crossval-point estimate(), analytical",
+           Table::num(anaEst, 0)});
+    t.row({"crossval-point estimate(), chunk-sim",
+           Table::num(simEst, 0)});
     t.print(std::cout);
-    std::cout << "memo hit speedup over fresh sim: "
-              << Table::num(simWarmQps / simFreshQps, 1)
-              << "x; analytical-vs-sim eval ratio: "
-              << Table::num(anaEvals / simEvals, 1) << "x\n";
+    std::cout << "analytical-vs-sim estimate() ratio: "
+              << Table::num(anaEst / simEst, 1) << "x\n";
 
     Json j = Json::object();
     j["bench"] = "micro_backend";
     j["network"] = net.name();
-    j["workload"] = targets[0].workload.name;
+    j["workload"] = w.name;
     j["analytical_queries_per_sec"] = anaQps;
-    j["chunk_sim_queries_per_sec_memo_off"] = simColdQps;
-    j["chunk_sim_queries_per_sec_memo_miss"] = simFreshQps;
-    j["chunk_sim_queries_per_sec_memo_hit"] = simWarmQps;
-    j["memo_hit_speedup"] = simWarmQps / simFreshQps;
-    j["objective_evals_per_sec_analytical"] = anaEvals;
-    j["objective_evals_per_sec_chunk_sim"] = simEvals;
-    j["analytical_over_chunk_sim_eval_ratio"] = anaEvals / simEvals;
+    j["chunk_sim_queries_per_sec"] = simQps;
+    j["crossval_estimates_per_sec_analytical"] = anaEst;
+    j["crossval_estimates_per_sec_chunk_sim"] = simEst;
+    j["analytical_over_chunk_sim_estimate_ratio"] = anaEst / simEst;
 
     bench::writeBenchJson("BENCH_backend.json", j);
     std::cout << "\nWrote BENCH_backend.json.\n";

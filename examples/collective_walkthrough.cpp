@@ -86,7 +86,7 @@ main()
     job.size = 6 * kFp32Bytes;
     job.spans = {{0, 3}, {1, 2}};
     job.numChunks = 4;
-    TimelineResult r = tl.run({job});
+    TimelineResult r = tl.run({job}, true);
     std::cout << r.render(2, 64);
     return 0;
 }

@@ -5,7 +5,7 @@
  * LIBRA's analytical models operate on continuous quantities (bytes,
  * seconds, GB/s, dollars), so all units are plain doubles with descriptive
  * aliases. The discrete-event simulator uses integer picosecond ticks
- * (see sim/event_queue.hh).
+ * (see sim/chunk_timeline.hh).
  */
 
 #ifndef LIBRA_COMMON_UNITS_HH

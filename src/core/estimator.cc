@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "core/timing_backend.hh"
@@ -46,6 +47,42 @@ checkedTiming(const CollectiveTiming& t,
 }
 
 } // namespace
+
+/**
+ * Within one estimate() or detail() call the bandwidth vector and each
+ * scope's spans are fixed, and a registered backend's timing() is a
+ * pure function of its arguments (core/timing_backend.hh). So every
+ * op with the same (type, scope, size bits) gets the same timing:
+ * time it once, then reuse it in the original op order. Layered
+ * workloads repeat a handful of distinct collectives per call, so a
+ * linear scan finds them; each miss costs a whole simulation.
+ */
+struct TrainingEstimator::CallTimings
+{
+    struct Entry
+    {
+        CollectiveType type;
+        CommScope scope;
+        Bytes size;
+        CollectiveTiming timing;
+    };
+    std::vector<Entry> entries;
+
+    /** The timing of @p op; valid until the next get(). */
+    const CollectiveTiming&
+    get(const TrainingEstimator& est, const CommOp& op,
+        const std::vector<DimSpan>& spans, const BwConfig& bw)
+    {
+        for (const Entry& e : entries) {
+            if (e.type == op.type && e.scope == op.scope &&
+                std::memcmp(&e.size, &op.size, sizeof(Bytes)) == 0)
+                return e.timing;
+        }
+        entries.push_back({op.type, op.scope, op.size,
+                           est.timingOf(op.type, op.size, spans, bw)});
+        return entries.back().timing;
+    }
+};
 
 TrainingEstimator::TrainingEstimator(Network net, EstimatorOptions options)
     : net_(std::move(net)), options_(std::move(options))
@@ -125,15 +162,20 @@ Seconds
 TrainingEstimator::commListTime(const std::vector<CommOp>& ops,
                                 const ScopeSpans& scopeSpans,
                                 const BwConfig& bw,
-                                EstimateDetail* detail) const
+                                EstimateDetail* detail,
+                                CallTimings* per_call) const
 {
     Seconds total = 0.0;
+    CollectiveTiming fresh;
     for (const auto& op : ops) {
         const auto& spans =
             scopeSpans[static_cast<std::size_t>(op.scope)];
         if (spans.empty())
             continue;
-        auto timing = timingOf(op.type, op.size, spans, bw);
+        if (!per_call)
+            fresh = timingOf(op.type, op.size, spans, bw);
+        const CollectiveTiming& timing =
+            per_call ? per_call->get(*this, op, spans, bw) : fresh;
         total += timing.time;
         if (detail) {
             for (std::size_t s = 0; s < spans.size(); ++s) {
@@ -157,12 +199,18 @@ TrainingEstimator::estimate(const Workload& w, const BwConfig& bw) const
     }
 
     ScopeSpans spans = spansForAll(w.strategy);
+    CallTimings perCall;
+    // Registered backends only: a commTimeFn promises no purity.
+    CallTimings* table =
+        backend_ && !options_.commTimeFn ? &perCall : nullptr;
     Seconds total = 0.0;
     for (const auto& layer : w.layers) {
         Seconds fwdComm =
-            commListTime(layer.fwdComm, spans, bw, nullptr);
-        Seconds igComm = commListTime(layer.igComm, spans, bw, nullptr);
-        Seconds wgComm = commListTime(layer.wgComm, spans, bw, nullptr);
+            commListTime(layer.fwdComm, spans, bw, nullptr, table);
+        Seconds igComm =
+            commListTime(layer.igComm, spans, bw, nullptr, table);
+        Seconds wgComm =
+            commListTime(layer.wgComm, spans, bw, nullptr, table);
 
         total += layer.fwdCompute + fwdComm;
         switch (options_.loop) {
@@ -411,10 +459,14 @@ TrainingEstimator::detail(const Workload& w, const BwConfig& bw) const
     d.dimTraffic.assign(net_.numDims(), 0.0);
 
     ScopeSpans spans = spansForAll(w.strategy);
+    CallTimings perCall;
+    // Registered backends only: a commTimeFn promises no purity.
+    CallTimings* table =
+        backend_ && !options_.commTimeFn ? &perCall : nullptr;
     for (const auto& layer : w.layers) {
-        Seconds fwdComm = commListTime(layer.fwdComm, spans, bw, &d);
-        Seconds igComm = commListTime(layer.igComm, spans, bw, &d);
-        Seconds wgComm = commListTime(layer.wgComm, spans, bw, &d);
+        Seconds fwdComm = commListTime(layer.fwdComm, spans, bw, &d, table);
+        Seconds igComm = commListTime(layer.igComm, spans, bw, &d, table);
+        Seconds wgComm = commListTime(layer.wgComm, spans, bw, &d, table);
 
         d.fwdCompute += layer.fwdCompute;
         d.fwdComm += fwdComm;

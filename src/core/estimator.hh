@@ -320,9 +320,16 @@ class TrainingEstimator
                               const std::vector<DimSpan>& spans,
                               const BwConfig& bw) const;
 
+    /**
+     * One estimate()/detail() call's table of registered-backend
+     * timings, so each distinct collective is timed once per call.
+     */
+    struct CallTimings;
+
     Seconds commListTime(const std::vector<CommOp>& ops,
                          const ScopeSpans& spans, const BwConfig& bw,
-                         EstimateDetail* detail) const;
+                         EstimateDetail* detail,
+                         CallTimings* per_call) const;
 
     Network net_;
     EstimatorOptions options_;

@@ -1,10 +1,38 @@
 #include "core/optimizer.hh"
 
+#include <cmath>
+
 #include "common/logging.hh"
 #include "solver/qp.hh"
 #include "solver/water_fill.hh"
 
 namespace libra {
+
+namespace {
+
+/**
+ * Non-finite budgets or weights poison every objective value the
+ * solvers compare, so they are user errors, not search inputs.
+ */
+void
+requireFiniteInputs(const std::vector<TargetWorkload>& targets,
+                    const OptimizerConfig& config)
+{
+    if (!(std::isfinite(config.totalBw) &&
+          std::isfinite(config.minDimBw) &&
+          std::isfinite(config.budgetCap))) {
+        fatal("optimizer budgets must be finite, got total BW ",
+              config.totalBw, ", min dim BW ", config.minDimBw,
+              ", dollar cap ", config.budgetCap);
+    }
+    for (const auto& target : targets) {
+        if (!std::isfinite(target.weight))
+            fatal("workload ", target.workload.name,
+                  " weight must be finite, got ", target.weight);
+    }
+}
+
+} // namespace
 
 BwOptimizer::BwOptimizer(Network net, CostModel cost_model)
     : net_(std::move(net)), costModel_(std::move(cost_model))
@@ -60,6 +88,7 @@ OptimizationResult
 BwOptimizer::baseline(const std::vector<TargetWorkload>& targets,
                       const OptimizerConfig& config) const
 {
+    requireFiniteInputs(targets, config);
     return evaluate(net_.equalBw(config.totalBw), targets, config);
 }
 
@@ -69,6 +98,7 @@ BwOptimizer::optimize(const std::vector<TargetWorkload>& targets,
 {
     if (targets.empty())
         fatal("optimizer needs at least one target workload");
+    requireFiniteInputs(targets, config);
 
     TrainingEstimator estimator(net_, config.estimator);
     auto f = makeObjective(config.objective, estimator, costModel_,

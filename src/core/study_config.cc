@@ -62,7 +62,8 @@ parseNumber(const std::string& token, int line, const char* what)
     try {
         std::size_t used = 0;
         double v = std::stod(token, &used);
-        if (used != token.size())
+        // nan and inf parse, but no directive takes them.
+        if (used != token.size() || !std::isfinite(v))
             throw std::invalid_argument(token);
         return v;
     } catch (const std::exception&) {

@@ -1,10 +1,7 @@
 #include "core/timing_backend.hh"
 
-#include <atomic>
-#include <unordered_map>
 #include <utility>
 
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/chunk_timeline.hh"
 
@@ -37,87 +34,15 @@ class AnalyticalTimingBackend final : public TimingBackend
     }
 };
 
-std::atomic<bool> gChunkSimMemo{true};
-
-/**
- * Canonical memo key of one (collective, bandwidth) query. Built from
- * the shared canonical field encoders, so distinct queries cannot
- * collide by concatenation.
- */
-std::string
-chunkSimMemoKey(CollectiveType type, Bytes size,
-                const std::vector<DimSpan>& spans, const BwConfig& bw,
-                bool in_network)
-{
-    std::string key;
-    key.reserve(64 + 32 * spans.size() + 16 * bw.size());
-    key += std::to_string(static_cast<int>(type));
-    key += in_network ? "i " : "d ";
-    appendCanonicalNumber(key, size);
-    key += std::to_string(spans.size());
-    key += "spans ";
-    for (const auto& span : spans) {
-        key += std::to_string(span.dim);
-        key += ',';
-        key += std::to_string(span.groupSize);
-        key += ',';
-        appendCanonicalNumber(key, span.efficiency);
-    }
-    key += std::to_string(bw.size());
-    key += "bw ";
-    for (double b : bw)
-        appendCanonicalNumber(key, b);
-    return key;
-}
-
-/** One chunk-pipelined collective through ChunkTimeline. */
-CollectiveTiming
-chunkSimCollectiveTiming(CollectiveType type, Bytes size,
-                         const std::vector<DimSpan>& spans,
-                         const BwConfig& bw, bool in_network)
-{
-    CollectiveTiming timing;
-    if (spans.empty())
-        return timing; // Single-NPU group: no communication.
-
-    // The chunk simulator has no switch-reduction mode (the same
-    // restriction CollectiveSim documents), so the in-network
-    // All-Reduce keeps its analytical closed form m / q_{i-1}.
-    if (in_network && type == CollectiveType::AllReduce)
-        return multiRailTime(type, size, spans, bw, true);
-
-    ChunkTimeline timeline(bw.size(), bw);
-    CollectiveJob job;
-    job.type = type;
-    job.size = size;
-    job.spans = spans;
-    job.numChunks = kChunkSimNumChunks;
-    job.policy = SchedulePolicy::FixedAscending;
-    TimelineResult result = timeline.run({job});
-
-    timing.time = result.makespan;
-    timing.trafficPerDim = multiRailTraffic(type, size, spans);
-    timing.timePerDim.assign(spans.size(), 0.0);
-    for (std::size_t s = 0; s < spans.size(); ++s)
-        timing.timePerDim[s] = result.dimBusy[spans[s].dim];
-    std::size_t arg = 0;
-    for (std::size_t s = 1; s < spans.size(); ++s) {
-        if (timing.timePerDim[s] > timing.timePerDim[arg])
-            arg = s;
-    }
-    timing.bottleneckSpan = arg;
-    return timing;
-}
-
 /**
  * Chunk-granularity pipeline simulation per collective. Each query is
- * an independent single-threaded discrete-event run, so the backend is
- * trivially thread-safe and the parallel multistart/sweep fan-out on
- * the global pool batches many simulations at once. A per-thread
- * memoization cache (layered workloads issue the same collective
- * hundreds of times per evaluation, and multistart restarts revisit
- * the same bandwidth points) amortizes the sim cost without any shared
- * mutable state.
+ * an independent single-threaded discrete-event run with no state
+ * outside the call, so the backend is trivially thread-safe and the
+ * parallel multistart/sweep fan-out on the global pool batches many
+ * simulations at once. Layered workloads issue the same collective
+ * many times per evaluation; the estimator times each distinct one
+ * once per call (TrainingEstimator::estimate), so the backend keeps
+ * no cache of its own.
  */
 class ChunkSimTimingBackend final : public TimingBackend
 {
@@ -131,7 +56,8 @@ class ChunkSimTimingBackend final : public TimingBackend
     description() const override
     {
         return "chunk-level pipeline simulation (ChunkTimeline, 64 "
-               "chunks; memoized per thread)";
+               "chunks; timed once per distinct collective per "
+               "evaluation)";
     }
 
     std::string
@@ -140,32 +66,42 @@ class ChunkSimTimingBackend final : public TimingBackend
         return name() + "/" + std::to_string(kChunkSimNumChunks);
     }
 
+    /** One chunk-pipelined collective through ChunkTimeline. */
     CollectiveTiming
     timing(CollectiveType type, Bytes size,
            const std::vector<DimSpan>& spans, const BwConfig& bw,
            bool in_network) const override
     {
-        if (!chunkSimMemoEnabled()) {
-            return chunkSimCollectiveTiming(type, size, spans, bw,
-                                            in_network);
+        CollectiveTiming timing;
+        if (spans.empty())
+            return timing; // Single-NPU group: no communication.
+
+        // The chunk simulator has no switch-reduction mode (the same
+        // restriction CollectiveSim documents), so the in-network
+        // All-Reduce keeps its analytical closed form m / q_{i-1}.
+        if (in_network && type == CollectiveType::AllReduce)
+            return multiRailTime(type, size, spans, bw, true);
+
+        ChunkTimeline timeline(bw.size(), bw);
+        CollectiveJob job;
+        job.type = type;
+        job.size = size;
+        job.spans = spans;
+        job.numChunks = kChunkSimNumChunks;
+        job.policy = SchedulePolicy::FixedAscending;
+        TimelineResult result = timeline.run({job});
+
+        timing.time = result.makespan;
+        timing.trafficPerDim = multiRailTraffic(type, size, spans);
+        timing.timePerDim.assign(spans.size(), 0.0);
+        for (std::size_t s = 0; s < spans.size(); ++s)
+            timing.timePerDim[s] = result.dimBusy[spans[s].dim];
+        std::size_t arg = 0;
+        for (std::size_t s = 1; s < spans.size(); ++s) {
+            if (timing.timePerDim[s] > timing.timePerDim[arg])
+                arg = s;
         }
-        // Per-thread, so pool workers never contend; bounded so a long
-        // sweep over ever-changing bandwidth points cannot grow it
-        // without limit (clearing never changes results — the sim is a
-        // pure function of the key).
-        constexpr std::size_t kMemoCapacity = 1u << 15;
-        thread_local std::unordered_map<std::string, CollectiveTiming>
-            memo;
-        std::string key =
-            chunkSimMemoKey(type, size, spans, bw, in_network);
-        auto it = memo.find(key);
-        if (it != memo.end())
-            return it->second;
-        if (memo.size() >= kMemoCapacity)
-            memo.clear();
-        CollectiveTiming timing =
-            chunkSimCollectiveTiming(type, size, spans, bw, in_network);
-        memo.emplace(std::move(key), timing);
+        timing.bottleneckSpan = arg;
         return timing;
     }
 };
@@ -234,18 +170,6 @@ resolveTimingBackend(const std::string& name)
               "' (registered: ", known, ")");
     }
     return b;
-}
-
-void
-setChunkSimMemoEnabled(bool enabled)
-{
-    gChunkSimMemo.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-chunkSimMemoEnabled()
-{
-    return gChunkSimMemo.load(std::memory_order_relaxed);
 }
 
 double

@@ -129,17 +129,6 @@ std::string timingBackendOrDefault(const std::string& name);
 const TimingBackend* resolveTimingBackend(const std::string& name);
 
 /**
- * Enable/disable the chunk-sim backend's per-thread memoization cache
- * (canonical (op, bw) key -> CollectiveTiming). On by default; results
- * are bit-identical either way — the cache only amortizes simulation
- * cost across the repeated identical collectives of layered workloads
- * and across multistart restarts. Intended for tests and benches; do
- * not flip concurrently with running estimations.
- */
-void setChunkSimMemoEnabled(bool enabled);
-bool chunkSimMemoEnabled();
-
-/**
  * Documented agreement tolerance between the chunk-sim backend and the
  * analytical model for one collective: the simulator reproduces every
  * per-dimension stage's traffic exactly, so the only deviation is the

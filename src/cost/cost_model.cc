@@ -1,5 +1,7 @@
 #include "cost/cost_model.hh"
 
+#include <cmath>
+
 #include "common/json.hh"
 #include "common/logging.hh"
 
@@ -19,6 +21,12 @@ CostModel::defaultModel()
 void
 CostModel::setLevelCost(PhysicalLevel level, ComponentCost cost)
 {
+    if (!(std::isfinite(cost.link) && std::isfinite(cost.switch_) &&
+          std::isfinite(cost.nic))) {
+        fatal(physicalLevelName(level), " prices must be finite, got "
+              "LINK ", cost.link, " SWITCH ", cost.switch_, " NIC ",
+              cost.nic);
+    }
     levels_[level] = cost;
 }
 

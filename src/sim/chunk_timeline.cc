@@ -1,78 +1,188 @@
 #include "sim/chunk_timeline.hh"
 
 #include <algorithm>
-#include <deque>
+#include <cmath>
 #include <iomanip>
-#include <memory>
 #include <sstream>
 
 #include "common/logging.hh"
 
 namespace libra {
 
+Tick
+toTicks(Seconds s)
+{
+    return static_cast<Tick>(std::llround(s * kTicksPerSecond));
+}
+
+Seconds
+toSeconds(Tick t)
+{
+    return static_cast<Seconds>(t) / kTicksPerSecond;
+}
+
 namespace {
 
 /** Phase a chunk is in. */
-enum class Phase { ReduceScatter, AllGatherMirror, AllGather, AllToAll,
-                   Done };
+enum class Phase : std::uint8_t { ReduceScatter, AllGatherMirror,
+                                  AllGather, AllToAll, Done };
 
-/** Mutable per-chunk state while flowing through the pipeline. */
+/**
+ * Mutable per-chunk state while flowing through the pipeline. The
+ * variable-length parts live in the run's flat row arrays: each chunk
+ * owns one row of span-count entries starting at @c row.
+ */
 struct ChunkState
 {
-    int job = 0;
-    int chunk = 0;
+    std::uint32_t job = 0;
+    std::uint32_t chunk = 0;
     Phase phase = Phase::ReduceScatter;
     double fraction = 1.0;       ///< Payload share left after reductions.
     double gatherProduct = 1.0;  ///< Product of groups not yet gathered.
-    std::vector<std::size_t> remaining; ///< Span indices not yet visited.
-    /** Visited RS stages (span index, duration) for the AG mirror. */
-    std::vector<std::pair<std::size_t, Seconds>> rsStages;
-    std::size_t a2aNext = 0; ///< Next span index for All-to-All.
+    std::uint32_t row = 0;       ///< Offset of this chunk's rows.
+    std::uint32_t remaining = 0; ///< Span indices not yet visited.
+    std::uint32_t rsStages = 0;  ///< Visited RS stages, for the AG mirror.
+    std::uint32_t a2aNext = 0;   ///< Next span index for All-to-All.
 };
 
-} // namespace
+/** Event::dim of a chunk release (no dimension completes). */
+constexpr std::uint32_t kRelease = UINT32_MAX;
 
-ChunkTimeline::ChunkTimeline(std::size_t num_dims, BwConfig bw)
-    : numDims_(num_dims), bw_(std::move(bw))
+/**
+ * A release of @c chunk (dim == kRelease), or the completion of its
+ * stage on @c dim. Ordered by (when, seq): FIFO on ties.
+ */
+struct Event
 {
-    if (bw_.size() != numDims_)
-        panic("bw rank ", bw_.size(), " != dims ", numDims_);
-}
+    Tick when;
+    std::uint64_t seq;
+    std::uint32_t chunk;
+    std::uint32_t dim;
+};
 
-TimelineResult
-ChunkTimeline::run(const std::vector<CollectiveJob>& jobs) const
+struct Later
 {
-    EventQueue eq;
-    TimelineResult result;
-    result.dimBusy.assign(numDims_, 0.0);
-
-    struct PendingOp
+    bool
+    operator()(const Event& a, const Event& b) const
     {
-        ChunkState* chunk;
-        std::size_t spanIdx;
-        Seconds duration;
-        bool allGather;
-    };
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.seq > b.seq;
+    }
+};
 
-    std::vector<std::unique_ptr<ChunkState>> chunks;
-    std::vector<std::deque<PendingOp>> waiting(numDims_);
-    std::vector<bool> busy(numDims_, false);
-    // Estimated drain time of each dimension's queue, for greedy choice.
-    std::vector<Seconds> queueEnd(numDims_, 0.0);
+/** One chunk-stage waiting for its dimension. */
+struct PendingOp
+{
+    std::uint32_t chunk;
+    bool allGather;
+    Seconds duration;
+};
 
-    auto chunkBytes = [&jobs](const ChunkState& c) {
-        return jobs[c.job].size /
-               static_cast<double>(jobs[c.job].numChunks);
-    };
+/** A dimension: a serial resource with a FIFO of waiting stages. */
+struct DimQueue
+{
+    std::vector<PendingOp> ops;
+    std::size_t head = 0;  ///< ops[head..] still wait.
+    bool busy = false;
+    Seconds drainEnd = 0.0; ///< Estimated drain time, for greedy choice.
+};
+
+/** One ChunkTimeline::run: the event loop and the pipeline's rules. */
+class Simulation
+{
+  public:
+    Simulation(const std::vector<CollectiveJob>& jobs, const BwConfig& bw,
+               bool keep_records, TimelineResult& result)
+        : jobs_(jobs), bw_(bw), keepRecords_(keep_records),
+          result_(result), dims_(bw.size())
+    {
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            const CollectiveJob& job = jobs[j];
+            if (job.spans.empty())
+                continue;
+            if (job.numChunks < 1)
+                fatal("job ", j, " has ", job.numChunks, " chunks");
+            auto n = static_cast<std::uint32_t>(job.spans.size());
+            for (int ch = 0; ch < job.numChunks; ++ch) {
+                ChunkState c;
+                c.job = static_cast<std::uint32_t>(j);
+                c.chunk = static_cast<std::uint32_t>(ch);
+                c.row = static_cast<std::uint32_t>(remaining_.size());
+                c.remaining = n;
+                for (std::uint32_t s = 0; s < n; ++s) {
+                    remaining_.push_back(s);
+                    c.gatherProduct *=
+                        static_cast<double>(job.spans[s].groupSize);
+                }
+                switch (job.type) {
+                  case CollectiveType::AllReduce:
+                  case CollectiveType::ReduceScatter:
+                    c.phase = Phase::ReduceScatter;
+                    break;
+                  case CollectiveType::AllGather:
+                    c.phase = Phase::AllGather;
+                    // Canonical standalone AG visits dims descending.
+                    std::reverse(remaining_.begin() + c.row,
+                                 remaining_.end());
+                    break;
+                  case CollectiveType::AllToAll:
+                  case CollectiveType::PointToPoint:
+                    c.phase = Phase::AllToAll;
+                    break;
+                }
+                schedule(toTicks(job.releaseTime),
+                         static_cast<std::uint32_t>(chunks_.size()),
+                         kRelease);
+                chunks_.push_back(c);
+            }
+        }
+        rsStages_.resize(remaining_.size());
+    }
+
+    /** Drain the event heap. */
+    void
+    run()
+    {
+        while (!heap_.empty()) {
+            std::pop_heap(heap_.begin(), heap_.end(), Later{});
+            Event ev = heap_.back();
+            heap_.pop_back();
+            now_ = ev.when;
+            nowSeconds_ = toSeconds(now_);
+            if (ev.dim != kRelease)
+                startNext(ev.dim);
+            advance(ev.chunk);
+        }
+    }
+
+  private:
+    void
+    schedule(Tick when, std::uint32_t chunk, std::uint32_t dim)
+    {
+        if (when < now_)
+            panic("scheduling event at ", when, " before now ", now_);
+        heap_.push_back({when, nextSeq_++, chunk, dim});
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+
+    Bytes
+    chunkBytes(const ChunkState& c) const
+    {
+        return jobs_[c.job].size /
+               static_cast<double>(jobs_[c.job].numChunks);
+    }
 
     /**
-     * Bytes this chunk moves over span @p s in its *next* stage.
+     * Seconds this chunk's *next* stage takes over span @p s:
      *  RS       : share * fraction * (g-1)/g  (fraction = 1/q_visited)
      *  AG alone : share * (g-1) / gatherProduct
      *  A2A      : share * (g-1)/g             (order-independent)
      */
-    auto stageDuration = [&](const ChunkState& c, std::size_t s) {
-        const CollectiveJob& job = jobs[c.job];
+    Seconds
+    stageDuration(const ChunkState& c, std::size_t s) const
+    {
+        const CollectiveJob& job = jobs_[c.job];
         double g = static_cast<double>(job.spans[s].groupSize);
         Bytes moved = 0.0;
         switch (c.phase) {
@@ -93,108 +203,122 @@ ChunkTimeline::run(const std::vector<CollectiveJob>& jobs) const
         }
         return transferTime(moved, bw_[job.spans[s].dim] *
                                        job.spans[s].efficiency);
-    };
+    }
 
-    std::function<void(ChunkState*)> advance;
-    std::function<void(std::size_t)> startNext;
-
-    auto enqueue = [&](ChunkState* c, std::size_t spanIdx,
-                       Seconds duration, bool ag) {
-        std::size_t dim = jobs[c->job].spans[spanIdx].dim;
-        waiting[dim].push_back({c, spanIdx, duration, ag});
-        queueEnd[dim] =
-            std::max(queueEnd[dim], toSeconds(eq.now())) + duration;
-        if (!busy[dim])
+    void
+    enqueue(std::uint32_t chunk, std::size_t span, Seconds duration,
+            bool all_gather)
+    {
+        auto dim = static_cast<std::uint32_t>(
+            jobs_[chunks_[chunk].job].spans[span].dim);
+        DimQueue& q = dims_[dim];
+        q.ops.push_back({chunk, all_gather, duration});
+        q.drainEnd = std::max(q.drainEnd, nowSeconds_) + duration;
+        if (!q.busy)
             startNext(dim);
-    };
+    }
 
-    startNext = [&](std::size_t dim) {
-        if (waiting[dim].empty()) {
-            busy[dim] = false;
+    void
+    startNext(std::uint32_t dim)
+    {
+        DimQueue& q = dims_[dim];
+        if (q.head == q.ops.size()) {
+            q.busy = false;
+            q.ops.clear();
+            q.head = 0;
             return;
         }
-        busy[dim] = true;
-        PendingOp op = waiting[dim].front();
-        waiting[dim].pop_front();
-        Seconds start = toSeconds(eq.now());
+        q.busy = true;
+        PendingOp op = q.ops[q.head++];
+        Seconds start = nowSeconds_;
         Seconds end = start + op.duration;
-        result.records.push_back({op.chunk->job, op.chunk->chunk, dim,
-                                  op.allGather, start, end});
-        result.dimBusy[dim] += op.duration;
-        eq.schedule(toTicks(end), [&, dim, op]() {
-            startNext(dim);
-            advance(op.chunk);
-        });
-    };
+        if (keepRecords_) {
+            const ChunkState& c = chunks_[op.chunk];
+            result_.records.push_back({static_cast<int>(c.job),
+                                       static_cast<int>(c.chunk), dim,
+                                       op.allGather, start, end});
+        }
+        result_.dimBusy[dim] += op.duration;
+        result_.makespan = std::max(result_.makespan, end);
+        schedule(toTicks(end), op.chunk, dim);
+    }
 
-    /** Pick the next span index position within c->remaining. */
-    auto pickNext = [&](ChunkState* c) -> std::size_t {
-        const CollectiveJob& job = jobs[c->job];
-        if (job.policy != SchedulePolicy::Greedy || c->remaining.size() < 2)
+    /** Position within @p c's remaining row of the next span. */
+    std::uint32_t
+    pickNext(const ChunkState& c) const
+    {
+        const CollectiveJob& job = jobs_[c.job];
+        if (job.policy != SchedulePolicy::Greedy || c.remaining < 2)
             return 0;
-        std::size_t pick = 0;
+        std::uint32_t pick = 0;
         Seconds bestEnd = 0.0;
-        for (std::size_t i = 0; i < c->remaining.size(); ++i) {
-            std::size_t s = c->remaining[i];
-            std::size_t dim = job.spans[s].dim;
-            Seconds dur = stageDuration(*c, s);
-            Seconds end =
-                std::max(queueEnd[dim], toSeconds(eq.now())) + dur;
+        for (std::uint32_t i = 0; i < c.remaining; ++i) {
+            std::size_t s = remaining_[c.row + i];
+            Seconds dur = stageDuration(c, s);
+            Seconds end = std::max(dims_[job.spans[s].dim].drainEnd,
+                                   nowSeconds_) + dur;
             if (i == 0 || end < bestEnd) {
                 bestEnd = end;
                 pick = i;
             }
         }
         return pick;
-    };
+    }
 
-    advance = [&](ChunkState* c) {
-        const CollectiveJob& job = jobs[c->job];
-        switch (c->phase) {
+    /** Remove and return the span at position @p pick of the row. */
+    std::uint32_t
+    takeRemaining(ChunkState& c, std::uint32_t pick)
+    {
+        std::uint32_t* row = remaining_.data() + c.row;
+        std::uint32_t s = row[pick];
+        std::copy(row + pick + 1, row + c.remaining, row + pick);
+        --c.remaining;
+        return s;
+    }
+
+    void
+    advance(std::uint32_t chunk)
+    {
+        ChunkState& c = chunks_[chunk];
+        const CollectiveJob& job = jobs_[c.job];
+        switch (c.phase) {
           case Phase::ReduceScatter: {
-            if (!c->remaining.empty()) {
-                std::size_t pick = pickNext(c);
-                std::size_t s = c->remaining[pick];
-                c->remaining.erase(c->remaining.begin() +
-                                   static_cast<long>(pick));
-                Seconds dur = stageDuration(*c, s);
-                c->rsStages.emplace_back(s, dur);
-                c->fraction /=
+            if (c.remaining > 0) {
+                std::uint32_t s = takeRemaining(c, pickNext(c));
+                Seconds dur = stageDuration(c, s);
+                rsStages_[c.row + c.rsStages++] = {s, dur};
+                c.fraction /=
                     static_cast<double>(job.spans[s].groupSize);
-                enqueue(c, s, dur, false);
+                enqueue(chunk, s, dur, false);
                 return;
             }
             if (job.type == CollectiveType::AllReduce) {
-                c->phase = Phase::AllGatherMirror;
-                advance(c);
+                c.phase = Phase::AllGatherMirror;
+                advance(chunk);
                 return;
             }
-            c->phase = Phase::Done;
+            c.phase = Phase::Done;
             return;
           }
           case Phase::AllGatherMirror: {
-            if (!c->rsStages.empty()) {
-                auto [s, dur] = c->rsStages.back();
-                c->rsStages.pop_back();
-                enqueue(c, s, dur, true);
+            if (c.rsStages > 0) {
+                auto [s, dur] = rsStages_[c.row + --c.rsStages];
+                enqueue(chunk, s, dur, true);
                 return;
             }
-            c->phase = Phase::Done;
+            c.phase = Phase::Done;
             return;
           }
           case Phase::AllGather: {
-            if (!c->remaining.empty()) {
-                std::size_t pick = pickNext(c);
-                std::size_t s = c->remaining[pick];
-                c->remaining.erase(c->remaining.begin() +
-                                   static_cast<long>(pick));
-                Seconds dur = stageDuration(*c, s);
-                c->gatherProduct /=
+            if (c.remaining > 0) {
+                std::uint32_t s = takeRemaining(c, pickNext(c));
+                Seconds dur = stageDuration(c, s);
+                c.gatherProduct /=
                     static_cast<double>(job.spans[s].groupSize);
-                enqueue(c, s, dur, true);
+                enqueue(chunk, s, dur, true);
                 return;
             }
-            c->phase = Phase::Done;
+            c.phase = Phase::Done;
             return;
           }
           case Phase::AllToAll: {
@@ -203,61 +327,51 @@ ChunkTimeline::run(const std::vector<CollectiveJob>& jobs) const
                 job.type == CollectiveType::PointToPoint
                     ? 1
                     : job.spans.size();
-            if (c->a2aNext < stage_limit) {
-                std::size_t s = c->a2aNext++;
-                enqueue(c, s, stageDuration(*c, s), false);
+            if (c.a2aNext < stage_limit) {
+                std::uint32_t s = c.a2aNext++;
+                enqueue(chunk, s, stageDuration(c, s), false);
                 return;
             }
-            c->phase = Phase::Done;
+            c.phase = Phase::Done;
             return;
           }
           case Phase::Done:
             return;
         }
-    };
-
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        const CollectiveJob& job = jobs[j];
-        if (job.spans.empty())
-            continue;
-        if (job.numChunks < 1)
-            fatal("job ", j, " has ", job.numChunks, " chunks");
-        for (int ch = 0; ch < job.numChunks; ++ch) {
-            auto state = std::make_unique<ChunkState>();
-            state->job = static_cast<int>(j);
-            state->chunk = ch;
-            for (std::size_t s = 0; s < job.spans.size(); ++s) {
-                state->remaining.push_back(s);
-                state->gatherProduct *=
-                    static_cast<double>(job.spans[s].groupSize);
-            }
-            switch (job.type) {
-              case CollectiveType::AllReduce:
-              case CollectiveType::ReduceScatter:
-                state->phase = Phase::ReduceScatter;
-                break;
-              case CollectiveType::AllGather:
-                state->phase = Phase::AllGather;
-                // Canonical standalone AG visits dims descending.
-                std::reverse(state->remaining.begin(),
-                             state->remaining.end());
-                break;
-              case CollectiveType::AllToAll:
-              case CollectiveType::PointToPoint:
-                state->phase = Phase::AllToAll;
-                break;
-            }
-            ChunkState* raw = state.get();
-            chunks.push_back(std::move(state));
-            eq.schedule(toTicks(job.releaseTime),
-                        [&, raw]() { advance(raw); });
-        }
     }
 
-    eq.run();
+    const std::vector<CollectiveJob>& jobs_;
+    const BwConfig& bw_;
+    const bool keepRecords_;
+    TimelineResult& result_;
 
-    for (const auto& rec : result.records)
-        result.makespan = std::max(result.makespan, rec.end);
+    std::vector<ChunkState> chunks_;
+    std::vector<std::uint32_t> remaining_; ///< Unvisited span indices.
+    /** Visited RS stages (span index, duration) for the AG mirror. */
+    std::vector<std::pair<std::uint32_t, Seconds>> rsStages_;
+    std::vector<DimQueue> dims_;
+    std::vector<Event> heap_;
+    std::uint64_t nextSeq_ = 0;
+    Tick now_ = 0;
+    Seconds nowSeconds_ = 0.0;
+};
+
+} // namespace
+
+ChunkTimeline::ChunkTimeline(std::size_t num_dims, BwConfig bw)
+    : numDims_(num_dims), bw_(std::move(bw))
+{
+    if (bw_.size() != numDims_)
+        panic("bw rank ", bw_.size(), " != dims ", numDims_);
+}
+
+TimelineResult
+ChunkTimeline::run(const std::vector<CollectiveJob>& jobs,
+                   bool keep_records) const
+{
+    TimelineResult result;
+    result.dimBusy.assign(numDims_, 0.0);
+    Simulation(jobs, bw_, keep_records, result).run();
 
     double sumBw = 0.0;
     double weighted = 0.0;

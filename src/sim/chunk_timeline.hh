@@ -15,21 +15,36 @@
  *    carry bigger, less-reduced payloads), which is precisely the degree
  *    of freedom Themis exploits to rebalance load.
  *
- * Output is a full op-level timeline with per-dimension busy time and
- * the BW-weighted average network utilization (the Fig. 10 metric).
+ * Output is per-dimension busy time, the BW-weighted average network
+ * utilization (the Fig. 10 metric) and, on request, the full op-level
+ * timeline.
  */
 
 #ifndef LIBRA_SIM_CHUNK_TIMELINE_HH
 #define LIBRA_SIM_CHUNK_TIMELINE_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "collective/multi_rail.hh"
-#include "sim/event_queue.hh"
 #include "topology/network.hh"
 
 namespace libra {
+
+/**
+ * Simulation time in integer picoseconds, so event ordering is exact
+ * and runs are bit-reproducible.
+ */
+using Tick = std::uint64_t;
+
+constexpr double kTicksPerSecond = 1e12;
+
+/** Seconds -> ticks (rounded to the nearest picosecond). */
+Tick toTicks(Seconds s);
+
+/** Ticks -> seconds. */
+Seconds toSeconds(Tick t);
 
 /** Chunk scheduling policy across dimensions. */
 enum class SchedulePolicy { FixedAscending, Greedy };
@@ -61,7 +76,7 @@ struct TimelineResult
 {
     Seconds makespan = 0.0;          ///< Last completion time.
     std::vector<Seconds> dimBusy;    ///< Busy seconds per network dim.
-    std::vector<TimelineRecord> records;
+    std::vector<TimelineRecord> records; ///< Only when kept; see run().
 
     /**
      * BW-weighted average utilization over the makespan:
@@ -73,14 +88,30 @@ struct TimelineResult
     std::string render(std::size_t num_dims, int width = 72) const;
 };
 
-/** Chunk-granularity simulator over one network's dimensions. */
+/**
+ * Chunk-granularity simulator over one network's dimensions.
+ *
+ * A discrete-event run over two event kinds: a chunk's release at its
+ * job's releaseTime, and the completion of a chunk-stage on a
+ * dimension (which starts that dimension's next queued stage, then
+ * moves the chunk on). Events fire in (tick, insertion order): ties
+ * break first-in first-out, the convention of gem5 and ASTRA-sim.
+ * Releases are inserted job by job, chunk by chunk, before the run
+ * starts, and each dimension serves its queued stages in FIFO order.
+ */
 class ChunkTimeline
 {
   public:
     ChunkTimeline(std::size_t num_dims, BwConfig bw);
 
-    /** Simulate all jobs to completion. */
-    TimelineResult run(const std::vector<CollectiveJob>& jobs) const;
+    /**
+     * Simulate all jobs to completion. TimelineResult::records is
+     * filled only when @p keep_records is set (for render() and
+     * callers that inspect the stage sequence); makespan, dimBusy and
+     * avgBwUtilization are identical either way.
+     */
+    TimelineResult run(const std::vector<CollectiveJob>& jobs,
+                       bool keep_records = false) const;
 
     /** Convenience: single job, returns its completion time. */
     Seconds collectiveTime(const CollectiveJob& job) const;

@@ -272,7 +272,7 @@ fig09Scenario()
             job.size = 1e9;
             job.spans = {{0, 4}, {1, 4}, {2, 4}};
             job.numChunks = 4;
-            TimelineResult r = tl.run({job});
+            TimelineResult r = tl.run({job}, true);
 
             ScenarioRow row;
             row.label("allocation", alloc.label);

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/logging.hh"
 #include "cost/cost_model.hh"
 #include "topology/zoo.hh"
 
@@ -127,6 +130,21 @@ TEST(CostModel, EmptyModelIsFree)
     CostModel m;
     Network net = topo::threeDTorus();
     EXPECT_DOUBLE_EQ(m.networkCost(net, net.equalBw(300.0)), 0.0);
+}
+
+TEST(CostModel, NonFinitePricesAreFatal)
+{
+    CostModel m = CostModel::defaultModel();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(m.setLevelCost(PhysicalLevel::Pod, {nan, 18.0, 31.6}),
+                 FatalError);
+    EXPECT_THROW(m.setLevelCost(PhysicalLevel::Node, {4.0, inf, 0.0}),
+                 FatalError);
+    EXPECT_THROW(m.setLevelCost(PhysicalLevel::Pod, {7.8, 18.0, -inf}),
+                 FatalError);
+    // A rejected update leaves the previous prices in place.
+    EXPECT_EQ(m.levelCost(PhysicalLevel::Pod).link, 7.8);
 }
 
 } // namespace

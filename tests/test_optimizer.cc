@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.hh"
 #include "core/optimizer.hh"
 #include "topology/zoo.hh"
@@ -226,6 +228,28 @@ TEST_P(OptimizerBwSweep, SpeedupAtLeastOne)
 
 INSTANTIATE_TEST_SUITE_P(Budgets, OptimizerBwSweep,
                          ::testing::Values(100.0, 300.0, 1000.0));
+
+TEST(Optimizer, NonFiniteBudgetsAndWeightsAreFatal)
+{
+    // API callers that skip the study parser get an answer, not a
+    // search over NaN objectives.
+    Network net = Network::parse("RI(4)_RI(4)");
+    BwOptimizer opt(net, CostModel::defaultModel());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    Workload w = singleCollective(net, 1e9);
+    for (double bad : {nan, inf, -inf}) {
+        OptimizerConfig cfg = fastConfig(OptimizationObjective::PerfOpt,
+                                         bad);
+        EXPECT_THROW(opt.optimize({{w, 1.0}}, cfg), FatalError);
+        EXPECT_THROW(opt.baseline({{w, 1.0}}, cfg), FatalError);
+        cfg.totalBw = 100.0;
+        EXPECT_THROW(opt.optimize({{w, bad}}, cfg), FatalError);
+        EXPECT_THROW(opt.baseline({{w, bad}}, cfg), FatalError);
+        cfg.budgetCap = bad;
+        EXPECT_THROW(opt.optimize({{w, 1.0}}, cfg), FatalError);
+    }
+}
 
 } // namespace
 } // namespace libra

@@ -191,45 +191,21 @@ TEST(ParallelDeterminism, MultiBlockGradientBatchIsThreadCountInvariant)
  * The chunk-sim timing backend runs inside the parallel multistart
  * fan-out (named backends, unlike ad-hoc commTimeFns, keep
  * search.parallel on), so it must uphold the same contract: same
- * winner and timings at 1, 2, and max threads — with the per-thread
- * memoization cache both on and off.
+ * winner and timings at 1, 2, and max threads.
  */
 TEST(ParallelDeterminism, ChunkSimBackendIsThreadCountInvariant)
 {
     Network net = Network::parse("RI(4)_FC(4)_SW(4)");
     Workload w = wl::resnet50(net.npus());
-
-    for (bool memo : {true, false}) {
-        SCOPED_TRACE(memo ? "memo on" : "memo off");
-        setChunkSimMemoEnabled(memo);
-        expectIdenticalAcrossThreadCounts([&] {
-            BwOptimizer opt(net, CostModel::defaultModel());
-            OptimizerConfig cfg;
-            cfg.totalBw = 300.0;
-            cfg.search.starts = 2;
-            cfg.search.maxEvalsPerStart = 200;
-            cfg.estimator.timingBackend = kChunkSimTimingBackendName;
-            return opt.optimize({{w, 1.0}}, cfg);
-        });
-    }
-    setChunkSimMemoEnabled(true);
-
-    // Memo on/off must also agree with each other, not just with
-    // themselves: the cache only amortizes, never alters.
-    setChunkSimMemoEnabled(false);
-    BwOptimizer opt(net, CostModel::defaultModel());
-    OptimizerConfig cfg;
-    cfg.totalBw = 300.0;
-    cfg.search.starts = 2;
-    cfg.search.maxEvalsPerStart = 200;
-    cfg.estimator.timingBackend = kChunkSimTimingBackendName;
-    OptimizationResult direct = opt.optimize({{w, 1.0}}, cfg);
-    setChunkSimMemoEnabled(true);
-    OptimizationResult memoized = opt.optimize({{w, 1.0}}, cfg);
-    EXPECT_EQ(direct.objectiveValue, memoized.objectiveValue);
-    ASSERT_EQ(direct.bw.size(), memoized.bw.size());
-    for (std::size_t i = 0; i < direct.bw.size(); ++i)
-        EXPECT_EQ(direct.bw[i], memoized.bw[i]);
+    expectIdenticalAcrossThreadCounts([&] {
+        BwOptimizer opt(net, CostModel::defaultModel());
+        OptimizerConfig cfg;
+        cfg.totalBw = 300.0;
+        cfg.search.starts = 2;
+        cfg.search.maxEvalsPerStart = 200;
+        cfg.estimator.timingBackend = kChunkSimTimingBackendName;
+        return opt.optimize({{w, 1.0}}, cfg);
+    });
 }
 
 /** A parallel sweep must match point-by-point serial runs exactly. */

@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "common/logging.hh"
 #include "core/study_config.hh"
 
@@ -110,6 +118,28 @@ TEST(StudyConfig, Errors)
                 "unknown physical level");
 }
 
+TEST(StudyConfig, NonFiniteNumbersAreRejectedWithTheirLine)
+{
+    for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+        SCOPED_TRACE(bad);
+        const std::string b = bad;
+        for (const std::string& text :
+             {"NETWORK RI(4)\nTOTAL_BW " + b + "\nWORKLOAD dlrm\n",
+              "NETWORK RI(4)\nDOLLAR_CAP " + b + "\nWORKLOAD dlrm\n",
+              "NETWORK RI(4)\nWORKLOAD dlrm WEIGHT " + b + "\n",
+              "NETWORK RI(4)\nCOST Pod LINK " + b + "\nWORKLOAD dlrm\n"}) {
+            try {
+                parseStudyConfigString(text);
+                ADD_FAILURE() << "accepted: " << text;
+            } catch (const FatalError& e) {
+                EXPECT_NE(std::string(e.what()).find("study line 2: bad "),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
 TEST(StudyConfig, EndToEndThroughFramework)
 {
     LibraInputs in = parseStudyConfigString(R"(
@@ -122,6 +152,102 @@ STARTS 2
     LibraReport r = runLibra(in);
     EXPECT_GE(r.speedup, 1.0 - 1e-6);
 }
+
+#ifdef LIBRA_CLI_PATH
+
+/** Outcome of one `libra_cli <study>` run. */
+struct CliRun
+{
+    bool exited = false; ///< False when a signal ended the process.
+    int status = -1;     ///< Exit status, when exited.
+    std::string err;     ///< Everything written to stderr.
+};
+
+/**
+ * `libra_cli --example` with each (from, to) of @p edits applied to
+ * its first occurrence, run as a study file.
+ */
+CliRun
+runMutatedExample(const std::vector<std::pair<std::string, std::string>>&
+                      edits)
+{
+    std::string dir = ::testing::TempDir();
+    std::string study = dir + "libra_nonfinite.study";
+    std::string errPath = dir + "libra_nonfinite.err";
+    std::string text;
+    {
+        FILE* pipe = ::popen(LIBRA_CLI_PATH " --example", "r");
+        char buf[512];
+        std::size_t n;
+        while (pipe && (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
+            text.append(buf, n);
+        if (pipe)
+            ::pclose(pipe);
+    }
+    for (const auto& [from, to] : edits) {
+        auto at = text.find(from);
+        if (at == std::string::npos) {
+            ADD_FAILURE() << "example study has no '" << from << "'";
+            return {};
+        }
+        text.replace(at, from.size(), to);
+    }
+    std::ofstream(study) << text;
+    std::string cmd = std::string(LIBRA_CLI_PATH) + " " + study +
+                      " >/dev/null 2>" + errPath;
+    int raw = std::system(cmd.c_str());
+    CliRun run;
+    // The shell reports a child killed by signal N as exit 128 + N.
+    run.exited = WIFEXITED(raw) && WEXITSTATUS(raw) < 128;
+    run.status = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+    std::ostringstream err;
+    err << std::ifstream(errPath).rdbuf();
+    run.err = err.str();
+    return run;
+}
+
+void
+expectLineNumberedFatal(const CliRun& run, const std::string& needle)
+{
+    EXPECT_TRUE(run.exited) << "status " << run.status;
+    EXPECT_EQ(run.status, 1);
+    EXPECT_NE(run.err.find(needle), std::string::npos) << run.err;
+}
+
+// Each of these one-line edits to the example study used to end the
+// CLI in SIGSEGV; non-finite numbers are now study errors.
+
+TEST(StudyConfigCli, NanTotalBwExitsOneNamingTheLine)
+{
+    expectLineNumberedFatal(
+        runMutatedExample({{"\nTOTAL_BW 500\n", "\nTOTAL_BW nan\n"}}),
+        "study line 3: bad total BW 'nan'");
+}
+
+TEST(StudyConfigCli, InfTotalBwExitsOneNamingTheLine)
+{
+    expectLineNumberedFatal(
+        runMutatedExample({{"\nTOTAL_BW 500\n", "\nTOTAL_BW inf\n"}}),
+        "study line 3: bad total BW 'inf'");
+}
+
+TEST(StudyConfigCli, NanWeightExitsOneNamingTheLine)
+{
+    expectLineNumberedFatal(
+        runMutatedExample({{"\nWORKLOAD gpt3\n",
+                            "\nWORKLOAD gpt3 WEIGHT nan\n"}}),
+        "study line 7: bad weight 'nan'");
+}
+
+TEST(StudyConfigCli, NanLinkCostUnderPerfPerCostExitsOneNamingTheLine)
+{
+    expectLineNumberedFatal(
+        runMutatedExample({{"OBJECTIVE PERF ", "OBJECTIVE PERF_PER_COST "},
+                           {"# COST Pod LINK 7.8", "COST Pod LINK nan"}}),
+        "study line 14: bad cost value 'nan'");
+}
+
+#endif // LIBRA_CLI_PATH
 
 } // namespace
 } // namespace libra

@@ -136,27 +136,73 @@ TEST(TimingBackend, ChunkSimSingleDimensionMatchesAnalytical)
     }
 }
 
-TEST(TimingBackend, ChunkSimMemoOnAndOffAreBitIdentical)
+/**
+ * estimate() and detail() time each distinct collective once per call
+ * and reuse it. That must be invisible: both equal, bit for bit, the
+ * sums of one raw backend->timing() call per op in workload order.
+ */
+TEST(TimingBackend, ChunkSimEstimatesEqualPerOpBackendSums)
 {
-    Network net = topo::threeDTorus();
-    auto spans = mapGroupToDims(net, 1, net.npus());
-    BwConfig bw{80.0, 40.0, 20.0};
+    Network net = Network::parse("RI(4)_FC(4)_SW(4)");
     const TimingBackend* sim = resolveTimingBackend("chunk-sim");
+    const BwConfig bw{140.0, 70.0, 40.0};
+    for (const Workload& w :
+         {wl::resnet50(net.npus()), wl::turingNlg(net.npus())}) {
+        for (TrainingLoop loop :
+             {TrainingLoop::NoOverlap, TrainingLoop::TpDpOverlap}) {
+            SCOPED_TRACE(w.name + (loop == TrainingLoop::NoOverlap
+                                       ? " NoOverlap"
+                                       : " TpDpOverlap"));
+            EstimatorOptions opt;
+            opt.loop = loop;
+            opt.timingBackend = kChunkSimTimingBackendName;
+            TrainingEstimator est(net, opt);
 
-    ASSERT_TRUE(chunkSimMemoEnabled());
-    CollectiveTiming memoCold =
-        sim->timing(CollectiveType::AllReduce, 3e9, spans, bw, false);
-    CollectiveTiming memoWarm =
-        sim->timing(CollectiveType::AllReduce, 3e9, spans, bw, false);
-    setChunkSimMemoEnabled(false);
-    CollectiveTiming direct =
-        sim->timing(CollectiveType::AllReduce, 3e9, spans, bw, false);
-    setChunkSimMemoEnabled(true);
+            std::vector<Seconds> dimBusy(net.numDims(), 0.0);
+            std::vector<Bytes> dimTraffic(net.numDims(), 0.0);
+            auto phase = [&](const std::vector<CommOp>& ops) {
+                Seconds sum = 0.0;
+                for (const auto& op : ops) {
+                    auto spans = est.spansFor(w.strategy, op.scope);
+                    if (spans.empty())
+                        continue;
+                    CollectiveTiming t =
+                        sim->timing(op.type, op.size, spans, bw, false);
+                    sum += t.time;
+                    for (std::size_t s = 0; s < spans.size(); ++s) {
+                        dimBusy[spans[s].dim] += t.timePerDim[s];
+                        dimTraffic[spans[s].dim] += t.trafficPerDim[s];
+                    }
+                }
+                return sum;
+            };
+            Seconds total = 0.0;
+            Seconds fwd = 0.0, ig = 0.0, wg = 0.0;
+            for (const auto& layer : w.layers) {
+                Seconds f = phase(layer.fwdComm);
+                Seconds i = phase(layer.igComm);
+                Seconds g = phase(layer.wgComm);
+                fwd += f;
+                ig += i;
+                wg += g;
+                total += layer.fwdCompute + f;
+                if (loop == TrainingLoop::NoOverlap)
+                    total += layer.igCompute + i + layer.wgCompute + g;
+                else
+                    total += layer.igCompute +
+                             std::max(i, layer.wgCompute + g);
+            }
 
-    EXPECT_EQ(memoCold.time, direct.time);
-    EXPECT_EQ(memoWarm.time, direct.time);
-    EXPECT_EQ(memoCold.timePerDim, direct.timePerDim);
-    EXPECT_EQ(memoCold.trafficPerDim, direct.trafficPerDim);
+            EXPECT_EQ(est.estimate(w, bw), total);
+            EstimateDetail d = est.detail(w, bw);
+            EXPECT_EQ(d.total, total);
+            EXPECT_EQ(d.fwdComm, fwd);
+            EXPECT_EQ(d.igComm, ig);
+            EXPECT_EQ(d.wgComm, wg);
+            EXPECT_EQ(d.dimBusy, dimBusy);
+            EXPECT_EQ(d.dimTraffic, dimTraffic);
+        }
+    }
 }
 
 TEST(TimingBackend, InNetworkAllReduceFallsBackToClosedForm)

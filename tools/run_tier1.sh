@@ -17,9 +17,11 @@
 #              asserts the golden matrix JSON is byte-identical to
 #              the default build's (docs/PERF.md), an objective
 #              bench smoke asserting BENCH_objective.json emits the
-#              tracked speedup metrics, and a benchmark-build smoke
-#              that builds perfbench/ in build-perfbench/ and runs
-#              its self-test.
+#              tracked speedup metrics, a hostile-number smoke
+#              asserting that nan/inf in a study file end the CLI
+#              with exit 1 (never a signal), and a benchmark-build
+#              smoke that builds perfbench/ in build-perfbench/ and
+#              runs its self-test.
 #   --tsan     ThreadSanitizer build in build-tsan/; runs the threading
 #              contract tests (thread pool, parallel determinism, the
 #              scenario-matrix engine whose sweeps exercise
@@ -67,7 +69,7 @@ case "${MODE}" in
     )
     # The PR 1 threading contract: pool mechanics, bit-identical
     # results at any thread count, the batched matrix sweeps, the
-    # timing-backend layer (per-thread chunk-sim memo + crossval fuzz),
+    # timing-backend layer (per-call chunk-sim dedup + crossval fuzz),
     # the fault-tolerance layer (isolated sweeps, injector counters,
     # and line-atomic logging under concurrent cache warnings), the
     # cache-concurrency hammer, the serve subsystem (LRU +
@@ -119,6 +121,32 @@ if [[ -z "${MODE}" ]]; then
   cmp "${SMOKE_DIR}/fresh2.json" "${SMOKE_DIR}/fresh4.json"
   cmp "${SMOKE_DIR}/fresh2.json" "${SMOKE_DIR}/cached.json"
   echo "crossval smoke: byte-identical matrix JSON (fresh 2t vs fresh 4t vs cached)"
+
+  # Hostile-number smoke: nan and inf in a study file are user errors.
+  # Each edit of the example study (the last also switches to the
+  # PERF_PER_COST objective its COST line feeds) must end the CLI with
+  # exit 1 and a line-numbered message, never a signal
+  # (docs/ROBUSTNESS.md).
+  "${BUILD_DIR}/libra_cli" --example > "${SMOKE_DIR}/example.study"
+  for edit in 's/^TOTAL_BW 500$/TOTAL_BW nan/' \
+      's/^TOTAL_BW 500$/TOTAL_BW inf/' \
+      's/^WORKLOAD gpt3$/WORKLOAD gpt3 WEIGHT nan/' \
+      's/^OBJECTIVE PERF /OBJECTIVE PERF_PER_COST /;s/^# COST Pod LINK 7.8 /COST Pod LINK nan /'; do
+    sed "${edit}" "${SMOKE_DIR}/example.study" > "${SMOKE_DIR}/hostile.study"
+    if cmp -s "${SMOKE_DIR}/example.study" "${SMOKE_DIR}/hostile.study"; then
+      echo "hostile-number smoke: '${edit}' no longer edits the example study" >&2
+      exit 1
+    fi
+    STATUS=0
+    "${BUILD_DIR}/libra_cli" "${SMOKE_DIR}/hostile.study" > /dev/null \
+      2> "${SMOKE_DIR}/hostile.err" || STATUS=$?
+    if [[ "${STATUS}" -ne 1 ]]; then
+      echo "hostile-number smoke: '${edit}' exited ${STATUS}, want 1" >&2
+      exit 1
+    fi
+    grep -Eq "study line [0-9]+: bad .* '(nan|inf)'" "${SMOKE_DIR}/hostile.err"
+  done
+  echo "hostile-number smoke: non-finite study numbers exit 1 with a line-numbered error"
 
   # Explore smoke: the design-space layer end to end through the CLI.
   # The prune strategy's screening rounds and promotions must emit
