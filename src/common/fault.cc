@@ -1,5 +1,7 @@
 #include "common/fault.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -110,12 +112,17 @@ parseFaultSpec(const std::string& text)
         if (name == "seed") {
             if (seenSeed)
                 fatal("fault spec sets seed twice");
+            // strtoull would accept a sign (negating modulo 2^64)
+            // and saturate on overflow, aliasing distinct specs onto
+            // one seed: only plain digits in range are a seed.
             char* end = nullptr;
+            errno = 0;
             unsigned long long v =
                 std::strtoull(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0')
+            if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+                *end != '\0' || errno == ERANGE)
                 fatal("fault spec seed '", value,
-                      "' is not an integer");
+                      "' is not an integer in [0, 2^64)");
             config.seed = v;
             seenSeed = true;
             continue;

@@ -369,13 +369,27 @@ Server::acceptLoop()
             warn("serve: accept failed: ", std::strerror(errno));
             break;
         }
+        bool busy = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (stopping_.load()) {
                 ::close(fd);
                 break;
             }
-            connections_.insert(fd);
+            busy = connections_.size() >= kMaxServeConnections;
+            if (!busy)
+                connections_.insert(fd);
+        }
+        if (busy) {
+            // One thread per connection: past the cap, refuse instead
+            // of spawning. The short line fits the fresh socket's
+            // send buffer, so answering cannot stall the accept loop.
+            errors_.fetch_add(1, std::memory_order_relaxed);
+            sendAllFd(fd, frameErrorMessage(detail::concat(
+                              "server busy (", kMaxServeConnections,
+                              " connections open)")));
+            ::close(fd);
+            continue;
         }
         // Plain detached threads, NOT pool workers: a handler runs
         // whole matrix sweeps, and parallelFor degrades to serial

@@ -110,6 +110,13 @@ class ServeStore : public StudyStore
     std::atomic<std::uint64_t> coalesced_{0};
 };
 
+/**
+ * Ceiling on concurrently open connections, each of which holds one
+ * handler thread. The accept loop answers a connection past it with
+ * one `{"ok":false,"error":"server busy ..."}` line and closes it.
+ */
+inline constexpr std::size_t kMaxServeConnections = 64;
+
 /** Server configuration (the `libra_cli serve` flags). */
 struct ServeOptions
 {

@@ -6,8 +6,10 @@
  * analytical objective (core/objective.cc) additionally evaluates
  * whole sets of points at once through the SIMD candidate-major
  * kernels (CompiledWorkload::estimateBatch). Population strategies
- * (CMA-ES, DE) score each generation this way, and the subgradient's
- * central-difference gradient scores its 2n probes in one batch.
+ * (CMA-ES, DE) score each generation this way, the subgradient's
+ * central-difference gradient scores its 2n probes in one batch, and
+ * pattern search scores the rest of a poll sweep speculatively from
+ * its incumbent in one batch.
  *
  * Batched results are bit-identical to calling the scalar objective
  * per point, so a solver may use the facet opportunistically without

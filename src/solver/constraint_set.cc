@@ -274,30 +274,4 @@ ConstraintSet::feasible(const Vec& x, double tol) const
     return maxViolation(x) <= tol;
 }
 
-void
-ConstraintSet::canonical(Matrix* a_eq, Vec* b_eq, Matrix* g_le,
-                         Vec* h_le) const
-{
-    *a_eq = Matrix();
-    *g_le = Matrix();
-    b_eq->clear();
-    h_le->clear();
-    for (const auto& c : constraints_) {
-        switch (c.rel) {
-          case Relation::Eq:
-            a_eq->appendRow(c.coeffs);
-            b_eq->push_back(c.rhs);
-            break;
-          case Relation::Le:
-            g_le->appendRow(c.coeffs);
-            h_le->push_back(c.rhs);
-            break;
-          case Relation::Ge:
-            g_le->appendRow(scale(-1.0, c.coeffs));
-            h_le->push_back(-c.rhs);
-            break;
-        }
-    }
-}
-
 } // namespace libra

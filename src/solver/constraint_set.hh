@@ -87,12 +87,6 @@ class ConstraintSet
     /** True when all constraints hold within @p tol. */
     bool feasible(const Vec& x, double tol = 1e-7) const;
 
-    /**
-     * Canonical split used by the QP solver: equalities A x = b and
-     * inequalities G x <= h (Ge rows are negated into Le form).
-     */
-    void canonical(Matrix* a_eq, Vec* b_eq, Matrix* g_le, Vec* h_le) const;
-
   private:
     std::size_t numVars_;
     std::vector<LinearConstraint> constraints_;

@@ -28,8 +28,10 @@ projectOne(const LinearConstraint& c, Vec* x)
             shift = (c.rhs - lhs) / a2;
         break;
     }
-    if (shift != 0.0)
-        *x = axpy(*x, shift, c.coeffs);
+    if (shift != 0.0) {
+        for (std::size_t i = 0; i < x->size(); ++i)
+            (*x)[i] = (*x)[i] + shift * c.coeffs[i];
+    }
 }
 
 } // namespace

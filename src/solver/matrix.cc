@@ -127,61 +127,57 @@ Matrix::transposed() const
     return r;
 }
 
-Vec
-Matrix::solve(const Vec& b, bool* ok) const
+bool
+luSolveInPlace(double* a, double* b, std::size_t n)
 {
-    if (rows_ != cols_)
-        panic("solve on non-square matrix ", rows_, "x", cols_);
-    const std::size_t n = rows_;
-    Matrix a = *this;
-    Vec x = b;
-    std::vector<std::size_t> perm(n);
-    for (std::size_t i = 0; i < n; ++i)
-        perm[i] = i;
-
-    bool singular = false;
     for (std::size_t col = 0; col < n; ++col) {
         // Partial pivot.
         std::size_t pivot = col;
-        double best = std::abs(a.at(col, col));
+        double best = std::abs(a[col * n + col]);
         for (std::size_t r = col + 1; r < n; ++r) {
-            double v = std::abs(a.at(r, col));
+            double v = std::abs(a[r * n + col]);
             if (v > best) {
                 best = v;
                 pivot = r;
             }
         }
-        if (best < 1e-300) {
-            singular = true;
-            break;
-        }
+        if (best < 1e-300)
+            return false;
         if (pivot != col) {
             for (std::size_t j = 0; j < n; ++j)
-                std::swap(a.at(col, j), a.at(pivot, j));
-            std::swap(x[col], x[pivot]);
+                std::swap(a[col * n + j], a[pivot * n + j]);
+            std::swap(b[col], b[pivot]);
         }
         for (std::size_t r = col + 1; r < n; ++r) {
-            double f = a.at(r, col) / a.at(col, col);
+            double f = a[r * n + col] / a[col * n + col];
             if (f == 0.0)
                 continue;
             for (std::size_t j = col; j < n; ++j)
-                a.at(r, j) -= f * a.at(col, j);
-            x[r] -= f * x[col];
+                a[r * n + j] -= f * a[col * n + j];
+            b[r] -= f * b[col];
         }
     }
-    if (singular) {
-        if (ok)
-            *ok = false;
-        return Vec(n, 0.0);
-    }
     for (std::size_t ri = n; ri-- > 0;) {
-        double s = x[ri];
+        double s = b[ri];
         for (std::size_t j = ri + 1; j < n; ++j)
-            s -= a.at(ri, j) * x[j];
-        x[ri] = s / a.at(ri, ri);
+            s -= a[ri * n + j] * b[j];
+        b[ri] = s / a[ri * n + ri];
     }
+    return true;
+}
+
+Vec
+Matrix::solve(const Vec& b, bool* ok) const
+{
+    if (rows_ != cols_)
+        panic("solve on non-square matrix ", rows_, "x", cols_);
+    Matrix a = *this;
+    Vec x = b;
+    const bool solved = luSolveInPlace(a.data(), x.data(), rows_);
     if (ok)
-        *ok = true;
+        *ok = solved;
+    if (!solved)
+        return Vec(rows_, 0.0);
     return x;
 }
 

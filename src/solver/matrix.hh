@@ -58,6 +58,10 @@ class Matrix
         return data_[r * cols_ + c];
     }
 
+    /** Row-major storage, rows() * cols() entries. */
+    double* data() { return data_.data(); }
+    const double* data() const { return data_.data(); }
+
     /** Append a row; the matrix must be empty or have matching width. */
     void appendRow(const Vec& row);
 
@@ -93,6 +97,16 @@ class Matrix
     std::size_t cols_ = 0;
     std::vector<double> data_;
 };
+
+/**
+ * Solve the row-major n x n system a x = b in place by LU with partial
+ * pivoting: @p a is overwritten by its factors and @p b by the solution.
+ * Matrix::solve runs this on copies; the QP solver on its workspace.
+ *
+ * @return false when the matrix is numerically singular (both arrays
+ *         then hold a partial elimination).
+ */
+bool luSolveInPlace(double* a, double* b, std::size_t n);
 
 /**
  * Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations:

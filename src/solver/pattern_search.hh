@@ -6,6 +6,9 @@
  * along every coordinate, projects each poll point back onto the design
  * constraints, and shrinks the step when no poll improves. Works on the
  * non-convex PerfPerCostOptBW objective where gradient methods can stall.
+ * Objectives with the batched facet score a sweep's remaining polls in
+ * one batch (see patternSearch); the result is bit-identical to the
+ * one-call-at-a-time search.
  */
 
 #ifndef LIBRA_SOLVER_PATTERN_SEARCH_HH

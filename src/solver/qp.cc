@@ -3,98 +3,189 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/logging.hh"
 #include "solver/feasible.hh"
 
 namespace libra {
 
-QpSolver::QpSolver(Matrix q, Vec c, Matrix a_eq, Vec b_eq, Matrix g_le,
-                   Vec h_le, QpOptions options)
-    : q_(std::move(q)), c_(std::move(c)), aEq_(std::move(a_eq)),
-      bEq_(std::move(b_eq)), gLe_(std::move(g_le)), hLe_(std::move(h_le)),
-      options_(options)
-{}
+namespace {
 
-bool
-QpSolver::solveKkt(const Vec& x, const std::vector<std::size_t>& working,
-                   Vec* p, Vec* ineq_multipliers) const
+/**
+ * Row-major views of min 1/2 x'Qx + c'x s.t. A x = b, G x <= h. The
+ * iterations start feasible and keep A x fixed, so b is never read.
+ */
+struct QpView
 {
-    const std::size_t n = c_.size();
-    const std::size_t me = aEq_.rows();
-    const std::size_t mw = working.size();
-    const std::size_t dim = n + me + mw;
+    std::size_t n = 0;  ///< Variables.
+    std::size_t me = 0; ///< Equality rows.
+    std::size_t mi = 0; ///< Inequality rows.
+    const double* q = nullptr; ///< n x n.
+    const double* c = nullptr; ///< n.
+    const double* a = nullptr; ///< me x n.
+    const double* g = nullptr; ///< mi x n.
+    const double* h = nullptr; ///< mi.
+};
 
-    // KKT system:
-    //   [ Q   A'  Gw' ] [ p   ]   [ -(Qx + c) ]
-    //   [ A   0   0   ] [ lam ] = [ 0         ]
-    //   [ Gw  0   0   ] [ mu  ]   [ 0         ]
-    Matrix k(dim, dim);
-    Vec rhs(dim, 0.0);
-
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            k.at(i, j) = q_.at(i, j);
-    for (std::size_t r = 0; r < me; ++r)
-        for (std::size_t j = 0; j < n; ++j) {
-            k.at(n + r, j) = aEq_.at(r, j);
-            k.at(j, n + r) = aEq_.at(r, j);
+/**
+ * Scratch for one QP solve: doubles and working-set row indices in
+ * inline buffers, with a heap fallback past their capacity (the recipe
+ * CompiledWorkload::estimate uses for its reciprocals). The inline
+ * sizes hold every problem LIBRA builds — a handful of dimensions, the
+ * budget row, one lower bound per dimension and a few extra rows — so
+ * those solve without touching the heap. One workspace per call:
+ * concurrent solves share nothing.
+ */
+class QpWorkspace
+{
+  public:
+    QpWorkspace(std::size_t doubles, std::size_t rows)
+    {
+        if (doubles > kInlineDoubles) {
+            heapDoubles_.resize(doubles);
+            doubles_ = heapDoubles_.data();
         }
-    for (std::size_t wi = 0; wi < mw; ++wi) {
-        std::size_t r = working[wi];
-        for (std::size_t j = 0; j < n; ++j) {
-            k.at(n + me + wi, j) = gLe_.at(r, j);
-            k.at(j, n + me + wi) = gLe_.at(r, j);
+        if (rows > kInlineRows) {
+            heapRows_.resize(rows);
+            rows_ = heapRows_.data();
         }
     }
 
-    Vec qx = q_.mul(x);
-    for (std::size_t i = 0; i < n; ++i)
-        rhs[i] = -(qx[i] + c_[i]);
+    QpWorkspace(const QpWorkspace&) = delete;
+    QpWorkspace& operator=(const QpWorkspace&) = delete;
 
-    bool ok = false;
-    Vec z = k.solve(rhs, &ok);
-    if (!ok) {
-        // Degenerate working set (linearly dependent rows): regularized
-        // least squares still yields a usable step direction.
-        z = k.solveLeastSquares(rhs);
+    /** The next @p count doubles of the buffer (uninitialized). */
+    double*
+    take(std::size_t count)
+    {
+        double* p = doubles_ + used_;
+        used_ += count;
+        return p;
     }
 
-    p->assign(z.begin(), z.begin() + static_cast<long>(n));
-    ineq_multipliers->assign(z.begin() + static_cast<long>(n + me),
-                             z.end());
-    return true;
+    /** Room for one index per inequality row. */
+    std::size_t* rows() { return rows_; }
+
+  private:
+    static constexpr std::size_t kInlineDoubles = 1024;
+    static constexpr std::size_t kInlineRows = 64;
+
+    double inlineDoubles_[kInlineDoubles];
+    std::size_t inlineRows_[kInlineRows];
+    std::vector<double> heapDoubles_;
+    std::vector<std::size_t> heapRows_;
+    double* doubles_ = inlineDoubles_;
+    std::size_t* rows_ = inlineRows_;
+    std::size_t used_ = 0;
+};
+
+/** Doubles runActiveSet() takes from the workspace. */
+std::size_t
+activeSetDoubles(const QpView& qp)
+{
+    const std::size_t dim = qp.n + qp.me + qp.mi;
+    return dim * dim + dim;
 }
 
-QpResult
-QpSolver::solve(const Vec& x0) const
+/** row . x over n entries, accumulated like dot(). */
+double
+rowDot(const double* row, const double* x, std::size_t n)
 {
-    const std::size_t n = c_.size();
-    const double tol = options_.tol;
-    Vec x = x0;
+    double s = 0.0;
+    for (std::size_t j = 0; j < n; ++j)
+        s += row[j] * x[j];
+    return s;
+}
+
+/**
+ * Write the KKT system of the working set at x into @p k (dim x dim,
+ * row-major) and @p rhs:
+ *
+ *   [ Q   A'  Gw' ] [ p   ]   [ -(Qx + c) ]
+ *   [ A   0   0   ] [ lam ] = [ 0         ]
+ *   [ Gw  0   0   ] [ mu  ]   [ 0         ]
+ */
+void
+assembleKkt(const QpView& qp, const double* x, const std::size_t* working,
+            std::size_t mw, double* k, double* rhs)
+{
+    const std::size_t n = qp.n;
+    const std::size_t me = qp.me;
+    const std::size_t dim = n + me + mw;
+    std::fill(k, k + dim * dim, 0.0);
+    std::fill(rhs, rhs + dim, 0.0);
+
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            k[i * dim + j] = qp.q[i * n + j];
+    for (std::size_t r = 0; r < me; ++r)
+        for (std::size_t j = 0; j < n; ++j) {
+            k[(n + r) * dim + j] = qp.a[r * n + j];
+            k[j * dim + n + r] = qp.a[r * n + j];
+        }
+    for (std::size_t wi = 0; wi < mw; ++wi) {
+        const double* row = qp.g + working[wi] * n;
+        for (std::size_t j = 0; j < n; ++j) {
+            k[(n + me + wi) * dim + j] = row[j];
+            k[j * dim + n + me + wi] = row[j];
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        rhs[i] = -(rowDot(qp.q + i * n, x, n) + qp.c[i]);
+}
+
+/**
+ * Primal active-set iterations from the feasible point @p x (updated in
+ * place). Records the iteration count and convergence in @p result.
+ */
+void
+runActiveSet(const QpView& qp, const QpOptions& options, double* x,
+             QpWorkspace& ws, QpResult* result)
+{
+    const std::size_t n = qp.n;
+    const std::size_t me = qp.me;
+    const std::size_t dimMax = n + me + qp.mi;
+    const double tol = options.tol;
+    double* k = ws.take(dimMax * dimMax);
+    double* z = ws.take(dimMax);
+    const double* p = z;
 
     // Initialize the working set with inequality rows active at x0.
-    std::vector<std::size_t> working;
-    for (std::size_t r = 0; r < gLe_.rows(); ++r) {
-        Vec row(n);
-        for (std::size_t j = 0; j < n; ++j)
-            row[j] = gLe_.at(r, j);
-        if (std::abs(dot(row, x) - hLe_[r]) <= 1e-8)
-            working.push_back(r);
+    std::size_t* working = ws.rows();
+    std::size_t mw = 0;
+    for (std::size_t r = 0; r < qp.mi; ++r) {
+        if (std::abs(rowDot(qp.g + r * n, x, n) - qp.h[r]) <= 1e-8)
+            working[mw++] = r;
     }
 
-    QpResult result;
-    for (int iter = 0; iter < options_.maxIterations; ++iter) {
-        result.iterations = iter + 1;
-        Vec p, mu;
-        solveKkt(x, working, &p, &mu);
+    for (int iter = 0; iter < options.maxIterations; ++iter) {
+        result->iterations = iter + 1;
+        // Step p and the working rows' multipliers mu.
+        assembleKkt(qp, x, working, mw, k, z);
+        const std::size_t dim = n + me + mw;
+        if (!luSolveInPlace(k, z, dim)) {
+            // Degenerate working set (linearly dependent rows):
+            // regularized least squares still yields a usable step
+            // direction. The factorization clobbered the system, so
+            // rebuild it for the fallback.
+            Matrix kk(dim, dim);
+            Vec rhs(dim);
+            assembleKkt(qp, x, working, mw, kk.data(), rhs.data());
+            Vec sol = kk.solveLeastSquares(rhs);
+            std::copy(sol.begin(), sol.end(), z);
+        }
+        const double* mu = z + n + me;
 
-        if (normInf(p) <= tol) {
+        double pInf = 0.0;
+        for (std::size_t i = 0; i < n; ++i)
+            pInf = std::max(pInf, std::abs(p[i]));
+        if (pInf <= tol) {
             // Stationary on the working set; check dual feasibility.
             double muMin = 0.0;
             std::size_t drop = 0;
             bool found = false;
-            for (std::size_t wi = 0; wi < mu.size(); ++wi) {
+            for (std::size_t wi = 0; wi < mw; ++wi) {
                 if (mu[wi] < muMin - tol) {
                     muMin = mu[wi];
                     drop = wi;
@@ -102,26 +193,24 @@ QpSolver::solve(const Vec& x0) const
                 }
             }
             if (!found) {
-                result.converged = true;
+                result->converged = true;
                 break;
             }
-            working.erase(working.begin() + static_cast<long>(drop));
+            std::copy(working + drop + 1, working + mw, working + drop);
+            --mw;
             continue;
         }
 
         // Line search to the nearest blocking inequality.
         double alpha = 1.0;
         std::size_t blocking = std::numeric_limits<std::size_t>::max();
-        for (std::size_t r = 0; r < gLe_.rows(); ++r) {
-            if (std::find(working.begin(), working.end(), r) !=
-                working.end())
+        for (std::size_t r = 0; r < qp.mi; ++r) {
+            if (std::find(working, working + mw, r) != working + mw)
                 continue;
-            Vec row(n);
-            for (std::size_t j = 0; j < n; ++j)
-                row[j] = gLe_.at(r, j);
-            double gp = dot(row, p);
+            const double* row = qp.g + r * n;
+            double gp = rowDot(row, p, n);
             if (gp > tol) {
-                double slack = hLe_[r] - dot(row, x);
+                double slack = qp.h[r] - rowDot(row, x, n);
                 double a = slack / gp;
                 if (a < alpha) {
                     alpha = std::max(0.0, a);
@@ -130,14 +219,33 @@ QpSolver::solve(const Vec& x0) const
             }
         }
 
-        x = axpy(x, alpha, p);
+        for (std::size_t i = 0; i < n; ++i)
+            x[i] = x[i] + alpha * p[i];
         if (blocking != std::numeric_limits<std::size_t>::max())
-            working.push_back(blocking);
+            working[mw++] = blocking;
     }
+}
 
-    result.x = x;
-    Vec qx = q_.mul(x);
-    result.objective = 0.5 * dot(x, qx) + dot(c_, x);
+} // namespace
+
+QpSolver::QpSolver(Matrix q, Vec c, Matrix a_eq, Vec b_eq, Matrix g_le,
+                   Vec h_le, QpOptions options)
+    : q_(std::move(q)), c_(std::move(c)), aEq_(std::move(a_eq)),
+      bEq_(std::move(b_eq)), gLe_(std::move(g_le)), hLe_(std::move(h_le)),
+      options_(options)
+{}
+
+QpResult
+QpSolver::solve(const Vec& x0) const
+{
+    const QpView qp{c_.size(), aEq_.rows(), gLe_.rows(), q_.data(),
+                    c_.data(), aEq_.data(),  gLe_.data(), hLe_.data()};
+    QpWorkspace ws(activeSetDoubles(qp), qp.mi);
+    QpResult result;
+    result.x = x0;
+    runActiveSet(qp, options_, result.x.data(), ws, &result);
+    Vec qx = q_.mul(result.x);
+    result.objective = 0.5 * dot(result.x, qx) + dot(c_, result.x);
     return result;
 }
 
@@ -145,25 +253,70 @@ Vec
 projectOntoConstraints(const ConstraintSet& constraints, const Vec& point)
 {
     const std::size_t n = constraints.numVars();
+    if (point.size() != n)
+        panic("projecting a ", point.size(), "-vector onto ", n,
+              " variables");
 
     // Phase 1: alternating projections reach a feasible neighbourhood.
-    Vec start = findFeasiblePoint(constraints, point);
-    if (!constraints.feasible(start, 1e-5)) {
+    // The returned vector is their output and then the QP iterate.
+    Vec x = findFeasiblePoint(constraints, point);
+    if (!constraints.feasible(x, 1e-5)) {
         fatal("constraint set is infeasible (residual ",
-              constraints.maxViolation(start), ")");
+              constraints.maxViolation(x), ")");
     }
 
-    Matrix aEq, gLe;
-    Vec bEq, hLe;
-    constraints.canonical(&aEq, &bEq, &gLe, &hLe);
+    // Phase 2: exact projection, min 1/2||x||^2 - point'x, over the
+    // canonical rows: equalities A x = b, inequalities G x <= h with
+    // Ge rows negated into Le form, each kept in constraint order.
+    QpView qp;
+    qp.n = n;
+    for (const auto& c : constraints.constraints())
+        ++(c.rel == Relation::Eq ? qp.me : qp.mi);
+    QpWorkspace ws(n * n + n + qp.me * n + qp.mi * (n + 1) + n +
+                       activeSetDoubles(qp),
+                   qp.mi);
 
-    // Phase 2: exact projection: min 1/2||x||^2 - point'x.
-    QpSolver qp(Matrix::identity(n), scale(-1.0, point), aEq, bEq, gLe,
-                hLe);
-    QpResult res = qp.solve(start);
-    if (constraints.feasible(res.x, 1e-6))
-        return res.x;
-    return start;
+    double* q = ws.take(n * n);
+    std::fill(q, q + n * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+        q[i * n + i] = 1.0;
+    double* c = ws.take(n);
+    for (std::size_t i = 0; i < n; ++i)
+        c[i] = -1.0 * point[i];
+    double* a = ws.take(qp.me * n);
+    double* g = ws.take(qp.mi * n);
+    double* h = ws.take(qp.mi);
+    std::size_t ei = 0;
+    std::size_t ii = 0;
+    for (const auto& con : constraints.constraints()) {
+        switch (con.rel) {
+          case Relation::Eq:
+            std::copy(con.coeffs.begin(), con.coeffs.end(), a + ei++ * n);
+            break;
+          case Relation::Le:
+            std::copy(con.coeffs.begin(), con.coeffs.end(), g + ii * n);
+            h[ii++] = con.rhs;
+            break;
+          case Relation::Ge:
+            for (std::size_t j = 0; j < n; ++j)
+                g[ii * n + j] = -1.0 * con.coeffs[j];
+            h[ii++] = -con.rhs;
+            break;
+        }
+    }
+    qp.q = q;
+    qp.c = c;
+    qp.a = a;
+    qp.g = g;
+    qp.h = h;
+
+    double* start = ws.take(n);
+    std::copy(x.begin(), x.end(), start);
+    QpResult stats;
+    runActiveSet(qp, QpOptions{}, x.data(), ws, &stats);
+    if (!constraints.feasible(x, 1e-6))
+        std::copy(start, start + n, x.begin());
+    return x;
 }
 
 } // namespace libra

@@ -44,20 +44,14 @@ class QpSolver
              QpOptions options = {});
 
     /**
-     * Run the active-set method from a feasible start.
+     * Run the active-set method from a feasible start. The same routine
+     * runs every projectOntoConstraints() call.
      *
      * @param x0 Feasible initial point (see findFeasiblePoint()).
      */
     QpResult solve(const Vec& x0) const;
 
   private:
-    /**
-     * Solve the equality-constrained subproblem on the working set:
-     * step p and multipliers for the rows in @p working.
-     */
-    bool solveKkt(const Vec& x, const std::vector<std::size_t>& working,
-                  Vec* p, Vec* ineq_multipliers) const;
-
     Matrix q_;
     Vec c_;
     Matrix aEq_;
@@ -71,6 +65,10 @@ class QpSolver
  * Euclidean projection of @p point onto the polyhedron described by
  * @p constraints: argmin ||x - point||^2 s.t. constraints. Solved as a QP
  * with Q = I starting from an alternating-projection feasible point.
+ * The QP's matrices, its KKT system and its working set live in one
+ * per-call workspace (inline storage, heap only for problems past it),
+ * so the returned vector is the call's only allocation for the
+ * problem sizes LIBRA builds. Safe to call concurrently.
  *
  * @throws FatalError when the constraint set is (numerically) infeasible.
  */

@@ -148,6 +148,12 @@ TEST(FaultSpec, RejectsMalformedSpecs)
                  FatalError);
     EXPECT_THROW(parseFaultSpec("seed=1,seed=2"), FatalError);
     EXPECT_THROW(parseFaultSpec("seed=abc"), FatalError);
+    // A sign or an out-of-range value must not alias onto 2^64 - 1.
+    EXPECT_THROW(parseFaultSpec("seed=-1"), FatalError);
+    EXPECT_THROW(parseFaultSpec("seed=+7"), FatalError);
+    EXPECT_THROW(parseFaultSpec("seed=18446744073709551616"), FatalError);
+    EXPECT_EQ(parseFaultSpec("seed=18446744073709551615").seed,
+              18446744073709551615ull);
 }
 
 // --- Injector determinism ----------------------------------------------

@@ -111,27 +111,6 @@ TEST(ConstraintParser, Errors)
     EXPECT_THROW(cs.addParsed("B1 ~ 5"), FatalError);      // Bad relation.
 }
 
-TEST(ConstraintSet, CanonicalSplit)
-{
-    ConstraintSet cs(2);
-    cs.addParsed("B1 + B2 = 10");
-    cs.addParsed("B1 <= 7");
-    cs.addParsed("B2 >= 2");
-
-    Matrix aEq, gLe;
-    Vec bEq, hLe;
-    cs.canonical(&aEq, &bEq, &gLe, &hLe);
-
-    ASSERT_EQ(aEq.rows(), 1u);
-    EXPECT_DOUBLE_EQ(aEq.at(0, 0), 1.0);
-    EXPECT_DOUBLE_EQ(bEq[0], 10.0);
-
-    ASSERT_EQ(gLe.rows(), 2u);
-    // Ge rows are negated into Le form.
-    EXPECT_DOUBLE_EQ(gLe.at(1, 1), -1.0);
-    EXPECT_DOUBLE_EQ(hLe[1], -2.0);
-}
-
 TEST(ConstraintSet, LabelsPreserved)
 {
     ConstraintSet cs(2);

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -546,6 +547,68 @@ TEST(Serve, OversizedRequestLineIsAnsweredAndTheConnectionClosed)
     ServeReply ok =
         serveRequest(server.socketPath(), "{\"op\": \"ping\"}");
     EXPECT_TRUE(ok.status.at("ok").asBool());
+
+    server.stop();
+}
+
+/** Send a ping on an open connection and read its framed reply. */
+bool
+pingOn(int fd)
+{
+    if (!sendAllFd(fd, "{\"op\": \"ping\"}\n"))
+        return false;
+    FrameBuffer buffer("test");
+    return readFrameFd(fd, buffer, "test").status.at("ok").asBool();
+}
+
+TEST(Serve, ConnectionsPastTheCapAreRefusedAndTheServerServesOn)
+{
+    ServeOptions options;
+    options.socketPath = testing::TempDir() + "libra-serve-cap.sock";
+    Server server(std::move(options));
+    server.start();
+    const std::string socket = server.socketPath();
+
+    // Fill the cap with idle connections, each proven live by a ping.
+    std::vector<int> held;
+    for (std::size_t i = 0; i < kMaxServeConnections; ++i) {
+        int fd = rawConnect(socket);
+        ASSERT_GE(fd, 0);
+        held.push_back(fd);
+        ASSERT_TRUE(pingOn(fd)) << "connection " << i;
+    }
+
+    // One more is answered "busy" and closed.
+    int extra = rawConnect(socket);
+    ASSERT_GE(extra, 0);
+    std::string reply;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(extra, buf, sizeof(buf), 0)) > 0)
+        reply.append(buf, static_cast<std::size_t>(n));
+    EXPECT_EQ(n, 0);
+    ::close(extra);
+    EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("server busy"), std::string::npos) << reply;
+
+    // The held connections still answer, and once they close new
+    // connections are served again (a handler notices its peer's
+    // close asynchronously, hence the bounded retry).
+    EXPECT_TRUE(pingOn(held.front()));
+    for (int fd : held)
+        ::close(fd);
+    bool served = false;
+    for (int attempt = 0; attempt < 500 && !served; ++attempt) {
+        try {
+            served = serveRequest(socket, "{\"op\": \"ping\"}")
+                         .status.at("ok")
+                         .asBool();
+        } catch (const FatalError&) {
+        }
+        if (!served)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_TRUE(served);
 
     server.stop();
 }

@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.hh"
+#include "core/estimator.hh"
+#include "core/objective.hh"
+#include "cost/cost_model.hh"
+#include "solver/batch_eval.hh"
 #include "solver/cmaes.hh"
 #include "solver/differential_evolution.hh"
 #include "solver/multistart.hh"
@@ -17,6 +23,8 @@
 #include "solver/qp.hh"
 #include "solver/strategy.hh"
 #include "solver/subgradient.hh"
+#include "topology/zoo.hh"
+#include "workload/zoo.hh"
 
 namespace libra {
 namespace {
@@ -97,6 +105,114 @@ TEST(PatternSearch, NeverWorseThanStart)
     EXPECT_LE(r.value, f(x0) + 1e-12);
     EXPECT_TRUE(cs.feasible(r.x, 1e-5));
 }
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+void
+expectSameBits(const SearchResult& a, const SearchResult& b)
+{
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(bits(a.value), bits(b.value));
+    ASSERT_EQ(a.x.size(), b.x.size());
+    for (std::size_t i = 0; i < a.x.size(); ++i)
+        EXPECT_EQ(bits(a.x[i]), bits(b.x[i])) << "dim " << i;
+}
+
+class PatternSearchRoutes : public ::testing::TestWithParam<const char*>
+{};
+
+/**
+ * patternSearch scores a sweep's polls speculatively in one batch when
+ * the objective carries the batched facet, and one call at a time
+ * otherwise. Both routes must return the same bits and the same
+ * iteration count at every poll cap, including caps that end a sweep
+ * part-way (the one-poll overshoot of the +/- pair), and the plain
+ * route must call f exactly once per counted poll.
+ */
+// GCC 12 falsely flags std::function::target()'s _Any_data as
+// maybe-uninitialized when the empty-target branch is fully inlined
+// (GCC PR105562); the library code is fine.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+TEST_P(PatternSearchRoutes, BatchedPollsRetraceThePerCallSearch)
+{
+    Network net = Network::parse(GetParam());
+    TrainingEstimator est(net);
+    CostModel cost = CostModel::defaultModel();
+    std::vector<TargetWorkload> targets = {
+        {wl::resnet50(net.npus()), 0.75},
+        {wl::gpt3(net.npus()), 0.25}};
+    const std::size_t n = net.numDims();
+
+    for (OptimizationObjective objective :
+         {OptimizationObjective::PerfOpt,
+          OptimizationObjective::PerfPerCostOpt}) {
+        SCOPED_TRACE(objectiveName(objective));
+        ScalarObjective batched =
+            makeObjective(objective, est, cost, targets);
+        ASSERT_NE(batchFacet(batched), nullptr);
+        long long calls = 0;
+        ScalarObjective plain = [&batched, &calls](const Vec& x) {
+            ++calls;
+            return batched(x);
+        };
+        ASSERT_EQ(batchFacet(plain), nullptr);
+
+        ConstraintSet cs(n);
+        cs.addTotalBw(400.0, Relation::Eq);
+        cs.addLowerBounds(1.0);
+        Vec x0(n, 400.0 / static_cast<double>(n));
+        x0[0] += 60.0;
+        x0[n - 1] -= 60.0;
+
+        const int caps = 4 * static_cast<int>(n) + 3;
+        for (int cap = 1; cap <= caps + 1; ++cap) {
+            // The last round runs the default cap to convergence.
+            PatternSearchOptions opt;
+            if (cap <= caps)
+                opt.maxIterations = cap;
+            SCOPED_TRACE(opt.maxIterations);
+            calls = 0;
+            const SearchResult a = patternSearch(batched, cs, x0, opt);
+            const SearchResult b = patternSearch(plain, cs, x0, opt);
+            expectSameBits(a, b);
+            EXPECT_EQ(calls, b.iterations + 1);
+        }
+
+        // The strategy wrapper charges identically on both routes.
+        const SearchStrategy* strategy =
+            StrategyRegistry::global().find("pattern-search");
+        ASSERT_NE(strategy, nullptr);
+        for (long long limit = 1; limit <= caps + 2; ++limit) {
+            SCOPED_TRACE(limit);
+            StartPoint start{x0, 0, 400.0};
+            EvalBudget budgetA(limit), budgetB(limit);
+            const SearchResult a =
+                strategy->search(batched, cs, start, budgetA);
+            const SearchResult b =
+                strategy->search(plain, cs, start, budgetB);
+            expectSameBits(a, b);
+            EXPECT_EQ(budgetA.used(), budgetB.used());
+            EXPECT_LE(budgetA.used(), limit);
+        }
+    }
+}
+#pragma GCC diagnostic pop
+
+INSTANTIATE_TEST_SUITE_P(Networks, PatternSearchRoutes,
+                         ::testing::Values("RI(4)_FC(4)_SW(4)",
+                                           "RI(4)_FC(2)_RI(4)_SW(4)"),
+                         [](const ::testing::TestParamInfo<const char*>&
+                                info) {
+                             return std::to_string(
+                                        Network::parse(info.param)
+                                            .numDims()) +
+                                    "d";
+                         });
 
 TEST(NelderMead, FindsConstrainedMinimum)
 {

@@ -9,10 +9,12 @@
 #              scenario under --explore prune (the design-space
 #              exploration layer end to end) — each asserting
 #              byte-identical matrix JSON at different thread counts,
-#              cached and fresh — a fault-injection smoke that
-#              re-runs the golden matrix with injected cache-I/O
-#              faults and asserts the JSON is byte-identical to the
-#              fault-free cached run (docs/ROBUSTNESS.md), a SIMD
+#              cached and fresh — a solver smoke asserting the
+#              default chain's cold fig13/14/17/18 JSON is
+#              byte-identical at 1 and 4 threads, a fault-injection
+#              smoke that re-runs the golden matrix with injected
+#              cache-I/O faults and asserts the JSON is byte-identical
+#              to the fault-free cached run (docs/ROBUSTNESS.md), a SIMD
 #              smoke that rebuilds the CLI with LIBRA_SIMD=off and
 #              asserts the golden matrix JSON is byte-identical to
 #              the default build's (docs/PERF.md), an objective
@@ -25,9 +27,9 @@
 #   --tsan     ThreadSanitizer build in build-tsan/; runs the threading
 #              contract tests (thread pool, parallel determinism, the
 #              scenario-matrix engine whose sweeps exercise
-#              runLibraSweep, the timing-backend layer, and the
-#              explore layer whose prune rounds re-enter the sweep)
-#              under TSan.
+#              runLibraSweep, the timing-backend layer, the
+#              explore layer whose prune rounds re-enter the sweep,
+#              and the QP/solver tests) under TSan.
 #   --asan     AddressSanitizer (+UBSan) build in build-asan/; runs the
 #              full suite.
 #   --ubsan    Standalone UndefinedBehaviorSanitizer build in
@@ -74,8 +76,10 @@ case "${MODE}" in
     # and line-atomic logging under concurrent cache warnings), the
     # cache-concurrency hammer, the serve subsystem (LRU +
     # single-flight + socket server; docs/SERVE.md), and the shard
-    # layer (worker pool, point wire codec; docs/SHARDING.md).
-    CTEST_EXTRA+=(-R 'test_thread_pool|test_parallel_determinism|test_study_engine|test_timing_backend|test_sim_crossval|test_explore|test_cache_faults|test_cache_concurrency|test_serve|test_objective_kernels|test_shard|test_point_wire')
+    # layer (worker pool, point wire codec; docs/SHARDING.md), and the
+    # solver layer whose projections and polls run on pool threads,
+    # each with its own per-call workspace.
+    CTEST_EXTRA+=(-R 'test_thread_pool|test_parallel_determinism|test_study_engine|test_timing_backend|test_sim_crossval|test_explore|test_cache_faults|test_cache_concurrency|test_serve|test_objective_kernels|test_shard|test_point_wire|test_qp|test_solvers')
     ;;
   asan)
     BUILD_DIR="build-asan"
@@ -121,6 +125,20 @@ if [[ -z "${MODE}" ]]; then
   cmp "${SMOKE_DIR}/fresh2.json" "${SMOKE_DIR}/fresh4.json"
   cmp "${SMOKE_DIR}/fresh2.json" "${SMOKE_DIR}/cached.json"
   echo "crossval smoke: byte-identical matrix JSON (fresh 2t vs fresh 4t vs cached)"
+
+  # Solver smoke: the default subgradient/pattern-search/Nelder-Mead
+  # chain under the analytical backend, where pattern search scores its
+  # polls in speculative batches and every projection runs in a per-call
+  # workspace. Cold runs at 1 and 4 threads over separate caches must
+  # emit byte-identical matrix JSON (docs/SOLVERS.md, docs/PERF.md).
+  "${BUILD_DIR}/libra_cli" run-matrix fig13 fig14 fig17 fig18 \
+    --emit json --cache-dir "${SMOKE_DIR}/ocache1" \
+    --out "${SMOKE_DIR}/ofresh1.json" --threads 1
+  "${BUILD_DIR}/libra_cli" run-matrix fig13 fig14 fig17 fig18 \
+    --emit json --cache-dir "${SMOKE_DIR}/ocache4" \
+    --out "${SMOKE_DIR}/ofresh4.json" --threads 4
+  cmp "${SMOKE_DIR}/ofresh1.json" "${SMOKE_DIR}/ofresh4.json"
+  echo "solver smoke: byte-identical matrix JSON (fresh 1t vs fresh 4t)"
 
   # Hostile-number smoke: nan and inf in a study file are user errors.
   # Each edit of the example study (the last also switches to the
