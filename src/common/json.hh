@@ -35,7 +35,7 @@ std::string jsonNumberToString(double v);
 /**
  * Canonical-text field encoders, shared by every canonical
  * serialization that feeds content identity (the study cache key and
- * the deep-equality helpers defined as equal canonical text). One
+ * costModelsEqual, defined as equal canonical text). One
  * definition so the encoding can never diverge between sites.
  */
 inline void

@@ -327,7 +327,7 @@ zooNameOf(const Workload& w, long npus)
     for (const char* token :
          {"turing-nlg", "gpt3", "msft1t", "dlrm", "resnet50"}) {
         try {
-            if (workloadsEqual(w, zooWorkloadByName(token, npus)))
+            if (w == zooWorkloadByName(token, npus))
                 return token;
         } catch (const FatalError&) {
             // Candidate cannot even be built at this NPU count (e.g.
@@ -390,8 +390,7 @@ studyInputsEqual(const LibraInputs& a, const LibraInputs& b)
         return false;
     for (std::size_t i = 0; i < a.targets.size(); ++i) {
         if (a.targets[i].weight != b.targets[i].weight ||
-            !workloadsEqual(a.targets[i].workload,
-                            b.targets[i].workload)) {
+            a.targets[i].workload != b.targets[i].workload) {
             return false;
         }
     }

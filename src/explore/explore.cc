@@ -36,13 +36,13 @@ knownStrategies()
  * comparable within one objective (same figure of merit), never across.
  */
 std::vector<OptimizationObjective>
-objectiveStrata(const std::vector<Candidate>& candidates)
+objectiveStrata(const std::vector<ExploreOutcome>& outcomes)
 {
     std::vector<OptimizationObjective> strata;
-    for (const auto& c : candidates) {
-        if (std::find(strata.begin(), strata.end(), c.objective) ==
-            strata.end()) {
-            strata.push_back(c.objective);
+    for (const auto& o : outcomes) {
+        if (std::find(strata.begin(), strata.end(),
+                      o.candidate.objective) == strata.end()) {
+            strata.push_back(o.candidate.objective);
         }
     }
     return strata;
@@ -52,13 +52,8 @@ objectiveStrata(const std::vector<Candidate>& candidates)
 std::vector<std::size_t>
 computeWinners(const std::vector<ExploreOutcome>& outcomes)
 {
-    std::vector<Candidate> candidates;
-    candidates.reserve(outcomes.size());
-    for (const auto& o : outcomes)
-        candidates.push_back(o.candidate);
-
     std::vector<std::size_t> winners;
-    for (OptimizationObjective obj : objectiveStrata(candidates)) {
+    for (OptimizationObjective obj : objectiveStrata(outcomes)) {
         std::size_t best = outcomes.size();
         for (std::size_t i = 0; i < outcomes.size(); ++i) {
             if (outcomes[i].candidate.objective != obj ||
@@ -184,7 +179,7 @@ class PruneExplore : public ExploreStrategy
             // index) pairs keeps ties deterministic at the lower index.
             std::vector<std::size_t> next;
             for (OptimizationObjective obj :
-                 objectiveStrata(candidates)) {
+                 objectiveStrata(result.outcomes)) {
                 std::vector<std::pair<double, std::size_t>> ranked;
                 for (std::size_t i : alive) {
                     if (candidates[i].objective == obj) {

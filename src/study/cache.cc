@@ -44,7 +44,7 @@ studyPointCacheable(const LibraInputs& inputs)
 }
 
 std::string
-canonicalStudyKey(const LibraInputs& inputs)
+canonicalStudyKey(const LibraInputs& inputs, WorkloadTextMemo* memo)
 {
     if (!studyPointCacheable(inputs))
         fatal("study points with a custom commTimeFn have no canonical "
@@ -126,8 +126,8 @@ canonicalStudyKey(const LibraInputs& inputs)
     // results are bit-identical at any thread count (see docs/PERF.md).
 
     // Workload and cost-model content text comes from the single
-    // canonical serialization next to each struct, shared with the
-    // deep-equality helpers — new fields only need adding there.
+    // canonical serialization next to each struct — new fields only
+    // need adding there.
     appendCanonicalText(out, inputs.costModel);
 
     out += inputs.normalizeTargetWeights ? "norm " : "raw ";
@@ -135,7 +135,10 @@ canonicalStudyKey(const LibraInputs& inputs)
     out += "targets ";
     for (const auto& t : inputs.targets) {
         appendCanonicalNumber(out, t.weight);
-        appendCanonicalText(out, t.workload);
+        if (memo)
+            out += memo->text(t.workload);
+        else
+            appendCanonicalText(out, t.workload);
     }
     return out;
 }

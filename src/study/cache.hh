@@ -67,9 +67,13 @@ constexpr std::uint32_t kStudyCacheVersion = 1;
 
 /**
  * Canonical text form of everything result-relevant in @p inputs.
+ * With a @p memo, each target's workload text comes from it: a sweep
+ * that keys many points over few workloads formats each distinct
+ * workload once. The key is byte-identical either way.
  * @throws FatalError for inputs with a custom commTimeFn.
  */
-std::string canonicalStudyKey(const LibraInputs& inputs);
+std::string canonicalStudyKey(const LibraInputs& inputs,
+                              WorkloadTextMemo* memo = nullptr);
 
 /** True when @p inputs can be cached (no custom commTimeFn). */
 bool studyPointCacheable(const LibraInputs& inputs);

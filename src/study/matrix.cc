@@ -121,6 +121,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
     SlotMap map = buildSlotMap(points);
     const std::vector<std::size_t>& slotOf = map.slotOf;
     const std::vector<std::string>& slotKey = map.slotKey;
+    const std::vector<std::uint64_t>& slotHash = map.slotHash;
     const std::vector<std::size_t>& slotRep = map.slotRep;
 
     const std::size_t slots = slotRep.size();
@@ -130,8 +131,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
     std::vector<std::size_t> missing;
     for (std::size_t s = 0; s < slots; ++s) {
         if (store && !slotKey[s].empty() &&
-            store->load(studyCacheHashOfKey(slotKey[s]), slotKey[s],
-                        &slotReport[s])) {
+            store->load(slotHash[s], slotKey[s], &slotReport[s])) {
             slotCached[s] = true;
         } else {
             missing.push_back(s);
@@ -146,8 +146,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         std::size_t lost = 0;
         for (std::size_t s : missing) {
             if (!slotKey[s].empty() &&
-                ctx.checkpoint->contains(
-                    studyCacheHashOfKey(slotKey[s])))
+                ctx.checkpoint->contains(slotHash[s]))
                 ++lost;
         }
         if (lost > 0)
@@ -188,8 +187,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
     batch.reserve(owned.size());
     for (std::size_t s : owned) {
         if (!slotKey[s].empty() &&
-            injectFault(FaultSite::PointEval,
-                        studyCacheHashOfKey(slotKey[s]))) {
+            injectFault(FaultSite::PointEval, slotHash[s])) {
             slotStatus[s].ok = false;
             slotStatus[s].error = "injected point-eval fault";
             if (store)
@@ -211,13 +209,11 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         if (slotStatus[s].ok) {
             slotReport[s] = std::move(report);
             if (store && update_cache && !slotKey[s].empty()) {
-                const std::uint64_t hash =
-                    studyCacheHashOfKey(slotKey[s]);
-                store->store(hash, slotKey[s], slotReport[s]);
+                store->store(slotHash[s], slotKey[s], slotReport[s]);
                 // Store first, then record: manifest ⊆ cache, so a
                 // recorded slot is always servable on resume.
                 if (ctx.checkpoint)
-                    ctx.checkpoint->append(hash);
+                    ctx.checkpoint->append(slotHash[s]);
             }
         }
         if (store && !slotKey[s].empty())
@@ -407,9 +403,11 @@ buildMatrixPlan(const std::vector<std::string>& names,
                 c.inputs.explore = spec;
             }
             if (spec.empty()) {
+                // Lent to the shared batch; runScenarioMatrix moves
+                // them back before formatting.
                 slice.count = slice.candidates.size();
-                for (const auto& c : slice.candidates)
-                    plan.points.push_back(c.inputs);
+                for (auto& c : slice.candidates)
+                    plan.points.push_back(std::move(c.inputs));
             } else {
                 slice.exploreSpec = std::move(spec);
             }
@@ -576,7 +574,11 @@ runScenarioMatrix(const std::vector<std::string>& names,
             if (!run.failures.empty()) {
                 run.output = ScenarioOutput{};
             } else if (scenarios[si]->space) {
-                // Exhaustive design space.
+                // Exhaustive design space: hand the candidates back
+                // the inputs buildMatrixPlan lent to the batch.
+                for (std::size_t i = 0; i < slice.count; ++i)
+                    slice.candidates[i].inputs =
+                        std::move(points[slice.begin + i]);
                 run.output = scenarios[si]->formatSpace(
                     exhaustiveResultFromReports(
                         std::move(slice.candidates), sliceReports));
@@ -584,7 +586,8 @@ runScenarioMatrix(const std::vector<std::string>& names,
                 // Classic scenario. Slices partition `points` and
                 // nothing reads a point after its scenario is
                 // formatted, so move the workload IR out instead of
-                // deep-copying it.
+                // deep-copying it (the exhaustive branch above relies
+                // on the same argument).
                 auto begin = points.begin() +
                              static_cast<std::ptrdiff_t>(slice.begin);
                 std::vector<LibraInputs> slicePoints(

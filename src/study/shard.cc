@@ -32,19 +32,24 @@ buildSlotMap(const std::vector<LibraInputs>& points)
 {
     SlotMap map;
     map.slotOf.resize(points.size());
+    // A sweep keys many points over few workloads: the memo formats
+    // each distinct workload's text once for this call.
+    WorkloadTextMemo memo;
     std::unordered_map<std::string, std::size_t> slotByKey;
     for (std::size_t i = 0; i < points.size(); ++i) {
         if (!studyPointCacheable(points[i])) {
             map.slotOf[i] = map.slotRep.size();
             map.slotKey.emplace_back();
+            map.slotHash.push_back(0);
             map.slotRep.push_back(i);
             continue;
         }
-        std::string key = canonicalStudyKey(points[i]);
+        std::string key = canonicalStudyKey(points[i], &memo);
         auto [it, inserted] =
             slotByKey.try_emplace(std::move(key), map.slotRep.size());
         if (inserted) {
             map.slotKey.push_back(it->first);
+            map.slotHash.push_back(studyCacheHashOfKey(it->first));
             map.slotRep.push_back(i);
         }
         map.slotOf[i] = it->second;

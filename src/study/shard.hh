@@ -42,6 +42,7 @@
 #include <sys/types.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -60,6 +61,8 @@ struct SlotMap
 {
     std::vector<std::size_t> slotOf;  ///< Point -> slot.
     std::vector<std::string> slotKey; ///< Canonical text; "" = private.
+    /** studyCacheHashOfKey(slotKey); 0 for a private slot. */
+    std::vector<std::uint64_t> slotHash;
     std::vector<std::size_t> slotRep; ///< Slot -> representative point.
 
     std::size_t slots() const { return slotRep.size(); }

@@ -105,15 +105,21 @@ appendCanonicalText(std::string& out, const Workload& w)
     }
 }
 
-bool
-workloadsEqual(const Workload& a, const Workload& b)
+const std::string&
+WorkloadTextMemo::text(const Workload& w)
 {
-    // Canonical text is injective on content (length-prefixed strings,
-    // shortest round-trip doubles), so text equality is deep equality.
-    std::string ta, tb;
-    appendCanonicalText(ta, a);
-    appendCanonicalText(tb, b);
-    return ta == tb;
+    for (const Entry& e : entries_) {
+        if (e.workload == &w)
+            return e.text;
+    }
+    for (const Entry& e : entries_) {
+        if (*e.workload == w)
+            return e.text;
+    }
+    std::string text;
+    appendCanonicalText(text, w);
+    entries_.push_back({&w, std::move(text)});
+    return entries_.back().text;
 }
 
 } // namespace libra

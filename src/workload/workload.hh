@@ -39,6 +39,8 @@ struct CommOp
     CollectiveType type = CollectiveType::AllReduce;
     CommScope scope = CommScope::Dp;
     Bytes size = 0.0;
+
+    bool operator==(const CommOp&) const = default;
 };
 
 /** One model layer with per-phase compute times and collectives. */
@@ -53,6 +55,8 @@ struct Layer
     std::vector<CommOp> fwdComm; ///< Forward-pass collectives.
     std::vector<CommOp> igComm;  ///< TP backward collectives.
     std::vector<CommOp> wgComm;  ///< DP gradient-sync collectives.
+
+    bool operator==(const Layer&) const = default;
 };
 
 /**
@@ -77,6 +81,8 @@ struct Parallelization
 
     long npus() const { return tp * pp * dp; }
     std::string name() const;
+
+    bool operator==(const Parallelization&) const = default;
 };
 
 /** A full training workload. */
@@ -95,22 +101,54 @@ struct Workload
 
     /** All comm ops of a layer across the three phases. */
     static std::vector<CommOp> allOps(const Layer& layer);
+
+    /** Deep member-wise content equality. */
+    bool operator==(const Workload&) const = default;
 };
 
 /**
  * Append a canonical, collision-safe text form of @p w to @p out:
  * every content field (name, parameters, strategy, per-layer compute
  * and collectives) in a fixed order, with length-prefixed strings and
- * shortest round-trip doubles. This is the single source of truth for
- * workload content identity — the study result cache keys on it, and
- * deep equality (workloadsEqual) is defined as equal canonical text —
- * so a new result-relevant Workload/Layer/CommOp field must be added
- * here (and only here) to reach both.
+ * shortest round-trip doubles. The study result cache keys on it, so
+ * every Workload/Layer/CommOp field that affects results must be
+ * listed here. Equality (Workload::operator==) covers every member by
+ * construction, so equal workloads always have equal text; the only
+ * distinct finite doubles with equal text are +0 and -0, which also
+ * compare equal.
  */
 void appendCanonicalText(std::string& out, const Workload& w);
 
-/** Deep content equality via canonical text. */
-bool workloadsEqual(const Workload& a, const Workload& b);
+/**
+ * Per-call memo of appendCanonicalText: a design-point sweep keys the
+ * same few workloads hundreds of times, and a workload's text is
+ * nearly all of each study cache key. text() matches a previously
+ * seen workload by address first, then by `==`, and formats only on a
+ * miss. Equality implies equal text (see appendCanonicalText), so the
+ * memo returns exactly what appendCanonicalText would.
+ *
+ * Entries point at the workloads they were built from: every workload
+ * passed in must outlive the memo and stay unmodified while it lives.
+ * Lookup is a linear scan, sized for the tens of distinct workloads a
+ * sweep holds. Not thread-safe; one memo per call.
+ */
+class WorkloadTextMemo
+{
+  public:
+    /**
+     * The canonical text of @p w (see appendCanonicalText). The
+     * reference stays valid until the next call.
+     */
+    const std::string& text(const Workload& w);
+
+  private:
+    struct Entry
+    {
+        const Workload* workload; ///< First workload with this text.
+        std::string text;
+    };
+    std::vector<Entry> entries_;
+};
 
 } // namespace libra
 

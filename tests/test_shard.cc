@@ -82,6 +82,9 @@ TEST(SlotMap, DedupsByContentAndGivesUncacheablePointsPrivateSlots)
     EXPECT_TRUE(map.slotKey[map.slotOf[3]].empty());
     EXPECT_EQ(map.slotKey[map.slotOf[0]],
               canonicalStudyKey(points[0]));
+    EXPECT_EQ(map.slotHash[map.slotOf[0]],
+              studyCacheHashOfKey(map.slotKey[map.slotOf[0]]));
+    EXPECT_EQ(map.slotHash[map.slotOf[3]], 0u);
     EXPECT_EQ(map.slotRep[map.slotOf[2]], 0u);
 }
 

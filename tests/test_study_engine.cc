@@ -9,13 +9,17 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
 #include "core/study_config.hh"
+#include "explore/explore.hh"
 #include "study/cache.hh"
 #include "study/matrix.hh"
+#include "study/scenario.hh"
+#include "study/shard.hh"
 
 namespace libra {
 namespace {
@@ -250,6 +254,67 @@ TEST(StudyCacheKey, CustomTimingModelIsNotCacheable)
 }
 
 // --- Report serialization ----------------------------------------------
+
+/** Every design point of `run-matrix all`, in matrix order. */
+std::vector<LibraInputs>
+allScenarioPoints()
+{
+    std::vector<LibraInputs> points;
+    for (const auto& name : expandScenarioGroups({"all"})) {
+        const Scenario* s = ScenarioRegistry::global().find(name);
+        if (s->space) {
+            for (auto& c : expandDesignSpace(s->space()))
+                points.push_back(std::move(c.inputs));
+        } else if (s->build) {
+            for (auto& p : s->build())
+                points.push_back(std::move(p));
+        }
+    }
+    return points;
+}
+
+TEST(StudyCacheKey, AllScenarioKeysArePinned)
+{
+    // Every cache file the built-in scenarios read or write is named by
+    // one of these hashes, so a drifted key turns a warm cache cold
+    // without changing a single emitted byte. The digest (FNV-1a over
+    // the 16-hex hashes, one per line, in matrix order) was captured
+    // at engine version 1 with 366 points, 190 unique keys and
+    // 7,000,560 key bytes.
+    const std::vector<LibraInputs> points = allScenarioPoints();
+    std::string hexes;
+    std::size_t keyBytes = 0;
+    std::map<std::string, std::size_t> firstByKey;
+    std::vector<std::size_t> groupOf(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const std::string key = canonicalStudyKey(points[i]);
+        keyBytes += key.size();
+        groupOf[i] = firstByKey.try_emplace(key, i).first->second;
+        char hex[32];
+        std::snprintf(hex, sizeof(hex), "%016llx\n",
+                      static_cast<unsigned long long>(
+                          studyCacheHashOfKey(key)));
+        hexes += hex;
+    }
+    EXPECT_EQ(points.size(), 366u);
+    EXPECT_EQ(firstByKey.size(), 190u);
+    EXPECT_EQ(keyBytes, 7000560u);
+    EXPECT_EQ(studyCacheHashOfKey(hexes), 0x6118c72b6ecf71dbull);
+
+    // The slot map keys through a per-call workload-text memo; its keys
+    // and grouping must be exactly those of the plain keys.
+    SlotMap map = buildSlotMap(points);
+    ASSERT_EQ(map.slots(), firstByKey.size());
+    for (std::size_t s = 0; s < map.slots(); ++s) {
+        const LibraInputs& rep = points[map.slotRep[s]];
+        EXPECT_EQ(map.slotKey[s], canonicalStudyKey(rep)) << "slot " << s;
+        EXPECT_EQ(map.slotHash[s], studyCacheHashOfKey(map.slotKey[s]));
+    }
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(map.slotRep[map.slotOf[i]], groupOf[i])
+            << "point " << i;
+    }
+}
 
 TEST(StudyCache, ReportJsonRoundTripIsBitExact)
 {

@@ -3,6 +3,11 @@
  * Tests for the workload IR and the analytical model builders.
  */
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -203,6 +208,124 @@ TEST(Workload, HelperAccessors)
     auto ops = Workload::allOps(w.layers[0]);
     EXPECT_EQ(ops.size(), 6u); // 2 fwd + 2 ig + 2 wg.
     EXPECT_GT(w.totalCommPayload(), 0.0);
+}
+
+// --- Canonical text memo -------------------------------------------------
+
+/** A small workload with ops in every comm list of every layer. */
+Workload
+memoBase()
+{
+    Workload w;
+    w.name = "memo-base";
+    w.parameters = 1.5e9;
+    w.strategy = Parallelization(2, 2, 4);
+    for (int i = 0; i < 2; ++i) {
+        Layer l;
+        l.name = "layer" + std::to_string(i);
+        l.fwdCompute = 1e-3 * (i + 1);
+        l.igCompute = 2e-3 * (i + 1);
+        l.wgCompute = 3e-3 * (i + 1);
+        l.fwdComm.push_back({CollectiveType::AllReduce, CommScope::Tp,
+                             4096.0 * (i + 1)});
+        l.igComm.push_back({CollectiveType::AllGather, CommScope::Pp,
+                            8192.0});
+        l.wgComm.push_back({CollectiveType::ReduceScatter, CommScope::Dp,
+                            1.25e6});
+        w.layers.push_back(std::move(l));
+    }
+    return w;
+}
+
+std::string
+canonicalText(const Workload& w)
+{
+    std::string out;
+    appendCanonicalText(out, w);
+    return out;
+}
+
+TEST(WorkloadTextMemo, ContentEqualWorkloadsShareOneText)
+{
+    const Workload a = memoBase();
+    const Workload b = memoBase(); // Same content, another address.
+    WorkloadTextMemo memo;
+    const std::string fromA = memo.text(a);
+    EXPECT_EQ(fromA, canonicalText(a));
+    EXPECT_EQ(memo.text(b), fromA);
+    EXPECT_EQ(memo.text(a), fromA); // Address hit.
+}
+
+TEST(WorkloadTextMemo, EverySingleFieldMutationGetsItsOwnText)
+{
+    const std::vector<std::pair<const char*, std::function<void(Workload&)>>>
+        mutations = {
+            {"name", [](Workload& w) { w.name = "memo-other"; }},
+            {"parameters", [](Workload& w) { w.parameters *= 2.0; }},
+            {"tp", [](Workload& w) { w.strategy.tp = 4; }},
+            {"pp", [](Workload& w) { w.strategy.pp = 1; }},
+            {"dp", [](Workload& w) { w.strategy.dp = 8; }},
+            {"layer name", [](Workload& w) { w.layers[1].name = "x"; }},
+            {"fwdCompute",
+             [](Workload& w) { w.layers[1].fwdCompute += 1e-9; }},
+            {"igCompute",
+             [](Workload& w) { w.layers[1].igCompute += 1e-9; }},
+            {"wgCompute",
+             [](Workload& w) { w.layers[1].wgCompute += 1e-9; }},
+            {"op type",
+             [](Workload& w) {
+                 w.layers[1].wgComm[0].type = CollectiveType::AllReduce;
+             }},
+            {"op scope",
+             [](Workload& w) {
+                 w.layers[1].wgComm[0].scope = CommScope::All;
+             }},
+            {"op size",
+             [](Workload& w) { w.layers[1].wgComm[0].size += 1.0; }},
+            {"fwdComm append",
+             [](Workload& w) { w.layers[0].fwdComm.push_back({}); }},
+            {"igComm append",
+             [](Workload& w) { w.layers[0].igComm.push_back({}); }},
+            {"wgComm append",
+             [](Workload& w) { w.layers[0].wgComm.push_back({}); }},
+            {"layer append",
+             [](Workload& w) { w.layers.push_back(w.layers[0]); }},
+        };
+    const Workload base = memoBase();
+    const std::string baseText = canonicalText(base);
+    // Every mutant stays alive (and at its address) while the memo
+    // holds entries for all of them.
+    std::vector<Workload> mutants(mutations.size(), base);
+    WorkloadTextMemo memo;
+    EXPECT_EQ(memo.text(base), baseText);
+    for (std::size_t i = 0; i < mutations.size(); ++i) {
+        mutations[i].second(mutants[i]);
+        EXPECT_FALSE(mutants[i] == base) << mutations[i].first;
+        const std::string want = canonicalText(mutants[i]);
+        EXPECT_NE(want, baseText) << mutations[i].first;
+        EXPECT_EQ(memo.text(mutants[i]), want) << mutations[i].first;
+    }
+    // Earlier entries are still served correctly after later misses.
+    EXPECT_EQ(memo.text(memoBase()), baseText);
+    for (std::size_t i = 0; i < mutations.size(); ++i) {
+        EXPECT_EQ(memo.text(mutants[i]), canonicalText(mutants[i]))
+            << mutations[i].first;
+    }
+}
+
+TEST(WorkloadTextMemo, SignedZerosShareOneText)
+{
+    Workload pos = memoBase();
+    pos.parameters = 0.0;
+    pos.layers[0].fwdComm[0].size = 0.0;
+    Workload neg = pos;
+    neg.parameters = -0.0;
+    neg.layers[0].fwdComm[0].size = -0.0;
+    EXPECT_TRUE(pos == neg);
+    EXPECT_EQ(canonicalText(pos), canonicalText(neg));
+    WorkloadTextMemo memo;
+    EXPECT_EQ(memo.text(pos), canonicalText(pos));
+    EXPECT_EQ(memo.text(neg), canonicalText(neg));
 }
 
 TEST(CommScopeNames, Resolve)

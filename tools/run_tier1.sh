@@ -11,7 +11,10 @@
 #              byte-identical matrix JSON at different thread counts,
 #              cached and fresh — a solver smoke asserting the
 #              default chain's cold fig13/14/17/18 JSON is
-#              byte-identical at 1 and 4 threads, a fault-injection
+#              byte-identical at 1 and 4 threads, a warm-all smoke
+#              asserting a 1-thread `run-matrix all` over the cache a
+#              4-thread run filled is byte-identical and serves all
+#              366 points from that cache, a fault-injection
 #              smoke that re-runs the golden matrix with injected
 #              cache-I/O faults and asserts the JSON is byte-identical
 #              to the fault-free cached run (docs/ROBUSTNESS.md), a SIMD
@@ -139,6 +142,21 @@ if [[ -z "${MODE}" ]]; then
     --out "${SMOKE_DIR}/ofresh4.json" --threads 4
   cmp "${SMOKE_DIR}/ofresh1.json" "${SMOKE_DIR}/ofresh4.json"
   echo "solver smoke: byte-identical matrix JSON (fresh 1t vs fresh 4t)"
+
+  # Warm-all smoke: the warm read path (per-sweep workload-text memo,
+  # one key hash per slot; docs/PERF.md). A cold 4-thread `all` fills a
+  # cache and a 1-thread rerun over it must emit byte-identical JSON.
+  # Bytes alone cannot catch a drifted cache key, because a miss
+  # recomputes the same bytes; the rerun's status line must also show
+  # every point served from the cache.
+  "${BUILD_DIR}/libra_cli" run-matrix all --emit json --threads 4 \
+    --cache-dir "${SMOKE_DIR}/wcache" --out "${SMOKE_DIR}/wcold.json"
+  "${BUILD_DIR}/libra_cli" run-matrix all --emit json --threads 1 \
+    --cache-dir "${SMOKE_DIR}/wcache" --out "${SMOKE_DIR}/wwarm.json" \
+    2> "${SMOKE_DIR}/wwarm.status"
+  cmp "${SMOKE_DIR}/wcold.json" "${SMOKE_DIR}/wwarm.json"
+  grep -q "366 from cache, 0 computed" "${SMOKE_DIR}/wwarm.status"
+  echo "warm-all smoke: byte-identical matrix JSON (fresh 4t vs cached 1t), 366 from cache, 0 computed"
 
   # Hostile-number smoke: nan and inf in a study file are user errors.
   # Each edit of the example study (the last also switches to the
