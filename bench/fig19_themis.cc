@@ -16,7 +16,7 @@
 
 #include "bench_util.hh"
 #include "core/optimizer.hh"
-#include "runtime/themis.hh"
+#include "core/timing_backend.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
 
@@ -34,7 +34,7 @@ run()
 
     // Themis-enabled end-to-end estimator.
     EstimatorOptions themisOpt;
-    themisOpt.commTimeFn = makeThemisCommTimeFn(net.numDims());
+    themisOpt.timingBackend = kThemisTimingBackendName;
     TrainingEstimator themis(net, themisOpt);
 
     BwOptimizer opt(net, cm);

@@ -1,12 +1,11 @@
 /**
  * @file
  * Compiled-objective evaluation throughput: the function every solver
- * iteration bottoms out in. Measures evaluations/sec of the legacy
- * nested compiled layout, the scalar SoA fast path, the SIMD-batched
- * candidate-major kernel, and one subgradient gradient (2n
- * central-difference probes through the objective's evaluateBatch
- * against 2n scalar estimate() calls), plus the uncompiled direct
- * estimator for reference, and emits machine-readable
+ * iteration bottoms out in. Measures evaluations/sec of the
+ * uncompiled direct estimator, the scalar SoA fast path, the
+ * SIMD-batched candidate-major kernel, and one subgradient gradient
+ * (2n central-difference probes through the objective's evaluateBatch
+ * against 2n scalar estimate() calls), and emits machine-readable
  * BENCH_objective.json for CI tracking.
  */
 
@@ -89,7 +88,7 @@ void
 run()
 {
     bench::banner("micro", "compiled objective evaluation throughput "
-                           "(nested vs SoA vs SIMD vs gradient batch)");
+                           "(direct vs SoA vs SIMD vs gradient batch)");
 
     Network net = topo::threeD512();
     Workload w = wl::msft1T(net.npus());
@@ -103,11 +102,6 @@ run()
     double direct = measure(
         [&](std::size_t i) {
             return est.estimate(w, pool[i % pool.size()]);
-        },
-        1, budget, &sink);
-    double nested = measure(
-        [&](std::size_t i) {
-            return cw.estimateNested(pool[i % pool.size()]);
         },
         1, budget, &sink);
     double soa = measure(
@@ -150,18 +144,16 @@ run()
         2 * dims, budget, &sink);
 
     Table t;
-    t.header({"Path", "evals/sec", "speedup vs nested"});
-    t.row({"direct estimator", Table::num(direct, 0),
-           Table::num(direct / nested, 2)});
-    t.row({"compiled nested", Table::num(nested, 0), "1.00"});
+    t.header({"Path", "evals/sec", "speedup vs direct"});
+    t.row({"direct estimator", Table::num(direct, 0), "1.00"});
     t.row({"compiled SoA", Table::num(soa, 0),
-           Table::num(soa / nested, 2)});
+           Table::num(soa / direct, 2)});
     t.row({std::string("SIMD batched (") + activeSimdKernel() + ")",
-           Table::num(batched, 0), Table::num(batched / nested, 2)});
+           Table::num(batched, 0), Table::num(batched / direct, 2)});
     t.row({"gradient probes, scalar", Table::num(gradScalar, 0),
-           Table::num(gradScalar / nested, 2)});
+           Table::num(gradScalar / direct, 2)});
     t.row({"gradient probes, batched", Table::num(gradBatch, 0),
-           Table::num(gradBatch / nested, 2)});
+           Table::num(gradBatch / direct, 2)});
     t.print(std::cout);
 
     Json j = Json::object();
@@ -170,9 +162,8 @@ run()
     j["workload"] = w.name;
     j["simd_kernel"] = activeSimdKernel();
     j["direct_evals_per_sec"] = direct;
-    j["nested_evals_per_sec"] = nested;
     j["soa_evals_per_sec"] = soa;
-    j["soa_speedup_vs_nested"] = soa / nested;
+    j["soa_speedup_vs_direct"] = soa / direct;
     j["batch_evals_per_sec"] = batched;
     j["batch_speedup_vs_soa"] = batched / soa;
     j["gradient_probes"] = 2 * dims;

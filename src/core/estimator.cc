@@ -12,11 +12,11 @@ namespace libra {
 namespace {
 
 /**
- * Contract check at the pluggable-timing seam: whatever a custom
- * commTimeFn or non-default backend returns must be nonnegative and
- * finite, with per-dimension vectors aligned with the span list (the
- * detail() accumulators index them by span). The built-in analytical
- * path skips this — it constructs valid timings by definition.
+ * Contract check at the pluggable-timing seam: whatever a non-default
+ * backend returns must be nonnegative and finite, with per-dimension
+ * vectors aligned with the span list (the detail() accumulators index
+ * them by span). The built-in analytical path skips this — it
+ * constructs valid timings by definition.
  */
 const CollectiveTiming&
 checkedTiming(const CollectiveTiming& t,
@@ -131,12 +131,6 @@ TrainingEstimator::timingOf(CollectiveType type, Bytes size,
                             const std::vector<DimSpan>& spans,
                             const BwConfig& bw) const
 {
-    if (options_.commTimeFn) {
-        return checkedTiming(
-            options_.commTimeFn(type, size, spans, bw,
-                                options_.inNetworkCollectives),
-            spans, "commTimeFn");
-    }
     if (backend_) {
         return checkedTiming(
             backend_->timing(type, size, spans, bw,
@@ -200,9 +194,7 @@ TrainingEstimator::estimate(const Workload& w, const BwConfig& bw) const
 
     ScopeSpans spans = spansForAll(w.strategy);
     CallTimings perCall;
-    // Registered backends only: a commTimeFn promises no purity.
-    CallTimings* table =
-        backend_ && !options_.commTimeFn ? &perCall : nullptr;
+    CallTimings* table = backend_ ? &perCall : nullptr;
     Seconds total = 0.0;
     for (const auto& layer : w.layers) {
         Seconds fwdComm =
@@ -226,45 +218,8 @@ TrainingEstimator::estimate(const Workload& w, const BwConfig& bw) const
     return total;
 }
 
-Seconds
-CompiledWorkload::opsTime(const std::vector<Op>& ops, const BwConfig& bw)
-{
-    Seconds total = 0.0;
-    for (const auto& op : ops) {
-        Seconds worst = 0.0;
-        for (const auto& [dim, traffic] : op) {
-            Seconds t = transferTime(traffic, bw[dim]);
-            if (t > worst)
-                worst = t;
-        }
-        total += worst;
-    }
-    return total;
-}
-
-Seconds
-CompiledWorkload::estimateNested(const BwConfig& bw) const
-{
-    Seconds total = 0.0;
-    for (const auto& layer : layers_) {
-        total += layer.fwdCompute + opsTime(layer.fwd, bw);
-        switch (loop_) {
-          case TrainingLoop::NoOverlap:
-            total += layer.igCompute + opsTime(layer.ig, bw) +
-                     layer.wgCompute + opsTime(layer.wg, bw);
-            break;
-          case TrainingLoop::TpDpOverlap:
-            total += layer.igCompute +
-                     std::max(opsTime(layer.ig, bw),
-                              layer.wgCompute + opsTime(layer.wg, bw));
-            break;
-        }
-    }
-    return total;
-}
-
 void
-CompiledWorkload::buildSoA()
+CompiledWorkload::buildSoA(const std::vector<CompiledLayer>& layers)
 {
     traffic_.clear();
     entryDim_.clear();
@@ -297,7 +252,7 @@ CompiledWorkload::buildSoA()
         return r;
     };
 
-    for (const auto& layer : layers_) {
+    for (const auto& layer : layers) {
         LayerMeta m;
         m.fwdCompute = layer.fwdCompute;
         m.igCompute = layer.igCompute;
@@ -394,10 +349,6 @@ CompiledWorkload::estimate(const BwConfig& bw) const
 CompiledWorkload
 TrainingEstimator::compile(const Workload& w) const
 {
-    if (options_.commTimeFn) {
-        fatal("cannot compile a workload under a custom collective "
-              "timing model");
-    }
     if (backend_) {
         fatal("cannot compile a workload under the '",
               options_.timingBackend,
@@ -437,6 +388,8 @@ TrainingEstimator::compile(const Workload& w) const
     CompiledWorkload cw;
     cw.loop_ = options_.loop;
     cw.numDims_ = net_.numDims();
+    std::vector<CompiledWorkload::CompiledLayer> layers;
+    layers.reserve(w.layers.size());
     for (const auto& layer : w.layers) {
         CompiledWorkload::CompiledLayer cl;
         cl.fwdCompute = layer.fwdCompute;
@@ -445,9 +398,9 @@ TrainingEstimator::compile(const Workload& w) const
         cl.fwd = compileOps(layer.fwdComm);
         cl.ig = compileOps(layer.igComm);
         cl.wg = compileOps(layer.wgComm);
-        cw.layers_.push_back(std::move(cl));
+        layers.push_back(std::move(cl));
     }
-    cw.buildSoA();
+    cw.buildSoA(layers);
     return cw;
 }
 
@@ -460,9 +413,7 @@ TrainingEstimator::detail(const Workload& w, const BwConfig& bw) const
 
     ScopeSpans spans = spansForAll(w.strategy);
     CallTimings perCall;
-    // Registered backends only: a commTimeFn promises no purity.
-    CallTimings* table =
-        backend_ && !options_.commTimeFn ? &perCall : nullptr;
+    CallTimings* table = backend_ ? &perCall : nullptr;
     for (const auto& layer : w.layers) {
         Seconds fwdComm = commListTime(layer.fwdComm, spans, bw, &d, table);
         Seconds igComm = commListTime(layer.igComm, spans, bw, &d, table);

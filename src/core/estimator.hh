@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "collective/mapping.hh"
@@ -47,30 +46,6 @@ template <typename Lane> struct BatchKernel;
  * bit-identical to the scalar path.
  */
 const char* activeSimdKernel();
-
-/**
- * Pluggable collective-time model. The default is the analytical
- * multi-rail bottleneck model; runtime optimizers (e.g. Themis) install
- * their own timing here.
- *
- * Thread-safety contract: one TrainingEstimator is shared by every
- * solver thread, so an installed CommTimeFn MUST be const-callable
- * from multiple threads concurrently and carry no unsynchronized
- * mutable state. The engine cannot verify this, so it plays safe: a
- * custom fn serializes the multistart/sweep fan-out (see
- * BwOptimizer::optimize and runLibraSweep) and makes the study point
- * uncacheable. Named TimingBackend registrations promise thread
- * safety and keep both (docs/BACKENDS.md) — prefer them for any
- * reusable timing model.
- *
- * Whatever the source, a returned CollectiveTiming must be
- * nonnegative and finite, with per-dimension vectors aligned with the
- * span list; the estimator checks this at the seam and throws
- * FatalError on a violation.
- */
-using CommTimeFn = std::function<CollectiveTiming(
-    CollectiveType, Bytes, const std::vector<DimSpan>&, const BwConfig&,
-    bool in_network)>;
 
 /** Full timing breakdown of one training iteration. */
 struct EstimateDetail
@@ -105,14 +80,14 @@ struct EstimatorOptions
 {
     TrainingLoop loop = TrainingLoop::NoOverlap;
     bool inNetworkCollectives = false; ///< Switch-offloaded All-Reduce.
-    CommTimeFn commTimeFn;             ///< Empty = timingBackend below.
 
     /**
      * Registered timing-backend name ("" or "analytical" = the
      * default closed-form model, bit-identical to the historical
-     * path; "chunk-sim" = per-collective pipeline simulation). See
-     * core/timing_backend.hh; an explicit commTimeFn wins over the
-     * backend. Resolved (and validated) when the estimator is built.
+     * path; "chunk-sim" = per-collective pipeline simulation;
+     * "themis" = the Themis runtime scheduler). See
+     * core/timing_backend.hh. Resolved (and validated) when the
+     * estimator is built.
      */
     std::string timingBackend;
 
@@ -176,13 +151,6 @@ class CompiledWorkload
         return out;
     }
 
-    /**
-     * Iteration time via the legacy nested (vector-of-vector-of-pairs)
-     * layout. Kept as the A/B reference for bench/micro_objective_eval
-     * and the equivalence tests; same math, slower memory walk.
-     */
-    Seconds estimateNested(const BwConfig& bw) const;
-
     /** Network rank this workload was compiled against. */
     std::size_t numDims() const { return numDims_; }
 
@@ -195,6 +163,7 @@ class CompiledWorkload
     /** One collective resolved to (dimension, bytes) pairs. */
     using Op = std::vector<std::pair<std::size_t, Bytes>>;
 
+    /** One layer in nested form; compile() hands these to buildSoA. */
     struct CompiledLayer
     {
         Seconds fwdCompute = 0.0;
@@ -224,21 +193,18 @@ class CompiledWorkload
         std::uint32_t singlesRow = 0; ///< fwd row; ig/wg follow.
     };
 
-    static Seconds opsTime(const std::vector<Op>& ops, const BwConfig& bw);
-
     /** Bottleneck-time sum of the multi-span ops in @p r. */
     Seconds multiOpsTime(PhaseRange r, const double* recip) const;
 
     /** Dot of a singles_ row with the reciprocal-bandwidth vector. */
     Seconds singlesTime(std::uint32_t row, const double* recip) const;
 
-    /** Build the flat arrays from layers_. */
-    void buildSoA();
+    /** Build the flat arrays from the nested @p layers. */
+    void buildSoA(const std::vector<CompiledLayer>& layers);
 
     TrainingLoop loop_ = TrainingLoop::NoOverlap;
-    std::vector<CompiledLayer> layers_; ///< Nested reference layout.
 
-    // SoA evaluation layout (derived from layers_ by buildSoA).
+    // SoA evaluation layout (built by buildSoA).
     std::size_t numDims_ = 0;
     std::vector<Bytes> traffic_;         ///< Multi-span op traffic.
     std::vector<std::uint32_t> entryDim_; ///< Dim of each traffic entry.
@@ -262,8 +228,8 @@ class CompiledWorkload
  * Estimates training time for workloads on one network.
  *
  * All query methods are const and touch no mutable state, so a single
- * estimator may be shared across solver threads (provided any custom
- * commTimeFn is itself thread-safe; the built-in analytical model is).
+ * estimator may be shared across solver threads (every registered
+ * timing backend is thread-safe; core/timing_backend.hh).
  */
 class TrainingEstimator
 {
@@ -274,15 +240,11 @@ class TrainingEstimator
     const EstimatorOptions& options() const { return options_; }
 
     /**
-     * True when timing comes from the built-in analytical model (no
-     * custom commTimeFn, default backend) — the precondition for
-     * compile() and the SoA objective fast path.
+     * True when timing comes from the built-in analytical model (the
+     * default backend) — the precondition for compile() and the SoA
+     * objective fast path.
      */
-    bool
-    usesAnalyticalTiming() const
-    {
-        return !options_.commTimeFn && backend_ == nullptr;
-    }
+    bool usesAnalyticalTiming() const { return backend_ == nullptr; }
 
     /** Dimension spans of a comm scope under @p strategy. */
     std::vector<DimSpan> spansFor(const Parallelization& strategy,
@@ -306,8 +268,7 @@ class TrainingEstimator
 
     /**
      * Precompile @p w for fast repeated evaluation. Only valid for the
-     * built-in analytical model (no custom commTimeFn, default
-     * timing backend).
+     * built-in analytical model (the default timing backend).
      */
     CompiledWorkload compile(const Workload& w) const;
 

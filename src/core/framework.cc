@@ -85,21 +85,9 @@ runLibraSweepIsolated(const std::vector<LibraInputs>& points)
     out.reports.resize(points.size());
     out.status.resize(points.size());
 
-    // Same guard optimize() applies within a point: ad-hoc
-    // collective-timing functions are not guaranteed thread-safe, so
-    // never invoke them from sweep workers either. Named timing
-    // backends promise thread safety and sweep in parallel.
-    bool customTiming = false;
-    for (const auto& p : points)
-        customTiming |= static_cast<bool>(p.config.estimator.commTimeFn);
-    if (customTiming) {
-        for (std::size_t i = 0; i < points.size(); ++i)
-            evalPoint(points[i], &out.reports[i], &out.status[i]);
-    } else {
-        parallelFor(points.size(), [&](std::size_t i) {
-            evalPoint(points[i], &out.reports[i], &out.status[i]);
-        });
-    }
+    parallelFor(points.size(), [&](std::size_t i) {
+        evalPoint(points[i], &out.reports[i], &out.status[i]);
+    });
     for (const PointStatus& s : out.status)
         out.failed += s.ok ? 0 : 1;
     return out;

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 
 namespace libra {
 
@@ -71,13 +70,11 @@ CompiledObjective::evaluateBatch(const Vec* xs, std::size_t n,
     // Cache-blocked candidate-major evaluation: each workload's SoA
     // arrays stream once per block through the SIMD kernels, and the
     // weighted sum accumulates per candidate slot in workload order —
-    // the same adds, in the same order, as evaluateOne. Blocks fan
-    // out across the thread pool; every output has its own slot, so
-    // results are deterministic at any thread count.
+    // the same adds, in the same order, as evaluateOne. Callers are
+    // already pool work (multistart and sweep lanes), so the blocks
+    // run in order on the calling thread.
     constexpr std::size_t kBlock = 32;
-    const std::size_t blocks = (n + kBlock - 1) / kBlock;
-    parallelFor(blocks, [&](std::size_t b) {
-        const std::size_t lo = b * kBlock;
+    for (std::size_t lo = 0; lo < n; lo += kBlock) {
         const std::size_t count = std::min(kBlock, n - lo);
         Seconds tmp[kBlock];
         Seconds acc[kBlock];
@@ -90,7 +87,7 @@ CompiledObjective::evaluateBatch(const Vec* xs, std::size_t n,
         }
         for (std::size_t i = 0; i < count; ++i)
             out[lo + i] = applyCost(acc[i], xs[lo + i]);
-    });
+    }
 }
 
 ScalarObjective
@@ -99,9 +96,8 @@ makeObjective(OptimizationObjective objective,
               const CostModel& cost_model,
               const std::vector<TargetWorkload>& targets)
 {
-    // Custom collective-timing models and non-default timing backends
-    // cannot be precompiled: fall back to the direct estimator, one
-    // call at a time.
+    // Non-default timing backends cannot be precompiled: fall back to
+    // the direct estimator, one call at a time.
     if (!estimator.usesAnalyticalTiming()) {
         std::function<Seconds(const Vec&)> time =
             [&estimator, &targets](const Vec& bw) {

@@ -49,8 +49,8 @@ Seconds weightedTime(const TrainingEstimator& estimator,
  * x network-cost) function over per-workload CompiledWorkloads.
  *
  * Exposes the batched facet solvers recover with batchFacet():
- * candidate-major SIMD batches (evaluateBatch, blocked and fanned
- * across the thread pool), bit-identical to evaluateOne, which itself
+ * candidate-major SIMD batches (evaluateBatch, blocked on the calling
+ * thread), bit-identical to evaluateOne, which itself
  * performs exactly the historical scalar evaluation-order — one sum
  * over workloads in declaration order, then one cost multiply.
  *

@@ -105,19 +105,6 @@ BwOptimizer::optimize(const std::vector<TargetWorkload>& targets,
                            targets);
     ConstraintSet cs = buildConstraints(config);
 
-    MultistartOptions search = config.search;
-    // The pure-performance objective is convex, so subgradient leads
-    // in the default chain; an explicit SOLVER pipeline overrides the
-    // chain toggles entirely.
-    if (search.pipeline.empty())
-        search.useSubgradient = true;
-    // An ad-hoc commTimeFn may carry internal state the pool would
-    // race on, so it serializes the search. Registered timing
-    // backends promise thread safety (core/timing_backend.hh) and
-    // keep the parallel fan-out. Results are identical either way.
-    if (config.estimator.commTimeFn)
-        search.parallel = false;
-
     // Warm start: size each dimension proportionally to the busy time
     // it accrues under EqualBW — the single-collective closed form,
     // which is near-optimal for collective-dominated workloads.
@@ -135,7 +122,7 @@ BwOptimizer::optimize(const std::vector<TargetWorkload>& targets,
         hint = proportionalAllocation(busy, config.totalBw,
                                       config.minDimBw);
     }
-    SearchResult best = multistartMinimize(f, cs, hint, search);
+    SearchResult best = multistartMinimize(f, cs, hint, config.search);
 
     // The EqualBW point is always a feasible candidate; never report a
     // design worse than the straw-person.

@@ -380,8 +380,6 @@ studyInputsEqual(const LibraInputs& a, const LibraInputs& b)
             canonicalExploreSpec(b.explore) ||
         ca.search.starts != cb.search.starts ||
         ca.search.seed != cb.search.seed ||
-        ca.search.useSubgradient != cb.search.useSubgradient ||
-        ca.search.useNelderMead != cb.search.useNelderMead ||
         ca.search.pipeline != cb.search.pipeline ||
         ca.search.maxEvalsPerStart != cb.search.maxEvalsPerStart) {
         return false;
@@ -402,22 +400,12 @@ studyConfigToString(const LibraInputs& inputs)
 {
     const OptimizerConfig& cfg = inputs.config;
     const LibraInputs defaults;
-    if (cfg.estimator.commTimeFn)
-        fatal("cannot serialize a study with a custom commTimeFn");
     if (!cfg.estimator.modelPartialDimEfficiency)
         fatal("cannot serialize a study with partial-dim efficiency "
               "modeling disabled (no study-file directive)");
     if (cfg.minDimBw != defaults.config.minDimBw)
         fatal("cannot serialize a non-default minDimBw (no study-file "
               "directive)");
-    if (cfg.search.useSubgradient !=
-            defaults.config.search.useSubgradient ||
-        cfg.search.useNelderMead !=
-            defaults.config.search.useNelderMead ||
-        cfg.search.parallel != defaults.config.search.parallel) {
-        fatal("cannot serialize non-default search-driver toggles (no "
-              "study-file directive)");
-    }
     if (cfg.relaxTotalBw && cfg.budgetCap <= 0.0)
         fatal("cannot serialize relaxTotalBw without a DOLLAR_CAP "
               "(only DOLLAR_CAP implies it in the study language)");

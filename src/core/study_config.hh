@@ -64,8 +64,8 @@ LibraInputs parseStudyConfigString(const std::string& text);
  * the search SEED/STARTS — so the text is self-contained.
  *
  * @throws FatalError for inputs the study-file language cannot express:
- * a custom commTimeFn, non-default minDimBw / search-driver toggles /
- * efficiency modeling, relaxTotalBw without a DOLLAR_CAP, or target
+ * non-default minDimBw / efficiency modeling, relaxTotalBw without a
+ * DOLLAR_CAP, or target
  * workloads that are not zoo workloads at the network's NPU count
  * (e.g. WORKLOAD_FILE-loaded or programmatically built ones).
  */

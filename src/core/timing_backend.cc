@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "runtime/themis.hh"
 #include "sim/chunk_timeline.hh"
 
 namespace libra {
@@ -106,6 +107,44 @@ class ChunkSimTimingBackend final : public TimingBackend
     }
 };
 
+/**
+ * Greedy Themis chunk scheduling per collective (paper Fig. 19). Like
+ * chunk-sim, each query runs its own timelines (greedy and fixed
+ * order), so the backend is thread-safe and keeps no cache. The
+ * scheduler has no switch-reduction mode; it times in-network
+ * All-Reduces like any other collective.
+ */
+class ThemisTimingBackend final : public TimingBackend
+{
+  public:
+    std::string name() const override
+    {
+        return kThemisTimingBackendName;
+    }
+
+    std::string
+    description() const override
+    {
+        return "Themis runtime scheduler (greedy chunk scheduling over "
+               "ChunkTimeline, 64 chunks; paper Fig. 19)";
+    }
+
+    std::string
+    cacheKeyTag() const override
+    {
+        return name() + "/" + std::to_string(kChunkSimNumChunks);
+    }
+
+    CollectiveTiming
+    timing(CollectiveType type, Bytes size,
+           const std::vector<DimSpan>& spans, const BwConfig& bw,
+           bool /*in_network*/) const override
+    {
+        return themisCollectiveTiming(bw.size(), type, size, spans, bw,
+                                      kChunkSimNumChunks);
+    }
+};
+
 } // namespace
 
 TimingBackendRegistry&
@@ -115,6 +154,7 @@ TimingBackendRegistry::global()
         auto* r = new TimingBackendRegistry;
         r->add(std::make_unique<AnalyticalTimingBackend>());
         r->add(std::make_unique<ChunkSimTimingBackend>());
+        r->add(std::make_unique<ThemisTimingBackend>());
         return r;
     }();
     return *registry;

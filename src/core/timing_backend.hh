@@ -18,6 +18,9 @@
  *    re-executed under simulation and the analytical model's error
  *    quantified across the full scenario matrix (the `crossval`
  *    scenario does exactly that).
+ *  - "themis": the greedy Themis runtime chunk scheduler
+ *    (runtime/themis.hh), for studies that compose LIBRA with Themis
+ *    (paper Fig. 19).
  *
  * Study files select backends with `BACKEND <name>` and the CLI with
  * `--backend` / `list-backends`, mirroring the SOLVER strategy layer.
@@ -27,10 +30,9 @@
  * threads concurrently, and must return a nonnegative, finite
  * CollectiveTiming whose per-dimension vectors align with @p spans —
  * the estimator checks this at the seam and throws FatalError on a
- * violation. Unlike an ad-hoc EstimatorOptions::commTimeFn (which
- * serializes the search and cannot be cached), a registered backend
- * keeps the parallel multistart/sweep fan-out on the global thread
- * pool and is folded into the study-cache key by name.
+ * violation. Every backend runs inside the parallel multistart/sweep
+ * fan-out on the global thread pool and is folded into the study-cache
+ * key by its cacheKeyTag.
  */
 
 #ifndef LIBRA_CORE_TIMING_BACKEND_HH
@@ -51,11 +53,14 @@ inline constexpr const char* kAnalyticalTimingBackendName = "analytical";
 /** The chunk-level simulation backend. */
 inline constexpr const char* kChunkSimTimingBackendName = "chunk-sim";
 
+/** The Themis runtime-scheduler backend. */
+inline constexpr const char* kThemisTimingBackendName = "themis";
+
 /**
- * Pipelining granularity of the chunk-sim backend (paper §V-B uses 64
- * chunks). More chunks shrink the pipeline fill/drain ramp — and with
- * it the deviation from the analytical steady-state model — at
- * linearly growing simulation cost.
+ * Pipelining granularity of the chunk-sim and themis backends (paper
+ * §V-B uses 64 chunks). More chunks shrink the pipeline fill/drain
+ * ramp — and with it the deviation from the analytical steady-state
+ * model — at linearly growing simulation cost.
  */
 inline constexpr int kChunkSimNumChunks = 64;
 

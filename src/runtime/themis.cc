@@ -1,5 +1,7 @@
 #include "runtime/themis.hh"
 
+#include "sim/chunk_timeline.hh"
+
 namespace libra {
 
 CollectiveTiming
@@ -45,17 +47,6 @@ themisCollectiveTiming(std::size_t num_dims, CollectiveType type,
     }
     timing.bottleneckSpan = arg;
     return timing;
-}
-
-CommTimeFn
-makeThemisCommTimeFn(std::size_t num_dims, int chunks)
-{
-    return [num_dims, chunks](CollectiveType type, Bytes size,
-                              const std::vector<DimSpan>& spans,
-                              const BwConfig& bw, bool /*in_network*/) {
-        return themisCollectiveTiming(num_dims, type, size, spans, bw,
-                                      chunks);
-    };
 }
 
 } // namespace libra

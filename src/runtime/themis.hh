@@ -12,18 +12,17 @@
  * whose BW split is imbalanced for the workload.
  *
  * The scheduler itself lives in ChunkTimeline (SchedulePolicy::Greedy);
- * this header packages it as a CommTimeFn so the TrainingEstimator can
- * estimate end-to-end training with Themis enabled (Fig. 19). Like the
- * real scheduler, it never does worse than the canonical ascending
- * order: per collective it keeps the better of the greedy and fixed
- * schedules.
+ * the "themis" timing backend (core/timing_backend.hh) plugs this
+ * function into the TrainingEstimator so end-to-end training can be
+ * estimated with Themis enabled (Fig. 19). Like the real scheduler, it
+ * never does worse than the canonical ascending order: per collective
+ * it keeps the better of the greedy and fixed schedules.
  */
 
 #ifndef LIBRA_RUNTIME_THEMIS_HH
 #define LIBRA_RUNTIME_THEMIS_HH
 
-#include "core/estimator.hh"
-#include "sim/chunk_timeline.hh"
+#include "collective/multi_rail.hh"
 
 namespace libra {
 
@@ -37,12 +36,6 @@ CollectiveTiming themisCollectiveTiming(std::size_t num_dims,
                                         CollectiveType type, Bytes size,
                                         const std::vector<DimSpan>& spans,
                                         const BwConfig& bw, int chunks);
-
-/**
- * A CommTimeFn plugging Themis timing into TrainingEstimator.
- * Capture-free of external state besides @p num_dims and @p chunks.
- */
-CommTimeFn makeThemisCommTimeFn(std::size_t num_dims, int chunks = 64);
 
 } // namespace libra
 

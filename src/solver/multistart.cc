@@ -88,14 +88,7 @@ multistartPipelineNames(const MultistartOptions& options)
 {
     if (!options.pipeline.empty())
         return options.pipeline;
-    // The historical hard-wired chain, expressed as a pipeline.
-    std::vector<std::string> names;
-    if (options.useSubgradient)
-        names.push_back("subgradient");
-    names.push_back("pattern-search");
-    if (options.useNelderMead)
-        names.push_back("nelder-mead");
-    return names;
+    return {"subgradient", "pattern-search", "nelder-mead"};
 }
 
 MultistartOptions
@@ -138,12 +131,7 @@ multistartMinimize(const ScalarObjective& f,
         results[i] = searchFromStart(f, constraints, pipeline,
                                      starts[i], total, i, options);
     };
-    if (options.parallel) {
-        ThreadPool::global().parallelFor(starts.size(), runOne);
-    } else {
-        for (std::size_t i = 0; i < starts.size(); ++i)
-            runOne(i);
-    }
+    ThreadPool::global().parallelFor(starts.size(), runOne);
 
     // Deterministic winner: best feasible value, ties broken toward
     // the lower start index (strict < scans in index order).

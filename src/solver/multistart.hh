@@ -38,21 +38,11 @@ struct MultistartOptions
 {
     int starts = 8;              ///< Random starts besides the hint.
     std::uint64_t seed = 0x11BAa;
-    bool useSubgradient = true;  ///< Run subgradient first (convex f).
-    bool useNelderMead = true;
-
-    /**
-     * Run starts on the global thread pool. Disable only for
-     * objectives that are not thread-safe; results are identical
-     * either way.
-     */
-    bool parallel = true;
 
     /**
      * Ordered strategy-pipeline spec (registry names, run in order
-     * from each start). Empty selects the default chain implied by
-     * useSubgradient / useNelderMead — exactly the historical
-     * behavior, bit for bit.
+     * from each start). Empty selects the default chain subgradient ->
+     * pattern-search -> nelder-mead.
      */
     std::vector<std::string> pipeline;
 

@@ -37,19 +37,9 @@ StudyStore::awaitCompute(const std::string& canonical,
 // appendCanonicalString) so it cannot diverge from the workload and
 // cost-model canonical serializations.
 
-bool
-studyPointCacheable(const LibraInputs& inputs)
-{
-    return !inputs.config.estimator.commTimeFn;
-}
-
 std::string
 canonicalStudyKey(const LibraInputs& inputs, WorkloadTextMemo* memo)
 {
-    if (!studyPointCacheable(inputs))
-        fatal("study points with a custom commTimeFn have no canonical "
-              "content and cannot be cached");
-
     std::string out;
     out.reserve(512);
     out += "libra-study-v";
@@ -80,11 +70,9 @@ canonicalStudyKey(const LibraInputs& inputs, WorkloadTextMemo* memo)
     out += std::to_string(cfg.search.starts);
     out += ',';
     out += std::to_string(cfg.search.seed);
-    out += ',';
-    out += cfg.search.useSubgradient ? '1' : '0';
-    out += ',';
-    out += cfg.search.useNelderMead ? '1' : '0';
-    out += ") ";
+    // The retired subgradient / Nelder-Mead toggles, always on: kept
+    // as literals so every existing cache key stays valid.
+    out += ",1,1) ";
     // The solver pipeline and eval budget are appended only when
     // non-default so every pre-existing cache key (and the golden
     // figures pinned against version 1) stays byte-identical.
@@ -122,8 +110,8 @@ canonicalStudyKey(const LibraInputs& inputs, WorkloadTextMemo* memo)
             out += ") ";
         }
     }
-    // search.parallel and inputs.threads are deliberately excluded:
-    // results are bit-identical at any thread count (see docs/PERF.md).
+    // inputs.threads is deliberately excluded: results are
+    // bit-identical at any thread count (see docs/PERF.md).
 
     // Workload and cost-model content text comes from the single
     // canonical serialization next to each struct — new fields only

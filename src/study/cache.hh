@@ -14,9 +14,8 @@
  * full cost model, and the complete workload
  * IR of every target (not just names — programmatic scenarios build
  * workloads with custom strategies). Fields that provably do not
- * affect results are excluded: `threads` and `search.parallel` (the
- * engine's determinism contract guarantees bit-identical results at any
- * thread count).
+ * affect results are excluded: `threads` (the engine's determinism
+ * contract guarantees bit-identical results at any thread count).
  *
  * Key = FNV-1a 64-bit over the canonical text, salted with
  * kStudyCacheVersion. Bump the version whenever estimator, optimizer,
@@ -41,10 +40,8 @@
  * I/O retries with bounded backoff and then degrades to a warning; an
  * uncreatable cache directory disables the cache instead of aborting.
  *
- * Points with a custom commTimeFn are not cacheable (a std::function
- * has no canonical content) — callers must skip the cache for them.
- * Points selecting a named timing backend ARE cacheable: the name is
- * the content, exactly like a solver-pipeline selection.
+ * Every point is cacheable: a named timing backend's cacheKeyTag is
+ * its content, exactly like a solver-pipeline selection.
  */
 
 #ifndef LIBRA_STUDY_CACHE_HH
@@ -70,13 +67,9 @@ constexpr std::uint32_t kStudyCacheVersion = 1;
  * With a @p memo, each target's workload text comes from it: a sweep
  * that keys many points over few workloads formats each distinct
  * workload once. The key is byte-identical either way.
- * @throws FatalError for inputs with a custom commTimeFn.
  */
 std::string canonicalStudyKey(const LibraInputs& inputs,
                               WorkloadTextMemo* memo = nullptr);
-
-/** True when @p inputs can be cached (no custom commTimeFn). */
-bool studyPointCacheable(const LibraInputs& inputs);
 
 /** FNV-1a over an already canonicalized key text. */
 std::uint64_t studyCacheHashOfKey(std::string_view canonical);

@@ -80,8 +80,6 @@ struct SweepContext
  *
  * Identity is the full canonical key text — the hash only names the
  * cache file — so a 64-bit collision cannot merge distinct points.
- * Points with a custom commTimeFn get a private slot (no content
- * identity) and never touch the store.
  *
  * Concurrency: missed keys are claimed through the store's single-
  * flight seam (StudyStore::claimCompute). Owned keys are computed here
@@ -93,10 +91,9 @@ struct SweepContext
  *
  * Failure semantics: points run through runLibraSweepIsolated, and
  * the `point-eval` fault-injection site fires here, keyed by each
- * cacheable slot's content hash — a pure function of the point, so
- * fault assignment is identical at any thread count and unaffected by
- * dedup order (private slots get no injection: they have no content
- * key). Under Isolate the per-point statuses come back in the batch;
+ * slot's content hash — a pure function of the point, so fault
+ * assignment is identical at any thread count and unaffected by dedup
+ * order. Under Isolate the per-point statuses come back in the batch;
  * under Abort the lowest-index failing point's error unwinds,
  * deterministically. Failed slots are never stored to the cache, but
  * their status is still published so waiters observe the same failure.
@@ -130,8 +127,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
     std::vector<bool> slotCached(slots, false);
     std::vector<std::size_t> missing;
     for (std::size_t s = 0; s < slots; ++s) {
-        if (store && !slotKey[s].empty() &&
-            store->load(slotHash[s], slotKey[s], &slotReport[s])) {
+        if (store && store->load(slotHash[s], slotKey[s], &slotReport[s])) {
             slotCached[s] = true;
         } else {
             missing.push_back(s);
@@ -145,8 +141,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
     if (ctx.checkpoint) {
         std::size_t lost = 0;
         for (std::size_t s : missing) {
-            if (!slotKey[s].empty() &&
-                ctx.checkpoint->contains(slotHash[s]))
+            if (ctx.checkpoint->contains(slotHash[s]))
                 ++lost;
         }
         if (lost > 0)
@@ -160,7 +155,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
     std::vector<std::size_t> owned;
     std::vector<std::size_t> awaited;
     for (std::size_t s : missing) {
-        if (!store || slotKey[s].empty()) {
+        if (!store) {
             owned.push_back(s);
             continue;
         }
@@ -186,8 +181,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
     std::vector<std::size_t> batchSlot;
     batch.reserve(owned.size());
     for (std::size_t s : owned) {
-        if (!slotKey[s].empty() &&
-            injectFault(FaultSite::PointEval, slotHash[s])) {
+        if (injectFault(FaultSite::PointEval, slotHash[s])) {
             slotStatus[s].ok = false;
             slotStatus[s].error = "injected point-eval fault";
             if (store)
@@ -208,7 +202,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         slotStatus[s] = std::move(status);
         if (slotStatus[s].ok) {
             slotReport[s] = std::move(report);
-            if (store && update_cache && !slotKey[s].empty()) {
+            if (store && update_cache) {
                 store->store(slotHash[s], slotKey[s], slotReport[s]);
                 // Store first, then record: manifest ⊆ cache, so a
                 // recorded slot is always servable on resume.
@@ -216,15 +210,15 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
                     ctx.checkpoint->append(slotHash[s]);
             }
         }
-        if (store && !slotKey[s].empty())
+        if (store)
             store->publishCompute(slotKey[s], slotStatus[s],
                                   slotReport[s]);
         done[k] = 1;
     };
     try {
         // Wire leg. Serializing is the wirability test, so each point
-        // is serialized once; a point with no study-file form (custom
-        // commTimeFn, non-zoo workload) throws and stays local.
+        // is serialized once; a point with no study-file form (a
+        // non-zoo workload) throws and stays local.
         std::vector<WirePoint> wire;
         std::vector<std::size_t> local;
         for (std::size_t k = 0; k < batch.size(); ++k) {
@@ -277,8 +271,6 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
                 if (done[k])
                     continue;
                 std::size_t s = batchSlot[k];
-                if (slotKey[s].empty())
-                    continue;
                 PointStatus abandoned;
                 abandoned.ok = false;
                 abandoned.error = "owning computation aborted";

@@ -100,8 +100,8 @@ struct MatrixOptions
      * and every adaptive (non-default EXPLORE) round as serialized
      * wire points (eval frames). Results merge by index through the
      * content-addressed cache, so emitted bytes are identical at any
-     * worker count. Points without a study-file wire form (custom
-     * commTimeFn, non-zoo workloads) stay in-process.
+     * worker count. Points without a study-file wire form (non-zoo
+     * workloads) stay in-process.
      */
     std::size_t workers = 0;
 

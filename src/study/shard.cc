@@ -37,13 +37,6 @@ buildSlotMap(const std::vector<LibraInputs>& points)
     WorkloadTextMemo memo;
     std::unordered_map<std::string, std::size_t> slotByKey;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!studyPointCacheable(points[i])) {
-            map.slotOf[i] = map.slotRep.size();
-            map.slotKey.emplace_back();
-            map.slotHash.push_back(0);
-            map.slotRep.push_back(i);
-            continue;
-        }
         std::string key = canonicalStudyKey(points[i], &memo);
         auto [it, inserted] =
             slotByKey.try_emplace(std::move(key), map.slotRep.size());
@@ -73,10 +66,8 @@ hashHex16(std::uint64_t h)
 std::string
 slotMapFingerprint(const SlotMap& map)
 {
-    // Length-prefixed keys in slot order: equal fingerprints mean
-    // equal key sequences. Private slots contribute their (empty) key
-    // and their representative point index — content-free, but
-    // position must still agree.
+    // Length-prefixed keys and representative point indices in slot
+    // order: equal fingerprints mean equal key sequences.
     std::string text;
     text += std::to_string(map.slotOf.size());
     text += '/';

@@ -16,8 +16,7 @@
  * worker is rejected point by point before any result can be merged.
  * The handshake itself only checks that both sides run the same engine
  * version (kStudyCacheVersion). Points without a study-file form
- * (custom commTimeFn, non-zoo workloads) cannot ship and stay in the
- * master.
+ * (non-zoo workloads) cannot ship and stay in the master.
  *
  * Results return inline as bit-exact report JSON
  * (reportToJson/reportFromJson) and the master merges them by index
@@ -54,15 +53,13 @@ namespace libra {
 
 /**
  * Content-identity dedup of a point list: every point maps to a slot,
- * equal canonical keys share one slot, and uncacheable points (custom
- * commTimeFn — no content identity) get a private slot each.
+ * and equal canonical keys share one slot.
  */
 struct SlotMap
 {
     std::vector<std::size_t> slotOf;  ///< Point -> slot.
-    std::vector<std::string> slotKey; ///< Canonical text; "" = private.
-    /** studyCacheHashOfKey(slotKey); 0 for a private slot. */
-    std::vector<std::uint64_t> slotHash;
+    std::vector<std::string> slotKey; ///< Canonical study key text.
+    std::vector<std::uint64_t> slotHash; ///< studyCacheHashOfKey(slotKey).
     std::vector<std::size_t> slotRep; ///< Slot -> representative point.
 
     std::size_t slots() const { return slotRep.size(); }

@@ -10,6 +10,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/estimator.hh"
+#include "core/timing_backend.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
 
@@ -64,11 +65,6 @@ TEST_P(CompiledEquivalence, MatchesDirectEstimator)
         ASSERT_NEAR(cw.estimate(bw), est.estimate(w, bw),
                     1e-12 * est.estimate(w, bw))
             << param.network << "/" << param.workload;
-        // The SoA fast path and the legacy nested layout must agree
-        // (same math, different memory walk).
-        ASSERT_NEAR(cw.estimate(bw), cw.estimateNested(bw),
-                    1e-12 * cw.estimateNested(bw))
-            << param.network << "/" << param.workload;
     }
 }
 
@@ -102,18 +98,11 @@ TEST(Compiled, InNetworkFlagRespected)
     EXPECT_NEAR(cw.estimate(bw), est.estimate(w, bw), 1e-12);
 }
 
-TEST(Compiled, CustomCommTimeFnRejected)
+TEST(Compiled, ChunkSimBackendRejected)
 {
     Network net = Network::parse("RI(4)");
     EstimatorOptions opt;
-    opt.commTimeFn = [](CollectiveType, Bytes,
-                        const std::vector<DimSpan>& spans,
-                        const BwConfig&, bool) {
-        CollectiveTiming t;
-        t.timePerDim.assign(spans.size(), 0.0);
-        t.trafficPerDim.assign(spans.size(), 0.0);
-        return t;
-    };
+    opt.timingBackend = kChunkSimTimingBackendName;
     TrainingEstimator est(net, opt);
     Workload w = wl::resnet50(4);
     EXPECT_THROW(est.compile(w), FatalError);

@@ -4,12 +4,17 @@
  */
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
 #include "core/estimator.hh"
+#include "core/timing_backend.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
 
@@ -186,19 +191,64 @@ TEST(Estimator, CommTimeMatchesMultiRail)
                 multiRailTime(op.type, op.size, spans, bw).time, 1e-15);
 }
 
-TEST(Estimator, CustomCommTimeFnUsed)
+/** A collective-timing function, as a test backend wraps it. */
+using TimingFn = std::function<CollectiveTiming(
+    CollectiveType, Bytes, const std::vector<DimSpan>&, const BwConfig&,
+    bool)>;
+
+/** A test-only TimingBackend that forwards to a plain function. */
+class FnTimingBackend final : public TimingBackend
+{
+  public:
+    FnTimingBackend(std::string name, TimingFn fn)
+        : name_(std::move(name)), fn_(std::move(fn))
+    {}
+
+    std::string name() const override { return name_; }
+    std::string description() const override { return "test backend"; }
+
+    CollectiveTiming
+    timing(CollectiveType type, Bytes size,
+           const std::vector<DimSpan>& spans, const BwConfig& bw,
+           bool in_network) const override
+    {
+        return fn_(type, size, spans, bw, in_network);
+    }
+
+  private:
+    std::string name_;
+    TimingFn fn_;
+};
+
+/**
+ * Estimator options selecting @p fn as a backend registered in the
+ * global registry under the test-only @p name (once per process, so
+ * repeated test runs reuse the first registration).
+ */
+EstimatorOptions
+withTestBackend(const std::string& name, TimingFn fn)
+{
+    TimingBackendRegistry& registry = TimingBackendRegistry::global();
+    if (!registry.find(name))
+        registry.add(std::make_unique<FnTimingBackend>(name, std::move(fn)));
+    EstimatorOptions opt;
+    opt.timingBackend = name;
+    return opt;
+}
+
+TEST(Estimator, RegisteredTestBackendIsUsed)
 {
     Network net = Network::parse("RI(4)");
-    EstimatorOptions opt;
-    opt.commTimeFn = [](CollectiveType, Bytes,
-                        const std::vector<DimSpan>& spans,
-                        const BwConfig&, bool) {
-        CollectiveTiming t;
-        t.time = 42.0;
-        t.trafficPerDim.assign(spans.size(), 0.0);
-        t.timePerDim.assign(spans.size(), 42.0);
-        return t;
-    };
+    EstimatorOptions opt = withTestBackend(
+        "test-constant-42",
+        [](CollectiveType, Bytes, const std::vector<DimSpan>& spans,
+           const BwConfig&, bool) {
+            CollectiveTiming t;
+            t.time = 42.0;
+            t.trafficPerDim.assign(spans.size(), 0.0);
+            t.timePerDim.assign(spans.size(), 42.0);
+            return t;
+        });
     TrainingEstimator est(net, opt);
     Workload w;
     w.strategy = {1, 4};
@@ -209,12 +259,12 @@ TEST(Estimator, CustomCommTimeFnUsed)
 }
 
 /**
- * The pluggable-timing seam checks whatever a custom fn (or backend)
+ * The pluggable-timing seam checks whatever a registered backend
  * returns: collective timings must be nonnegative and finite with
  * span-aligned vectors, or estimation fails loudly instead of
  * corrupting objectives downstream.
  */
-TEST(Estimator, InvalidCustomTimingIsRejectedAtTheSeam)
+TEST(Estimator, InvalidBackendTimingIsRejectedAtTheSeam)
 {
     Network net = Network::parse("RI(4)");
     Workload w;
@@ -236,41 +286,42 @@ TEST(Estimator, InvalidCustomTimingIsRejectedAtTheSeam)
     };
 
     // Negative and non-finite total times.
-    for (Seconds bad : {-1.0, std::nan(""),
-                        std::numeric_limits<Seconds>::infinity()}) {
-        EstimatorOptions opt;
-        opt.commTimeFn = timingWith(bad, 0.5);
-        TrainingEstimator est(net, opt);
-        EXPECT_THROW(est.estimate(w, {10.0}), FatalError) << bad;
+    const std::pair<const char*, Seconds> badTimes[] = {
+        {"test-negative-time", -1.0},
+        {"test-nan-time", std::nan("")},
+        {"test-inf-time", std::numeric_limits<Seconds>::infinity()}};
+    for (const auto& [name, bad] : badTimes) {
+        TrainingEstimator est(net, withTestBackend(name,
+                                                   timingWith(bad, 0.5)));
+        EXPECT_THROW(est.estimate(w, {10.0}), FatalError) << name;
     }
 
     // Invalid per-dimension time with a valid total.
     {
-        EstimatorOptions opt;
-        opt.commTimeFn = timingWith(1.0, -0.5);
-        TrainingEstimator est(net, opt);
+        TrainingEstimator est(
+            net, withTestBackend("test-negative-dim-time",
+                                 timingWith(1.0, -0.5)));
         EXPECT_THROW(est.detail(w, {10.0}), FatalError);
     }
 
     // Vectors not aligned with the span list.
     {
-        EstimatorOptions opt;
-        opt.commTimeFn = [](CollectiveType, Bytes,
-                            const std::vector<DimSpan>&,
-                            const BwConfig&, bool) {
-            CollectiveTiming t;
-            t.time = 1.0; // Valid time, but empty per-dim vectors.
-            return t;
-        };
-        TrainingEstimator est(net, opt);
+        TrainingEstimator est(
+            net, withTestBackend(
+                     "test-unaligned-dims",
+                     [](CollectiveType, Bytes, const std::vector<DimSpan>&,
+                        const BwConfig&, bool) {
+                         CollectiveTiming t;
+                         t.time = 1.0; // Valid time, empty per-dim vectors.
+                         return t;
+                     }));
         EXPECT_THROW(est.estimate(w, {10.0}), FatalError);
     }
 
     // A well-formed timing still passes.
     {
-        EstimatorOptions opt;
-        opt.commTimeFn = timingWith(1.0, 0.5);
-        TrainingEstimator est(net, opt);
+        TrainingEstimator est(
+            net, withTestBackend("test-well-formed", timingWith(1.0, 0.5)));
         EXPECT_NEAR(est.estimate(w, {10.0}), 1.0, 1e-12);
     }
 }

@@ -24,6 +24,7 @@
 #include "common/random.hh"
 #include "core/estimator.hh"
 #include "core/objective.hh"
+#include "core/timing_backend.hh"
 #include "cost/cost_model.hh"
 #include "solver/batch_eval.hh"
 #include "solver/constraint_set.hh"
@@ -195,17 +196,10 @@ TEST(ObjectiveFacade, RecoveredOnlyForAnalyticalTiming)
     EXPECT_NE(batchFacet(fast), nullptr);
 
     EstimatorOptions opt;
-    opt.commTimeFn = [](CollectiveType, Bytes,
-                        const std::vector<DimSpan>& spans,
-                        const BwConfig&, bool) {
-        CollectiveTiming t;
-        t.timePerDim.assign(spans.size(), 1e-6);
-        t.trafficPerDim.assign(spans.size(), 1.0);
-        return t;
-    };
-    TrainingEstimator custom(net, opt);
+    opt.timingBackend = kChunkSimTimingBackendName;
+    TrainingEstimator sim(net, opt);
     ScalarObjective plain = makeObjective(OptimizationObjective::PerfOpt,
-                                          custom, cost, targets);
+                                          sim, cost, targets);
     EXPECT_EQ(batchFacet(plain), nullptr);
 
     ScalarObjective lambda = [](const Vec& x) { return x[0]; };

@@ -154,10 +154,10 @@ TEST(ParallelDeterminism, EvaluateBatchIsThreadCountInvariant)
 
 /**
  * A 17-dimension objective gives each subgradient iterate 34 gradient
- * probes, more than one 32-candidate evaluateBatch block. With the
- * multistart fan-out off, the search runs on the calling thread, so
- * the gradient batch itself fans its blocks across the pool — and
- * optimize() must still be bit-identical at any thread count.
+ * probes, more than one 32-candidate evaluateBatch block. A single
+ * start runs on one multistart lane, which evaluates the blocks in
+ * order — and optimize() must still be bit-identical at any thread
+ * count.
  */
 TEST(ParallelDeterminism, MultiBlockGradientBatchIsThreadCountInvariant)
 {
@@ -182,16 +182,14 @@ TEST(ParallelDeterminism, MultiBlockGradientBatchIsThreadCountInvariant)
         OptimizerConfig cfg;
         cfg.totalBw = 1700.0;
         cfg.search.starts = 1;
-        cfg.search.parallel = false;
         return opt.optimize({{w, 1.0}}, cfg);
     });
 }
 
 /**
  * The chunk-sim timing backend runs inside the parallel multistart
- * fan-out (named backends, unlike ad-hoc commTimeFns, keep
- * search.parallel on), so it must uphold the same contract: same
- * winner and timings at 1, 2, and max threads.
+ * fan-out like every timing backend, so it must uphold the same
+ * contract: same winner and timings at 1, 2, and max threads.
  */
 TEST(ParallelDeterminism, ChunkSimBackendIsThreadCountInvariant)
 {
@@ -204,6 +202,22 @@ TEST(ParallelDeterminism, ChunkSimBackendIsThreadCountInvariant)
         cfg.search.starts = 2;
         cfg.search.maxEvalsPerStart = 200;
         cfg.estimator.timingBackend = kChunkSimTimingBackendName;
+        return opt.optimize({{w, 1.0}}, cfg);
+    });
+}
+
+/** The themis backend upholds the same contract as chunk-sim. */
+TEST(ParallelDeterminism, ThemisBackendIsThreadCountInvariant)
+{
+    Network net = Network::parse("RI(4)_FC(4)_SW(4)");
+    Workload w = wl::resnet50(net.npus());
+    expectIdenticalAcrossThreadCounts([&] {
+        BwOptimizer opt(net, CostModel::defaultModel());
+        OptimizerConfig cfg;
+        cfg.totalBw = 300.0;
+        cfg.search.starts = 2;
+        cfg.search.maxEvalsPerStart = 200;
+        cfg.estimator.timingBackend = kThemisTimingBackendName;
         return opt.optimize({{w, 1.0}}, cfg);
     });
 }

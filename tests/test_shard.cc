@@ -60,31 +60,22 @@ freshDir(const char* name)
 
 // --- Slot map ----------------------------------------------------------
 
-TEST(SlotMap, DedupsByContentAndGivesUncacheablePointsPrivateSlots)
+TEST(SlotMap, DedupsByContent)
 {
     std::vector<LibraInputs> points;
     points.push_back(miniInputs());
     points.push_back(miniInputs("SEED 5\n"));
     points.push_back(miniInputs()); // Content-equal to points[0].
-    LibraInputs custom = miniInputs();
-    custom.config.estimator.commTimeFn =
-        [](CollectiveType, Bytes, const std::vector<DimSpan>&,
-           const BwConfig&, bool) { return CollectiveTiming{}; };
-    points.push_back(custom); // No content identity: private slot.
-    points.push_back(custom); // ...and a second private slot.
 
     SlotMap map = buildSlotMap(points);
-    ASSERT_EQ(map.slotOf.size(), 5u);
-    EXPECT_EQ(map.slots(), 4u);
+    ASSERT_EQ(map.slotOf.size(), 3u);
+    EXPECT_EQ(map.slots(), 2u);
     EXPECT_EQ(map.slotOf[0], map.slotOf[2]);
     EXPECT_NE(map.slotOf[0], map.slotOf[1]);
-    EXPECT_NE(map.slotOf[3], map.slotOf[4]); // Privates never merge.
-    EXPECT_TRUE(map.slotKey[map.slotOf[3]].empty());
     EXPECT_EQ(map.slotKey[map.slotOf[0]],
               canonicalStudyKey(points[0]));
     EXPECT_EQ(map.slotHash[map.slotOf[0]],
               studyCacheHashOfKey(map.slotKey[map.slotOf[0]]));
-    EXPECT_EQ(map.slotHash[map.slotOf[3]], 0u);
     EXPECT_EQ(map.slotRep[map.slotOf[2]], 0u);
 }
 

@@ -244,7 +244,7 @@ TEST(Multistart, EscapesLocalMinimaOnNonconvex)
 
     MultistartOptions opt;
     opt.starts = 12;
-    opt.useSubgradient = false;
+    opt.pipeline = {"pattern-search", "nelder-mead"};
     SearchResult r = multistartMinimize(f, cs, {1.0, 9.0}, opt);
     EXPECT_NEAR(r.x[0], 9.0, 0.5);
     EXPECT_NEAR(r.x[1], 1.0, 0.5);
@@ -389,11 +389,6 @@ TEST(StrategyPipeline, ExplicitDefaultChainMatchesImplicitBitExactly)
 
     EXPECT_EQ(multistartPipelineNames(implicit),
               explicitChain.pipeline);
-    MultistartOptions noSubgradient;
-    noSubgradient.useSubgradient = false;
-    EXPECT_EQ(multistartPipelineNames(noSubgradient),
-              (std::vector<std::string>{"pattern-search",
-                                        "nelder-mead"}));
 }
 
 TEST(StrategyPipeline, UnknownStrategyInDriverIsAFatalError)

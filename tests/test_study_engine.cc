@@ -237,20 +237,6 @@ TEST(StudyCacheKey, ThreadCountDoesNotChangeTheHash)
     LibraInputs threads = miniInputs();
     threads.threads = 7;
     EXPECT_EQ(studyCacheHash(miniInputs()), studyCacheHash(threads));
-
-    LibraInputs serial = miniInputs();
-    serial.config.search.parallel = false;
-    EXPECT_EQ(studyCacheHash(miniInputs()), studyCacheHash(serial));
-}
-
-TEST(StudyCacheKey, CustomTimingModelIsNotCacheable)
-{
-    LibraInputs fn = miniInputs();
-    fn.config.estimator.commTimeFn =
-        [](CollectiveType, Bytes, const std::vector<DimSpan>&,
-           const BwConfig&, bool) { return CollectiveTiming{}; };
-    EXPECT_FALSE(studyPointCacheable(fn));
-    EXPECT_THROW(canonicalStudyKey(fn), FatalError);
 }
 
 // --- Report serialization ----------------------------------------------

@@ -299,13 +299,6 @@ TEST(StudyRoundTrip, UnserializableInputsAreReported)
     custom.targets[0].workload.layers[0].fwdCompute += 1.0;
     EXPECT_THROW(studyConfigToString(custom), FatalError);
 
-    LibraInputs fn = parseStudyConfigString(
-        "NETWORK RI(4)_SW(8)\nWORKLOAD resnet50\n");
-    fn.config.estimator.commTimeFn =
-        [](CollectiveType, Bytes, const std::vector<DimSpan>&,
-           const BwConfig&, bool) { return CollectiveTiming{}; };
-    EXPECT_THROW(studyConfigToString(fn), FatalError);
-
     LibraInputs relax = parseStudyConfigString(
         "NETWORK RI(4)_SW(8)\nWORKLOAD resnet50\n");
     relax.config.relaxTotalBw = true; // No DOLLAR_CAP to imply it.

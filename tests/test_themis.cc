@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "core/estimator.hh"
+#include "core/timing_backend.hh"
 #include "runtime/themis.hh"
+#include "sim/chunk_timeline.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
 
@@ -88,7 +90,7 @@ TEST(Themis, EstimatorIntegrationEndToEnd)
 
     EstimatorOptions plain;
     EstimatorOptions themis;
-    themis.commTimeFn = makeThemisCommTimeFn(net.numDims());
+    themis.timingBackend = kThemisTimingBackendName;
 
     Seconds tPlain = TrainingEstimator(net, plain).estimate(w, bw);
     Seconds tThemis = TrainingEstimator(net, themis).estimate(w, bw);

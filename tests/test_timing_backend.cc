@@ -5,12 +5,18 @@
  * BACKEND study directive, and the study-cache-key folding rules.
  */
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
 #include "core/estimator.hh"
 #include "core/study_config.hh"
 #include "core/timing_backend.hh"
+#include "runtime/themis.hh"
 #include "study/cache.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
@@ -23,9 +29,10 @@ TEST(TimingBackendRegistry, BuiltinsAreRegistered)
     const TimingBackendRegistry& registry =
         TimingBackendRegistry::global();
     std::vector<std::string> names = registry.names();
-    ASSERT_GE(names.size(), 2u);
+    ASSERT_GE(names.size(), 3u);
     EXPECT_EQ(names[0], kAnalyticalTimingBackendName);
     EXPECT_EQ(names[1], kChunkSimTimingBackendName);
+    EXPECT_EQ(names[2], kThemisTimingBackendName);
     for (const auto& name : names) {
         const TimingBackend* b = registry.find(name);
         ASSERT_NE(b, nullptr);
@@ -136,15 +143,20 @@ TEST(TimingBackend, ChunkSimSingleDimensionMatchesAnalytical)
     }
 }
 
+/** One collective's timing, as a reference oracle computes it. */
+using PerOpTiming = std::function<CollectiveTiming(
+    CollectiveType, Bytes, const std::vector<DimSpan>&, const BwConfig&)>;
+
 /**
- * estimate() and detail() time each distinct collective once per call
- * and reuse it. That must be invisible: both equal, bit for bit, the
- * sums of one raw backend->timing() call per op in workload order.
+ * estimate() and detail() under a non-default backend time each
+ * distinct collective once per call and reuse it. That must be
+ * invisible: both equal, bit for bit, the sums of one @p oracle call
+ * per op in workload order.
  */
-TEST(TimingBackend, ChunkSimEstimatesEqualPerOpBackendSums)
+void
+expectEstimatesEqualPerOpSums(const char* backend, const PerOpTiming& oracle)
 {
     Network net = Network::parse("RI(4)_FC(4)_SW(4)");
-    const TimingBackend* sim = resolveTimingBackend("chunk-sim");
     const BwConfig bw{140.0, 70.0, 40.0};
     for (const Workload& w :
          {wl::resnet50(net.npus()), wl::turingNlg(net.npus())}) {
@@ -155,7 +167,7 @@ TEST(TimingBackend, ChunkSimEstimatesEqualPerOpBackendSums)
                                        : " TpDpOverlap"));
             EstimatorOptions opt;
             opt.loop = loop;
-            opt.timingBackend = kChunkSimTimingBackendName;
+            opt.timingBackend = backend;
             TrainingEstimator est(net, opt);
 
             std::vector<Seconds> dimBusy(net.numDims(), 0.0);
@@ -166,8 +178,7 @@ TEST(TimingBackend, ChunkSimEstimatesEqualPerOpBackendSums)
                     auto spans = est.spansFor(w.strategy, op.scope);
                     if (spans.empty())
                         continue;
-                    CollectiveTiming t =
-                        sim->timing(op.type, op.size, spans, bw, false);
+                    CollectiveTiming t = oracle(op.type, op.size, spans, bw);
                     sum += t.time;
                     for (std::size_t s = 0; s < spans.size(); ++s) {
                         dimBusy[spans[s].dim] += t.timePerDim[s];
@@ -203,6 +214,32 @@ TEST(TimingBackend, ChunkSimEstimatesEqualPerOpBackendSums)
             EXPECT_EQ(d.dimTraffic, dimTraffic);
         }
     }
+}
+
+TEST(TimingBackend, ChunkSimEstimatesEqualPerOpBackendSums)
+{
+    const TimingBackend* sim = resolveTimingBackend("chunk-sim");
+    expectEstimatesEqualPerOpSums(
+        kChunkSimTimingBackendName,
+        [sim](CollectiveType type, Bytes size,
+              const std::vector<DimSpan>& spans, const BwConfig& bw) {
+            return sim->timing(type, size, spans, bw, false);
+        });
+}
+
+/**
+ * The themis backend is exactly the Themis scheduler at 64 chunks:
+ * estimates equal the per-op sums of themisCollectiveTiming itself.
+ */
+TEST(TimingBackend, ThemisEstimatesEqualPerOpThemisSums)
+{
+    expectEstimatesEqualPerOpSums(
+        kThemisTimingBackendName,
+        [](CollectiveType type, Bytes size,
+           const std::vector<DimSpan>& spans, const BwConfig& bw) {
+            return themisCollectiveTiming(bw.size(), type, size, spans, bw,
+                                          64);
+        });
 }
 
 TEST(TimingBackend, InNetworkAllReduceFallsBackToClosedForm)
@@ -241,22 +278,22 @@ TEST(TimingBackend, CompileRejectedUnderNonDefaultBackend)
 
 // --- BACKEND study directive -------------------------------------------
 
-const char* kChunkSimStudy =
-    "NETWORK RI(4)_FC(4)_SW(4)\n"
-    "TOTAL_BW 300\n"
-    "BACKEND chunk-sim\n"
-    "WORKLOAD resnet50\n";
-
 TEST(BackendDirective, ParseSerializeParseRoundTrips)
 {
-    LibraInputs first = parseStudyConfigString(kChunkSimStudy);
-    EXPECT_EQ(first.config.estimator.timingBackend, "chunk-sim");
-    std::string serialized = studyConfigToString(first);
-    EXPECT_NE(serialized.find("BACKEND chunk-sim"), std::string::npos);
-    LibraInputs second = parseStudyConfigString(serialized);
-    EXPECT_TRUE(studyInputsEqual(first, second)) << serialized;
-    // Fixpoint: serializing again reproduces the text byte-for-byte.
-    EXPECT_EQ(serialized, studyConfigToString(second));
+    for (const std::string backend : {"chunk-sim", "themis"}) {
+        SCOPED_TRACE(backend);
+        LibraInputs first = parseStudyConfigString(
+            "NETWORK RI(4)_FC(4)_SW(4)\nTOTAL_BW 300\nBACKEND " + backend +
+            "\nWORKLOAD resnet50\n");
+        EXPECT_EQ(first.config.estimator.timingBackend, backend);
+        std::string serialized = studyConfigToString(first);
+        EXPECT_NE(serialized.find("BACKEND " + backend + "\n"),
+                  std::string::npos);
+        LibraInputs second = parseStudyConfigString(serialized);
+        EXPECT_TRUE(studyInputsEqual(first, second)) << serialized;
+        // Fixpoint: serializing again reproduces the text byte-for-byte.
+        EXPECT_EQ(serialized, studyConfigToString(second));
+    }
 }
 
 TEST(BackendDirective, ExplicitAnalyticalEqualsOmittedDefault)
@@ -306,23 +343,29 @@ TEST(BackendCacheKey, NonDefaultBackendChangesKey)
 {
     LibraInputs plain = parseStudyConfigString(
         "NETWORK RI(4)_SW(8)\nWORKLOAD resnet50\n");
-    LibraInputs sim = plain;
-    sim.config.estimator.timingBackend = kChunkSimTimingBackendName;
-    EXPECT_TRUE(studyPointCacheable(sim));
     std::string plainKey = canonicalStudyKey(plain);
-    std::string simKey = canonicalStudyKey(sim);
-    EXPECT_NE(plainKey, simKey);
-    // The folded content is the backend's cacheKeyTag — name plus
-    // semantic parameters — so a chunk-count change invalidates
-    // previously cached chunk-sim results.
-    std::string tag =
-        "timing(" +
-        resolveTimingBackend(kChunkSimTimingBackendName)->cacheKeyTag() +
-        ")";
-    EXPECT_NE(simKey.find(tag), std::string::npos) << simKey;
-    EXPECT_NE(simKey.find("timing(chunk-sim/"), std::string::npos)
-        << simKey;
-    EXPECT_NE(studyCacheHash(plain), studyCacheHash(sim));
+    std::vector<std::uint64_t> hashes{studyCacheHash(plain)};
+    for (const std::string backend : {"chunk-sim", "themis"}) {
+        SCOPED_TRACE(backend);
+        LibraInputs named = plain;
+        named.config.estimator.timingBackend = backend;
+        std::string key = canonicalStudyKey(named);
+        EXPECT_NE(plainKey, key);
+        // The folded content is the backend's cacheKeyTag — name plus
+        // semantic parameters — so a chunk-count change invalidates
+        // previously cached results of that backend.
+        std::string tag =
+            "timing(" + resolveTimingBackend(backend)->cacheKeyTag() + ")";
+        EXPECT_NE(key.find(tag), std::string::npos) << key;
+        EXPECT_NE(key.find("timing(" + backend + "/64) "),
+                  std::string::npos)
+            << key;
+        hashes.push_back(studyCacheHash(named));
+    }
+    // Analytical, chunk-sim and themis points never share a cache entry.
+    EXPECT_NE(hashes[0], hashes[1]);
+    EXPECT_NE(hashes[0], hashes[2]);
+    EXPECT_NE(hashes[1], hashes[2]);
 }
 
 } // namespace

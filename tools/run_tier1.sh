@@ -5,7 +5,8 @@
 #
 #   (default)  Release build in build/, full ctest suite, plus three
 #              CLI smoke runs: the crossval scenario (the chunk-sim
-#              timing backend end to end), the explore-frontier
+#              and themis timing backends end to end, plus one
+#              fig19_themis run that must exit 0), the explore-frontier
 #              scenario under --explore prune (the design-space
 #              exploration layer end to end) — each asserting
 #              byte-identical matrix JSON at different thread counts,
@@ -110,24 +111,34 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j"${JOBS}" \
   ${CTEST_EXTRA+"${CTEST_EXTRA[@]}"}
 
 if [[ -z "${MODE}" ]]; then
-  # Crossval smoke: the chunk-sim backend end to end through the CLI.
-  # The matrix JSON must be byte-identical at different thread counts,
-  # freshly computed (separate caches) or served from cache (the
-  # acceptance contract of the timing-backend layer; docs/BACKENDS.md).
+  # Crossval smoke: the chunk-sim and themis backends end to end
+  # through the CLI. Per backend, the matrix JSON must be
+  # byte-identical at different thread counts, freshly computed
+  # (separate caches) or served from cache (the acceptance contract of
+  # the timing-backend layer; docs/BACKENDS.md).
   SMOKE_DIR="$(mktemp -d)"
   trap 'rm -rf "${SMOKE_DIR}"' EXIT
-  "${BUILD_DIR}/libra_cli" run-matrix crossval --backend chunk-sim \
-    --emit json --cache-dir "${SMOKE_DIR}/cache2" \
-    --out "${SMOKE_DIR}/fresh2.json" --threads 2
-  "${BUILD_DIR}/libra_cli" run-matrix crossval --backend chunk-sim \
-    --emit json --cache-dir "${SMOKE_DIR}/cache4" \
-    --out "${SMOKE_DIR}/fresh4.json" --threads 4
-  "${BUILD_DIR}/libra_cli" run-matrix crossval --backend chunk-sim \
-    --emit json --cache-dir "${SMOKE_DIR}/cache2" \
-    --out "${SMOKE_DIR}/cached.json" --threads 4
-  cmp "${SMOKE_DIR}/fresh2.json" "${SMOKE_DIR}/fresh4.json"
-  cmp "${SMOKE_DIR}/fresh2.json" "${SMOKE_DIR}/cached.json"
-  echo "crossval smoke: byte-identical matrix JSON (fresh 2t vs fresh 4t vs cached)"
+  for backend in chunk-sim themis; do
+    "${BUILD_DIR}/libra_cli" run-matrix crossval --backend "${backend}" \
+      --emit json --cache-dir "${SMOKE_DIR}/${backend}-cache2" \
+      --out "${SMOKE_DIR}/${backend}-fresh2.json" --threads 2
+    "${BUILD_DIR}/libra_cli" run-matrix crossval --backend "${backend}" \
+      --emit json --cache-dir "${SMOKE_DIR}/${backend}-cache4" \
+      --out "${SMOKE_DIR}/${backend}-fresh4.json" --threads 4
+    "${BUILD_DIR}/libra_cli" run-matrix crossval --backend "${backend}" \
+      --emit json --cache-dir "${SMOKE_DIR}/${backend}-cache2" \
+      --out "${SMOKE_DIR}/${backend}-cached.json" --threads 4
+    cmp "${SMOKE_DIR}/${backend}-fresh2.json" \
+      "${SMOKE_DIR}/${backend}-fresh4.json"
+    cmp "${SMOKE_DIR}/${backend}-fresh2.json" \
+      "${SMOKE_DIR}/${backend}-cached.json"
+    echo "crossval smoke (${backend}): byte-identical matrix JSON (fresh 2t vs fresh 4t vs cached)"
+  done
+
+  # Fig. 19 smoke: the Themis composition study runs its estimator
+  # under the themis timing backend and must exit 0.
+  "${BUILD_DIR}/fig19_themis" > /dev/null
+  echo "fig19 smoke: fig19_themis exited 0 under the themis backend"
 
   # Solver smoke: the default subgradient/pattern-search/Nelder-Mead
   # chain under the analytical backend, where pattern search scores its
@@ -367,7 +378,7 @@ PY
   # docs track.
   BENCH_BIN="$(pwd)/${BUILD_DIR}/micro_objective_eval"
   (cd "${SMOKE_DIR}" && "${BENCH_BIN}")
-  grep -q '"soa_speedup_vs_nested":' "${SMOKE_DIR}/BENCH_objective.json"
+  grep -q '"soa_speedup_vs_direct":' "${SMOKE_DIR}/BENCH_objective.json"
   grep -q '"gradient_batch_speedup_vs_soa":' "${SMOKE_DIR}/BENCH_objective.json"
   echo "objective bench smoke: BENCH_objective.json emitted with speedup metrics"
 
