@@ -4,12 +4,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <string_view>
 
 namespace libra {
 
 namespace {
 
 std::atomic<bool> informEnabled{true};
+
+/** What fatalImpl prepends to every FatalError message. */
+constexpr std::string_view kFatalPrefix = "fatal: ";
 
 /**
  * Serializes message emission: inform()/warn() are called from
@@ -27,6 +31,15 @@ emitMutex()
 
 } // namespace
 
+std::string
+fatalMessage(const FatalError& e)
+{
+    std::string_view msg = e.what();
+    if (msg.starts_with(kFatalPrefix))
+        msg.remove_prefix(kFatalPrefix.size());
+    return std::string(msg);
+}
+
 void
 setInformEnabled(bool enabled)
 {
@@ -38,7 +51,7 @@ namespace detail {
 void
 fatalImpl(const std::string& msg)
 {
-    throw FatalError("fatal: " + msg);
+    throw FatalError(std::string(kFatalPrefix) + msg);
 }
 
 void

@@ -29,6 +29,13 @@ class FatalError : public std::runtime_error
     {}
 };
 
+/**
+ * @p e's message without the "fatal: " prefix fatal() adds, for
+ * callers that report or re-raise it (failure rows, serve replies,
+ * line-numbered study errors) without doubling the prefix.
+ */
+std::string fatalMessage(const FatalError& e);
+
 namespace detail {
 
 /** Fold a parameter pack into one message string. */

@@ -183,7 +183,8 @@ TrainingEstimator::commListTime(const std::vector<CommOp>& ops,
 }
 
 Seconds
-TrainingEstimator::estimate(const Workload& w, const BwConfig& bw) const
+TrainingEstimator::walkLayers(const Workload& w, const BwConfig& bw,
+                              EstimateDetail* detail) const
 {
     if (bw.size() != net_.numDims())
         panic("bw rank ", bw.size(), " != network dims ", net_.numDims());
@@ -198,24 +199,44 @@ TrainingEstimator::estimate(const Workload& w, const BwConfig& bw) const
     Seconds total = 0.0;
     for (const auto& layer : w.layers) {
         Seconds fwdComm =
-            commListTime(layer.fwdComm, spans, bw, nullptr, table);
+            commListTime(layer.fwdComm, spans, bw, detail, table);
         Seconds igComm =
-            commListTime(layer.igComm, spans, bw, nullptr, table);
+            commListTime(layer.igComm, spans, bw, detail, table);
         Seconds wgComm =
-            commListTime(layer.wgComm, spans, bw, nullptr, table);
+            commListTime(layer.wgComm, spans, bw, detail, table);
 
         total += layer.fwdCompute + fwdComm;
+        Seconds exposedComm = 0.0;
         switch (options_.loop) {
           case TrainingLoop::NoOverlap:
             total += layer.igCompute + igComm + layer.wgCompute + wgComm;
+            exposedComm = fwdComm + igComm + wgComm;
             break;
-          case TrainingLoop::TpDpOverlap:
-            total += layer.igCompute +
-                     std::max(igComm, layer.wgCompute + wgComm);
+          case TrainingLoop::TpDpOverlap: {
+            Seconds bwdTail = std::max(igComm, layer.wgCompute + wgComm);
+            total += layer.igCompute + bwdTail;
+            exposedComm = fwdComm + bwdTail -
+                          std::min(bwdTail, layer.wgCompute);
             break;
+          }
+        }
+        if (detail) {
+            detail->fwdCompute += layer.fwdCompute;
+            detail->fwdComm += fwdComm;
+            detail->igCompute += layer.igCompute;
+            detail->igComm += igComm;
+            detail->wgCompute += layer.wgCompute;
+            detail->wgComm += wgComm;
+            detail->exposedComm += exposedComm;
         }
     }
     return total;
+}
+
+Seconds
+TrainingEstimator::estimate(const Workload& w, const BwConfig& bw) const
+{
+    return walkLayers(w, bw, nullptr);
 }
 
 void
@@ -411,36 +432,7 @@ TrainingEstimator::detail(const Workload& w, const BwConfig& bw) const
     d.dimBusy.assign(net_.numDims(), 0.0);
     d.dimTraffic.assign(net_.numDims(), 0.0);
 
-    ScopeSpans spans = spansForAll(w.strategy);
-    CallTimings perCall;
-    CallTimings* table = backend_ ? &perCall : nullptr;
-    for (const auto& layer : w.layers) {
-        Seconds fwdComm = commListTime(layer.fwdComm, spans, bw, &d, table);
-        Seconds igComm = commListTime(layer.igComm, spans, bw, &d, table);
-        Seconds wgComm = commListTime(layer.wgComm, spans, bw, &d, table);
-
-        d.fwdCompute += layer.fwdCompute;
-        d.fwdComm += fwdComm;
-        d.igCompute += layer.igCompute;
-        d.igComm += igComm;
-        d.wgCompute += layer.wgCompute;
-        d.wgComm += wgComm;
-
-        d.total += layer.fwdCompute + fwdComm;
-        switch (options_.loop) {
-          case TrainingLoop::NoOverlap:
-            d.total += layer.igCompute + igComm + layer.wgCompute + wgComm;
-            d.exposedComm += fwdComm + igComm + wgComm;
-            break;
-          case TrainingLoop::TpDpOverlap: {
-            Seconds bwdTail = std::max(igComm, layer.wgCompute + wgComm);
-            d.total += layer.igCompute + bwdTail;
-            d.exposedComm += fwdComm + bwdTail -
-                             std::min(bwdTail, layer.wgCompute);
-            break;
-          }
-        }
-    }
+    d.total = walkLayers(w, bw, &d);
     d.computeTotal = d.fwdCompute + d.igCompute + d.wgCompute;
 
     // Fig. 10 metric: bytes actually moved over the byte-capacity the

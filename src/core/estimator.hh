@@ -276,6 +276,15 @@ class TrainingEstimator
     EstimateDetail detail(const Workload& w, const BwConfig& bw) const;
 
   private:
+    /**
+     * The layer walk behind estimate() and detail(): checks @p bw's
+     * rank and @p w's NPU count against the network, returns the
+     * iteration time and, when @p detail is set, accumulates its
+     * phase, exposed-comm and per-dimension sums.
+     */
+    Seconds walkLayers(const Workload& w, const BwConfig& bw,
+                       EstimateDetail* detail) const;
+
     /** Timing of one collective via the configured model. */
     CollectiveTiming timingOf(CollectiveType type, Bytes size,
                               const std::vector<DimSpan>& spans,

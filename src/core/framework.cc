@@ -71,13 +71,7 @@ runLibraSweepIsolated(const std::vector<LibraInputs>& points)
             *report = runLibraPoint(p);
         } catch (const FatalError& e) {
             status->ok = false;
-            status->error = e.what();
-            // fatalImpl prefixes "fatal: "; strip it so the message
-            // reads cleanly in failure rows and re-thrown errors do
-            // not double the prefix.
-            const std::string prefix = "fatal: ";
-            if (status->error.rfind(prefix, 0) == 0)
-                status->error.erase(0, prefix.size());
+            status->error = fatalMessage(e);
         }
     };
 

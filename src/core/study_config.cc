@@ -50,10 +50,7 @@ parseLevel(const std::string& token, int line)
 [[noreturn]] void
 refatalWithLine(int line, const FatalError& e)
 {
-    std::string msg = e.what();
-    if (msg.rfind("fatal: ", 0) == 0)
-        msg.erase(0, 7);
-    fatal("study line ", line, ": ", msg);
+    fatal("study line ", line, ": ", fatalMessage(e));
 }
 
 double

@@ -1,8 +1,5 @@
 #include "core/timing_backend.hh"
 
-#include <utility>
-
-#include "common/logging.hh"
 #include "runtime/themis.hh"
 #include "sim/chunk_timeline.hh"
 
@@ -147,47 +144,13 @@ class ThemisTimingBackend final : public TimingBackend
 
 } // namespace
 
-TimingBackendRegistry&
-TimingBackendRegistry::global()
-{
-    static TimingBackendRegistry* registry = [] {
-        auto* r = new TimingBackendRegistry;
-        r->add(std::make_unique<AnalyticalTimingBackend>());
-        r->add(std::make_unique<ChunkSimTimingBackend>());
-        r->add(std::make_unique<ThemisTimingBackend>());
-        return r;
-    }();
-    return *registry;
-}
-
+template <>
 void
-TimingBackendRegistry::add(std::unique_ptr<const TimingBackend> backend)
+TimingBackendRegistry::registerBuiltins(TimingBackendRegistry& registry)
 {
-    if (!backend)
-        fatal("cannot register a null timing backend");
-    if (find(backend->name()))
-        fatal("timing backend '", backend->name(),
-              "' is already registered");
-    backends_.push_back(std::move(backend));
-}
-
-const TimingBackend*
-TimingBackendRegistry::find(const std::string& name) const
-{
-    for (const auto& b : backends_)
-        if (b->name() == name)
-            return b.get();
-    return nullptr;
-}
-
-std::vector<std::string>
-TimingBackendRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(backends_.size());
-    for (const auto& b : backends_)
-        out.push_back(b->name());
-    return out;
+    registry.add(std::make_unique<AnalyticalTimingBackend>());
+    registry.add(std::make_unique<ChunkSimTimingBackend>());
+    registry.add(std::make_unique<ThemisTimingBackend>());
 }
 
 std::string
@@ -199,17 +162,8 @@ timingBackendOrDefault(const std::string& name)
 const TimingBackend*
 resolveTimingBackend(const std::string& name)
 {
-    std::string effective = timingBackendOrDefault(name);
-    const TimingBackend* b =
-        TimingBackendRegistry::global().find(effective);
-    if (!b) {
-        std::string known;
-        for (const auto& k : TimingBackendRegistry::global().names())
-            known += (known.empty() ? "" : ", ") + k;
-        fatal("unknown timing backend '", effective,
-              "' (registered: ", known, ")");
-    }
-    return b;
+    return &TimingBackendRegistry::global().resolve(
+        timingBackendOrDefault(name));
 }
 
 double

@@ -38,11 +38,11 @@
 #ifndef LIBRA_CORE_TIMING_BACKEND_HH
 #define LIBRA_CORE_TIMING_BACKEND_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "collective/multi_rail.hh"
+#include "common/registry.hh"
 #include "topology/network.hh"
 
 namespace libra {
@@ -68,6 +68,8 @@ inline constexpr int kChunkSimNumChunks = 64;
 class TimingBackend
 {
   public:
+    static constexpr const char* kRegistryKind = "timing backend";
+
     virtual ~TimingBackend() = default;
 
     /** Registry key, e.g. "chunk-sim". */
@@ -97,31 +99,10 @@ class TimingBackend
                                     bool in_network) const = 0;
 };
 
-/** Name-keyed backend collection, iterated in registration order. */
-class TimingBackendRegistry
-{
-  public:
-    /**
-     * The process-wide registry with every built-in backend registered
-     * on first use. Do not mutate concurrently with running
-     * estimations (registration happens at startup in practice).
-     */
-    static TimingBackendRegistry& global();
-
-    /** Register a backend. @throws FatalError on a duplicate name. */
-    void add(std::unique_ptr<const TimingBackend> backend);
-
-    /** Look up by name; nullptr when absent. */
-    const TimingBackend* find(const std::string& name) const;
-
-    /** All names in registration order. */
-    std::vector<std::string> names() const;
-
-    std::size_t size() const { return backends_.size(); }
-
-  private:
-    std::vector<std::unique_ptr<const TimingBackend>> backends_;
-};
+/** The BACKEND layer's registry; its built-ins are listed above. */
+using TimingBackendRegistry = Registry<TimingBackend>;
+template <>
+void TimingBackendRegistry::registerBuiltins(TimingBackendRegistry& registry);
 
 /** The effective backend name: "" selects the analytical default. */
 std::string timingBackendOrDefault(const std::string& name);

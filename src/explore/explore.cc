@@ -22,15 +22,6 @@ trimmed(const std::string& s)
     return s.substr(begin, end - begin + 1);
 }
 
-std::string
-knownStrategies()
-{
-    std::string known;
-    for (const auto& n : ExploreRegistry::global().names())
-        known += known.empty() ? n : (", " + n);
-    return known;
-}
-
 /**
  * Objective strata in first-seen candidate order: objective values are
  * comparable within one objective (same figure of merit), never across.
@@ -243,46 +234,12 @@ exhaustiveResultFromReports(std::vector<Candidate> candidates,
     return result;
 }
 
-ExploreRegistry&
-ExploreRegistry::global()
-{
-    static ExploreRegistry* registry = [] {
-        auto* r = new ExploreRegistry();
-        r->add(std::make_unique<ExhaustiveExplore>());
-        r->add(std::make_unique<PruneExplore>());
-        return r;
-    }();
-    return *registry;
-}
-
+template <>
 void
-ExploreRegistry::add(std::unique_ptr<const ExploreStrategy> strategy)
+ExploreRegistry::registerBuiltins(ExploreRegistry& registry)
 {
-    if (!strategy || strategy->name().empty())
-        fatal("exploration strategy has no name");
-    if (find(strategy->name()))
-        fatal("duplicate exploration strategy '", strategy->name(), "'");
-    strategies_.push_back(std::move(strategy));
-}
-
-const ExploreStrategy*
-ExploreRegistry::find(const std::string& name) const
-{
-    for (const auto& s : strategies_) {
-        if (s->name() == name)
-            return s.get();
-    }
-    return nullptr;
-}
-
-std::vector<std::string>
-ExploreRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(strategies_.size());
-    for (const auto& s : strategies_)
-        out.push_back(s->name());
-    return out;
+    registry.add(std::make_unique<ExhaustiveExplore>());
+    registry.add(std::make_unique<PruneExplore>());
 }
 
 ExploreSpec
@@ -302,10 +259,7 @@ parseExploreSpec(const std::string& text)
     const std::string name =
         tokens.empty() || tokens[0].empty() ? kExhaustiveExploreName
                                             : tokens[0];
-    spec.strategy = ExploreRegistry::global().find(name);
-    if (!spec.strategy)
-        fatal("unknown exploration strategy '", name, "' (known: ",
-              knownStrategies(), ")");
+    spec.strategy = &ExploreRegistry::global().resolve(name);
 
     const std::vector<ExploreParamSpec> declared =
         spec.strategy->params();

@@ -40,10 +40,10 @@
 #define LIBRA_EXPLORE_EXPLORE_HH
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/registry.hh"
 #include "explore/design_space.hh"
 
 namespace libra {
@@ -105,6 +105,8 @@ struct ExploreResult
 class ExploreStrategy
 {
   public:
+    static constexpr const char* kRegistryKind = "exploration strategy";
+
     virtual ~ExploreStrategy() = default;
 
     /** Registry key, e.g. "prune". */
@@ -126,31 +128,10 @@ class ExploreStrategy
                                   const ExploreSweepFn& sweep) const = 0;
 };
 
-/** Name-keyed strategy collection, iterated in registration order. */
-class ExploreRegistry
-{
-  public:
-    /**
-     * The process-wide registry with the built-in strategies
-     * registered on first use. Do not mutate concurrently with
-     * running explorations (registration happens at startup).
-     */
-    static ExploreRegistry& global();
-
-    /** Register a strategy. @throws FatalError on a duplicate name. */
-    void add(std::unique_ptr<const ExploreStrategy> strategy);
-
-    /** Look up by name; nullptr when absent. */
-    const ExploreStrategy* find(const std::string& name) const;
-
-    /** All names in registration order. */
-    std::vector<std::string> names() const;
-
-    std::size_t size() const { return strategies_.size(); }
-
-  private:
-    std::vector<std::unique_ptr<const ExploreStrategy>> strategies_;
-};
+/** The EXPLORE layer's registry; its built-ins are listed above. */
+using ExploreRegistry = Registry<ExploreStrategy>;
+template <>
+void ExploreRegistry::registerBuiltins(ExploreRegistry& registry);
 
 /** A parsed `EXPLORE` spec: strategy plus its full parameter vector. */
 struct ExploreSpec

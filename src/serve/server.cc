@@ -113,16 +113,6 @@ ServeStore::stats() const
 
 namespace {
 
-/** FatalError messages carry a "fatal: " prefix; responses do not. */
-std::string
-stripFatalPrefix(std::string msg)
-{
-    const std::string prefix = "fatal: ";
-    if (msg.rfind(prefix, 0) == 0)
-        msg.erase(0, prefix.size());
-    return msg;
-}
-
 /** A request's scenario field: one name or an array of names. */
 std::vector<std::string>
 scenarioNames(const Json& field)
@@ -271,7 +261,7 @@ Server::handleLine(const std::string& line, bool* shutdown)
         // design point under abort mode) is this request's problem;
         // the server keeps serving.
         errors_.fetch_add(1, std::memory_order_relaxed);
-        return frameErrorMessage(stripFatalPrefix(e.what()));
+        return frameErrorMessage(fatalMessage(e));
     } catch (const std::exception& e) {
         errors_.fetch_add(1, std::memory_order_relaxed);
         return frameErrorMessage(std::string("internal error: ") + e.what());

@@ -1,7 +1,6 @@
 #include "solver/strategy.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/logging.hh"
 #include "solver/cmaes.hh"
@@ -186,49 +185,15 @@ class DifferentialEvolutionStrategy final : public SearchStrategy
 
 } // namespace
 
-StrategyRegistry&
-StrategyRegistry::global()
-{
-    static StrategyRegistry* registry = [] {
-        auto* r = new StrategyRegistry;
-        r->add(std::make_unique<SubgradientStrategy>());
-        r->add(std::make_unique<PatternSearchStrategy>());
-        r->add(std::make_unique<NelderMeadStrategy>());
-        r->add(std::make_unique<CmaesStrategy>());
-        r->add(std::make_unique<DifferentialEvolutionStrategy>());
-        return r;
-    }();
-    return *registry;
-}
-
+template <>
 void
-StrategyRegistry::add(std::unique_ptr<const SearchStrategy> strategy)
+StrategyRegistry::registerBuiltins(StrategyRegistry& registry)
 {
-    if (!strategy)
-        fatal("cannot register a null search strategy");
-    if (find(strategy->name()))
-        fatal("search strategy '", strategy->name(),
-              "' is already registered");
-    strategies_.push_back(std::move(strategy));
-}
-
-const SearchStrategy*
-StrategyRegistry::find(const std::string& name) const
-{
-    for (const auto& s : strategies_)
-        if (s->name() == name)
-            return s.get();
-    return nullptr;
-}
-
-std::vector<std::string>
-StrategyRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(strategies_.size());
-    for (const auto& s : strategies_)
-        out.push_back(s->name());
-    return out;
+    registry.add(std::make_unique<SubgradientStrategy>());
+    registry.add(std::make_unique<PatternSearchStrategy>());
+    registry.add(std::make_unique<NelderMeadStrategy>());
+    registry.add(std::make_unique<CmaesStrategy>());
+    registry.add(std::make_unique<DifferentialEvolutionStrategy>());
 }
 
 std::vector<const SearchStrategy*>
@@ -238,17 +203,8 @@ resolveStrategyPipeline(const std::vector<std::string>& names)
         fatal("solver pipeline is empty");
     std::vector<const SearchStrategy*> pipeline;
     pipeline.reserve(names.size());
-    for (const auto& name : names) {
-        const SearchStrategy* s = StrategyRegistry::global().find(name);
-        if (!s) {
-            std::string known;
-            for (const auto& k : StrategyRegistry::global().names())
-                known += (known.empty() ? "" : ", ") + k;
-            fatal("unknown search strategy '", name, "' (registered: ",
-                  known, ")");
-        }
-        pipeline.push_back(s);
-    }
+    for (const auto& name : names)
+        pipeline.push_back(&StrategyRegistry::global().resolve(name));
     return pipeline;
 }
 

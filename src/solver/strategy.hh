@@ -29,10 +29,10 @@
 #define LIBRA_SOLVER_STRATEGY_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/registry.hh"
 #include "solver/constraint_set.hh"
 #include "solver/subgradient.hh"
 
@@ -87,6 +87,8 @@ class EvalBudget
 class SearchStrategy
 {
   public:
+    static constexpr const char* kRegistryKind = "search strategy";
+
     virtual ~SearchStrategy() = default;
 
     /** Registry key, e.g. "pattern-search". */
@@ -107,31 +109,10 @@ class SearchStrategy
                                 EvalBudget& budget) const = 0;
 };
 
-/** Name-keyed strategy collection, iterated in registration order. */
-class StrategyRegistry
-{
-  public:
-    /**
-     * The process-wide registry with every built-in strategy
-     * registered on first use. Do not mutate concurrently with
-     * running searches (registration happens at startup in practice).
-     */
-    static StrategyRegistry& global();
-
-    /** Register a strategy. @throws FatalError on a duplicate name. */
-    void add(std::unique_ptr<const SearchStrategy> strategy);
-
-    /** Look up by name; nullptr when absent. */
-    const SearchStrategy* find(const std::string& name) const;
-
-    /** All names in registration order. */
-    std::vector<std::string> names() const;
-
-    std::size_t size() const { return strategies_.size(); }
-
-  private:
-    std::vector<std::unique_ptr<const SearchStrategy>> strategies_;
-};
+/** The SOLVER layer's registry; its built-ins are listed above. */
+using StrategyRegistry = Registry<SearchStrategy>;
+template <>
+void StrategyRegistry::registerBuiltins(StrategyRegistry& registry);
 
 /**
  * Resolve an ordered pipeline spec against the global registry.

@@ -112,8 +112,7 @@ struct SweepContext
  */
 SweepBatch
 cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
-            bool update_cache, FailMode failMode,
-            const SweepContext& ctx = {})
+            FailMode failMode, const SweepContext& ctx = {})
 {
     SlotMap map = buildSlotMap(points);
     const std::vector<std::size_t>& slotOf = map.slotOf;
@@ -202,7 +201,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         slotStatus[s] = std::move(status);
         if (slotStatus[s].ok) {
             slotReport[s] = std::move(report);
-            if (store && update_cache) {
+            if (store) {
                 store->store(slotHash[s], slotKey[s], slotReport[s]);
                 // Store first, then record: manifest ⊆ cache, so a
                 // recorded slot is always servable on resume.
@@ -345,20 +344,10 @@ MatrixPlan
 buildMatrixPlan(const std::vector<std::string>& names,
                 const MatrixOptions& options)
 {
-    const ScenarioRegistry& registry = ScenarioRegistry::global();
-
     MatrixPlan plan;
     plan.scenarios.reserve(names.size());
-    for (const auto& name : names) {
-        const Scenario* s = registry.find(name);
-        if (!s) {
-            std::string known;
-            for (const auto& n : registry.names())
-                known += known.empty() ? n : (", " + n);
-            fatal("unknown scenario '", name, "' (known: ", known, ")");
-        }
-        plan.scenarios.push_back(s);
-    }
+    for (const auto& name : names)
+        plan.scenarios.push_back(&ScenarioRegistry::global().resolve(name));
 
     // Validate overrides once, up front.
     if (!options.solverPipeline.empty())
@@ -470,8 +459,7 @@ runScenarioMatrix(const std::vector<std::string>& names,
 
     // Phase 2: the shared batch — dedup, cache, one sharded sweep.
     SweepBatch main =
-        cachedSweep(points, store, options.updateCache,
-                    options.failMode, mainCtx);
+        cachedSweep(points, store, options.failMode, mainCtx);
 
     MatrixResult result;
     result.points = points.size();
@@ -504,8 +492,8 @@ runScenarioMatrix(const std::vector<std::string>& names,
             ExploreSweepFn sweep =
                 [&](const std::vector<LibraInputs>& batch) {
                     SweepBatch b =
-                        cachedSweep(batch, store, options.updateCache,
-                                    FailMode::Abort, mainCtx);
+                        cachedSweep(batch, store, FailMode::Abort,
+                                    mainCtx);
                     run.points += batch.size();
                     result.points += batch.size();
                     result.unique += b.unique;
@@ -517,26 +505,17 @@ runScenarioMatrix(const std::vector<std::string>& names,
                     }
                     return std::move(b.reports);
                 };
-            if (options.failMode == FailMode::Isolate) {
-                try {
-                    ExploreResult explored = exploreCandidates(
-                        slice.candidates, slice.exploreSpec, sweep);
-                    run.output = scenarios[si]->formatSpace(explored);
-                } catch (const FatalError& e) {
-                    std::string msg = e.what();
-                    const std::string prefix = "fatal: ";
-                    if (msg.rfind(prefix, 0) == 0)
-                        msg.erase(0, prefix.size());
-                    run.output = ScenarioOutput{};
-                    run.failures.push_back(PointFailure{
-                        0, "explore:" + slice.exploreSpec,
-                        std::move(msg)});
-                    result.failed += 1;
-                }
-            } else {
-                ExploreResult explored = exploreCandidates(
-                    slice.candidates, slice.exploreSpec, sweep);
-                run.output = scenarios[si]->formatSpace(explored);
+            try {
+                run.output = scenarios[si]->formatSpace(
+                    exploreCandidates(slice.candidates,
+                                      slice.exploreSpec, sweep));
+            } catch (const FatalError& e) {
+                if (options.failMode != FailMode::Isolate)
+                    throw;
+                run.output = ScenarioOutput{};
+                run.failures.push_back(PointFailure{
+                    0, "explore:" + slice.exploreSpec, fatalMessage(e)});
+                result.failed += 1;
             }
         } else {
             // The scenario's candidates/points ran inside the shared

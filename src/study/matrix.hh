@@ -62,9 +62,6 @@ struct MatrixOptions
      */
     StudyStore* store = nullptr;
 
-    /** Store freshly computed points back into the cache. */
-    bool updateCache = true;
-
     /**
      * Solver-pipeline override (registry names) applied to every
      * design point before dedup/caching — the `--solver` flag. Empty

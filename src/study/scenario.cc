@@ -4,56 +4,27 @@
 
 namespace libra {
 
-ScenarioRegistry&
-ScenarioRegistry::global()
+template <>
+void
+ScenarioRegistry::registerBuiltins(ScenarioRegistry& registry)
 {
-    static ScenarioRegistry* registry = [] {
-        auto* r = new ScenarioRegistry();
-        registerBuiltinScenarios(*r);
-        return r;
-    }();
-    return *registry;
+    registerBuiltinScenarios(registry);
 }
 
 void
-ScenarioRegistry::add(Scenario scenario)
+Scenario::validate() const
 {
-    if (scenario.name.empty())
-        fatal("scenario has no name");
-    if (scenario.space) {
-        if (scenario.build || scenario.format)
-            fatal("scenario '", scenario.name, "' declares both a "
-                  "design space and a hand-built point list");
-        if (!scenario.formatSpace)
-            fatal("scenario '", scenario.name,
+    if (space) {
+        if (build || format)
+            fatal("scenario '", name, "' declares both a design space "
+                  "and a hand-built point list");
+        if (!formatSpace)
+            fatal("scenario '", name,
                   "' has a design space but no formatSpace");
-        canonicalExploreSpec(scenario.explore); // Validate.
-    } else if (!scenario.format) {
-        fatal("scenario '", scenario.name, "' has no formatter");
+        canonicalExploreSpec(explore); // Validate.
+    } else if (!format) {
+        fatal("scenario '", name, "' has no formatter");
     }
-    if (find(scenario.name))
-        fatal("duplicate scenario '", scenario.name, "'");
-    scenarios_.push_back(std::move(scenario));
-}
-
-const Scenario*
-ScenarioRegistry::find(const std::string& name) const
-{
-    for (const auto& s : scenarios_) {
-        if (s.name == name)
-            return &s;
-    }
-    return nullptr;
-}
-
-std::vector<std::string>
-ScenarioRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(scenarios_.size());
-    for (const auto& s : scenarios_)
-        out.push_back(s.name);
-    return out;
 }
 
 std::vector<std::string>

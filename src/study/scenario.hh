@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/registry.hh"
 #include "core/framework.hh"
 #include "explore/explore.hh"
 
@@ -78,6 +79,8 @@ struct ScenarioOutput
 /** A registered figure/table scenario. */
 struct Scenario
 {
+    static constexpr const char* kRegistryKind = "scenario";
+
     std::string name;  ///< Registry key, e.g. "fig13".
     std::string title; ///< One-line description (banner text).
 
@@ -109,33 +112,16 @@ struct Scenario
      * Only meaningful with `space`; `--explore` overrides it.
      */
     std::string explore;
+
+    /** Registry::add's check: one of build/format or space/formatSpace
+     *  (with a valid explore default). @throws FatalError. */
+    void validate() const;
 };
 
-/** Name-keyed scenario collection, iterated in registration order. */
-class ScenarioRegistry
-{
-  public:
-    /**
-     * The process-wide registry, with every built-in paper scenario
-     * registered on first use. Do not mutate concurrently with matrix
-     * runs (registration happens at startup in practice).
-     */
-    static ScenarioRegistry& global();
-
-    /** Register a scenario. @throws FatalError on a duplicate name. */
-    void add(Scenario scenario);
-
-    /** Look up by name; nullptr when absent. */
-    const Scenario* find(const std::string& name) const;
-
-    /** All names in registration order. */
-    std::vector<std::string> names() const;
-
-    std::size_t size() const { return scenarios_.size(); }
-
-  private:
-    std::vector<Scenario> scenarios_;
-};
+/** The scenario registry; global() holds the built-ins below. */
+using ScenarioRegistry = Registry<Scenario>;
+template <>
+void ScenarioRegistry::registerBuiltins(ScenarioRegistry& registry);
 
 /**
  * Register the built-in paper scenarios (fig09/10/13/14/15/16/17/18/21

@@ -152,15 +152,6 @@ parseEvalPayload(const Json& body)
 
 namespace {
 
-std::string
-stripFatalPrefix(std::string msg)
-{
-    const std::string prefix = "fatal: ";
-    if (msg.rfind(prefix, 0) == 0)
-        msg.erase(0, prefix.size());
-    return msg;
-}
-
 Json
 okStatus(const char* op)
 {
@@ -645,7 +636,7 @@ runShardWorker()
     } catch (const FatalError& e) {
         // Tell the master why (best effort), then die loudly enough
         // for its requeue/abort logic to see.
-        sendAllFd(1, frameErrorMessage(stripFatalPrefix(e.what())));
+        sendAllFd(1, frameErrorMessage(fatalMessage(e)));
         std::fprintf(stderr, "shard worker: %s\n", e.what());
         return 1;
     }

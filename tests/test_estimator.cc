@@ -107,6 +107,7 @@ TEST(Estimator, WorkloadNetworkMismatchThrows)
     TrainingEstimator est(net);
     Workload w = wl::gpt3(1024); // 1024 != 4096 NPUs.
     EXPECT_THROW(est.estimate(w, net.equalBw(100.0)), FatalError);
+    EXPECT_THROW(est.detail(w, net.equalBw(100.0)), FatalError);
 }
 
 TEST(Estimator, DetailMatchesEstimate)
@@ -120,7 +121,7 @@ TEST(Estimator, DetailMatchesEstimate)
         Workload w = wl::msft1T(net.npus());
         BwConfig bw = net.equalBw(300.0);
         EstimateDetail d = est.detail(w, bw);
-        EXPECT_NEAR(d.total, est.estimate(w, bw), 1e-12);
+        EXPECT_EQ(d.total, est.estimate(w, bw));
         EXPECT_GT(d.computeTotal, 0.0);
         EXPECT_GT(d.exposedComm, 0.0);
     }

@@ -12,7 +12,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/study_config.hh"
 
@@ -163,6 +165,21 @@ struct CliRun
     std::string err;     ///< Everything written to stderr.
 };
 
+/** Everything `libra_cli <args>` writes to stdout. */
+std::string
+cliOutput(const std::string& args)
+{
+    std::string text;
+    FILE* pipe = ::popen((LIBRA_CLI_PATH " " + args).c_str(), "r");
+    char buf[512];
+    std::size_t n;
+    while (pipe && (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
+        text.append(buf, n);
+    if (pipe)
+        ::pclose(pipe);
+    return text;
+}
+
 /**
  * `libra_cli --example` with each (from, to) of @p edits applied to
  * its first occurrence, run as a study file.
@@ -174,16 +191,7 @@ runMutatedExample(const std::vector<std::pair<std::string, std::string>>&
     std::string dir = ::testing::TempDir();
     std::string study = dir + "libra_nonfinite.study";
     std::string errPath = dir + "libra_nonfinite.err";
-    std::string text;
-    {
-        FILE* pipe = ::popen(LIBRA_CLI_PATH " --example", "r");
-        char buf[512];
-        std::size_t n;
-        while (pipe && (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
-            text.append(buf, n);
-        if (pipe)
-            ::pclose(pipe);
-    }
+    std::string text = cliOutput("--example");
     for (const auto& [from, to] : edits) {
         auto at = text.find(from);
         if (at == std::string::npos) {
@@ -245,6 +253,85 @@ TEST(StudyConfigCli, NanLinkCostUnderPerfPerCostExitsOneNamingTheLine)
         runMutatedExample({{"OBJECTIVE PERF ", "OBJECTIVE PERF_PER_COST "},
                            {"# COST Pod LINK 7.8", "COST Pod LINK nan"}}),
         "study line 14: bad cost value 'nan'");
+}
+
+// The four `list* --emit json` commands iterate the registries; pin
+// their schema and registration order through the real CLI.
+
+/** `libra_cli <command> --emit json`, envelope checked. */
+Json
+listJson(const std::string& command, const std::string& registry)
+{
+    Json j = Json::parse(cliOutput(command + " --emit json"));
+    EXPECT_EQ(j.at("schema").asString(), "libra-registry-v1");
+    EXPECT_EQ(j.at("registry").asString(), registry);
+    return j;
+}
+
+/** The @p field of every entry, in emission order. */
+std::vector<std::string>
+entryStrings(const Json& list, const std::string& field)
+{
+    std::vector<std::string> out;
+    for (const Json& e : list.at("entries").items())
+        out.push_back(e.at(field).asString());
+    return out;
+}
+
+using Names = std::vector<std::string>;
+
+TEST(RegistryCli, ListEmitsScenariosInRegistrationOrder)
+{
+    Json j = listJson("list", "scenarios");
+    EXPECT_EQ(entryStrings(j, "name"),
+              (Names{"tbl1", "tbl2", "tbl3", "fig09", "fig10", "fig13",
+                     "fig14", "fig15", "fig16", "fig17", "fig18",
+                     "fig21", "explore-frontier", "frontier-xl",
+                     "crossval"}));
+    for (const Json& e : j.at("entries").items()) {
+        const std::string& name = e.at("name").asString();
+        EXPECT_FALSE(e.at("title").asString().empty()) << name;
+        if (name == "fig13") {
+            EXPECT_EQ(e.at("points").asNumber(), 48.0);
+            EXPECT_FALSE(e.at("designSpace").asBool());
+        } else if (name == "frontier-xl") {
+            EXPECT_EQ(e.at("points").asNumber(), 120.0);
+            EXPECT_TRUE(e.at("designSpace").asBool());
+        }
+    }
+}
+
+TEST(RegistryCli, ListSolversEmitsRegistrationOrder)
+{
+    Json j = listJson("list-solvers", "solvers");
+    EXPECT_EQ(entryStrings(j, "name"),
+              (Names{"subgradient", "pattern-search", "nelder-mead",
+                     "cmaes", "de"}));
+    for (const std::string& d : entryStrings(j, "description"))
+        EXPECT_FALSE(d.empty());
+}
+
+TEST(RegistryCli, ListBackendsEmitsNamesAndCacheTags)
+{
+    Json j = listJson("list-backends", "backends");
+    EXPECT_EQ(entryStrings(j, "name"),
+              (Names{"analytical", "chunk-sim", "themis"}));
+    EXPECT_EQ(entryStrings(j, "cacheKeyTag"),
+              (Names{"analytical", "chunk-sim/64", "themis/64"}));
+}
+
+TEST(RegistryCli, ListExplorersEmitsNamesAndParams)
+{
+    Json j = listJson("list-explorers", "explorers");
+    EXPECT_EQ(entryStrings(j, "name"), (Names{"exhaustive", "prune"}));
+    const Json::Array& entries = j.at("entries").items();
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_TRUE(entries[0].at("params").items().empty());
+    Names pruneKeys;
+    for (const Json& p : entries[1].at("params").items())
+        pruneKeys.push_back(p.at("key").asString());
+    EXPECT_EQ(pruneKeys,
+              (Names{"keep", "rounds", "screen-evals", "screen-starts"}));
 }
 
 #endif // LIBRA_CLI_PATH

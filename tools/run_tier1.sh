@@ -3,31 +3,44 @@
 #
 # Usage: tools/run_tier1.sh [--tsan|--asan|--ubsan] [extra cmake args...]
 #
-#   (default)  Release build in build/, full ctest suite, plus three
-#              CLI smoke runs: the crossval scenario (the chunk-sim
-#              and themis timing backends end to end, plus one
-#              fig19_themis run that must exit 0), the explore-frontier
-#              scenario under --explore prune (the design-space
-#              exploration layer end to end) — each asserting
-#              byte-identical matrix JSON at different thread counts,
-#              cached and fresh — a solver smoke asserting the
-#              default chain's cold fig13/14/17/18 JSON is
-#              byte-identical at 1 and 4 threads, a warm-all smoke
-#              asserting a 1-thread `run-matrix all` over the cache a
-#              4-thread run filled is byte-identical and serves all
-#              366 points from that cache, a fault-injection
-#              smoke that re-runs the golden matrix with injected
-#              cache-I/O faults and asserts the JSON is byte-identical
-#              to the fault-free cached run (docs/ROBUSTNESS.md), a SIMD
-#              smoke that rebuilds the CLI with LIBRA_SIMD=off and
-#              asserts the golden matrix JSON is byte-identical to
-#              the default build's (docs/PERF.md), an objective
-#              bench smoke asserting BENCH_objective.json emits the
-#              tracked speedup metrics, a hostile-number smoke
-#              asserting that nan/inf in a study file end the CLI
-#              with exit 1 (never a signal), and a benchmark-build
-#              smoke that builds perfbench/ in build-perfbench/ and
-#              runs its self-test.
+#   (default)  Release build in build/, full ctest suite, then these
+#              smoke runs, in order (docs in parentheses):
+#               1. crossval: `run-matrix crossval` under the chunk-sim
+#                  and themis backends; JSON byte-identical fresh at 2
+#                  and 4 threads and cached (BACKENDS.md).
+#               2. fig19: fig19_themis must exit 0.
+#               3. solver: cold fig13/14/17/18 JSON under the default
+#                  chain, byte-identical at 1 and 4 threads (SOLVERS.md).
+#               4. warm-all: a 1-thread `run-matrix all` over the cache
+#                  a 4-thread run filled is byte-identical and serves
+#                  all 366 points from that cache (PERF.md).
+#               5. hostile-number: nan/inf in a study file end the CLI
+#                  with exit 1 and a line-numbered error, never a
+#                  signal (ROBUSTNESS.md).
+#               6. explore: `explore-frontier --explore prune`,
+#                  byte-identical fresh at 2 and 4 threads and cached
+#                  (EXPLORE.md).
+#               7. fault: the golden matrix under injected cache-I/O
+#                  faults is byte-identical to the fault-free cached
+#                  run (ROBUSTNESS.md).
+#               8. serve: a `serve` process answers the golden group
+#                  disk-served, LRU-served and after a nested-JSON bomb,
+#                  each byte-identical to the one-shot run (SERVE.md).
+#               9. shard: `--workers 2` explore-frontier JSON equals the
+#                  single-process run, fresh and cached (SHARDING.md).
+#              10. checkpoint: a SIGKILLed checkpointed sharded run
+#                  resumes byte-identically, serving every recorded
+#                  slot from the cache (SHARDING.md).
+#              11. sharded-prune: adaptive prune rounds on 2 workers
+#                  equal the single-process prune run, fresh and
+#                  cached (SHARDING.md, EXPLORE.md).
+#              12. simd: a LIBRA_SIMD=off build (build-simd-off/) emits
+#                  the default build's golden JSON, fresh at 1 thread
+#                  and cached at 8 (PERF.md).
+#              13. objective bench: micro_objective_eval writes
+#                  BENCH_objective.json with the tracked speedups.
+#              14. perfbench: perfbench/ builds in build-perfbench/ and
+#                  its self-test passes.
 #   --tsan     ThreadSanitizer build in build-tsan/; runs the threading
 #              contract tests (thread pool, parallel determinism, the
 #              scenario-matrix engine whose sweeps exercise
