@@ -1,6 +1,7 @@
 #include "core/estimator.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -246,6 +247,7 @@ CompiledWorkload::buildSoA(const std::vector<CompiledLayer>& layers)
     entryDim_.clear();
     opOffset_.clear();
     meta_.clear();
+    maxRunOps_ = 0;
     singles_.clear();
     opOffset_.push_back(0);
     totalCompute_ = 0.0;
@@ -273,98 +275,54 @@ CompiledWorkload::buildSoA(const std::vector<CompiledLayer>& layers)
         return r;
     };
 
-    for (const auto& layer : layers) {
-        LayerMeta m;
-        m.fwdCompute = layer.fwdCompute;
-        m.igCompute = layer.igCompute;
-        m.wgCompute = layer.wgCompute;
-        m.singlesRow = static_cast<std::uint32_t>(singles_.size());
-        singles_.resize(singles_.size() + 3 * numDims_, 0.0);
-        Bytes* rows = singles_.data() + m.singlesRow;
-        m.fwd = flattenPhase(layer.fwd, rows);
-        m.ig = flattenPhase(layer.ig, rows + numDims_);
-        m.wg = flattenPhase(layer.wg, rows + 2 * numDims_);
-        meta_.push_back(m);
+    // Layers merge only when equal bit for bit (+0.0 never matches
+    // -0.0), so a run's one set of times is every member's.
+    auto same = [](double a, double b) {
+        return std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b);
+    };
+    auto sameOps = [&](const std::vector<Op>& a, const std::vector<Op>& b) {
+        return std::ranges::equal(a, b, [&](const Op& x, const Op& y) {
+            return std::ranges::equal(x, y, [&](auto& p, auto& q) {
+                return p.first == q.first && same(p.second, q.second);
+            });
+        });
+    };
+    auto sameLayer = [&](const CompiledLayer& a, const CompiledLayer& b) {
+        return same(a.fwdCompute, b.fwdCompute) &&
+               same(a.igCompute, b.igCompute) &&
+               same(a.wgCompute, b.wgCompute) && sameOps(a.fwd, b.fwd) &&
+               sameOps(a.ig, b.ig) && sameOps(a.wg, b.wg);
+    };
 
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        const CompiledLayer& layer = layers[i];
+        if (i > 0 && sameLayer(layers[i - 1], layer)) {
+            ++meta_.back().repeat;
+        } else {
+            LayerMeta m;
+            m.fwdCompute = layer.fwdCompute;
+            m.igCompute = layer.igCompute;
+            m.wgCompute = layer.wgCompute;
+            m.singlesRow = static_cast<std::uint32_t>(singles_.size());
+            singles_.resize(singles_.size() + 3 * numDims_, 0.0);
+            Bytes* rows = singles_.data() + m.singlesRow;
+            m.fwd = flattenPhase(layer.fwd, rows);
+            m.ig = flattenPhase(layer.ig, rows + numDims_);
+            m.wg = flattenPhase(layer.wg, rows + 2 * numDims_);
+            meta_.push_back(m);
+            maxRunOps_ = std::max(maxRunOps_, m.wg.end - m.fwd.begin);
+        }
+
+        // NoOverlap collapse, layer by layer in the original order:
+        // all phase times add, so every layer's singles fold into one
+        // per-dim vector.
         totalCompute_ +=
             layer.fwdCompute + layer.igCompute + layer.wgCompute;
+        const Bytes* rows = singles_.data() + meta_.back().singlesRow;
+        for (std::size_t row = 0; row < 3 * numDims_; ++row)
+            allSingles_[row % numDims_] += rows[row];
     }
-
-    // NoOverlap collapse: all phase times add, so fold every layer's
-    // singles into one per-dim vector and span all multi ops at once.
-    for (std::size_t row = 0; row < singles_.size(); ++row)
-        allSingles_[row % numDims_] += singles_[row];
-    allMulti_.begin = 0;
-    allMulti_.end = static_cast<std::uint32_t>(opOffset_.size() - 1);
-}
-
-Seconds
-CompiledWorkload::multiOpsTime(PhaseRange r, const double* recip) const
-{
-    const Bytes* traffic = traffic_.data();
-    const std::uint32_t* dim = entryDim_.data();
-    const std::uint32_t* offset = opOffset_.data();
-    Seconds total = 0.0;
-    for (std::uint32_t op = r.begin; op < r.end; ++op) {
-        Seconds worst = 0.0;
-        for (std::uint32_t k = offset[op]; k < offset[op + 1]; ++k) {
-            Seconds t = traffic[k] * recip[dim[k]];
-            if (t > worst)
-                worst = t;
-        }
-        total += worst;
-    }
-    return total;
-}
-
-Seconds
-CompiledWorkload::singlesTime(std::uint32_t row, const double* recip) const
-{
-    const Bytes* s = singles_.data() + row;
-    Seconds total = 0.0;
-    for (std::size_t d = 0; d < numDims_; ++d)
-        total += s[d] * recip[d];
-    return total;
-}
-
-Seconds
-CompiledWorkload::estimate(const BwConfig& bw) const
-{
-    // Per-dimension reciprocal scaling, computed once per call: the
-    // hot loops are then pure multiply-and-max over flat arrays.
-    constexpr std::size_t kInlineDims = 16;
-    double recipInline[kInlineDims];
-    std::vector<double> recipHeap;
-    double* recip = recipInline;
-    if (numDims_ > kInlineDims) {
-        recipHeap.resize(numDims_);
-        recip = recipHeap.data();
-    }
-    for (std::size_t d = 0; d < numDims_; ++d)
-        recip[d] = 1.0 / (bw[d] * kGiga);
-
-    if (loop_ == TrainingLoop::NoOverlap) {
-        // Everything adds: no layer loop, just the global aggregates.
-        Seconds total = totalCompute_ + multiOpsTime(allMulti_, recip);
-        for (std::size_t d = 0; d < numDims_; ++d)
-            total += allSingles_[d] * recip[d];
-        return total;
-    }
-
-    Seconds total = 0.0;
-    const std::uint32_t dims = static_cast<std::uint32_t>(numDims_);
-    for (const auto& layer : meta_) {
-        Seconds fwdComm = singlesTime(layer.singlesRow, recip) +
-                          multiOpsTime(layer.fwd, recip);
-        Seconds igComm = singlesTime(layer.singlesRow + dims, recip) +
-                         multiOpsTime(layer.ig, recip);
-        Seconds wgComm =
-            singlesTime(layer.singlesRow + 2 * dims, recip) +
-            multiOpsTime(layer.wg, recip);
-        total += layer.fwdCompute + fwdComm + layer.igCompute +
-                 std::max(igComm, layer.wgCompute + wgComm);
-    }
-    return total;
 }
 
 CompiledWorkload

@@ -108,12 +108,16 @@ struct EstimatorOptions
  *
  *  - Ops spanning a single dimension need no bottleneck max, and their
  *    times simply add — so their traffic is pre-summed per (layer,
- *    phase, dim) at compile time. Under NoOverlap the whole workload
- *    further collapses to one per-dim traffic vector plus a compute
- *    constant, making an evaluation O(dims + multi-span entries) with
- *    no layer loop at all.
+ *    phase, dim) at compile time. Under NoOverlap those sums further
+ *    collapse to one per-dim traffic vector plus a compute constant.
  *  - Ops spanning several dimensions keep per-op extents into one
  *    contiguous (traffic, dim) entry array for the max reduction.
+ *  - A run of consecutive bit-identical layers (a transformer's
+ *    decoder stack) is stored once with a repeat count. Its comm
+ *    times are computed once per call, and their adds are replayed
+ *    `repeat` times in layer order, so an evaluation costs O(dims x
+ *    distinct layers) but performs the very same floating-point adds,
+ *    on the same values, as a walk over every layer.
  *
  * Per call the bandwidth vector is inverted once (reciprocal GB/s
  * scaling), so the hot loop is a branch-light multiply-and-max over
@@ -129,7 +133,11 @@ struct EstimatorOptions
 class CompiledWorkload
 {
   public:
-    /** Iteration time under @p bw (GB/s per dimension); SoA fast path. */
+    /**
+     * Iteration time under @p bw (GB/s per dimension): one candidate
+     * through the scalar instance of the batch kernel
+     * (core/eval_kernels_impl.hh).
+     */
     Seconds estimate(const BwConfig& bw) const;
 
     /**
@@ -180,9 +188,10 @@ class CompiledWorkload
     };
 
     /**
-     * SoA per-layer record (TpDpOverlap path): compute times,
-     * multi-span op ranges, and the index of this layer's per-dim
-     * single-span traffic rows in singles_.
+     * SoA record of one run of identical layers: compute times,
+     * multi-span op ranges (fwd, ig and wg are contiguous), the index
+     * of the layer's per-dim single-span traffic rows in singles_,
+     * and how many consecutive layers the run stands for.
      */
     struct LayerMeta
     {
@@ -191,15 +200,14 @@ class CompiledWorkload
         Seconds wgCompute = 0.0;
         PhaseRange fwd, ig, wg;
         std::uint32_t singlesRow = 0; ///< fwd row; ig/wg follow.
+        std::uint32_t repeat = 1;
     };
 
-    /** Bottleneck-time sum of the multi-span ops in @p r. */
-    Seconds multiOpsTime(PhaseRange r, const double* recip) const;
-
-    /** Dot of a singles_ row with the reciprocal-bandwidth vector. */
-    Seconds singlesTime(std::uint32_t row, const double* recip) const;
-
-    /** Build the flat arrays from the nested @p layers. */
+    /**
+     * Build the flat arrays from the nested @p layers, merging each
+     * run of consecutive layers whose compute times and ops match bit
+     * for bit into one LayerMeta.
+     */
     void buildSoA(const std::vector<CompiledLayer>& layers);
 
     TrainingLoop loop_ = TrainingLoop::NoOverlap;
@@ -209,19 +217,19 @@ class CompiledWorkload
     std::vector<Bytes> traffic_;         ///< Multi-span op traffic.
     std::vector<std::uint32_t> entryDim_; ///< Dim of each traffic entry.
     std::vector<std::uint32_t> opOffset_; ///< Entry extents; numOps + 1.
-    std::vector<LayerMeta> meta_;
+    std::vector<LayerMeta> meta_;          ///< One per run of layers.
+    std::uint32_t maxRunOps_ = 0; ///< Most multi-span ops in one run.
 
     /**
      * Per-dim traffic sums of single-span ops, numDims_ values per
-     * row: one row per (layer, phase) for TpDpOverlap.
+     * row: one row per (run, phase) for TpDpOverlap.
      */
     std::vector<Bytes> singles_;
 
-    // NoOverlap whole-workload aggregates: every phase time adds, so
-    // evaluation needs no layer loop at all.
+    // NoOverlap whole-workload aggregates, summed layer by layer: every
+    // phase time adds, so only the multi-span ops need the run loop.
     Seconds totalCompute_ = 0.0;
     std::vector<Bytes> allSingles_;    ///< numDims_ traffic sums.
-    PhaseRange allMulti_;              ///< All multi-span ops.
 };
 
 /**

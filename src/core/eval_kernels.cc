@@ -7,10 +7,10 @@
  * option selects them and always with that ISA's -m flags plus
  * -ffp-contract=off. This file — compiled with the plain target flags
  * — picks the widest compiled-in kernel the running CPU actually
- * supports, falling back to the scalar one-candidate-at-a-time path.
- * Every kernel is bit-identical to CompiledWorkload::estimate(), so
- * the choice is a pure throughput knob: results, goldens, and cache
- * keys never depend on it.
+ * supports, falling back to the scalar one-candidate-at-a-time path,
+ * whose one-wide kernel instance is CompiledWorkload::estimate().
+ * Every kernel is bit-identical to it, so the choice is a pure
+ * throughput knob: results, goldens, and cache keys never depend on it.
  */
 
 #include "core/estimator.hh"
@@ -73,6 +73,14 @@ activeSimdKernel()
         return "scalar";
     }
     return "scalar";
+}
+
+Seconds
+CompiledWorkload::estimate(const BwConfig& bw) const
+{
+    Seconds out;
+    detail::BatchKernel<simd::ScalarLane>::run(*this, &bw, 1, &out);
+    return out;
 }
 
 void

@@ -54,9 +54,19 @@ CompiledObjective::applyCost(Seconds time, const Vec& x) const
     return time * c;
 }
 
+void
+CompiledObjective::checkRank(const Vec& x) const
+{
+    if (x.size() != estimator_->network().numDims()) {
+        panic("point rank ", x.size(), " != compiled rank ",
+              estimator_->network().numDims());
+    }
+}
+
 double
 CompiledObjective::evaluateOne(const Vec& x) const
 {
+    checkRank(x);
     Seconds t = 0.0;
     for (const auto& [cw, weight] : compiled_)
         t += weight * cw.estimate(x);
@@ -73,6 +83,8 @@ CompiledObjective::evaluateBatch(const Vec* xs, std::size_t n,
     // the same adds, in the same order, as evaluateOne. Callers are
     // already pool work (multistart and sweep lanes), so the blocks
     // run in order on the calling thread.
+    for (std::size_t i = 0; i < n; ++i)
+        checkRank(xs[i]);
     constexpr std::size_t kBlock = 32;
     for (std::size_t lo = 0; lo < n; lo += kBlock) {
         const std::size_t count = std::min(kBlock, n - lo);

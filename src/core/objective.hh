@@ -73,6 +73,9 @@ class CompiledObjective final : public BatchEvaluable
                        double* out) const override;
 
   private:
+    /** Panics unless @p x has one entry per network dimension. */
+    void checkRank(const Vec& x) const;
+
     /** Cost factor under PerfPerCostOpt; 1-free pass for PerfOpt. */
     double applyCost(Seconds time, const Vec& x) const;
 

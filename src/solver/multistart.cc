@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "solver/pattern_search.hh"
@@ -143,6 +144,10 @@ multistartMinimize(const ScalarObjective& f,
             best.x = r.x;
         }
     }
+
+    if (best.x.empty())
+        fatal("no search start reached a feasible point with a finite "
+              "objective");
 
     // Final polish from the overall winner. The polish is one extra
     // budgeted stage: without the cap it could spend up to its 4000

@@ -73,7 +73,8 @@ MultistartOptions screeningOptions(MultistartOptions full, int starts,
 
 /**
  * Minimize @p f over @p constraints. @p hint provides both the first
- * start and the magnitude scale for random starts.
+ * start and the magnitude scale for random starts. Throws FatalError
+ * when no start ends feasible with a finite objective value.
  */
 SearchResult multistartMinimize(const ScalarObjective& f,
                                 const ConstraintSet& constraints,

@@ -31,7 +31,7 @@ struct QpView
 /**
  * Scratch for one QP solve: doubles and working-set row indices in
  * inline buffers, with a heap fallback past their capacity (the recipe
- * CompiledWorkload::estimate uses for its reciprocals). The inline
+ * the estimator kernels' ScratchBuffer uses for its reciprocals). The inline
  * sizes hold every problem LIBRA builds — a handful of dimensions, the
  * budget row, one lower bound per dimension and a few extra rows — so
  * those solve without touching the heap. One workspace per call:

@@ -9,9 +9,11 @@
  * across dimension counts chosen to cover full SIMD lanes, remainder
  * lanes, and the scalar tail (1, 2, 8, 15, 16, 17), both training
  * loops, and batch sizes leaving every padded remainder of the AVX2
- * and AVX-512 kernels; and they check that projected subgradient
- * descent, whose gradients go through the batch, retraces the
- * per-call search exactly.
+ * and AVX-512 kernels; the same grid covers the boundaries of the
+ * runs of identical layers the compiled form evaluates once. They
+ * also check that projected subgradient descent, whose gradients go
+ * through the batch, retraces the per-call search exactly, and that
+ * the objective seam rejects a point of the wrong rank.
  */
 
 #include <bit>
@@ -89,6 +91,54 @@ makeSyntheticWorkload(long npus)
     return w;
 }
 
+/**
+ * Layers (a, a, b, a, a, a) of the synthetic workload: three runs,
+ * where the two runs of `a` must not merge across `b`.
+ */
+Workload
+makeRunsWorkload(long npus)
+{
+    Workload w = makeSyntheticWorkload(npus);
+    const Layer a = w.layers[0];
+    const Layer b = w.layers[1];
+    w.name = "runs";
+    w.layers = {a, a, b, a, a, a};
+    return w;
+}
+
+/** One layer of the synthetic workload: a single run of length 1. */
+Workload
+makeOneLayerWorkload(long npus)
+{
+    Workload w = makeSyntheticWorkload(npus);
+    w.name = "one-layer";
+    w.layers.resize(1);
+    return w;
+}
+
+/**
+ * Three identical layers of 40 whole-network collectives each: a run
+ * with more multi-span ops than the evaluators keep inline (32).
+ */
+Workload
+makeWideLayerWorkload(long npus)
+{
+    Workload w = makeSyntheticWorkload(npus);
+    Layer wide = w.layers[0];
+    wide.name = "wide";
+    for (int k = 0; k < 40; ++k) {
+        CollectiveType type = k % 2 ? CollectiveType::AllToAll
+                                    : CollectiveType::AllReduce;
+        std::vector<CommOp>& phase =
+            k % 3 == 0 ? wide.fwdComm
+                       : (k % 3 == 1 ? wide.igComm : wide.wgComm);
+        phase.push_back({type, CommScope::All, 1e7 * (k + 1)});
+    }
+    w.name = "wide";
+    w.layers = {wide, wide, wide};
+    return w;
+}
+
 /** Random feasible-ish bandwidth point (positive, bounded total). */
 BwConfig
 randomPoint(Rng& rng, std::size_t dims)
@@ -157,6 +207,37 @@ TEST_P(ObjectiveKernels, BatchMatchesScalarBitExact)
     }
 }
 
+/**
+ * Runs of identical layers are evaluated once and their adds
+ * replayed. At run boundaries — non-adjacent repeats, a lone layer,
+ * a run whose op times spill past the inline scratch — the batch must
+ * still match the scalar path to the bit, and both must match the
+ * uncompiled per-layer walk up to its summation order.
+ */
+TEST_P(ObjectiveKernels, RunBoundariesBatchMatchesScalarBitExact)
+{
+    Rng rng(0x12A5 + GetParam().dims);
+    for (const Workload& w : {makeRunsWorkload(net_->npus()),
+                              makeOneLayerWorkload(net_->npus()),
+                              makeWideLayerWorkload(net_->npus())}) {
+        SCOPED_TRACE(w.name);
+        CompiledWorkload cw = est_->compile(w);
+        std::vector<BwConfig> pool;
+        for (int i = 0; i < 11; ++i)
+            pool.push_back(randomPoint(rng, net_->numDims()));
+        std::vector<Seconds> out = cw.estimateBatch(pool);
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+            Seconds scalar = cw.estimate(pool[i]);
+            EXPECT_EQ(bits(out[i]), bits(scalar))
+                << "candidate " << i << " (" << activeSimdKernel()
+                << " kernel)";
+            Seconds direct = est_->estimate(w, pool[i]);
+            EXPECT_NEAR(scalar, direct, 1e-12 * direct)
+                << "candidate " << i;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     LaneGrid, ObjectiveKernels,
     ::testing::Values(KernelCase{1, TrainingLoop::NoOverlap},
@@ -206,6 +287,31 @@ TEST(ObjectiveFacade, RecoveredOnlyForAnalyticalTiming)
     EXPECT_EQ(batchFacet(lambda), nullptr);
 }
 #pragma GCC diagnostic pop
+
+/**
+ * A point whose rank differs from the compiled network's is an
+ * invariant violation: both entry points of the compiled objective
+ * panic instead of reading past the point.
+ */
+TEST(ObjectiveFacadeDeathTest, WrongRankPointPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Network net = Network::parse("RI(4)_FC(4)_SW(4)");
+    TrainingEstimator est(net);
+    CostModel cost = CostModel::defaultModel();
+    std::vector<TargetWorkload> targets = {
+        {wl::resnet50(net.npus()), 1.0}};
+    CompiledObjective objective(OptimizationObjective::PerfOpt, est, cost,
+                                targets);
+    const std::vector<Vec> points = {Vec(3, 100.0), Vec{}, Vec(3, 100.0)};
+    double out[3];
+    EXPECT_DEATH(objective.evaluateOne(Vec{}),
+                 "panic: point rank 0 != compiled rank 3");
+    EXPECT_DEATH(objective.evaluateOne(Vec(4, 100.0)),
+                 "panic: point rank 4 != compiled rank 3");
+    EXPECT_DEATH(objective.evaluateBatch(points.data(), points.size(), out),
+                 "panic: point rank 0 != compiled rank 3");
+}
 
 class ObjectiveFacets
     : public ::testing::TestWithParam<OptimizationObjective>

@@ -214,8 +214,9 @@ runMutatedExample(const std::vector<std::pair<std::string, std::string>>&
     return run;
 }
 
+/** @p run ended with exit 1, not a signal, and @p needle on stderr. */
 void
-expectLineNumberedFatal(const CliRun& run, const std::string& needle)
+expectFatalExit(const CliRun& run, const std::string& needle)
 {
     EXPECT_TRUE(run.exited) << "status " << run.status;
     EXPECT_EQ(run.status, 1);
@@ -227,21 +228,21 @@ expectLineNumberedFatal(const CliRun& run, const std::string& needle)
 
 TEST(StudyConfigCli, NanTotalBwExitsOneNamingTheLine)
 {
-    expectLineNumberedFatal(
+    expectFatalExit(
         runMutatedExample({{"\nTOTAL_BW 500\n", "\nTOTAL_BW nan\n"}}),
         "study line 3: bad total BW 'nan'");
 }
 
 TEST(StudyConfigCli, InfTotalBwExitsOneNamingTheLine)
 {
-    expectLineNumberedFatal(
+    expectFatalExit(
         runMutatedExample({{"\nTOTAL_BW 500\n", "\nTOTAL_BW inf\n"}}),
         "study line 3: bad total BW 'inf'");
 }
 
 TEST(StudyConfigCli, NanWeightExitsOneNamingTheLine)
 {
-    expectLineNumberedFatal(
+    expectFatalExit(
         runMutatedExample({{"\nWORKLOAD gpt3\n",
                             "\nWORKLOAD gpt3 WEIGHT nan\n"}}),
         "study line 7: bad weight 'nan'");
@@ -249,10 +250,31 @@ TEST(StudyConfigCli, NanWeightExitsOneNamingTheLine)
 
 TEST(StudyConfigCli, NanLinkCostUnderPerfPerCostExitsOneNamingTheLine)
 {
-    expectLineNumberedFatal(
+    expectFatalExit(
         runMutatedExample({{"OBJECTIVE PERF ", "OBJECTIVE PERF_PER_COST "},
                            {"# COST Pod LINK 7.8", "COST Pod LINK nan"}}),
         "study line 14: bad cost value 'nan'");
+}
+
+// A finite 1e308 price passes the number check but overflows the
+// DOLLAR_CAP budget, so no search start ends feasible.
+// multistartMinimize used to hand its empty winner to the final polish
+// (SIGSEGV); it now fails the study. Each of the three prices behaves
+// alike.
+TEST(StudyConfigCli, HugeCostUnderDollarCapExitsOne)
+{
+    for (const char* cost : {"COST Pod LINK 1e308 SWITCH 18.0 NIC 31.6",
+                             "COST Pod LINK 7.8 SWITCH 1e308 NIC 31.6",
+                             "COST Pod LINK 7.8 SWITCH 18.0 NIC 1e308"}) {
+        SCOPED_TRACE(cost);
+        expectFatalExit(
+            runMutatedExample(
+                {{"OBJECTIVE PERF ", "OBJECTIVE PERF_PER_COST "},
+                 {"# COST Pod LINK 7.8 SWITCH 18.0 NIC 31.6", cost},
+                 {"# DOLLAR_CAP", "DOLLAR_CAP"}}),
+            "fatal: no search start reached a feasible point with a "
+            "finite objective");
+    }
 }
 
 // The four `list* --emit json` commands iterate the registries; pin

@@ -14,9 +14,10 @@
 #               4. warm-all: a 1-thread `run-matrix all` over the cache
 #                  a 4-thread run filled is byte-identical and serves
 #                  all 366 points from that cache (PERF.md).
-#               5. hostile-number: nan/inf in a study file end the CLI
-#                  with exit 1 and a line-numbered error, never a
-#                  signal (ROBUSTNESS.md).
+#               5. hostile-number: nan/inf in a study file, and a
+#                  1e308 price under a DOLLAR_CAP, end the CLI with
+#                  exit 1 and a named error, never a signal
+#                  (ROBUSTNESS.md).
 #               6. explore: `explore-frontier --explore prune`,
 #                  byte-identical fresh at 2 and 4 threads and cached
 #                  (EXPLORE.md).
@@ -34,9 +35,11 @@
 #              11. sharded-prune: adaptive prune rounds on 2 workers
 #                  equal the single-process prune run, fresh and
 #                  cached (SHARDING.md, EXPLORE.md).
-#              12. simd: a LIBRA_SIMD=off build (build-simd-off/) emits
-#                  the default build's golden JSON, fresh at 1 thread
-#                  and cached at 8 (PERF.md).
+#              12. simd: a LIBRA_SIMD=off build (build-simd-off/) and,
+#                  on hosts whose CPU lists avx2, a LIBRA_SIMD=avx2
+#                  build (build-simd-avx2/) emit the default build's
+#                  golden JSON, fresh at 1 thread and cached at 8
+#                  (PERF.md).
 #              13. objective bench: micro_objective_eval writes
 #                  BENCH_objective.json with the tracked speedups.
 #              14. perfbench: perfbench/ builds in build-perfbench/ and
@@ -182,16 +185,30 @@ if [[ -z "${MODE}" ]]; then
   grep -q "366 from cache, 0 computed" "${SMOKE_DIR}/wwarm.status"
   echo "warm-all smoke: byte-identical matrix JSON (fresh 4t vs cached 1t), 366 from cache, 0 computed"
 
-  # Hostile-number smoke: nan and inf in a study file are user errors.
-  # Each edit of the example study (the last also switches to the
-  # PERF_PER_COST objective its COST line feeds) must end the CLI with
-  # exit 1 and a line-numbered message, never a signal
+  # Hostile-number smoke: nan and inf in a study file are user errors,
+  # and so is a finite 1e308 price that leaves no start inside a
+  # DOLLAR_CAP. Each edit of the example study (the cost edits also
+  # switch to the PERF_PER_COST objective its COST line feeds) must end
+  # the CLI with exit 1 and its ERRORS entry, never a signal
   # (docs/ROBUSTNESS.md).
   "${BUILD_DIR}/libra_cli" --example > "${SMOKE_DIR}/example.study"
-  for edit in 's/^TOTAL_BW 500$/TOTAL_BW nan/' \
-      's/^TOTAL_BW 500$/TOTAL_BW inf/' \
-      's/^WORKLOAD gpt3$/WORKLOAD gpt3 WEIGHT nan/' \
-      's/^OBJECTIVE PERF /OBJECTIVE PERF_PER_COST /;s/^# COST Pod LINK 7.8 /COST Pod LINK nan /'; do
+  PER_COST='s/^OBJECTIVE PERF /OBJECTIVE PERF_PER_COST /'
+  CAPPED='s/^# DOLLAR_CAP/DOLLAR_CAP/'
+  NONFINITE="study line [0-9]+: bad .* '(nan|inf)'"
+  NO_START="fatal: no search start reached a feasible point with a finite objective"
+  EDITS=(
+    's/^TOTAL_BW 500$/TOTAL_BW nan/'
+    's/^TOTAL_BW 500$/TOTAL_BW inf/'
+    's/^WORKLOAD gpt3$/WORKLOAD gpt3 WEIGHT nan/'
+    "${PER_COST};s/^# COST Pod LINK 7.8 /COST Pod LINK nan /"
+    "${PER_COST};s/^# COST Pod LINK 7.8 /COST Pod LINK 1e308 /;${CAPPED}"
+    "${PER_COST};s/^# COST Pod LINK 7.8 SWITCH 18.0 /COST Pod LINK 7.8 SWITCH 1e308 /;${CAPPED}"
+    "${PER_COST};s/^# COST Pod LINK 7.8 SWITCH 18.0 NIC 31.6/COST Pod LINK 7.8 SWITCH 18.0 NIC 1e308/;${CAPPED}"
+  )
+  ERRORS=("${NONFINITE}" "${NONFINITE}" "${NONFINITE}" "${NONFINITE}"
+          "${NO_START}" "${NO_START}" "${NO_START}")
+  for i in "${!EDITS[@]}"; do
+    edit="${EDITS[${i}]}"
     sed "${edit}" "${SMOKE_DIR}/example.study" > "${SMOKE_DIR}/hostile.study"
     if cmp -s "${SMOKE_DIR}/example.study" "${SMOKE_DIR}/hostile.study"; then
       echo "hostile-number smoke: '${edit}' no longer edits the example study" >&2
@@ -204,9 +221,12 @@ if [[ -z "${MODE}" ]]; then
       echo "hostile-number smoke: '${edit}' exited ${STATUS}, want 1" >&2
       exit 1
     fi
-    grep -Eq "study line [0-9]+: bad .* '(nan|inf)'" "${SMOKE_DIR}/hostile.err"
+    if ! grep -Eq "${ERRORS[${i}]}" "${SMOKE_DIR}/hostile.err"; then
+      echo "hostile-number smoke: '${edit}' did not report '${ERRORS[${i}]}'" >&2
+      exit 1
+    fi
   done
-  echo "hostile-number smoke: non-finite study numbers exit 1 with a line-numbered error"
+  echo "hostile-number smoke: non-finite study numbers and an unreachable DOLLAR_CAP exit 1 with a named error"
 
   # Explore smoke: the design-space layer end to end through the CLI.
   # The prune strategy's screening rounds and promotions must emit
@@ -368,23 +388,33 @@ PY
   # bit-identical to the scalar fallback (docs/PERF.md), so a golden
   # matrix run from a LIBRA_SIMD=off build must emit byte-identical
   # JSON to the default (auto) build — fresh at 1 thread, then served
-  # from each build's own cache at 8 threads.
-  cmake -B build-simd-off -S . -DLIBRA_WERROR=ON -DLIBRA_SIMD=off \
-    -DLIBRA_BUILD_TESTS=OFF -DLIBRA_BUILD_BENCH=OFF \
-    -DLIBRA_BUILD_EXAMPLES=OFF
-  cmake --build build-simd-off -j"${JOBS}" --target libra_cli
+  # from each build's own cache at 8 threads. On an AVX-512 host the
+  # auto build never dispatches to the AVX2 kernel, so a
+  # LIBRA_SIMD=avx2 build runs it whenever the CPU has AVX2.
+  SIMD_BUILDS=(off)
+  if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+    SIMD_BUILDS+=(avx2)
+  fi
+  for simd in "${SIMD_BUILDS[@]}"; do
+    cmake -B "build-simd-${simd}" -S . -DLIBRA_WERROR=ON \
+      -DLIBRA_SIMD="${simd}" -DLIBRA_BUILD_TESTS=OFF \
+      -DLIBRA_BUILD_BENCH=OFF -DLIBRA_BUILD_EXAMPLES=OFF
+    cmake --build "build-simd-${simd}" -j"${JOBS}" --target libra_cli
+  done
   for t in 1 8; do
     "${BUILD_DIR}/libra_cli" run-matrix golden --emit json \
       --cache-dir "${SMOKE_DIR}/simd-auto-cache" \
       --out "${SMOKE_DIR}/simd-auto-${t}t.json" --threads "${t}"
-    build-simd-off/libra_cli run-matrix golden --emit json \
-      --cache-dir "${SMOKE_DIR}/simd-off-cache" \
-      --out "${SMOKE_DIR}/simd-off-${t}t.json" --threads "${t}"
-    cmp "${SMOKE_DIR}/simd-auto-${t}t.json" \
-      "${SMOKE_DIR}/simd-off-${t}t.json"
+    for simd in "${SIMD_BUILDS[@]}"; do
+      "build-simd-${simd}/libra_cli" run-matrix golden --emit json \
+        --cache-dir "${SMOKE_DIR}/simd-${simd}-cache" \
+        --out "${SMOKE_DIR}/simd-${simd}-${t}t.json" --threads "${t}"
+      cmp "${SMOKE_DIR}/simd-auto-${t}t.json" \
+        "${SMOKE_DIR}/simd-${simd}-${t}t.json"
+    done
   done
   cmp "${SMOKE_DIR}/simd-auto-1t.json" "${SMOKE_DIR}/simd-auto-8t.json"
-  echo "simd smoke: byte-identical matrix JSON (LIBRA_SIMD=off vs auto, fresh 1t vs cached 8t)"
+  echo "simd smoke: byte-identical matrix JSON (LIBRA_SIMD=${SIMD_BUILDS[*]} vs auto, fresh 1t vs cached 8t)"
 
   # Objective-throughput smoke: the bench must run and emit parseable
   # metrics with the scalar-SoA and gradient-batch speedups the perf
