@@ -36,13 +36,16 @@ CompiledObjective::CompiledObjective(
     const CostModel& cost_model,
     const std::vector<TargetWorkload>& targets)
     : objective_(objective), estimator_(&estimator),
-      costModel_(&cost_model)
+      npus_(static_cast<double>(estimator.network().npus()))
 {
     compiled_.reserve(targets.size());
     for (const auto& target : targets) {
         compiled_.emplace_back(estimator.compile(target.workload),
                                target.weight);
     }
+    for (std::size_t i = 0; i < estimator.network().numDims(); ++i)
+        dollarPerGBps_.push_back(
+            cost_model.dollarPerGBps(estimator.network().dim(i)));
 }
 
 double
@@ -50,7 +53,12 @@ CompiledObjective::applyCost(Seconds time, const Vec& x) const
 {
     if (objective_ == OptimizationObjective::PerfOpt)
         return time;
-    Dollars c = costModel_->networkCost(estimator_->network(), x);
+    // CostModel::networkCost with the per-dimension rates hoisted: the
+    // same adds and multiplies in the same order.
+    double perNpu = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i)
+        perNpu += dollarPerGBps_[i] * x[i];
+    Dollars c = perNpu * npus_;
     return time * c;
 }
 

@@ -61,8 +61,8 @@ Seconds weightedTime(const TrainingEstimator& estimator,
 class CompiledObjective final : public BatchEvaluable
 {
   public:
-    /** Compiles every target; @p estimator and @p cost_model must
-     *  outlive this objective. */
+    /** Compiles every target and reads @p cost_model's per-dimension
+     *  prices once; @p estimator must outlive this objective. */
     CompiledObjective(OptimizationObjective objective,
                       const TrainingEstimator& estimator,
                       const CostModel& cost_model,
@@ -81,8 +81,9 @@ class CompiledObjective final : public BatchEvaluable
 
     OptimizationObjective objective_;
     const TrainingEstimator* estimator_;
-    const CostModel* costModel_;
     std::vector<std::pair<CompiledWorkload, double>> compiled_;
+    Vec dollarPerGBps_; ///< CostModel::dollarPerGBps of each dimension.
+    double npus_;       ///< The network's NPU count.
 };
 
 /**

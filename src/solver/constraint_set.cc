@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -32,6 +33,7 @@ ConstraintSet::add(LinearConstraint c)
         panic("constraint width ", c.coeffs.size(), " != numVars ",
               numVars_);
     }
+    c.normSq = dot(c.coeffs, c.coeffs);
     constraints_.push_back(std::move(c));
 }
 
@@ -170,7 +172,17 @@ class ConstraintParser
         if (pos_ == start)
             fatal("constraint '", text_, "': expected number at pos ",
                   start);
-        return std::stod(text_.substr(start, pos_ - start));
+        // The scan accepts malformed tokens ("1e", "1.2.3") that stod
+        // would cut short, and stod throws past the double range.
+        const std::string token = text_.substr(start, pos_ - start);
+        try {
+            std::size_t used = 0;
+            double v = std::stod(token, &used);
+            if (used == token.size() && std::isfinite(v))
+                return v;
+        } catch (const std::exception&) {
+        }
+        fatal("constraint '", text_, "': bad number '", token, "'");
     }
 
     /** term := [number ['*']] Bk | number */
@@ -200,11 +212,15 @@ class ConstraintParser
                 ++pos_;
             if (pos_ == start)
                 fatal("constraint '", text_, "': 'B' without index");
-            std::size_t idx =
-                static_cast<std::size_t>(
-                    std::stoul(text_.substr(start, pos_ - start)));
+            // Saturate past numVars_, so no index text can overflow.
+            std::size_t idx = 0;
+            for (std::size_t i = start; i < pos_; ++i)
+                idx = std::min<std::size_t>(
+                    idx * 10 + static_cast<std::size_t>(text_[i] - '0'),
+                    numVars_ + 1);
             if (idx < 1 || idx > numVars_) {
-                fatal("constraint '", text_, "': B", idx,
+                fatal("constraint '", text_, "': B",
+                      text_.substr(start, pos_ - start),
                       " out of range (network has ", numVars_, " dims)");
             }
             e->coeffs[idx - 1] += sign * coeff;

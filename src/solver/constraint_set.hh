@@ -30,6 +30,7 @@ struct LinearConstraint
     Relation rel = Relation::Eq;
     double rhs = 0.0;
     std::string label;
+    double normSq = 0.0; ///< coeffs . coeffs, set by ConstraintSet::add.
 
     /** Signed violation: positive means the constraint is violated. */
     double violation(const Vec& x) const;
@@ -46,7 +47,7 @@ class ConstraintSet
 
     std::size_t numVars() const { return numVars_; }
 
-    /** Add a fully formed constraint. */
+    /** Add a fully formed constraint (its normSq is recomputed). */
     void add(LinearConstraint c);
 
     /** Add coeffs . x (rel) rhs. */

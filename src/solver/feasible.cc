@@ -10,7 +10,7 @@ namespace {
 void
 projectOne(const LinearConstraint& c, Vec* x)
 {
-    double a2 = dot(c.coeffs, c.coeffs);
+    const double a2 = c.normSq;
     if (a2 <= 0.0)
         return;
     double lhs = dot(c.coeffs, *x);
@@ -36,20 +36,17 @@ projectOne(const LinearConstraint& c, Vec* x)
 
 } // namespace
 
-Vec
-findFeasiblePoint(const ConstraintSet& constraints, const Vec& hint,
-                  double tol, int max_sweeps)
+double
+findFeasiblePoint(const ConstraintSet& constraints, Vec* x, double tol,
+                  int max_sweeps)
 {
-    Vec x = hint;
-    x.resize(constraints.numVars(), 0.0);
-
-    for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+    for (int sweep = 1;; ++sweep) {
         for (const auto& c : constraints.constraints())
-            projectOne(c, &x);
-        if (constraints.maxViolation(x) <= tol)
-            break;
+            projectOne(c, x);
+        const double worst = constraints.maxViolation(*x);
+        if (worst <= tol || sweep >= max_sweeps)
+            return worst;
     }
-    return x;
 }
 
 } // namespace libra

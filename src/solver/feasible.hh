@@ -18,17 +18,18 @@
 namespace libra {
 
 /**
- * Find a point satisfying @p constraints, starting near @p hint.
+ * Move @p x into @p constraints by cyclic projection sweeps.
  *
  * @param constraints Polyhedron to land in.
- * @param hint        Starting point (any vector of the right width).
+ * @param x           Start (numVars() entries), updated in place.
  * @param tol         Target max violation.
- * @param max_sweeps  Cyclic projection sweeps before giving up.
- * @return Point with maxViolation <= tol when the set is non-empty;
- *         otherwise the best point found (callers must re-check).
+ * @param max_sweeps  Sweeps before giving up (at least one runs).
+ * @return maxViolation(*x), the value the last sweep checked: <= tol
+ *         when the set is non-empty; otherwise x is the best point
+ *         found.
  */
-Vec findFeasiblePoint(const ConstraintSet& constraints, const Vec& hint,
-                      double tol = 1e-10, int max_sweeps = 20000);
+double findFeasiblePoint(const ConstraintSet& constraints, Vec* x,
+                         double tol = 1e-10, int max_sweeps = 20000);
 
 } // namespace libra
 

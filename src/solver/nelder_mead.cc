@@ -14,13 +14,20 @@ nelderMead(const ScalarObjective& f, const ConstraintSet& constraints,
 {
     const std::size_t n = x0.size();
 
+    // Every loop buffer below is sized once; the iterations reuse them.
+    Vec clipped(n);
     auto penalized = [&](const Vec& x) {
         double v = constraints.maxViolation(x);
         // Guard against negative bandwidths reaching the raw objective.
-        Vec clipped = x;
-        for (auto& c : clipped)
-            c = std::max(c, 1e-9);
+        for (std::size_t i = 0; i < n; ++i)
+            clipped[i] = std::max(x[i], 1e-9);
         return f(clipped) + options.penaltyWeight * v * v;
+    };
+    // out = axpy(a, s, sub(b, c)), element by element.
+    auto combine = [n](Vec& out, const Vec& a, double s, const Vec& b,
+                       const Vec& c) {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = a[i] + s * (b[i] - c[i]);
     };
 
     double base = 1.0;
@@ -41,22 +48,27 @@ nelderMead(const ScalarObjective& f, const ConstraintSet& constraints,
     for (const auto& v : simplex)
         values.push_back(penalized(v));
 
+    // Sort by value, permuting the vertices by swaps (no copies).
+    std::vector<std::size_t> idx(simplex.size());
+    std::vector<Vec> sorted(simplex.size());
+    std::vector<double> sortedValues(simplex.size());
     auto order = [&]() {
-        std::vector<std::size_t> idx(simplex.size());
         std::iota(idx.begin(), idx.end(), 0);
         std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
             return values[a] < values[b];
         });
-        std::vector<Vec> s2;
-        std::vector<double> v2;
-        for (auto i : idx) {
-            s2.push_back(simplex[i]);
-            v2.push_back(values[i]);
+        for (std::size_t k = 0; k < idx.size(); ++k) {
+            sorted[k].swap(simplex[idx[k]]);
+            sortedValues[k] = values[idx[k]];
         }
-        simplex.swap(s2);
-        values.swap(v2);
+        simplex.swap(sorted);
+        values.swap(sortedValues);
     };
 
+    Vec centroid(n);
+    Vec reflected(n);
+    Vec expanded(n);
+    Vec contracted(n);
     int iter = 0;
     for (; iter < options.maxIterations; ++iter) {
         order();
@@ -65,41 +77,41 @@ nelderMead(const ScalarObjective& f, const ConstraintSet& constraints,
             break;
 
         // Centroid of all but the worst vertex.
-        Vec centroid(n, 0.0);
+        std::fill(centroid.begin(), centroid.end(), 0.0);
         for (std::size_t v = 0; v + 1 < simplex.size(); ++v)
             for (std::size_t i = 0; i < n; ++i)
                 centroid[i] += simplex[v][i];
         for (auto& c : centroid)
             c /= static_cast<double>(simplex.size() - 1);
 
-        const Vec& worst = simplex.back();
-        Vec reflected = axpy(centroid, 1.0, sub(centroid, worst));
+        Vec& worst = simplex.back();
+        combine(reflected, centroid, 1.0, centroid, worst);
         double fr = penalized(reflected);
 
         if (fr < values.front()) {
-            Vec expanded = axpy(centroid, 2.0, sub(centroid, worst));
+            combine(expanded, centroid, 2.0, centroid, worst);
             double fe = penalized(expanded);
             if (fe < fr) {
-                simplex.back() = expanded;
+                worst.swap(expanded);
                 values.back() = fe;
             } else {
-                simplex.back() = reflected;
+                worst.swap(reflected);
                 values.back() = fr;
             }
         } else if (fr < values[values.size() - 2]) {
-            simplex.back() = reflected;
+            worst.swap(reflected);
             values.back() = fr;
         } else {
-            Vec contracted = axpy(centroid, 0.5, sub(worst, centroid));
+            combine(contracted, centroid, 0.5, worst, centroid);
             double fc = penalized(contracted);
             if (fc < values.back()) {
-                simplex.back() = contracted;
+                worst.swap(contracted);
                 values.back() = fc;
             } else {
                 // Shrink towards the best vertex.
                 for (std::size_t v = 1; v < simplex.size(); ++v) {
-                    simplex[v] = axpy(simplex.front(), 0.5,
-                                      sub(simplex[v], simplex.front()));
+                    combine(simplex[v], simplex.front(), 0.5, simplex[v],
+                            simplex.front());
                     values[v] = penalized(simplex[v]);
                 }
             }

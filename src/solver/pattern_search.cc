@@ -49,7 +49,7 @@ patternSearch(const ScalarObjective& f, const ConstraintSet& constraints,
                 Vec& cand = polls[k];
                 cand = best.x;
                 cand[k / 2] += (k % 2 ? -1.0 : +1.0) * step;
-                cand = projectOntoConstraints(constraints, cand);
+                projectOntoConstraints(constraints, cand, &cand);
             }
             if (batch)
                 batch->evaluateBatch(polls.data() + next, end - next,

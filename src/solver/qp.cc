@@ -138,8 +138,11 @@ assembleKkt(const QpView& qp, const double* x, const std::size_t* working,
 /**
  * Primal active-set iterations from the feasible point @p x (updated in
  * place). Records the iteration count and convergence in @p result.
+ *
+ * @return true when an iteration stepped x (even by alpha = 0); false
+ *         means x was never written.
  */
-void
+bool
 runActiveSet(const QpView& qp, const QpOptions& options, double* x,
              QpWorkspace& ws, QpResult* result)
 {
@@ -154,6 +157,7 @@ runActiveSet(const QpView& qp, const QpOptions& options, double* x,
     // Initialize the working set with inequality rows active at x0.
     std::size_t* working = ws.rows();
     std::size_t mw = 0;
+    bool moved = false;
     for (std::size_t r = 0; r < qp.mi; ++r) {
         if (std::abs(rowDot(qp.g + r * n, x, n) - qp.h[r]) <= 1e-8)
             working[mw++] = r;
@@ -221,9 +225,11 @@ runActiveSet(const QpView& qp, const QpOptions& options, double* x,
 
         for (std::size_t i = 0; i < n; ++i)
             x[i] = x[i] + alpha * p[i];
+        moved = true;
         if (blocking != std::numeric_limits<std::size_t>::max())
             working[mw++] = blocking;
     }
+    return moved;
 }
 
 } // namespace
@@ -249,25 +255,19 @@ QpSolver::solve(const Vec& x0) const
     return result;
 }
 
-Vec
-projectOntoConstraints(const ConstraintSet& constraints, const Vec& point)
+void
+projectOntoConstraints(const ConstraintSet& constraints, const Vec& point,
+                       Vec* out)
 {
     const std::size_t n = constraints.numVars();
     if (point.size() != n)
         panic("projecting a ", point.size(), "-vector onto ", n,
               " variables");
 
-    // Phase 1: alternating projections reach a feasible neighbourhood.
-    // The returned vector is their output and then the QP iterate.
-    Vec x = findFeasiblePoint(constraints, point);
-    if (!constraints.feasible(x, 1e-5)) {
-        fatal("constraint set is infeasible (residual ",
-              constraints.maxViolation(x), ")");
-    }
-
-    // Phase 2: exact projection, min 1/2||x||^2 - point'x, over the
-    // canonical rows: equalities A x = b, inequalities G x <= h with
-    // Ge rows negated into Le form, each kept in constraint order.
+    // Phase 2's problem, min 1/2||x||^2 - point'x, over the canonical
+    // rows: equalities A x = b, inequalities G x <= h with Ge rows
+    // negated into Le form, each kept in constraint order. c is read
+    // from point before phase 1 writes *out, so out may alias point.
     QpView qp;
     qp.n = n;
     for (const auto& c : constraints.constraints())
@@ -275,14 +275,22 @@ projectOntoConstraints(const ConstraintSet& constraints, const Vec& point)
     QpWorkspace ws(n * n + n + qp.me * n + qp.mi * (n + 1) + n +
                        activeSetDoubles(qp),
                    qp.mi);
+    double* c = ws.take(n);
+    for (std::size_t i = 0; i < n; ++i)
+        c[i] = -1.0 * point[i];
+
+    // Phase 1: alternating projections reach a feasible neighbourhood.
+    // Their output is then the QP iterate.
+    Vec& x = *out;
+    x = point;
+    const double residual = findFeasiblePoint(constraints, &x);
+    if (!(residual <= 1e-5))
+        fatal("constraint set is infeasible (residual ", residual, ")");
 
     double* q = ws.take(n * n);
     std::fill(q, q + n * n, 0.0);
     for (std::size_t i = 0; i < n; ++i)
         q[i * n + i] = 1.0;
-    double* c = ws.take(n);
-    for (std::size_t i = 0; i < n; ++i)
-        c[i] = -1.0 * point[i];
     double* a = ws.take(qp.me * n);
     double* g = ws.take(qp.mi * n);
     double* h = ws.take(qp.mi);
@@ -310,12 +318,22 @@ projectOntoConstraints(const ConstraintSet& constraints, const Vec& point)
     qp.g = g;
     qp.h = h;
 
+    // Fall back to the phase-1 point if the active set stepped out of
+    // the polyhedron. Without a step x still equals that point bit for
+    // bit, so the check could not change it.
     double* start = ws.take(n);
     std::copy(x.begin(), x.end(), start);
     QpResult stats;
-    runActiveSet(qp, QpOptions{}, x.data(), ws, &stats);
-    if (!constraints.feasible(x, 1e-6))
+    if (runActiveSet(qp, QpOptions{}, x.data(), ws, &stats) &&
+        !constraints.feasible(x, 1e-6))
         std::copy(start, start + n, x.begin());
+}
+
+Vec
+projectOntoConstraints(const ConstraintSet& constraints, const Vec& point)
+{
+    Vec x;
+    projectOntoConstraints(constraints, point, &x);
     return x;
 }
 

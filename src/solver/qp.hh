@@ -67,11 +67,16 @@ class QpSolver
  * with Q = I starting from an alternating-projection feasible point.
  * The QP's matrices, its KKT system and its working set live in one
  * per-call workspace (inline storage, heap only for problems past it),
- * so the returned vector is the call's only allocation for the
- * problem sizes LIBRA builds. Safe to call concurrently.
+ * so for the problem sizes LIBRA builds a call allocates nothing
+ * beyond growing @p out to numVars() entries. @p out may alias
+ * @p point. Safe to call concurrently.
  *
  * @throws FatalError when the constraint set is (numerically) infeasible.
  */
+void projectOntoConstraints(const ConstraintSet& constraints,
+                            const Vec& point, Vec* out);
+
+/** projectOntoConstraints() into a new vector. */
 Vec projectOntoConstraints(const ConstraintSet& constraints,
                            const Vec& point);
 

@@ -1,5 +1,6 @@
 #include "workload/parser.hh"
 
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <sstream>
@@ -59,13 +60,19 @@ parseScope(const std::string& token, int line)
     fatal("workload line ", line, ": unknown scope '", token, "'");
 }
 
+/**
+ * A finite number (nan and inf parse, but no keyword takes them); with
+ * @p non_negative, also >= 0, as compute times and sizes must be.
+ */
 double
-parseNumber(const std::string& token, int line, const char* what)
+parseNumber(const std::string& token, int line, const char* what,
+            bool non_negative = false)
 {
     try {
         std::size_t used = 0;
         double v = std::stod(token, &used);
-        if (used != token.size())
+        if (used != token.size() || !std::isfinite(v) ||
+            (non_negative && v < 0.0))
             throw std::invalid_argument(token);
         return v;
     } catch (const std::exception&) {
@@ -143,7 +150,7 @@ parseWorkload(std::istream& in)
                 fatal("workload line ", lineNo, ": ", keyword,
                       " outside LAYER");
             double v = parseNumber(wantToken("compute time"), lineNo,
-                                   "compute time");
+                                   "compute time", true);
             if (keyword == "FWD_COMPUTE")
                 layer->fwdCompute = v;
             else if (keyword == "IG_COMPUTE")
@@ -160,7 +167,7 @@ parseWorkload(std::istream& in)
                 parseCollective(wantToken("collective type"), lineNo);
             op.scope = parseScope(wantToken("comm scope"), lineNo);
             op.size = parseNumber(wantToken("collective size"), lineNo,
-                                  "collective size");
+                                  "collective size", true);
             if (keyword == "FWD_COMM")
                 layer->fwdComm.push_back(op);
             else if (keyword == "IG_COMM")

@@ -109,6 +109,15 @@ TEST(ConstraintParser, Errors)
     EXPECT_THROW(cs.addParsed("B <= 5"), FatalError);      // No index.
     EXPECT_THROW(cs.addParsed("B1 <= + "), FatalError);    // Bad term.
     EXPECT_THROW(cs.addParsed("B1 ~ 5"), FatalError);      // Bad relation.
+    // Past the index and double ranges, and malformed number tokens.
+    EXPECT_THROW(cs.addParsed("B99999999999999999999999 <= 5"),
+                 FatalError);
+    EXPECT_THROW(cs.addParsed("B1 <= 1e-320"), FatalError);
+    EXPECT_THROW(cs.addParsed("B1 <= 1e999"), FatalError);
+    EXPECT_THROW(cs.addParsed("B1 <= 1e"), FatalError);
+    EXPECT_THROW(cs.addParsed("B1 <= 1.2.3"), FatalError);
+    EXPECT_THROW(cs.addParsed(". B1 <= 5"), FatalError);
+    EXPECT_TRUE(cs.constraints().empty());
 }
 
 TEST(ConstraintSet, LabelsPreserved)

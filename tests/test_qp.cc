@@ -26,8 +26,10 @@ TEST(FindFeasible, HitsSimplex)
     ConstraintSet cs(3);
     cs.addTotalBw(30.0);
     cs.addLowerBounds(1.0);
-    Vec x = findFeasiblePoint(cs, {100.0, -5.0, 2.0});
-    EXPECT_LE(cs.maxViolation(x), 1e-8);
+    Vec x{100.0, -5.0, 2.0};
+    const double residual = findFeasiblePoint(cs, &x);
+    EXPECT_EQ(residual, cs.maxViolation(x));
+    EXPECT_LE(residual, 1e-8);
 }
 
 TEST(FindFeasible, EqualityChain)
@@ -36,8 +38,10 @@ TEST(FindFeasible, EqualityChain)
     cs.addTotalBw(100.0);
     cs.addParsed("B2 + B3 = B4");
     cs.addLowerBounds(0.5);
-    Vec x = findFeasiblePoint(cs, {25, 25, 25, 25});
-    EXPECT_LE(cs.maxViolation(x), 1e-8);
+    Vec x{25, 25, 25, 25};
+    const double residual = findFeasiblePoint(cs, &x);
+    EXPECT_EQ(residual, cs.maxViolation(x));
+    EXPECT_LE(residual, 1e-8);
 }
 
 TEST(QpSolver, UnconstrainedMinimum)

@@ -277,6 +277,72 @@ TEST(StudyConfigCli, HugeCostUnderDollarCapExitsOne)
     }
 }
 
+// The constraint grammar's index and number scans used to leak
+// std::stoul's and std::stod's range errors: exit 2 with "internal
+// error". Both are constraint errors now.
+TEST(StudyConfigCli, OutOfRangeConstraintTokensExitOneNamingTheConstraint)
+{
+    for (const std::string constraint :
+         {"B99999999999999999999999 <= 50", "B3 <= 1e-320"}) {
+        SCOPED_TRACE(constraint);
+        expectFatalExit(
+            runMutatedExample({{"CONSTRAINT B4 <= 50",
+                                "CONSTRAINT " + constraint}}),
+            "fatal: constraint ' " + constraint + "'");
+    }
+}
+
+/**
+ * A one-layer workload file for the example's 4096-NPU network, with
+ * @p from replaced by @p to, added to the example study as a
+ * WORKLOAD_FILE.
+ */
+CliRun
+runExampleWithWorkloadFile(const std::string& from, const std::string& to)
+{
+    std::string text = "WORKLOAD hostile\n"
+                       "STRATEGY TP 4 PP 1 DP 1024\n"
+                       "LAYER only\n"
+                       "  FWD_COMPUTE 0.01\n"
+                       "  FWD_COMM ALLREDUCE TP 1e8\n"
+                       "  WG_COMM ALLREDUCE DP 1e8\n"
+                       "END\n";
+    auto at = text.find(from);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "workload file has no '" << from << "'";
+        return {};
+    }
+    text.replace(at, from.size(), to);
+    std::string path = ::testing::TempDir() + "libra_hostile.wl";
+    std::ofstream(path) << text;
+    return runMutatedExample({{"# WORKLOAD_FILE my_profiled_model.wl",
+                               "WORKLOAD_FILE " + path}});
+}
+
+// The workload parser accepted what the study parser rejects: a
+// non-finite size or compute time failed later as "no search start
+// reached a feasible point", and a negative compute time ran to a
+// negative iteration time with exit 0.
+TEST(StudyConfigCli, WorkloadFileNumbersExitOneNamingTheLine)
+{
+    EXPECT_EQ(runExampleWithWorkloadFile("", "").status, 0);
+    for (const char* bad : {"inf", "nan", "-1e8"}) {
+        SCOPED_TRACE(bad);
+        expectFatalExit(runExampleWithWorkloadFile("TP 1e8", "TP " +
+                                                                std::string(bad)),
+                        "workload line 5: bad collective size '" +
+                            std::string(bad) + "'");
+    }
+    for (const char* bad : {"inf", "nan", "-1"}) {
+        SCOPED_TRACE(bad);
+        expectFatalExit(runExampleWithWorkloadFile(
+                            "FWD_COMPUTE 0.01",
+                            "FWD_COMPUTE " + std::string(bad)),
+                        "workload line 4: bad compute time '" +
+                            std::string(bad) + "'");
+    }
+}
+
 // The four `list* --emit json` commands iterate the registries; pin
 // their schema and registration order through the real CLI.
 

@@ -132,6 +132,44 @@ TEST(WorkloadParser, ErrorsCarryLineNumbers)
                 "unknown strategy key");
 }
 
+TEST(WorkloadParser, RejectsNonFiniteAndNegativeNumbers)
+{
+    auto expectError = [](const std::string& text,
+                          const std::string& needle) {
+        try {
+            parseWorkloadString(text);
+            FAIL() << "expected FatalError for: " << text;
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(needle),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    for (const char* bad : {"nan", "inf", "-inf"}) {
+        SCOPED_TRACE(bad);
+        const std::string b = bad;
+        expectError("WORKLOAD x\nPARAMS " + b + "\nLAYER a\nEND\n",
+                    "workload line 2: bad parameter count '" + b + "'");
+        expectError("WORKLOAD x\nSTRATEGY TP " + b + "\nLAYER a\nEND\n",
+                    "workload line 2: bad strategy size '" + b + "'");
+        expectError("WORKLOAD x\nLAYER a\nIG_COMPUTE " + b + "\nEND\n",
+                    "workload line 3: bad compute time '" + b + "'");
+        expectError("WORKLOAD x\nLAYER a\nWG_COMM ALLGATHER DP " + b +
+                        "\nEND\n",
+                    "workload line 3: bad collective size '" + b + "'");
+    }
+    expectError("WORKLOAD x\nLAYER a\nWG_COMPUTE -0.5\nEND\n",
+                "workload line 3: bad compute time '-0.5'");
+    expectError("WORKLOAD x\nLAYER a\nFWD_COMM ALLREDUCE TP -1\nEND\n",
+                "workload line 3: bad collective size '-1'");
+    // Zero is a valid compute time and size.
+    Workload w = parseWorkloadString(
+        "WORKLOAD x\nLAYER a\nFWD_COMPUTE 0\nFWD_COMM ALLREDUCE TP 0\n"
+        "END\n");
+    EXPECT_EQ(w.layers[0].fwdCompute, 0.0);
+    EXPECT_EQ(w.layers[0].fwdComm[0].size, 0.0);
+}
+
 TEST(WorkloadParser, CommentsAndWhitespaceIgnored)
 {
     Workload w = parseWorkloadString(

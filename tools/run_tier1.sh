@@ -14,10 +14,11 @@
 #               4. warm-all: a 1-thread `run-matrix all` over the cache
 #                  a 4-thread run filled is byte-identical and serves
 #                  all 366 points from that cache (PERF.md).
-#               5. hostile-number: nan/inf in a study file, and a
-#                  1e308 price under a DOLLAR_CAP, end the CLI with
-#                  exit 1 and a named error, never a signal
-#                  (ROBUSTNESS.md).
+#               5. hostile-number: nan/inf in a study file, a 1e308
+#                  price under a DOLLAR_CAP, out-of-range CONSTRAINT
+#                  tokens, and an inf size or negative compute time in
+#                  a WORKLOAD_FILE end the CLI with exit 1 and a named
+#                  error, never a signal (ROBUSTNESS.md).
 #               6. explore: `explore-frontier --explore prune`,
 #                  byte-identical fresh at 2 and 4 threads and cached
 #                  (EXPLORE.md).
@@ -187,13 +188,24 @@ if [[ -z "${MODE}" ]]; then
 
   # Hostile-number smoke: nan and inf in a study file are user errors,
   # and so is a finite 1e308 price that leaves no start inside a
-  # DOLLAR_CAP. Each edit of the example study (the cost edits also
-  # switch to the PERF_PER_COST objective its COST line feeds) must end
-  # the CLI with exit 1 and its ERRORS entry, never a signal
-  # (docs/ROBUSTNESS.md).
+  # DOLLAR_CAP, a constraint index or number past its range, and an
+  # inf size or negative compute time in a WORKLOAD_FILE. Each edit of
+  # the example study (the cost edits also switch to the PERF_PER_COST
+  # objective its COST line feeds) must end the CLI with exit 1 and its
+  # ERRORS entry, never a signal (docs/ROBUSTNESS.md).
   "${BUILD_DIR}/libra_cli" --example > "${SMOKE_DIR}/example.study"
+  WL_OK="WORKLOAD hostile
+STRATEGY TP 4 PP 1 DP 1024
+LAYER only
+  FWD_COMPUTE 0.01
+  FWD_COMM ALLREDUCE TP 1e8
+END"
+  sed 's/TP 1e8/TP inf/' <<< "${WL_OK}" > "${SMOKE_DIR}/inf-size.wl"
+  sed 's/FWD_COMPUTE 0.01/FWD_COMPUTE -1/' <<< "${WL_OK}" \
+    > "${SMOKE_DIR}/negative-compute.wl"
   PER_COST='s/^OBJECTIVE PERF /OBJECTIVE PERF_PER_COST /'
   CAPPED='s/^# DOLLAR_CAP/DOLLAR_CAP/'
+  WL_FILE='s|^# WORKLOAD_FILE my_profiled_model.wl|WORKLOAD_FILE '"${SMOKE_DIR}"'/'
   NONFINITE="study line [0-9]+: bad .* '(nan|inf)'"
   NO_START="fatal: no search start reached a feasible point with a finite objective"
   EDITS=(
@@ -204,9 +216,17 @@ if [[ -z "${MODE}" ]]; then
     "${PER_COST};s/^# COST Pod LINK 7.8 /COST Pod LINK 1e308 /;${CAPPED}"
     "${PER_COST};s/^# COST Pod LINK 7.8 SWITCH 18.0 /COST Pod LINK 7.8 SWITCH 1e308 /;${CAPPED}"
     "${PER_COST};s/^# COST Pod LINK 7.8 SWITCH 18.0 NIC 31.6/COST Pod LINK 7.8 SWITCH 18.0 NIC 1e308/;${CAPPED}"
+    's/^CONSTRAINT B4 <= 50$/CONSTRAINT B99999999999999999999999 <= 50/'
+    's/^CONSTRAINT B4 <= 50$/CONSTRAINT B3 <= 1e-320/'
+    "${WL_FILE}inf-size.wl|"
+    "${WL_FILE}negative-compute.wl|"
   )
   ERRORS=("${NONFINITE}" "${NONFINITE}" "${NONFINITE}" "${NONFINITE}"
-          "${NO_START}" "${NO_START}" "${NO_START}")
+          "${NO_START}" "${NO_START}" "${NO_START}"
+          "constraint ' B99999999999999999999999 <= 50': B99999999999999999999999 out of range"
+          "constraint ' B3 <= 1e-320': bad number '1e-320'"
+          "workload line 5: bad collective size 'inf'"
+          "workload line 4: bad compute time '-1'")
   for i in "${!EDITS[@]}"; do
     edit="${EDITS[${i}]}"
     sed "${edit}" "${SMOKE_DIR}/example.study" > "${SMOKE_DIR}/hostile.study"
@@ -226,7 +246,7 @@ if [[ -z "${MODE}" ]]; then
       exit 1
     fi
   done
-  echo "hostile-number smoke: non-finite study numbers and an unreachable DOLLAR_CAP exit 1 with a named error"
+  echo "hostile-number smoke: non-finite study numbers, an unreachable DOLLAR_CAP, out-of-range constraint tokens and bad WORKLOAD_FILE numbers exit 1 with a named error"
 
   # Explore smoke: the design-space layer end to end through the CLI.
   # The prune strategy's screening rounds and promotions must emit
