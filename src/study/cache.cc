@@ -38,7 +38,7 @@ StudyStore::awaitCompute(const std::string& canonical,
 // cost-model canonical serializations.
 
 std::string
-canonicalStudyKey(const LibraInputs& inputs, WorkloadTextMemo* memo)
+canonicalStudyKey(const LibraInputs& inputs)
 {
     std::string out;
     out.reserve(512);
@@ -123,10 +123,7 @@ canonicalStudyKey(const LibraInputs& inputs, WorkloadTextMemo* memo)
     out += "targets ";
     for (const auto& t : inputs.targets) {
         appendCanonicalNumber(out, t.weight);
-        if (memo)
-            out += memo->text(t.workload);
-        else
-            appendCanonicalText(out, t.workload);
+        appendCanonicalText(out, t.workload);
     }
     return out;
 }

@@ -11,11 +11,13 @@
  * rule — registered backends are deterministic, so their name is
  * sufficient content), a non-default EXPLORE strategy (same rule; the
  * canonical spec with its non-default parameters is the tag), the
- * full cost model, and the complete workload
- * IR of every target (not just names — programmatic scenarios build
- * workloads with custom strategies). Fields that provably do not
- * affect results are excluded: `threads` (the engine's determinism
- * contract guarantees bit-identical results at any thread count).
+ * full cost model, and the workload IR of every target (not just
+ * names — programmatic scenarios build workloads with custom
+ * strategies), its layers written as runs of identical layers.
+ * Fields that provably do not affect results are excluded: `threads`
+ * (the engine's determinism contract guarantees bit-identical results
+ * at any thread count) and layer names (no estimate or report reads
+ * them).
  *
  * Key = FNV-1a 64-bit over the canonical text, salted with
  * kStudyCacheVersion. Bump the version whenever estimator, optimizer,
@@ -62,14 +64,8 @@ namespace libra {
 /** Bump when a semantic change invalidates previously cached reports. */
 constexpr std::uint32_t kStudyCacheVersion = 1;
 
-/**
- * Canonical text form of everything result-relevant in @p inputs.
- * With a @p memo, each target's workload text comes from it: a sweep
- * that keys many points over few workloads formats each distinct
- * workload once. The key is byte-identical either way.
- */
-std::string canonicalStudyKey(const LibraInputs& inputs,
-                              WorkloadTextMemo* memo = nullptr);
+/** Canonical text form of everything result-relevant in @p inputs. */
+std::string canonicalStudyKey(const LibraInputs& inputs);
 
 /** FNV-1a over an already canonicalized key text. */
 std::uint64_t studyCacheHashOfKey(std::string_view canonical);

@@ -32,12 +32,9 @@ buildSlotMap(const std::vector<LibraInputs>& points)
 {
     SlotMap map;
     map.slotOf.resize(points.size());
-    // A sweep keys many points over few workloads: the memo formats
-    // each distinct workload's text once for this call.
-    WorkloadTextMemo memo;
     std::unordered_map<std::string, std::size_t> slotByKey;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        std::string key = canonicalStudyKey(points[i], &memo);
+        std::string key = canonicalStudyKey(points[i]);
         auto [it, inserted] =
             slotByKey.try_emplace(std::move(key), map.slotRep.size());
         if (inserted) {

@@ -1,11 +1,45 @@
 #include "topology/network.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 
 #include "common/logging.hh"
 
 namespace libra {
+
+namespace {
+
+/** Most NPUs a network may have: sizes and products stay in range. */
+constexpr long kMaxNpus = 1L << 30;
+
+/**
+ * The decimal number at @p pos in shape @p text, advanced past; a
+ * `fatal` naming the shape unless it is in [@p lo, @p hi]. The scan
+ * saturates past @p hi, so no digit string can overflow.
+ */
+int
+scanNumber(const std::string& text, std::size_t& pos, const char* what,
+           long lo, long hi)
+{
+    std::size_t start = pos;
+    long v = 0;
+    while (pos < text.size() &&
+           std::isdigit(static_cast<unsigned char>(text[pos]))) {
+        v = std::min(v * 10 + (text[pos] - '0'), hi + 1);
+        ++pos;
+    }
+    if (pos == start)
+        fatal("network '", text, "': expected ", what, " at ", start);
+    if (v < lo || v > hi) {
+        fatal("network '", text, "': ", what, " ",
+              text.substr(start, pos - start), " is not in [", lo, ", ",
+              hi, "]");
+    }
+    return static_cast<int>(v);
+}
+
+} // namespace
 
 std::string
 physicalLevelName(PhysicalLevel level)
@@ -27,9 +61,14 @@ Network::Network(std::vector<NetworkDim> dims) : dims_(std::move(dims))
 {
     if (dims_.empty())
         fatal("network must have at least one dimension");
+    long npus = 1;
     for (const auto& d : dims_) {
         if (d.size < 2)
             fatal("network dimension size must be >= 2, got ", d.size);
+        npus *= d.size;
+        if (npus > kMaxNpus)
+            fatal("network '", name(), "': more than ", kMaxNpus,
+                  " NPUs");
     }
     assignLevels();
 }
@@ -63,28 +102,12 @@ Network::parse(const std::string& text)
         if (pos >= text.size() || text[pos] != '(')
             fatal("network '", text, "': expected '(' after '", token, "'");
         ++pos;
-        std::size_t numStart = pos;
-        while (pos < text.size() &&
-               std::isdigit(static_cast<unsigned char>(text[pos])))
-            ++pos;
-        if (numStart == pos)
-            fatal("network '", text, "': expected size after '(', dim ",
-                  dims.size() + 1);
-        int size = std::stoi(text.substr(numStart, pos - numStart));
+        int size = scanNumber(text, pos, "group size", 2, kMaxNpus);
         int levels = 1;
         if (pos < text.size() && text[pos] == ':') {
             ++pos;
-            std::size_t lvlStart = pos;
-            while (pos < text.size() &&
-                   std::isdigit(static_cast<unsigned char>(text[pos])))
-                ++pos;
-            if (lvlStart == pos)
-                fatal("network '", text,
-                      "': expected hierarchy depth after ':'");
-            levels = std::stoi(text.substr(lvlStart, pos - lvlStart));
-            if (levels < 1)
-                fatal("network '", text, "': hierarchy depth must be "
-                      ">= 1");
+            // 64 levels is past any switch tree of at most 2^30 NPUs.
+            levels = scanNumber(text, pos, "hierarchy depth", 1, 64);
         }
         if (pos >= text.size() || text[pos] != ')')
             fatal("network '", text, "': expected ')'");

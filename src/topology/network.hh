@@ -52,13 +52,17 @@ using BwConfig = Vec;
 class Network
 {
   public:
-    /** Build from explicit dimensions (levels are re-derived). */
+    /**
+     * Build from explicit dimensions (levels are re-derived).
+     * @throws FatalError on sizes < 2 or more than 2^30 NPUs.
+     */
     explicit Network(std::vector<NetworkDim> dims);
 
     /**
      * Parse the "RI(4)_FC(8)_RI(4)_SW(32)" notation. Switch dims may
-     * carry a hierarchy depth, e.g. "SW(8:2)" (Fig. 4b).
-     * @throws FatalError on malformed input or sizes < 2.
+     * carry a hierarchy depth in [1, 64], e.g. "SW(8:2)" (Fig. 4b).
+     * @throws FatalError on malformed input, sizes < 2, or a size,
+     * depth or NPU count out of range.
      */
     static Network parse(const std::string& text);
 

@@ -78,6 +78,15 @@ appendOps(std::string& out, const std::vector<CommOp>& ops)
     out += ']';
 }
 
+/** Equal in every field but the name, which reaches no result. */
+bool
+sameContent(const Layer& a, const Layer& b)
+{
+    return a.fwdCompute == b.fwdCompute && a.igCompute == b.igCompute &&
+           a.wgCompute == b.wgCompute && a.fwdComm == b.fwdComm &&
+           a.igComm == b.igComm && a.wgComm == b.wgComm;
+}
+
 } // namespace
 
 void
@@ -94,32 +103,24 @@ appendCanonicalText(std::string& out, const Workload& w)
     out += ") ";
     out += std::to_string(w.layers.size());
     out += "layers ";
-    for (const auto& layer : w.layers) {
-        appendCanonicalString(out, layer.name);
+    // Transformer stacks repeat one layer tens of times: each run of
+    // equal layers is written once, behind its length.
+    for (std::size_t i = 0; i < w.layers.size();) {
+        const Layer& layer = w.layers[i];
+        std::size_t run = 1;
+        while (i + run < w.layers.size() &&
+               sameContent(w.layers[i + run], layer))
+            ++run;
+        out += std::to_string(run);
+        out += 'x';
         appendCanonicalNumber(out, layer.fwdCompute);
         appendCanonicalNumber(out, layer.igCompute);
         appendCanonicalNumber(out, layer.wgCompute);
         appendOps(out, layer.fwdComm);
         appendOps(out, layer.igComm);
         appendOps(out, layer.wgComm);
+        i += run;
     }
-}
-
-const std::string&
-WorkloadTextMemo::text(const Workload& w)
-{
-    for (const Entry& e : entries_) {
-        if (e.workload == &w)
-            return e.text;
-    }
-    for (const Entry& e : entries_) {
-        if (*e.workload == w)
-            return e.text;
-    }
-    std::string text;
-    appendCanonicalText(text, w);
-    entries_.push_back({&w, std::move(text)});
-    return entries_.back().text;
 }
 
 } // namespace libra

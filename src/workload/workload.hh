@@ -46,7 +46,7 @@ struct CommOp
 /** One model layer with per-phase compute times and collectives. */
 struct Layer
 {
-    std::string name;
+    std::string name; ///< A label: no estimate, report or cache key reads it.
 
     Seconds fwdCompute = 0.0; ///< Forward pass compute.
     Seconds igCompute = 0.0;  ///< Input-gradient (TP backward) compute.
@@ -107,48 +107,20 @@ struct Workload
 };
 
 /**
- * Append a canonical, collision-safe text form of @p w to @p out:
- * every content field (name, parameters, strategy, per-layer compute
- * and collectives) in a fixed order, with length-prefixed strings and
- * shortest round-trip doubles. The study result cache keys on it, so
- * every Workload/Layer/CommOp field that affects results must be
- * listed here. Equality (Workload::operator==) covers every member by
- * construction, so equal workloads always have equal text; the only
+ * Append a canonical, collision-safe text form of @p w to @p out: the
+ * name, parameters, strategy and layer count, then the layers as
+ * maximal runs of consecutive layers equal in every field but the
+ * name, each run written once as `<count>x` + its compute times and
+ * collectives. Strings are length-prefixed and doubles shortest
+ * round-trip. The study result cache keys on it, so every
+ * Workload/Layer/CommOp field that affects results must be listed
+ * here. Layer names are left out: no estimate or report reads them.
+ * Equal workloads (Workload::operator==) therefore always have equal
+ * text, and so do workloads that differ only in layer names; the only
  * distinct finite doubles with equal text are +0 and -0, which also
  * compare equal.
  */
 void appendCanonicalText(std::string& out, const Workload& w);
-
-/**
- * Per-call memo of appendCanonicalText: a design-point sweep keys the
- * same few workloads hundreds of times, and a workload's text is
- * nearly all of each study cache key. text() matches a previously
- * seen workload by address first, then by `==`, and formats only on a
- * miss. Equality implies equal text (see appendCanonicalText), so the
- * memo returns exactly what appendCanonicalText would.
- *
- * Entries point at the workloads they were built from: every workload
- * passed in must outlive the memo and stay unmodified while it lives.
- * Lookup is a linear scan, sized for the tens of distinct workloads a
- * sweep holds. Not thread-safe; one memo per call.
- */
-class WorkloadTextMemo
-{
-  public:
-    /**
-     * The canonical text of @p w (see appendCanonicalText). The
-     * reference stays valid until the next call.
-     */
-    const std::string& text(const Workload& w);
-
-  private:
-    struct Entry
-    {
-        const Workload* workload; ///< First workload with this text.
-        std::string text;
-    };
-    std::vector<Entry> entries_;
-};
 
 } // namespace libra
 

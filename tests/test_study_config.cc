@@ -292,6 +292,31 @@ TEST(StudyConfigCli, OutOfRangeConstraintTokensExitOneNamingTheConstraint)
     }
 }
 
+// NETWORK group sizes and hierarchy depths past int range leaked
+// std::stoi's range error (exit 2, "internal error: stoi"), and four
+// 65536-wide switches overflowed the NPU product into a misleading
+// parallelization error. Each now names the shape and exits 1.
+TEST(StudyConfigCli, OutOfRangeNetworkNumbersExitOneNamingTheShape)
+{
+    const std::pair<std::string, std::string> cases[] = {
+        {"RI(99999999999999999999999)_FC(8)",
+         "group size 99999999999999999999999 is not in [2, 1073741824]"},
+        {"RI(4294967297)_FC(8)",
+         "group size 4294967297 is not in [2, 1073741824]"},
+        {"RI(4:99999999999)_FC(8)",
+         "hierarchy depth 99999999999 is not in [1, 64]"},
+        {"SW(65536)_SW(65536)_SW(65536)_SW(65536)",
+         "more than 1073741824 NPUs"},
+    };
+    for (const auto& [shape, error] : cases) {
+        SCOPED_TRACE(shape);
+        expectFatalExit(
+            runMutatedExample({{"NETWORK RI(4)_FC(8)_RI(4)_SW(32)",
+                                "NETWORK " + shape}}),
+            "fatal: network '" + shape + "': " + error);
+    }
+}
+
 /**
  * A one-layer workload file for the example's 4096-NPU network, with
  * @p from replaced by @p to, added to the example study as a

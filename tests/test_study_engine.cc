@@ -266,7 +266,8 @@ TEST(StudyCacheKey, AllScenarioKeysArePinned)
     // without changing a single emitted byte. The digest (FNV-1a over
     // the 16-hex hashes, one per line, in matrix order) was captured
     // at engine version 1 with 366 points, 190 unique keys and
-    // 7,000,560 key bytes.
+    // 136,312 key bytes, after the key grammar began writing layers
+    // as runs without their names (7,000,560 bytes before).
     const std::vector<LibraInputs> points = allScenarioPoints();
     std::string hexes;
     std::size_t keyBytes = 0;
@@ -284,11 +285,11 @@ TEST(StudyCacheKey, AllScenarioKeysArePinned)
     }
     EXPECT_EQ(points.size(), 366u);
     EXPECT_EQ(firstByKey.size(), 190u);
-    EXPECT_EQ(keyBytes, 7000560u);
-    EXPECT_EQ(studyCacheHashOfKey(hexes), 0x6118c72b6ecf71dbull);
+    EXPECT_EQ(keyBytes, 136312u);
+    EXPECT_EQ(studyCacheHashOfKey(hexes), 0x15c68c5f45a4cd97ull);
 
-    // The slot map keys through a per-call workload-text memo; its keys
-    // and grouping must be exactly those of the plain keys.
+    // The slot map's keys and grouping must be exactly those of the
+    // plain keys.
     SlotMap map = buildSlotMap(points);
     ASSERT_EQ(map.slots(), firstByKey.size());
     for (std::size_t s = 0; s < map.slots(); ++s) {
@@ -300,6 +301,23 @@ TEST(StudyCacheKey, AllScenarioKeysArePinned)
         EXPECT_EQ(map.slotRep[map.slotOf[i]], groupOf[i])
             << "point " << i;
     }
+}
+
+// The key leaves layer names out because no result reads them. Prove
+// it on a real workload: renaming every layer must not move a single
+// byte of the report.
+TEST(StudyCacheKey, LayerNamesReachNoReport)
+{
+    LibraInputs inputs = parseStudyConfigString(
+        "NETWORK SW(16)_SW(8)_SW(4)\nTOTAL_BW 300\nSTARTS 2\n"
+        "WORKLOAD gpt3\n");
+    LibraInputs renamed = inputs;
+    for (Layer& l : renamed.targets[0].workload.layers)
+        l.name = "renamed-" + l.name;
+    ASSERT_FALSE(renamed.targets[0].workload == inputs.targets[0].workload);
+    EXPECT_EQ(canonicalStudyKey(renamed), canonicalStudyKey(inputs));
+    EXPECT_EQ(reportToJson(runLibra(renamed)).dump(),
+              reportToJson(runLibra(inputs)).dump());
 }
 
 TEST(StudyCache, ReportJsonRoundTripIsBitExact)

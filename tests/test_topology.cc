@@ -82,6 +82,28 @@ TEST(Network, HierarchyDepthValidation)
     EXPECT_THROW(Network::parse("RI(4:2)"), FatalError); // Not SW.
     EXPECT_THROW(Network::parse("SW(4:)"), FatalError);
     EXPECT_THROW(Network::parse("SW(4:0)"), FatalError);
+    EXPECT_THROW(Network::parse("SW(4:65)"), FatalError);
+    EXPECT_THROW(Network::parse("SW(4:99999999999)"), FatalError);
+    EXPECT_EQ(Network::parse("SW(4:64)").dim(0).switchLevels, 64);
+}
+
+TEST(Network, SizeAndNpuBounds)
+{
+    // Sizes past int range and NPU products past long range are
+    // errors, not wrapped values.
+    EXPECT_THROW(Network::parse("RI(99999999999999999999999)"),
+                 FatalError);
+    EXPECT_THROW(Network::parse("RI(4294967297)"), FatalError);
+    EXPECT_THROW(Network::parse("RI(1073741825)"), FatalError);
+    EXPECT_THROW(Network::parse("SW(65536)_SW(65536)_SW(65536)_SW(65536)"),
+                 FatalError);
+    EXPECT_THROW(Network::parse("SW(32768)_SW(32769)"), FatalError);
+    EXPECT_EQ(Network::parse("RI(1073741824)").npus(), 1L << 30);
+    EXPECT_EQ(Network::parse("SW(32768)_SW(32768)").npus(), 1L << 30);
+    // The constructor holds the NPU bound for programmatic shapes too.
+    EXPECT_THROW(Network({{UnitTopology::Switch, 65536},
+                          {UnitTopology::Switch, 65536}}),
+                 FatalError);
 }
 
 TEST(Network, ParseErrors)

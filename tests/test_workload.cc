@@ -3,6 +3,7 @@
  * Tests for the workload IR and the analytical model builders.
  */
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <utility>
@@ -210,14 +211,14 @@ TEST(Workload, HelperAccessors)
     EXPECT_GT(w.totalCommPayload(), 0.0);
 }
 
-// --- Canonical text memo -------------------------------------------------
+// --- Canonical text ------------------------------------------------------
 
 /** A small workload with ops in every comm list of every layer. */
 Workload
-memoBase()
+textBase()
 {
     Workload w;
-    w.name = "memo-base";
+    w.name = "text-base";
     w.parameters = 1.5e9;
     w.strategy = Parallelization(2, 2, 4);
     for (int i = 0; i < 2; ++i) {
@@ -245,27 +246,15 @@ canonicalText(const Workload& w)
     return out;
 }
 
-TEST(WorkloadTextMemo, ContentEqualWorkloadsShareOneText)
-{
-    const Workload a = memoBase();
-    const Workload b = memoBase(); // Same content, another address.
-    WorkloadTextMemo memo;
-    const std::string fromA = memo.text(a);
-    EXPECT_EQ(fromA, canonicalText(a));
-    EXPECT_EQ(memo.text(b), fromA);
-    EXPECT_EQ(memo.text(a), fromA); // Address hit.
-}
-
-TEST(WorkloadTextMemo, EverySingleFieldMutationGetsItsOwnText)
+TEST(WorkloadCanonicalText, EveryResultFieldMutationChangesTheText)
 {
     const std::vector<std::pair<const char*, std::function<void(Workload&)>>>
         mutations = {
-            {"name", [](Workload& w) { w.name = "memo-other"; }},
+            {"name", [](Workload& w) { w.name = "text-other"; }},
             {"parameters", [](Workload& w) { w.parameters *= 2.0; }},
             {"tp", [](Workload& w) { w.strategy.tp = 4; }},
             {"pp", [](Workload& w) { w.strategy.pp = 1; }},
             {"dp", [](Workload& w) { w.strategy.dp = 8; }},
-            {"layer name", [](Workload& w) { w.layers[1].name = "x"; }},
             {"fwdCompute",
              [](Workload& w) { w.layers[1].fwdCompute += 1e-9; }},
             {"igCompute",
@@ -291,31 +280,60 @@ TEST(WorkloadTextMemo, EverySingleFieldMutationGetsItsOwnText)
             {"layer append",
              [](Workload& w) { w.layers.push_back(w.layers[0]); }},
         };
-    const Workload base = memoBase();
+    const Workload base = textBase();
     const std::string baseText = canonicalText(base);
-    // Every mutant stays alive (and at its address) while the memo
-    // holds entries for all of them.
-    std::vector<Workload> mutants(mutations.size(), base);
-    WorkloadTextMemo memo;
-    EXPECT_EQ(memo.text(base), baseText);
-    for (std::size_t i = 0; i < mutations.size(); ++i) {
-        mutations[i].second(mutants[i]);
-        EXPECT_FALSE(mutants[i] == base) << mutations[i].first;
-        const std::string want = canonicalText(mutants[i]);
-        EXPECT_NE(want, baseText) << mutations[i].first;
-        EXPECT_EQ(memo.text(mutants[i]), want) << mutations[i].first;
+    std::vector<std::string> texts = {baseText};
+    for (const auto& [what, mutate] : mutations) {
+        Workload mutant = base;
+        mutate(mutant);
+        EXPECT_FALSE(mutant == base) << what;
+        texts.push_back(canonicalText(mutant));
+        EXPECT_NE(texts.back(), baseText) << what;
     }
-    // Earlier entries are still served correctly after later misses.
-    EXPECT_EQ(memo.text(memoBase()), baseText);
-    for (std::size_t i = 0; i < mutations.size(); ++i) {
-        EXPECT_EQ(memo.text(mutants[i]), canonicalText(mutants[i]))
-            << mutations[i].first;
-    }
+    // No two mutants collide either.
+    std::sort(texts.begin(), texts.end());
+    EXPECT_EQ(std::adjacent_find(texts.begin(), texts.end()), texts.end());
 }
 
-TEST(WorkloadTextMemo, SignedZerosShareOneText)
+// A layer name reaches no estimate and no report, so the key leaves it
+// out: renaming a layer must not turn a warm cache cold.
+TEST(WorkloadCanonicalText, LayerNamesDoNotChangeTheText)
 {
-    Workload pos = memoBase();
+    const Workload base = textBase();
+    Workload renamed = base;
+    renamed.layers[1].name = "x";
+    EXPECT_FALSE(renamed == base);
+    EXPECT_EQ(canonicalText(renamed), canonicalText(base));
+}
+
+// Layers are written as runs of equal layers; a run's length is part
+// of the text, so moving a run boundary always changes it.
+TEST(WorkloadCanonicalText, RunBoundariesStayDistinct)
+{
+    const Workload base = textBase();
+    const Layer a = base.layers[0];
+    Layer b = base.layers[1];
+    auto text = [&](std::vector<Layer> layers) {
+        Workload w = base;
+        w.layers = std::move(layers);
+        return canonicalText(w);
+    };
+    EXPECT_NE(text({a, a, b}), text({a, b, b}));
+    EXPECT_NE(text({a}), text({a, a}));
+    EXPECT_NE(text({a, b, a}), text({a, a, b}));
+    EXPECT_NE(text({a, a, a}), text({a, a}));
+    // Names inside a run do not split it.
+    Layer a2 = a;
+    a2.name = "other";
+    EXPECT_EQ(text({a, a2, b}), text({a, a, b}));
+    // A run of n is written once: longer runs cost a few digits.
+    EXPECT_LT(text({a, a, a, a, a, a, a, a, a, a}).size(),
+              text({a, b}).size());
+}
+
+TEST(WorkloadCanonicalText, SignedZerosShareOneText)
+{
+    Workload pos = textBase();
     pos.parameters = 0.0;
     pos.layers[0].fwdComm[0].size = 0.0;
     Workload neg = pos;
@@ -323,9 +341,13 @@ TEST(WorkloadTextMemo, SignedZerosShareOneText)
     neg.layers[0].fwdComm[0].size = -0.0;
     EXPECT_TRUE(pos == neg);
     EXPECT_EQ(canonicalText(pos), canonicalText(neg));
-    WorkloadTextMemo memo;
-    EXPECT_EQ(memo.text(pos), canonicalText(pos));
-    EXPECT_EQ(memo.text(neg), canonicalText(neg));
+    // Across a run boundary too: +0 and -0 layers form one run.
+    Workload mixed = pos;
+    mixed.layers[1] = pos.layers[0];
+    mixed.layers[1].fwdComm[0].size = -0.0;
+    Workload same = pos;
+    same.layers[1] = pos.layers[0];
+    EXPECT_EQ(canonicalText(mixed), canonicalText(same));
 }
 
 TEST(CommScopeNames, Resolve)

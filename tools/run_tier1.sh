@@ -13,11 +13,13 @@
 #                  chain, byte-identical at 1 and 4 threads (SOLVERS.md).
 #               4. warm-all: a 1-thread `run-matrix all` over the cache
 #                  a 4-thread run filled is byte-identical and serves
-#                  all 366 points from that cache (PERF.md).
+#                  all 366 points from that cache, whose entries total
+#                  under 256 KB (PERF.md).
 #               5. hostile-number: nan/inf in a study file, a 1e308
 #                  price under a DOLLAR_CAP, out-of-range CONSTRAINT
-#                  tokens, and an inf size or negative compute time in
-#                  a WORKLOAD_FILE end the CLI with exit 1 and a named
+#                  tokens and NETWORK sizes, depths and NPU counts, and
+#                  an inf size or negative compute time in a
+#                  WORKLOAD_FILE end the CLI with exit 1 and a named
 #                  error, never a signal (ROBUSTNESS.md).
 #               6. explore: `explore-frontier --explore prune`,
 #                  byte-identical fresh at 2 and 4 threads and cached
@@ -171,12 +173,14 @@ if [[ -z "${MODE}" ]]; then
   cmp "${SMOKE_DIR}/ofresh1.json" "${SMOKE_DIR}/ofresh4.json"
   echo "solver smoke: byte-identical matrix JSON (fresh 1t vs fresh 4t)"
 
-  # Warm-all smoke: the warm read path (per-sweep workload-text memo,
-  # one key hash per slot; docs/PERF.md). A cold 4-thread `all` fills a
+  # Warm-all smoke: the warm read path (run-length workload keys, one
+  # key hash per slot; docs/PERF.md). A cold 4-thread `all` fills a
   # cache and a 1-thread rerun over it must emit byte-identical JSON.
   # Bytes alone cannot catch a drifted cache key, because a miss
   # recomputes the same bytes; the rerun's status line must also show
-  # every point served from the cache.
+  # every point served from the cache. Each entry stores its key, so
+  # the filled cache's size pins the key footprint end to end: under
+  # 256 KB (about 173 KB with layers keyed as runs, 3.57 MB without).
   "${BUILD_DIR}/libra_cli" run-matrix all --emit json --threads 4 \
     --cache-dir "${SMOKE_DIR}/wcache" --out "${SMOKE_DIR}/wcold.json"
   "${BUILD_DIR}/libra_cli" run-matrix all --emit json --threads 1 \
@@ -184,11 +188,17 @@ if [[ -z "${MODE}" ]]; then
     2> "${SMOKE_DIR}/wwarm.status"
   cmp "${SMOKE_DIR}/wcold.json" "${SMOKE_DIR}/wwarm.json"
   grep -q "366 from cache, 0 computed" "${SMOKE_DIR}/wwarm.status"
-  echo "warm-all smoke: byte-identical matrix JSON (fresh 4t vs cached 1t), 366 from cache, 0 computed"
+  WCACHE_BYTES="$(cat "${SMOKE_DIR}"/wcache/*.json | wc -c)"
+  if [[ "${WCACHE_BYTES}" -ge 262144 ]]; then
+    echo "warm-all smoke: the filled cache holds ${WCACHE_BYTES} entry bytes, want < 262144" >&2
+    exit 1
+  fi
+  echo "warm-all smoke: byte-identical matrix JSON (fresh 4t vs cached 1t), 366 from cache, 0 computed, ${WCACHE_BYTES} entry bytes"
 
   # Hostile-number smoke: nan and inf in a study file are user errors,
   # and so is a finite 1e308 price that leaves no start inside a
-  # DOLLAR_CAP, a constraint index or number past its range, and an
+  # DOLLAR_CAP, a constraint index or number past its range, a NETWORK
+  # group size, hierarchy depth or NPU count past its range, and an
   # inf size or negative compute time in a WORKLOAD_FILE. Each edit of
   # the example study (the cost edits also switch to the PERF_PER_COST
   # objective its COST line feeds) must end the CLI with exit 1 and its
@@ -218,6 +228,10 @@ END"
     "${PER_COST};s/^# COST Pod LINK 7.8 SWITCH 18.0 NIC 31.6/COST Pod LINK 7.8 SWITCH 18.0 NIC 1e308/;${CAPPED}"
     's/^CONSTRAINT B4 <= 50$/CONSTRAINT B99999999999999999999999 <= 50/'
     's/^CONSTRAINT B4 <= 50$/CONSTRAINT B3 <= 1e-320/'
+    's/^NETWORK .*/NETWORK RI(99999999999999999999999)_FC(8)/'
+    's/^NETWORK .*/NETWORK RI(4294967297)_FC(8)/'
+    's/^NETWORK .*/NETWORK RI(4:99999999999)_FC(8)/'
+    's/^NETWORK .*/NETWORK SW(65536)_SW(65536)_SW(65536)_SW(65536)/'
     "${WL_FILE}inf-size.wl|"
     "${WL_FILE}negative-compute.wl|"
   )
@@ -225,6 +239,10 @@ END"
           "${NO_START}" "${NO_START}" "${NO_START}"
           "constraint ' B99999999999999999999999 <= 50': B99999999999999999999999 out of range"
           "constraint ' B3 <= 1e-320': bad number '1e-320'"
+          "network 'RI\\(99999999999999999999999\\)_FC\\(8\\)': group size 99999999999999999999999 is not in \\[2, 1073741824\\]"
+          "network 'RI\\(4294967297\\)_FC\\(8\\)': group size 4294967297 is not in \\[2, 1073741824\\]"
+          "network 'RI\\(4:99999999999\\)_FC\\(8\\)': hierarchy depth 99999999999 is not in \\[1, 64\\]"
+          "network 'SW\\(65536\\)_SW\\(65536\\)_SW\\(65536\\)_SW\\(65536\\)': more than 1073741824 NPUs"
           "workload line 5: bad collective size 'inf'"
           "workload line 4: bad compute time '-1'")
   for i in "${!EDITS[@]}"; do
@@ -246,7 +264,7 @@ END"
       exit 1
     fi
   done
-  echo "hostile-number smoke: non-finite study numbers, an unreachable DOLLAR_CAP, out-of-range constraint tokens and bad WORKLOAD_FILE numbers exit 1 with a named error"
+  echo "hostile-number smoke: non-finite study numbers, an unreachable DOLLAR_CAP, out-of-range constraint tokens and NETWORK numbers, and bad WORKLOAD_FILE numbers exit 1 with a named error"
 
   # Explore smoke: the design-space layer end to end through the CLI.
   # The prune strategy's screening rounds and promotions must emit
