@@ -1,10 +1,9 @@
 #include "common/fault.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 
 namespace libra {
 
@@ -112,18 +111,10 @@ parseFaultSpec(const std::string& text)
         if (name == "seed") {
             if (seenSeed)
                 fatal("fault spec sets seed twice");
-            // strtoull would accept a sign (negating modulo 2^64)
-            // and saturate on overflow, aliasing distinct specs onto
-            // one seed: only plain digits in range are a seed.
-            char* end = nullptr;
-            errno = 0;
-            unsigned long long v =
-                std::strtoull(value.c_str(), &end, 10);
-            if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
-                *end != '\0' || errno == ERANGE)
-                fatal("fault spec seed '", value,
-                      "' is not an integer in [0, 2^64)");
-            config.seed = v;
+            config.seed = parseNumber(
+                value, std::uint64_t{0},
+                std::numeric_limits<std::uint64_t>::max(),
+                "fault spec seed");
             seenSeed = true;
             continue;
         }
@@ -144,51 +135,13 @@ parseFaultSpec(const std::string& text)
             fatal("fault spec sets site '", name, "' twice");
         seen[static_cast<std::size_t>(site)] = true;
 
-        char* end = nullptr;
-        double rate = std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0')
-            fatal("fault rate '", value, "' for site '", name,
-                  "' is not a number");
-        if (!(rate >= 0.0 && rate <= 1.0))
-            fatal("fault rate ", rate, " for site '", name,
-                  "' is outside [0, 1]");
-        config.rate[static_cast<std::size_t>(site)] = rate;
+        config.rate[static_cast<std::size_t>(site)] =
+            parseNumber(value, 0.0, 1.0, name + " fault rate");
 
         if (comma == text.size())
             break;
     }
     return config;
-}
-
-std::string
-faultSpecToString(const FaultConfig& config)
-{
-    std::string out;
-    for (int s = 0; s < kNumFaultSites; ++s) {
-        double r = config.rate[static_cast<std::size_t>(s)];
-        if (r <= 0.0)
-            continue;
-        if (!out.empty())
-            out += ',';
-        out += kSiteNames[s];
-        out += '=';
-        // Shortest form that round-trips through strtod.
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", r);
-        double back = std::strtod(buf, nullptr);
-        for (int prec = 1; prec < 17; ++prec) {
-            char shorter[32];
-            std::snprintf(shorter, sizeof(shorter), "%.*g", prec, r);
-            if (std::strtod(shorter, nullptr) == back) {
-                std::snprintf(buf, sizeof(buf), "%s", shorter);
-                break;
-            }
-        }
-        out += buf;
-    }
-    out += out.empty() ? "seed=" : ",seed=";
-    out += std::to_string(config.seed);
-    return out;
 }
 
 void

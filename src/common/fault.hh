@@ -74,9 +74,6 @@ struct FaultConfig
  */
 FaultConfig parseFaultSpec(const std::string& text);
 
-/** Canonical text form of @p config (parse round-trips through it). */
-std::string faultSpecToString(const FaultConfig& config);
-
 /**
  * Arm fault injection process-wide. Not thread-safe against concurrent
  * injectFault() checks — install before starting a run (the CLI does

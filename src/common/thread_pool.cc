@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 
 namespace libra {
 
@@ -24,12 +25,10 @@ std::size_t
 defaultThreadCount()
 {
     if (const char* env = std::getenv("LIBRA_THREADS")) {
-        char* end = nullptr;
-        long v = std::strtol(env, &end, 10);
         // Same [1, 4096] bound as --threads and the THREADS study
         // line, so every entry point for the knob behaves alike.
-        if (end != env && *end == '\0' && v >= 1 && v <= 4096)
-            return static_cast<std::size_t>(v);
+        if (auto v = tryParseNumber<std::size_t>(env, 1, 4096))
+            return *v;
         warn("ignoring malformed LIBRA_THREADS='", env,
              "' (expected 1..4096)");
     }

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <sstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "core/timing_backend.hh"
 #include "explore/explore.hh"
 #include "solver/strategy.hh"
@@ -51,21 +53,6 @@ parseLevel(const std::string& token, int line)
 refatalWithLine(int line, const FatalError& e)
 {
     fatal("study line ", line, ": ", fatalMessage(e));
-}
-
-double
-parseNumber(const std::string& token, int line, const char* what)
-{
-    try {
-        std::size_t used = 0;
-        double v = std::stod(token, &used);
-        // nan and inf parse, but no directive takes them.
-        if (used != token.size() || !std::isfinite(v))
-            throw std::invalid_argument(token);
-        return v;
-    } catch (const std::exception&) {
-        fatal("study line ", line, ": bad ", what, " '", token, "'");
-    }
 }
 
 } // namespace
@@ -122,13 +109,21 @@ parseStudyConfig(std::istream& in)
                 fatal("study line ", lineNo, ": expected ", what);
             return t;
         };
+        // The next token as a number in [lo, hi] (common/parse_number.hh).
+        auto number = [&](auto lo, decltype(lo) hi, const char* what) {
+            std::string token = wantToken(what);
+            try {
+                return parseNumber(token, lo, hi, what);
+            } catch (const FatalError& e) {
+                refatalWithLine(lineNo, e);
+            }
+        };
 
         if (keyword == "NETWORK") {
             inputs.networkShape = wantToken("network shape");
             sawNetwork = true;
         } else if (keyword == "TOTAL_BW") {
-            inputs.config.totalBw = parseNumber(
-                wantToken("total BW"), lineNo, "total BW");
+            inputs.config.totalBw = number(kPositive, 1e6, "total BW");
         } else if (keyword == "OBJECTIVE") {
             std::string obj = wantToken("objective");
             if (obj == "PERF")
@@ -164,8 +159,7 @@ parseStudyConfig(std::istream& in)
                 if (extra != "WEIGHT")
                     fatal("study line ", lineNo,
                           ": expected WEIGHT, got '", extra, "'");
-                p.weight = parseNumber(wantToken("weight"), lineNo,
-                                       "weight");
+                p.weight = number(kPositive, 1e6, "weight");
             }
             pending.push_back(std::move(p));
         } else if (keyword == "WORKLOAD_FILE") {
@@ -178,8 +172,7 @@ parseStudyConfig(std::istream& in)
                 if (extra != "WEIGHT")
                     fatal("study line ", lineNo,
                           ": expected WEIGHT, got '", extra, "'");
-                p.weight = parseNumber(wantToken("weight"), lineNo,
-                                       "weight");
+                p.weight = number(kPositive, 1e6, "weight");
             }
             pending.push_back(std::move(p));
         } else if (keyword == "NORMALIZE_WEIGHTS") {
@@ -187,19 +180,10 @@ parseStudyConfig(std::istream& in)
         } else if (keyword == "IN_NETWORK") {
             inputs.config.estimator.inNetworkCollectives = true;
         } else if (keyword == "DOLLAR_CAP") {
-            inputs.config.budgetCap = parseNumber(
-                wantToken("dollar cap"), lineNo, "dollar cap");
+            inputs.config.budgetCap = number(kPositive, 1e15, "dollar cap");
             inputs.config.relaxTotalBw = true;
         } else if (keyword == "THREADS") {
-            double v = parseNumber(wantToken("thread count"), lineNo,
-                                   "thread count");
-            // The range check also rejects NaN (all comparisons
-            // false) before the double-to-int cast could be UB.
-            if (!(v >= 1.0 && v <= 4096.0) || v != std::floor(v))
-                fatal("study line ", lineNo,
-                      ": THREADS must be an integer in [1, 4096], "
-                      "got ", v);
-            inputs.threads = static_cast<int>(v);
+            inputs.threads = number(1, 4096, "thread count");
         } else if (keyword == "SOLVER") {
             // Take the whole rest of the line (not one token) so
             // `SOLVER de cmaes` errors loudly instead of silently
@@ -244,22 +228,15 @@ parseStudyConfig(std::istream& in)
                 refatalWithLine(lineNo, e);
             }
         } else if (keyword == "SEED") {
-            inputs.config.search.seed = static_cast<std::uint64_t>(
-                parseNumber(wantToken("seed"), lineNo, "seed"));
+            inputs.config.search.seed =
+                number(std::uint64_t{0},
+                       std::numeric_limits<std::uint64_t>::max(), "seed");
         } else if (keyword == "STARTS") {
-            inputs.config.search.starts = static_cast<int>(parseNumber(
-                wantToken("start count"), lineNo, "start count"));
+            inputs.config.search.starts = number(0, 4096, "start count");
         } else if (keyword == "MAX_EVALS") {
-            double v = parseNumber(wantToken("eval budget"), lineNo,
-                                   "eval budget");
-            // Same NaN-safe range idiom as THREADS; 0 means
-            // unlimited, matching the in-memory default.
-            if (!(v >= 0.0 && v <= 1e15) || v != std::floor(v))
-                fatal("study line ", lineNo,
-                      ": MAX_EVALS must be an integer in [0, 1e15], "
-                      "got ", v);
+            // 0 means unlimited, matching the in-memory default.
             inputs.config.search.maxEvalsPerStart =
-                static_cast<long long>(v);
+                number(0LL, 1'000'000'000'000'000LL, "eval budget");
         } else if (keyword == "COST") {
             PhysicalLevel level =
                 parseLevel(wantToken("physical level"), lineNo);
@@ -267,8 +244,7 @@ parseStudyConfig(std::istream& in)
                 inputs.costModel.levelCost(level);
             std::string key;
             while (line >> key) {
-                double v = parseNumber(wantToken("cost value"), lineNo,
-                                       "cost value");
+                double v = number(0.0, 1e6, "cost value");
                 if (key == "LINK")
                     cost.link = v;
                 else if (key == "SWITCH")
@@ -411,7 +387,7 @@ studyConfigToString(const LibraInputs& inputs)
               "(DOLLAR_CAP always relaxes the budget on parse)");
 
     // Doubles print in shortest round-trip form, so reparsing with
-    // strtod reproduces every value bit-exactly.
+    // from_chars reproduces every value bit-exactly.
     std::ostringstream out;
     out << "# LIBRA design study (generated by studyConfigToString)\n";
     out << "NETWORK " << inputs.networkShape << "\n";

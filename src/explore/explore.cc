@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "solver/multistart.hh"
 
 namespace libra {
@@ -297,23 +297,13 @@ parseExploreSpec(const std::string& text)
                   text, "'");
         seen[index] = true;
 
-        char* end = nullptr;
-        double v = std::strtod(valueText.c_str(), &end);
-        if (valueText.empty() || end != valueText.c_str() +
-                                            valueText.size() ||
-            !std::isfinite(v)) {
-            fatal("bad value '", valueText, "' for explore parameter '",
-                  key, "'");
-        }
-        if (v < declared[index].min || v > declared[index].max) {
-            fatal("explore parameter '", key, "' = ", v,
-                  " out of range [", declared[index].min, ", ",
-                  declared[index].max, "]");
-        }
-        if (declared[index].integer && v != std::floor(v))
-            fatal("explore parameter '", key, "' = ", v,
-                  " must be an integer");
-        spec.params[index] = v;
+        const ExploreParamSpec& p = declared[index];
+        const std::string what = "explore parameter " + key;
+        spec.params[index] =
+            p.integer ? static_cast<double>(parseNumber<long long>(
+                            valueText, static_cast<long long>(p.min),
+                            static_cast<long long>(p.max), what))
+                      : parseNumber(valueText, p.min, p.max, what);
     }
     return spec;
 }

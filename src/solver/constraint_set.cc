@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <stdexcept>
+#include <string_view>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 
 namespace libra {
 
@@ -172,17 +173,15 @@ class ConstraintParser
         if (pos_ == start)
             fatal("constraint '", text_, "': expected number at pos ",
                   start);
-        // The scan accepts malformed tokens ("1e", "1.2.3") that stod
-        // would cut short, and stod throws past the double range.
-        const std::string token = text_.substr(start, pos_ - start);
+        // The scan also takes malformed tokens ("1e", "1.2.3"); the
+        // grammar rejects them whole. Signs are terms' own.
         try {
-            std::size_t used = 0;
-            double v = std::stod(token, &used);
-            if (used == token.size() && std::isfinite(v))
-                return v;
-        } catch (const std::exception&) {
+            return libra::parseNumber(
+                std::string_view(text_).substr(start, pos_ - start), 0.0,
+                1e15, "number");
+        } catch (const FatalError& e) {
+            fatal("constraint '", text_, "': ", fatalMessage(e));
         }
-        fatal("constraint '", text_, "': bad number '", token, "'");
     }
 
     /** term := [number ['*']] Bk | number */

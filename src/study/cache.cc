@@ -3,18 +3,21 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "common/fault.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "core/timing_backend.hh"
 #include "explore/explore.hh"
 #include "solver/strategy.hh"
@@ -268,24 +271,19 @@ tmpFileIsStale(const std::string& name)
     std::size_t at = name.rfind(marker);
     if (at == std::string::npos)
         return false; // Not a tmp file.
-    std::string pidText = name.substr(at + marker.size());
-    char* end = nullptr;
-    long pid = std::strtol(pidText.c_str(), &end, 10);
-    if (end == pidText.c_str() || pid <= 0)
-        return true; // Garbage suffix: nothing owns it.
-    if (*end == '.') {
-        // Per-writer sequence suffix: must be a nonempty digit run.
-        const char* seq = end + 1;
-        char* seqEnd = nullptr;
-        std::strtol(seq, &seqEnd, 10);
-        if (seqEnd == seq || *seqEnd != '\0')
-            return true; // Garbage sequence: nothing owns it.
-    } else if (*end != '\0') {
-        return true; // Garbage after the pid: nothing owns it.
-    }
+    std::string_view suffix = std::string_view(name).substr(
+        at + marker.size());
+    std::size_t dot = std::min(suffix.find('.'), suffix.size());
+    std::optional<int> pid = tryParseNumber(
+        suffix.substr(0, dot), 1, std::numeric_limits<int>::max());
+    bool seqOk = dot == suffix.size() ||
+                 tryParseNumber(suffix.substr(dot + 1), std::uint64_t{0},
+                                std::numeric_limits<std::uint64_t>::max());
+    if (!pid || !seqOk)
+        return true; // Garbage pid or sequence: nothing owns it.
     // Signal 0 probes existence. EPERM means the pid exists but is not
     // ours — leave its tmp file alone.
-    return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
+    return ::kill(*pid, 0) != 0 && errno == ESRCH;
 }
 
 } // namespace

@@ -1,12 +1,12 @@
 #include "workload/parser.hh"
 
-#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <sstream>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 
 namespace libra {
 
@@ -60,26 +60,6 @@ parseScope(const std::string& token, int line)
     fatal("workload line ", line, ": unknown scope '", token, "'");
 }
 
-/**
- * A finite number (nan and inf parse, but no keyword takes them); with
- * @p non_negative, also >= 0, as compute times and sizes must be.
- */
-double
-parseNumber(const std::string& token, int line, const char* what,
-            bool non_negative = false)
-{
-    try {
-        std::size_t used = 0;
-        double v = std::stod(token, &used);
-        if (used != token.size() || !std::isfinite(v) ||
-            (non_negative && v < 0.0))
-            throw std::invalid_argument(token);
-        return v;
-    } catch (const std::exception&) {
-        fatal("workload line ", line, ": bad ", what, " '", token, "'");
-    }
-}
-
 } // namespace
 
 Workload
@@ -109,19 +89,25 @@ parseWorkload(std::istream& in)
                 fatal("workload line ", lineNo, ": expected ", what);
             return t;
         };
+        // The next token as a number in [lo, hi] (common/parse_number.hh).
+        auto number = [&](auto lo, decltype(lo) hi, const char* what) {
+            std::string token = wantToken(what);
+            try {
+                return parseNumber(token, lo, hi, what);
+            } catch (const FatalError& e) {
+                fatal("workload line ", lineNo, ": ", fatalMessage(e));
+            }
+        };
 
         if (keyword == "WORKLOAD") {
             w.name = wantToken("workload name");
             sawWorkload = true;
         } else if (keyword == "PARAMS") {
-            w.parameters =
-                parseNumber(wantToken("parameter count"), lineNo,
-                            "parameter count");
+            w.parameters = number(0.0, 1e18, "parameter count");
         } else if (keyword == "STRATEGY") {
             std::string key;
             while (line >> key) {
-                long v = static_cast<long>(parseNumber(
-                    wantToken("strategy size"), lineNo, "strategy size"));
+                long v = number(1L, 1L << 30, "strategy size");
                 if (key == "TP")
                     w.strategy.tp = v;
                 else if (key == "PP")
@@ -149,8 +135,8 @@ parseWorkload(std::istream& in)
             if (!layer)
                 fatal("workload line ", lineNo, ": ", keyword,
                       " outside LAYER");
-            double v = parseNumber(wantToken("compute time"), lineNo,
-                                   "compute time", true);
+            // Seconds.
+            double v = number(0.0, 1e6, "compute time");
             if (keyword == "FWD_COMPUTE")
                 layer->fwdCompute = v;
             else if (keyword == "IG_COMPUTE")
@@ -166,8 +152,9 @@ parseWorkload(std::istream& in)
             op.type =
                 parseCollective(wantToken("collective type"), lineNo);
             op.scope = parseScope(wantToken("comm scope"), lineNo);
-            op.size = parseNumber(wantToken("collective size"), lineNo,
-                                  "collective size", true);
+            // Bytes; one 1e12 B transfer at the 0.1 GB/s minimum
+            // dimension BW stays far inside chunk-sim's tick range.
+            op.size = number(0.0, 1e12, "collective size");
             if (keyword == "FWD_COMM")
                 layer->fwdComm.push_back(op);
             else if (keyword == "IG_COMM")

@@ -124,7 +124,6 @@ TEST(FaultSpec, ParsesSitesAndSeed)
               0.0);
     EXPECT_EQ(c.seed, 7u);
     EXPECT_TRUE(c.any());
-    EXPECT_EQ(faultSpecToString(c), "cache-load-read=0.25,seed=7");
 
     FaultConfig multi = parseFaultSpec(
         "point-eval=1,cache-store-rename=0.5");

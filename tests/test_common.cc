@@ -1,13 +1,18 @@
 /**
  * @file
- * Tests for common utilities: units, logging, RNG, and table printing.
+ * Tests for common utilities: units, logging, the number grammar, RNG,
+ * and table printing.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "common/random.hh"
 #include "common/table.hh"
 #include "common/units.hh"
@@ -54,6 +59,70 @@ TEST(Logging, InformAndWarnDoNotThrow)
     EXPECT_NO_THROW(inform("quiet"));
     setInformEnabled(true);
     EXPECT_NO_THROW(warn("just a warning ", 1));
+}
+
+TEST(ParseNumber, RealsAreWholeFiniteNormalDecimals)
+{
+    EXPECT_EQ(tryParseNumber("0.30000000000000004", 0.0, 1.0),
+              0.30000000000000004);
+    EXPECT_EQ(tryParseNumber("1.5e7", 0.0, 1e15), 1.5e7);
+    EXPECT_EQ(tryParseNumber("1E-300", 0.0, 1.0), 1e-300);
+    EXPECT_EQ(tryParseNumber("-2.5", -3.0, 0.0), -2.5);
+    for (const char* bad :
+         {"", " 1", "1 ", "+1", "1e", ".", "1.2.3", "0x10", "1,5", "inf",
+          "-inf", "nan", "infinity", "1e-320", "1e400", "-1e400"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(tryParseNumber(bad, -1e308, 1e308));
+    }
+}
+
+TEST(ParseNumber, IntegersAreExactBaseTenDigits)
+{
+    const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    // Above 2^53 a double would round these to a neighbor.
+    EXPECT_EQ(tryParseNumber("9007199254740993", std::uint64_t{0}, max),
+              9007199254740993ull);
+    EXPECT_EQ(tryParseNumber("18446744073709551615", std::uint64_t{0},
+                             max),
+              max);
+    EXPECT_EQ(tryParseNumber("-7", -10, 10), -7);
+    for (const char* bad : {"18446744073709551616", "-1", "+1", "1.0",
+                            "1e3", "0x10", " 1", ""}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(tryParseNumber(bad, std::uint64_t{0}, max));
+    }
+}
+
+TEST(ParseNumber, ValuesOutsideTheRangeAreRejected)
+{
+    EXPECT_EQ(tryParseNumber("0", 0.0, 1.0), 0.0);
+    EXPECT_EQ(tryParseNumber("1", 0.0, 1.0), 1.0);
+    EXPECT_FALSE(tryParseNumber("1.0000000000000002", 0.0, 1.0));
+    EXPECT_FALSE(tryParseNumber("-1", 0.0, 1.0));
+    EXPECT_FALSE(tryParseNumber("0", kPositive, 1.0));
+    EXPECT_FALSE(tryParseNumber("-0", kPositive, 1.0));
+    EXPECT_EQ(tryParseNumber("4096", 1, 4096), 4096);
+    EXPECT_FALSE(tryParseNumber("4097", 1, 4096));
+    EXPECT_FALSE(tryParseNumber("0", 1, 4096));
+}
+
+TEST(ParseNumber, ErrorsNameTheFieldTokenAndRange)
+{
+    auto message = [](auto parse) {
+        try {
+            parse();
+        } catch (const FatalError& e) {
+            return fatalMessage(e);
+        }
+        return std::string("no error");
+    };
+    EXPECT_EQ(message([] { parseNumber("-1", kPositive, 1e6, "weight"); }),
+              "bad weight '-1' (expected a number in (0, 1e+06])");
+    EXPECT_EQ(message([] { parseNumber("2", 0.0, 1.0, "rate"); }),
+              "bad rate '2' (expected a number in [0, 1])");
+    EXPECT_EQ(message([] { parseNumber("2.5", 1, 8, "count"); }),
+              "bad count '2.5' (expected an integer in [1, 8])");
+    EXPECT_EQ(parseNumber("8", 1, 8, "count"), 8);
 }
 
 TEST(Rng, Deterministic)

@@ -142,6 +142,62 @@ TEST(StudyConfig, NonFiniteNumbersAreRejectedWithTheirLine)
     }
 }
 
+// Each numeric directive declares its range; a value outside it, or a
+// non-integer where an integer is due, is an error naming the line.
+TEST(StudyConfig, OutOfRangeNumbersAreRejectedWithTheirLine)
+{
+    const std::pair<const char*, const char*> cases[] = {
+        {"TOTAL_BW 0", "bad total BW '0'"},
+        {"TOTAL_BW 1e7", "bad total BW '1e7'"},
+        {"DOLLAR_CAP 0", "bad dollar cap '0'"},
+        {"DOLLAR_CAP -1", "bad dollar cap '-1'"},
+        {"DOLLAR_CAP 1e16", "bad dollar cap '1e16'"},
+        {"COST Pod LINK -7", "bad cost value '-7'"},
+        {"COST Pod NIC 1e308", "bad cost value '1e308'"},
+        {"STARTS -3", "bad start count '-3'"},
+        {"STARTS 1e30", "bad start count '1e30'"},
+        {"STARTS 4097", "bad start count '4097'"},
+        {"STARTS 3.0", "bad start count '3.0'"},
+        {"THREADS 0", "bad thread count '0'"},
+        {"THREADS 2.5", "bad thread count '2.5'"},
+        {"MAX_EVALS -1", "bad eval budget '-1'"},
+        {"MAX_EVALS 1e3", "bad eval budget '1e3'"},
+        {"SEED -1", "bad seed '-1'"},
+        {"SEED 18446744073709551616", "bad seed '18446744073709551616'"},
+        {"SEED 1e3", "bad seed '1e3'"},
+    };
+    for (const auto& [line, error] : cases) {
+        SCOPED_TRACE(line);
+        try {
+            parseStudyConfigString("NETWORK RI(4)\n" + std::string(line) +
+                                   "\nWORKLOAD dlrm\n");
+            ADD_FAILURE() << "accepted";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "study line 2: " + std::string(error)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    for (const char* weight : {"-1", "0"}) {
+        SCOPED_TRACE(weight);
+        EXPECT_THROW(parseStudyConfigString(
+                         "NETWORK RI(4)\nWORKLOAD dlrm WEIGHT " +
+                         std::string(weight) + "\n"),
+                     FatalError);
+    }
+    // The range ends themselves are values.
+    LibraInputs edge = parseStudyConfigString(
+        "NETWORK RI(4)\nTOTAL_BW 1e6\nDOLLAR_CAP 1e15\nSTARTS 0\n"
+        "COST Pod LINK 0 SWITCH 1e6\nSEED 18446744073709551615\n"
+        "WORKLOAD dlrm WEIGHT 1e6\n");
+    EXPECT_EQ(edge.config.totalBw, 1e6);
+    EXPECT_EQ(edge.config.budgetCap, 1e15);
+    EXPECT_EQ(edge.config.search.starts, 0);
+    EXPECT_EQ(edge.config.search.seed, 18446744073709551615ull);
+    EXPECT_EQ(edge.targets[0].weight, 1e6);
+}
+
 TEST(StudyConfig, EndToEndThroughFramework)
 {
     LibraInputs in = parseStudyConfigString(R"(
@@ -256,11 +312,10 @@ TEST(StudyConfigCli, NanLinkCostUnderPerfPerCostExitsOneNamingTheLine)
         "study line 14: bad cost value 'nan'");
 }
 
-// A finite 1e308 price passes the number check but overflows the
-// DOLLAR_CAP budget, so no search start ends feasible.
-// multistartMinimize used to hand its empty winner to the final polish
-// (SIGSEGV); it now fails the study. Each of the three prices behaves
-// alike.
+// A finite 1e308 price under a DOLLAR_CAP used to crash the final
+// polish (SIGSEGV), then fail late with "no search start reached a
+// feasible point". Prices are in [0, 1e6], so each of the three now
+// fails at parse time, naming its COST line.
 TEST(StudyConfigCli, HugeCostUnderDollarCapExitsOne)
 {
     for (const char* cost : {"COST Pod LINK 1e308 SWITCH 18.0 NIC 31.6",
@@ -272,8 +327,35 @@ TEST(StudyConfigCli, HugeCostUnderDollarCapExitsOne)
                 {{"OBJECTIVE PERF ", "OBJECTIVE PERF_PER_COST "},
                  {"# COST Pod LINK 7.8 SWITCH 18.0 NIC 31.6", cost},
                  {"# DOLLAR_CAP", "DOLLAR_CAP"}}),
-            "fatal: no search start reached a feasible point with a "
-            "finite objective");
+            "fatal: study line 14: bad cost value '1e308'");
+    }
+}
+
+// These edits used to exit 0 with a wrong answer (a negative weight
+// or price), reach a study that cannot be serialized (a DOLLAR_CAP of
+// 0 or -1), or cast an out-of-range double to int (STARTS). Each is
+// now outside its directive's range.
+TEST(StudyConfigCli, OutOfRangeStudyNumbersExitOneNamingTheLine)
+{
+    using Edits = std::vector<std::pair<std::string, std::string>>;
+    const std::pair<Edits, std::string> cases[] = {
+        {{{"\nWORKLOAD gpt3\n", "\nWORKLOAD gpt3 WEIGHT -1\n"}},
+         "study line 7: bad weight '-1'"},
+        {{{"OBJECTIVE PERF ", "OBJECTIVE PERF_PER_COST "},
+          {"# COST Pod LINK 7.8", "COST Pod LINK -7"}},
+         "study line 14: bad cost value '-7'"},
+        {{{"# DOLLAR_CAP 1.5e7", "DOLLAR_CAP 0"}},
+         "study line 15: bad dollar cap '0'"},
+        {{{"# DOLLAR_CAP 1.5e7", "DOLLAR_CAP -1"}},
+         "study line 15: bad dollar cap '-1'"},
+        {{{"NORMALIZE_WEIGHTS\n", "NORMALIZE_WEIGHTS\nSTARTS -3\n"}},
+         "study line 10: bad start count '-3'"},
+        {{{"NORMALIZE_WEIGHTS\n", "NORMALIZE_WEIGHTS\nSTARTS 1e30\n"}},
+         "study line 10: bad start count '1e30'"},
+    };
+    for (const auto& [edits, error] : cases) {
+        SCOPED_TRACE(error);
+        expectFatalExit(runMutatedExample(edits), "fatal: " + error);
     }
 }
 
@@ -319,11 +401,13 @@ TEST(StudyConfigCli, OutOfRangeNetworkNumbersExitOneNamingTheShape)
 
 /**
  * A one-layer workload file for the example's 4096-NPU network, with
- * @p from replaced by @p to, added to the example study as a
- * WORKLOAD_FILE.
+ * @p from replaced by @p to, added as a WORKLOAD_FILE to the example
+ * study with @p studyEdits applied.
  */
 CliRun
-runExampleWithWorkloadFile(const std::string& from, const std::string& to)
+runExampleWithWorkloadFile(
+    const std::string& from, const std::string& to,
+    std::vector<std::pair<std::string, std::string>> studyEdits = {})
 {
     std::string text = "WORKLOAD hostile\n"
                        "STRATEGY TP 4 PP 1 DP 1024\n"
@@ -340,8 +424,9 @@ runExampleWithWorkloadFile(const std::string& from, const std::string& to)
     text.replace(at, from.size(), to);
     std::string path = ::testing::TempDir() + "libra_hostile.wl";
     std::ofstream(path) << text;
-    return runMutatedExample({{"# WORKLOAD_FILE my_profiled_model.wl",
-                               "WORKLOAD_FILE " + path}});
+    studyEdits.push_back(
+        {"# WORKLOAD_FILE my_profiled_model.wl", "WORKLOAD_FILE " + path});
+    return runMutatedExample(studyEdits);
 }
 
 // The workload parser accepted what the study parser rejects: a
@@ -366,6 +451,36 @@ TEST(StudyConfigCli, WorkloadFileNumbersExitOneNamingTheLine)
                         "workload line 4: bad compute time '" +
                             std::string(bad) + "'");
     }
+}
+
+// Finite but absurd workload numbers used to pass: a fractional or
+// huge parallelization size was truncated or misreported, a 1e308
+// compute time printed a 300-digit time, and a 1e18-byte collective
+// overflowed chunk-sim's picosecond ticks into a wrong answer with
+// exit 0.
+TEST(StudyConfigCli, WorkloadFileOutOfRangeNumbersExitOneNamingTheLine)
+{
+    const std::pair<std::pair<std::string, std::string>, std::string>
+        cases[] = {
+            {{"TP 4 ", "TP 16.5 "},
+             "workload line 2: bad strategy size '16.5'"},
+            {{"TP 4 ", "TP 1e30 "},
+             "workload line 2: bad strategy size '1e30'"},
+            {{"FWD_COMPUTE 0.01", "FWD_COMPUTE 1e308"},
+             "workload line 4: bad compute time '1e308'"},
+            {{"TP 1e8", "TP 1e308"},
+             "workload line 5: bad collective size '1e308'"},
+        };
+    for (const auto& [edit, error] : cases) {
+        SCOPED_TRACE(error);
+        expectFatalExit(runExampleWithWorkloadFile(edit.first, edit.second),
+                        "fatal: " + error);
+    }
+    expectFatalExit(
+        runExampleWithWorkloadFile(
+            "TP 1e8", "TP 1e18",
+            {{"# BACKEND chunk-sim", "BACKEND chunk-sim"}}),
+        "workload line 5: bad collective size '1e18'");
 }
 
 // The four `list* --emit json` commands iterate the registries; pin

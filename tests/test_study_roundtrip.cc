@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/logging.hh"
 #include "core/study_config.hh"
 
@@ -289,6 +292,20 @@ TEST(StudyRoundTrip, SerializedNumbersSurviveExactly)
     EXPECT_EQ(back.config.totalBw, 0.30000000000000004);
     EXPECT_EQ(back.targets[0].weight, 0.1);
     EXPECT_EQ(back.config.budgetCap, 12345678.901234567);
+
+    // Seeds are integers parsed exactly; none passes through a double,
+    // which would turn 2^53 + 1 into 2^53 and 2^64 - 1 into 0.
+    for (std::uint64_t seed :
+         {9007199254740993ull, 18446744073709551615ull}) {
+        SCOPED_TRACE(seed);
+        LibraInputs seeded = parseStudyConfigString(
+            "NETWORK RI(4)_SW(8)\nSEED " + std::to_string(seed) +
+            "\nWORKLOAD resnet50\n");
+        EXPECT_EQ(seeded.config.search.seed, seed);
+        EXPECT_EQ(parseStudyConfigString(studyConfigToString(seeded))
+                      .config.search.seed,
+                  seed);
+    }
 }
 
 TEST(StudyRoundTrip, UnserializableInputsAreReported)

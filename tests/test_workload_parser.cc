@@ -170,6 +170,48 @@ TEST(WorkloadParser, RejectsNonFiniteAndNegativeNumbers)
     EXPECT_EQ(w.layers[0].fwdComm[0].size, 0.0);
 }
 
+// Every workload number has a range: parameter counts [0, 1e18],
+// parallelization sizes integers in [1, 2^30], compute times [0, 1e6]
+// s and collective sizes [0, 1e12] B.
+TEST(WorkloadParser, RejectsOutOfRangeNumbers)
+{
+    const std::pair<std::string, std::string> cases[] = {
+        {"PARAMS 1e19\nLAYER a\nEND\n", "line 2: bad parameter count '1e19'"},
+        {"STRATEGY TP 16.5\nLAYER a\nEND\n",
+         "line 2: bad strategy size '16.5'"},
+        {"STRATEGY PP 1e30\nLAYER a\nEND\n",
+         "line 2: bad strategy size '1e30'"},
+        {"STRATEGY DP 0\nLAYER a\nEND\n", "line 2: bad strategy size '0'"},
+        {"STRATEGY TP 1073741825\nLAYER a\nEND\n",
+         "line 2: bad strategy size '1073741825'"},
+        {"LAYER a\nFWD_COMPUTE 1e308\nEND\n",
+         "line 3: bad compute time '1e308'"},
+        {"LAYER a\nWG_COMM ALLREDUCE DP 1e18\nEND\n",
+         "line 3: bad collective size '1e18'"},
+        {"LAYER a\nIG_COMM ALLGATHER TP 1e308\nEND\n",
+         "line 3: bad collective size '1e308'"},
+    };
+    for (const auto& [body, error] : cases) {
+        SCOPED_TRACE(body);
+        try {
+            parseWorkloadString("WORKLOAD x\n" + body);
+            ADD_FAILURE() << "accepted";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find("workload " + error),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The range ends themselves are values.
+    Workload w = parseWorkloadString(
+        "WORKLOAD x\nPARAMS 1e18\nSTRATEGY TP 1073741824 PP 1 DP 1\n"
+        "LAYER a\nFWD_COMPUTE 1e6\nFWD_COMM ALLREDUCE TP 1e12\nEND\n");
+    EXPECT_EQ(w.parameters, 1e18);
+    EXPECT_EQ(w.strategy.tp, 1L << 30);
+    EXPECT_EQ(w.layers[0].fwdCompute, 1e6);
+    EXPECT_EQ(w.layers[0].fwdComm[0].size, 1e12);
+}
+
 TEST(WorkloadParser, CommentsAndWhitespaceIgnored)
 {
     Workload w = parseWorkloadString(

@@ -105,6 +105,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -112,6 +113,7 @@
 #include "common/fault.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "core/report.hh"
@@ -542,12 +544,20 @@ runMatrixCommand(const MatrixCliOptions& cli)
     return result.failed > 0 ? 3 : 0;
 }
 
+/** A thread-count flag: [1, 4096], like THREADS and LIBRA_THREADS. */
+int
+parseThreads(const std::string& text)
+{
+    return libra::parseNumber(text, 1, 4096, "thread count");
+}
+
 int
 runServeCommand(const std::vector<std::string>& args,
                 const std::string& workerExe)
 {
     using namespace libra;
 
+    constexpr auto kSizeMax = std::numeric_limits<std::size_t>::max();
     ServeOptions options;
     options.workerExe = workerExe;
     int threads = 0;
@@ -566,36 +576,13 @@ runServeCommand(const std::vector<std::string>& args,
         } else if (arg == "--cache-dir") {
             options.cacheDir = value("a directory");
         } else if (arg == "--lru") {
-            std::string text = value("an entry count");
-            char* end = nullptr;
-            long v = std::strtol(text.c_str(), &end, 10);
-            if (end == text.c_str() || *end != '\0' || v < 0) {
-                std::cerr << "libra_cli: bad --lru capacity '" << text
-                          << "'\n";
-                return 1;
-            }
-            options.lruCapacity = static_cast<std::size_t>(v);
+            options.lruCapacity = parseNumber<std::size_t>(
+                value("an entry count"), 0, kSizeMax, "--lru capacity");
         } else if (arg == "--lru-bytes") {
-            std::string text = value("a byte budget");
-            char* end = nullptr;
-            long long v = std::strtoll(text.c_str(), &end, 10);
-            if (end == text.c_str() || *end != '\0' || v < 0) {
-                std::cerr << "libra_cli: bad --lru-bytes budget '"
-                          << text << "'\n";
-                return 1;
-            }
-            options.lruBytes = static_cast<std::size_t>(v);
+            options.lruBytes = parseNumber<std::size_t>(
+                value("a byte budget"), 0, kSizeMax, "--lru-bytes budget");
         } else if (arg == "--threads") {
-            std::string text = value("a count");
-            char* end = nullptr;
-            long v = std::strtol(text.c_str(), &end, 10);
-            if (end == text.c_str() || *end != '\0' || v < 1 ||
-                v > 4096) {
-                std::cerr << "libra_cli: bad thread count '" << text
-                          << "' (expected 1..4096)\n";
-                return 1;
-            }
-            threads = static_cast<int>(v);
+            threads = parseThreads(value("a count"));
         } else if (arg == "--fail-mode") {
             std::string mode = value("abort or isolate");
             if (mode == "abort") {
@@ -608,16 +595,8 @@ runServeCommand(const std::vector<std::string>& args,
                 return 1;
             }
         } else if (arg == "--max-workers") {
-            std::string text = value("a worker cap");
-            char* end = nullptr;
-            long v = std::strtol(text.c_str(), &end, 10);
-            if (end == text.c_str() || *end != '\0' || v < 1 ||
-                v > 256) {
-                std::cerr << "libra_cli: bad --max-workers cap '"
-                          << text << "' (expected 1..256)\n";
-                return 1;
-            }
-            options.maxWorkers = static_cast<std::size_t>(v);
+            options.maxWorkers = parseNumber<std::size_t>(
+                value("a worker cap"), 1, 256, "--max-workers cap");
         } else if (arg == "--faults") {
             installFaults(parseFaultSpec(value("a fault spec")));
         } else {
@@ -685,19 +664,6 @@ runServeRequestCommand(const std::vector<std::string>& args)
         reply.status.at("failed").asNumber() > 0)
         return 3;
     return 0;
-}
-
-int
-parseThreads(const char* text)
-{
-    char* end = nullptr;
-    long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || v < 1 || v > 4096) {
-        std::cerr << "libra_cli: bad thread count '" << text
-                  << "' (expected 1..4096)\n";
-        return -1;
-    }
-    return static_cast<int>(v);
 }
 
 void
@@ -844,41 +810,19 @@ main(int argc, char** argv)
                 } else if (arg == "--golden-dir") {
                     cli.goldenDir = value("a directory");
                 } else if (arg == "--threads") {
-                    cli.threads =
-                        parseThreads(value("a count").c_str());
-                    if (cli.threads < 0)
-                        return 1;
+                    cli.threads = parseThreads(value("a count"));
                 } else if (arg == "--workers") {
-                    std::string text = value("a worker count");
-                    char* end = nullptr;
-                    long v = std::strtol(text.c_str(), &end, 10);
-                    if (end == text.c_str() || *end != '\0' || v < 1 ||
-                        v > 256) {
-                        std::cerr << "libra_cli: bad --workers count '"
-                                  << text << "' (expected 1..256)\n";
-                        return 1;
-                    }
-                    cli.workers = static_cast<std::size_t>(v);
+                    cli.workers = libra::parseNumber<std::size_t>(
+                        value("a worker count"), 1, 256,
+                        "--workers count");
                 } else if (arg == "--worker-threads") {
-                    cli.workerThreads =
-                        parseThreads(value("a count").c_str());
-                    if (cli.workerThreads < 0)
-                        return 1;
+                    cli.workerThreads = parseThreads(value("a count"));
                 } else if (arg == "--checkpoint") {
                     cli.checkpointPath = value("a manifest path");
                 } else if (arg == "--checkpoint-chunk") {
-                    std::string text = value("a chunk size");
-                    char* end = nullptr;
-                    long v = std::strtol(text.c_str(), &end, 10);
-                    if (end == text.c_str() || *end != '\0' ||
-                        v < 1 || v > 4096) {
-                        std::cerr << "libra_cli: bad "
-                                     "--checkpoint-chunk size '"
-                                  << text << "' (expected 1..4096)\n";
-                        return 1;
-                    }
-                    cli.checkpointChunk =
-                        static_cast<std::size_t>(v);
+                    cli.checkpointChunk = libra::parseNumber<std::size_t>(
+                        value("a chunk size"), 1, 4096,
+                        "--checkpoint-chunk size");
                     cli.checkpointChunkSet = true;
                 } else if (!arg.empty() && arg[0] == '-') {
                     std::cerr << "libra_cli: unknown run-matrix flag '"
@@ -911,9 +855,7 @@ main(int argc, char** argv)
                     std::cerr << "libra_cli: --threads needs a count\n";
                     return 1;
                 }
-                threads = parseThreads(args[++i].c_str());
-                if (threads < 0)
-                    return 1;
+                threads = parseThreads(args[++i]);
             } else if (args[i] == "--solver") {
                 if (i + 1 >= args.size()) {
                     std::cerr << "libra_cli: --solver needs a spec\n";

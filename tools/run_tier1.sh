@@ -15,12 +15,13 @@
 #                  a 4-thread run filled is byte-identical and serves
 #                  all 366 points from that cache, whose entries total
 #                  under 256 KB (PERF.md).
-#               5. hostile-number: nan/inf in a study file, a 1e308
-#                  price under a DOLLAR_CAP, out-of-range CONSTRAINT
-#                  tokens and NETWORK sizes, depths and NPU counts, and
-#                  an inf size or negative compute time in a
-#                  WORKLOAD_FILE end the CLI with exit 1 and a named
-#                  error, never a signal (ROBUSTNESS.md).
+#               5. hostile-number: nan/inf and out-of-range numbers in
+#                  a study file (a 1e308 price, a negative weight or
+#                  price, a DOLLAR_CAP of 0 or -1, STARTS -3 or 1e30),
+#                  out-of-range CONSTRAINT tokens and NETWORK sizes,
+#                  depths and NPU counts, and out-of-range WORKLOAD_FILE
+#                  numbers end the CLI with exit 1 and a named error,
+#                  never a signal (ROBUSTNESS.md).
 #               6. explore: `explore-frontier --explore prune`,
 #                  byte-identical fresh at 2 and 4 threads and cached
 #                  (EXPLORE.md).
@@ -59,6 +60,10 @@
 #              build-ubsan/; runs the full suite with UB traps fatal,
 #              without ASan's memory overhead.
 #
+# Every mode first runs the number-grammar gate: no std::sto*, strto*
+# or ato* call in src/ or tools/, because every number goes through
+# parseNumber (src/common/parse_number.hh, ROBUSTNESS.md).
+#
 # Sanitizer builds use a separate build directory so they never poison
 # the Release object cache, and -O1 -g for usable stacks.
 #
@@ -79,6 +84,12 @@ for arg in "$@"; do
     *) ARGS+=("${arg}") ;;
   esac
 done
+
+if grep -rnE '\b(std::)?(sto(i|l|ul|ll|ull|f|d|ld)|strto[a-z]+|ato(i|l|ll|f))[[:space:]]*\(' \
+    --include='*.cc' --include='*.hh' src tools; then
+  echo "number-grammar gate: parse numbers with parseNumber (src/common/parse_number.hh)" >&2
+  exit 1
+fi
 
 BUILD_DIR="build"
 CMAKE_EXTRA=(-DLIBRA_WERROR=ON)
@@ -196,13 +207,15 @@ if [[ -z "${MODE}" ]]; then
   echo "warm-all smoke: byte-identical matrix JSON (fresh 4t vs cached 1t), 366 from cache, 0 computed, ${WCACHE_BYTES} entry bytes"
 
   # Hostile-number smoke: nan and inf in a study file are user errors,
-  # and so is a finite 1e308 price that leaves no start inside a
-  # DOLLAR_CAP, a constraint index or number past its range, a NETWORK
-  # group size, hierarchy depth or NPU count past its range, and an
-  # inf size or negative compute time in a WORKLOAD_FILE. Each edit of
-  # the example study (the cost edits also switch to the PERF_PER_COST
-  # objective its COST line feeds) must end the CLI with exit 1 and its
-  # ERRORS entry, never a signal (docs/ROBUSTNESS.md).
+  # and so is every number outside its field's range: a 1e308 or
+  # negative price, a negative weight, a DOLLAR_CAP of 0 or -1, STARTS
+  # -3 or 1e30, a constraint index or number, a NETWORK group size,
+  # hierarchy depth or NPU count, and a WORKLOAD_FILE size, compute
+  # time or parallelization size (a 1e18-byte collective used to
+  # overflow chunk-sim's ticks with exit 0). Each edit of the example
+  # study (the cost edits also switch to the PERF_PER_COST objective
+  # its COST line feeds) must end the CLI with exit 1 and its ERRORS
+  # entry, never a signal (docs/ROBUSTNESS.md).
   "${BUILD_DIR}/libra_cli" --example > "${SMOKE_DIR}/example.study"
   WL_OK="WORKLOAD hostile
 STRATEGY TP 4 PP 1 DP 1024
@@ -213,11 +226,18 @@ END"
   sed 's/TP 1e8/TP inf/' <<< "${WL_OK}" > "${SMOKE_DIR}/inf-size.wl"
   sed 's/FWD_COMPUTE 0.01/FWD_COMPUTE -1/' <<< "${WL_OK}" \
     > "${SMOKE_DIR}/negative-compute.wl"
+  sed 's/FWD_COMPUTE 0.01/FWD_COMPUTE 1e308/' <<< "${WL_OK}" \
+    > "${SMOKE_DIR}/huge-compute.wl"
+  sed 's/TP 1e8/TP 1e18/' <<< "${WL_OK}" > "${SMOKE_DIR}/1e18-size.wl"
+  sed 's/TP 1e8/TP 1e308/' <<< "${WL_OK}" > "${SMOKE_DIR}/1e308-size.wl"
+  sed 's/TP 4 /TP 16.5 /' <<< "${WL_OK}" > "${SMOKE_DIR}/fractional-tp.wl"
+  sed 's/TP 4 /TP 1e30 /' <<< "${WL_OK}" > "${SMOKE_DIR}/huge-tp.wl"
   PER_COST='s/^OBJECTIVE PERF /OBJECTIVE PERF_PER_COST /'
   CAPPED='s/^# DOLLAR_CAP/DOLLAR_CAP/'
   WL_FILE='s|^# WORKLOAD_FILE my_profiled_model.wl|WORKLOAD_FILE '"${SMOKE_DIR}"'/'
   NONFINITE="study line [0-9]+: bad .* '(nan|inf)'"
-  NO_START="fatal: no search start reached a feasible point with a finite objective"
+  HUGE_COST="fatal: study line 14: bad cost value '1e308'"
+  CHUNK_SIM='s/^# BACKEND chunk-sim/BACKEND chunk-sim/'
   EDITS=(
     's/^TOTAL_BW 500$/TOTAL_BW nan/'
     's/^TOTAL_BW 500$/TOTAL_BW inf/'
@@ -234,9 +254,20 @@ END"
     's/^NETWORK .*/NETWORK SW(65536)_SW(65536)_SW(65536)_SW(65536)/'
     "${WL_FILE}inf-size.wl|"
     "${WL_FILE}negative-compute.wl|"
+    's/^WORKLOAD gpt3$/WORKLOAD gpt3 WEIGHT -1/'
+    "${PER_COST};s/^# COST Pod LINK 7.8 /COST Pod LINK -7 /"
+    's/^# DOLLAR_CAP 1.5e7$/DOLLAR_CAP 0/'
+    's/^# DOLLAR_CAP 1.5e7$/DOLLAR_CAP -1/'
+    's/^NORMALIZE_WEIGHTS$/NORMALIZE_WEIGHTS\nSTARTS -3/'
+    's/^NORMALIZE_WEIGHTS$/NORMALIZE_WEIGHTS\nSTARTS 1e30/'
+    "${WL_FILE}fractional-tp.wl|"
+    "${WL_FILE}huge-tp.wl|"
+    "${WL_FILE}huge-compute.wl|"
+    "${WL_FILE}1e18-size.wl|;${CHUNK_SIM}"
+    "${WL_FILE}1e308-size.wl|"
   )
   ERRORS=("${NONFINITE}" "${NONFINITE}" "${NONFINITE}" "${NONFINITE}"
-          "${NO_START}" "${NO_START}" "${NO_START}"
+          "${HUGE_COST}" "${HUGE_COST}" "${HUGE_COST}"
           "constraint ' B99999999999999999999999 <= 50': B99999999999999999999999 out of range"
           "constraint ' B3 <= 1e-320': bad number '1e-320'"
           "network 'RI\\(99999999999999999999999\\)_FC\\(8\\)': group size 99999999999999999999999 is not in \\[2, 1073741824\\]"
@@ -244,7 +275,18 @@ END"
           "network 'RI\\(4:99999999999\\)_FC\\(8\\)': hierarchy depth 99999999999 is not in \\[1, 64\\]"
           "network 'SW\\(65536\\)_SW\\(65536\\)_SW\\(65536\\)_SW\\(65536\\)': more than 1073741824 NPUs"
           "workload line 5: bad collective size 'inf'"
-          "workload line 4: bad compute time '-1'")
+          "workload line 4: bad compute time '-1'"
+          "study line 7: bad weight '-1'"
+          "study line 14: bad cost value '-7'"
+          "study line 15: bad dollar cap '0'"
+          "study line 15: bad dollar cap '-1'"
+          "study line 10: bad start count '-3'"
+          "study line 10: bad start count '1e30'"
+          "workload line 2: bad strategy size '16.5'"
+          "workload line 2: bad strategy size '1e30'"
+          "workload line 4: bad compute time '1e308'"
+          "workload line 5: bad collective size '1e18'"
+          "workload line 5: bad collective size '1e308'")
   for i in "${!EDITS[@]}"; do
     edit="${EDITS[${i}]}"
     sed "${edit}" "${SMOKE_DIR}/example.study" > "${SMOKE_DIR}/hostile.study"
@@ -264,7 +306,7 @@ END"
       exit 1
     fi
   done
-  echo "hostile-number smoke: non-finite study numbers, an unreachable DOLLAR_CAP, out-of-range constraint tokens and NETWORK numbers, and bad WORKLOAD_FILE numbers exit 1 with a named error"
+  echo "hostile-number smoke: non-finite and out-of-range study, constraint, NETWORK and WORKLOAD_FILE numbers exit 1 with a named error"
 
   # Explore smoke: the design-space layer end to end through the CLI.
   # The prune strategy's screening rounds and promotions must emit
