@@ -19,7 +19,7 @@
  * and is therefore only count-deterministic.
  *
  * Configuration is a spec string, `site=rate[,site=rate...][,seed=N]`
- * (the `--faults` CLI flag / LIBRA_FAULTS environment variable), e.g.
+ * (the `--faults` CLI flag), e.g.
  *
  *     cache-load-read=0.25,cache-store-write=0.25,seed=11
  *

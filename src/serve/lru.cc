@@ -2,48 +2,10 @@
 
 namespace libra {
 
-namespace {
-
-std::size_t
-resultHeapBytes(const OptimizationResult& result)
-{
-    return result.bw.size() * sizeof(double) +
-           result.perWorkloadTime.size() * sizeof(Seconds);
-}
-
-} // namespace
-
-std::size_t
-LruCache::entryBytes(const std::string& key, const LibraReport& report)
-{
-    // List node + two index pointers approximated by the Entry itself
-    // plus a fixed bookkeeping constant; heap payload counted exactly.
-    return sizeof(Entry) + 4 * sizeof(void*) + key.size() +
-           resultHeapBytes(report.optimized) +
-           resultHeapBytes(report.equalBw);
-}
-
-bool
-LruCache::overBudget() const
-{
-    if (capacity_ != 0 && order_.size() > capacity_)
-        return true;
-    return maxBytes_ != 0 && bytes_ > maxBytes_;
-}
-
-void
-LruCache::evictColdest()
-{
-    bytes_ -= entryBytes(order_.back().first, order_.back().second);
-    index_.erase(order_.back().first);
-    order_.pop_back();
-    ++evictions_;
-}
-
 bool
 LruCache::get(const std::string& key, LibraReport* out)
 {
-    if (disabled())
+    if (capacity_ == 0)
         return false;
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
@@ -60,7 +22,7 @@ LruCache::get(const std::string& key, LibraReport* out)
 void
 LruCache::put(const std::string& key, const LibraReport& report)
 {
-    if (disabled())
+    if (capacity_ == 0)
         return;
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
@@ -69,19 +31,16 @@ LruCache::put(const std::string& key, const LibraReport& report)
         // (evaluation is deterministic), but overwriting keeps the
         // cache correct even if a future caller violates that.
         order_.splice(order_.begin(), order_, it->second);
-        bytes_ -= entryBytes(key, it->second->second);
         it->second->second = report;
-        bytes_ += entryBytes(key, report);
-    } else {
-        order_.emplace_front(key, report);
-        index_.emplace(key, order_.begin());
-        bytes_ += entryBytes(key, report);
+        return;
     }
-    // Evicting from the cold end restores both bounds; an entry whose
-    // own size exceeds the whole byte budget ends up evicting itself
-    // (the loop drains down to it, then takes it too).
-    while (overBudget() && !order_.empty())
-        evictColdest();
+    order_.emplace_front(key, report);
+    index_.emplace(key, order_.begin());
+    if (order_.size() > capacity_) {
+        index_.erase(order_.back().first);
+        order_.pop_back();
+        ++evictions_;
+    }
 }
 
 LruCache::Stats
@@ -94,8 +53,6 @@ LruCache::stats() const
     s.evictions = evictions_;
     s.entries = order_.size();
     s.capacity = capacity_;
-    s.bytes = bytes_;
-    s.maxBytes = maxBytes_;
     return s;
 }
 

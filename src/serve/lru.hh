@@ -10,13 +10,9 @@
  * the reports that produced them, so a matrix served from this cache
  * emits byte-identical output to a fresh or disk-cached run.
  *
- * Two independent bounds, each optional (0 = unbounded on that axis):
- * a capacity in entries and a byte budget over the resident entries'
- * estimated memory (key text + report vectors + bookkeeping). Crossing
- * either bound evicts from the cold end until both hold again; an
- * entry larger than the whole byte budget is simply not retained. With
- * both bounds 0 the cache is disabled (get always misses, put no-ops),
- * preserving the pre-budget `capacity == 0` contract.
+ * The one bound is a capacity in entries: inserting past it evicts the
+ * coldest entry. A capacity of 0 disables the cache (get always
+ * misses, put no-ops).
  *
  * Thread-safe: one internal mutex guards the recency list and index
  * (every operation is a few pointer moves — far below the cost of the
@@ -50,18 +46,10 @@ class LruCache
         std::uint64_t evictions = 0;
         std::size_t entries = 0;  ///< Current resident entries.
         std::size_t capacity = 0;
-        std::size_t bytes = 0;    ///< Estimated resident bytes.
-        std::size_t maxBytes = 0; ///< Byte budget; 0 = unbounded.
     };
 
-    /**
-     * @p capacity bounds entries, @p maxBytes bounds estimated
-     * resident bytes; 0 leaves that axis unbounded, both 0 disables
-     * the cache.
-     */
-    explicit LruCache(std::size_t capacity, std::size_t maxBytes = 0)
-        : capacity_(capacity), maxBytes_(maxBytes)
-    {}
+    /** @p capacity bounds entries; 0 disables the cache. */
+    explicit LruCache(std::size_t capacity) : capacity_(capacity) {}
 
     /**
      * Look up @p key; a hit copies the report into @p out and marks
@@ -72,18 +60,9 @@ class LruCache
 
     /**
      * Insert (or refresh) @p key -> @p report as the most recently
-     * used entry, evicting from the cold end until both bounds hold.
+     * used entry, evicting the coldest entry past the capacity.
      */
     void put(const std::string& key, const LibraReport& report);
-
-    /**
-     * Estimated resident cost of one entry: list/index bookkeeping
-     * plus the key text and the report's heap vectors. An estimate is
-     * enough — the budget protects against runaway growth, not an
-     * allocator-exact accounting.
-     */
-    static std::size_t entryBytes(const std::string& key,
-                                  const LibraReport& report);
 
     /** Counter snapshot since construction. */
     Stats stats() const;
@@ -91,17 +70,11 @@ class LruCache
   private:
     using Entry = std::pair<std::string, LibraReport>;
 
-    bool disabled() const { return capacity_ == 0 && maxBytes_ == 0; }
-    bool overBudget() const;
-    void evictColdest();
-
     std::size_t capacity_;
-    std::size_t maxBytes_;
 
     mutable std::mutex mutex_;
     std::list<Entry> order_; ///< Front = most recently used.
     std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-    std::size_t bytes_ = 0;  ///< Sum of entryBytes over residents.
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;

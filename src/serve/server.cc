@@ -4,9 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -25,8 +23,8 @@ namespace libra {
 // ---------------------------------------------------------------------
 
 ServeStore::ServeStore(const std::string& cacheDir,
-                       std::size_t lruCapacity, std::size_t lruBytes)
-    : lru_(lruCapacity, lruBytes)
+                       std::size_t lruCapacity)
+    : lru_(lruCapacity)
 {
     if (!cacheDir.empty())
         disk_.emplace(cacheDir);
@@ -145,7 +143,7 @@ Server::handleLine(const std::string& line, bool* shutdown)
             (void)value;
             if (key != "op" && key != "scenario" && key != "solver" &&
                 key != "backend" && key != "explore" && key != "emit" &&
-                key != "failMode" && key != "workers") {
+                key != "failMode") {
                 fatal("unknown request field '", key, "'");
             }
         }
@@ -168,15 +166,13 @@ Server::handleLine(const std::string& line, bool* shutdown)
         if (op == "stats") {
             ServeStore::Stats s = store_.stats();
             Json j = Json::object();
-            j["schema"] = "libra-serve-stats-v1";
+            j["schema"] = "libra-serve-stats-v2";
             j["requests"] = requests_.load(std::memory_order_relaxed);
             j["errors"] = errors_.load(std::memory_order_relaxed);
             j["lruHits"] = s.lru.hits;
             j["lruEntries"] = s.lru.entries;
             j["lruCapacity"] = s.lru.capacity;
             j["lruEvictions"] = s.lru.evictions;
-            j["lruBytes"] = s.lru.bytes;
-            j["lruMaxBytes"] = s.lru.maxBytes;
             j["diskHits"] = s.diskHits;
             j["misses"] = s.misses;
             j["coalesced"] = s.coalesced;
@@ -208,34 +204,12 @@ Server::handleLine(const std::string& line, bool* shutdown)
             options.timingBackend = req.at("backend").asString();
         if (req.has("explore"))
             options.exploreSpec = req.at("explore").asString();
-        options.failMode = options_.failMode;
         if (req.has("failMode")) {
             const std::string& mode = req.at("failMode").asString();
-            if (mode == "abort")
-                options.failMode = FailMode::Abort;
-            else if (mode == "isolate")
+            if (mode == "isolate")
                 options.failMode = FailMode::Isolate;
-            else
+            else if (mode != "abort")
                 fatal("'failMode' must be abort or isolate");
-        }
-        if (req.has("workers")) {
-            const Json& w = req.at("workers");
-            if (!w.isNumber())
-                fatal("'workers' must be a number");
-            double v = w.asNumber();
-            if (!(v >= 1.0 && v <= 256.0) || v != std::floor(v))
-                fatal("'workers' must be an integer in [1, 256]");
-            // Clamp to the server's cap; 1 (or a cap of 1) keeps the
-            // classic in-process sweep. Either way the response bytes
-            // are identical — sharding never changes emission.
-            std::size_t workers = std::min(
-                static_cast<std::size_t>(v), options_.maxWorkers);
-            if (workers > 1) {
-                if (options_.workerExe.empty())
-                    fatal("server has no worker executable configured");
-                options.workers = workers;
-                options.workerExe = options_.workerExe;
-            }
         }
 
         MatrixResult result = runScenarioMatrix(names, options);
@@ -291,8 +265,7 @@ fillSocketAddress(const std::string& path, sockaddr_un* addr)
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
-      store_(options_.cacheDir, options_.lruCapacity,
-             options_.lruBytes)
+      store_(options_.cacheDir, options_.lruCapacity)
 {}
 
 Server::~Server()

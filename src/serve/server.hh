@@ -75,11 +75,10 @@ class ServeStore : public StudyStore
 
     /**
      * @p cacheDir empty runs memory-only (no disk layer);
-     * @p lruCapacity / @p lruBytes bound the LRU in entries / bytes
-     * (0 = unbounded on that axis; both 0 disables it — disk-only).
+     * @p lruCapacity bounds the LRU in entries (0 disables it —
+     * disk-only).
      */
-    ServeStore(const std::string& cacheDir, std::size_t lruCapacity,
-               std::size_t lruBytes = 0);
+    ServeStore(const std::string& cacheDir, std::size_t lruCapacity);
 
     bool load(std::uint64_t key, const std::string& canonical,
               LibraReport* out) override;
@@ -123,22 +122,6 @@ struct ServeOptions
     std::string socketPath;      ///< AF_UNIX path; created on start.
     std::string cacheDir;        ///< "" = memory-only store.
     std::size_t lruCapacity = 1024;
-    std::size_t lruBytes = 0;    ///< LRU byte budget; 0 = unbounded.
-
-    /** Default FailMode for requests without a "failMode" field. */
-    FailMode failMode = FailMode::Abort;
-
-    /**
-     * Cap on the optional per-request "workers" field — the
-     * `--max-workers` flag. Requests asking for more are clamped; the
-     * default of 1 means requests never shard. Responses are
-     * byte-identical at any effective worker count (docs/SHARDING.md),
-     * so the cap is purely a resource-control knob.
-     */
-    std::size_t maxWorkers = 1;
-
-    /** Executable exec'd as `... worker` for sharded requests. */
-    std::string workerExe;
 };
 
 /**

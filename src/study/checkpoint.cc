@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -57,9 +58,15 @@ CheckpointLog::CheckpointLog(const std::string& path) : path_(path)
         std::ifstream in(path_);
         if (in.is_open()) {
             existed = true;
+            std::string text{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()};
+            // A kill -9 mid-append leaves the file without its final
+            // newline; the next append must not extend that fragment.
+            tornTail_ = !text.empty() && text.back() != '\n';
+            std::istringstream lines(text);
             std::string line;
             bool first = true;
-            while (std::getline(in, line)) {
+            while (std::getline(lines, line)) {
                 if (!line.empty() && line.back() == '\r')
                     line.pop_back();
                 if (first) {
@@ -127,7 +134,9 @@ CheckpointLog::append(std::uint64_t hash)
         return;
     if (fd_ < 0)
         return;
-    const std::string line = hashLine(hash);
+    std::string line = tornTail_ ? "\n" : "";
+    line += hashLine(hash);
+    tornTail_ = false;
     if (::write(fd_, line.data(), line.size()) !=
             static_cast<ssize_t>(line.size()) ||
         ::fsync(fd_) != 0) {

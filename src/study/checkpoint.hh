@@ -20,9 +20,10 @@
  * warning: it is recomputed, costing work but never correctness.
  *
  * Crash tolerance on load: a torn final line (the write raced the
- * kill) is skipped with a warning; a non-empty file whose first line
- * is not the header is rejected with fatal() so a mistyped path can
- * never clobber an unrelated file.
+ * kill) is skipped with a warning, and the first append after it
+ * starts a fresh line, so the fragment never absorbs a new hash; a
+ * non-empty file whose first line is not the header is rejected with
+ * fatal() so a mistyped path can never clobber an unrelated file.
  */
 
 #ifndef LIBRA_STUDY_CHECKPOINT_HH
@@ -72,6 +73,8 @@ class CheckpointLog
     std::string path_;
     int fd_ = -1;
     std::size_t resumed_ = 0;
+    bool tornTail_ = false; ///< File ends mid-line; next append
+                            ///< starts with a newline.
     mutable std::mutex mutex_;
     std::unordered_set<std::uint64_t> done_;
 };

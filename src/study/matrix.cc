@@ -21,6 +21,9 @@ namespace libra {
 
 namespace {
 
+/** Local-leg sub-batch size when a checkpoint is armed (cachedSweep). */
+constexpr std::size_t kCheckpointChunk = 8;
+
 /** Per-point outcome of one deduped, cache-aware sweep. */
 struct SweepBatch
 {
@@ -69,7 +72,6 @@ struct SweepContext
 {
     ShardRuntime* shard = nullptr; ///< Null = in-process only.
     CheckpointLog* checkpoint = nullptr;
-    std::size_t checkpointChunk = 8;
 };
 
 /**
@@ -107,7 +109,7 @@ struct SweepContext
  * The compute phase has one shape: a wire leg ships every owned point
  * with a study-file form to the shard pool as an eval frame (only when
  * ctx.shard is set), and a local leg runs the rest in-process — in
- * chunks of ctx.checkpointChunk when a checkpoint is armed, as one
+ * chunks of kCheckpointChunk when a checkpoint is armed, as one
  * call otherwise. Both legs merge through the same finishSlot.
  */
 SweepBatch
@@ -242,7 +244,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         // each point (the property the content-addressed cache
         // already relies on).
         const std::size_t chunkSize =
-            ctx.checkpoint ? ctx.checkpointChunk : local.size();
+            ctx.checkpoint ? kCheckpointChunk : local.size();
         for (std::size_t base = 0; base < local.size();
              base += chunkSize) {
             const std::size_t count =
@@ -450,12 +452,9 @@ runScenarioMatrix(const std::vector<std::string>& names,
         shardRuntime.options.workerExe = options.workerExe;
         shardRuntime.options.workerThreads = options.workerThreads;
     }
-    if (options.checkpointChunk == 0)
-        fatal("checkpoint chunk size must be >= 1");
     SweepContext mainCtx;
     mainCtx.shard = sharded ? &shardRuntime : nullptr;
     mainCtx.checkpoint = checkpoint ? &*checkpoint : nullptr;
-    mainCtx.checkpointChunk = options.checkpointChunk;
 
     // Phase 2: the shared batch — dedup, cache, one sharded sweep.
     SweepBatch main =

@@ -119,16 +119,6 @@ struct MatrixOptions
      * cacheDir); "" disables checkpointing.
      */
     std::string checkpointPath;
-
-    /**
-     * In-process sub-batch size when a checkpoint is armed — the
-     * `--checkpoint-chunk` flag. Completed slots must reach the cache
-     * + manifest incrementally, not after the whole batch, or a kill
-     * loses everything; smaller chunks checkpoint (and fsync) more
-     * often, larger ones batch better. Chunking cannot change results
-     * — evaluation is a pure function of each point. Must be >= 1.
-     */
-    std::size_t checkpointChunk = 8;
 };
 
 /** One failed design point inside a scenario (FailMode::Isolate). */

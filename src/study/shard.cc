@@ -398,14 +398,18 @@ ShardPool::evaluatePoints(const std::vector<WirePoint>& points,
     std::vector<int> requeue;
     std::size_t doneBatches = 0;
 
+    // Worker frames cross a trust boundary: every number is compared
+    // as a double against the value it must equal before any integer
+    // cast, so NaN, negative or huge values are fatal, never UB.
     auto handleResult = [&](Worker& w, const Frame& frame) {
         if (frameOp(frame, "shard") != "result")
             fatal("shard: unexpected frame ", frame.status.dump());
-        const int id =
-            static_cast<int>(frame.status.at("id").asNumber());
-        if (id != w.batch)
-            fatal("shard: result for batch ", id, " from a worker on ",
-                  w.batch);
+        const Json& idField = frame.status.at("id");
+        if (w.batch < 0 ||
+            idField.asNumber() != static_cast<double>(w.batch))
+            fatal("shard: result for batch ", idField.dump(),
+                  " from a worker on ", w.batch);
+        const int id = w.batch;
         PendingBatch& batch = batches[static_cast<std::size_t>(id)];
         const Json body = Json::parse(frame.payload);
         const Json::Array& results = body.at("results").items();
@@ -414,12 +418,13 @@ ShardPool::evaluatePoints(const std::vector<WirePoint>& points,
                   " results for ", batch.items.size(), " items");
         for (std::size_t k = 0; k < results.size(); ++k) {
             const Json& entry = results[k];
-            const auto index = static_cast<std::size_t>(
-                entry.at("index").asNumber());
-            if (index != batch.items[k])
+            const Json& indexField = entry.at("index");
+            if (indexField.asNumber() !=
+                static_cast<double>(batch.items[k]))
                 fatal("shard: batch ", id, " result ", k,
-                      " is for item ", index, ", expected ",
+                      " is for item ", indexField.dump(), ", expected ",
                       batch.items[k]);
+            const std::size_t index = batch.items[k];
             PointStatus status;
             LibraReport report;
             if (entry.at("ok").asBool()) {
@@ -492,8 +497,15 @@ ShardPool::evaluatePoints(const std::vector<WirePoint>& points,
                 continue;
             }
             w.buffer.append(buf, static_cast<std::size_t>(n));
-            while (std::optional<Frame> frame = w.buffer.next())
-                handleResult(w, *frame);
+            // A worker that breaks the protocol leaves the pool
+            // untrusted: kill every worker before the error unwinds.
+            try {
+                while (std::optional<Frame> frame = w.buffer.next())
+                    handleResult(w, *frame);
+            } catch (...) {
+                killWorkers();
+                throw;
+            }
         }
     }
 }

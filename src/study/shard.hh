@@ -162,8 +162,10 @@ class ShardPool
      * dynamically to idle workers. Returns when every point was
      * delivered through @p onResult exactly once, under its
      * WirePoint's index. Callable any number of times on a warm pool.
-     * @throws FatalError when a batch exhausts its retries or every
-     * worker died with work outstanding.
+     * @throws FatalError when a batch exhausts its retries, every
+     * worker died with work outstanding, or a worker's result frame
+     * does not match the batch it was sent (that also kills every
+     * worker).
      */
     void evaluatePoints(const std::vector<WirePoint>& points,
                         const ResultFn& onResult);

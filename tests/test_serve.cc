@@ -76,6 +76,42 @@ serveScenarioName()
     return name;
 }
 
+/**
+ * A scenario whose second point throws FatalError when evaluated: its
+ * resnet50 targets were sliced for the 16-NPU parse-time network, and
+ * swapping the shape afterwards makes the estimator reject them.
+ */
+const char*
+servePoisonScenarioName()
+{
+    static const char* name = [] {
+        Scenario s;
+        s.name = "test-serve-poison";
+        s.title = "serve-test scenario with one poisoned point";
+        s.build = [] {
+            std::vector<LibraInputs> points;
+            points.push_back(miniInputs("SEED 13\n"));
+            points.push_back(miniInputs());
+            points.back().networkShape = "SW(4)_RI(8)";
+            return points;
+        };
+        s.format = [](const std::vector<LibraInputs>& points,
+                      const std::vector<LibraReport>& reports) {
+            ScenarioOutput out;
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                ScenarioRow row;
+                row.label("point", std::to_string(i));
+                row.metric("speedup", reports[i].speedup);
+                out.rows.push_back(std::move(row));
+            }
+            return out;
+        };
+        ScenarioRegistry::global().add(std::move(s));
+        return "test-serve-poison";
+    }();
+    return name;
+}
+
 std::string
 freshDir(const char* name)
 {
@@ -153,77 +189,6 @@ TEST(ServeLru, ZeroCapacityDisablesTheCache)
     lru.put("k", r);
     EXPECT_FALSE(lru.get("k", &r));
     EXPECT_EQ(lru.stats().entries, 0u);
-}
-
-/** A report whose entryBytes is deterministic and non-trivial. */
-LibraReport
-sizedReport(std::size_t dims, double speedup = 1.0)
-{
-    LibraReport r;
-    r.speedup = speedup;
-    r.optimized.bw.assign(dims, 1.0);
-    r.equalBw.bw.assign(dims, 1.0);
-    return r;
-}
-
-TEST(ServeLru, ByteBudgetEvictsFromTheColdEndUntilUnderBudget)
-{
-    LibraReport r = sizedReport(4);
-    const std::size_t per = LruCache::entryBytes("a", r);
-    ASSERT_GT(per, 0u);
-
-    // Room for exactly two same-sized entries, unbounded entry count.
-    LruCache lru(0, 2 * per);
-    lru.put("a", sizedReport(4, 1.0));
-    lru.put("b", sizedReport(4, 2.0));
-    EXPECT_EQ(lru.stats().entries, 2u);
-    EXPECT_EQ(lru.stats().bytes, 2 * per);
-    EXPECT_EQ(lru.stats().maxBytes, 2 * per);
-
-    LibraReport out;
-    ASSERT_TRUE(lru.get("a", &out)); // Promote "a"; "b" is coldest.
-
-    lru.put("c", sizedReport(4, 3.0)); // Over budget: "b" must go.
-    EXPECT_FALSE(lru.get("b", &out));
-    EXPECT_TRUE(lru.get("a", &out));
-    EXPECT_TRUE(lru.get("c", &out));
-    EXPECT_EQ(lru.stats().entries, 2u);
-    EXPECT_EQ(lru.stats().evictions, 1u);
-    EXPECT_LE(lru.stats().bytes, lru.stats().maxBytes);
-}
-
-TEST(ServeLru, RefreshingAKeyReaccountsItsBytes)
-{
-    LruCache lru(0, 1 << 20);
-    lru.put("k", sizedReport(4));
-    EXPECT_EQ(lru.stats().bytes,
-              LruCache::entryBytes("k", sizedReport(4)));
-    lru.put("k", sizedReport(64)); // Bigger value, same key.
-    EXPECT_EQ(lru.stats().entries, 1u);
-    EXPECT_EQ(lru.stats().bytes,
-              LruCache::entryBytes("k", sizedReport(64)));
-}
-
-TEST(ServeLru, AnEntryLargerThanTheWholeBudgetIsNotRetained)
-{
-    LibraReport big = sizedReport(1024);
-    LruCache lru(0, LruCache::entryBytes("k", big) - 1);
-    lru.put("k", big);
-    LibraReport out;
-    EXPECT_FALSE(lru.get("k", &out));
-    EXPECT_EQ(lru.stats().entries, 0u);
-    EXPECT_EQ(lru.stats().bytes, 0u);
-    EXPECT_EQ(lru.stats().evictions, 1u);
-}
-
-TEST(ServeLru, ByteBudgetAloneEnablesTheCache)
-{
-    // capacity == 0 disables only when the byte budget is 0 too.
-    LruCache lru(0, 1 << 20);
-    lru.put("k", sizedReport(2, 5.0));
-    LibraReport out;
-    ASSERT_TRUE(lru.get("k", &out));
-    EXPECT_EQ(out.speedup, 5.0);
 }
 
 // --- Single flight -----------------------------------------------------
@@ -479,18 +444,23 @@ TEST(Serve, RequestErrorsAreIsolatedFromTheServer)
                   "unknown scenario"),
               std::string::npos);
 
-    ServeReply typo = serveRequest(
-        socket, "{\"scenario\": \"tbl1\", \"emitt\": \"json\"}");
-    EXPECT_FALSE(typo.status.at("ok").asBool());
-    EXPECT_NE(typo.status.at("error").asString().find(
-                  "unknown request field"),
-              std::string::npos);
+    // A typo'd field, and "workers" (serve never shards): refused by
+    // name, never silently ignored.
+    for (const char* field : {"\"emitt\": \"json\"", "\"workers\": 2"}) {
+        ServeReply unknownField = serveRequest(
+            socket, std::string("{\"scenario\": \"tbl1\", ") + field + "}");
+        EXPECT_FALSE(unknownField.status.at("ok").asBool()) << field;
+        EXPECT_NE(unknownField.status.at("error").asString().find(
+                      "unknown request field"),
+                  std::string::npos)
+            << field;
+    }
 
-    // The server survived all three and still answers correctly.
+    // The server survived all four and still answers correctly.
     ServeReply ok = serveRequest(socket, "{\"scenario\": \"tbl1\"}");
     EXPECT_TRUE(ok.status.at("ok").asBool());
     EXPECT_EQ(ok.payload, oneShotJson("tbl1"));
-    EXPECT_EQ(server.stats().errors, 3u);
+    EXPECT_EQ(server.stats().errors, 4u);
 
     server.stop();
 }
@@ -679,20 +649,6 @@ TEST(Serve, GarbageStatusLinesFromAPeerAreFatalNotCrashes)
     std::filesystem::remove(path);
 }
 
-TEST(Serve, StatsExposeTheLruByteBudget)
-{
-    ServeOptions options;
-    options.socketPath = testing::TempDir() + "libra-serve-g.sock";
-    options.lruBytes = 123456;
-    Server server(std::move(options));
-    bool shutdown = false;
-    std::string stats =
-        server.handleLine("{\"op\": \"stats\"}", &shutdown);
-    EXPECT_NE(stats.find("\"lruMaxBytes\": 123456"),
-              std::string::npos);
-    EXPECT_NE(stats.find("\"lruBytes\": "), std::string::npos);
-}
-
 /** Split a framed handleLine response into (status, payload). */
 ServeReply
 splitResponse(const std::string& response)
@@ -702,53 +658,6 @@ splitResponse(const std::string& response)
     reply.status = Json::parse(response.substr(0, nl));
     reply.payload = response.substr(nl + 1);
     return reply;
-}
-
-TEST(Serve, WorkersFieldIsValidatedAndClampedByMaxWorkers)
-{
-    const std::string scenario = serveScenarioName();
-    const std::string expected = oneShotJson(scenario);
-
-    // maxWorkers defaults to 1: any requested count clamps to the
-    // classic in-process path, so no worker executable is needed and
-    // the payload cannot change.
-    ServeOptions options;
-    options.socketPath = testing::TempDir() + "libra-serve-h.sock";
-    Server server(std::move(options)); // handleLine needs no socket.
-    bool shutdown = false;
-
-    const std::string base =
-        "\"scenario\": \"" + scenario + "\", \"emit\": \"json\"";
-    ServeReply clamped = splitResponse(server.handleLine(
-        "{" + base + ", \"workers\": 64}", &shutdown));
-    ASSERT_TRUE(clamped.status.at("ok").asBool())
-        << clamped.status.dump();
-    EXPECT_EQ(clamped.payload, expected);
-
-    // Malformed counts are per-request errors, never server deaths.
-    for (const char* bad :
-         {"0", "-2", "2.5", "257", "\"2\"", "true"}) {
-        ServeReply reply = splitResponse(server.handleLine(
-            "{" + base + ", \"workers\": " + bad + "}", &shutdown));
-        EXPECT_FALSE(reply.status.at("ok").asBool()) << bad;
-    }
-    ServeReply after = splitResponse(
-        server.handleLine("{" + base + "}", &shutdown));
-    ASSERT_TRUE(after.status.at("ok").asBool());
-    EXPECT_EQ(after.payload, expected);
-
-    // A cap above 1 without a configured worker executable surfaces
-    // as a request error the moment sharding is actually asked for.
-    ServeOptions uncfg;
-    uncfg.socketPath = testing::TempDir() + "libra-serve-i.sock";
-    uncfg.maxWorkers = 4;
-    Server unconfigured(std::move(uncfg));
-    ServeReply reply = splitResponse(unconfigured.handleLine(
-        "{" + base + ", \"workers\": 2}", &shutdown));
-    EXPECT_FALSE(reply.status.at("ok").asBool());
-    EXPECT_NE(reply.status.at("error").asString().find("worker"),
-              std::string::npos)
-        << reply.status.dump();
 }
 
 TEST(Serve, DeeplyNestedRequestIsAnErrorAndTheServerServesOn)
@@ -773,40 +682,42 @@ TEST(Serve, DeeplyNestedRequestIsAnErrorAndTheServerServesOn)
     EXPECT_EQ(server.stats().errors, 1u);
 }
 
-#ifdef LIBRA_CLI_PATH
-
-TEST(Serve, ShardedRequestsStayByteIdenticalToOneShot)
+TEST(Serve, FailModeFieldIsolatesOrAbortsAFailingPoint)
 {
-    // A registry scenario whose points all have a study-file form, so
-    // every one crosses to the forked workers as an eval frame.
-    const std::string scenario = "explore-frontier";
-    const std::string expected = oneShotJson(scenario);
-
+    const std::string scenario = servePoisonScenarioName();
     ServeOptions options;
-    options.socketPath = testing::TempDir() + "libra-serve-j.sock";
-    options.maxWorkers = 2;
-    options.workerExe = LIBRA_CLI_PATH;
-    Server server(std::move(options));
+    options.socketPath = testing::TempDir() + "libra-serve-k.sock";
+    Server server(std::move(options)); // handleLine needs no socket.
     bool shutdown = false;
+    const std::string base = "\"scenario\": \"" + scenario + "\"";
 
-    const std::string base =
-        "\"scenario\": \"" + scenario + "\", \"emit\": \"json\"";
-    ServeReply sharded = splitResponse(server.handleLine(
-        "{" + base + ", \"workers\": 2}", &shutdown));
-    ASSERT_TRUE(sharded.status.at("ok").asBool())
-        << sharded.status.dump();
-    EXPECT_EQ(sharded.payload, expected);
+    // isolate: the failing point becomes a failure record, and the
+    // payload is exactly what an isolate-mode run-matrix emits.
+    ServeReply isolated = splitResponse(server.handleLine(
+        "{" + base + ", \"failMode\": \"isolate\"}", &shutdown));
+    ASSERT_TRUE(isolated.status.at("ok").asBool())
+        << isolated.status.dump();
+    EXPECT_EQ(isolated.status.at("failed").asNumber(), 1.0);
+    MatrixOptions isolate;
+    isolate.failMode = FailMode::Isolate;
+    std::ostringstream expected;
+    emitMatrixJson(runScenarioMatrix({scenario}, isolate), expected);
+    EXPECT_EQ(isolated.payload, expected.str());
 
-    // The second sharded request is served from the store: the pool
-    // never spawns when nothing needs computing.
-    ServeReply cached = splitResponse(server.handleLine(
-        "{" + base + ", \"workers\": 2}", &shutdown));
-    ASSERT_TRUE(cached.status.at("ok").asBool());
-    EXPECT_EQ(cached.status.at("computed").asNumber(), 0.0);
-    EXPECT_EQ(cached.payload, expected);
+    // The default is abort, as in run-matrix: the request fails.
+    ServeReply aborted = splitResponse(
+        server.handleLine("{" + base + "}", &shutdown));
+    EXPECT_FALSE(aborted.status.at("ok").asBool());
+
+    // Any other mode is refused, naming the field.
+    ServeReply bad = splitResponse(server.handleLine(
+        "{" + base + ", \"failMode\": \"maybe\"}", &shutdown));
+    EXPECT_FALSE(bad.status.at("ok").asBool());
+    EXPECT_NE(bad.status.at("error").asString().find("failMode"),
+              std::string::npos)
+        << bad.status.dump();
+    EXPECT_EQ(server.stats().errors, 2u);
 }
-
-#endif // LIBRA_CLI_PATH
 
 TEST(Serve, ProtocolOpsWorkWithoutASocket)
 {
@@ -827,7 +738,7 @@ TEST(Serve, ProtocolOpsWorkWithoutASocket)
 
     std::string stats = server.handleLine("{\"op\": \"stats\"}",
                                           &shutdown);
-    EXPECT_NE(stats.find("libra-serve-stats-v1"), std::string::npos);
+    EXPECT_NE(stats.find("libra-serve-stats-v2"), std::string::npos);
 }
 
 } // namespace

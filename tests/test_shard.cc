@@ -128,9 +128,18 @@ TEST(Checkpoint, TornTailIsSkippedWrongHeaderIsFatal)
           << "00000000000000aa\n"
           << "00000000000000"; // Truncated mid-hash.
     }
-    CheckpointLog log(torn);
-    EXPECT_EQ(log.resumedSlots(), 1u);
-    EXPECT_TRUE(log.contains(0xaau));
+    {
+        CheckpointLog log(torn);
+        EXPECT_EQ(log.resumedSlots(), 1u);
+        EXPECT_TRUE(log.contains(0xaau));
+        // The resumed run's first append starts a fresh line instead
+        // of extending the torn fragment.
+        log.append(0xbbu);
+    }
+    CheckpointLog reopened(torn);
+    EXPECT_EQ(reopened.resumedSlots(), 2u);
+    EXPECT_TRUE(reopened.contains(0xaau));
+    EXPECT_TRUE(reopened.contains(0xbbu));
 
     // A file that is not a manifest must never be appended to.
     std::string other = dir + "/other";
@@ -338,31 +347,14 @@ TEST(ShardCli, CheckpointWithoutACacheIsAUserError)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ShardCli, CheckpointChunkFlagIsValidatedAndPreservesBytes)
+TEST(ShardCli, ChunkedCheckpointPreservesBytesAndRecordsEverySlot)
 {
     std::string dir = freshDir("libra-shard-chunk");
     std::string cache = dir + "/cache";
     std::string manifest = dir + "/manifest";
 
-    // The flag only means something under --checkpoint; out-of-range
-    // sizes are rejected at parse time.
-    EXPECT_EQ(runCli(std::string(kScenario) +
-                     " --checkpoint-chunk 4 --emit json --out "
-                     "/dev/null"),
-              1);
-    EXPECT_EQ(runCli(std::string(kScenario) + " --cache-dir " + cache +
-                     " --checkpoint " + manifest +
-                     " --checkpoint-chunk 0 --emit json --out "
-                     "/dev/null"),
-              1);
-    EXPECT_EQ(runCli(std::string(kScenario) + " --cache-dir " + cache +
-                     " --checkpoint " + manifest +
-                     " --checkpoint-chunk 9999 --emit json --out "
-                     "/dev/null"),
-              1);
-
-    // A small chunk changes the fsync cadence, never the bytes or the
-    // completed manifest.
+    // Chunked checkpointing changes the fsync cadence, never the bytes
+    // or the completed manifest.
     std::string ref = dir + "/ref.json";
     std::string out = dir + "/chunked.json";
     ASSERT_EQ(runCli(std::string(kScenario) + " --emit json --out " +
@@ -370,7 +362,7 @@ TEST(ShardCli, CheckpointChunkFlagIsValidatedAndPreservesBytes)
               0);
     ASSERT_EQ(runCli(std::string(kScenario) + " --cache-dir " + cache +
                      " --checkpoint " + manifest +
-                     " --checkpoint-chunk 2 --emit json --out " + out),
+                     " --emit json --out " + out),
               0);
     EXPECT_EQ(slurp(out), slurp(ref));
     EXPECT_EQ(recordedSlots(manifest), 80u);
@@ -602,6 +594,67 @@ TEST(ShardPoolHandshake, WorkerWithAnotherEngineVersionIsRejected)
         EXPECT_NE(std::string(e.what()).find("out of sync"),
                   std::string::npos)
             << e.what();
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ShardPoolEval, ResultFramesForAnotherBatchOrItemAreFatal)
+{
+    Json ready = Json::object();
+    ready["engineVersion"] = static_cast<std::size_t>(kStudyCacheVersion);
+    const std::string readyFrame =
+        frameMessage(opStatus("ready"), ready.dump());
+
+    // Batch 0 holds the one point, item 0. Each stand-in worker
+    // answers the handshake, waits for the eval frame's status line,
+    // then answers with a result whose id or index cannot be cast to
+    // an integer safely.
+    Json badId = opStatus("result");
+    badId["id"] = 1e300;
+    Json okId = opStatus("result");
+    okId["id"] = 0;
+    const std::pair<const char*, std::string> cases[] = {
+        {"id 1e300",
+         frameMessage(std::move(badId),
+                      "{\"results\":[{\"index\":0,\"ok\":false,"
+                      "\"error\":\"x\"}]}")},
+        {"index -1",
+         frameMessage(std::move(okId),
+                      "{\"results\":[{\"index\":-1,\"ok\":false,"
+                      "\"error\":\"x\"}]}")},
+    };
+    const LibraInputs point = miniInputs();
+    const std::vector<WirePoint> wire = {
+        {0, studyConfigToString(point), pointWireKey(point)}};
+
+    std::string dir = freshDir("libra-shard-badresult");
+    for (const auto& [what, result] : cases) {
+        std::string script = dir + "/bad-worker";
+        {
+            std::ofstream f(script);
+            f << "#!/bin/sh\nread -r init\nprintf '%s' '" << readyFrame
+              << "'\nread -r eval\nprintf '%s' '" << result
+              << "'\nexec cat > /dev/null\n";
+        }
+        ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+
+        ShardOptions options;
+        options.workers = 2;
+        options.workerExe = script;
+        ShardPool pool(options);
+        const std::vector<pid_t> pids = pool.workerPids();
+        ASSERT_EQ(pids.size(), 2u);
+        EXPECT_THROW(pool.evaluatePoints(
+                         wire,
+                         [&](std::size_t, PointStatus, LibraReport) {
+                             ADD_FAILURE() << what << " was delivered";
+                         }),
+                     FatalError)
+            << what;
+        // Killed and reaped: no worker process is left running.
+        EXPECT_EQ(pool.liveWorkers(), 0u) << what;
+        for (pid_t pid : pids)
+            EXPECT_NE(::kill(pid, 0), 0) << what << " pid " << pid;
     }
     std::filesystem::remove_all(dir);
 }

@@ -236,28 +236,12 @@ cliOutput(const std::string& args)
     return text;
 }
 
-/**
- * `libra_cli --example` with each (from, to) of @p edits applied to
- * its first occurrence, run as a study file.
- */
+/** Run `libra_cli <args>`, discarding stdout. */
 CliRun
-runMutatedExample(const std::vector<std::pair<std::string, std::string>>&
-                      edits)
+runCli(const std::string& args)
 {
-    std::string dir = ::testing::TempDir();
-    std::string study = dir + "libra_nonfinite.study";
-    std::string errPath = dir + "libra_nonfinite.err";
-    std::string text = cliOutput("--example");
-    for (const auto& [from, to] : edits) {
-        auto at = text.find(from);
-        if (at == std::string::npos) {
-            ADD_FAILURE() << "example study has no '" << from << "'";
-            return {};
-        }
-        text.replace(at, from.size(), to);
-    }
-    std::ofstream(study) << text;
-    std::string cmd = std::string(LIBRA_CLI_PATH) + " " + study +
+    std::string errPath = ::testing::TempDir() + "libra_cli.err";
+    std::string cmd = std::string(LIBRA_CLI_PATH) + " " + args +
                       " >/dev/null 2>" + errPath;
     int raw = std::system(cmd.c_str());
     CliRun run;
@@ -268,6 +252,28 @@ runMutatedExample(const std::vector<std::pair<std::string, std::string>>&
     err << std::ifstream(errPath).rdbuf();
     run.err = err.str();
     return run;
+}
+
+/**
+ * `libra_cli --example` with each (from, to) of @p edits applied to
+ * its first occurrence, run as a study file.
+ */
+CliRun
+runMutatedExample(const std::vector<std::pair<std::string, std::string>>&
+                      edits)
+{
+    std::string study = ::testing::TempDir() + "libra_nonfinite.study";
+    std::string text = cliOutput("--example");
+    for (const auto& [from, to] : edits) {
+        auto at = text.find(from);
+        if (at == std::string::npos) {
+            ADD_FAILURE() << "example study has no '" << from << "'";
+            return {};
+        }
+        text.replace(at, from.size(), to);
+    }
+    std::ofstream(study) << text;
+    return runCli(study);
 }
 
 /** @p run ended with exit 1, not a signal, and @p needle on stderr. */
@@ -560,6 +566,27 @@ TEST(RegistryCli, ListExplorersEmitsNamesAndParams)
         pruneKeys.push_back(p.at("key").asString());
     EXPECT_EQ(pruneKeys,
               (Names{"keep", "rounds", "screen-evals", "screen-starts"}));
+}
+
+// --- Unknown flags -----------------------------------------------------
+
+// Flags the CLI does not take are refused by name, never silently
+// ignored. None of these reaches a server or a sweep: each command
+// stops at its flag parse.
+TEST(UnknownFlagCli, EachFlagExitsOneNamingIt)
+{
+    std::string study = ::testing::TempDir() + "libra_flags.study";
+    std::ofstream(study) << cliOutput("--example");
+    const std::pair<std::string, std::string> cases[] = {
+        {"run-matrix tbl1 --checkpoint-chunk 4",
+         "unknown run-matrix flag '--checkpoint-chunk'"},
+        {"serve --lru-bytes 1", "unknown serve flag '--lru-bytes'"},
+        {"serve --max-workers 2", "unknown serve flag '--max-workers'"},
+        {"serve --fail-mode isolate", "unknown serve flag '--fail-mode'"},
+        {study + " --explore prune", "unknown flag '--explore'"},
+    };
+    for (const auto& [args, needle] : cases)
+        expectFatalExit(runCli(args), needle);
 }
 
 #endif // LIBRA_CLI_PATH

@@ -4,8 +4,7 @@
  * scenario matrices.
  *
  * Usage:
- *   libra_cli [--threads N] [--solver SPEC] [--backend NAME]
- *             [--explore SPEC] <study-file>
+ *   libra_cli [--threads N] [--solver SPEC] [--backend NAME] <study-file>
  *   libra_cli --example        # print a template study file and exit
  *   libra_cli list             # list registered paper scenarios
  *   libra_cli list-solvers     # list registered search strategies
@@ -42,9 +41,7 @@
  *                      rows and the rest of the matrix completes
  *                      (docs/ROBUSTNESS.md)
  *   --faults SPEC      arm the deterministic fault injector, e.g.
- *                      --faults cache-load-read=0.25,seed=7 (the
- *                      LIBRA_FAULTS environment variable is the
- *                      fallback; the flag wins)
+ *                      --faults cache-load-read=0.25,seed=7
  *   --workers N        shard the shared batch's owned computation
  *                      across N forked worker processes
  *                      (docs/SHARDING.md); emitted bytes are identical
@@ -55,10 +52,6 @@
  *                      hash to FILE (fsynced), so a killed run resumes
  *                      without recomputing finished points; requires
  *                      --cache-dir
- *   --checkpoint-chunk N  in-process sub-batch size for checkpointed
- *                      runs (default 8): smaller chunks fsync progress
- *                      more often, larger ones batch better; requires
- *                      --checkpoint
  *   --update-golden    rewrite the golden-figure files for the golden
  *                      scenarios included in this run
  *   --golden-dir DIR   golden file directory (default: tests/golden)
@@ -72,15 +65,7 @@
  *   --cache-dir DIR    disk result cache under the LRU (optional)
  *   --lru N            in-memory LRU capacity in entries (default
  *                      1024; 0 disables the LRU)
- *   --lru-bytes N      LRU byte budget: evict from the cold end until
- *                      resident entries fit (0 = unbounded, the
- *                      default; combines with --lru, either limit
- *                      evicts)
  *   --threads N        size the shared evaluation pool
- *   --fail-mode MODE   default failMode for requests that set none
- *   --max-workers N    cap on the optional per-request "workers" field
- *                      (default 1 = requests never shard; requests
- *                      asking for more are clamped)
  *   --faults SPEC      arm the fault injector (tests, CI)
  *
  * serve-request sends one request line to a running server, writes the
@@ -147,8 +132,7 @@ NORMALIZE_WEIGHTS
 
 int
 runStudy(const std::string& path, int threads,
-         const std::string& solverSpec, const std::string& backend,
-         const std::string& explore)
+         const std::string& solverSpec, const std::string& backend)
 {
     using namespace libra;
 
@@ -166,8 +150,6 @@ runStudy(const std::string& path, int threads,
         resolveTimingBackend(backend); // Validate.
         inputs.config.estimator.timingBackend = backend;
     }
-    if (!explore.empty())        // Flag wins over the EXPLORE line.
-        inputs.explore = canonicalExploreSpec(explore);
 
     std::cout << "Study: " << inputs.networkShape << " @ "
               << inputs.config.totalBw << " GB/s per NPU, "
@@ -388,8 +370,6 @@ struct MatrixCliOptions
     std::size_t workers = 0;    // 0/1 = classic in-process sweep.
     int workerThreads = 0;      // 0 = hardware concurrency / workers.
     std::string checkpointPath; // "" = no checkpoint manifest.
-    std::size_t checkpointChunk = 8;
-    bool checkpointChunkSet = false;
     std::string workerExe;      // Resolved self path (sharded runs).
 };
 
@@ -446,14 +426,6 @@ runMatrixCommand(const MatrixCliOptions& cli)
         return 1;
     }
 
-    // A chunk size without a checkpoint would silently do nothing —
-    // chunking only exists to pace manifest/cache appends.
-    if (cli.checkpointChunkSet && cli.checkpointPath.empty()) {
-        std::cerr << "libra_cli: --checkpoint-chunk requires "
-                     "--checkpoint\n";
-        return 1;
-    }
-
     if (cli.threads > 0)
         ThreadPool::setGlobalThreads(
             static_cast<std::size_t>(cli.threads));
@@ -469,7 +441,6 @@ runMatrixCommand(const MatrixCliOptions& cli)
     options.workerExe = cli.workerExe;
     options.workerThreads = cli.workerThreads;
     options.checkpointPath = cli.checkpointPath;
-    options.checkpointChunk = cli.checkpointChunk;
     MatrixResult result = runScenarioMatrix(names, options);
 
     std::ofstream outFile;
@@ -552,14 +523,12 @@ parseThreads(const std::string& text)
 }
 
 int
-runServeCommand(const std::vector<std::string>& args,
-                const std::string& workerExe)
+runServeCommand(const std::vector<std::string>& args)
 {
     using namespace libra;
 
     constexpr auto kSizeMax = std::numeric_limits<std::size_t>::max();
     ServeOptions options;
-    options.workerExe = workerExe;
     int threads = 0;
     for (std::size_t i = 1; i < args.size(); ++i) {
         const std::string& arg = args[i];
@@ -578,25 +547,8 @@ runServeCommand(const std::vector<std::string>& args,
         } else if (arg == "--lru") {
             options.lruCapacity = parseNumber<std::size_t>(
                 value("an entry count"), 0, kSizeMax, "--lru capacity");
-        } else if (arg == "--lru-bytes") {
-            options.lruBytes = parseNumber<std::size_t>(
-                value("a byte budget"), 0, kSizeMax, "--lru-bytes budget");
         } else if (arg == "--threads") {
             threads = parseThreads(value("a count"));
-        } else if (arg == "--fail-mode") {
-            std::string mode = value("abort or isolate");
-            if (mode == "abort") {
-                options.failMode = FailMode::Abort;
-            } else if (mode == "isolate") {
-                options.failMode = FailMode::Isolate;
-            } else {
-                std::cerr << "libra_cli: --fail-mode expects abort or "
-                             "isolate\n";
-                return 1;
-            }
-        } else if (arg == "--max-workers") {
-            options.maxWorkers = parseNumber<std::size_t>(
-                value("a worker cap"), 1, 256, "--max-workers cap");
         } else if (arg == "--faults") {
             installFaults(parseFaultSpec(value("a fault spec")));
         } else {
@@ -671,7 +623,7 @@ usage()
 {
     std::cerr
         << "usage: libra_cli [--threads N] [--solver SPEC] "
-           "[--backend NAME] [--explore SPEC] <study-file>\n"
+           "[--backend NAME] <study-file>\n"
         << "       libra_cli --example\n"
         << "       libra_cli list [--emit json]\n"
         << "       libra_cli list-solvers [--emit json]\n"
@@ -687,13 +639,10 @@ usage()
            "[--faults SPEC]\n"
         << "                 [--workers N] [--worker-threads N] "
            "[--checkpoint FILE]\n"
-        << "                 [--checkpoint-chunk N] "
-           "[--update-golden] [--golden-dir DIR]\n"
+        << "                 [--update-golden] [--golden-dir DIR]\n"
         << "       libra_cli serve --socket PATH [--cache-dir DIR] "
            "[--lru N]\n"
-        << "                 [--lru-bytes N] [--threads N] "
-           "[--fail-mode abort|isolate]\n"
-        << "                 [--max-workers N] [--faults SPEC]\n"
+        << "                 [--threads N] [--faults SPEC]\n"
         << "       libra_cli serve-request --socket PATH "
            "<request-json>\n";
 }
@@ -706,30 +655,16 @@ main(int argc, char** argv)
     std::vector<std::string> args(argv + 1, argv + argc);
 
     // Hidden shard-worker mode (docs/SHARDING.md): speak the frame
-    // protocol on stdin/stdout until exit/EOF. Dispatched before the
-    // LIBRA_FAULTS env arming on purpose — the master injects faults
-    // before dispatch, so workers must stay injector-free or content-
-    // keyed faults would fire twice.
+    // protocol on stdin/stdout until exit/EOF. Workers are exec'd with
+    // no flags, so they never arm the fault injector — the master
+    // injects faults before dispatch, and content-keyed faults must
+    // not fire twice.
     if (!args.empty() && args[0] == "worker")
         return libra::runShardWorker();
 
     if (!args.empty() && args[0] == "--example") {
         std::cout << kTemplate;
         return 0;
-    }
-
-    // Arm the fault injector from the environment (tests, CI smokes);
-    // an explicit --faults flag re-installs over this.
-    if (const char* env = std::getenv("LIBRA_FAULTS")) {
-        if (env[0] != '\0') {
-            try {
-                libra::installFaults(libra::parseFaultSpec(env));
-            } catch (const libra::FatalError& e) {
-                std::cerr << "libra_cli: LIBRA_FAULTS: " << e.what()
-                          << "\n";
-                return 1;
-            }
-        }
     }
 
     // Shared `--emit json` handling for the four list commands.
@@ -819,11 +754,6 @@ main(int argc, char** argv)
                     cli.workerThreads = parseThreads(value("a count"));
                 } else if (arg == "--checkpoint") {
                     cli.checkpointPath = value("a manifest path");
-                } else if (arg == "--checkpoint-chunk") {
-                    cli.checkpointChunk = libra::parseNumber<std::size_t>(
-                        value("a chunk size"), 1, 4096,
-                        "--checkpoint-chunk size");
-                    cli.checkpointChunkSet = true;
                 } else if (!arg.empty() && arg[0] == '-') {
                     std::cerr << "libra_cli: unknown run-matrix flag '"
                               << arg << "'\n";
@@ -835,7 +765,7 @@ main(int argc, char** argv)
             return runMatrixCommand(cli);
         }
         if (!args.empty() && args[0] == "serve")
-            return runServeCommand(args, selfExecutable(argv[0]));
+            return runServeCommand(args);
         if (!args.empty() && args[0] == "serve-request")
             return runServeRequestCommand(args);
 
@@ -844,7 +774,6 @@ main(int argc, char** argv)
         std::string studyPath;
         std::string solverSpec;
         std::string backend;
-        std::string explore;
         for (std::size_t i = 0; i < args.size(); ++i) {
             if (args[i] == "--example") {
                 std::cout << kTemplate;
@@ -868,12 +797,10 @@ main(int argc, char** argv)
                     return 1;
                 }
                 backend = args[++i];
-            } else if (args[i] == "--explore") {
-                if (i + 1 >= args.size()) {
-                    std::cerr << "libra_cli: --explore needs a spec\n";
-                    return 1;
-                }
-                explore = args[++i];
+            } else if (!args[i].empty() && args[i][0] == '-') {
+                std::cerr << "libra_cli: unknown flag '" << args[i]
+                          << "'\n";
+                return 1;
             } else if (studyPath.empty()) {
                 studyPath = args[i];
             } else {
@@ -885,8 +812,7 @@ main(int argc, char** argv)
             usage();
             return 1;
         }
-        return runStudy(studyPath, threads, solverSpec, backend,
-                        explore);
+        return runStudy(studyPath, threads, solverSpec, backend);
     } catch (const libra::FatalError& e) {
         // User error: bad configuration, infeasible constraints.
         std::cerr << "libra_cli: " << e.what() << "\n";

@@ -29,8 +29,10 @@
 #                  faults is byte-identical to the fault-free cached
 #                  run (ROBUSTNESS.md).
 #               8. serve: a `serve` process answers the golden group
-#                  disk-served, LRU-served and after a nested-JSON bomb,
-#                  each byte-identical to the one-shot run (SERVE.md).
+#                  disk-served, LRU-served and after a nested-JSON bomb
+#                  and a refused `workers` request, each byte-identical
+#                  to the one-shot run; stats report schema v2
+#                  (SERVE.md).
 #               9. shard: `--workers 2` explore-frontier JSON equals the
 #                  single-process run, fresh and cached (SHARDING.md).
 #              10. checkpoint: a SIGKILLed checkpointed sharded run
@@ -383,6 +385,17 @@ conn.sendall(b'{"op":' + b"[" * depth + b"]" * depth + b"}\n")
 status = conn.makefile("rb").readline()
 assert b'"ok":false' in status, status
 PY
+  # Serve never shards: a request carrying "workers" is answered
+  # ok:false (unknown request field), and the third request's cmp
+  # below proves the server serves on.
+  if "${BUILD_DIR}/libra_cli" serve-request \
+      --socket "${SMOKE_DIR}/serve.sock" \
+      '{"scenario": "golden", "workers": 2}' \
+      > /dev/null 2> "${SMOKE_DIR}/sworkers.status"; then
+    echo "serve smoke: a request with a workers field was served" >&2
+    exit 1
+  fi
+  grep -q '"ok":false' "${SMOKE_DIR}/sworkers.status"
   "${BUILD_DIR}/libra_cli" serve-request --socket "${SMOKE_DIR}/serve.sock" \
     '{"scenario": "golden", "emit": "json"}' \
     > "${SMOKE_DIR}/sthird.json" 2> /dev/null
@@ -396,7 +409,8 @@ PY
   cmp "${SMOKE_DIR}/soneshot.json" "${SMOKE_DIR}/sthird.json"
   grep -q '"computed":0,' "${SMOKE_DIR}/ssecond.status"
   grep -Eq '"lruHits": [1-9]' "${SMOKE_DIR}/sstats.json"
-  echo "serve smoke: byte-identical golden payloads (one-shot vs disk-served vs LRU-served, and after a nested-bomb request)"
+  grep -q 'libra-serve-stats-v2' "${SMOKE_DIR}/sstats.json"
+  echo "serve smoke: byte-identical golden payloads (one-shot vs disk-served vs LRU-served, and after a nested-bomb and a workers-field request)"
 
   # Sharded smoke: run-matrix --workers forks worker processes and
   # merges their results through the cache; the matrix JSON must be
