@@ -1,5 +1,8 @@
 #include "explore/design_space.hh"
 
+#include <map>
+#include <utility>
+
 #include "common/logging.hh"
 #include "topology/network.hh"
 
@@ -25,25 +28,15 @@ validateSpace(const DesignSpace& space)
     }
 }
 
-} // namespace
+/** Target lists built so far in one call, by (workload choice, NPUs). */
+using TargetMemo =
+    std::map<std::pair<std::size_t, long>, std::vector<TargetWorkload>>;
 
-std::size_t
-candidateCount(const DesignSpace& space)
-{
-    validateSpace(space);
-    std::size_t costs = space.costs.empty() ? 1 : space.costs.size();
-    return space.topologies.size() * space.workloads.size() * costs *
-           space.budgets.size() * space.objectives.size();
-}
-
+/** Candidate @p index (in range), its targets from @p memo or built
+ *  into it: the one path behind candidateAt and expandDesignSpace. */
 Candidate
-candidateAt(const DesignSpace& space, std::size_t index)
+materialize(const DesignSpace& space, std::size_t index, TargetMemo& memo)
 {
-    const std::size_t count = candidateCount(space);
-    if (index >= count)
-        fatal("design-space candidate index ", index,
-              " out of range (", count, " candidates)");
-
     // Mixed-radix decode of the fixed axis order: objectives vary
     // fastest, then budgets, costs, workloads, topologies.
     std::size_t rest = index;
@@ -73,7 +66,10 @@ candidateAt(const DesignSpace& space, std::size_t index)
 
     Network net = Network::parse(topo.shape);
     c.inputs.networkShape = net.name();
-    c.inputs.targets = wl.targets(net.npus());
+    auto [slot, fresh] = memo.try_emplace({iWl, net.npus()});
+    if (fresh)
+        slot->second = wl.targets(net.npus());
+    c.inputs.targets = slot->second;
     c.inputs.normalizeTargetWeights = wl.normalizeWeights;
     if (!space.costs.empty()) {
         c.cost = space.costs[iCost].label;
@@ -86,14 +82,37 @@ candidateAt(const DesignSpace& space, std::size_t index)
     return c;
 }
 
+} // namespace
+
+std::size_t
+candidateCount(const DesignSpace& space)
+{
+    validateSpace(space);
+    std::size_t costs = space.costs.empty() ? 1 : space.costs.size();
+    return space.topologies.size() * space.workloads.size() * costs *
+           space.budgets.size() * space.objectives.size();
+}
+
+Candidate
+candidateAt(const DesignSpace& space, std::size_t index)
+{
+    const std::size_t count = candidateCount(space);
+    if (index >= count)
+        fatal("design-space candidate index ", index,
+              " out of range (", count, " candidates)");
+    TargetMemo memo;
+    return materialize(space, index, memo);
+}
+
 std::vector<Candidate>
 expandDesignSpace(const DesignSpace& space)
 {
     std::vector<Candidate> out;
     const std::size_t count = candidateCount(space);
     out.reserve(count);
+    TargetMemo memo;
     for (std::size_t i = 0; i < count; ++i)
-        out.push_back(candidateAt(space, i));
+        out.push_back(materialize(space, i, memo));
     return out;
 }
 

@@ -47,6 +47,10 @@ struct TopologyChoice
  * network's NPU count. Multi-member lists express group-optimization
  * candidates (Fig. 17); @p normalizeWeights selects the 1/T_EqualBW
  * importance weighting for them.
+ *
+ * @p targets must be a pure function of the NPU count: expansion calls
+ * it once per distinct (variant, NPU count) and copies the result into
+ * every candidate that shares the pair.
  */
 struct WorkloadChoice
 {
@@ -103,11 +107,13 @@ std::size_t candidateCount(const DesignSpace& space);
 /**
  * Lazily materialize candidate @p index (mixed-radix decode of the
  * fixed axis order; objectives vary fastest, topologies slowest).
+ * Builds only that candidate's workload targets.
  * @throws FatalError when @p index is out of range.
  */
 Candidate candidateAt(const DesignSpace& space, std::size_t index);
 
-/** Materialize every candidate in expansion order. */
+/** Materialize every candidate in expansion order, each equal to its
+ *  candidateAt; a variant's targets are built once per NPU count. */
 std::vector<Candidate> expandDesignSpace(const DesignSpace& space);
 
 } // namespace libra

@@ -12,7 +12,12 @@ namespace libra {
 Tick
 toTicks(Seconds s)
 {
-    return static_cast<Tick>(std::llround(s * kTicksPerSecond));
+    // llround is undefined past 2^63; the negated test also catches nan.
+    const double ticks = s * kTicksPerSecond;
+    if (!(ticks >= 0.0 && ticks < 0x1p63))
+        fatal("chunk-sim duration ", s,
+              " s is outside the tick range [0, 2^63 ps)");
+    return static_cast<Tick>(std::llround(ticks));
 }
 
 Seconds

@@ -40,7 +40,11 @@ using Tick = std::uint64_t;
 
 constexpr double kTicksPerSecond = 1e12;
 
-/** Seconds -> ticks (rounded to the nearest picosecond). */
+/**
+ * Seconds -> ticks (rounded to the nearest picosecond).
+ * @throws FatalError when @p s is negative, non-finite, or 2^63 ps
+ *         (about 9.22e6 s) or more.
+ */
 Tick toTicks(Seconds s);
 
 /** Ticks -> seconds. */

@@ -1,15 +1,11 @@
 #include "solver/water_fill.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace libra {
 
-namespace {
-
 Vec
-shareAllocation(const Vec& weights, double total, double floor)
+proportionalAllocation(const Vec& weights, double total, double floor)
 {
     if (total <= 0.0)
         fatal("allocation total must be positive, got ", total);
@@ -38,26 +34,6 @@ shareAllocation(const Vec& weights, double total, double floor)
                      : (total - reserved) * weights[i] / sum;
     }
     return out;
-}
-
-} // namespace
-
-Vec
-proportionalAllocation(const Vec& a, double total, double floor)
-{
-    return shareAllocation(a, total, floor);
-}
-
-Vec
-waterFillAllocation(const Vec& a, double total, double floor)
-{
-    Vec roots(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i] < 0.0)
-            fatal("water-fill weights must be non-negative");
-        roots[i] = std::sqrt(a[i]);
-    }
-    return shareAllocation(roots, total, floor);
 }
 
 } // namespace libra

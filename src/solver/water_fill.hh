@@ -4,14 +4,8 @@
  *
  * When the objective is a single max-of-ratios term —
  * min max_i(a_i / B_i) s.t. sum B_i = T, B_i > 0 — the optimum
- * equalizes every ratio: B_i = T * a_i / sum(a).
- *
- * For a *sum* of independent inverse terms — min sum_i(a_i / B_i) —
- * the optimum is the square-root water-filling split
- * B_i = T * sqrt(a_i) / sum(sqrt(a)).
- *
- * Both closed forms serve as ground truth for the iterative solvers in
- * tests, and as high-quality warm starts for the optimizer.
+ * equalizes every ratio: B_i = T * a_i / sum(a). The optimizer seeds
+ * its search with this split.
  */
 
 #ifndef LIBRA_SOLVER_WATER_FILL_HH
@@ -29,12 +23,6 @@ namespace libra {
  */
 Vec proportionalAllocation(const Vec& a, double total,
                            double floor = 0.0);
-
-/**
- * Allocation minimizing sum_i a_i / B_i under sum B = total
- * (square-root water filling).
- */
-Vec waterFillAllocation(const Vec& a, double total, double floor = 0.0);
 
 } // namespace libra
 

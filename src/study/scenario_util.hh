@@ -25,14 +25,15 @@
 
 namespace libra {
 
-/** One design point on @p net with the harness search settings. */
+/** One design point on @p net targeting @p w alone (weight 1) with the
+ *  harness search settings; a temporary @p w is moved, not copied. */
 inline LibraInputs
-makeStudyPoint(const Network& net, std::vector<TargetWorkload> targets,
+makeStudyPoint(const Network& net, Workload w,
                OptimizationObjective objective, double total_bw)
 {
     LibraInputs p;
     p.networkShape = net.name();
-    p.targets = std::move(targets);
+    p.targets.push_back({std::move(w), 1.0});
     p.config.objective = objective;
     p.config.totalBw = total_bw;
     p.config.search = paperSearchOptions();
@@ -64,12 +65,17 @@ fig16Nets()
             {"4D-2K", topo::fourD2K()}};
 }
 
-/** The two Fig. 17 ensembles at @p npus; (a) LLMs, (b) a DNN mixture. */
-inline std::vector<std::vector<Workload>>
-fig17Studies(long npus)
+/** A zoo workload builder at a given NPU count, e.g. wl::gpt3. */
+using WorkloadBuilder = Workload (*)(long npus);
+
+/** The two Fig. 17 ensembles; (a) LLMs, (b) a DNN mixture. */
+inline const std::vector<std::vector<WorkloadBuilder>>&
+fig17Studies()
 {
-    return {{wl::turingNlg(npus), wl::gpt3(npus), wl::msft1T(npus)},
-            {wl::msft1T(npus), wl::dlrm(npus), wl::resnet50(npus)}};
+    static const std::vector<std::vector<WorkloadBuilder>> studies{
+        {wl::turingNlg, wl::gpt3, wl::msft1T},
+        {wl::msft1T, wl::dlrm, wl::resnet50}};
+    return studies;
 }
 
 /** The Fig. 21 tensor-parallel degrees (DP fills the rest). */

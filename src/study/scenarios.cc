@@ -49,7 +49,7 @@ namespace {
 
 /** Single-workload target list for the design-space workload axis. */
 WorkloadChoice
-soloWorkload(std::string label, Workload (*build)(long))
+soloWorkload(std::string label, WorkloadBuilder build)
 {
     WorkloadChoice w;
     w.label = std::move(label);
@@ -66,43 +66,40 @@ soloWorkload(std::string label, Workload (*build)(long))
 struct SpeedupGrid
 {
     std::vector<topo::NamedNetwork> nets;
-    std::vector<Workload> workloadsFor(const Network& net) const
-    {
-        return {wl::turingNlg(net.npus()), wl::gpt3(net.npus()),
-                wl::msft1T(net.npus())};
-    }
 
     std::vector<LibraInputs>
     build() const
     {
         std::vector<LibraInputs> points;
         for (const auto& [label, net] : nets) {
-            for (const auto& w : workloadsFor(net)) {
+            for (const Workload& w :
+                 {wl::turingNlg(net.npus()), wl::gpt3(net.npus()),
+                  wl::msft1T(net.npus())}) {
                 for (double bw : paperBwSweep()) {
                     points.push_back(makeStudyPoint(
-                        net, {{w, 1.0}},
-                        OptimizationObjective::PerfOpt, bw));
+                        net, w, OptimizationObjective::PerfOpt, bw));
                     points.push_back(makeStudyPoint(
-                        net, {{w, 1.0}},
-                        OptimizationObjective::PerfPerCostOpt, bw));
+                        net, w, OptimizationObjective::PerfPerCostOpt,
+                        bw));
                 }
             }
         }
         return points;
     }
 
-    /** Visit cells as (net label, workload, bw, perf report, ppc report). */
+    /** Visit build()'s cells as (net label, workload, bw, perf, ppc). */
     template <typename Fn>
     void
-    visit(const std::vector<LibraReport>& reports, Fn fn) const
+    visit(const std::vector<LibraInputs>& points,
+          const std::vector<LibraReport>& reports, Fn fn) const
     {
         std::size_t i = 0;
         for (const auto& [label, net] : nets) {
-            for (const auto& w : workloadsFor(net)) {
-                for (double bw : paperBwSweep()) {
-                    fn(label, w, bw, reports[i], reports[i + 1]);
-                    i += 2;
-                }
+            const std::string shape = net.name();
+            for (; i < points.size() && points[i].networkShape == shape;
+                 i += 2) {
+                fn(label, points[i].targets[0].workload,
+                   points[i].config.totalBw, reports[i], reports[i + 1]);
             }
         }
     }
@@ -306,10 +303,9 @@ fig10Scenario()
     s.build = [] {
         std::vector<LibraInputs> points;
         for (const auto& [label, net] : fig10Nets()) {
-            points.push_back(makeStudyPoint(net,
-                                       {{wl::msft1T(net.npus()), 1.0}},
-                                       OptimizationObjective::PerfOpt,
-                                       300.0));
+            points.push_back(
+                makeStudyPoint(net, wl::msft1T(net.npus()),
+                               OptimizationObjective::PerfOpt, 300.0));
         }
         return points;
     };
@@ -374,15 +370,15 @@ fig13Scenario()
     s.name = "fig13";
     s.title = "training speedup over EqualBW (LIBRA-optimized networks)";
     s.build = [] { return mainGrid().build(); };
-    s.format = [](const std::vector<LibraInputs>&,
+    s.format = [](const std::vector<LibraInputs>& points,
                   const std::vector<LibraReport>& reports) {
         ScenarioOutput out;
         double sum = 0.0, best = 0.0;
         int n = 0;
         mainGrid().visit(
-            reports, [&](const std::string& net, const Workload& w,
-                         double bw, const LibraReport& perf,
-                         const LibraReport& ppc) {
+            points, reports,
+            [&](const std::string& net, const Workload& w, double bw,
+                const LibraReport& perf, const LibraReport& ppc) {
                 ScenarioRow row;
                 row.label("workload", w.name);
                 row.label("net", net);
@@ -416,15 +412,15 @@ fig14Scenario()
     s.name = "fig14";
     s.title = "perf-per-cost benefit over EqualBW baseline";
     s.build = [] { return mainGrid().build(); };
-    s.format = [](const std::vector<LibraInputs>&,
+    s.format = [](const std::vector<LibraInputs>& points,
                   const std::vector<LibraReport>& reports) {
         ScenarioOutput out;
         double sumPerf = 0.0, sumPpc = 0.0, maxPpc = 0.0;
         int n = 0;
         mainGrid().visit(
-            reports, [&](const std::string& net, const Workload& w,
-                         double bw, const LibraReport& perf,
-                         const LibraReport& ppc) {
+            points, reports,
+            [&](const std::string& net, const Workload& w, double bw,
+                const LibraReport& perf, const LibraReport& ppc) {
                 ScenarioRow row;
                 row.label("workload", w.name);
                 row.label("net", net);
@@ -468,12 +464,9 @@ fig15Scenario()
              {wl::resnet50(net.npus()), wl::dlrm(net.npus())}) {
             for (double bw : paperBwSweep()) {
                 points.push_back(makeStudyPoint(
-                    net, {{w, 1.0}}, OptimizationObjective::PerfOpt,
-                    bw));
-                points.push_back(
-                    makeStudyPoint(net, {{w, 1.0}},
-                              OptimizationObjective::PerfPerCostOpt,
-                              bw));
+                    net, w, OptimizationObjective::PerfOpt, bw));
+                points.push_back(makeStudyPoint(
+                    net, w, OptimizationObjective::PerfPerCostOpt, bw));
             }
         }
         return points;
@@ -587,30 +580,19 @@ fig17Space()
     Network net = topo::fourD4K();
     space.topologies.push_back({"4D-4K", net.name()});
     const std::vector<std::string> studyKeys{"a", "b"};
-    const std::vector<std::vector<Workload>> studies =
-        fig17Studies(net.npus());
-    for (std::size_t study = 0; study < studies.size(); ++study) {
-        const std::vector<Workload>& members = studies[study];
-        for (std::size_t m = 0; m < members.size(); ++m) {
-            WorkloadChoice w;
-            w.label = studyKeys[study] + ":" + members[m].name;
-            w.targets = [study, m](long npus) {
-                std::vector<std::vector<Workload>> studies =
-                    fig17Studies(npus);
-                return std::vector<TargetWorkload>{
-                    {std::move(studies[study][m]), 1.0}};
-            };
-            space.workloads.push_back(std::move(w));
+    for (std::size_t study = 0; study < fig17Studies().size(); ++study) {
+        const auto& members = fig17Studies()[study];
+        for (WorkloadBuilder build : members) {
+            space.workloads.push_back(soloWorkload(
+                studyKeys[study] + ":" + build(net.npus()).name, build));
         }
         WorkloadChoice group;
         group.label = studyKeys[study] + ":Group-Opt";
         group.normalizeWeights = true;
-        group.targets = [study](long npus) {
-            std::vector<std::vector<Workload>> studies =
-                fig17Studies(npus);
+        group.targets = [&members](long npus) {
             std::vector<TargetWorkload> targets;
-            for (auto& w : studies[study])
-                targets.push_back({std::move(w), 1.0});
+            for (WorkloadBuilder build : members)
+                targets.push_back({build(npus), 1.0});
             return targets;
         };
         space.workloads.push_back(std::move(group));
@@ -637,13 +619,18 @@ fig17Scenario()
         const std::vector<std::string> studyKeys{"a", "b"};
 
         std::size_t base = 0;
-        std::size_t study = 0;
-        for (const auto& members : fig17Studies(net.npus())) {
+        for (std::size_t study = 0; study < fig17Studies().size();
+             ++study) {
+            // A study's single-target candidates precede its group
+            // candidate, whose targets are the members in order.
+            const std::vector<TargetWorkload>& members =
+                r.outcomes[base + fig17Studies()[study].size()]
+                    .candidate.inputs.targets;
             std::vector<Seconds> tEq, tOwn;
             for (std::size_t i = 0; i < members.size(); ++i) {
-                tEq.push_back(est.estimate(members[i], equal));
+                tEq.push_back(est.estimate(members[i].workload, equal));
                 tOwn.push_back(est.estimate(
-                    members[i],
+                    members[i].workload,
                     r.outcomes[base + i].report.optimized.bw));
             }
 
@@ -651,7 +638,7 @@ fig17Scenario()
             auto evalRows = [&](const std::string& target,
                                 const BwConfig& bw, bool isGroup) {
                 for (std::size_t i = 0; i < members.size(); ++i) {
-                    Seconds tX = est.estimate(members[i], bw);
+                    Seconds tX = est.estimate(members[i].workload, bw);
                     double slowdown = tX / tOwn[i];
                     if (isGroup)
                         groupSlowdownSum += slowdown;
@@ -660,14 +647,14 @@ fig17Scenario()
                     ScenarioRow row;
                     row.label("study", studyKeys[study]);
                     row.label("opt_target", target);
-                    row.label("workload", members[i].name);
+                    row.label("workload", members[i].workload.name);
                     row.metric("speedup_vs_equalbw", tEq[i] / tX);
                     row.metric("slowdown_vs_own_opt", slowdown);
                     out.rows.push_back(std::move(row));
                 }
             };
             for (std::size_t i = 0; i < members.size(); ++i) {
-                evalRows(members[i].name,
+                evalRows(members[i].workload.name,
                          r.outcomes[base + i].report.optimized.bw,
                          false);
             }
@@ -683,7 +670,6 @@ fig17Scenario()
                 groupSlowdownSum /
                     static_cast<double>(members.size()));
             base += members.size() + 1;
-            ++study;
         }
         out.notes.push_back(
             "Claim check: single-target networks can slow other "
@@ -1002,9 +988,8 @@ crossvalScenario()
         for (const auto& [label, net] : crossvalNets()) {
             for (const auto& w : crossvalWorkloads(net)) {
                 for (double bw : crossvalBudgets()) {
-                    LibraInputs p =
-                        makeStudyPoint(net, {{w, 1.0}},
-                                  OptimizationObjective::PerfOpt, bw);
+                    LibraInputs p = makeStudyPoint(
+                        net, w, OptimizationObjective::PerfOpt, bw);
                     // Optimize under simulation; the formatter then
                     // cross-evaluates the same designs analytically.
                     p.config.estimator.timingBackend =

@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <tuple>
 
+#include "common/logging.hh"
 #include "sim/chunk_timeline.hh"
 
 namespace libra {
@@ -22,6 +24,18 @@ TEST(Ticks, Conversions)
     EXPECT_EQ(toTicks(1.0), static_cast<Tick>(1e12));
     EXPECT_EQ(toTicks(0.5e-12), 1u); // Rounds.
     EXPECT_DOUBLE_EQ(toSeconds(2'000'000'000'000ull), 2.0);
+}
+
+TEST(Ticks, OutOfRangeDurationsAreFatal)
+{
+    // The tick range ends at 2^63 ps = 9,223,372.036... s.
+    EXPECT_EQ(toTicks(9'223'372.0), 9'223'372'000'000'000'000ull);
+    EXPECT_THROW(toTicks(9'223'373.0), FatalError);
+    EXPECT_THROW(toTicks(std::numeric_limits<double>::quiet_NaN()),
+                 FatalError);
+    EXPECT_THROW(toTicks(std::numeric_limits<double>::infinity()),
+                 FatalError);
+    EXPECT_THROW(toTicks(-1.0), FatalError);
 }
 
 CollectiveJob

@@ -1,14 +1,18 @@
 /**
  * @file
  * Tests for the design-space exploration layer: lazy expansion order
- * and labels, explore-spec parsing/canonicalization, the registry, the
- * prune strategy's determinism and efficiency contracts, the matrix
+ * and labels, one target build per (workload variant, NPU count),
+ * explore-spec parsing/canonicalization, the registry, the prune
+ * strategy's determinism and efficiency contracts, the matrix
  * integration (cache round-trip, thread-count bit-identity), and the
  * pin that the exhaustive expansion of the refactored paper scenarios
  * reproduces the historical hand enumeration point for point.
  */
 
 #include <filesystem>
+#include <map>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +81,77 @@ TEST(DesignSpace, ExpandsInDocumentedOrderWithLabels)
     EXPECT_EQ(canonicalStudyKey(c5.inputs),
               canonicalStudyKey(all[5].inputs));
     EXPECT_THROW(candidateAt(space, 8), FatalError);
+}
+
+TEST(DesignSpace, ExpansionBuildsEachTargetListOncePerNpuCount)
+{
+    DesignSpace space = miniSpace();
+    // Two shapes share 16 NPUs, so three topologies give two NPU counts.
+    space.topologies.insert(space.topologies.begin() + 1,
+                            {"2D-16b", "RI(4)_SW(4)"});
+    space.objectives.push_back(OptimizationObjective::PerfPerCostOpt);
+    std::map<std::pair<std::string, long>, int> calls;
+    space.workloads.clear();
+    for (std::string name : {"ResNet-50", "DLRM"}) {
+        space.workloads.push_back(
+            {name,
+             [&calls, name](long npus) {
+                 ++calls[{name, npus}];
+                 Workload w = name == "DLRM" ? wl::dlrm(npus)
+                                             : wl::resnet50(npus);
+                 return std::vector<TargetWorkload>{
+                     {std::move(w), 1.0}};
+             },
+             false});
+    }
+
+    std::vector<Candidate> all = expandDesignSpace(space);
+    ASSERT_EQ(all.size(), 3u * 2u * 2u * 2u);
+    EXPECT_EQ(calls, (std::map<std::pair<std::string, long>, int>{
+                         {{"DLRM", 16}, 1},
+                         {{"DLRM", 32}, 1},
+                         {{"ResNet-50", 16}, 1},
+                         {{"ResNet-50", 32}, 1}}));
+    for (const Candidate& c : all) {
+        long npus = Network::parse(c.inputs.networkShape).npus();
+        ASSERT_EQ(c.inputs.targets.size(), 1u);
+        EXPECT_TRUE(c.inputs.targets[0].workload ==
+                    (c.workload == "DLRM" ? wl::dlrm(npus)
+                                          : wl::resnet50(npus)));
+    }
+
+    // Lazy indexing builds only the one candidate's targets.
+    calls.clear();
+    EXPECT_EQ(candidateAt(space, 5).workload, "DLRM");
+    EXPECT_EQ(calls, (std::map<std::pair<std::string, long>, int>{
+                         {{"DLRM", 16}, 1}}));
+}
+
+TEST(DesignSpace, ExpansionEqualsLazyIndexingForEveryScenario)
+{
+    for (const std::string& name : ScenarioRegistry::global().names()) {
+        const Scenario* s = ScenarioRegistry::global().find(name);
+        if (!s->space)
+            continue;
+        DesignSpace space = s->space();
+        std::vector<Candidate> all = expandDesignSpace(space);
+        ASSERT_EQ(all.size(), candidateCount(space)) << name;
+        for (std::size_t i = 0; i < all.size(); ++i) {
+            Candidate lazy = candidateAt(space, i);
+            EXPECT_EQ(canonicalStudyKey(all[i].inputs),
+                      canonicalStudyKey(lazy.inputs))
+                << name << " candidate " << i;
+            ASSERT_EQ(all[i].inputs.targets.size(),
+                      lazy.inputs.targets.size());
+            for (std::size_t t = 0; t < lazy.inputs.targets.size(); ++t) {
+                EXPECT_TRUE(all[i].inputs.targets[t].workload ==
+                            lazy.inputs.targets[t].workload)
+                    << name << " candidate " << i << " target " << t;
+                EXPECT_EQ(all[i].inputs.targets[t].weight,
+                          lazy.inputs.targets[t].weight);
+            }
+        }
+    }
 }
 
 TEST(DesignSpace, RejectsEmptyRequiredAxes)
@@ -347,10 +422,10 @@ handEnumeratedFig16()
     for (const auto& [label, net] : fig16Nets()) {
         for (double bw : paperBwSweep()) {
             points.push_back(makeStudyPoint(
-                net, {{wl::msft1T(net.npus()), 1.0}},
+                net, wl::msft1T(net.npus()),
                 OptimizationObjective::PerfOpt, bw));
             points.push_back(makeStudyPoint(
-                net, {{wl::msft1T(net.npus()), 1.0}},
+                net, wl::msft1T(net.npus()),
                 OptimizationObjective::PerfPerCostOpt, bw));
         }
     }
@@ -364,7 +439,7 @@ handEnumeratedFig21()
     std::vector<LibraInputs> points;
     for (long tp : fig21TpDegrees()) {
         points.push_back(makeStudyPoint(
-            net, {{wl::msft1TWithStrategy(tp, net.npus() / tp), 1.0}},
+            net, wl::msft1TWithStrategy(tp, net.npus() / tp),
             OptimizationObjective::PerfOpt, 1000.0));
     }
     return points;

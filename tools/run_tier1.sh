@@ -14,7 +14,8 @@
 #               4. warm-all: a 1-thread `run-matrix all` over the cache
 #                  a 4-thread run filled is byte-identical and serves
 #                  all 366 points from that cache, whose entries total
-#                  under 256 KB (PERF.md).
+#                  under 256 KB; its CSV equals a fresh uncached
+#                  4-thread CSV (PERF.md).
 #               5. hostile-number: nan/inf and out-of-range numbers in
 #                  a study file (a 1e308 price, a negative weight or
 #                  price, a DOLLAR_CAP of 0 or -1, STARTS -3 or 1e30),
@@ -206,7 +207,16 @@ if [[ -z "${MODE}" ]]; then
     echo "warm-all smoke: the filled cache holds ${WCACHE_BYTES} entry bytes, want < 262144" >&2
     exit 1
   fi
-  echo "warm-all smoke: byte-identical matrix JSON (fresh 4t vs cached 1t), 366 from cache, 0 computed, ${WCACHE_BYTES} entry bytes"
+  # Formatters read each point's workloads from the points they are
+  # handed (reloaded reports, built inputs), so the CSV rows, which
+  # carry the workload labels, must match a run that never touched the
+  # cache too.
+  "${BUILD_DIR}/libra_cli" run-matrix all --emit csv --threads 4 \
+    --out "${SMOKE_DIR}/wfresh.csv"
+  "${BUILD_DIR}/libra_cli" run-matrix all --emit csv --threads 1 \
+    --cache-dir "${SMOKE_DIR}/wcache" --out "${SMOKE_DIR}/wwarm.csv"
+  cmp "${SMOKE_DIR}/wfresh.csv" "${SMOKE_DIR}/wwarm.csv"
+  echo "warm-all smoke: byte-identical matrix JSON (fresh 4t vs cached 1t) and CSV (uncached 4t vs cached 1t), 366 from cache, 0 computed, ${WCACHE_BYTES} entry bytes"
 
   # Hostile-number smoke: nan and inf in a study file are user errors,
   # and so is every number outside its field's range: a 1e308 or
