@@ -62,25 +62,28 @@ runLibraSweep(const std::vector<LibraInputs>& points)
     return std::move(outcome.reports);
 }
 
+PointStatus
+runLibraIsolated(const LibraInputs& inputs, LibraReport* report)
+{
+    PointStatus status;
+    try {
+        *report = runLibraPoint(inputs);
+    } catch (const FatalError& e) {
+        status.ok = false;
+        status.error = fatalMessage(e);
+    }
+    return status;
+}
+
 SweepOutcome
 runLibraSweepIsolated(const std::vector<LibraInputs>& points)
 {
-    auto evalPoint = [](const LibraInputs& p, LibraReport* report,
-                        PointStatus* status) {
-        try {
-            *report = runLibraPoint(p);
-        } catch (const FatalError& e) {
-            status->ok = false;
-            status->error = fatalMessage(e);
-        }
-    };
-
     SweepOutcome out;
     out.reports.resize(points.size());
     out.status.resize(points.size());
 
     parallelFor(points.size(), [&](std::size_t i) {
-        evalPoint(points[i], &out.reports[i], &out.status[i]);
+        out.status[i] = runLibraIsolated(points[i], &out.reports[i]);
     });
     for (const PointStatus& s : out.status)
         out.failed += s.ok ? 0 : 1;

@@ -87,6 +87,16 @@ struct PointStatus
     std::string error;
 };
 
+/**
+ * One design point with failure isolation, the pool left alone: a
+ * FatalError (infeasible constraints, a malformed workload) becomes a
+ * failed status instead of unwinding, and @p report is left untouched.
+ * An ok report is bit-identical to runLibra() of the same point. Safe
+ * to call from pool threads, which is how sweeps use it.
+ */
+PointStatus
+runLibraIsolated(const LibraInputs& inputs, LibraReport* report);
+
 /** Result of an isolated sweep: aligned reports plus per-point status. */
 struct SweepOutcome
 {
@@ -97,10 +107,9 @@ struct SweepOutcome
 };
 
 /**
- * runLibraSweep with per-point failure isolation: a point whose
- * evaluation throws FatalError (infeasible constraints, a malformed
- * workload) yields a failed PointStatus instead of unwinding the
- * batch, so one bad design point cannot kill a whole matrix run.
+ * runLibraSweep with per-point failure isolation: runLibraIsolated
+ * over every point on the global pool, so one bad design point cannot
+ * kill a whole matrix run.
  * Internal invariant violations (panic) still abort. Ok points are
  * bit-identical to runLibraSweep's reports at any thread count.
  */

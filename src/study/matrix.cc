@@ -9,20 +9,17 @@
 #include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "common/thread_pool.hh"
 #include "core/study_config.hh"
 #include "core/timing_backend.hh"
 #include "explore/explore.hh"
 #include "solver/strategy.hh"
 #include "study/cache.hh"
-#include "study/checkpoint.hh"
 #include "study/shard.hh"
 
 namespace libra {
 
 namespace {
-
-/** Local-leg sub-batch size when a checkpoint is armed (cachedSweep). */
-constexpr std::size_t kCheckpointChunk = 8;
 
 /** Per-point outcome of one deduped, cache-aware sweep. */
 struct SweepBatch
@@ -64,19 +61,8 @@ struct ShardRuntime
 };
 
 /**
- * Execution add-ons for one cached sweep: a warm shard pool evaluates
- * the owned points that have a wire form in worker processes, and a
- * checkpoint log records completed slots durably.
- */
-struct SweepContext
-{
-    ShardRuntime* shard = nullptr; ///< Null = in-process only.
-    CheckpointLog* checkpoint = nullptr;
-};
-
-/**
  * Deduplicate @p points by content, serve what the store already has,
- * and run the rest as one runLibraSweep batch. Shared by the static
+ * and compute the rest as one batch. Shared by the static
  * scenario batch and every round of an adaptive exploration, so both
  * paths get identical dedup/caching semantics.
  *
@@ -91,7 +77,7 @@ struct SweepContext
  * bit-identical to recomputing. A plain ResultCache grants every
  * claim, collapsing this to the classic single-process flow.
  *
- * Failure semantics: points run through runLibraSweepIsolated, and
+ * Failure semantics: points run through runLibraIsolated, and
  * the `point-eval` fault-injection site fires here, keyed by each
  * slot's content hash — a pure function of the point, so fault
  * assignment is identical at any thread count and unaffected by dedup
@@ -100,21 +86,23 @@ struct SweepContext
  * deterministically. Failed slots are never stored to the cache, but
  * their status is still published so waiters observe the same failure.
  *
- * Sharded execution (ctx.shard) changes only *where* owned slots are
+ * Sharded execution (@p shard) changes only *where* owned slots are
  * evaluated, never what: fault injection runs here before dispatch,
- * results merge by slot index as they arrive (store + publish +
- * checkpoint per slot), and the final assembly below is index-ordered
- * — so emitted bytes are identical at any worker count.
+ * results merge by slot index as they arrive, and the final assembly
+ * below is index-ordered — so emitted bytes are identical at any
+ * worker count.
  *
  * The compute phase has one shape: a wire leg ships every owned point
  * with a study-file form to the shard pool as an eval frame (only when
- * ctx.shard is set), and a local leg runs the rest in-process — in
- * chunks of kCheckpointChunk when a checkpoint is armed, as one
- * call otherwise. Both legs merge through the same finishSlot.
+ * @p shard is set), and a local leg runs the rest on the thread pool.
+ * Both legs merge each slot through the same finishSlot (store, then
+ * publish) the moment it completes, so a killed run has already
+ * cached every slot it finished, and a rerun with the same cache
+ * resumes from there (docs/ROBUSTNESS.md).
  */
 SweepBatch
 cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
-            FailMode failMode, const SweepContext& ctx = {})
+            FailMode failMode, ShardRuntime* shard = nullptr)
 {
     SlotMap map = buildSlotMap(points);
     const std::vector<std::size_t>& slotOf = map.slotOf;
@@ -133,21 +121,6 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         } else {
             missing.push_back(s);
         }
-    }
-
-    // A checkpointed slot is promised to be cache-servable (manifest
-    // entries are appended only after the store). Missing one means
-    // the cache was wiped or degraded underneath the manifest — a
-    // recompute costs work, never correctness.
-    if (ctx.checkpoint) {
-        std::size_t lost = 0;
-        for (std::size_t s : missing) {
-            if (ctx.checkpoint->contains(slotHash[s]))
-                ++lost;
-        }
-        if (lost > 0)
-            warn("checkpoint: ", lost, " recorded slots missing from "
-                 "the cache; recomputing them");
     }
 
     // Claim phase: ask the store who computes each missed key. Keys
@@ -178,9 +151,8 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
     // evaluation (keyed by content, so the same points fail fresh or
     // cached, at any thread count); their failure is published like
     // any other outcome.
-    std::vector<LibraInputs> batch;
     std::vector<std::size_t> batchSlot;
-    batch.reserve(owned.size());
+    batchSlot.reserve(owned.size());
     for (std::size_t s : owned) {
         if (injectFault(FaultSite::PointEval, slotHash[s])) {
             slotStatus[s].ok = false;
@@ -190,12 +162,12 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
                                       slotReport[s]);
             continue;
         }
-        batch.push_back(points[slotRep[s]]);
         batchSlot.push_back(s);
     }
-    // Per-batch-slot completion flags: sharded results arrive in
-    // completion order, not index order, so a plain counter cannot
-    // tell resolved slots from abandoned ones in the unwind below.
+    // Per-batch-slot completion flags: results arrive in completion
+    // order, not index order, so a plain counter cannot tell resolved
+    // slots from abandoned ones in the unwind below. Pool threads
+    // finish distinct slots, so each flag has one writer.
     std::vector<char> done(batchSlot.size(), 0);
     auto finishSlot = [&](std::size_t k, PointStatus status,
                           LibraReport report) {
@@ -203,13 +175,8 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         slotStatus[s] = std::move(status);
         if (slotStatus[s].ok) {
             slotReport[s] = std::move(report);
-            if (store) {
+            if (store)
                 store->store(slotHash[s], slotKey[s], slotReport[s]);
-                // Store first, then record: manifest ⊆ cache, so a
-                // recorded slot is always servable on resume.
-                if (ctx.checkpoint)
-                    ctx.checkpoint->append(slotHash[s]);
-            }
         }
         if (store)
             store->publishCompute(slotKey[s], slotStatus[s],
@@ -222,12 +189,12 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         // non-zoo workload) throws and stays local.
         std::vector<WirePoint> wire;
         std::vector<std::size_t> local;
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-            if (ctx.shard) {
+        for (std::size_t k = 0; k < batchSlot.size(); ++k) {
+            if (shard) {
+                const LibraInputs& p = points[slotRep[batchSlot[k]]];
                 try {
-                    std::string text = studyConfigToString(batch[k]);
-                    wire.push_back(
-                        {k, std::move(text), pointWireKey(batch[k])});
+                    std::string text = studyConfigToString(p);
+                    wire.push_back({k, std::move(text), pointWireKey(p)});
                     continue;
                 } catch (const FatalError&) {
                     // No wire form: falls through to the local leg.
@@ -236,29 +203,20 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
             local.push_back(k);
         }
         if (!wire.empty())
-            ctx.shard->ensurePool().evaluatePoints(wire, finishSlot);
+            shard->ensurePool().evaluatePoints(wire, finishSlot);
 
-        // Local leg. Checkpointed runs compute in chunks so progress
-        // reaches the cache + manifest as it happens; sub-batching
-        // cannot change results — evaluation is a pure function of
-        // each point (the property the content-addressed cache
-        // already relies on).
-        const std::size_t chunkSize =
-            ctx.checkpoint ? kCheckpointChunk : local.size();
-        for (std::size_t base = 0; base < local.size();
-             base += chunkSize) {
-            const std::size_t count =
-                std::min(chunkSize, local.size() - base);
-            std::vector<LibraInputs> chunk;
-            chunk.reserve(count);
-            for (std::size_t j = 0; j < count; ++j)
-                chunk.push_back(std::move(batch[local[base + j]]));
-            SweepOutcome computed = runLibraSweepIsolated(chunk);
-            for (std::size_t j = 0; j < count; ++j)
-                finishSlot(local[base + j],
-                           std::move(computed.status[j]),
-                           std::move(computed.reports[j]));
-        }
+        // Local leg: each pool thread finishes its own slots. The
+        // store and the publish are safe from concurrent callers
+        // (StudyStore contract), and parallelFor runs every slot
+        // before rethrowing the first error, so the unwind below sees
+        // exactly which slots were resolved.
+        parallelFor(local.size(), [&](std::size_t j) {
+            const std::size_t k = local[j];
+            LibraReport report;
+            PointStatus status =
+                runLibraIsolated(points[slotRep[batchSlot[k]]], &report);
+            finishSlot(k, std::move(status), std::move(report));
+        });
     } catch (...) {
         // An internal error is unwinding this sweep. Every owned claim
         // must still be resolved exactly once or waiters in other
@@ -427,21 +385,6 @@ runScenarioMatrix(const std::vector<std::string>& names,
         store = &*localCache;
     }
 
-    // A checkpoint without a cache could record completions it can
-    // never serve back — reject the combination outright.
-    std::optional<CheckpointLog> checkpoint;
-    if (!options.checkpointPath.empty()) {
-        if (!store)
-            fatal("--checkpoint requires a result cache "
-                  "(--cache-dir): resume serves recorded slots from "
-                  "the cache");
-        checkpoint.emplace(options.checkpointPath);
-        if (checkpoint->resumedSlots() > 0)
-            inform("checkpoint: resuming from '",
-                   options.checkpointPath, "' (",
-                   checkpoint->resumedSlots(), " slots recorded)");
-    }
-
     ShardRuntime shardRuntime;
     const bool sharded = options.workers > 1;
     if (sharded) {
@@ -452,13 +395,10 @@ runScenarioMatrix(const std::vector<std::string>& names,
         shardRuntime.options.workerExe = options.workerExe;
         shardRuntime.options.workerThreads = options.workerThreads;
     }
-    SweepContext mainCtx;
-    mainCtx.shard = sharded ? &shardRuntime : nullptr;
-    mainCtx.checkpoint = checkpoint ? &*checkpoint : nullptr;
+    ShardRuntime* shard = sharded ? &shardRuntime : nullptr;
 
     // Phase 2: the shared batch — dedup, cache, one sharded sweep.
-    SweepBatch main =
-        cachedSweep(points, store, options.failMode, mainCtx);
+    SweepBatch main = cachedSweep(points, store, options.failMode, shard);
 
     MatrixResult result;
     result.points = points.size();
@@ -486,13 +426,12 @@ runScenarioMatrix(const std::vector<std::string>& names,
             // failing point aborts this exploration (deterministic
             // lowest-index error), and under Isolate that error is
             // recorded instead of unwinding the matrix.
-            // Adaptive rounds reuse the warm worker pool, and
-            // completed slots still checkpoint mid-round.
+            // Adaptive rounds reuse the warm worker pool, and each
+            // round's slots reach the cache as they complete.
             ExploreSweepFn sweep =
                 [&](const std::vector<LibraInputs>& batch) {
                     SweepBatch b =
-                        cachedSweep(batch, store, FailMode::Abort,
-                                    mainCtx);
+                        cachedSweep(batch, store, FailMode::Abort, shard);
                     run.points += batch.size();
                     result.points += batch.size();
                     result.unique += b.unique;

@@ -7,8 +7,10 @@
  * deduplicates them by content hash (figures that share design points —
  * e.g. Fig. 13 and Fig. 14 plot the same grid — are optimized once),
  * serves previously seen points from the ResultCache, and runs the
- * remaining unique points as a single runLibraSweep batch on the global
- * thread pool. Each scenario then formats its aligned report slice.
+ * remaining unique points as one batch on the global thread pool,
+ * storing each to the cache as it completes (so a killed run resumes
+ * from the cache alone). Each scenario then formats its aligned report
+ * slice.
  *
  * Determinism: runLibraSweep results are bit-identical at any thread
  * count, report JSON round-trips bit-exactly through the cache, and all
@@ -110,15 +112,6 @@ struct MatrixOptions
 
     /** Threads per worker; 0 = hardware concurrency / workers. */
     int workerThreads = 0;
-
-    /**
-     * Checkpoint manifest path — the `--checkpoint` flag. Every
-     * completed slot's content hash is appended (fsynced) after its
-     * report reaches the cache, so a killed run resumes without
-     * recomputing finished slots. Requires a cache (store or
-     * cacheDir); "" disables checkpointing.
-     */
-    std::string checkpointPath;
 };
 
 /** One failed design point inside a scenario (FailMode::Isolate). */

@@ -4,7 +4,11 @@
  * keys through load/store (with the fault injector armed at every
  * cache site), same-key store races never tearing an entry, the
  * extended `.tmp.<pid>.<seq>` staleness grammar, and the atomic stats
- * snapshot. Runs under `tools/run_tier1.sh --tsan` alongside the other
+ * snapshot. The matrix sweep stores and publishes each slot from the
+ * pool thread that computed it, so two more tests drive it at 4
+ * threads: a store that throws must still leave every claim published
+ * exactly once, and the cache and emitted bytes must equal a 1-thread
+ * run's. Runs under `tools/run_tier1.sh --tsan` alongside the other
  * threading suites. See docs/ROBUSTNESS.md and docs/SERVE.md.
  */
 
@@ -14,6 +18,11 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,7 +31,10 @@
 
 #include "common/fault.hh"
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
+#include "core/study_config.hh"
 #include "study/cache.hh"
+#include "study/matrix.hh"
 
 namespace libra {
 namespace {
@@ -289,6 +301,175 @@ TEST(CacheConcurrency, StatsSnapshotIsConsistentUnderWriters)
     stop = true;
     reader.join();
     std::filesystem::remove_all(dir);
+}
+
+// --- Stores made from pool threads ------------------------------------
+
+/** A cheap design point: seeds make distinct cache keys. */
+LibraInputs
+seededPoint(int seed)
+{
+    return parseStudyConfigString(
+        "NETWORK SW(4)_RI(4)\nTOTAL_BW 200\nSTARTS 2\n"
+        "WORKLOAD resnet50\nSEED " +
+        std::to_string(seed) + "\n");
+}
+
+/**
+ * Register (once) a scenario over the seeds [@p first, @p last] and
+ * return its name.
+ */
+std::string
+seededScenario(int first, int last)
+{
+    std::string name = "test-concurrency-seeds-" + std::to_string(first) +
+                       "-" + std::to_string(last);
+    if (ScenarioRegistry::global().find(name))
+        return name;
+    Scenario s;
+    s.name = name;
+    s.title = "concurrency-test seeded points";
+    s.build = [first, last] {
+        std::vector<LibraInputs> points;
+        for (int seed = first; seed <= last; ++seed)
+            points.push_back(seededPoint(seed));
+        return points;
+    };
+    s.format = [](const std::vector<LibraInputs>& points,
+                  const std::vector<LibraReport>& reports) {
+        ScenarioOutput out;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            ScenarioRow row;
+            row.label("point", std::to_string(i));
+            row.metric("speedup", reports[i].speedup);
+            out.rows.push_back(std::move(row));
+        }
+        return out;
+    };
+    ScenarioRegistry::global().add(std::move(s));
+    return name;
+}
+
+/**
+ * An in-memory store that records every claim and publish, and whose
+ * store() throws for one canonical key — an internal error raised on
+ * whichever pool thread finished that slot.
+ */
+class ThrowingStore : public StudyStore
+{
+  public:
+    explicit ThrowingStore(std::string poison) : poison_(std::move(poison))
+    {}
+
+    bool load(std::uint64_t, const std::string&, LibraReport*) override
+    {
+        return false;
+    }
+
+    bool store(std::uint64_t, const std::string& canonical,
+               const LibraReport&) override
+    {
+        if (canonical == poison_)
+            throw std::runtime_error("store failed");
+        return true;
+    }
+
+    Claim claimCompute(const std::string& canonical, PointStatus*,
+                       LibraReport*) override
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        claimed.insert(canonical);
+        return Claim::Owned;
+    }
+
+    void publishCompute(const std::string& canonical,
+                        const PointStatus& status,
+                        const LibraReport&) override
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        published[canonical].push_back(status);
+    }
+
+    /** Guards the two records; read them only after the sweep. */
+    std::mutex mutex;
+    std::set<std::string> claimed;
+    std::map<std::string, std::vector<PointStatus>> published;
+
+  private:
+    const std::string poison_;
+};
+
+TEST(SweepStores, AThrowingStoreStillPublishesEveryClaimOnce)
+{
+    FaultGuard guard;
+    setInformEnabled(false);
+    ThreadPool::setGlobalThreads(4);
+
+    ThrowingStore store(canonicalStudyKey(seededPoint(5)));
+    MatrixOptions options;
+    options.store = &store;
+    // The internal error reaches the caller after every other slot ran.
+    EXPECT_THROW(runScenarioMatrix({seededScenario(1, 8)}, options),
+                 std::runtime_error);
+
+    ASSERT_EQ(store.claimed.size(), 8u);
+    ASSERT_EQ(store.published.size(), 8u);
+    for (const std::string& key : store.claimed) {
+        auto it = store.published.find(key);
+        ASSERT_NE(it, store.published.end()) << key;
+        ASSERT_EQ(it->second.size(), 1u) << key;
+        const PointStatus& status = it->second.front();
+        if (key == canonicalStudyKey(seededPoint(5))) {
+            EXPECT_FALSE(status.ok);
+            EXPECT_EQ(status.error, "owning computation aborted");
+        } else {
+            EXPECT_TRUE(status.ok) << key << ": " << status.error;
+        }
+    }
+}
+
+/** Every file of @p dir by name, with its bytes. */
+std::map<std::string, std::string>
+dirContents(const std::string& dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+        std::ostringstream bytes;
+        bytes << std::ifstream(e.path(), std::ios::binary).rdbuf();
+        files[e.path().filename().string()] = bytes.str();
+    }
+    return files;
+}
+
+TEST(SweepStores, CacheAndJsonMatchAcrossThreadCounts)
+{
+    FaultGuard guard;
+    setInformEnabled(false);
+    // Two overlapping scenarios: seeds 4-6 dedup into shared slots.
+    const std::vector<std::string> names = {seededScenario(1, 6),
+                                            seededScenario(4, 9)};
+
+    std::map<std::string, std::string> caches[2];
+    std::string json[2];
+    const std::size_t threads[2] = {1, 4};
+    for (int run = 0; run < 2; ++run) {
+        ThreadPool::setGlobalThreads(threads[run]);
+        std::string dir =
+            freshDir(run == 0 ? "libra-sweep-t1" : "libra-sweep-t4");
+        MatrixOptions options;
+        options.cacheDir = dir;
+        MatrixResult result = runScenarioMatrix(names, options);
+        EXPECT_EQ(result.unique, 9u);
+        EXPECT_EQ(result.computed, 9u);
+        std::ostringstream os;
+        emitMatrixJson(result, os);
+        json[run] = os.str();
+        caches[run] = dirContents(dir);
+        std::filesystem::remove_all(dir);
+    }
+    EXPECT_EQ(caches[0].size(), 9u);
+    EXPECT_EQ(caches[0], caches[1]);
+    EXPECT_EQ(json[0], json[1]);
 }
 
 } // namespace

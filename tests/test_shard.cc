@@ -1,12 +1,13 @@
 /**
  * @file
- * Sharded-execution and checkpoint tests (docs/SHARDING.md).
+ * Sharded-execution and resume tests (docs/SHARDING.md,
+ * docs/ROBUSTNESS.md).
  *
- * The slot map and checkpoint manifest are tested in-process; the
- * worker protocol is tested end to end by spawning the real libra_cli
- * binary (LIBRA_CLI_PATH, injected by CMake) and comparing its matrix
- * JSON byte for byte across worker counts, cache states, and a
- * kill-mid-run resume.
+ * The slot map is tested in-process; the worker protocol is tested end
+ * to end by spawning the real libra_cli binary (LIBRA_CLI_PATH,
+ * injected by CMake) and comparing its matrix JSON byte for byte
+ * across worker counts, cache states, and a kill-mid-run resume from
+ * the cache.
  */
 
 #include <fcntl.h>
@@ -34,7 +35,6 @@
 #include "core/study_config.hh"
 #include "serve/framing.hh"
 #include "study/cache.hh"
-#include "study/checkpoint.hh"
 #include "study/shard.hh"
 
 namespace libra {
@@ -93,65 +93,6 @@ TEST(SlotMap, FingerprintIsStableAndOrderSensitive)
     EXPECT_NE(fp, slotMapFingerprint(buildSlotMap(points)));
 }
 
-// --- Checkpoint manifest -----------------------------------------------
-
-TEST(Checkpoint, AppendedHashesSurviveReopen)
-{
-    std::string dir = freshDir("libra-ckpt-a");
-    std::string path = dir + "/manifest";
-    {
-        CheckpointLog log(path);
-        EXPECT_EQ(log.resumedSlots(), 0u);
-        log.append(0x1234u);
-        log.append(0xabcdef0123456789u);
-        log.append(0x1234u); // Idempotent.
-        EXPECT_TRUE(log.contains(0x1234u));
-        EXPECT_FALSE(log.contains(0x9999u));
-    }
-    CheckpointLog log(path);
-    EXPECT_EQ(log.resumedSlots(), 2u);
-    EXPECT_TRUE(log.contains(0x1234u));
-    EXPECT_TRUE(log.contains(0xabcdef0123456789u));
-    std::filesystem::remove_all(dir);
-}
-
-TEST(Checkpoint, TornTailIsSkippedWrongHeaderIsFatal)
-{
-    std::string dir = freshDir("libra-ckpt-b");
-
-    // A kill -9 mid-append leaves a torn last line; everything before
-    // it must still resume.
-    std::string torn = dir + "/torn";
-    {
-        std::ofstream f(torn);
-        f << "libra-checkpoint-v1\n"
-          << "00000000000000aa\n"
-          << "00000000000000"; // Truncated mid-hash.
-    }
-    {
-        CheckpointLog log(torn);
-        EXPECT_EQ(log.resumedSlots(), 1u);
-        EXPECT_TRUE(log.contains(0xaau));
-        // The resumed run's first append starts a fresh line instead
-        // of extending the torn fragment.
-        log.append(0xbbu);
-    }
-    CheckpointLog reopened(torn);
-    EXPECT_EQ(reopened.resumedSlots(), 2u);
-    EXPECT_TRUE(reopened.contains(0xaau));
-    EXPECT_TRUE(reopened.contains(0xbbu));
-
-    // A file that is not a manifest must never be appended to.
-    std::string other = dir + "/other";
-    {
-        std::ofstream f(other);
-        f << "{\"some\": \"json\"}\n";
-    }
-    EXPECT_THROW(CheckpointLog bad(other), FatalError);
-
-    std::filesystem::remove_all(dir);
-}
-
 // --- End to end through libra_cli --------------------------------------
 
 #ifdef LIBRA_CLI_PATH
@@ -176,16 +117,88 @@ slurp(const std::string& path)
     return os.str();
 }
 
-/** Hash lines recorded in a manifest (total lines minus the header). */
+/**
+ * Finished entries in cache @p dir (0 while it does not exist). A
+ * store in progress is a `<entry>.json.tmp.<pid>.<seq>` file until its
+ * rename, so only names ending in `.json` count.
+ */
 std::size_t
-recordedSlots(const std::string& manifest)
+cacheEntries(const std::string& dir)
 {
-    std::ifstream f(manifest);
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(f, line))
-        ++lines;
-    return lines > 0 ? lines - 1 : 0;
+    std::error_code ec;
+    std::size_t n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir, ec))
+        n += e.path().filename().string().ends_with(".json") ? 1 : 0;
+    return n;
+}
+
+/** Unfinished stores (`.tmp.` files) in cache @p dir. */
+std::size_t
+tmpFiles(const std::string& dir)
+{
+    std::size_t n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+        if (e.path().filename().string().find(".tmp.") !=
+            std::string::npos)
+            ++n;
+    }
+    return n;
+}
+
+/**
+ * Exec `libra_cli run-matrix <args>` and SIGKILL it once @p cache
+ * holds at least 8 finished entries — no cooperation from the victim.
+ * Returns the finished entries the killed run left behind.
+ */
+std::size_t
+killOnceCached(const std::vector<std::string>& args,
+               const std::string& cache)
+{
+    // Built before the fork: the child of a threaded process may only
+    // exec, not allocate.
+    std::vector<char*> argv{const_cast<char*>(LIBRA_CLI_PATH),
+                            const_cast<char*>("run-matrix")};
+    for (const std::string& a : args)
+        argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    pid_t pid = ::fork();
+    if (pid < 0)
+        return 0;
+    if (pid == 0) {
+        ::execv(LIBRA_CLI_PATH, argv.data());
+        _exit(127);
+    }
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(60);
+    while (std::chrono::steady_clock::now() < deadline) {
+        if (cacheEntries(cache) >= 8)
+            break;
+        int status = 0;
+        if (::waitpid(pid, &status, WNOHANG) == pid) {
+            pid = -1; // Finished before we could kill it (slow FS
+                      // poll): resume still must be byte-identical.
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    if (pid > 0) {
+        ::kill(pid, SIGKILL);
+        int status = 0;
+        ::waitpid(pid, &status, 0);
+    }
+    return cacheEntries(cache);
+}
+
+/** N of the "(U unique, N from cache, ...)" provenance line. */
+std::size_t
+fromCacheCount(const std::string& provenance)
+{
+    const std::string tag = " unique, ";
+    auto pos = provenance.find(tag);
+    if (pos == std::string::npos)
+        return 0;
+    return std::strtoull(provenance.c_str() + pos + tag.size(), nullptr,
+                         10);
 }
 
 // The scenario the e2e tests shard: big enough for several batches
@@ -228,7 +241,7 @@ TEST(ShardCli, WorkerCountsEmitByteIdenticalMatrixJson)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ShardCli, KilledCheckpointedRunResumesWithoutRecompute)
+TEST(ShardCli, KilledRunResumesFromTheCache)
 {
     std::string dir = freshDir("libra-shard-kill");
     std::string ref = dir + "/ref.json";
@@ -237,135 +250,60 @@ TEST(ShardCli, KilledCheckpointedRunResumesWithoutRecompute)
               0);
     const std::string expected = slurp(ref);
 
+    // A plain in-process run stores each slot as it completes, so the
+    // cache holds real progress when the kill lands.
     std::string cache = dir + "/cache";
-    std::string manifest = dir + "/manifest";
+    const std::size_t stored = killOnceCached(
+        {kScenario, "--cache-dir", cache, "--emit", "json", "--out",
+         dir + "/killed.json"},
+        cache);
+    ASSERT_GE(stored, 8u);
 
-    // Start a checkpointed run and SIGKILL it once the manifest shows
-    // real progress — no cooperation from the victim.
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        std::string out = dir + "/killed.json";
-        ::execl(LIBRA_CLI_PATH, LIBRA_CLI_PATH, "run-matrix",
-                kScenario, "--cache-dir", cache.c_str(),
-                "--checkpoint", manifest.c_str(), "--emit", "json",
-                "--out", out.c_str(), static_cast<char*>(nullptr));
-        _exit(127);
-    }
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(60);
-    bool killed = false;
-    while (std::chrono::steady_clock::now() < deadline) {
-        if (recordedSlots(manifest) >= 8) {
-            ::kill(pid, SIGKILL);
-            killed = true;
-            break;
-        }
-        int status = 0;
-        if (::waitpid(pid, &status, WNOHANG) == pid) {
-            pid = -1; // Finished before we could kill it (slow FS
-                      // poll): resume still must be byte-identical.
-            break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    if (pid > 0) {
-        if (!killed)
-            ::kill(pid, SIGKILL);
-        int status = 0;
-        ::waitpid(pid, &status, 0);
-    }
-    const std::size_t recorded = recordedSlots(manifest);
-    ASSERT_GE(recorded, 8u);
-
-    // Resume: recorded slots must come from the cache, not recompute,
-    // and the completed output must be byte-identical to the
-    // uninterrupted reference.
+    // Resume is a rerun with the same cache: every stored slot comes
+    // from the cache, the killed run's stray tmp file (if any) is
+    // reaped, and the output is byte-identical to the uninterrupted
+    // reference.
     std::string out = dir + "/resumed.json";
     std::string err = dir + "/resumed.err";
     ASSERT_EQ(runCli(std::string(kScenario) + " --cache-dir " + cache +
-                     " --checkpoint " + manifest +
                      " --emit json --out " + out,
                      err),
               0);
     EXPECT_EQ(slurp(out), expected);
-
-    const std::string provenance = slurp(err);
-    EXPECT_NE(provenance.find("checkpoint: resuming"),
-              std::string::npos)
-        << provenance;
-    // "matrix: ... (80 unique, N from cache, M computed)" — every
-    // recorded slot is served from the cache, never recomputed. The
-    // cache may hold at most a few slots more than the manifest
-    // (store-before-append), so N >= recorded, not ==.
-    const std::string tag = " unique, ";
-    auto pos = provenance.find(tag);
-    ASSERT_NE(pos, std::string::npos) << provenance;
-    std::size_t fromCache =
-        std::strtoull(provenance.c_str() + pos + tag.size(), nullptr,
-                      10);
-    EXPECT_GE(fromCache, recorded) << provenance;
+    EXPECT_GE(fromCacheCount(slurp(err)), stored) << slurp(err);
+    EXPECT_EQ(tmpFiles(cache), 0u);
 
     std::filesystem::remove_all(dir);
 }
 
-TEST(ShardCli, ShardingWithoutScenarioOverridesMatchesCheckpointedRun)
+TEST(ShardCli, ShardedRunFillsTheCacheForAnInProcessRerun)
 {
-    // Sharded *and* checkpointed in one run: the manifest must end up
-    // complete and a rerun must be served entirely from the cache.
-    std::string dir = freshDir("libra-shard-ckpt");
+    // A sharded run stores every slot its workers computed: an
+    // in-process rerun serves all 80 from the cache, and both emit the
+    // uncached single-process bytes.
+    std::string dir = freshDir("libra-shard-fill");
     std::string cache = dir + "/cache";
-    std::string manifest = dir + "/manifest";
+    std::string ref = dir + "/ref.json";
     std::string out1 = dir + "/one.json";
     std::string out2 = dir + "/two.json";
     std::string err = dir + "/two.err";
 
-    ASSERT_EQ(runCli(std::string(kScenario) +
-                     " --workers 2 --cache-dir " + cache +
-                     " --checkpoint " + manifest +
-                     " --emit json --out " + out1),
-              0);
-    EXPECT_EQ(recordedSlots(manifest), 80u);
-
-    ASSERT_EQ(runCli(std::string(kScenario) + " --cache-dir " + cache +
-                     " --checkpoint " + manifest +
-                     " --emit json --out " + out2,
-                     err),
-              0);
-    EXPECT_EQ(slurp(out1), slurp(out2));
-    EXPECT_NE(slurp(err).find("80 from cache"), std::string::npos);
-
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ShardCli, CheckpointWithoutACacheIsAUserError)
-{
-    std::string dir = freshDir("libra-shard-nocache");
-    EXPECT_EQ(runCli(std::string(kScenario) + " --checkpoint " + dir +
-                     "/manifest --emit json --out /dev/null"),
-              1);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ShardCli, ChunkedCheckpointPreservesBytesAndRecordsEverySlot)
-{
-    std::string dir = freshDir("libra-shard-chunk");
-    std::string cache = dir + "/cache";
-    std::string manifest = dir + "/manifest";
-
-    // Chunked checkpointing changes the fsync cadence, never the bytes
-    // or the completed manifest.
-    std::string ref = dir + "/ref.json";
-    std::string out = dir + "/chunked.json";
     ASSERT_EQ(runCli(std::string(kScenario) + " --emit json --out " +
                      ref),
               0);
-    ASSERT_EQ(runCli(std::string(kScenario) + " --cache-dir " + cache +
-                     " --checkpoint " + manifest +
-                     " --emit json --out " + out),
+    ASSERT_EQ(runCli(std::string(kScenario) +
+                     " --workers 2 --cache-dir " + cache +
+                     " --emit json --out " + out1),
               0);
-    EXPECT_EQ(slurp(out), slurp(ref));
-    EXPECT_EQ(recordedSlots(manifest), 80u);
+    EXPECT_EQ(cacheEntries(cache), 80u);
+
+    ASSERT_EQ(runCli(std::string(kScenario) + " --cache-dir " + cache +
+                     " --emit json --out " + out2,
+                     err),
+              0);
+    EXPECT_EQ(slurp(out1), slurp(ref));
+    EXPECT_EQ(slurp(out2), slurp(ref));
+    EXPECT_NE(slurp(err).find("80 from cache"), std::string::npos);
 
     std::filesystem::remove_all(dir);
 }
@@ -427,61 +365,29 @@ TEST(ShardCli, KilledShardedAdaptivePruneResumes)
               0);
     const std::string expected = slurp(ref);
 
+    // SIGKILL a sharded prune run mid-flight — slots completed by
+    // eval frames, mid-round included, are already in the cache.
     std::string cache = dir + "/cache";
-    std::string manifest = dir + "/manifest";
+    const std::size_t stored = killOnceCached(
+        {kScenario, "--explore", "prune", "--workers", "2",
+         "--cache-dir", cache, "--emit", "json", "--out",
+         dir + "/killed.json"},
+        cache);
+    ASSERT_GE(stored, 8u);
 
-    // SIGKILL a sharded, checkpointed prune run mid-flight — slots
-    // completed by eval frames must already be in cache + manifest.
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        std::string out = dir + "/killed.json";
-        ::execl(LIBRA_CLI_PATH, LIBRA_CLI_PATH, "run-matrix",
-                kScenario, "--explore", "prune", "--workers", "2",
-                "--cache-dir", cache.c_str(), "--checkpoint",
-                manifest.c_str(), "--emit", "json", "--out",
-                out.c_str(), static_cast<char*>(nullptr));
-        _exit(127);
-    }
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(60);
-    while (std::chrono::steady_clock::now() < deadline) {
-        if (recordedSlots(manifest) >= 8) {
-            ::kill(pid, SIGKILL);
-            break;
-        }
-        int status = 0;
-        if (::waitpid(pid, &status, WNOHANG) == pid) {
-            pid = -1; // Finished first; resume must still be exact.
-            break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    if (pid > 0) {
-        ::kill(pid, SIGKILL);
-        int status = 0;
-        ::waitpid(pid, &status, 0);
-    }
-    const std::size_t recorded = recordedSlots(manifest);
-    ASSERT_GE(recorded, 8u);
-
-    // Resume sharded: recorded slots come from the cache, and the
+    // Resume sharded: stored slots come from the cache, and the
     // completed output is byte-identical to the uninterrupted
     // single-process reference.
     std::string out = dir + "/resumed.json";
     std::string err = dir + "/resumed.err";
     ASSERT_EQ(runCli(std::string(kScenario) +
                      " --explore prune --workers 2 --cache-dir " +
-                     cache + " --checkpoint " + manifest +
-                     " --emit json --out " + out,
+                     cache + " --emit json --out " + out,
                      err),
               0);
     EXPECT_EQ(slurp(out), expected);
-
-    const std::string provenance = slurp(err);
-    EXPECT_NE(provenance.find("checkpoint: resuming"),
-              std::string::npos)
-        << provenance;
+    EXPECT_GE(fromCacheCount(slurp(err)), stored) << slurp(err);
+    EXPECT_EQ(tmpFiles(cache), 0u);
 
     std::filesystem::remove_all(dir);
 }

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -236,13 +237,13 @@ cliOutput(const std::string& args)
     return text;
 }
 
-/** Run `libra_cli <args>`, discarding stdout. */
+/** Run `libra_cli <args>` with stdout sent to @p outPath. */
 CliRun
-runCli(const std::string& args)
+runCli(const std::string& args, const std::string& outPath = "/dev/null")
 {
     std::string errPath = ::testing::TempDir() + "libra_cli.err";
-    std::string cmd = std::string(LIBRA_CLI_PATH) + " " + args +
-                      " >/dev/null 2>" + errPath;
+    std::string cmd = std::string(LIBRA_CLI_PATH) + " " + args + " >" +
+                      outPath + " 2>" + errPath;
     int raw = std::system(cmd.c_str());
     CliRun run;
     // The shell reports a child killed by signal N as exit 128 + N.
@@ -580,6 +581,8 @@ TEST(UnknownFlagCli, EachFlagExitsOneNamingIt)
     const std::pair<std::string, std::string> cases[] = {
         {"run-matrix tbl1 --checkpoint-chunk 4",
          "unknown run-matrix flag '--checkpoint-chunk'"},
+        {"run-matrix tbl1 --checkpoint x",
+         "unknown run-matrix flag '--checkpoint'"},
         {"serve --lru-bytes 1", "unknown serve flag '--lru-bytes'"},
         {"serve --max-workers 2", "unknown serve flag '--max-workers'"},
         {"serve --fail-mode isolate", "unknown serve flag '--fail-mode'"},
@@ -587,6 +590,39 @@ TEST(UnknownFlagCli, EachFlagExitsOneNamingIt)
     };
     for (const auto& [args, needle] : cases)
         expectFatalExit(runCli(args), needle);
+}
+
+// --- Unwritable output -------------------------------------------------
+
+// Every write to /dev/full fails with ENOSPC once it reaches the
+// device: output that never arrived must fail the run, naming where it
+// was going, whether it went to --out or to stdout.
+TEST(UnwritableOutputCli, FullDeviceExitsOneNamingTheTarget)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    std::string study = ::testing::TempDir() + "libra_full.study";
+    std::ofstream(study) << cliOutput("--example");
+
+    for (const char* emit : {"json", "csv"}) {
+        expectFatalExit(runCli(std::string("run-matrix tbl1 --emit ") +
+                               emit + " --out /dev/full"),
+                        "cannot write '/dev/full'");
+    }
+    for (const std::string& args :
+         {std::string("run-matrix tbl1 --emit json"), study,
+          std::string("list"), std::string("--example")})
+        expectFatalExit(runCli(args, "/dev/full"), "cannot write stdout");
+
+    // A golden file that cannot take its bytes fails the update too.
+    std::string goldenDir = ::testing::TempDir() + "libra_full_golden";
+    std::filesystem::remove_all(goldenDir);
+    std::filesystem::create_directories(goldenDir);
+    std::filesystem::create_symlink("/dev/full", goldenDir + "/tbl1.json");
+    expectFatalExit(runCli("run-matrix tbl1 --update-golden --golden-dir " +
+                           goldenDir),
+                    "cannot write '" + goldenDir + "/tbl1.json'");
+    std::filesystem::remove_all(goldenDir);
 }
 
 #endif // LIBRA_CLI_PATH

@@ -19,7 +19,9 @@
  *
  * run-matrix options:
  *   --cache-dir DIR    content-addressed result cache: re-running a
- *                      matrix recomputes only changed design points
+ *                      matrix recomputes only changed design points.
+ *                      Each point is stored as it completes, so a
+ *                      killed run resumes when rerun with the same DIR
  *   --emit json|csv    structured emission instead of tables (stats go
  *                      to stderr; stdout is byte-stable across runs)
  *   --out FILE         write the emission/tables to FILE
@@ -48,10 +50,6 @@
  *                      at any worker count. 1 = classic in-process
  *   --worker-threads N solver threads per worker (default: hardware
  *                      concurrency / workers)
- *   --checkpoint FILE  append every completed design point's content
- *                      hash to FILE (fsynced), so a killed run resumes
- *                      without recomputing finished points; requires
- *                      --cache-dir
  *   --update-golden    rewrite the golden-figure files for the golden
  *                      scenarios included in this run
  *   --golden-dir DIR   golden file directory (default: tests/golden)
@@ -72,7 +70,8 @@
  * payload to stdout and the status line to stderr (exit 0 ok, 1 error,
  * 3 ok-with-failed-points — mirroring run-matrix).
  *
- * Exit codes: 0 success; 1 user error (bad configuration, FatalError);
+ * Exit codes: 0 success; 1 user error (bad configuration, FatalError)
+ * or output that could not be written (stdout, --out, golden files);
  * 2 internal error; 3 partial failure (an isolate-mode matrix run that
  * completed with failed design points).
  *
@@ -369,9 +368,23 @@ struct MatrixCliOptions
     libra::FailMode failMode = libra::FailMode::Abort;
     std::size_t workers = 0;    // 0/1 = classic in-process sweep.
     int workerThreads = 0;      // 0 = hardware concurrency / workers.
-    std::string checkpointPath; // "" = no checkpoint manifest.
     std::string workerExe;      // Resolved self path (sharded runs).
 };
+
+/**
+ * Close a written @p file; false (after naming @p path on stderr) when
+ * any of its bytes could not be written — e.g. a full disk, which an
+ * ofstream only reports once its buffer is flushed.
+ */
+bool
+closeWritten(std::ofstream& file, const std::string& path)
+{
+    file.close();
+    if (file)
+        return true;
+    std::cerr << "libra_cli: cannot write '" << path << "'\n";
+    return false;
+}
 
 /**
  * The executable to exec as `... worker` for sharded runs: this very
@@ -440,7 +453,6 @@ runMatrixCommand(const MatrixCliOptions& cli)
     options.workers = cli.workers;
     options.workerExe = cli.workerExe;
     options.workerThreads = cli.workerThreads;
-    options.checkpointPath = cli.checkpointPath;
     MatrixResult result = runScenarioMatrix(names, options);
 
     std::ofstream outFile;
@@ -462,6 +474,8 @@ runMatrixCommand(const MatrixCliOptions& cli)
     } else {
         printMatrixHuman(result, *out);
     }
+    if (out == &outFile && !closeWritten(outFile, cli.outPath))
+        return 1;
 
     // Structured emission keeps stdout byte-stable; provenance goes to
     // stderr (also when tables went to a file).
@@ -500,6 +514,8 @@ runMatrixCommand(const MatrixCliOptions& cli)
                 return 1;
             }
             file << scenarioRunToJson(run).dump(1) << "\n";
+            if (!closeWritten(file, path))
+                return 1;
             ++written;
             std::cerr << "golden: wrote " << path << "\n";
         }
@@ -637,8 +653,7 @@ usage()
            "[--explore SPEC]\n"
         << "                 [--fail-mode abort|isolate] "
            "[--faults SPEC]\n"
-        << "                 [--workers N] [--worker-threads N] "
-           "[--checkpoint FILE]\n"
+        << "                 [--workers N] [--worker-threads N]\n"
         << "                 [--update-golden] [--golden-dir DIR]\n"
         << "       libra_cli serve --socket PATH [--cache-dir DIR] "
            "[--lru N]\n"
@@ -647,10 +662,8 @@ usage()
            "<request-json>\n";
 }
 
-} // namespace
-
 int
-main(int argc, char** argv)
+runCli(int argc, char** argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
 
@@ -752,8 +765,6 @@ main(int argc, char** argv)
                         "--workers count");
                 } else if (arg == "--worker-threads") {
                     cli.workerThreads = parseThreads(value("a count"));
-                } else if (arg == "--checkpoint") {
-                    cli.checkpointPath = value("a manifest path");
                 } else if (!arg.empty() && arg[0] == '-') {
                     std::cerr << "libra_cli: unknown run-matrix flag '"
                               << arg << "'\n";
@@ -822,4 +833,20 @@ main(int argc, char** argv)
         std::cerr << "libra_cli: internal error: " << e.what() << "\n";
         return 2;
     }
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    int code = runCli(argc, argv);
+    // Everything bound for stdout is buffered, so a write error (a
+    // full disk, say) may only show here. Output that never arrived is
+    // a failed run, whatever the command computed.
+    if (!std::cout.flush()) {
+        std::cerr << "libra_cli: cannot write stdout\n";
+        return 1;
+    }
+    return code;
 }

@@ -36,9 +36,10 @@
 #                  (SERVE.md).
 #               9. shard: `--workers 2` explore-frontier JSON equals the
 #                  single-process run, fresh and cached (SHARDING.md).
-#              10. checkpoint: a SIGKILLed checkpointed sharded run
-#                  resumes byte-identically, serving every recorded
-#                  slot from the cache (SHARDING.md).
+#              10. resume: an in-process `run-matrix` SIGKILLed once
+#                  its cache holds 8 entries resumes byte-identically
+#                  from that cache, serving every entry it stored and
+#                  leaving no tmp file (ROBUSTNESS.md).
 #              11. sharded-prune: adaptive prune rounds on 2 workers
 #                  equal the single-process prune run, fresh and
 #                  cached (SHARDING.md, EXPLORE.md).
@@ -438,39 +439,39 @@ PY
   cmp "${SMOKE_DIR}/shsingle.json" "${SMOKE_DIR}/shcached.json"
   echo "shard smoke: byte-identical matrix JSON (single-process vs --workers 2, fresh and cached)"
 
-  # Checkpoint-resume smoke: SIGKILL a checkpointed sharded run once
-  # its manifest shows progress, then resume — the completed output
-  # must be byte-identical and every recorded slot must be served from
-  # the cache, not recomputed (docs/SHARDING.md).
-  "${BUILD_DIR}/libra_cli" run-matrix explore-frontier --workers 2 \
-    --cache-dir "${SMOKE_DIR}/ckcache" \
-    --checkpoint "${SMOKE_DIR}/ckmanifest" \
-    --emit json --out "${SMOKE_DIR}/ckkilled.json" 2>/dev/null &
-  CKPT_PID=$!
+  # Resume smoke: every slot reaches the cache as it completes, so a
+  # plain in-process run SIGKILLed mid-sweep resumes from its cache
+  # alone — the rerun must be byte-identical, serve every entry the
+  # killed run stored, and reap its stray tmp file (docs/ROBUSTNESS.md).
+  "${BUILD_DIR}/libra_cli" run-matrix explore-frontier \
+    --cache-dir "${SMOKE_DIR}/rscache" \
+    --emit json --out "${SMOKE_DIR}/rskilled.json" 2>/dev/null &
+  RESUME_PID=$!
+  cache_entries() {
+    find "${SMOKE_DIR}/rscache" -name '*.json' 2>/dev/null | wc -l
+  }
   for _ in $(seq 3000); do
-    LINES="$(wc -l < "${SMOKE_DIR}/ckmanifest" 2>/dev/null || echo 0)"
-    [[ "${LINES}" -ge 9 ]] && break
-    kill -0 "${CKPT_PID}" 2>/dev/null || break
+    [[ "$(cache_entries)" -ge 8 ]] && break
+    kill -0 "${RESUME_PID}" 2>/dev/null || break
     sleep 0.01
   done
-  kill -9 "${CKPT_PID}" 2>/dev/null || true
-  wait "${CKPT_PID}" 2>/dev/null || true
-  RECORDED="$(($(wc -l < "${SMOKE_DIR}/ckmanifest") - 1))"
-  [[ "${RECORDED}" -ge 1 ]]
-  "${BUILD_DIR}/libra_cli" run-matrix explore-frontier --workers 2 \
-    --cache-dir "${SMOKE_DIR}/ckcache" \
-    --checkpoint "${SMOKE_DIR}/ckmanifest" \
-    --emit json --out "${SMOKE_DIR}/ckresumed.json" \
-    2> "${SMOKE_DIR}/ckresumed.status"
-  cmp "${SMOKE_DIR}/shsingle.json" "${SMOKE_DIR}/ckresumed.json"
-  grep -q "checkpoint: resuming" "${SMOKE_DIR}/ckresumed.status"
-  # Store-before-append: the cache may hold at most a slot more than
-  # the manifest when the kill landed between the two, so the resume
-  # serves at least every recorded slot from the cache.
+  kill -9 "${RESUME_PID}" 2>/dev/null || true
+  wait "${RESUME_PID}" 2>/dev/null || true
+  STORED="$(cache_entries)"
+  [[ "${STORED}" -ge 8 ]]
+  "${BUILD_DIR}/libra_cli" run-matrix explore-frontier \
+    --cache-dir "${SMOKE_DIR}/rscache" \
+    --emit json --out "${SMOKE_DIR}/rsresumed.json" \
+    2> "${SMOKE_DIR}/rsresumed.status"
+  cmp "${SMOKE_DIR}/shsingle.json" "${SMOKE_DIR}/rsresumed.json"
   FROMCACHE="$(sed -nE 's/.*unique, ([0-9]+) from cache.*/\1/p' \
-    "${SMOKE_DIR}/ckresumed.status")"
-  [[ "${FROMCACHE}" -ge "${RECORDED}" ]]
-  echo "checkpoint smoke: killed run (${RECORDED} slots recorded) resumed byte-identically without recompute"
+    "${SMOKE_DIR}/rsresumed.status")"
+  [[ "${FROMCACHE}" -ge "${STORED}" ]]
+  if find "${SMOKE_DIR}/rscache" -name '*.tmp.*' | grep -q .; then
+    echo "resume smoke: a tmp file outlived the resumed run" >&2
+    exit 1
+  fi
+  echo "resume smoke: killed run (${STORED} cache entries) resumed byte-identically from the cache"
 
   # Sharded-prune smoke: adaptive exploration rounds cross the wire as
   # eval frames on the warm worker pool; the matrix JSON must still be
