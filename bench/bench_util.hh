@@ -1,10 +1,8 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction harness.
- *
- * Every bench binary prints the series the corresponding paper figure
- * plots (or the table's rows), using the same normalizations the paper
- * uses (speedup over EqualBW, perf-per-cost over EqualBW).
+ * Shared helpers for the bench binaries: the figure and ablation
+ * studies that are not registered scenarios yet, and the micro
+ * benches. A registered scenario runs as `libra_cli run-matrix <name>`.
  */
 
 #ifndef LIBRA_BENCH_BENCH_UTIL_HH
@@ -24,38 +22,6 @@
 
 namespace libra {
 namespace bench {
-
-/**
- * Entry point of the figure/table benches ported onto the scenario
- * registry: run one named scenario through the matrix engine (no
- * cache) and print it in the paper-style table format. The shared
- * table/summary/notes rendering lives in printScenarioRun(), which
- * replaced the per-bench row-printing each binary used to hand-roll.
- */
-inline int
-runScenarioMain(const std::string& name)
-{
-    setInformEnabled(false);
-    try {
-        MatrixResult result = runScenarioMatrix({name});
-        printScenarioRun(result.scenarios.front(), std::cout);
-        return 0;
-    } catch (const FatalError& e) {
-        std::cerr << "bench: " << e.what() << "\n";
-        return 1;
-    }
-}
-
-/**
- * BW-per-NPU sweep used across Figs. 13-16 (paper: 100-1,000 GB/s).
- * Forwards to the scenario engine's definition so the remaining
- * standalone benches share one grid with the registered scenarios.
- */
-inline std::vector<double>
-bwSweep()
-{
-    return paperBwSweep();
-}
 
 /** Search options sized for the harness (deterministic, fast). */
 inline MultistartOptions
@@ -85,16 +51,6 @@ writeBenchJson(const std::string& path, const Json& metrics)
 {
     std::ofstream out(path);
     out << metrics.dump(1) << "\n";
-}
-
-/** Perf-per-cost of a design point relative to another. */
-inline double
-perfPerCostGain(const OptimizationResult& base,
-                const OptimizationResult& opt)
-{
-    double baseRecip = base.weightedTime * base.cost;
-    double optRecip = opt.weightedTime * opt.cost;
-    return optRecip > 0.0 ? baseRecip / optRecip : 0.0;
 }
 
 } // namespace bench

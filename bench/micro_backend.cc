@@ -15,8 +15,8 @@
  *    crossval scenario pays per objective evaluation.
  *
  * Emits machine-readable BENCH_backend.json for CI tracking next to
- * BENCH_objective.json and BENCH_solver.json, so sim-backend
- * throughput regressions show up in the perf trajectory.
+ * BENCH_solver.json, so sim-backend throughput regressions show up in
+ * the perf trajectory.
  */
 
 #include <chrono>

@@ -13,7 +13,7 @@
  *
  * Emits machine-readable BENCH_solver.json for CI tracking, so solver
  * regressions (quality or efficiency) show up in the perf trajectory
- * next to BENCH_objective.json. Runs are fully deterministic (fixed
+ * next to BENCH_backend.json. Runs are fully deterministic (fixed
  * seeds, single-threaded eval counting).
  */
 

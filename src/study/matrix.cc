@@ -644,8 +644,7 @@ formatMetric(double v)
     return buf;
 }
 
-} // namespace
-
+/** Paper-style human rendering of one scenario run. */
 void
 printScenarioRun(const ScenarioRun& run, std::ostream& os)
 {
@@ -685,6 +684,8 @@ printScenarioRun(const ScenarioRun& run, std::ostream& os)
            << "]: " << f.error << "\n";
     }
 }
+
+} // namespace
 
 void
 printMatrixHuman(const MatrixResult& result, std::ostream& os)

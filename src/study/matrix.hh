@@ -181,13 +181,10 @@ void emitMatrixJson(const MatrixResult& result, std::ostream& os);
 void emitMatrixCsv(const MatrixResult& result, std::ostream& os);
 
 /**
- * Paper-style human rendering of one scenario run: banner, aligned
- * table (label columns then metric columns), summary lines, notes.
- * Used by the ported bench binaries and libra_cli's default output.
+ * Paper-style human rendering of every scenario (banner, aligned
+ * table of label then metric columns, summary lines, notes), plus
+ * cache statistics. libra_cli's default output.
  */
-void printScenarioRun(const ScenarioRun& run, std::ostream& os);
-
-/** printScenarioRun over every scenario, plus cache statistics. */
 void printMatrixHuman(const MatrixResult& result, std::ostream& os);
 
 } // namespace libra

@@ -1,9 +1,8 @@
 /**
  * @file
  * Built-in paper scenarios: Table I-III and Figs. 9/10/13-18/21 as
- * registry entries. Each definition replaces a standalone bench binary
- * (the bench/ wrappers now just run these by name); the reproduced
- * claims from the original bench headers live on as `notes`.
+ * registry entries, each run as `libra_cli run-matrix <name>`. The
+ * paper claims each one reproduces are kept as its `notes`.
  *
  * Grid conventions: figures sharing the paper's evaluation grid
  * (workloads x networks x 100-1,000 GB/s x both objectives) build their

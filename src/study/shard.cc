@@ -535,7 +535,9 @@ namespace {
 /**
  * Blocking read of one frame from fd 0.
  * @return false on clean EOF at a frame boundary (master gone or done
- * — either way the worker's job is over).
+ * — either way the worker's job is over). A reset counts as EOF: a
+ * master killed with a result frame unread makes recv fail with
+ * ECONNRESET instead of returning 0.
  */
 bool
 readWorkerFrame(FrameBuffer& buffer, Frame* out)
@@ -549,7 +551,7 @@ readWorkerFrame(FrameBuffer& buffer, Frame* out)
         ssize_t n = ::recv(0, buf, sizeof(buf), 0);
         if (n < 0 && errno == EINTR)
             continue;
-        if (n == 0) {
+        if (n == 0 || (n < 0 && errno == ECONNRESET)) {
             if (buffer.pending() != 0)
                 fatal("worker: master closed mid-frame");
             return false;

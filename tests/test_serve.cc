@@ -398,29 +398,40 @@ TEST(Serve, ConcurrentIdenticalRequestsComputeEachPointOnce)
     const std::string request =
         "{\"scenario\": \"" + scenario + "\"}";
     constexpr int kClients = 6;
-    std::vector<ServeReply> replies(kClients);
-    std::vector<std::thread> clients;
-    clients.reserve(kClients);
-    for (int c = 0; c < kClients; ++c) {
-        clients.emplace_back([&, c] {
-            replies[c] =
-                serveRequest(server.socketPath(), request);
-        });
-    }
-    for (auto& t : clients)
-        t.join();
+    auto wave = [&] {
+        std::vector<ServeReply> replies(kClients);
+        std::vector<std::thread> clients;
+        clients.reserve(kClients);
+        for (int c = 0; c < kClients; ++c) {
+            clients.emplace_back([&, c] {
+                replies[c] =
+                    serveRequest(server.socketPath(), request);
+            });
+        }
+        for (auto& t : clients)
+            t.join();
+        return replies;
+    };
 
     // The single-flight invariant: across all concurrent identical
     // requests, each unique design point is optimized exactly once —
     // however the claims interleaved. Everything else was served from
     // the LRU or coalesced onto the owner's in-flight computation.
     double computed = 0.0;
-    for (const ServeReply& reply : replies) {
+    for (const ServeReply& reply : wave()) {
         ASSERT_TRUE(reply.status.at("ok").asBool());
         computed += reply.status.at("computed").asNumber();
         EXPECT_EQ(reply.payload, expected);
     }
     EXPECT_EQ(computed, 2.0); // The scenario has 2 unique points.
+
+    // A second concurrent wave finds every point warm: each reply is
+    // served from the LRU and byte-identical to the one-shot run.
+    for (const ServeReply& reply : wave()) {
+        ASSERT_TRUE(reply.status.at("ok").asBool());
+        EXPECT_EQ(reply.status.at("computed").asNumber(), 0.0);
+        EXPECT_EQ(reply.payload, expected);
+    }
     EXPECT_EQ(server.store().stats().inFlight, 0u);
 
     server.stop();

@@ -11,6 +11,7 @@
  */
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -566,17 +567,15 @@ TEST(ShardPoolEval, ResultFramesForAnotherBatchOrItemAreFatal)
 }
 
 /**
- * Spawn `libra_cli worker` on a socketpair, send one init frame with
- * @p payload, and return the worker's reply status and exit code
- * (closing the channel right after the reply, so a healthy worker
- * sees EOF and exits 0).
+ * Spawn `libra_cli worker` on a socketpair (stderr to /dev/null) and
+ * return its pid, or -1; @p fd receives the master's end.
  */
-std::pair<Json, int>
-workerInitReply(const std::string& payload)
+pid_t
+spawnWorker(int* fd)
 {
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
-        return {Json(), -1};
+        return -1;
     pid_t pid = ::fork();
     if (pid == 0) {
         ::dup2(sv[1], 0);
@@ -590,12 +589,28 @@ workerInitReply(const std::string& payload)
         _exit(127);
     }
     ::close(sv[1]);
+    *fd = sv[0];
+    return pid;
+}
+
+/**
+ * Spawn a worker, send one init frame with @p payload, and return the
+ * worker's reply status and exit code (closing the channel right
+ * after the reply, so a healthy worker sees EOF and exits 0).
+ */
+std::pair<Json, int>
+workerInitReply(const std::string& payload)
+{
+    int fd = -1;
+    pid_t pid = spawnWorker(&fd);
+    if (pid < 0)
+        return {Json(), -1};
     Json status;
-    if (sendAllFd(sv[0], frameMessage(opStatus("init"), payload))) {
+    if (sendAllFd(fd, frameMessage(opStatus("init"), payload))) {
         FrameBuffer buffer("test");
-        status = readFrameFd(sv[0], buffer, "test").status;
+        status = readFrameFd(fd, buffer, "test").status;
     }
-    ::close(sv[0]);
+    ::close(fd);
     int wstatus = 0;
     ::waitpid(pid, &wstatus, 0);
     return {status, WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1};
@@ -623,6 +638,54 @@ TEST(ShardWorker, InitThreadsOutsideTheCliRangeAreAnsweredNotFatal)
             << status.dump();
         EXPECT_EQ(code, 1) << payload;
     }
+}
+
+TEST(ShardWorker, MasterResetWithAResultUnreadIsACleanExit)
+{
+    // A master killed while a result frame sits unread in its socket
+    // makes the worker's next recv fail with ECONNRESET instead of
+    // returning 0. The master is gone either way, so the worker must
+    // take the clean-EOF exit (0), not the fatal one.
+    int fd = -1;
+    const pid_t pid = spawnWorker(&fd);
+    ASSERT_GT(pid, 0);
+    ASSERT_TRUE(sendAllFd(
+        fd, frameMessage(opStatus("init"), "{\"threads\": 1}")));
+    FrameBuffer buffer("test");
+    EXPECT_EQ(readFrameFd(fd, buffer, "test").status.at("op").asString(),
+              "ready");
+
+    const LibraInputs point = miniInputs();
+    Json eval = opStatus("eval");
+    eval["id"] = 0;
+    ASSERT_TRUE(sendAllFd(
+        fd,
+        frameMessage(std::move(eval),
+                     evalPayloadJson({{0, studyConfigToString(point),
+                                       pointWireKey(point)}})
+                         .dump())));
+
+    // Wait until the whole result frame is queued (peeked, not read),
+    // then close with it unread.
+    std::vector<char> peek(1 << 20);
+    bool queued = false;
+    while (!queued) {
+        pollfd pfd{fd, POLLIN, 0};
+        ASSERT_EQ(::poll(&pfd, 1, 60000), 1) << "no result frame";
+        ssize_t n = ::recv(fd, peek.data(), peek.size(), MSG_PEEK);
+        ASSERT_GT(n, 0);
+        FrameBuffer probe("test");
+        probe.append(peek.data(), static_cast<std::size_t>(n));
+        queued = probe.next().has_value();
+        if (!queued)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ::close(fd);
+
+    int wstatus = 0;
+    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+    ASSERT_TRUE(WIFEXITED(wstatus));
+    EXPECT_EQ(WEXITSTATUS(wstatus), 0);
 }
 
 #endif // LIBRA_CLI_PATH

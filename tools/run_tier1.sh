@@ -48,9 +48,7 @@
 #                  build (build-simd-avx2/) emit the default build's
 #                  golden JSON, fresh at 1 thread and cached at 8
 #                  (PERF.md).
-#              13. objective bench: micro_objective_eval writes
-#                  BENCH_objective.json with the tracked speedups.
-#              14. perfbench: perfbench/ builds in build-perfbench/ and
+#              13. perfbench: perfbench/ builds in build-perfbench/ and
 #                  its self-test passes.
 #   --tsan     ThreadSanitizer build in build-tsan/; runs the threading
 #              contract tests (thread pool, parallel determinism, the
@@ -520,15 +518,6 @@ PY
   done
   cmp "${SMOKE_DIR}/simd-auto-1t.json" "${SMOKE_DIR}/simd-auto-8t.json"
   echo "simd smoke: byte-identical matrix JSON (LIBRA_SIMD=${SIMD_BUILDS[*]} vs auto, fresh 1t vs cached 8t)"
-
-  # Objective-throughput smoke: the bench must run and emit parseable
-  # metrics with the scalar-SoA and gradient-batch speedups the perf
-  # docs track.
-  BENCH_BIN="$(pwd)/${BUILD_DIR}/micro_objective_eval"
-  (cd "${SMOKE_DIR}" && "${BENCH_BIN}")
-  grep -q '"soa_speedup_vs_direct":' "${SMOKE_DIR}/BENCH_objective.json"
-  grep -q '"gradient_batch_speedup_vs_soa":' "${SMOKE_DIR}/BENCH_objective.json"
-  echo "objective bench smoke: BENCH_objective.json emitted with speedup metrics"
 
   # Benchmark-build smoke: perfbench/ compiles against the library's
   # public API, so a src/ change that breaks it must fail here, not
