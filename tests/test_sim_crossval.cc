@@ -27,18 +27,26 @@
  * matches its closed form m / q_{i-1} per dimension, it never exceeds
  * the (sim-validated) multi-rail AR traffic, and the two coincide
  * exactly on size-2 dimensions where 2m(g-1)/q_i == m*g/q_i.
+ *
+ * The crossval corpus pins the `crossval` scenario's backend times per
+ * design point, under chunk-sim and themis, and holds its `max_rel_err`
+ * inside chunkSimRelTolerance applied to each workload's collectives.
  */
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "collective/mapping.hh"
 #include "collective/multi_rail.hh"
 #include "common/random.hh"
+#include "core/framework.hh"
 #include "core/timing_backend.hh"
 #include "sim/collective_sim.hh"
+#include "study/scenario.hh"
 #include "topology/zoo.hh"
 
 namespace libra {
@@ -442,6 +450,216 @@ TEST(SimCrossval, RandomizedPointsAreSeedReproducible)
         EXPECT_EQ(s1.time, s2.time);
         EXPECT_EQ(s1.timePerDim, s2.timePerDim);
     }
+}
+
+// --- Crossval corpus ---------------------------------------------------
+
+/** One crossval design point's pinned backend times. */
+struct CrossvalCorpusExpected
+{
+    const char* name;  ///< "<net>/<workload>/<total BW>".
+    Seconds equalTime; ///< backend_equal_time_s.
+    Seconds optTime;   ///< backend_opt_time_s.
+};
+
+std::string
+hex(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%a", v);
+    return buf;
+}
+
+/** The crossval scenario's points and reports under @p backend. */
+struct CrossvalRun
+{
+    std::vector<LibraInputs> points;
+    std::vector<LibraReport> reports;
+    ScenarioOutput output;
+};
+
+CrossvalRun
+runCrossval(const std::string& backend)
+{
+    const Scenario& scenario = ScenarioRegistry::global().resolve("crossval");
+    CrossvalRun run;
+    run.points = scenario.build();
+    for (auto& p : run.points)
+        p.config.estimator.timingBackend = backend;
+    run.reports = runLibraSweep(run.points);
+    run.output = scenario.format(run.points, run.reports);
+    return run;
+}
+
+std::string
+pointName(const LibraInputs& p)
+{
+    return Network::parse(p.networkShape).name() + "/" +
+           p.targets[0].workload.name + "/" +
+           std::to_string(static_cast<int>(p.config.totalBw));
+}
+
+/**
+ * Compare @p run against @p expected: EqualBW times bit-exact, and
+ * optimized times within @p opt_rel_tol relative (0 = bit-exact). A
+ * failure prints the actual corpus row.
+ */
+void
+expectMatchesCorpus(const CrossvalRun& run,
+                    const std::vector<CrossvalCorpusExpected>& expected,
+                    double opt_rel_tol)
+{
+    EXPECT_EQ(run.points.size(), expected.size());
+    for (std::size_t i = 0; i < run.points.size(); ++i) {
+        const LibraReport& r = run.reports[i];
+        const std::string actual =
+            "{\"" + pointName(run.points[i]) + "\", " +
+            hex(r.equalBw.weightedTime) + ", " +
+            hex(r.optimized.weightedTime) + "},";
+        if (i >= expected.size()) {
+            ADD_FAILURE() << "missing corpus row " << actual;
+            continue;
+        }
+        const CrossvalCorpusExpected& e = expected[i];
+        EXPECT_EQ(pointName(run.points[i]), e.name) << actual;
+        EXPECT_EQ(r.equalBw.weightedTime, e.equalTime) << actual;
+        if (opt_rel_tol == 0.0) {
+            EXPECT_EQ(r.optimized.weightedTime, e.optTime) << actual;
+        } else {
+            EXPECT_NEAR(r.optimized.weightedTime, e.optTime,
+                        e.optTime * opt_rel_tol)
+                << actual << " rel "
+                << (r.optimized.weightedTime - e.optTime) / e.optTime;
+        }
+    }
+}
+
+/**
+ * crossval's chunk-sim times, captured with every search evaluation
+ * under the simulator. EqualBW designs are evaluated, never searched,
+ * so their times stay bit-exact; an optimized time may move within
+ * 1e-4 relative, the room a change of search route has.
+ */
+TEST(CrossvalCorpus, ChunkSimRowsTrackTheCorpus)
+{
+    const std::vector<CrossvalCorpusExpected> expected{
+        {"RI(4)_FC(4)_SW(4)/ResNet-50/250", 0x1.55440a36941bbp-9,
+         0x1.11a2140a98473p-9},
+        {"RI(4)_FC(4)_SW(4)/ResNet-50/500", 0x1.18de285a6b915p-9,
+         0x1.ee1a689e51beap-10},
+        {"RI(4)_FC(4)_SW(4)/Turing-NLG/250", 0x1.0b2ca5a2e96c2p+2,
+         0x1.eb17094d62bcbp+1},
+        {"RI(4)_FC(4)_SW(4)/Turing-NLG/500", 0x1.ef186e39b8f82p+1,
+         0x1.d9774d3d80e9ap+1},
+        {"FC(8)_RI(8)/ResNet-50/250", 0x1.3a6c18b31e114p-9,
+         0x1.116e9ddf03c71p-9},
+        {"FC(8)_RI(8)/ResNet-50/500", 0x1.0b722df5c694dp-9,
+         0x1.ede6e5160b033p-10},
+        {"FC(8)_RI(8)/Turing-NLG/250", 0x1.025cc79af8827p+2,
+         0x1.ea8e512ddfc4bp+1},
+        {"FC(8)_RI(8)/Turing-NLG/500", 0x1.e6489031c80edp+1,
+         0x1.d932f12dbf6e9p+1},
+    };
+    expectMatchesCorpus(runCrossval(kChunkSimTimingBackendName), expected,
+                        1e-4);
+}
+
+/**
+ * crossval's themis times, bit-exact: a change that moves a themis
+ * optimum re-pins these rows together with the backend's cache tag.
+ */
+TEST(CrossvalCorpus, ThemisRowsAreBitExact)
+{
+    const std::vector<CrossvalCorpusExpected> expected{
+        {"RI(4)_FC(4)_SW(4)/ResNet-50/250", 0x1.11a125ce27d43p-9,
+         0x1.11516cb7f546ep-9},
+        {"RI(4)_FC(4)_SW(4)/ResNet-50/500", 0x1.ee196c4c6adb5p-10,
+         0x1.edc9b7ad7c335p-10},
+        {"RI(4)_FC(4)_SW(4)/Turing-NLG/250", 0x1.ea5d7d229eb75p+1,
+         0x1.ea5d7d229eb75p+1},
+        {"RI(4)_FC(4)_SW(4)/Turing-NLG/500", 0x1.d91a87281ee5cp+1,
+         0x1.d91a87281ee5cp+1},
+        {"FC(8)_RI(8)/ResNet-50/250", 0x1.11516c1cb38cdp-9,
+         0x1.11516c1cb38cdp-9},
+        {"FC(8)_RI(8)/ResNet-50/500", 0x1.edc9b2a18f6d4p-10,
+         0x1.edc9b2a18f6d4p-10},
+        {"FC(8)_RI(8)/Turing-NLG/250", 0x1.ea05990e5ccf2p+1,
+         0x1.ea05990e5ccf2p+1},
+        {"FC(8)_RI(8)/Turing-NLG/500", 0x1.d8ee951dfdf1dp+1,
+         0x1.d8ee951dfdf1dp+1},
+    };
+    expectMatchesCorpus(runCrossval(kThemisTimingBackendName), expected,
+                        0.0);
+}
+
+/**
+ * The analytical timing inflated by chunkSimRelTolerance: an upper
+ * bound on every chunk-sim collective, so a workload timed under it
+ * bounds the workload's chunk-sim time from above.
+ */
+class RampBoundTimingBackend final : public TimingBackend
+{
+  public:
+    std::string name() const override { return "test-ramp-bound"; }
+    std::string description() const override { return "test backend"; }
+
+    CollectiveTiming
+    timing(CollectiveType type, Bytes size,
+           const std::vector<DimSpan>& spans, const BwConfig& bw,
+           bool in_network) const override
+    {
+        CollectiveTiming t = multiRailTime(type, size, spans, bw, in_network);
+        t.time *= 1.0 + chunkSimRelTolerance(t);
+        return t;
+    }
+};
+
+/**
+ * The paper's §IV-C premise as crossval states it: each row's
+ * analytical-vs-chunk-sim error stays within the documented ramp bound
+ * summed over the workload's collectives, so `max_rel_err` does too.
+ */
+TEST(CrossvalCorpus, MaxRelErrIsWithinTheChunkSimTolerance)
+{
+    TimingBackendRegistry& registry = TimingBackendRegistry::global();
+    if (!registry.find("test-ramp-bound"))
+        registry.add(std::make_unique<RampBoundTimingBackend>());
+
+    CrossvalRun run = runCrossval(kChunkSimTimingBackendName);
+    ASSERT_EQ(run.output.rows.size(), run.points.size());
+    auto metric = [](const auto& pairs, const std::string& key) {
+        for (const auto& [k, v] : pairs) {
+            if (k == key)
+                return v;
+        }
+        ADD_FAILURE() << "no metric " << key;
+        return 0.0;
+    };
+    double maxBound = 0.0;
+    for (std::size_t i = 0; i < run.points.size(); ++i) {
+        const LibraInputs& p = run.points[i];
+        SCOPED_TRACE(pointName(p));
+        Network net = Network::parse(p.networkShape);
+        EstimatorOptions opt = p.config.estimator;
+        opt.timingBackend.clear();
+        TrainingEstimator analytical(net, opt);
+        opt.timingBackend = "test-ramp-bound";
+        TrainingEstimator bound(net, opt);
+        auto relBound = [&](const BwConfig& bw) {
+            Seconds a = weightedTime(analytical, p.targets, bw);
+            Seconds b = weightedTime(bound, p.targets, bw);
+            // The simulator's picosecond grid may land a hair under
+            // the bottleneck bound (the per-collective suite's 1e-6).
+            return std::max(b - a, 1e-6 * a) / a;
+        };
+        const ScenarioRow& row = run.output.rows[i];
+        double eq = relBound(run.reports[i].equalBw.bw);
+        double op = relBound(run.reports[i].optimized.bw);
+        EXPECT_LE(metric(row.metrics, "rel_err_equal"), eq);
+        EXPECT_LE(metric(row.metrics, "rel_err_opt"), op);
+        maxBound = std::max({maxBound, eq, op});
+    }
+    EXPECT_LE(metric(run.output.summary, "max_rel_err"), maxBound);
 }
 
 } // namespace
