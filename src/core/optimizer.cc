@@ -1,8 +1,11 @@
 #include "core/optimizer.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
+#include "core/timing_backend.hh"
+#include "solver/pattern_search.hh"
 #include "solver/qp.hh"
 #include "solver/water_fill.hh"
 
@@ -30,6 +33,53 @@ requireFiniteInputs(const std::vector<TargetWorkload>& targets,
             fatal("workload ", target.workload.name,
                   " weight must be finite, got ", target.weight);
     }
+}
+
+/** The hinted multistart search of @p f under @p estimator. */
+SearchResult
+hintedSearch(const Network& net, const TrainingEstimator& estimator,
+             const ScalarObjective& f, const ConstraintSet& cs,
+             const std::vector<TargetWorkload>& targets,
+             const OptimizerConfig& config)
+{
+    // Warm start: size each dimension proportionally to the busy time
+    // it accrues under EqualBW — the single-collective closed form,
+    // which is near-optimal for collective-dominated workloads.
+    Vec hint = net.equalBw(config.totalBw);
+    Vec busy(net.numDims(), 0.0);
+    for (const auto& target : targets) {
+        EstimateDetail d = estimator.detail(target.workload, hint);
+        for (std::size_t i = 0; i < busy.size(); ++i)
+            busy[i] += target.weight * d.dimBusy[i];
+    }
+    double totalBusy = 0.0;
+    for (double b : busy)
+        totalBusy += b;
+    if (totalBusy > 0.0) {
+        hint = proportionalAllocation(busy, config.totalBw,
+                                      config.minDimBw);
+    }
+    return multistartMinimize(f, cs, hint, config.search);
+}
+
+/**
+ * The backend polish of a cross-fidelity search: one compass search
+ * from the analytical winner with the multistart's final-polish step
+ * (2%). Under MAX_EVALS N it spends at most N backend evaluations,
+ * its start point included: patternSearch evaluates its start, then
+ * polls whole coordinate pairs, so it may overrun its poll cap by one.
+ */
+PatternSearchOptions
+backendPolishOptions(const MultistartOptions& search)
+{
+    PatternSearchOptions polish;
+    polish.initialStep = 0.02;
+    if (search.maxEvalsPerStart > 0) {
+        polish.maxIterations = static_cast<int>(std::min<long long>(
+            polish.maxIterations,
+            std::max<long long>(search.maxEvalsPerStart - 2, 0)));
+    }
+    return polish;
 }
 
 } // namespace
@@ -105,24 +155,29 @@ BwOptimizer::optimize(const std::vector<TargetWorkload>& targets,
                            targets);
     ConstraintSet cs = buildConstraints(config);
 
-    // Warm start: size each dimension proportionally to the busy time
-    // it accrues under EqualBW — the single-collective closed form,
-    // which is near-optimal for collective-dominated workloads.
-    Vec hint = net_.equalBw(config.totalBw);
-    Vec busy(net_.numDims(), 0.0);
-    for (const auto& target : targets) {
-        EstimateDetail d = estimator.detail(target.workload, hint);
-        for (std::size_t i = 0; i < busy.size(); ++i)
-            busy[i] += target.weight * d.dimBusy[i];
+    SearchResult best;
+    if (resolveTimingBackend(config.estimator.timingBackend)
+            ->searchesAnalytically()) {
+        // Cross-fidelity search (docs/BACKENDS.md): the analytical
+        // model tracks this backend closely, so the hint and the whole
+        // multistart run analytically, and the backend's costly
+        // evaluations go only to one short polish of the analytical
+        // winner. The polish starts from the winner's backend value
+        // and returns a point no worse, so it keeps the better of the
+        // polished and unpolished designs under f.
+        EstimatorOptions analyticalOptions = config.estimator;
+        analyticalOptions.timingBackend.clear();
+        TrainingEstimator analytical(net_, analyticalOptions);
+        auto fAnalytical = makeObjective(config.objective, analytical,
+                                         costModel_, targets);
+        SearchResult coarse =
+            hintedSearch(net_, analytical, fAnalytical, cs, targets,
+                         config);
+        best = patternSearch(f, cs, coarse.x,
+                             backendPolishOptions(config.search));
+    } else {
+        best = hintedSearch(net_, estimator, f, cs, targets, config);
     }
-    double totalBusy = 0.0;
-    for (double b : busy)
-        totalBusy += b;
-    if (totalBusy > 0.0) {
-        hint = proportionalAllocation(busy, config.totalBw,
-                                      config.minDimBw);
-    }
-    SearchResult best = multistartMinimize(f, cs, hint, config.search);
 
     // The EqualBW point is always a feasible candidate; never report a
     // design worse than the straw-person.

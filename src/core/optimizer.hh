@@ -61,7 +61,10 @@ class BwOptimizer
     const CostModel& costModel() const { return costModel_; }
 
     /**
-     * Optimize the BW split for @p targets under @p config.
+     * Optimize the BW split for @p targets under @p config. Under a
+     * backend that searchesAnalytically(), the multistart runs under
+     * the analytical model and only a final polish, the EqualBW guard
+     * and the reported evaluation run under the backend.
      * @throws FatalError on infeasible constraint sets.
      */
     OptimizationResult optimize(const std::vector<TargetWorkload>& targets,

@@ -58,11 +58,21 @@ class ChunkSimTimingBackend final : public TimingBackend
                "evaluation)";
     }
 
+    /**
+     * "/x1": optimized under the cross-fidelity search, whose designs
+     * differ from the all-simulated search's in the last digits.
+     */
     std::string
     cacheKeyTag() const override
     {
-        return name() + "/" + std::to_string(kChunkSimNumChunks);
+        return name() + "/" + std::to_string(kChunkSimNumChunks) + "/x1";
     }
+
+    /**
+     * Analytical agreement is bounded per collective by the pipeline
+     * ramp (chunkSimRelTolerance), so the search runs analytically.
+     */
+    bool searchesAnalytically() const override { return true; }
 
     /** One chunk-pipelined collective through ChunkTimeline. */
     CollectiveTiming

@@ -25,6 +25,10 @@
  * Study files select backends with `BACKEND <name>` and the CLI with
  * `--backend` / `list-backends`, mirroring the SOLVER strategy layer.
  *
+ * A backend the analytical model tracks within a documented bound
+ * declares searchesAnalytically(), and the optimizer then searches
+ * analytically and polishes under it; chunk-sim does.
+ *
  * Contract (see docs/BACKENDS.md): timing() must be a deterministic
  * pure function of its arguments, const-callable from any number of
  * threads concurrently, and must return a nonnegative, finite
@@ -87,6 +91,17 @@ class TimingBackend
      * parameters still warrant bumping the tag by hand.
      */
     virtual std::string cacheKeyTag() const { return name(); }
+
+    /**
+     * Whether the analytical model tracks this backend closely enough
+     * to drive the bandwidth search. When true, BwOptimizer::optimize
+     * runs its whole multistart analytically and spends this backend's
+     * evaluations only on polishing the analytical winner
+     * (docs/BACKENDS.md, "Cross-fidelity search"). A backend declares
+     * it on the strength of a documented agreement bound, and bumps
+     * its cacheKeyTag when the declaration changes.
+     */
+    virtual bool searchesAnalytically() const { return false; }
 
     /**
      * Timing of one collective of @p size bytes over @p spans under

@@ -43,6 +43,17 @@ LruCache::put(const std::string& key, const LibraReport& report)
     }
 }
 
+void
+LruCache::erase(const std::string& key)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = index_.find(key);
+    if (it == index_.end())
+        return;
+    order_.erase(it->second);
+    index_.erase(it);
+}
+
 LruCache::Stats
 LruCache::stats() const
 {

@@ -64,6 +64,9 @@ class LruCache
      */
     void put(const std::string& key, const LibraReport& report);
 
+    /** Remove @p key if resident. */
+    void erase(const std::string& key);
+
     /** Counter snapshot since construction. */
     Stats stats() const;
 

@@ -57,6 +57,17 @@ ServeStore::store(std::uint64_t key, const std::string& canonical,
     return true;
 }
 
+void
+ServeStore::reject(std::uint64_t key, const std::string& canonical,
+                   const std::string& why)
+{
+    // The LRU goes first: claimCompute re-probes it, and must not find
+    // the rejected report there.
+    lru_.erase(canonical);
+    if (disk_)
+        disk_->reject(key, canonical, why);
+}
+
 StudyStore::Claim
 ServeStore::claimCompute(const std::string& canonical,
                          PointStatus* status, LibraReport* report)

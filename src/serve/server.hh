@@ -84,6 +84,9 @@ class ServeStore : public StudyStore
               LibraReport* out) override;
     bool store(std::uint64_t key, const std::string& canonical,
                const LibraReport& report) override;
+    /** Evict @p canonical from the LRU and reject it on disk. */
+    void reject(std::uint64_t key, const std::string& canonical,
+                const std::string& why) override;
     Claim claimCompute(const std::string& canonical, PointStatus* status,
                        LibraReport* report) override;
     void publishCompute(const std::string& canonical,

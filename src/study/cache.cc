@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -204,6 +205,42 @@ reportFromJson(const Json& json)
     report.speedup = json.at("speedup").asNumber();
     report.perfPerCostGain = json.at("perfPerCostGain").asNumber();
     return report;
+}
+
+std::string
+reportShapeError(const LibraReport& report, const LibraInputs& inputs)
+{
+    const std::size_t dims = Network::parse(inputs.networkShape).numDims();
+    const std::pair<const char*, const OptimizationResult*> designs[] = {
+        {"optimized", &report.optimized}, {"equalBw", &report.equalBw}};
+    for (const auto& [name, r] : designs) {
+        if (r->bw.size() != dims)
+            return detail::concat(name, " bw has ", r->bw.size(),
+                                  " entries for ", dims, " dimensions");
+        for (double b : r->bw) {
+            if (!(std::isfinite(b) && b > 0.0))
+                return detail::concat(name, " bw entry ", b,
+                                      " is not a positive bandwidth");
+        }
+        if (r->perWorkloadTime.size() != inputs.targets.size())
+            return detail::concat(name, " perWorkloadTime has ",
+                                  r->perWorkloadTime.size(),
+                                  " entries for ", inputs.targets.size(),
+                                  " targets");
+        for (double t : r->perWorkloadTime) {
+            if (!std::isfinite(t))
+                return detail::concat(name, " perWorkloadTime ", t,
+                                      " is not finite");
+        }
+        if (!(std::isfinite(r->weightedTime) && std::isfinite(r->cost) &&
+              std::isfinite(r->objectiveValue)))
+            return detail::concat(name, " has a non-finite time, cost "
+                                        "or objective");
+    }
+    if (!(std::isfinite(report.speedup) &&
+          std::isfinite(report.perfPerCostGain)))
+        return "non-finite speedup or perf-per-cost gain";
+    return {};
 }
 
 namespace {
@@ -450,6 +487,17 @@ ResultCache::load(std::uint64_t key, const std::string& canonical,
         quarantine(file, e.what());
         return false;
     }
+}
+
+void
+ResultCache::reject(std::uint64_t key, const std::string& canonical,
+                    const std::string& why)
+{
+    (void)canonical;
+    if (!enabled_)
+        return;
+    std::lock_guard<std::mutex> lock(shard(key));
+    quarantine(path(key), "report does not fit its point: " + why);
 }
 
 bool

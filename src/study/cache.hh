@@ -35,7 +35,8 @@
  *
  * The cache is strictly best-effort and self-healing
  * (docs/ROBUSTNESS.md): it may only ever amortize work, never break or
- * alter a run. Corrupt, truncated, or version-skewed entries are
+ * alter a run. Corrupt, truncated, or version-skewed entries, and
+ * reports that do not fit their point (reportShapeError), are
  * quarantined to `<name>.corrupt` and recomputed; stale
  * `.tmp.<pid>.<seq>` files left by crashed runs are reaped when the
  * cache opens; store
@@ -76,6 +77,16 @@ std::uint64_t studyCacheHash(const LibraInputs& inputs);
 /** Bit-exact JSON round-trip of a LibraReport. */
 Json reportToJson(const LibraReport& report);
 LibraReport reportFromJson(const Json& json);
+
+/**
+ * Why @p report cannot be the report of @p inputs, or "" when it fits:
+ * both designs' `bw` hold one positive entry per network dimension,
+ * `perWorkloadTime` one entry per target, and every number is finite.
+ * An entry's checksum signs its bytes, not their shape, so the matrix
+ * sweep checks every loaded report against its point this way.
+ */
+std::string reportShapeError(const LibraReport& report,
+                             const LibraInputs& inputs);
 
 /**
  * Pluggable study-point store consumed by the matrix runner's cached
@@ -119,6 +130,21 @@ class StudyStore
     /** Store @p report under @p key; false when not published. */
     virtual bool store(std::uint64_t key, const std::string& canonical,
                        const LibraReport& report) = 0;
+
+    /**
+     * Drop the entry load() just served under @p key because it does
+     * not fit its point (@p why, from reportShapeError). The sweep
+     * recomputes the point and stores it again. A store that keeps
+     * nothing it could serve again needs no override.
+     */
+    virtual void
+    reject(std::uint64_t key, const std::string& canonical,
+           const std::string& why)
+    {
+        (void)key;
+        (void)canonical;
+        (void)why;
+    }
 
     /** Claim computation of a missed @p canonical key. */
     virtual Claim
@@ -207,6 +233,10 @@ class ResultCache : public StudyStore
      */
     bool store(std::uint64_t key, const std::string& canonical,
                const LibraReport& report) override;
+
+    /** Quarantine the entry under @p key to `<name>.corrupt`. */
+    void reject(std::uint64_t key, const std::string& canonical,
+                const std::string& why) override;
 
     /** Snapshot of the self-healing counters since the cache opened. */
     Stats stats() const;

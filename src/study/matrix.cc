@@ -117,10 +117,19 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
     std::vector<std::size_t> missing;
     for (std::size_t s = 0; s < slots; ++s) {
         if (store && store->load(slotHash[s], slotKey[s], &slotReport[s])) {
-            slotCached[s] = true;
-        } else {
-            missing.push_back(s);
+            // A checksum signs bytes, not shape: a report that does not
+            // fit its point is rejected and recomputed, like a corrupt
+            // entry, before any formatter reads it.
+            std::string why =
+                reportShapeError(slotReport[s], points[slotRep[s]]);
+            if (why.empty()) {
+                slotCached[s] = true;
+                continue;
+            }
+            store->reject(slotHash[s], slotKey[s], why);
+            slotReport[s] = LibraReport{};
         }
+        missing.push_back(s);
     }
 
     // Claim phase: ask the store who computes each missed key. Keys

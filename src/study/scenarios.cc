@@ -989,14 +989,18 @@ crossvalScenario()
                 for (double bw : crossvalBudgets()) {
                     LibraInputs p = makeStudyPoint(
                         net, w, OptimizationObjective::PerfOpt, bw);
-                    // Optimize under simulation; the formatter then
-                    // cross-evaluates the same designs analytically.
+                    // Optimize for chunk-sim: the search runs
+                    // analytically and a final polish runs under the
+                    // simulator (docs/BACKENDS.md, "Cross-fidelity
+                    // search"). The formatter then cross-evaluates the
+                    // same designs analytically.
                     p.config.estimator.timingBackend =
                         kChunkSimTimingBackendName;
-                    // Simulated evaluations are orders of magnitude
-                    // costlier than the SoA fast path; a budget keeps
-                    // the scenario smoke-test sized (and is part of
-                    // the cache key, so cached runs stay consistent).
+                    // The budget caps each analytical start and the
+                    // simulated polish; it keeps the scenario
+                    // smoke-test sized under `--backend themis`, whose
+                    // whole search is simulated (and is part of the
+                    // cache key, so cached runs stay consistent).
                     p.config.search.maxEvalsPerStart = 600;
                     points.push_back(std::move(p));
                 }
@@ -1014,9 +1018,10 @@ crossvalScenario()
             const LibraReport& r = reports[i];
             Network net = Network::parse(p.networkShape);
 
-            // Cross-evaluate the backend-optimized designs under the
-            // analytical model: same bandwidth configs, same targets,
-            // only the timing source differs.
+            // Cross-evaluate the designs optimized for the backend
+            // (analytical search, simulated polish under chunk-sim)
+            // under the analytical model: same bandwidth configs, same
+            // targets, only the timing source differs.
             EstimatorOptions analyticalOpt = p.config.estimator;
             analyticalOpt.timingBackend.clear();
             TrainingEstimator analytical(net, analyticalOpt);

@@ -3,7 +3,8 @@
  * Fault-tolerance tests: the deterministic fault injector, the
  * self-healing ResultCache under adversarial on-disk entries
  * (truncated, short, bit-flipped, checksum-mismatched, version-skewed,
- * deeply nested, hash-colliding, legacy and old-layout), stale tmp
+ * deeply nested, hash-colliding, legacy, old-layout, and checksum-valid
+ * reports that do not fit their point), stale tmp
  * reaping, and per-point failure isolation through
  * runLibraSweepIsolated and the scenario matrix.
  * See docs/ROBUSTNESS.md.
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -527,13 +529,21 @@ faultMiniScenarioName()
             points.push_back(miniInputs("SEED 12\n"));
             return points;
         };
+        // Rows carry the optimized design, so a malformed report that
+        // is served shows in the bytes.
         s.format = [](const std::vector<LibraInputs>& points,
                       const std::vector<LibraReport>& reports) {
             ScenarioOutput out;
             for (std::size_t i = 0; i < points.size(); ++i) {
+                const OptimizationResult& opt = reports[i].optimized;
                 ScenarioRow row;
                 row.label("point", std::to_string(i));
                 row.metric("speedup", reports[i].speedup);
+                for (std::size_t d = 0; d < opt.bw.size(); ++d)
+                    row.metric("bw" + std::to_string(d), opt.bw[d]);
+                for (std::size_t t = 0; t < opt.perWorkloadTime.size(); ++t)
+                    row.metric("time" + std::to_string(t),
+                               opt.perWorkloadTime[t]);
                 out.rows.push_back(std::move(row));
             }
             return out;
@@ -777,6 +787,91 @@ TEST(MatrixFaults, OldLayoutEntriesAreQuarantinedOnceThenHit)
     }
     EXPECT_EQ(files, 2 * entries.size());
     std::filesystem::remove_all(dir);
+}
+
+/**
+ * Rewrite every entry in @p dir with @p forge applied to its report,
+ * under a valid checksum: the entry passes every byte-level check, so
+ * only the check against its point can catch it.
+ */
+std::vector<std::string>
+forgeEntries(const std::string& dir,
+             const std::function<void(LibraReport&)>& forge)
+{
+    std::vector<std::string> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+        const std::string file = e.path().string();
+        Json body = Json::parse(readFile(file)).at("body");
+        LibraReport report = reportFromJson(body.at("report"));
+        forge(report);
+        body["report"] = reportToJson(report);
+        writeEnvelope(file, body.dump());
+        files.push_back(file);
+    }
+    return files;
+}
+
+/**
+ * Fill a cache with the mini scenario, forge every entry, and rerun:
+ * each entry is quarantined and recomputed, the bytes equal the clean
+ * run's, and the next run is served entirely from the healed cache.
+ */
+void
+expectForgedEntriesAreRecomputed(
+    const char* name, const std::function<void(LibraReport&)>& forge)
+{
+    setInformEnabled(false);
+    const std::string cleanJson =
+        matrixToJson(runScenarioMatrix({faultMiniScenarioName()})).dump(1);
+
+    std::string dir = freshDir(name);
+    MatrixOptions options;
+    options.cacheDir = dir;
+    MatrixResult fill =
+        runScenarioMatrix({faultMiniScenarioName()}, options);
+    ASSERT_EQ(fill.computed, fill.unique);
+    const std::vector<std::string> files = forgeEntries(dir, forge);
+    ASSERT_EQ(files.size(), fill.unique);
+
+    MatrixResult rerun =
+        runScenarioMatrix({faultMiniScenarioName()}, options);
+    EXPECT_EQ(matrixToJson(rerun).dump(1), cleanJson);
+    EXPECT_EQ(rerun.fromCache, 0u);
+    EXPECT_EQ(rerun.computed, rerun.unique);
+    for (const auto& file : files)
+        EXPECT_TRUE(std::filesystem::exists(file + ".corrupt")) << file;
+
+    MatrixResult next =
+        runScenarioMatrix({faultMiniScenarioName()}, options);
+    EXPECT_EQ(matrixToJson(next).dump(1), cleanJson);
+    EXPECT_EQ(next.fromCache, next.unique);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CacheAdversarial, WrongBandwidthRankIsQuarantinedAndRecomputed)
+{
+    expectForgedEntriesAreRecomputed(
+        "libra-fault-rank",
+        [](LibraReport& r) { r.optimized.bw.pop_back(); });
+    expectForgedEntriesAreRecomputed(
+        "libra-fault-rank-equal",
+        [](LibraReport& r) { r.equalBw.bw.push_back(1.0); });
+}
+
+TEST(CacheAdversarial, NonPositiveBandwidthIsQuarantinedAndRecomputed)
+{
+    expectForgedEntriesAreRecomputed(
+        "libra-fault-negative",
+        [](LibraReport& r) { r.optimized.bw[0] = -r.optimized.bw[0]; });
+    expectForgedEntriesAreRecomputed(
+        "libra-fault-zero", [](LibraReport& r) { r.optimized.bw[0] = 0.0; });
+}
+
+TEST(CacheAdversarial, WrongPerWorkloadTimeCountIsQuarantinedAndRecomputed)
+{
+    expectForgedEntriesAreRecomputed(
+        "libra-fault-targets",
+        [](LibraReport& r) { r.optimized.perWorkloadTime.push_back(1.0); });
 }
 
 TEST(MatrixCsv, FailureRowsCarryTheirOwnHeader)

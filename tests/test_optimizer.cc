@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
+#include <memory>
 
 #include "common/logging.hh"
 #include "core/optimizer.hh"
+#include "core/timing_backend.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
 
@@ -248,6 +251,144 @@ TEST(Optimizer, NonFiniteBudgetsAndWeightsAreFatal)
         EXPECT_THROW(opt.baseline({{w, bad}}, cfg), FatalError);
         cfg.budgetCap = bad;
         EXPECT_THROW(opt.optimize({{w, 1.0}}, cfg), FatalError);
+    }
+}
+
+// --- Cross-fidelity search -----------------------------------------------
+
+/**
+ * A test backend on the cross-fidelity path that counts its timing()
+ * calls. It is the analytical model slowed by up to 5% as dimension 0
+ * takes more of the bandwidth, so its optimum differs from the
+ * analytical winner's and the polish has work to do.
+ */
+class CountingTimingBackend final : public TimingBackend
+{
+  public:
+    std::string name() const override { return "test-counting-cross"; }
+    std::string description() const override { return "test backend"; }
+    bool searchesAnalytically() const override { return true; }
+
+    CollectiveTiming
+    timing(CollectiveType type, Bytes size,
+           const std::vector<DimSpan>& spans, const BwConfig& bw,
+           bool in_network) const override
+    {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        CollectiveTiming t = multiRailTime(type, size, spans, bw, in_network);
+        double total = 0.0;
+        for (double b : bw)
+            total += b;
+        t.time *= 1.0 + 0.05 * bw[0] / total;
+        return t;
+    }
+
+    mutable std::atomic<long long> calls{0};
+};
+
+CountingTimingBackend&
+countingBackend()
+{
+    static CountingTimingBackend* backend = [] {
+        auto owned = std::make_unique<CountingTimingBackend>();
+        CountingTimingBackend* raw = owned.get();
+        TimingBackendRegistry::global().add(std::move(owned));
+        return raw;
+    }();
+    return *backend;
+}
+
+/**
+ * Backend evaluations optimize() makes besides the polish: the EqualBW
+ * guard (1) and the reported evaluate() — weighted time, per-workload
+ * time and objective (3). With one single-collective target, every
+ * evaluation is exactly one timing() call.
+ */
+constexpr long long kFixedBackendEvals = 4;
+
+/** Backend timing() calls one optimize() makes. */
+long long
+backendEvals(const BwOptimizer& opt, const std::vector<TargetWorkload>& targets,
+             const OptimizerConfig& cfg)
+{
+    CountingTimingBackend& backend = countingBackend();
+    backend.calls = 0;
+    opt.optimize(targets, cfg);
+    return backend.calls.load();
+}
+
+TEST(CrossFidelity, BackendEvaluationsDoNotGrowWithStarts)
+{
+    Network net = Network::parse("RI(4)_FC(4)_SW(4)");
+    BwOptimizer opt(net, CostModel::defaultModel());
+    std::vector<TargetWorkload> targets{{singleCollective(net, 1e9), 1.0}};
+    OptimizerConfig cfg = fastConfig(OptimizationObjective::PerfOpt, 300.0);
+    cfg.estimator.timingBackend = countingBackend().name();
+    // Uncapped, the polish is a 4000-poll compass search that may
+    // finish its last coordinate pair, plus its start point.
+    const long long cap = 4000 + 2 + kFixedBackendEvals;
+    for (int starts : {0, 2, 16}) {
+        cfg.search.starts = starts;
+        long long evals = backendEvals(opt, targets, cfg);
+        EXPECT_GT(evals, kFixedBackendEvals) << starts;
+        EXPECT_LE(evals, cap) << starts;
+    }
+}
+
+TEST(CrossFidelity, MaxEvalsBoundsThePolish)
+{
+    Network net = Network::parse("RI(4)_FC(4)_SW(4)");
+    BwOptimizer opt(net, CostModel::defaultModel());
+    std::vector<TargetWorkload> targets{{singleCollective(net, 1e9), 1.0}};
+    for (auto objective : {OptimizationObjective::PerfOpt,
+                           OptimizationObjective::PerfPerCostOpt}) {
+        OptimizerConfig cfg = fastConfig(objective, 300.0);
+        cfg.estimator.timingBackend = countingBackend().name();
+        for (long long n : {1, 2, 3, 4, 7, 50}) {
+            cfg.search.maxEvalsPerStart = n;
+            for (int starts : {2, 16}) {
+                cfg.search.starts = starts;
+                EXPECT_LE(backendEvals(opt, targets, cfg) -
+                              kFixedBackendEvals,
+                          n)
+                    << "MAX_EVALS " << n << ", " << starts << " starts";
+            }
+        }
+    }
+}
+
+/**
+ * Under the backend's own objective, the cross-fidelity result is
+ * never worse than the analytical winner or EqualBW.
+ */
+TEST(CrossFidelity, NeverWorseThanTheAnalyticalWinnerOrEqualBw)
+{
+    Network net = Network::parse("RI(4)_FC(4)_SW(4)");
+    BwOptimizer opt(net, CostModel::defaultModel());
+    const std::vector<std::vector<TargetWorkload>> studies{
+        {{singleCollective(net, 1e9), 1.0}},
+        {{wl::resnet50(net.npus()), 1.0}},
+    };
+    for (const std::string& backend :
+         {countingBackend().name(), std::string(kChunkSimTimingBackendName)}) {
+        for (auto objective : {OptimizationObjective::PerfOpt,
+                               OptimizationObjective::PerfPerCostOpt}) {
+            for (const auto& targets : studies) {
+                SCOPED_TRACE(backend + " " + objectiveName(objective) +
+                             " " + targets[0].workload.name);
+                OptimizerConfig analytical = fastConfig(objective, 300.0);
+                analytical.search.maxEvalsPerStart = 200;
+                OptimizerConfig cfg = analytical;
+                cfg.estimator.timingBackend = backend;
+
+                OptimizationResult winner = opt.optimize(targets, analytical);
+                OptimizationResult r = opt.optimize(targets, cfg);
+                EXPECT_LE(r.objectiveValue,
+                          opt.evaluate(winner.bw, targets, cfg).objectiveValue);
+                EXPECT_LE(r.objectiveValue,
+                          opt.baseline(targets, cfg).objectiveValue);
+            }
+        }
     }
 }
 

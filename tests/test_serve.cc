@@ -13,8 +13,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -691,6 +693,66 @@ TEST(Serve, DeeplyNestedRequestIsAnErrorAndTheServerServesOn)
     ASSERT_TRUE(next.status.at("ok").asBool()) << next.status.dump();
     EXPECT_EQ(next.payload, oneShotJson(scenario));
     EXPECT_EQ(server.stats().errors, 1u);
+}
+
+/**
+ * A disk entry whose checksum is valid but whose report does not fit
+ * its point is quarantined and recomputed; the request is answered
+ * with the one-shot bytes and the server serves on. fig10's formatter
+ * re-times each design under the training simulator, so a served
+ * wrong-rank design would abort the process.
+ */
+TEST(Serve, MalformedCachedReportIsRecomputedAndTheServerServesOn)
+{
+    setInformEnabled(false);
+    const std::string expected = oneShotJson("fig10");
+    std::string dir = freshDir("libra-serve-forged");
+    MatrixOptions fill;
+    fill.cacheDir = dir;
+    runScenarioMatrix({"fig10"}, fill);
+    std::vector<std::string> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+        // Drop one optimized bandwidth and re-sign the body, as a
+        // hand-edited or foreign entry would arrive.
+        const std::string file = e.path().string();
+        std::ifstream in(file);
+        std::ostringstream text;
+        text << in.rdbuf();
+        Json body = Json::parse(text.str()).at("body");
+        LibraReport report = reportFromJson(body.at("report"));
+        report.optimized.bw.pop_back();
+        body["report"] = reportToJson(report);
+        const std::string bodyText = body.dump();
+        char fnv[24];
+        std::snprintf(fnv, sizeof(fnv), "%016llx",
+                      static_cast<unsigned long long>(
+                          studyCacheHashOfKey(bodyText)));
+        std::ofstream out(file, std::ios::trunc);
+        out << "{\"fnv\":\"" << fnv << "\",\"body\":" << bodyText << "}\n";
+        files.push_back(file);
+    }
+    ASSERT_FALSE(files.empty());
+
+    ServeOptions options;
+    options.socketPath = testing::TempDir() + "libra-serve-l.sock";
+    options.cacheDir = dir;
+    Server server(std::move(options)); // handleLine needs no socket.
+    bool shutdown = false;
+    const std::string request = "{\"scenario\": \"fig10\"}";
+    ServeReply first = splitResponse(server.handleLine(request, &shutdown));
+    ASSERT_TRUE(first.status.at("ok").asBool()) << first.status.dump();
+    EXPECT_EQ(first.status.at("fromCache").asNumber(), 0.0);
+    EXPECT_EQ(first.payload, expected);
+    for (const auto& file : files)
+        EXPECT_TRUE(std::filesystem::exists(file + ".corrupt")) << file;
+
+    // Served on, now from the healed store.
+    ServeReply next = splitResponse(server.handleLine(request, &shutdown));
+    ASSERT_TRUE(next.status.at("ok").asBool()) << next.status.dump();
+    EXPECT_EQ(next.status.at("computed").asNumber(), 0.0);
+    EXPECT_EQ(next.payload, expected);
+    EXPECT_EQ(server.stats().errors, 0u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Serve, FailModeFieldIsolatesOrAbortsAFailingPoint)

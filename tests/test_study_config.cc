@@ -552,7 +552,7 @@ TEST(RegistryCli, ListBackendsEmitsNamesAndCacheTags)
     EXPECT_EQ(entryStrings(j, "name"),
               (Names{"analytical", "chunk-sim", "themis"}));
     EXPECT_EQ(entryStrings(j, "cacheKeyTag"),
-              (Names{"analytical", "chunk-sim/64", "themis/64"}));
+              (Names{"analytical", "chunk-sim/64/x1", "themis/64"}));
 }
 
 TEST(RegistryCli, ListExplorersEmitsNamesAndParams)

@@ -267,7 +267,9 @@ TEST(StudyCacheKey, AllScenarioKeysArePinned)
     // the 16-hex hashes, one per line, in matrix order) was captured
     // at engine version 1 with 366 points, 190 unique keys and
     // 136,312 key bytes, after the key grammar began writing layers
-    // as runs without their names (7,000,560 bytes before).
+    // as runs without their names (7,000,560 bytes before). The 8
+    // crossval keys then grew by 3 bytes each (136,336) when
+    // chunk-sim's tag became "chunk-sim/64/x1".
     const std::vector<LibraInputs> points = allScenarioPoints();
     std::string hexes;
     std::size_t keyBytes = 0;
@@ -285,8 +287,8 @@ TEST(StudyCacheKey, AllScenarioKeysArePinned)
     }
     EXPECT_EQ(points.size(), 366u);
     EXPECT_EQ(firstByKey.size(), 190u);
-    EXPECT_EQ(keyBytes, 136312u);
-    EXPECT_EQ(studyCacheHashOfKey(hexes), 0x15c68c5f45a4cd97ull);
+    EXPECT_EQ(keyBytes, 136336u);
+    EXPECT_EQ(studyCacheHashOfKey(hexes), 0x65f7aa4e0dc50a9dull);
 
     // The slot map's keys and grouping must be exactly those of the
     // plain keys.

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -280,7 +281,9 @@ TEST(TimingBackend, CompileRejectedUnderNonDefaultBackend)
 
 TEST(BackendDirective, ParseSerializeParseRoundTrips)
 {
-    for (const std::string backend : {"chunk-sim", "themis"}) {
+    const std::pair<std::string, std::string> tags[] = {
+        {"chunk-sim", "chunk-sim/64/x1"}, {"themis", "themis/64"}};
+    for (const auto& [backend, pinned] : tags) {
         SCOPED_TRACE(backend);
         LibraInputs first = parseStudyConfigString(
             "NETWORK RI(4)_FC(4)_SW(4)\nTOTAL_BW 300\nBACKEND " + backend +
@@ -345,7 +348,9 @@ TEST(BackendCacheKey, NonDefaultBackendChangesKey)
         "NETWORK RI(4)_SW(8)\nWORKLOAD resnet50\n");
     std::string plainKey = canonicalStudyKey(plain);
     std::vector<std::uint64_t> hashes{studyCacheHash(plain)};
-    for (const std::string backend : {"chunk-sim", "themis"}) {
+    const std::pair<std::string, std::string> tags[] = {
+        {"chunk-sim", "chunk-sim/64/x1"}, {"themis", "themis/64"}};
+    for (const auto& [backend, pinned] : tags) {
         SCOPED_TRACE(backend);
         LibraInputs named = plain;
         named.config.estimator.timingBackend = backend;
@@ -353,11 +358,12 @@ TEST(BackendCacheKey, NonDefaultBackendChangesKey)
         EXPECT_NE(plainKey, key);
         // The folded content is the backend's cacheKeyTag — name plus
         // semantic parameters — so a chunk-count change invalidates
-        // previously cached results of that backend.
+        // previously cached results of that backend. chunk-sim's "/x1"
+        // marks its cross-fidelity search.
         std::string tag =
             "timing(" + resolveTimingBackend(backend)->cacheKeyTag() + ")";
         EXPECT_NE(key.find(tag), std::string::npos) << key;
-        EXPECT_NE(key.find("timing(" + backend + "/64) "),
+        EXPECT_NE(key.find("timing(" + pinned + ") "),
                   std::string::npos)
             << key;
         hashes.push_back(studyCacheHash(named));

@@ -28,7 +28,9 @@
 #                  (EXPLORE.md).
 #               7. fault: the golden matrix under injected cache-I/O
 #                  faults is byte-identical to the fault-free cached
-#                  run (ROBUSTNESS.md).
+#                  run, and so is a run over entries forged to drop a
+#                  bandwidth under a valid checksum, which quarantines
+#                  every one of them (ROBUSTNESS.md).
 #               8. serve: a `serve` process answers the golden group
 #                  disk-served, LRU-served and after a nested-JSON bomb
 #                  and a refused `workers` request, each byte-identical
@@ -344,6 +346,34 @@ END"
   "${BUILD_DIR}/libra_cli" run-matrix golden \
     --emit json --cache-dir "${SMOKE_DIR}/fcache" \
     --out "${SMOKE_DIR}/fclean.json"
+  # Forged entries: drop the last optimized bandwidth of every entry and
+  # re-sign its body (FNV-1a 64), so each one passes the checksum but
+  # no longer fits its point. The run quarantines and recomputes them.
+  python3 - "${SMOKE_DIR}/fcache" <<'PY'
+import glob, json, sys
+
+HEAD, MID, TAIL = b'{"fnv":"', b'","body":', b'}\n'
+for path in glob.glob(sys.argv[1] + "/*.json"):
+    text = open(path, "rb").read()
+    body = json.loads(text[len(HEAD) + 16 + len(MID):-len(TAIL)])
+    body["report"]["optimized"]["bw"].pop()
+    data = json.dumps(body, separators=(",", ":")).encode()
+    fnv = 0xcbf29ce484222325
+    for byte in data:
+        fnv = ((fnv ^ byte) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
+    with open(path, "wb") as out:
+        out.write(HEAD + b"%016x" % fnv + MID + data + TAIL)
+PY
+  forged="$(find "${SMOKE_DIR}/fcache" -name '*.json' | wc -l)"
+  "${BUILD_DIR}/libra_cli" run-matrix golden \
+    --emit json --cache-dir "${SMOKE_DIR}/fcache" \
+    --out "${SMOKE_DIR}/fforged.json"
+  cmp "${SMOKE_DIR}/fclean.json" "${SMOKE_DIR}/fforged.json"
+  quarantined="$(find "${SMOKE_DIR}/fcache" -name '*.corrupt' | wc -l)"
+  if [[ "${forged}" -eq 0 || "${quarantined}" -ne "${forged}" ]]; then
+    echo "fault smoke: ${quarantined} of ${forged} forged entries quarantined" >&2
+    exit 1
+  fi
   "${BUILD_DIR}/libra_cli" run-matrix golden \
     --faults "cache-load-read=0.25,cache-store-write=0.25,cache-store-rename=0.25,seed=7" \
     --emit json --cache-dir "${SMOKE_DIR}/fcache" \
@@ -354,7 +384,7 @@ END"
     --out "${SMOKE_DIR}/ffaulty2.json"
   cmp "${SMOKE_DIR}/fclean.json" "${SMOKE_DIR}/ffaulty.json"
   cmp "${SMOKE_DIR}/fclean.json" "${SMOKE_DIR}/ffaulty2.json"
-  echo "fault smoke: byte-identical matrix JSON under injected cache-I/O faults"
+  echo "fault smoke: byte-identical matrix JSON under injected cache-I/O faults and forged entries"
 
   # Serve smoke: the study service end to end through the CLI
   # (docs/SERVE.md). The one-shot run warms a disk cache; a server
