@@ -3,16 +3,19 @@
  * Tests for the end-to-end training-time estimator.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/units.hh"
 #include "core/estimator.hh"
 #include "core/timing_backend.hh"
 #include "topology/zoo.hh"
@@ -168,6 +171,127 @@ TEST(Estimator, EqualBwUnderutilizesMultiDim)
     Workload w = wl::msft1T(net.npus());
     EstimateDetail d = est.detail(w, net.equalBw(300.0));
     EXPECT_LT(d.avgBwUtilization, 0.8);
+}
+
+/**
+ * Synthetic workload of @p n layers in which every collective differs
+ * from every other (each size is a distinct value) and every scope
+ * appears, so a per-call timing table never hits.
+ */
+Workload
+allDistinctWorkload(std::size_t n)
+{
+    Workload w;
+    w.name = "all-distinct";
+    w.strategy = {16, 4, 64};
+    for (std::size_t i = 0; i < n; ++i) {
+        double base = 1e6 + 8.0 * static_cast<double>(i);
+        Layer l;
+        l.fwdCompute = 1e-3 + 1e-7 * static_cast<double>(i % 7);
+        l.igCompute = 2e-3;
+        l.wgCompute = 1e-4 * static_cast<double>(i % 5);
+        l.fwdComm = {{CollectiveType::AllReduce, CommScope::Tp, base},
+                     {CollectiveType::AllToAll, CommScope::All, base + 1}};
+        l.igComm = {{CollectiveType::ReduceScatter, CommScope::Tp, base + 2},
+                    {CollectiveType::AllGather, CommScope::Pp, base + 3}};
+        l.wgComm = {{CollectiveType::AllReduce, CommScope::Dp, base + 4}};
+        w.layers.push_back(std::move(l));
+    }
+    return w;
+}
+
+/**
+ * estimate() and detail() under the analytical model may time each
+ * distinct collective once per call and reuse it. That must be
+ * invisible: every field equals, bit for bit, the same sums over one
+ * multiRailTime call per op in workload order.
+ */
+TEST(Estimator, AnalyticalEstimatesEqualPerOpSums)
+{
+    Network net = topo::fourD4K();
+    const BwConfig bw{210.0, 95.0, 60.0, 35.0};
+    std::vector<Workload> corpus = wl::tableTwo(net.npus());
+    corpus.push_back(allDistinctWorkload(2100));
+    for (const Workload& w : corpus) {
+        for (TrainingLoop loop :
+             {TrainingLoop::NoOverlap, TrainingLoop::TpDpOverlap}) {
+            SCOPED_TRACE(w.name + (loop == TrainingLoop::NoOverlap
+                                       ? " NoOverlap"
+                                       : " TpDpOverlap"));
+            EstimatorOptions opt;
+            opt.loop = loop;
+            TrainingEstimator est(net, opt);
+
+            EstimateDetail want;
+            want.dimBusy.assign(net.numDims(), 0.0);
+            want.dimTraffic.assign(net.numDims(), 0.0);
+            auto phase = [&](const std::vector<CommOp>& ops) {
+                Seconds sum = 0.0;
+                for (const auto& op : ops) {
+                    auto spans = est.spansFor(w.strategy, op.scope);
+                    if (spans.empty())
+                        continue;
+                    CollectiveTiming t =
+                        multiRailTime(op.type, op.size, spans, bw);
+                    sum += t.time;
+                    for (std::size_t s = 0; s < spans.size(); ++s) {
+                        want.dimBusy[spans[s].dim] += t.timePerDim[s];
+                        want.dimTraffic[spans[s].dim] +=
+                            t.trafficPerDim[s];
+                    }
+                }
+                return sum;
+            };
+            for (const auto& layer : w.layers) {
+                Seconds f = phase(layer.fwdComm);
+                Seconds i = phase(layer.igComm);
+                Seconds g = phase(layer.wgComm);
+                want.total += layer.fwdCompute + f;
+                Seconds exposed;
+                if (loop == TrainingLoop::NoOverlap) {
+                    want.total += layer.igCompute + i + layer.wgCompute + g;
+                    exposed = f + i + g;
+                } else {
+                    Seconds tail = std::max(i, layer.wgCompute + g);
+                    want.total += layer.igCompute + tail;
+                    exposed = f + tail - std::min(tail, layer.wgCompute);
+                }
+                want.fwdCompute += layer.fwdCompute;
+                want.fwdComm += f;
+                want.igCompute += layer.igCompute;
+                want.igComm += i;
+                want.wgCompute += layer.wgCompute;
+                want.wgComm += g;
+                want.exposedComm += exposed;
+            }
+            want.computeTotal =
+                want.fwdCompute + want.igCompute + want.wgCompute;
+            double sumBw = 0.0;
+            for (double b : bw)
+                sumBw += b;
+            Bytes moved = 0.0;
+            for (Bytes t : want.dimTraffic)
+                moved += t;
+            Seconds comm = want.fwdComm + want.igComm + want.wgComm;
+            ASSERT_GT(comm, 0.0);
+            want.avgBwUtilization = moved / (sumBw * kGiga * comm);
+
+            EXPECT_EQ(est.estimate(w, bw), want.total);
+            EstimateDetail d = est.detail(w, bw);
+            EXPECT_EQ(d.total, want.total);
+            EXPECT_EQ(d.computeTotal, want.computeTotal);
+            EXPECT_EQ(d.exposedComm, want.exposedComm);
+            EXPECT_EQ(d.fwdCompute, want.fwdCompute);
+            EXPECT_EQ(d.fwdComm, want.fwdComm);
+            EXPECT_EQ(d.igCompute, want.igCompute);
+            EXPECT_EQ(d.igComm, want.igComm);
+            EXPECT_EQ(d.wgCompute, want.wgCompute);
+            EXPECT_EQ(d.wgComm, want.wgComm);
+            EXPECT_EQ(d.dimBusy, want.dimBusy);
+            EXPECT_EQ(d.dimTraffic, want.dimTraffic);
+            EXPECT_EQ(d.avgBwUtilization, want.avgBwUtilization);
+        }
+    }
 }
 
 TEST(Estimator, SpansForScopes)
