@@ -77,6 +77,7 @@ multiRailTime(CollectiveType type, Bytes size,
         timing.trafficPerDim = multiRailTraffic(type, size, spans);
     }
 
+    timing.timePerDim.reserve(spans.size());
     for (std::size_t i = 0; i < spans.size(); ++i) {
         double b = bw.at(spans[i].dim) * spans[i].efficiency;
         if (b <= 0.0)

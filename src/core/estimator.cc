@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
+#include <span>
+#include <utility>
 
 #include "common/logging.hh"
 #include "core/timing_backend.hh"
@@ -47,42 +49,126 @@ checkedTiming(const CollectiveTiming& t,
     return t;
 }
 
+/**
+ * Hash index from a collective's exact key (type, scope, size bits) to
+ * a dense id; ids count up from 0 in first-seen order. Sizes compare
+ * by their bits, so +0.0 never shares an id with -0.0. Open addressing
+ * with linear probing, sized up front for the call's op count so it
+ * never rehashes and stays at most half full: a lookup costs the same
+ * whether a call holds three distinct collectives (a transformer
+ * stack) or one per op (a parsed workload whose every size differs).
+ */
+class CollectiveIndex
+{
+  public:
+    /** An index for at most @p max_keys distinct keys. */
+    explicit CollectiveIndex(std::size_t max_keys)
+    {
+        slots_.assign(std::bit_ceil(2 * max_keys + 2), 0);
+        keys_.reserve(max_keys);
+    }
+
+    /** @p op's id, and whether its key is new to this index. */
+    std::pair<std::uint32_t, bool>
+    insert(const CommOp& op)
+    {
+        const Key key{std::bit_cast<std::uint64_t>(op.size), op.type,
+                      op.scope};
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = hashOf(key) & mask;; i = (i + 1) & mask) {
+            if (slots_[i] == 0) {
+                keys_.push_back(key);
+                slots_[i] = static_cast<std::uint32_t>(keys_.size());
+                return {slots_[i] - 1, true};
+            }
+            if (keys_[slots_[i] - 1] == key)
+                return {slots_[i] - 1, false};
+        }
+    }
+
+  private:
+    struct Key
+    {
+        std::uint64_t bits = 0;
+        CollectiveType type = CollectiveType::AllReduce;
+        CommScope scope = CommScope::Tp;
+        bool operator==(const Key&) const = default;
+    };
+
+    static std::size_t
+    hashOf(const Key& key)
+    {
+        // MurmurHash3's 64-bit finalizer over the size bits offset by
+        // the (type, scope) tag.
+        std::uint64_t h =
+            key.bits + (static_cast<std::uint64_t>(key.type) * 8 +
+                        static_cast<std::uint64_t>(key.scope) + 1) *
+                           0x9e3779b97f4a7c15ULL;
+        h ^= h >> 33;
+        h *= 0xff51afd7ed558ccdULL;
+        h ^= h >> 33;
+        h *= 0xc4ceb9fe1a85ec53ULL;
+        h ^= h >> 33;
+        return static_cast<std::size_t>(h);
+    }
+
+    std::vector<Key> keys_;            ///< Indexed by id.
+    std::vector<std::uint32_t> slots_; ///< id + 1; 0 marks a free slot.
+};
+
+/** Collectives across all of @p w's phases: a bound on distinct keys. */
+std::size_t
+commOpCount(const Workload& w)
+{
+    std::size_t n = 0;
+    for (const auto& layer : w.layers)
+        n += layer.fwdComm.size() + layer.igComm.size() + layer.wgComm.size();
+    return n;
+}
+
 } // namespace
 
 /**
  * Within one estimate() or detail() call the bandwidth vector and each
- * scope's spans are fixed, and a registered backend's timing() is a
- * pure function of its arguments (core/timing_backend.hh). So every
- * op with the same (type, scope, size bits) gets the same timing:
- * time it once, then reuse it in the original op order. Layered
- * workloads repeat a handful of distinct collectives per call, so a
- * linear scan finds them; each miss costs a whole simulation.
+ * scope's spans are fixed, and every timing model is a pure function
+ * of its arguments (core/timing_backend.hh). So every op with the same
+ * exact key gets the same timing: time it once, then reuse it in the
+ * original op order. Entries live in flat arrays indexed by id and
+ * reserved for the call's op count, so they never regrow; the per-span
+ * times and traffic are kept only when the call fills a detail.
  */
 struct TrainingEstimator::CallTimings
 {
-    struct Entry
+    CallTimings(std::size_t max_keys, std::size_t dims, bool keep_spans)
+        : index(max_keys), keepSpans(keep_spans)
     {
-        CollectiveType type;
-        CommScope scope;
-        Bytes size;
-        CollectiveTiming timing;
-    };
-    std::vector<Entry> entries;
-
-    /** The timing of @p op; valid until the next get(). */
-    const CollectiveTiming&
-    get(const TrainingEstimator& est, const CommOp& op,
-        const std::vector<DimSpan>& spans, const BwConfig& bw)
-    {
-        for (const Entry& e : entries) {
-            if (e.type == op.type && e.scope == op.scope &&
-                std::memcmp(&e.size, &op.size, sizeof(Bytes)) == 0)
-                return e.timing;
+        time.reserve(max_keys);
+        if (keepSpans) {
+            spanAt.reserve(max_keys);
+            perSpan.reserve(2 * dims * max_keys);
         }
-        entries.push_back({op.type, op.scope, op.size,
-                           est.timingOf(op.type, op.size, spans, bw)});
-        return entries.back().timing;
     }
+
+    /** Store @p t as the next id's entry. */
+    void
+    add(const CollectiveTiming& t)
+    {
+        time.push_back(t.time);
+        if (!keepSpans)
+            return;
+        spanAt.push_back(static_cast<std::uint32_t>(perSpan.size()));
+        for (std::size_t s = 0; s < t.timePerDim.size(); ++s) {
+            perSpan.push_back(t.timePerDim[s]);
+            perSpan.push_back(t.trafficPerDim[s]);
+        }
+    }
+
+    CollectiveIndex index;
+    bool keepSpans;
+    std::vector<Seconds> time;         ///< Collective time, per id.
+    std::vector<std::uint32_t> spanAt; ///< Offset into perSpan, per id.
+    /** Per span of each entry, its (timePerDim, trafficPerDim) pair. */
+    std::vector<double> perSpan;
 };
 
 TrainingEstimator::TrainingEstimator(Network net, EstimatorOptions options)
@@ -116,17 +202,6 @@ TrainingEstimator::spansFor(const Parallelization& strategy,
     panic("unknown comm scope");
 }
 
-Seconds
-TrainingEstimator::commTime(const CommOp& op,
-                            const Parallelization& strategy,
-                            const BwConfig& bw) const
-{
-    auto spans = spansFor(strategy, op.scope);
-    if (spans.empty())
-        return 0.0;
-    return timingOf(op.type, op.size, spans, bw).time;
-}
-
 CollectiveTiming
 TrainingEstimator::timingOf(CollectiveType type, Bytes size,
                             const std::vector<DimSpan>& spans,
@@ -158,25 +233,24 @@ TrainingEstimator::commListTime(const std::vector<CommOp>& ops,
                                 const ScopeSpans& scopeSpans,
                                 const BwConfig& bw,
                                 EstimateDetail* detail,
-                                CallTimings* per_call) const
+                                CallTimings& timings) const
 {
     Seconds total = 0.0;
-    CollectiveTiming fresh;
     for (const auto& op : ops) {
         const auto& spans =
             scopeSpans[static_cast<std::size_t>(op.scope)];
         if (spans.empty())
             continue;
-        if (!per_call)
-            fresh = timingOf(op.type, op.size, spans, bw);
-        const CollectiveTiming& timing =
-            per_call ? per_call->get(*this, op, spans, bw) : fresh;
-        total += timing.time;
+        auto [id, fresh] = timings.index.insert(op);
+        if (fresh)
+            timings.add(timingOf(op.type, op.size, spans, bw));
+        total += timings.time[id];
         if (detail) {
+            const double* perSpan =
+                timings.perSpan.data() + timings.spanAt[id];
             for (std::size_t s = 0; s < spans.size(); ++s) {
-                detail->dimBusy[spans[s].dim] += timing.timePerDim[s];
-                detail->dimTraffic[spans[s].dim] +=
-                    timing.trafficPerDim[s];
+                detail->dimBusy[spans[s].dim] += perSpan[2 * s];
+                detail->dimTraffic[spans[s].dim] += perSpan[2 * s + 1];
             }
         }
     }
@@ -195,16 +269,15 @@ TrainingEstimator::walkLayers(const Workload& w, const BwConfig& bw,
     }
 
     ScopeSpans spans = spansForAll(w.strategy);
-    CallTimings perCall;
-    CallTimings* table = backend_ ? &perCall : nullptr;
+    CallTimings timings(commOpCount(w), net_.numDims(), detail != nullptr);
     Seconds total = 0.0;
     for (const auto& layer : w.layers) {
         Seconds fwdComm =
-            commListTime(layer.fwdComm, spans, bw, detail, table);
+            commListTime(layer.fwdComm, spans, bw, detail, timings);
         Seconds igComm =
-            commListTime(layer.igComm, spans, bw, detail, table);
+            commListTime(layer.igComm, spans, bw, detail, timings);
         Seconds wgComm =
-            commListTime(layer.wgComm, spans, bw, detail, table);
+            commListTime(layer.wgComm, spans, bw, detail, timings);
 
         total += layer.fwdCompute + fwdComm;
         Seconds exposedComm = 0.0;
@@ -241,7 +314,9 @@ TrainingEstimator::estimate(const Workload& w, const BwConfig& bw) const
 }
 
 void
-CompiledWorkload::buildSoA(const std::vector<CompiledLayer>& layers)
+CompiledWorkload::buildSoA(const std::vector<CompiledLayer>& layers,
+                           const std::vector<std::uint32_t>& op_ids,
+                           const std::vector<Op>& ops)
 {
     traffic_.clear();
     entryDim_.clear();
@@ -255,11 +330,14 @@ CompiledWorkload::buildSoA(const std::vector<CompiledLayer>& layers)
 
     // Single-span ops need no bottleneck max: pre-sum their traffic
     // per dimension. Only genuinely multi-span ops keep per-op extents.
-    auto flattenPhase = [&](const std::vector<Op>& ops,
-                            Bytes* singlesRow) {
+    auto phaseIds = [&](PhaseRange r) {
+        return std::span(op_ids).subspan(r.begin, r.end - r.begin);
+    };
+    auto flattenPhase = [&](PhaseRange ids, Bytes* singlesRow) {
         PhaseRange r;
         r.begin = static_cast<std::uint32_t>(opOffset_.size() - 1);
-        for (const auto& op : ops) {
+        for (std::uint32_t id : phaseIds(ids)) {
+            const Op& op = ops[id];
             if (op.size() == 1) {
                 singlesRow[op.front().first] += op.front().second;
                 continue;
@@ -281,12 +359,17 @@ CompiledWorkload::buildSoA(const std::vector<CompiledLayer>& layers)
         return std::bit_cast<std::uint64_t>(a) ==
                std::bit_cast<std::uint64_t>(b);
     };
-    auto sameOps = [&](const std::vector<Op>& a, const std::vector<Op>& b) {
-        return std::ranges::equal(a, b, [&](const Op& x, const Op& y) {
-            return std::ranges::equal(x, y, [&](auto& p, auto& q) {
-                return p.first == q.first && same(p.second, q.second);
+    auto sameOps = [&](PhaseRange a, PhaseRange b) {
+        return std::ranges::equal(
+            phaseIds(a), phaseIds(b), [&](std::uint32_t x, std::uint32_t y) {
+                return x == y ||
+                       std::ranges::equal(ops[x], ops[y],
+                                          [&](auto& p, auto& q) {
+                                              return p.first == q.first &&
+                                                     same(p.second,
+                                                          q.second);
+                                          });
             });
-        });
     };
     auto sameLayer = [&](const CompiledLayer& a, const CompiledLayer& b) {
         return same(a.fwdCompute, b.fwdCompute) &&
@@ -340,28 +423,36 @@ TrainingEstimator::compile(const Workload& w) const
     }
 
     ScopeSpans scopeSpans = spansForAll(w.strategy);
-    auto compileOps = [&](const std::vector<CommOp>& ops) {
-        std::vector<CompiledWorkload::Op> out;
-        for (const auto& op : ops) {
+    const BwConfig unitBw(net_.numDims(), 1.0);
+    CollectiveIndex index(commOpCount(w));
+    std::vector<CompiledWorkload::Op> ops; ///< One per distinct op.
+    std::vector<std::uint32_t> opIds;
+    auto compileOps = [&](const std::vector<CommOp>& list) {
+        CompiledWorkload::PhaseRange r;
+        r.begin = static_cast<std::uint32_t>(opIds.size());
+        for (const auto& op : list) {
             const auto& spans =
                 scopeSpans[static_cast<std::size_t>(op.scope)];
             if (spans.empty())
                 continue;
-            CollectiveTiming timing =
-                multiRailTime(op.type, op.size, spans,
-                              BwConfig(net_.numDims(), 1.0),
-                              options_.inNetworkCollectives);
-            CompiledWorkload::Op compiled;
-            for (std::size_t s = 0; s < spans.size(); ++s) {
-                // Fold the partial-span efficiency into the traffic so
-                // evaluation stays a plain traffic/BW division.
-                compiled.emplace_back(spans[s].dim,
-                                      timing.trafficPerDim[s] /
-                                          spans[s].efficiency);
+            auto [id, fresh] = index.insert(op);
+            if (fresh) {
+                CollectiveTiming timing =
+                    multiRailTime(op.type, op.size, spans, unitBw,
+                                  options_.inNetworkCollectives);
+                CompiledWorkload::Op& compiled = ops.emplace_back();
+                for (std::size_t s = 0; s < spans.size(); ++s) {
+                    // Fold the partial-span efficiency into the traffic
+                    // so evaluation stays a plain traffic/BW division.
+                    compiled.emplace_back(spans[s].dim,
+                                          timing.trafficPerDim[s] /
+                                              spans[s].efficiency);
+                }
             }
-            out.push_back(std::move(compiled));
+            opIds.push_back(id);
         }
-        return out;
+        r.end = static_cast<std::uint32_t>(opIds.size());
+        return r;
     };
 
     CompiledWorkload cw;
@@ -379,7 +470,7 @@ TrainingEstimator::compile(const Workload& w) const
         cl.wg = compileOps(layer.wgComm);
         layers.push_back(std::move(cl));
     }
-    cw.buildSoA(layers);
+    cw.buildSoA(layers, opIds, ops);
     return cw;
 }
 

@@ -171,20 +171,24 @@ class CompiledWorkload
     /** One collective resolved to (dimension, bytes) pairs. */
     using Op = std::vector<std::pair<std::size_t, Bytes>>;
 
-    /** One layer in nested form; compile() hands these to buildSoA. */
+    /** Half-open index range [begin, end) into an op list. */
+    struct PhaseRange
+    {
+        std::uint32_t begin = 0;
+        std::uint32_t end = 0;
+    };
+
+    /**
+     * One layer as compile() hands it to buildSoA: compute times and,
+     * per phase, a range into the call's op-id list (each id names one
+     * distinct resolved op).
+     */
     struct CompiledLayer
     {
         Seconds fwdCompute = 0.0;
         Seconds igCompute = 0.0;
         Seconds wgCompute = 0.0;
-        std::vector<Op> fwd, ig, wg;
-    };
-
-    /** Half-open multi-span-op range [begin, end) into opOffset_. */
-    struct PhaseRange
-    {
-        std::uint32_t begin = 0;
-        std::uint32_t end = 0;
+        PhaseRange fwd, ig, wg;
     };
 
     /**
@@ -204,11 +208,14 @@ class CompiledWorkload
     };
 
     /**
-     * Build the flat arrays from the nested @p layers, merging each
-     * run of consecutive layers whose compute times and ops match bit
-     * for bit into one LayerMeta.
+     * Build the flat arrays from @p layers, whose phase ranges index
+     * @p op_ids, whose ids index @p ops. Each run of consecutive
+     * layers whose compute times and ops match bit for bit becomes one
+     * LayerMeta.
      */
-    void buildSoA(const std::vector<CompiledLayer>& layers);
+    void buildSoA(const std::vector<CompiledLayer>& layers,
+                  const std::vector<std::uint32_t>& op_ids,
+                  const std::vector<Op>& ops);
 
     TrainingLoop loop_ = TrainingLoop::NoOverlap;
 
@@ -267,10 +274,6 @@ class TrainingEstimator
     using ScopeSpans = std::array<std::vector<DimSpan>, 4>;
     ScopeSpans spansForAll(const Parallelization& strategy) const;
 
-    /** Time of one collective op under @p bw. */
-    Seconds commTime(const CommOp& op, const Parallelization& strategy,
-                     const BwConfig& bw) const;
-
     /** End-to-end iteration time. */
     Seconds estimate(const Workload& w, const BwConfig& bw) const;
 
@@ -299,22 +302,25 @@ class TrainingEstimator
                               const BwConfig& bw) const;
 
     /**
-     * One estimate()/detail() call's table of registered-backend
-     * timings, so each distinct collective is timed once per call.
+     * One estimate()/detail() call's table of timings, keyed by each
+     * op's exact (type, scope, size bits), so every distinct
+     * collective is timed once per call under any timing model
+     * (compile() dedups the same way).
      */
     struct CallTimings;
 
     Seconds commListTime(const std::vector<CommOp>& ops,
                          const ScopeSpans& spans, const BwConfig& bw,
                          EstimateDetail* detail,
-                         CallTimings* per_call) const;
+                         CallTimings& timings) const;
 
     Network net_;
     EstimatorOptions options_;
 
     /**
      * Resolved non-default timing backend; nullptr for the default
-     * analytical model, so the historical hot path is untouched.
+     * analytical model. Either way each call times every distinct
+     * collective once through its CallTimings.
      */
     const TimingBackend* backend_ = nullptr;
 };

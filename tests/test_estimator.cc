@@ -306,13 +306,19 @@ TEST(Estimator, SpansForScopes)
 
 TEST(Estimator, CommTimeMatchesMultiRail)
 {
+    // A one-layer, one-op workload with no compute: its iteration
+    // time is that collective's time.
     Network net = topo::fourD4K();
     TrainingEstimator est(net);
-    Parallelization hp{128, 32};
     BwConfig bw = net.equalBw(400.0);
     CommOp op{CollectiveType::AllReduce, CommScope::Tp, 5e9};
-    auto spans = est.spansFor(hp, CommScope::Tp);
-    EXPECT_NEAR(est.commTime(op, hp, bw),
+    Workload w;
+    w.strategy = {128, 32};
+    Layer l;
+    l.fwdComm.push_back(op);
+    w.layers.push_back(l);
+    auto spans = est.spansFor(w.strategy, CommScope::Tp);
+    EXPECT_NEAR(est.estimate(w, bw),
                 multiRailTime(op.type, op.size, spans, bw).time, 1e-15);
 }
 
