@@ -1,6 +1,8 @@
 #include "sim/training_sim.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <unordered_map>
@@ -51,6 +53,36 @@ struct TimelineTotals
     Seconds makespan = 0.0;
     std::vector<Seconds> dimBusy;
 };
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/** Equal types, scopes and size bits, op for op. */
+bool
+sameOps(const std::vector<CommOp>& a, const std::vector<CommOp>& b)
+{
+    return std::ranges::equal(a, b, [](const CommOp& x, const CommOp& y) {
+        return x.type == y.type && x.scope == y.scope &&
+               sameBits(x.size, y.size);
+    });
+}
+
+/**
+ * Whether @p b builds exactly @p a's timeline jobs: the same
+ * collectives and the same weight-gradient compute, which is the DP
+ * jobs' release time under TpDpOverlap. Compared by bits, as
+ * timelineKey does, so a -0 size never stands in for a +0 one.
+ */
+bool
+sameJobs(const Layer& a, const Layer& b)
+{
+    return sameBits(a.wgCompute, b.wgCompute) &&
+           sameOps(a.fwdComm, b.fwdComm) && sameOps(a.igComm, b.igComm) &&
+           sameOps(a.wgComm, b.wgComm);
+}
 
 } // namespace
 
@@ -133,50 +165,77 @@ TrainingSim::simulate(const Workload& w, const BwConfig& bw) const
         return tl.makespan;
     };
 
-    auto runSequential = [&](const std::vector<CollectiveJob>& jobs) {
+    // The memo entries one layer's runs read, in run order: one per
+    // collective of a sequential phase, and the overlapped backward
+    // run (null when it has no jobs).
+    struct LayerRuns
+    {
+        std::vector<const TimelineTotals*> fwd, ig, wg;
+        const TimelineTotals* overlap = nullptr;
+    };
+    auto runEach = [&](const std::vector<CollectiveJob>& jobs,
+                       std::vector<const TimelineTotals*>& out) {
+        out.clear();
+        for (const auto& job : jobs)
+            out.push_back(&run({job}));
+    };
+    auto sequential = [&](const std::vector<const TimelineTotals*>& runs) {
         Seconds t = 0.0;
-        for (const auto& job : jobs) {
-            CollectiveJob j = job;
-            j.releaseTime = 0.0;
-            t += accumulate(run({j}));
-        }
+        for (const TimelineTotals* tl : runs)
+            t += accumulate(*tl);
         return t;
     };
 
+    // Consecutive layers that build the same jobs (a transformer
+    // stack) reuse the previous layer's memo entries in the same
+    // order, without rebuilding job lists or keys; the adds below run
+    // for every layer, so the sums are the same.
+    LayerRuns runs;
+    const Layer* prev = nullptr;
     for (const auto& layer : w.layers) {
+        if (!prev || !sameJobs(*prev, layer)) {
+            runEach(jobsFor(layer.fwdComm, w.strategy, 0.0), runs.fwd);
+            if (options_.loop == TrainingLoop::NoOverlap) {
+                runEach(jobsFor(layer.igComm, w.strategy, 0.0), runs.ig);
+                runEach(jobsFor(layer.wgComm, w.strategy, 0.0), runs.wg);
+            } else {
+                // TP comm starts when input-grad compute retires; DP
+                // comm waits for the weight-grad compute. Both share
+                // the fabric.
+                auto jobs = jobsFor(layer.igComm, w.strategy, 0.0);
+                auto wgJobs =
+                    jobsFor(layer.wgComm, w.strategy, layer.wgCompute);
+                jobs.insert(jobs.end(), wgJobs.begin(), wgJobs.end());
+                runs.overlap = jobs.empty() ? nullptr : &run(jobs);
+            }
+        }
+        prev = &layer;
+
         // Forward: compute then communication, always exclusive.
         result.total += layer.fwdCompute;
         result.computeTotal += layer.fwdCompute;
-        result.total +=
-            runSequential(jobsFor(layer.fwdComm, w.strategy, 0.0));
+        result.total += sequential(runs.fwd);
 
         switch (options_.loop) {
           case TrainingLoop::NoOverlap: {
             result.total += layer.igCompute;
             result.computeTotal += layer.igCompute;
-            result.total +=
-                runSequential(jobsFor(layer.igComm, w.strategy, 0.0));
+            result.total += sequential(runs.ig);
             result.total += layer.wgCompute;
             result.computeTotal += layer.wgCompute;
-            result.total +=
-                runSequential(jobsFor(layer.wgComm, w.strategy, 0.0));
+            result.total += sequential(runs.wg);
             break;
           }
           case TrainingLoop::TpDpOverlap: {
-            // TP comm starts when input-grad compute retires; DP comm
-            // waits for the weight-grad compute. Both share the fabric.
             result.total += layer.igCompute;
             result.computeTotal +=
                 layer.igCompute + layer.wgCompute;
-            auto jobs = jobsFor(layer.igComm, w.strategy, 0.0);
-            auto wgJobs =
-                jobsFor(layer.wgComm, w.strategy, layer.wgCompute);
-            jobs.insert(jobs.end(), wgJobs.begin(), wgJobs.end());
             Seconds tail;
-            if (jobs.empty()) {
+            if (!runs.overlap) {
                 tail = layer.wgCompute;
             } else {
-                tail = std::max(accumulate(run(jobs)), layer.wgCompute);
+                tail = std::max(accumulate(*runs.overlap),
+                                layer.wgCompute);
             }
             result.total += tail;
             break;

@@ -45,9 +45,12 @@ class TrainingSim
     TrainingSim(Network net, TrainingSimOptions options = {});
 
     /**
-     * Simulate one iteration of @p w under @p bw. Repeated layers
-     * replay their first timeline run from a per-call memo, so the
-     * cost scales with the workload's distinct layers.
+     * Simulate one iteration of @p w under @p bw. Repeated job lists
+     * replay their first timeline run from a per-call memo, and a
+     * layer whose collectives and weight-gradient compute equal the
+     * previous layer's bit for bit reuses that layer's memo entries
+     * without rebuilding its jobs, so the cost scales with the
+     * workload's distinct layers.
      */
     TrainingSimResult simulate(const Workload& w, const BwConfig& bw) const;
 

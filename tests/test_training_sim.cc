@@ -4,6 +4,9 @@
  * with the analytical estimator.
  */
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "collective/mapping.hh"
@@ -265,6 +268,69 @@ TEST(TrainingSimMemo, DistinctLayersMatchReplay)
     opt.loop = TrainingLoop::TpDpOverlap;
     expectMatchesReplay(net, opt, wl::resnet50(net.npus()),
                         BwConfig{150.0, 100.0, 50.0});
+}
+
+/**
+ * One layer with TP collectives forward and backward and a DP
+ * All-Reduce for the gradients, sized by @p scale.
+ */
+Layer
+memoLayer(double scale, Seconds wg_compute)
+{
+    Layer l;
+    l.fwdCompute = 1e-3;
+    l.igCompute = 2e-3;
+    l.wgCompute = wg_compute;
+    l.fwdComm = {{CollectiveType::AllReduce, CommScope::Tp, 4e7 * scale}};
+    l.igComm = {{CollectiveType::AllGather, CommScope::Tp, 2e7 * scale},
+                {CollectiveType::ReduceScatter, CommScope::Tp, 2e7 * scale}};
+    l.wgComm = {{CollectiveType::AllReduce, CommScope::Dp, 1e8 * scale}};
+    return l;
+}
+
+/** Both training loops on a 64-NPU 3D network must match the replay. */
+void
+expectBothLoopsMatchReplay(std::vector<Layer> layers)
+{
+    Network net = Network::parse("RI(4)_FC(4)_SW(4)");
+    Workload w;
+    w.name = "memo";
+    w.strategy = {4, 16};
+    w.layers = std::move(layers);
+    for (TrainingLoop loop :
+         {TrainingLoop::NoOverlap, TrainingLoop::TpDpOverlap}) {
+        SCOPED_TRACE(loop == TrainingLoop::NoOverlap ? "NoOverlap"
+                                                     : "TpDpOverlap");
+        TrainingSimOptions opt;
+        opt.loop = loop;
+        expectMatchesReplay(net, opt, w, BwConfig{120.0, 60.0, 30.0});
+    }
+}
+
+TEST(TrainingSimMemo, NonConsecutiveRepeatsMatchReplay)
+{
+    Layer a = memoLayer(1.0, 5e-4);
+    Layer b = memoLayer(3.0, 5e-4);
+    expectBothLoopsMatchReplay({a, a, b, a, a});
+}
+
+TEST(TrainingSimMemo, DifferentWeightGradComputeDoesNotReplay)
+{
+    // Equal collectives, but under TpDpOverlap the DP All-Reduce is
+    // released at wgCompute, so each layer's overlapped run differs.
+    Layer early = memoLayer(1.0, 1e-4);
+    Layer late = memoLayer(1.0, 4e-3);
+    expectBothLoopsMatchReplay({early, early, late, late, early});
+}
+
+TEST(TrainingSimMemo, LayerWithoutCollectivesMatchesReplay)
+{
+    Layer a = memoLayer(1.0, 5e-4);
+    Layer computeOnly;
+    computeOnly.fwdCompute = 3e-3;
+    computeOnly.igCompute = 1e-3;
+    computeOnly.wgCompute = 5e-4;
+    expectBothLoopsMatchReplay({a, computeOnly, computeOnly, a, a});
 }
 
 /** Parameterized: simulator tracks estimator across BW budgets. */
