@@ -48,8 +48,10 @@ struct MultistartOptions
 
     /**
      * Objective-evaluation budget per start, shared by that start's
-     * pipeline stages (see EvalBudget); it also caps the driver's
-     * final polish stage. 0 = unlimited: the strategies' own
+     * pipeline stages (see EvalBudget). It also caps the polls of the
+     * driver's final polish at N, but that polish scores its start
+     * point too and may finish the coordinate pair it began, so it
+     * can spend N + 2 evaluations. 0 = unlimited: the strategies' own
      * iteration caps bind first.
      */
     long long maxEvalsPerStart = 0;

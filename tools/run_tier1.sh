@@ -57,7 +57,9 @@
 #              scenario-matrix engine whose sweeps exercise
 #              runLibraSweep, the timing-backend layer, the
 #              explore layer whose prune rounds re-enter the sweep,
-#              and the QP/solver tests) under TSan.
+#              the QP/solver tests, and the estimator and training
+#              simulator, whose per-call timing tables and timeline
+#              memos live on each call's stack) under TSan.
 #   --asan     AddressSanitizer (+UBSan) build in build-asan/; runs the
 #              full suite.
 #   --ubsan    Standalone UndefinedBehaviorSanitizer build in
@@ -116,8 +118,10 @@ case "${MODE}" in
     # single-flight + socket server; docs/SERVE.md), and the shard
     # layer (worker pool, point wire codec; docs/SHARDING.md), and the
     # solver layer whose projections and polls run on pool threads,
-    # each with its own per-call workspace.
-    CTEST_EXTRA+=(-R 'test_thread_pool|test_parallel_determinism|test_study_engine|test_timing_backend|test_sim_crossval|test_explore|test_cache_faults|test_cache_concurrency|test_serve|test_objective_kernels|test_shard|test_point_wire|test_qp|test_solvers')
+    # each with its own per-call workspace, and the estimator and
+    # training simulator, whose per-call timing tables and timeline
+    # memos must stay per call.
+    CTEST_EXTRA+=(-R 'test_thread_pool|test_parallel_determinism|test_study_engine|test_timing_backend|test_sim_crossval|test_explore|test_cache_faults|test_cache_concurrency|test_serve|test_objective_kernels|test_shard|test_point_wire|test_qp|test_solvers|test_estimator|test_training_sim')
     ;;
   asan)
     BUILD_DIR="build-asan"
