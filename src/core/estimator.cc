@@ -425,7 +425,7 @@ TrainingEstimator::compile(const Workload& w) const
     ScopeSpans scopeSpans = spansForAll(w.strategy);
     const BwConfig unitBw(net_.numDims(), 1.0);
     CollectiveIndex index(commOpCount(w));
-    std::vector<CompiledWorkload::Op> ops; ///< One per distinct op.
+    std::vector<CompiledWorkload::Op> ops; // One per id.
     std::vector<std::uint32_t> opIds;
     auto compileOps = [&](const std::vector<CommOp>& list) {
         CompiledWorkload::PhaseRange r;
