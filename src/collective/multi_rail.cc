@@ -6,24 +6,6 @@
 
 namespace libra {
 
-std::string
-collectiveTypeName(CollectiveType t)
-{
-    switch (t) {
-      case CollectiveType::AllReduce:
-        return "All-Reduce";
-      case CollectiveType::ReduceScatter:
-        return "Reduce-Scatter";
-      case CollectiveType::AllGather:
-        return "All-Gather";
-      case CollectiveType::AllToAll:
-        return "All-to-All";
-      case CollectiveType::PointToPoint:
-        return "Point-to-Point";
-    }
-    panic("unknown collective type");
-}
-
 std::vector<Bytes>
 multiRailTraffic(CollectiveType type, Bytes size,
                  const std::vector<DimSpan>& spans)
@@ -93,16 +75,6 @@ multiRailTime(CollectiveType type, Bytes size,
         static_cast<std::size_t>(it - timing.timePerDim.begin());
     timing.time = *it;
     return timing;
-}
-
-Bytes
-totalTraffic(CollectiveType type, Bytes size,
-             const std::vector<DimSpan>& spans)
-{
-    Bytes total = 0.0;
-    for (Bytes t : multiRailTraffic(type, size, spans))
-        total += t;
-    return total;
 }
 
 } // namespace libra

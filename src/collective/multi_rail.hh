@@ -22,7 +22,6 @@
 #ifndef LIBRA_COLLECTIVE_MULTI_RAIL_HH
 #define LIBRA_COLLECTIVE_MULTI_RAIL_HH
 
-#include <string>
 #include <vector>
 
 #include "collective/mapping.hh"
@@ -46,9 +45,6 @@ enum class CollectiveType
     AllToAll,
     PointToPoint,
 };
-
-/** Human-readable collective name. */
-std::string collectiveTypeName(CollectiveType t);
 
 /** Timing detail of one collective under a bandwidth configuration. */
 struct CollectiveTiming
@@ -83,13 +79,6 @@ CollectiveTiming multiRailTime(CollectiveType type, Bytes size,
                                const std::vector<DimSpan>& spans,
                                const BwConfig& bw,
                                bool in_network = false);
-
-/**
- * Total bytes moved per NPU (sum over dims) — the "communication size"
- * metric of paper Fig. 1.
- */
-Bytes totalTraffic(CollectiveType type, Bytes size,
-                   const std::vector<DimSpan>& spans);
 
 } // namespace libra
 

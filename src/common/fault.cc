@@ -60,12 +60,6 @@ mixDraw(std::uint64_t seed, int site, std::uint64_t key)
 
 } // namespace
 
-const char*
-faultSiteName(FaultSite site)
-{
-    return kSiteNames[static_cast<int>(site)];
-}
-
 std::vector<std::string>
 faultSiteNames()
 {

@@ -49,9 +49,6 @@ enum class FaultSite : int {
 
 inline constexpr int kNumFaultSites = 5;
 
-/** Stable spec name of @p site (e.g. "cache-load-read"). */
-const char* faultSiteName(FaultSite site);
-
 /** All site names in enum order (spec grammar, error messages). */
 std::vector<std::string> faultSiteNames();
 

@@ -29,15 +29,6 @@ Rng::normal()
 }
 
 std::vector<double>
-Rng::uniformVec(std::size_t n, double lo, double hi)
-{
-    std::vector<double> v(n);
-    for (auto& x : v)
-        x = uniform(lo, hi);
-    return v;
-}
-
-std::vector<double>
 Rng::simplexPoint(std::size_t n, double total)
 {
     // Exponential spacings normalized to the simplex give a uniform

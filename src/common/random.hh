@@ -29,9 +29,6 @@ class Rng
     /** Standard normal draw (CMA-ES sampling). */
     double normal();
 
-    /** Vector of n uniform draws in [lo, hi). */
-    std::vector<double> uniformVec(std::size_t n, double lo, double hi);
-
     /** Point on the positive simplex scaled to sum to @p total. */
     std::vector<double> simplexPoint(std::size_t n, double total);
 

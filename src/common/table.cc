@@ -70,21 +70,4 @@ Table::print(std::ostream& os) const
         emit(r);
 }
 
-void
-Table::printCsv(std::ostream& os) const
-{
-    auto emit = [&os](const std::vector<std::string>& cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (i)
-                os << ',';
-            os << cells[i];
-        }
-        os << '\n';
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto& r : rows_)
-        emit(r);
-}
-
 } // namespace libra

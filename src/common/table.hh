@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal fixed-width table printer used by the benchmark harness to emit
- * paper-style rows/series on stdout, plus a CSV writer for plotting.
+ * paper-style rows/series on stdout.
  */
 
 #ifndef LIBRA_COMMON_TABLE_HH
@@ -30,9 +30,6 @@ class Table
 
     /** Render the table to @p os. */
     void print(std::ostream& os) const;
-
-    /** Render the table as comma-separated values. */
-    void printCsv(std::ostream& os) const;
 
   private:
     std::string title_;

@@ -233,10 +233,4 @@ ThreadPool::setGlobalThreads(std::size_t threads)
     gGlobalPool = std::make_unique<ThreadPool>(want);
 }
 
-std::size_t
-ThreadPool::globalThreadCount()
-{
-    return global().threadCount();
-}
-
 } // namespace libra

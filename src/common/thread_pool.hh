@@ -97,9 +97,6 @@ class ThreadPool
      */
     static void setGlobalThreads(std::size_t threads);
 
-    /** Parallelism degree of the global pool. */
-    static std::size_t globalThreadCount();
-
   private:
     struct ForJob;
 

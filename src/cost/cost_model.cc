@@ -7,6 +7,29 @@
 
 namespace libra {
 
+namespace {
+
+/** The components a dimension buys beyond its links. */
+struct BoughtParts
+{
+    bool switches = false; ///< switchLevels layers of switch ports.
+    bool nic = false;
+};
+
+BoughtParts
+boughtParts(const NetworkDim& dim)
+{
+    // Chiplets are always connected peer-to-peer (paper §IV-D), so a
+    // switch never appears at Chiplet level even for SW-notation dims.
+    // A hierarchy within the dimension (Fig. 4b) buys one layer of
+    // switch ports per level without adding parallel connectivity.
+    // Only Pod-level dimensions leave the node through a NIC.
+    return {needsSwitch(dim.type) && dim.level != PhysicalLevel::Chiplet,
+            dim.level == PhysicalLevel::Pod};
+}
+
+} // namespace
+
 CostModel
 CostModel::defaultModel()
 {
@@ -41,14 +64,11 @@ double
 CostModel::dollarPerGBps(const NetworkDim& dim) const
 {
     ComponentCost c = levelCost(dim.level);
+    BoughtParts parts = boughtParts(dim);
     double rate = c.link;
-    // Chiplets are always connected peer-to-peer (paper §IV-D), so a
-    // switch never appears at Chiplet level even for SW-notation dims.
-    // A hierarchy within the dimension (Fig. 4b) buys one layer of
-    // switch ports per level without adding parallel connectivity.
-    if (needsSwitch(dim.type) && dim.level != PhysicalLevel::Chiplet)
+    if (parts.switches)
         rate += c.switch_ * dim.switchLevels;
-    if (dim.level == PhysicalLevel::Pod)
+    if (parts.nic)
         rate += c.nic;
     return rate;
 }
@@ -74,13 +94,14 @@ CostModel::breakdown(const Network& net, const BwConfig& bw) const
     for (std::size_t i = 0; i < net.numDims(); ++i) {
         const NetworkDim& d = net.dim(i);
         ComponentCost c = levelCost(d.level);
+        BoughtParts parts = boughtParts(d);
         DimCostBreakdown b;
         b.dim = i;
         b.level = d.level;
         b.linkCost = c.link * bw[i] * npus;
-        if (needsSwitch(d.type) && d.level != PhysicalLevel::Chiplet)
+        if (parts.switches)
             b.switchCost = c.switch_ * d.switchLevels * bw[i] * npus;
-        if (d.level == PhysicalLevel::Pod)
+        if (parts.nic)
             b.nicCost = c.nic * bw[i] * npus;
         out.push_back(b);
     }

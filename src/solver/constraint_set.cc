@@ -61,16 +61,6 @@ ConstraintSet::addLowerBounds(double lo)
     }
 }
 
-void
-ConstraintSet::addUpperBound(std::size_t idx, double hi)
-{
-    if (idx >= numVars_)
-        fatal("upper bound on B", idx + 1, " but only ", numVars_, " dims");
-    Vec c(numVars_, 0.0);
-    c[idx] = 1.0;
-    add(c, Relation::Le, hi, "ub-B" + std::to_string(idx + 1));
-}
-
 namespace {
 
 /** Linear expression: coefficient per variable plus a constant. */

@@ -74,9 +74,6 @@ class ConstraintSet
     /** Every variable >= lo (BW cannot be negative or zero). */
     void addLowerBounds(double lo);
 
-    /** Cap one variable: B[idx] <= hi. */
-    void addUpperBound(std::size_t idx, double hi);
-
     const std::vector<LinearConstraint>& constraints() const
     {
         return constraints_;

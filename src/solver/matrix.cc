@@ -22,15 +22,6 @@ norm(const Vec& a)
     return std::sqrt(dot(a, a));
 }
 
-double
-normInf(const Vec& a)
-{
-    double m = 0.0;
-    for (double x : a)
-        m = std::max(m, std::abs(x));
-    return m;
-}
-
 Vec
 axpy(const Vec& a, double s, const Vec& b)
 {
@@ -71,17 +62,6 @@ Matrix::identity(std::size_t n)
     return m;
 }
 
-void
-Matrix::appendRow(const Vec& row)
-{
-    if (rows_ == 0 && cols_ == 0)
-        cols_ = row.size();
-    if (row.size() != cols_)
-        panic("appendRow width ", row.size(), " != ", cols_);
-    data_.insert(data_.end(), row.begin(), row.end());
-    ++rows_;
-}
-
 Vec
 Matrix::mul(const Vec& x) const
 {
@@ -89,16 +69,6 @@ Matrix::mul(const Vec& x) const
     for (std::size_t i = 0; i < rows_; ++i)
         for (std::size_t j = 0; j < cols_; ++j)
             r[i] += at(i, j) * x[j];
-    return r;
-}
-
-Vec
-Matrix::mulTransposed(const Vec& x) const
-{
-    Vec r(cols_, 0.0);
-    for (std::size_t i = 0; i < rows_; ++i)
-        for (std::size_t j = 0; j < cols_; ++j)
-            r[j] += at(i, j) * x[i];
     return r;
 }
 

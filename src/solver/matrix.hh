@@ -1,6 +1,6 @@
 /**
  * @file
- * Small dense linear-algebra kernel backing the QP solver.
+ * Small dense linear-algebra kernel backing the projection and CMA-ES.
  *
  * LIBRA's optimization problems are tiny (a handful of network dimensions
  * plus a handful of constraints), so a straightforward row-major matrix
@@ -24,9 +24,6 @@ double dot(const Vec& a, const Vec& b);
 
 /** Euclidean norm. */
 double norm(const Vec& a);
-
-/** Infinity norm. */
-double normInf(const Vec& a);
 
 /** a + s*b, elementwise. */
 Vec axpy(const Vec& a, double s, const Vec& b);
@@ -62,14 +59,8 @@ class Matrix
     double* data() { return data_.data(); }
     const double* data() const { return data_.data(); }
 
-    /** Append a row; the matrix must be empty or have matching width. */
-    void appendRow(const Vec& row);
-
     /** Matrix-vector product. */
     Vec mul(const Vec& x) const;
-
-    /** Transposed matrix-vector product. */
-    Vec mulTransposed(const Vec& x) const;
 
     /** Matrix-matrix product. */
     Matrix mul(const Matrix& other) const;
@@ -101,7 +92,7 @@ class Matrix
 /**
  * Solve the row-major n x n system a x = b in place by LU with partial
  * pivoting: @p a is overwritten by its factors and @p b by the solution.
- * Matrix::solve runs this on copies; the QP solver on its workspace.
+ * Matrix::solve runs this on copies; the projection on its workspace.
  *
  * @return false when the matrix is numerically singular (both arrays
  *         then hold a partial elimination).

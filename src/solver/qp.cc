@@ -12,6 +12,10 @@ namespace libra {
 
 namespace {
 
+/** Working-set tolerance and iteration cap of the active-set method. */
+constexpr double kTol = 1e-9;
+constexpr int kMaxIterations = 200;
+
 /**
  * Row-major views of min 1/2 x'Qx + c'x s.t. A x = b, G x <= h. The
  * iterations start feasible and keep A x fixed, so b is never read.
@@ -136,20 +140,18 @@ assembleKkt(const QpView& qp, const double* x, const std::size_t* working,
 }
 
 /**
- * Primal active-set iterations from the feasible point @p x (updated in
- * place). Records the iteration count and convergence in @p result.
+ * Primal active-set iterations from the feasible point @p x, updated in
+ * place.
  *
  * @return true when an iteration stepped x (even by alpha = 0); false
  *         means x was never written.
  */
 bool
-runActiveSet(const QpView& qp, const QpOptions& options, double* x,
-             QpWorkspace& ws, QpResult* result)
+runActiveSet(const QpView& qp, double* x, QpWorkspace& ws)
 {
     const std::size_t n = qp.n;
     const std::size_t me = qp.me;
     const std::size_t dimMax = n + me + qp.mi;
-    const double tol = options.tol;
     double* k = ws.take(dimMax * dimMax);
     double* z = ws.take(dimMax);
     const double* p = z;
@@ -163,8 +165,7 @@ runActiveSet(const QpView& qp, const QpOptions& options, double* x,
             working[mw++] = r;
     }
 
-    for (int iter = 0; iter < options.maxIterations; ++iter) {
-        result->iterations = iter + 1;
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
         // Step p and the working rows' multipliers mu.
         assembleKkt(qp, x, working, mw, k, z);
         const std::size_t dim = n + me + mw;
@@ -184,22 +185,20 @@ runActiveSet(const QpView& qp, const QpOptions& options, double* x,
         double pInf = 0.0;
         for (std::size_t i = 0; i < n; ++i)
             pInf = std::max(pInf, std::abs(p[i]));
-        if (pInf <= tol) {
+        if (pInf <= kTol) {
             // Stationary on the working set; check dual feasibility.
             double muMin = 0.0;
             std::size_t drop = 0;
             bool found = false;
             for (std::size_t wi = 0; wi < mw; ++wi) {
-                if (mu[wi] < muMin - tol) {
+                if (mu[wi] < muMin - kTol) {
                     muMin = mu[wi];
                     drop = wi;
                     found = true;
                 }
             }
-            if (!found) {
-                result->converged = true;
+            if (!found)
                 break;
-            }
             std::copy(working + drop + 1, working + mw, working + drop);
             --mw;
             continue;
@@ -213,7 +212,7 @@ runActiveSet(const QpView& qp, const QpOptions& options, double* x,
                 continue;
             const double* row = qp.g + r * n;
             double gp = rowDot(row, p, n);
-            if (gp > tol) {
+            if (gp > kTol) {
                 double slack = qp.h[r] - rowDot(row, x, n);
                 double a = slack / gp;
                 if (a < alpha) {
@@ -233,27 +232,6 @@ runActiveSet(const QpView& qp, const QpOptions& options, double* x,
 }
 
 } // namespace
-
-QpSolver::QpSolver(Matrix q, Vec c, Matrix a_eq, Vec b_eq, Matrix g_le,
-                   Vec h_le, QpOptions options)
-    : q_(std::move(q)), c_(std::move(c)), aEq_(std::move(a_eq)),
-      bEq_(std::move(b_eq)), gLe_(std::move(g_le)), hLe_(std::move(h_le)),
-      options_(options)
-{}
-
-QpResult
-QpSolver::solve(const Vec& x0) const
-{
-    const QpView qp{c_.size(), aEq_.rows(), gLe_.rows(), q_.data(),
-                    c_.data(), aEq_.data(),  gLe_.data(), hLe_.data()};
-    QpWorkspace ws(activeSetDoubles(qp), qp.mi);
-    QpResult result;
-    result.x = x0;
-    runActiveSet(qp, options_, result.x.data(), ws, &result);
-    Vec qx = q_.mul(result.x);
-    result.objective = 0.5 * dot(result.x, qx) + dot(c_, result.x);
-    return result;
-}
 
 void
 projectOntoConstraints(const ConstraintSet& constraints, const Vec& point,
@@ -287,6 +265,9 @@ projectOntoConstraints(const ConstraintSet& constraints, const Vec& point,
     if (!(residual <= 1e-5))
         fatal("constraint set is infeasible (residual ", residual, ")");
 
+    // Q = I stays an explicit matrix: assembleKkt's Q x sums run over
+    // every entry, zero terms included, and the pinned outputs rely on
+    // exactly those sums.
     double* q = ws.take(n * n);
     std::fill(q, q + n * n, 0.0);
     for (std::size_t i = 0; i < n; ++i)
@@ -323,9 +304,7 @@ projectOntoConstraints(const ConstraintSet& constraints, const Vec& point,
     // bit, so the check could not change it.
     double* start = ws.take(n);
     std::copy(x.begin(), x.end(), start);
-    QpResult stats;
-    if (runActiveSet(qp, QpOptions{}, x.data(), ws, &stats) &&
-        !constraints.feasible(x, 1e-6))
+    if (runActiveSet(qp, x.data(), ws) && !constraints.feasible(x, 1e-6))
         std::copy(start, start + n, x.begin());
 }
 

@@ -1,5 +1,7 @@
 #include "study/scenario.hh"
 
+#include <set>
+
 #include "common/logging.hh"
 
 namespace libra {
@@ -31,15 +33,21 @@ std::vector<std::string>
 expandScenarioGroups(const std::vector<std::string>& names)
 {
     std::vector<std::string> out;
+    std::set<std::string> seen;
+    auto push = [&](const std::string& name) {
+        if (!seen.insert(name).second)
+            fatal("scenario '", name, "' is listed more than once");
+        out.push_back(name);
+    };
     for (const auto& name : names) {
         if (name == "all") {
             for (const auto& n : ScenarioRegistry::global().names())
-                out.push_back(n);
+                push(n);
         } else if (name == "golden") {
             for (const auto& n : goldenScenarioNames())
-                out.push_back(n);
+                push(n);
         } else {
-            out.push_back(name);
+            push(name);
         }
     }
     return out;

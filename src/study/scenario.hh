@@ -146,6 +146,8 @@ const std::vector<std::string>& goldenScenarioNames();
  * anything else passes through verbatim (validation happens in
  * runScenarioMatrix). Shared by the CLI and the serve protocol so a
  * served request resolves groups exactly like the one-shot command.
+ * @throws FatalError naming the first scenario that appears twice
+ *         after expansion, so a request cannot multiply its own work.
  */
 std::vector<std::string>
 expandScenarioGroups(const std::vector<std::string>& names);

@@ -18,20 +18,6 @@ unitTopologyToken(UnitTopology t)
     panic("unknown unit topology");
 }
 
-std::string
-unitTopologyName(UnitTopology t)
-{
-    switch (t) {
-      case UnitTopology::Ring:
-        return "Ring";
-      case UnitTopology::FullyConnected:
-        return "FullyConnected";
-      case UnitTopology::Switch:
-        return "Switch";
-    }
-    panic("unknown unit topology");
-}
-
 UnitTopology
 parseUnitTopology(const std::string& token)
 {
@@ -55,34 +41,6 @@ canonicalAlgorithm(UnitTopology t)
         return DimAlgorithm::Direct;
       case UnitTopology::Switch:
         return DimAlgorithm::HalvingDoubling;
-    }
-    panic("unknown unit topology");
-}
-
-std::string
-dimAlgorithmName(DimAlgorithm a)
-{
-    switch (a) {
-      case DimAlgorithm::Ring:
-        return "Ring";
-      case DimAlgorithm::Direct:
-        return "Direct";
-      case DimAlgorithm::HalvingDoubling:
-        return "HalvingDoubling";
-    }
-    panic("unknown dim algorithm");
-}
-
-int
-linksPerNpu(UnitTopology t, int size)
-{
-    switch (t) {
-      case UnitTopology::Ring:
-        return size > 2 ? 2 : (size - 1);
-      case UnitTopology::FullyConnected:
-        return size - 1;
-      case UnitTopology::Switch:
-        return 1; // Uplink to the switch.
     }
     panic("unknown unit topology");
 }

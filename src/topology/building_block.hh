@@ -24,9 +24,6 @@ enum class DimAlgorithm { Ring, Direct, HalvingDoubling };
 /** Two-letter token used in the network notation ("RI"/"FC"/"SW"). */
 std::string unitTopologyToken(UnitTopology t);
 
-/** Human-readable name ("Ring"/"FullyConnected"/"Switch"). */
-std::string unitTopologyName(UnitTopology t);
-
 /**
  * Parse a notation token into a unit topology.
  * @throws FatalError on unknown tokens.
@@ -35,15 +32,6 @@ UnitTopology parseUnitTopology(const std::string& token);
 
 /** Canonical contention-free algorithm for a unit topology (Fig. 7b). */
 DimAlgorithm canonicalAlgorithm(UnitTopology t);
-
-/** Human-readable algorithm name. */
-std::string dimAlgorithmName(DimAlgorithm a);
-
-/**
- * Number of point-to-point links each NPU owns inside one dimension of
- * @p size NPUs (0 for Switch, where NPUs connect through the switch).
- */
-int linksPerNpu(UnitTopology t, int size);
 
 /** True when the dimension needs a physical switch component. */
 bool needsSwitch(UnitTopology t);

@@ -163,16 +163,6 @@ Network::prefixProduct(std::size_t i) const
 }
 
 std::vector<int>
-Network::sizes() const
-{
-    std::vector<int> s;
-    s.reserve(dims_.size());
-    for (const auto& d : dims_)
-        s.push_back(d.size);
-    return s;
-}
-
-std::vector<int>
 Network::coordsOf(long npu) const
 {
     if (npu < 0 || npu >= npus())
@@ -183,20 +173,6 @@ Network::coordsOf(long npu) const
         npu /= dims_[i].size;
     }
     return coords;
-}
-
-long
-Network::npuOf(const std::vector<int>& coords) const
-{
-    if (coords.size() != dims_.size())
-        panic("coordinate rank ", coords.size(), " != ", dims_.size());
-    long id = 0;
-    for (std::size_t i = dims_.size(); i-- > 0;) {
-        if (coords[i] < 0 || coords[i] >= dims_[i].size)
-            panic("coordinate ", coords[i], " out of range in dim ", i);
-        id = id * dims_[i].size + coords[i];
-    }
-    return id;
 }
 
 BwConfig

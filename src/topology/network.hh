@@ -79,17 +79,11 @@ class Network
     /** Product of dimension sizes 0..i-1 (prefix product, p0 = 1). */
     long prefixProduct(std::size_t i) const;
 
-    /** Dimension sizes as a vector. */
-    std::vector<int> sizes() const;
-
     /**
      * NPU id -> mixed-radix coordinate, dim 0 fastest-varying
      * (matches Fig. 8: consecutive ids are neighbours in dim 1).
      */
     std::vector<int> coordsOf(long npu) const;
-
-    /** Mixed-radix coordinate -> NPU id. */
-    long npuOf(const std::vector<int>& coords) const;
 
     /** EqualBW baseline: @p total split equally across dimensions. */
     BwConfig equalBw(double total) const;

@@ -191,16 +191,6 @@ TEST(Table, AlignedOutput)
     EXPECT_NE(s.find("xx"), std::string::npos);
 }
 
-TEST(Table, CsvOutput)
-{
-    Table t;
-    t.header({"x", "y"});
-    t.row({"1", "2"});
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "x,y\n1,2\n");
-}
-
 TEST(Table, NumFormatting)
 {
     EXPECT_EQ(Table::num(1.23456, 2), "1.23");

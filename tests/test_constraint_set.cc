@@ -34,10 +34,9 @@ TEST(ConstraintSet, ViolationMagnitude)
 TEST(ConstraintSet, UpperBound)
 {
     ConstraintSet cs(4);
-    cs.addUpperBound(3, 50.0);
+    cs.add({0.0, 0.0, 0.0, 1.0}, Relation::Le, 50.0, "ub-B4");
     EXPECT_TRUE(cs.feasible({0, 0, 0, 50.0}));
     EXPECT_FALSE(cs.feasible({0, 0, 0, 50.1}));
-    EXPECT_THROW(cs.addUpperBound(7, 1.0), FatalError);
 }
 
 TEST(ConstraintParser, SimpleLe)

@@ -17,7 +17,6 @@ TEST(VecOps, DotNormAxpy)
     Vec b{4.0, 5.0, 6.0};
     EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
     EXPECT_DOUBLE_EQ(norm(Vec{3.0, 4.0}), 5.0);
-    EXPECT_DOUBLE_EQ(normInf(Vec{-7.0, 2.0}), 7.0);
 
     Vec r = axpy(a, 2.0, b);
     EXPECT_DOUBLE_EQ(r[0], 9.0);
@@ -126,20 +125,6 @@ TEST(Matrix, MulAndTranspose)
     EXPECT_EQ(at.rows(), 3u);
     EXPECT_EQ(at.cols(), 2u);
     EXPECT_DOUBLE_EQ(at.at(2, 1), a.at(1, 2));
-
-    Vec z = a.mulTransposed({1.0, 1.0});
-    EXPECT_DOUBLE_EQ(z[0], 5.0);
-    EXPECT_DOUBLE_EQ(z[2], 9.0);
-}
-
-TEST(Matrix, AppendRow)
-{
-    Matrix m;
-    m.appendRow({1.0, 2.0});
-    m.appendRow({3.0, 4.0});
-    EXPECT_EQ(m.rows(), 2u);
-    EXPECT_EQ(m.cols(), 2u);
-    EXPECT_DOUBLE_EQ(m.at(1, 0), 3.0);
 }
 
 TEST(Matrix, MatrixMatrixProduct)
@@ -174,7 +159,9 @@ TEST_P(MatrixRandomSolve, SolvesRandomSpdSystem)
         a.at(static_cast<std::size_t>(i), static_cast<std::size_t>(i)) +=
             n;
 
-    Vec want = rng.uniformVec(n, -10, 10);
+    Vec want(n);
+    for (double& v : want)
+        v = rng.uniform(-10, 10);
     Vec b = a.mul(want);
     bool ok = false;
     Vec got = a.solve(b, &ok);

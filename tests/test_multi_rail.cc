@@ -142,21 +142,6 @@ TEST(MultiRail, NonPositiveBwThrows)
         FatalError);
 }
 
-TEST(MultiRail, TotalTrafficSums)
-{
-    auto spans = spans2D(4, 8);
-    auto per = multiRailTraffic(CollectiveType::AllReduce, kM, spans);
-    EXPECT_NEAR(totalTraffic(CollectiveType::AllReduce, kM, spans),
-                per[0] + per[1], 1e-6);
-}
-
-TEST(MultiRail, NamesResolve)
-{
-    EXPECT_EQ(collectiveTypeName(CollectiveType::AllReduce),
-              "All-Reduce");
-    EXPECT_EQ(collectiveTypeName(CollectiveType::AllToAll), "All-to-All");
-}
-
 /**
  * Property: more chunks of reduction (bigger prefix) never increases
  * traffic on outer dims, and scaling every BW scales time inversely.

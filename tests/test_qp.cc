@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the active-set QP solver and the projection utilities.
+ * Tests for the feasibility sweeps and the Euclidean projection.
  */
 
 #include <gtest/gtest.h>
@@ -44,55 +44,6 @@ TEST(FindFeasible, EqualityChain)
     EXPECT_LE(residual, 1e-8);
 }
 
-TEST(QpSolver, UnconstrainedMinimum)
-{
-    // min 1/2 x'Ix - [1,2].x -> x = (1, 2).
-    QpSolver qp(Matrix::identity(2), {-1.0, -2.0}, Matrix(), Vec(),
-                Matrix(), Vec());
-    QpResult r = qp.solve({0.0, 0.0});
-    EXPECT_TRUE(r.converged);
-    EXPECT_NEAR(r.x[0], 1.0, 1e-8);
-    EXPECT_NEAR(r.x[1], 2.0, 1e-8);
-}
-
-TEST(QpSolver, EqualityConstrained)
-{
-    // min 1/2||x||^2 s.t. x0 + x1 = 2 -> x = (1, 1).
-    Matrix a;
-    a.appendRow({1.0, 1.0});
-    QpSolver qp(Matrix::identity(2), {0.0, 0.0}, a, {2.0}, Matrix(),
-                Vec());
-    QpResult r = qp.solve({2.0, 0.0});
-    EXPECT_TRUE(r.converged);
-    EXPECT_NEAR(r.x[0], 1.0, 1e-8);
-    EXPECT_NEAR(r.x[1], 1.0, 1e-8);
-}
-
-TEST(QpSolver, ActiveInequality)
-{
-    // min 1/2||x - (3,0)||^2 s.t. x0 <= 1 -> x = (1, 0).
-    Matrix g;
-    g.appendRow({1.0, 0.0});
-    QpSolver qp(Matrix::identity(2), {-3.0, 0.0}, Matrix(), Vec(), g,
-                {1.0});
-    QpResult r = qp.solve({0.0, 0.0});
-    EXPECT_TRUE(r.converged);
-    EXPECT_NEAR(r.x[0], 1.0, 1e-7);
-    EXPECT_NEAR(r.x[1], 0.0, 1e-7);
-}
-
-TEST(QpSolver, InactiveInequalityIgnored)
-{
-    // Same but the cap is not binding -> unconstrained optimum.
-    Matrix g;
-    g.appendRow({1.0, 0.0});
-    QpSolver qp(Matrix::identity(2), {-3.0, 0.0}, Matrix(), Vec(), g,
-                {10.0});
-    QpResult r = qp.solve({0.0, 0.0});
-    EXPECT_TRUE(r.converged);
-    EXPECT_NEAR(r.x[0], 3.0, 1e-7);
-}
-
 TEST(Projection, InteriorPointUnchanged)
 {
     ConstraintSet cs(2);
@@ -115,6 +66,38 @@ TEST(Projection, OntoSimplexKnownAnswer)
     Vec p = projectOntoConstraints(cs, {2.0, 0.0});
     EXPECT_NEAR(p[0], 1.0, 1e-6);
     EXPECT_NEAR(p[1], 0.0, 1e-6);
+}
+
+TEST(Projection, EqualityRowKnownAnswer)
+{
+    // min ||x||^2 s.t. x0 + x1 = 2 -> x = (1, 1).
+    ConstraintSet cs(2);
+    cs.add({1.0, 1.0}, Relation::Eq, 2.0, "sum");
+    Vec p = projectOntoConstraints(cs, {0.0, 0.0});
+    EXPECT_NEAR(p[0], 1.0, 1e-8);
+    EXPECT_NEAR(p[1], 1.0, 1e-8);
+}
+
+TEST(Projection, ActiveInequalityKnownAnswer)
+{
+    // min ||x - (3, 0)||^2 s.t. x0 <= 1 -> x = (1, 0).
+    ConstraintSet cs(2);
+    cs.add({1.0, 0.0}, Relation::Le, 1.0, "cap");
+    Vec p = projectOntoConstraints(cs, {3.0, 0.0});
+    EXPECT_NEAR(p[0], 1.0, 1e-7);
+    EXPECT_NEAR(p[1], 0.0, 1e-7);
+}
+
+TEST(Projection, EqualityWithActiveInequalityKnownAnswer)
+{
+    // On the line x0 + x1 = 2 the nearest point to (3, 0) is (2.5,
+    // -0.5); the cap x0 <= 1 binds and moves it to the vertex (1, 1).
+    ConstraintSet cs(2);
+    cs.add({1.0, 1.0}, Relation::Eq, 2.0, "sum");
+    cs.add({1.0, 0.0}, Relation::Le, 1.0, "cap");
+    Vec p = projectOntoConstraints(cs, {3.0, 0.0});
+    EXPECT_NEAR(p[0], 1.0, 1e-7);
+    EXPECT_NEAR(p[1], 1.0, 1e-7);
 }
 
 TEST(Projection, Idempotent)
@@ -150,9 +133,11 @@ TEST_P(ProjectionProperty, ClosestAmongSamples)
     ConstraintSet cs(4);
     cs.addTotalBw(100.0);
     cs.addLowerBounds(0.1);
-    cs.addUpperBound(0, 60.0);
+    cs.add({1.0, 0.0, 0.0, 0.0}, Relation::Le, 60.0, "ub-B1");
 
-    Vec q = rng.uniformVec(4, -50.0, 150.0);
+    Vec q(4);
+    for (double& v : q)
+        v = rng.uniform(-50.0, 150.0);
     Vec p = projectOntoConstraints(cs, q);
     ASSERT_LE(cs.maxViolation(p), 1e-5);
     double dp = norm(sub(p, q));
@@ -257,8 +242,11 @@ projectionCorpus()
         ConstraintSet cs(16);
         cs.addTotalBw(1600.0);
         cs.addLowerBounds(1.0);
-        for (std::size_t i = 0; i < 16; i += 3)
-            cs.addUpperBound(i, 80.0 + static_cast<double>(i));
+        for (std::size_t i = 0; i < 16; i += 3) {
+            Vec row(16, 0.0);
+            row[i] = 1.0;
+            cs.add(row, Relation::Le, 80.0 + static_cast<double>(i), "ub");
+        }
         Vec point(16);
         for (std::size_t i = 0; i < 16; ++i)
             point[i] = 100.0 * static_cast<double>((i * 7) % 5) - 50.5;
@@ -366,34 +354,6 @@ TEST(ProjectionCorpus, RandomSweepDigestIsBitExact)
         }
     }
     EXPECT_EQ(h, 0xf64fd208c2a40ff6ull) << std::hex << h;
-}
-
-/**
- * QpSolver on explicit matrices (a non-identity Q, an equality row and
- * two inequalities) runs the projection's active-set routine; its
- * iterate and objective bits are pinned too.
- */
-TEST(ProjectionCorpus, GeneralQpIsBitExact)
-{
-    Matrix q(3, 3);
-    q.at(0, 0) = 2.0;
-    q.at(0, 1) = q.at(1, 0) = 0.5;
-    q.at(1, 1) = 1.5;
-    q.at(2, 2) = 3.0;
-    q.at(1, 2) = q.at(2, 1) = -0.25;
-    Matrix a;
-    a.appendRow({1.0, 1.0, 1.0});
-    Matrix g;
-    g.appendRow({1.0, 0.0, 0.0});
-    g.appendRow({0.0, -1.0, 0.0});
-    QpSolver qp(q, {-7.0, 1.0, -2.0}, a, {3.0}, g, {0.5, 0.0});
-    QpResult r = qp.solve({0.5, 1.5, 1.0});
-    EXPECT_TRUE(r.converged);
-    EXPECT_EQ(r.iterations, 2) << r.iterations;
-    EXPECT_EQ(r.x, (Vec{0x1.ffffffffffffp-2, 0x1.f333333333334p-1,
-                        0x1.8666666666667p+0}))
-        << hexVec(r.x);
-    EXPECT_EQ(r.objective, -0x1.406666666665p+0) << hex(r.objective);
 }
 
 } // namespace

@@ -469,11 +469,27 @@ TEST(Serve, RequestErrorsAreIsolatedFromTheServer)
             << field;
     }
 
-    // The server survived all four and still answers correctly.
+    // A name listed twice once the groups expand: each copy would be
+    // built and emitted again, so it is refused by name.
+    const std::pair<const char*, const char*> repeats[] = {
+        {"[\"all\", \"all\"]", "scenario 'tbl1' is listed more than once"},
+        {"[\"golden\", \"fig10\"]",
+         "scenario 'fig10' is listed more than once"},
+    };
+    for (const auto& [names, needle] : repeats) {
+        ServeReply dup = serveRequest(
+            socket, std::string("{\"scenario\": ") + names + "}");
+        EXPECT_FALSE(dup.status.at("ok").asBool()) << names;
+        EXPECT_NE(dup.status.at("error").asString().find(needle),
+                  std::string::npos)
+            << dup.status.at("error").asString();
+    }
+
+    // The server survived all six and still answers correctly.
     ServeReply ok = serveRequest(socket, "{\"scenario\": \"tbl1\"}");
     EXPECT_TRUE(ok.status.at("ok").asBool());
     EXPECT_EQ(ok.payload, oneShotJson("tbl1"));
-    EXPECT_EQ(server.stats().errors, 4u);
+    EXPECT_EQ(server.stats().errors, 6u);
 
     server.stop();
 }

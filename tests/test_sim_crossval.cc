@@ -313,7 +313,7 @@ struct FuzzPoint
     describe() const
     {
         return "seed=" + std::to_string(seed) + " net=" + net.name() +
-               " type=" + collectiveTypeName(type) +
+               " type=" + std::to_string(static_cast<int>(type)) +
                " size=" + std::to_string(size) +
                " stride=" + std::to_string(stride) +
                " group=" + std::to_string(group);
@@ -349,8 +349,7 @@ drawPoint(std::uint64_t seed)
         0, static_cast<int>(std::size(kTypes)) - 1)];
     p.size = rng.uniform(1.0 * kMB, 2.0 * kGB);
 
-    std::vector<int> sizes = p.net.sizes();
-    int dims = static_cast<int>(sizes.size());
+    int dims = static_cast<int>(p.net.numDims());
     // Inner parallelism consumes dims [0, a); the group spans dims
     // [a, a+b) fully, optionally times a divisor of dim a+b.
     int a = rng.uniformInt(0, dims - 1);
@@ -358,9 +357,9 @@ drawPoint(std::uint64_t seed)
     p.stride = p.net.prefixProduct(static_cast<std::size_t>(a));
     p.group = 1;
     for (int d = a; d < a + b; ++d)
-        p.group *= sizes[d];
+        p.group *= p.net.dim(static_cast<std::size_t>(d)).size;
     if (a + b < dims && rng.uniformInt(0, 1) == 1) {
-        int next = sizes[a + b];
+        int next = p.net.dim(static_cast<std::size_t>(a + b)).size;
         std::vector<int> divisors;
         for (int d = 2; d < next; ++d)
             if (next % d == 0)

@@ -447,7 +447,7 @@ TEST_P(MultistartConstraints, RespectsCap)
     ConstraintSet cs(3);
     cs.addTotalBw(70.0);
     cs.addLowerBounds(0.1);
-    cs.addUpperBound(0, cap);
+    cs.add({1.0, 0.0, 0.0}, Relation::Le, cap, "ub-B1");
     SearchResult r = multistartMinimize(inverseSum(a), cs, {23, 23, 24});
     EXPECT_TRUE(cs.feasible(r.x, 1e-4));
     EXPECT_LE(r.x[0], cap + 1e-4);

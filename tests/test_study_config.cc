@@ -592,6 +592,12 @@ TEST(UnknownFlagCli, EachFlagExitsOneNamingIt)
         expectFatalExit(runCli(args), needle);
 }
 
+TEST(ScenarioListCli, RepeatedScenarioExitsOneNamingIt)
+{
+    expectFatalExit(runCli("run-matrix tbl1 tbl1"),
+                    "scenario 'tbl1' is listed more than once");
+}
+
 // --- Unwritable output -------------------------------------------------
 
 // Every write to /dev/full fails with ENOSPC once it reaches the

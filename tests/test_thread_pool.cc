@@ -157,9 +157,9 @@ TEST(ThreadPool, ParallelMapPreservesInputOrder)
 TEST(ThreadPool, GlobalKnobResizesPool)
 {
     ThreadPool::setGlobalThreads(3);
-    EXPECT_EQ(ThreadPool::globalThreadCount(), 3u);
+    EXPECT_EQ(ThreadPool::global().threadCount(), 3u);
     ThreadPool::setGlobalThreads(1);
-    EXPECT_EQ(ThreadPool::globalThreadCount(), 1u);
+    EXPECT_EQ(ThreadPool::global().threadCount(), 1u);
 }
 
 TEST(ThreadPool, GlobalKnobClampsZeroToOnePool)
@@ -169,17 +169,17 @@ TEST(ThreadPool, GlobalKnobClampsZeroToOnePool)
     // size check, and the retired-pool reuse scan. A pool built from
     // the raw argument would break that agreement.
     ThreadPool::setGlobalThreads(0);
-    EXPECT_EQ(ThreadPool::globalThreadCount(), 1u);
+    EXPECT_EQ(ThreadPool::global().threadCount(), 1u);
     // Asking again (0 or the clamped 1) is a no-op, not a rebuild.
     ThreadPool::setGlobalThreads(0);
-    EXPECT_EQ(ThreadPool::globalThreadCount(), 1u);
+    EXPECT_EQ(ThreadPool::global().threadCount(), 1u);
     ThreadPool::setGlobalThreads(1);
-    EXPECT_EQ(ThreadPool::globalThreadCount(), 1u);
+    EXPECT_EQ(ThreadPool::global().threadCount(), 1u);
     // Alternating sizes lands back on the same clamped pool size.
     ThreadPool::setGlobalThreads(2);
-    EXPECT_EQ(ThreadPool::globalThreadCount(), 2u);
+    EXPECT_EQ(ThreadPool::global().threadCount(), 2u);
     ThreadPool::setGlobalThreads(0);
-    EXPECT_EQ(ThreadPool::globalThreadCount(), 1u);
+    EXPECT_EQ(ThreadPool::global().threadCount(), 1u);
 }
 
 TEST(ThreadPool, InsidePoolVisibleFromWork)

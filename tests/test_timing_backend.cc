@@ -138,8 +138,8 @@ TEST(TimingBackend, ChunkSimSingleDimensionMatchesAnalytical)
           CollectiveType::AllGather, CollectiveType::AllToAll}) {
         CollectiveTiming a = multiRailTime(type, 2e9, spans, bw);
         CollectiveTiming s = sim->timing(type, 2e9, spans, bw, false);
-        EXPECT_NEAR(s.time, a.time, a.time * 1e-9) <<
-            collectiveTypeName(type);
+        EXPECT_NEAR(s.time, a.time, a.time * 1e-9)
+            << "type " << static_cast<int>(type);
         EXPECT_EQ(s.trafficPerDim, a.trafficPerDim);
     }
 }

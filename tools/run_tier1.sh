@@ -3,54 +3,55 @@
 #
 # Usage: tools/run_tier1.sh [--tsan|--asan|--ubsan] [extra cmake args...]
 #
-#   (default)  Release build in build/, full ctest suite, then these
-#              smoke runs, in order (docs in parentheses):
+#   (default)  Release build in build/, full ctest suite (the gtest
+#              binaries, plus every example_*, fig01/fig19/fig20 and
+#              ablation_* binary, each of which must exit 0), then
+#              these smoke runs, in order (docs in parentheses):
 #               1. crossval: `run-matrix crossval` under the chunk-sim
 #                  and themis backends; JSON byte-identical fresh at 2
 #                  and 4 threads and cached (BACKENDS.md).
-#               2. fig19: fig19_themis must exit 0.
-#               3. solver: cold fig13/14/17/18 JSON under the default
+#               2. solver: cold fig13/14/17/18 JSON under the default
 #                  chain, byte-identical at 1 and 4 threads (SOLVERS.md).
-#               4. warm-all: a 1-thread `run-matrix all` over the cache
+#               3. warm-all: a 1-thread `run-matrix all` over the cache
 #                  a 4-thread run filled is byte-identical and serves
 #                  all 366 points from that cache, whose entries total
 #                  under 256 KB; its CSV equals a fresh uncached
 #                  4-thread CSV (PERF.md).
-#               5. hostile-number: nan/inf and out-of-range numbers in
+#               4. hostile-number: nan/inf and out-of-range numbers in
 #                  a study file (a 1e308 price, a negative weight or
 #                  price, a DOLLAR_CAP of 0 or -1, STARTS -3 or 1e30),
 #                  out-of-range CONSTRAINT tokens and NETWORK sizes,
 #                  depths and NPU counts, and out-of-range WORKLOAD_FILE
 #                  numbers end the CLI with exit 1 and a named error,
 #                  never a signal (ROBUSTNESS.md).
-#               6. explore: `explore-frontier --explore prune`,
+#               5. explore: `explore-frontier --explore prune`,
 #                  byte-identical fresh at 2 and 4 threads and cached
 #                  (EXPLORE.md).
-#               7. fault: the golden matrix under injected cache-I/O
+#               6. fault: the golden matrix under injected cache-I/O
 #                  faults is byte-identical to the fault-free cached
 #                  run, and so is a run over entries forged to drop a
 #                  bandwidth under a valid checksum, which quarantines
 #                  every one of them (ROBUSTNESS.md).
-#               8. serve: a `serve` process answers the golden group
+#               7. serve: a `serve` process answers the golden group
 #                  disk-served, LRU-served and after a nested-JSON bomb
 #                  and a refused `workers` request, each byte-identical
 #                  to the one-shot run; stats report schema v2
 #                  (SERVE.md).
-#               9. shard: `--workers 2` explore-frontier JSON equals the
+#               8. shard: `--workers 2` explore-frontier JSON equals the
 #                  single-process run, fresh and cached (SHARDING.md).
-#              10. resume: an in-process `run-matrix` SIGKILLed once
+#               9. resume: an in-process `run-matrix` SIGKILLed once
 #                  its cache holds 8 entries resumes byte-identically
 #                  from that cache, serving every entry it stored and
 #                  leaving no tmp file (ROBUSTNESS.md).
-#              11. sharded-prune: adaptive prune rounds on 2 workers
+#              10. sharded-prune: adaptive prune rounds on 2 workers
 #                  equal the single-process prune run, fresh and
 #                  cached (SHARDING.md, EXPLORE.md).
-#              12. simd: a LIBRA_SIMD=off build (build-simd-off/) and,
+#              11. simd: a LIBRA_SIMD=off build (build-simd-off/) and,
 #                  on hosts whose CPU lists avx2, a LIBRA_SIMD=avx2
 #                  build (build-simd-avx2/) emit the default build's
 #                  golden JSON, fresh at 1 thread and cached at 8
 #                  (PERF.md).
-#              13. perfbench: perfbench/ builds in build-perfbench/ and
+#              12. perfbench: perfbench/ builds in build-perfbench/ and
 #                  its self-test passes.
 #   --tsan     ThreadSanitizer build in build-tsan/; runs the threading
 #              contract tests (thread pool, parallel determinism, the
@@ -61,7 +62,7 @@
 #              simulator, whose per-call timing tables and timeline
 #              memos live on each call's stack) under TSan.
 #   --asan     AddressSanitizer (+UBSan) build in build-asan/; runs the
-#              full suite.
+#              full suite, examples and figure binaries included.
 #   --ubsan    Standalone UndefinedBehaviorSanitizer build in
 #              build-ubsan/; runs the full suite with UB traps fatal,
 #              without ASan's memory overhead.
@@ -128,8 +129,6 @@ case "${MODE}" in
     CMAKE_EXTRA+=(
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
       "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -g -O1 -fno-omit-frame-pointer"
-      -DLIBRA_BUILD_BENCH=OFF
-      -DLIBRA_BUILD_EXAMPLES=OFF
     )
     ;;
   ubsan)
@@ -137,8 +136,6 @@ case "${MODE}" in
     CMAKE_EXTRA+=(
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
       "-DCMAKE_CXX_FLAGS=-fsanitize=undefined -fno-sanitize-recover=undefined -g -O1 -fno-omit-frame-pointer"
-      -DLIBRA_BUILD_BENCH=OFF
-      -DLIBRA_BUILD_EXAMPLES=OFF
     )
     ;;
 esac
@@ -172,11 +169,6 @@ if [[ -z "${MODE}" ]]; then
       "${SMOKE_DIR}/${backend}-cached.json"
     echo "crossval smoke (${backend}): byte-identical matrix JSON (fresh 2t vs fresh 4t vs cached)"
   done
-
-  # Fig. 19 smoke: the Themis composition study runs its estimator
-  # under the themis timing backend and must exit 0.
-  "${BUILD_DIR}/fig19_themis" > /dev/null
-  echo "fig19 smoke: fig19_themis exited 0 under the themis backend"
 
   # Solver smoke: the default subgradient/pattern-search/Nelder-Mead
   # chain under the analytical backend, where pattern search scores its
