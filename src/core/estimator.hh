@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "collective/mapping.hh"
@@ -38,13 +39,26 @@ namespace detail {
 template <typename Lane> struct BatchKernel;
 } // namespace detail
 
+class CompiledWorkload;
+
+/** One batched-estimator kernel (core/eval_kernels.cc). */
+struct EstimateKernel
+{
+    const char* name; ///< "avx512", "avx2", "neon", or "scalar".
+    void (*run)(const CompiledWorkload& cw, const BwConfig* bws,
+                std::size_t n, Seconds* out);
+};
+
 /**
- * Name of the SIMD kernel estimateBatch dispatches full-width blocks
- * to: "avx512", "avx2", "neon", or "scalar". Decided once at startup
- * from the kernels compiled in (the LIBRA_SIMD CMake option) and what
- * the running CPU supports. Purely informational — every kernel is
- * bit-identical to the scalar path.
+ * The batched kernels compiled in (the LIBRA_SIMD CMake option) that
+ * the running CPU supports, widest first, "scalar" last; listed once
+ * at first use. estimateBatch runs the first entry. Every kernel is
+ * bit-identical to the scalar path, so the choice is a pure
+ * throughput knob.
  */
+std::span<const EstimateKernel> estimateKernels();
+
+/** Name of the kernel estimateBatch runs (informational). */
 const char* activeSimdKernel();
 
 /** Full timing breakdown of one training iteration. */

@@ -6,12 +6,16 @@
  * (eval_kernels_<isa>.cc), compiled only when the LIBRA_SIMD CMake
  * option selects them and always with that ISA's -m flags plus
  * -ffp-contract=off. This file — compiled with the plain target flags
- * — picks the widest compiled-in kernel the running CPU actually
- * supports, falling back to the scalar one-candidate-at-a-time path,
- * whose one-wide kernel instance is CompiledWorkload::estimate().
+ * — lists the compiled-in kernels the running CPU actually supports,
+ * widest first, ending with the scalar one-candidate-at-a-time path,
+ * whose one-wide kernel instance is CompiledWorkload::estimate();
+ * estimateBatch runs the first entry.
  * Every kernel is bit-identical to it, so the choice is a pure
  * throughput knob: results, goldens, and cache keys never depend on it.
  */
+
+#include <array>
+#include <utility>
 
 #include "core/estimator.hh"
 #include "core/eval_kernels_impl.hh"
@@ -34,45 +38,35 @@ void estimateBatchNeon(const CompiledWorkload& cw, const BwConfig* bws,
 
 } // namespace detail
 
-namespace {
-
-enum class KernelIsa { Scalar, Avx2, Avx512, Neon };
-
-KernelIsa
-pickKernel()
+std::span<const EstimateKernel>
+estimateKernels()
 {
+    // A fixed array, not a vector: the first estimateBatch call must
+    // not allocate (test_solver_allocations counts solver stages).
+    static const auto table = [] {
+        std::array<EstimateKernel, 4> k{};
+        std::size_t n = 0;
 #if defined(LIBRA_SIMD_HAVE_AVX512)
-    if (__builtin_cpu_supports("avx512f"))
-        return KernelIsa::Avx512;
+        if (__builtin_cpu_supports("avx512f"))
+            k[n++] = {"avx512", detail::estimateBatchAvx512};
 #endif
 #if defined(LIBRA_SIMD_HAVE_AVX2)
-    if (__builtin_cpu_supports("avx2"))
-        return KernelIsa::Avx2;
+        if (__builtin_cpu_supports("avx2"))
+            k[n++] = {"avx2", detail::estimateBatchAvx2};
 #endif
 #if defined(LIBRA_SIMD_HAVE_NEON)
-    return KernelIsa::Neon;
+        k[n++] = {"neon", detail::estimateBatchNeon};
 #endif
-    return KernelIsa::Scalar;
+        k[n++] = {"scalar", detail::BatchKernel<simd::ScalarLane>::run};
+        return std::pair{k, n};
+    }();
+    return {table.first.data(), table.second};
 }
-
-const KernelIsa kActiveKernel = pickKernel();
-
-} // namespace
 
 const char*
 activeSimdKernel()
 {
-    switch (kActiveKernel) {
-      case KernelIsa::Avx512:
-        return "avx512";
-      case KernelIsa::Avx2:
-        return "avx2";
-      case KernelIsa::Neon:
-        return "neon";
-      case KernelIsa::Scalar:
-        return "scalar";
-    }
-    return "scalar";
+    return estimateKernels().front().name;
 }
 
 Seconds
@@ -87,26 +81,7 @@ void
 CompiledWorkload::estimateBatch(const BwConfig* bws, std::size_t n,
                                 Seconds* out) const
 {
-    switch (kActiveKernel) {
-#if defined(LIBRA_SIMD_HAVE_AVX512)
-      case KernelIsa::Avx512:
-        detail::estimateBatchAvx512(*this, bws, n, out);
-        return;
-#endif
-#if defined(LIBRA_SIMD_HAVE_AVX2)
-      case KernelIsa::Avx2:
-        detail::estimateBatchAvx2(*this, bws, n, out);
-        return;
-#endif
-#if defined(LIBRA_SIMD_HAVE_NEON)
-      case KernelIsa::Neon:
-        detail::estimateBatchNeon(*this, bws, n, out);
-        return;
-#endif
-      default:
-        detail::BatchKernel<simd::ScalarLane>::run(*this, bws, n, out);
-        return;
-    }
+    estimateKernels().front().run(*this, bws, n, out);
 }
 
 } // namespace libra

@@ -61,47 +61,9 @@ void
 ServeStore::reject(std::uint64_t key, const std::string& canonical,
                    const std::string& why)
 {
-    // The LRU goes first: claimCompute re-probes it, and must not find
-    // the rejected report there.
     lru_.erase(canonical);
     if (disk_)
         disk_->reject(key, canonical, why);
-}
-
-StudyStore::Claim
-ServeStore::claimCompute(const std::string& canonical,
-                         PointStatus* status, LibraReport* report)
-{
-    if (flight_.claim(canonical) == SingleFlight::Role::Waiter) {
-        coalesced_.fetch_add(1, std::memory_order_relaxed);
-        return Claim::Shared;
-    }
-    // We own the flight. Another request may have published this key
-    // between our load miss and the claim; re-probing the LRU here
-    // closes that race (the publish path stores before it publishes,
-    // so a finished flight is always visible in the LRU by now).
-    if (lru_.get(canonical, report)) {
-        status->ok = true;
-        status->error.clear();
-        flight_.publish(canonical, *status, *report);
-        return Claim::Cached;
-    }
-    return Claim::Owned;
-}
-
-void
-ServeStore::publishCompute(const std::string& canonical,
-                           const PointStatus& status,
-                           const LibraReport& report)
-{
-    flight_.publish(canonical, status, report);
-}
-
-void
-ServeStore::awaitCompute(const std::string& canonical,
-                         PointStatus* status, LibraReport* report)
-{
-    flight_.await(canonical, status, report);
 }
 
 ServeStore::Stats
@@ -111,8 +73,6 @@ ServeStore::stats() const
     s.lru = lru_.stats();
     s.diskHits = diskHits_.load(std::memory_order_relaxed);
     s.misses = misses_.load(std::memory_order_relaxed);
-    s.coalesced = coalesced_.load(std::memory_order_relaxed);
-    s.inFlight = flight_.inFlight();
     return s;
 }
 
@@ -177,7 +137,7 @@ Server::handleLine(const std::string& line, bool* shutdown)
         if (op == "stats") {
             ServeStore::Stats s = store_.stats();
             Json j = Json::object();
-            j["schema"] = "libra-serve-stats-v2";
+            j["schema"] = "libra-serve-stats-v3";
             j["requests"] = requests_.load(std::memory_order_relaxed);
             j["errors"] = errors_.load(std::memory_order_relaxed);
             j["lruHits"] = s.lru.hits;
@@ -186,8 +146,6 @@ Server::handleLine(const std::string& line, bool* shutdown)
             j["lruEvictions"] = s.lru.evictions;
             j["diskHits"] = s.diskHits;
             j["misses"] = s.misses;
-            j["coalesced"] = s.coalesced;
-            j["inFlight"] = s.inFlight;
             Json status = Json::object();
             status["ok"] = true;
             status["op"] = "stats";
@@ -237,7 +195,6 @@ Server::handleLine(const std::string& line, bool* shutdown)
         status["points"] = result.points;
         status["unique"] = result.unique;
         status["fromCache"] = result.fromCache;
-        status["coalesced"] = result.coalesced;
         status["computed"] = result.computed;
         status["failed"] = result.failed;
         return frameMessage(std::move(status), payload.str());

@@ -22,9 +22,10 @@
  *
  * Concurrency: one thread per connection; concurrent requests share
  * one ServeStore — a bounded in-memory LRU (serve/lru.hh) over the
- * content-addressed disk cache, with single-flight dedup
- * (serve/single_flight.hh) so N identical concurrent requests compute
- * each unique design point exactly once. Request errors (unknown
+ * content-addressed disk cache. Concurrent identical requests that
+ * miss both layers may each compute a point; evaluation is
+ * deterministic, so every one of them answers the same bytes and
+ * stores the same entry. Request errors (unknown
  * scenario, malformed JSON, FatalError from evaluation) are answered
  * as `{"ok":false,...}` responses; they never terminate the server.
  */
@@ -44,7 +45,6 @@
 
 #include "common/json.hh"
 #include "serve/lru.hh"
-#include "serve/single_flight.hh"
 #include "study/cache.hh"
 #include "study/matrix.hh"
 
@@ -52,13 +52,9 @@ namespace libra {
 
 /**
  * The serve-mode StudyStore: an in-memory LRU in front of the disk
- * ResultCache, with single-flight claim coordination across concurrent
- * requests. Layering on load is LRU -> disk (a disk hit is promoted
- * into the LRU); stores write through to both. claimCompute() re-probes
- * the LRU after winning a claim, closing the race where another
- * request published a key between this request's load miss and its
- * claim — the only residual recompute window is LRU eviction plus a
- * disabled/absent disk cache, which costs work but never correctness.
+ * ResultCache, shared by every concurrent request. Layering on load is
+ * LRU -> disk (a disk hit is promoted into the LRU); stores write
+ * through to both.
  */
 class ServeStore : public StudyStore
 {
@@ -69,8 +65,6 @@ class ServeStore : public StudyStore
         LruCache::Stats lru;
         std::uint64_t diskHits = 0;   ///< Loads served by the disk cache.
         std::uint64_t misses = 0;     ///< Loads neither layer served.
-        std::uint64_t coalesced = 0;  ///< Claims joined as waiters.
-        std::size_t inFlight = 0;     ///< Currently claimed keys.
     };
 
     /**
@@ -87,13 +81,6 @@ class ServeStore : public StudyStore
     /** Evict @p canonical from the LRU and reject it on disk. */
     void reject(std::uint64_t key, const std::string& canonical,
                 const std::string& why) override;
-    Claim claimCompute(const std::string& canonical, PointStatus* status,
-                       LibraReport* report) override;
-    void publishCompute(const std::string& canonical,
-                        const PointStatus& status,
-                        const LibraReport& report) override;
-    void awaitCompute(const std::string& canonical, PointStatus* status,
-                      LibraReport* report) override;
 
     Stats stats() const;
 
@@ -106,10 +93,8 @@ class ServeStore : public StudyStore
   private:
     LruCache lru_;
     std::optional<ResultCache> disk_;
-    SingleFlight flight_;
     std::atomic<std::uint64_t> diskHits_{0};
     std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> coalesced_{0};
 };
 
 /**

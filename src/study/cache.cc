@@ -25,18 +25,6 @@
 
 namespace libra {
 
-void
-StudyStore::awaitCompute(const std::string& canonical,
-                         PointStatus* status, LibraReport* report)
-{
-    (void)status;
-    (void)report;
-    // A plain store never answers Shared, so a wait here means the
-    // sweep and the store implementation disagree about the protocol.
-    panic("awaitCompute on a store that never shares claims (key ",
-          canonical.substr(0, 32), "...)");
-}
-
 // Field encoding comes from common/json.hh (appendCanonicalNumber /
 // appendCanonicalString) so it cannot diverge from the workload and
 // cost-model canonical serializations.

@@ -91,36 +91,18 @@ std::string reportShapeError(const LibraReport& report,
 /**
  * Pluggable study-point store consumed by the matrix runner's cached
  * sweep. ResultCache is the plain disk implementation; the serve
- * subsystem layers an in-memory LRU and single-flight dedup on top
- * (src/serve/, docs/SERVE.md) behind this same seam.
+ * subsystem layers an in-memory LRU on top (src/serve/,
+ * docs/SERVE.md) behind this same seam.
  *
- * Beyond load/store, the interface carries the *single-flight* hooks
- * the sweep calls around computing a missed point:
- *
- *  - claimCompute() asks who computes a missed key. A plain store
- *    always answers Owned (the caller computes, as it always has). A
- *    coordinating store may answer Shared (another thread is already
- *    computing this key; call awaitCompute() to block for its result)
- *    or Cached (the result landed between the load miss and the claim;
- *    it is returned immediately).
- *  - Every Owned claim must be resolved with exactly one
- *    publishCompute() — successes and failures alike — so waiters can
- *    never block forever. Evaluation is deterministic, so sharing a
- *    failure is bit-identical to recomputing it.
- *
- * All methods must be safe to call from concurrent sweeps.
+ * The sweep loads every point, computes the ones that missed, and
+ * stores each as it completes. Concurrent sweeps that miss the same
+ * key each compute it; evaluation is deterministic, so their stores
+ * carry identical bytes. All methods must be safe to call from
+ * concurrent sweeps.
  */
 class StudyStore
 {
   public:
-    /** Who computes a missed key (see class comment). */
-    enum class Claim
-    {
-        Owned,  ///< Caller computes and must publish exactly once.
-        Shared, ///< Another thread computes; await its result.
-        Cached, ///< Result arrived since the load miss; outputs filled.
-    };
-
     virtual ~StudyStore() = default;
 
     /** Load the report cached under @p key / @p canonical; hit/miss. */
@@ -145,31 +127,6 @@ class StudyStore
         (void)canonical;
         (void)why;
     }
-
-    /** Claim computation of a missed @p canonical key. */
-    virtual Claim
-    claimCompute(const std::string& canonical, PointStatus* status,
-                 LibraReport* report)
-    {
-        (void)canonical;
-        (void)status;
-        (void)report;
-        return Claim::Owned;
-    }
-
-    /** Resolve an Owned claim (ok or failed); wakes any waiters. */
-    virtual void
-    publishCompute(const std::string& canonical,
-                   const PointStatus& status, const LibraReport& report)
-    {
-        (void)canonical;
-        (void)status;
-        (void)report;
-    }
-
-    /** Block for the owner's result of a Shared claim. */
-    virtual void awaitCompute(const std::string& canonical,
-                              PointStatus* status, LibraReport* report);
 };
 
 /**

@@ -29,8 +29,6 @@ struct SweepBatch
     std::vector<PointStatus> status;  ///< Per point: ok or failed.
     std::size_t unique = 0;           ///< Distinct points after dedup.
     std::size_t computed = 0;         ///< Points this sweep optimized.
-    std::size_t coalesced = 0;        ///< Points awaited from another
-                                      ///< sweep's in-flight claim.
     std::size_t failed = 0;           ///< Points whose evaluation failed.
 };
 
@@ -69,36 +67,29 @@ struct ShardRuntime
  * Identity is the full canonical key text — the hash only names the
  * cache file — so a 64-bit collision cannot merge distinct points.
  *
- * Concurrency: missed keys are claimed through the store's single-
- * flight seam (StudyStore::claimCompute). Owned keys are computed here
- * and *published before any await*, so two sweeps waiting on each
- * other's claims can never deadlock; Shared keys block on the owner's
- * published result, which — evaluation being deterministic — is
- * bit-identical to recomputing. A plain ResultCache grants every
- * claim, collapsing this to the classic single-process flow.
- *
  * Failure semantics: points run through runLibraIsolated, and
  * the `point-eval` fault-injection site fires here, keyed by each
  * slot's content hash — a pure function of the point, so fault
  * assignment is identical at any thread count and unaffected by dedup
  * order. Under Isolate the per-point statuses come back in the batch;
  * under Abort the lowest-index failing point's error unwinds,
- * deterministically. Failed slots are never stored to the cache, but
- * their status is still published so waiters observe the same failure.
+ * deterministically. Failed slots are never stored to the cache.
  *
- * Sharded execution (@p shard) changes only *where* owned slots are
+ * Sharded execution (@p shard) changes only *where* missed slots are
  * evaluated, never what: fault injection runs here before dispatch,
  * results merge by slot index as they arrive, and the final assembly
  * below is index-ordered — so emitted bytes are identical at any
  * worker count.
  *
- * The compute phase has one shape: a wire leg ships every owned point
+ * The compute phase has one shape: a wire leg ships every missed point
  * with a study-file form to the shard pool as an eval frame (only when
  * @p shard is set), and a local leg runs the rest on the thread pool.
- * Both legs merge each slot through the same finishSlot (store, then
- * publish) the moment it completes, so a killed run has already
- * cached every slot it finished, and a rerun with the same cache
- * resumes from there (docs/ROBUSTNESS.md).
+ * Both legs merge each slot through the same finishSlot, which stores
+ * it the moment it completes, so a killed run has already cached
+ * every slot it finished, and a rerun with the same cache resumes from
+ * there (docs/ROBUSTNESS.md). parallelFor runs every slot before it
+ * rethrows, so an internal error unwinds only after every other
+ * finished slot was stored.
  */
 SweepBatch
 cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
@@ -132,52 +123,19 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         missing.push_back(s);
     }
 
-    // Claim phase: ask the store who computes each missed key. Keys
-    // another sweep is already computing are awaited *after* our own
-    // batch publishes (publish-before-await keeps this deadlock-free).
-    std::vector<std::size_t> owned;
-    std::vector<std::size_t> awaited;
-    for (std::size_t s : missing) {
-        if (!store) {
-            owned.push_back(s);
-            continue;
-        }
-        switch (store->claimCompute(slotKey[s], &slotStatus[s],
-                                    &slotReport[s])) {
-          case StudyStore::Claim::Cached:
-            slotCached[s] = true;
-            break;
-          case StudyStore::Claim::Shared:
-            awaited.push_back(s);
-            break;
-          case StudyStore::Claim::Owned:
-            owned.push_back(s);
-            break;
-        }
-    }
-
     // Compute phase. Injected point-eval faults replace the
     // evaluation (keyed by content, so the same points fail fresh or
-    // cached, at any thread count); their failure is published like
-    // any other outcome.
+    // cached, at any thread count).
     std::vector<std::size_t> batchSlot;
-    batchSlot.reserve(owned.size());
-    for (std::size_t s : owned) {
+    batchSlot.reserve(missing.size());
+    for (std::size_t s : missing) {
         if (injectFault(FaultSite::PointEval, slotHash[s])) {
             slotStatus[s].ok = false;
             slotStatus[s].error = "injected point-eval fault";
-            if (store)
-                store->publishCompute(slotKey[s], slotStatus[s],
-                                      slotReport[s]);
             continue;
         }
         batchSlot.push_back(s);
     }
-    // Per-batch-slot completion flags: results arrive in completion
-    // order, not index order, so a plain counter cannot tell resolved
-    // slots from abandoned ones in the unwind below. Pool threads
-    // finish distinct slots, so each flag has one writer.
-    std::vector<char> done(batchSlot.size(), 0);
     auto finishSlot = [&](std::size_t k, PointStatus status,
                           LibraReport report) {
         const std::size_t s = batchSlot[k];
@@ -187,75 +145,38 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
             if (store)
                 store->store(slotHash[s], slotKey[s], slotReport[s]);
         }
-        if (store)
-            store->publishCompute(slotKey[s], slotStatus[s],
-                                  slotReport[s]);
-        done[k] = 1;
     };
-    try {
-        // Wire leg. Serializing is the wirability test, so each point
-        // is serialized once; a point with no study-file form (a
-        // non-zoo workload) throws and stays local.
-        std::vector<WirePoint> wire;
-        std::vector<std::size_t> local;
-        for (std::size_t k = 0; k < batchSlot.size(); ++k) {
-            if (shard) {
-                const LibraInputs& p = points[slotRep[batchSlot[k]]];
-                try {
-                    std::string text = studyConfigToString(p);
-                    wire.push_back({k, std::move(text), pointWireKey(p)});
-                    continue;
-                } catch (const FatalError&) {
-                    // No wire form: falls through to the local leg.
-                }
-            }
-            local.push_back(k);
-        }
-        if (!wire.empty())
-            shard->ensurePool().evaluatePoints(wire, finishSlot);
 
-        // Local leg: each pool thread finishes its own slots. The
-        // store and the publish are safe from concurrent callers
-        // (StudyStore contract), and parallelFor runs every slot
-        // before rethrowing the first error, so the unwind below sees
-        // exactly which slots were resolved.
-        parallelFor(local.size(), [&](std::size_t j) {
-            const std::size_t k = local[j];
-            LibraReport report;
-            PointStatus status =
-                runLibraIsolated(points[slotRep[batchSlot[k]]], &report);
-            finishSlot(k, std::move(status), std::move(report));
-        });
-    } catch (...) {
-        // An internal error is unwinding this sweep. Every owned claim
-        // must still be resolved exactly once or waiters in other
-        // sweeps would block forever on our abandoned slots; then our
-        // own Shared claims are drained (their owners are guaranteed
-        // to publish — this very rule — and we publish before waiting,
-        // so the drain cannot deadlock) so no slot stays pinned by a
-        // waiter that never showed up.
-        if (store) {
-            for (std::size_t k = 0; k < batchSlot.size(); ++k) {
-                if (done[k])
-                    continue;
-                std::size_t s = batchSlot[k];
-                PointStatus abandoned;
-                abandoned.ok = false;
-                abandoned.error = "owning computation aborted";
-                store->publishCompute(slotKey[s], abandoned,
-                                      slotReport[s]);
+    // Wire leg. Serializing is the wirability test, so each point is
+    // serialized once; a point with no study-file form (a non-zoo
+    // workload) throws and stays local.
+    std::vector<WirePoint> wire;
+    std::vector<std::size_t> local;
+    for (std::size_t k = 0; k < batchSlot.size(); ++k) {
+        if (shard) {
+            const LibraInputs& p = points[slotRep[batchSlot[k]]];
+            try {
+                std::string text = studyConfigToString(p);
+                wire.push_back({k, std::move(text), pointWireKey(p)});
+                continue;
+            } catch (const FatalError&) {
+                // No wire form: falls through to the local leg.
             }
-            for (std::size_t s : awaited)
-                store->awaitCompute(slotKey[s], &slotStatus[s],
-                                    &slotReport[s]);
         }
-        throw;
+        local.push_back(k);
     }
+    if (!wire.empty())
+        shard->ensurePool().evaluatePoints(wire, finishSlot);
 
-    // Await phase: collect the results other sweeps computed.
-    for (std::size_t s : awaited)
-        store->awaitCompute(slotKey[s], &slotStatus[s],
-                            &slotReport[s]);
+    // Local leg: each pool thread finishes its own slots; the store is
+    // safe from concurrent callers (StudyStore contract).
+    parallelFor(local.size(), [&](std::size_t j) {
+        const std::size_t k = local[j];
+        LibraReport report;
+        PointStatus status =
+            runLibraIsolated(points[slotRep[batchSlot[k]]], &report);
+        finishSlot(k, std::move(status), std::move(report));
+    });
 
     if (failMode == FailMode::Abort) {
         // Re-raise the classic unwind: the lowest-index failing
@@ -268,8 +189,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
 
     SweepBatch out;
     out.unique = slots;
-    out.computed = owned.size();
-    out.coalesced = awaited.size();
+    out.computed = missing.size();
     out.reports.reserve(points.size());
     out.fromCache.reserve(points.size());
     out.status.reserve(points.size());
@@ -385,8 +305,8 @@ runScenarioMatrix(const std::vector<std::string>& names,
     std::vector<LibraInputs>& points = plan.points;
     std::vector<Slice>& slices = plan.slices;
 
-    // An externally owned store (serve mode's shared LRU + single-
-    // flight + disk layering) wins over a per-run disk cache.
+    // An externally owned store (serve mode's shared LRU over the
+    // disk cache) wins over a per-run disk cache.
     std::optional<ResultCache> localCache;
     StudyStore* store = options.store;
     if (!store && !options.cacheDir.empty()) {
@@ -413,7 +333,6 @@ runScenarioMatrix(const std::vector<std::string>& names,
     result.points = points.size();
     result.unique = main.unique;
     result.computed = main.computed;
-    result.coalesced = main.coalesced;
     result.failed = main.failed;
     // Cache hits are counted in point terms (what the user asked for).
     for (bool hit : main.fromCache)
@@ -445,7 +364,6 @@ runScenarioMatrix(const std::vector<std::string>& names,
                     result.points += batch.size();
                     result.unique += b.unique;
                     result.computed += b.computed;
-                    result.coalesced += b.coalesced;
                     for (bool hit : b.fromCache) {
                         run.fromCache += hit ? 1 : 0;
                         result.fromCache += hit ? 1 : 0;

@@ -57,9 +57,9 @@ struct MatrixOptions
 
     /**
      * Externally owned study store used instead of opening @ref
-     * cacheDir — the serve subsystem passes its shared LRU + single-
-     * flight + disk layering here so every concurrent request runs
-     * against one store (src/serve/, docs/SERVE.md). Null keeps the
+     * cacheDir — the serve subsystem passes its shared LRU + disk
+     * layering here so every concurrent request runs against one
+     * store (src/serve/, docs/SERVE.md). Null keeps the
      * classic behavior (a per-run ResultCache when cacheDir is set).
      */
     StudyStore* store = nullptr;
@@ -148,8 +148,8 @@ struct MatrixResult
     std::size_t unique = 0;    ///< Distinct points after dedup.
     std::size_t fromCache = 0; ///< Points served from the cache.
     std::size_t computed = 0;  ///< Points this run optimized itself.
-    std::size_t coalesced = 0; ///< Points awaited from another run's
-                               ///< in-flight computation (serve mode).
+    std::size_t coalesced = 0; ///< Always 0; perfbench/layers.cc
+                               ///< still reads it.
     std::size_t failed = 0;    ///< Failed points (Isolate mode).
 };
 

@@ -13,11 +13,15 @@
  * runs of identical layers the compiled form evaluates once. They
  * also check that projected subgradient descent, whose gradients go
  * through the batch, retraces the per-call search exactly, and that
- * the objective seam rejects a point of the wrong rank.
+ * the objective seam rejects a point of the wrong rank. The bit-identity
+ * grid runs through every kernel estimateKernels() lists, so each
+ * compiled-in kernel the CPU runs is checked in this one binary, under
+ * every sanitizer build.
  */
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -185,24 +189,36 @@ class ObjectiveKernels : public ::testing::TestWithParam<KernelCase>
 };
 
 /**
- * estimateBatch must agree with per-candidate estimate() to the last
- * bit, at batch sizes exercising a lone candidate, exactly-full SIMD
- * blocks, a lone scalar leftover, and every padded remainder from 2
- * to 7 of the width-4 (AVX2) and width-8 (AVX-512) kernels.
+ * Every kernel this build and CPU can run — not just the one
+ * estimateBatch picks — must agree with per-candidate estimate() to
+ * the last bit, at batch sizes exercising a lone candidate,
+ * exactly-full SIMD blocks, a lone scalar leftover, and every padded
+ * remainder from 2 to 7 of the width-4 (AVX2) and width-8 (AVX-512)
+ * kernels. estimateBatch must match them too.
  */
 TEST_P(ObjectiveKernels, BatchMatchesScalarBitExact)
 {
-    Rng rng(0x5EED + GetParam().dims);
-    for (std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 33}) {
-        std::vector<BwConfig> pool;
-        for (std::size_t i = 0; i < n; ++i)
-            pool.push_back(randomPoint(rng, net_->numDims()));
-        std::vector<Seconds> out(n, -1.0);
-        cw_->estimateBatch(pool.data(), n, out.data());
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(bits(out[i]), bits(cw_->estimate(pool[i])))
-                << "candidate " << i << " of " << n << " ("
-                << activeSimdKernel() << " kernel)";
+    std::span<const EstimateKernel> kernels = estimateKernels();
+    ASSERT_FALSE(kernels.empty());
+    EXPECT_STREQ(kernels.back().name, "scalar");
+    for (const EstimateKernel& kernel : kernels) {
+        SCOPED_TRACE(kernel.name);
+        Rng rng(0x5EED + GetParam().dims);
+        for (std::size_t n :
+             {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 33}) {
+            std::vector<BwConfig> pool;
+            for (std::size_t i = 0; i < n; ++i)
+                pool.push_back(randomPoint(rng, net_->numDims()));
+            std::vector<Seconds> out(n, -1.0);
+            kernel.run(*cw_, pool.data(), n, out.data());
+            std::vector<Seconds> viaBatch(n, -1.0);
+            cw_->estimateBatch(pool.data(), n, viaBatch.data());
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(bits(out[i]), bits(cw_->estimate(pool[i])))
+                    << "candidate " << i << " of " << n;
+                EXPECT_EQ(bits(viaBatch[i]), bits(out[i]))
+                    << "candidate " << i << " of " << n;
+            }
         }
     }
 }
@@ -216,24 +232,26 @@ TEST_P(ObjectiveKernels, BatchMatchesScalarBitExact)
  */
 TEST_P(ObjectiveKernels, RunBoundariesBatchMatchesScalarBitExact)
 {
-    Rng rng(0x12A5 + GetParam().dims);
-    for (const Workload& w : {makeRunsWorkload(net_->npus()),
-                              makeOneLayerWorkload(net_->npus()),
-                              makeWideLayerWorkload(net_->npus())}) {
-        SCOPED_TRACE(w.name);
-        CompiledWorkload cw = est_->compile(w);
-        std::vector<BwConfig> pool;
-        for (int i = 0; i < 11; ++i)
-            pool.push_back(randomPoint(rng, net_->numDims()));
-        std::vector<Seconds> out = cw.estimateBatch(pool);
-        for (std::size_t i = 0; i < pool.size(); ++i) {
-            Seconds scalar = cw.estimate(pool[i]);
-            EXPECT_EQ(bits(out[i]), bits(scalar))
-                << "candidate " << i << " (" << activeSimdKernel()
-                << " kernel)";
-            Seconds direct = est_->estimate(w, pool[i]);
-            EXPECT_NEAR(scalar, direct, 1e-12 * direct)
-                << "candidate " << i;
+    for (const EstimateKernel& kernel : estimateKernels()) {
+        SCOPED_TRACE(kernel.name);
+        Rng rng(0x12A5 + GetParam().dims);
+        for (const Workload& w : {makeRunsWorkload(net_->npus()),
+                                  makeOneLayerWorkload(net_->npus()),
+                                  makeWideLayerWorkload(net_->npus())}) {
+            SCOPED_TRACE(w.name);
+            CompiledWorkload cw = est_->compile(w);
+            std::vector<BwConfig> pool;
+            for (int i = 0; i < 11; ++i)
+                pool.push_back(randomPoint(rng, net_->numDims()));
+            std::vector<Seconds> out(pool.size(), -1.0);
+            kernel.run(cw, pool.data(), pool.size(), out.data());
+            for (std::size_t i = 0; i < pool.size(); ++i) {
+                Seconds scalar = cw.estimate(pool[i]);
+                EXPECT_EQ(bits(out[i]), bits(scalar)) << "candidate " << i;
+                Seconds direct = est_->estimate(w, pool[i]);
+                EXPECT_NEAR(scalar, direct, 1e-12 * direct)
+                    << "candidate " << i;
+            }
         }
     }
 }

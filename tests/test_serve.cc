@@ -1,17 +1,15 @@
 /**
  * @file
- * Serve-subsystem tests: the bounded LRU, the single-flight dedup
- * protocol, the layered ServeStore, and the Unix-domain-socket server
- * end to end — byte-identity with one-shot run-matrix emission,
- * exactly-once computation under concurrent identical requests, and
- * per-request error isolation. See docs/SERVE.md.
+ * Serve-subsystem tests: the bounded LRU, the layered ServeStore, and
+ * the Unix-domain-socket server end to end — byte-identity with
+ * one-shot run-matrix emission, also under concurrent identical
+ * requests, and per-request error isolation. See docs/SERVE.md.
  */
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -30,7 +28,6 @@
 #include "serve/framing.hh"
 #include "serve/lru.hh"
 #include "serve/server.hh"
-#include "serve/single_flight.hh"
 #include "study/cache.hh"
 #include "study/matrix.hh"
 
@@ -193,82 +190,6 @@ TEST(ServeLru, ZeroCapacityDisablesTheCache)
     EXPECT_EQ(lru.stats().entries, 0u);
 }
 
-// --- Single flight -----------------------------------------------------
-
-TEST(SingleFlight, SecondClaimWaitsForTheOwnersResult)
-{
-    SingleFlight flight;
-    ASSERT_EQ(flight.claim("k"), SingleFlight::Role::Owner);
-
-    std::atomic<bool> waiterClaimed{false};
-    std::atomic<bool> waiterDone{false};
-    PointStatus waiterStatus;
-    LibraReport waiterReport;
-    std::thread waiter([&] {
-        ASSERT_EQ(flight.claim("k"), SingleFlight::Role::Waiter);
-        waiterClaimed = true;
-        flight.await("k", &waiterStatus, &waiterReport);
-        waiterDone = true;
-    });
-
-    // Publish only after the waiter holds its claim — publishing into
-    // an unclaimed slot would (correctly) end the flight early.
-    while (!waiterClaimed.load())
-        std::this_thread::yield();
-    PointStatus status;
-    LibraReport report;
-    report.speedup = 7.5;
-    flight.publish("k", status, report);
-    waiter.join();
-
-    EXPECT_TRUE(waiterDone.load());
-    EXPECT_TRUE(waiterStatus.ok);
-    EXPECT_EQ(waiterReport.speedup, 7.5);
-    EXPECT_EQ(flight.inFlight(), 0u);
-}
-
-TEST(SingleFlight, ManyConcurrentClaimsYieldExactlyOneOwner)
-{
-    SingleFlight flight;
-    constexpr int kThreads = 8;
-    std::atomic<int> owners{0};
-    std::atomic<int> claimed{0};
-    std::atomic<int> sharedFailures{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
-            SingleFlight::Role role = flight.claim("k");
-            ++claimed;
-            if (role == SingleFlight::Role::Owner) {
-                ++owners;
-                // Keep the flight open until every thread has claimed
-                // — an instant publish would end it with no waiters and
-                // let a later claim start a fresh (sequential) flight,
-                // which is correct but not what this test probes.
-                while (claimed.load() < kThreads)
-                    std::this_thread::yield();
-                // Failures are shared verbatim, like any outcome.
-                PointStatus failed;
-                failed.ok = false;
-                failed.error = "boom";
-                flight.publish("k", failed, LibraReport{});
-            } else {
-                PointStatus status;
-                LibraReport report;
-                flight.await("k", &status, &report);
-                if (!status.ok && status.error == "boom")
-                    ++sharedFailures;
-            }
-        });
-    }
-    for (auto& t : threads)
-        t.join();
-    EXPECT_EQ(owners.load(), 1);
-    EXPECT_EQ(sharedFailures.load(), kThreads - 1);
-    EXPECT_EQ(flight.inFlight(), 0u);
-}
-
 // --- ServeStore --------------------------------------------------------
 
 TEST(ServeStore, LayersTheLruOverTheDiskCache)
@@ -316,35 +237,6 @@ TEST(ServeStore, MemoryOnlyStoreServesFromTheLruAlone)
     EXPECT_EQ(out.speedup, 2.0);
 }
 
-TEST(ServeStore, ClaimReprobesTheLruAfterWinningTheFlight)
-{
-    ServeStore store("", 8);
-    LibraReport report;
-    report.speedup = 3.0;
-
-    // Key published by "another request" after our load miss: the
-    // claim must come back Cached, not recompute.
-    store.store(1, "k1", report);
-    PointStatus status;
-    LibraReport out;
-    EXPECT_EQ(store.claimCompute("k1", &status, &out),
-              StudyStore::Claim::Cached);
-    EXPECT_TRUE(status.ok);
-    EXPECT_EQ(out.speedup, 3.0);
-    EXPECT_EQ(store.stats().inFlight, 0u);
-
-    // A genuinely unseen key is Owned; after its publish cycle a new
-    // claim is served from the LRU again.
-    EXPECT_EQ(store.claimCompute("k2", &status, &out),
-              StudyStore::Claim::Owned);
-    store.store(2, "k2", report);
-    status = PointStatus{};
-    store.publishCompute("k2", status, report);
-    EXPECT_EQ(store.claimCompute("k2", &status, &out),
-              StudyStore::Claim::Cached);
-    EXPECT_EQ(store.stats().inFlight, 0u);
-}
-
 // --- Server end to end -------------------------------------------------
 
 TEST(Serve, ResponsesAreByteIdenticalToOneShotEmission)
@@ -387,7 +279,7 @@ TEST(Serve, ResponsesAreByteIdenticalToOneShotEmission)
     server.stop();
 }
 
-TEST(Serve, ConcurrentIdenticalRequestsComputeEachPointOnce)
+TEST(Serve, ConcurrentIdenticalRequestsAnswerTheOneShotBytes)
 {
     const std::string scenario = serveScenarioName();
     const std::string expected = oneShotJson(scenario);
@@ -415,17 +307,13 @@ TEST(Serve, ConcurrentIdenticalRequestsComputeEachPointOnce)
         return replies;
     };
 
-    // The single-flight invariant: across all concurrent identical
-    // requests, each unique design point is optimized exactly once —
-    // however the claims interleaved. Everything else was served from
-    // the LRU or coalesced onto the owner's in-flight computation.
-    double computed = 0.0;
+    // Cold concurrent identical requests may each compute a point
+    // (evaluation is deterministic), but every reply carries the
+    // one-shot bytes however the requests interleaved.
     for (const ServeReply& reply : wave()) {
         ASSERT_TRUE(reply.status.at("ok").asBool());
-        computed += reply.status.at("computed").asNumber();
         EXPECT_EQ(reply.payload, expected);
     }
-    EXPECT_EQ(computed, 2.0); // The scenario has 2 unique points.
 
     // A second concurrent wave finds every point warm: each reply is
     // served from the LRU and byte-identical to the one-shot run.
@@ -434,7 +322,6 @@ TEST(Serve, ConcurrentIdenticalRequestsComputeEachPointOnce)
         EXPECT_EQ(reply.status.at("computed").asNumber(), 0.0);
         EXPECT_EQ(reply.payload, expected);
     }
-    EXPECT_EQ(server.store().stats().inFlight, 0u);
 
     server.stop();
 }
@@ -827,7 +714,10 @@ TEST(Serve, ProtocolOpsWorkWithoutASocket)
 
     std::string stats = server.handleLine("{\"op\": \"stats\"}",
                                           &shutdown);
-    EXPECT_NE(stats.find("libra-serve-stats-v2"), std::string::npos);
+    EXPECT_NE(stats.find("libra-serve-stats-v3"), std::string::npos);
+    EXPECT_NE(stats.find("\"misses\""), std::string::npos);
+    EXPECT_EQ(stats.find("coalesced"), std::string::npos);
+    EXPECT_EQ(stats.find("inFlight"), std::string::npos);
 }
 
 } // namespace

@@ -631,6 +631,15 @@ TEST(UnwritableOutputCli, FullDeviceExitsOneNamingTheTarget)
     std::filesystem::remove_all(goldenDir);
 }
 
+// --golden-dir only says where a golden update writes; without
+// --update-golden it would do nothing, so it is refused by name.
+TEST(GoldenDirCli, WithoutUpdateGoldenExitsOneNamingIt)
+{
+    expectFatalExit(runCli("run-matrix tbl1 --golden-dir " +
+                           ::testing::TempDir()),
+                    "--golden-dir needs --update-golden");
+}
+
 #endif // LIBRA_CLI_PATH
 
 } // namespace

@@ -52,13 +52,13 @@
  *                      concurrency / workers)
  *   --update-golden    rewrite the golden-figure files for the golden
  *                      scenarios included in this run
- *   --golden-dir DIR   golden file directory (default: tests/golden)
+ *   --golden-dir DIR   golden file directory (default: tests/golden);
+ *                      needs --update-golden
  *
  * serve options (docs/SERVE.md): a long-lived study service on a
  * Unix-domain socket, answering newline-delimited JSON requests with
  * the exact bytes run-matrix would emit — backed by an in-memory LRU
- * over the disk cache, with single-flight dedup across concurrent
- * identical requests:
+ * over the disk cache:
  *   --socket PATH      socket path (required; created on start)
  *   --cache-dir DIR    disk result cache under the LRU (optional)
  *   --lru N            in-memory LRU capacity in entries (default
@@ -90,6 +90,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -363,7 +364,7 @@ struct MatrixCliOptions
     std::string backend;    // "" = per-point scenario default.
     std::string explore;    // "" = per-scenario strategy default.
     bool updateGolden = false;
-    std::string goldenDir = "tests/golden";
+    std::optional<std::string> goldenDir; // unset = tests/golden.
     int threads = 0;
     libra::FailMode failMode = libra::FailMode::Abort;
     std::size_t workers = 0;    // 0/1 = classic in-process sweep.
@@ -438,6 +439,11 @@ runMatrixCommand(const MatrixCliOptions& cli)
                      "exhaustive enumeration)\n";
         return 1;
     }
+    if (!cli.updateGolden && cli.goldenDir) {
+        std::cerr << "libra_cli: --golden-dir needs --update-golden "
+                     "(only a golden update writes there)\n";
+        return 1;
+    }
 
     if (cli.threads > 0)
         ThreadPool::setGlobalThreads(
@@ -506,7 +512,8 @@ runMatrixCommand(const MatrixCliOptions& cli)
                 golden |= g == run.name;
             if (!golden)
                 continue;
-            std::string path = cli.goldenDir + "/" + run.name + ".json";
+            std::string path = cli.goldenDir.value_or("tests/golden") +
+                               "/" + run.name + ".json";
             std::ofstream file(path);
             if (!file) {
                 std::cerr << "libra_cli: cannot write golden file '"

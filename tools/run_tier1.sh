@@ -35,7 +35,7 @@
 #               7. serve: a `serve` process answers the golden group
 #                  disk-served, LRU-served and after a nested-JSON bomb
 #                  and a refused `workers` request, each byte-identical
-#                  to the one-shot run; stats report schema v2
+#                  to the one-shot run; stats report schema v3
 #                  (SERVE.md).
 #               8. shard: `--workers 2` explore-frontier JSON equals the
 #                  single-process run, fresh and cached (SHARDING.md).
@@ -115,8 +115,8 @@ case "${MODE}" in
     # timing-backend layer (per-call chunk-sim dedup + crossval fuzz),
     # the fault-tolerance layer (isolated sweeps, injector counters,
     # and line-atomic logging under concurrent cache warnings), the
-    # cache-concurrency hammer, the serve subsystem (LRU +
-    # single-flight + socket server; docs/SERVE.md), and the shard
+    # cache-concurrency hammer, the serve subsystem (LRU + socket
+    # server; docs/SERVE.md), and the shard
     # layer (worker pool, point wire codec; docs/SHARDING.md), and the
     # solver layer whose projections and polls run on pool threads,
     # each with its own per-call workspace, and the estimator and
@@ -444,7 +444,7 @@ PY
   cmp "${SMOKE_DIR}/soneshot.json" "${SMOKE_DIR}/sthird.json"
   grep -q '"computed":0,' "${SMOKE_DIR}/ssecond.status"
   grep -Eq '"lruHits": [1-9]' "${SMOKE_DIR}/sstats.json"
-  grep -q 'libra-serve-stats-v2' "${SMOKE_DIR}/sstats.json"
+  grep -q 'libra-serve-stats-v3' "${SMOKE_DIR}/sstats.json"
   echo "serve smoke: byte-identical golden payloads (one-shot vs disk-served vs LRU-served, and after a nested-bomb and a workers-field request)"
 
   # Sharded smoke: run-matrix --workers forks worker processes and
@@ -519,7 +519,8 @@ PY
   # JSON to the default (auto) build — fresh at 1 thread, then served
   # from each build's own cache at 8 threads. On an AVX-512 host the
   # auto build never dispatches to the AVX2 kernel, so a
-  # LIBRA_SIMD=avx2 build runs it whenever the CPU has AVX2.
+  # LIBRA_SIMD=avx2 build runs it end to end whenever the CPU has AVX2
+  # (test_objective_kernels checks it in-process in every build).
   SIMD_BUILDS=(off)
   if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
     SIMD_BUILDS+=(avx2)
