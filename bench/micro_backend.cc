@@ -14,9 +14,8 @@
  *    distinct collective of the workload once, which is the cost the
  *    crossval scenario pays per objective evaluation.
  *
- * Emits machine-readable BENCH_backend.json for CI tracking next to
- * BENCH_solver.json, so sim-backend throughput regressions show up in
- * the perf trajectory.
+ * Emits machine-readable BENCH_backend.json for CI tracking, so
+ * sim-backend throughput regressions show up in the perf trajectory.
  */
 
 #include <chrono>

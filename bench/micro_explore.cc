@@ -34,7 +34,7 @@
  * section an adaptive prune speedup of 0.68–0.89x.
  *
  * Emits machine-readable BENCH_explore.json for CI tracking next to
- * BENCH_solver/backend.json. The acceptance contract:
+ * BENCH_backend.json. The acceptance contract:
  * `prune_matches_exhaustive_winner` true with
  * `prune_full_runs <= 0.5 * exhaustive_full_runs`,
  * `shard_byte_identical` true, and `shard_adaptive_byte_identical`

@@ -1,8 +1,8 @@
 /**
  * @file
- * Deterministic pseudo-random source for the multistart optimizer and
- * randomized property tests. Wraps a fixed-seed Mersenne engine so every
- * run of the benches is reproducible.
+ * Deterministic pseudo-random source for the multistart optimizer's
+ * random start points. Wraps a fixed-seed Mersenne engine so every run
+ * is reproducible.
  */
 
 #ifndef LIBRA_COMMON_RANDOM_HH
@@ -14,20 +14,11 @@
 
 namespace libra {
 
-/** Seedable RNG with the handful of draws LIBRA needs. */
+/** Seedable RNG drawing random points on the scaled simplex. */
 class Rng
 {
   public:
     explicit Rng(std::uint64_t seed = 0x11BAa) : engine_(seed) {}
-
-    /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
-
-    /** Uniform integer in [lo, hi] inclusive. */
-    int uniformInt(int lo, int hi);
-
-    /** Standard normal draw (CMA-ES sampling). */
-    double normal();
 
     /** Point on the positive simplex scaled to sum to @p total. */
     std::vector<double> simplexPoint(std::size_t n, double total);

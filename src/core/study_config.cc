@@ -186,8 +186,9 @@ parseStudyConfig(std::istream& in)
             inputs.threads = number(1, 4096, "thread count");
         } else if (keyword == "SOLVER") {
             // Take the whole rest of the line (not one token) so
-            // `SOLVER de cmaes` errors loudly instead of silently
-            // running {de}; spaces around commas are tolerated.
+            // `SOLVER pattern-search nelder-mead` errors loudly
+            // instead of silently running {pattern-search}; spaces
+            // around commas are tolerated.
             std::string rest;
             std::getline(line, rest);
             auto first = rest.find_first_not_of(" \t");

@@ -21,7 +21,7 @@
  *     MAX_EVALS 240             # per-start objective-eval budget
  *                               # (0 = unlimited; screening rounds
  *                               # of EXPLORE prune use this)
- *     SOLVER cmaes,pattern-search  # search-strategy pipeline
+ *     SOLVER pattern-search,nelder-mead  # search-strategy pipeline
  *                               # (`libra_cli list-solvers`; default
  *                               # is the subgradient/pattern/NM chain)
  *     BACKEND chunk-sim         # collective-timing backend

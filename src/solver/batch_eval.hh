@@ -5,8 +5,7 @@
  * Every solver takes a type-erased `ScalarObjective`; the compiled
  * analytical objective (core/objective.cc) additionally evaluates
  * whole sets of points at once through the SIMD candidate-major
- * kernels (CompiledWorkload::estimateBatch). Population strategies
- * (CMA-ES, DE) score each generation this way, the subgradient's
+ * kernels (CompiledWorkload::estimateBatch). The subgradient's
  * central-difference gradient scores its 2n probes in one batch, and
  * pattern search scores the rest of a poll sweep speculatively from
  * its incumbent in one batch.

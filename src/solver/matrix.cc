@@ -22,45 +22,9 @@ norm(const Vec& a)
     return std::sqrt(dot(a, a));
 }
 
-Vec
-axpy(const Vec& a, double s, const Vec& b)
-{
-    Vec r(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        r[i] = a[i] + s * b[i];
-    return r;
-}
-
-Vec
-sub(const Vec& a, const Vec& b)
-{
-    Vec r(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        r[i] = a[i] - b[i];
-    return r;
-}
-
-Vec
-scale(double s, const Vec& a)
-{
-    Vec r(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        r[i] = s * a[i];
-    return r;
-}
-
 Matrix::Matrix(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), data_(rows * cols, 0.0)
 {}
-
-Matrix
-Matrix::identity(std::size_t n)
-{
-    Matrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        m.at(i, i) = 1.0;
-    return m;
-}
 
 Vec
 Matrix::mul(const Vec& x) const
@@ -173,73 +137,6 @@ Matrix::solveLeastSquares(const Vec& b, double ridge) const
         x = ata.solve(atb, &ok);
     }
     return x;
-}
-
-void
-symmetricEigen(const Matrix& a, Matrix* eigvecs, Vec* eigvals)
-{
-    const std::size_t n = a.rows();
-    if (a.cols() != n)
-        fatal("symmetricEigen needs a square matrix, got ", a.rows(),
-              "x", a.cols());
-
-    // Work on a copy of the upper triangle mirrored symmetric.
-    Matrix w(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = i; j < n; ++j) {
-            w.at(i, j) = a.at(i, j);
-            w.at(j, i) = a.at(i, j);
-        }
-    Matrix v = Matrix::identity(n);
-
-    // Cyclic-by-row Jacobi: fixed pivot order keeps the result
-    // deterministic. Convergence is quadratic; 32 sweeps is far more
-    // than the 2-8 dimensional matrices here ever need.
-    for (int sweep = 0; sweep < 32; ++sweep) {
-        double off = 0.0;
-        for (std::size_t p = 0; p < n; ++p)
-            for (std::size_t q = p + 1; q < n; ++q)
-                off += w.at(p, q) * w.at(p, q);
-        if (off <= 1e-30)
-            break;
-        for (std::size_t p = 0; p < n; ++p) {
-            for (std::size_t q = p + 1; q < n; ++q) {
-                double apq = w.at(p, q);
-                if (std::abs(apq) <= 1e-300)
-                    continue;
-                double theta =
-                    (w.at(q, q) - w.at(p, p)) / (2.0 * apq);
-                double t = (theta >= 0.0 ? 1.0 : -1.0) /
-                           (std::abs(theta) +
-                            std::sqrt(theta * theta + 1.0));
-                double c = 1.0 / std::sqrt(t * t + 1.0);
-                double s = t * c;
-                for (std::size_t k = 0; k < n; ++k) {
-                    double wkp = w.at(k, p);
-                    double wkq = w.at(k, q);
-                    w.at(k, p) = c * wkp - s * wkq;
-                    w.at(k, q) = s * wkp + c * wkq;
-                }
-                for (std::size_t k = 0; k < n; ++k) {
-                    double wpk = w.at(p, k);
-                    double wqk = w.at(q, k);
-                    w.at(p, k) = c * wpk - s * wqk;
-                    w.at(q, k) = s * wpk + c * wqk;
-                }
-                for (std::size_t k = 0; k < n; ++k) {
-                    double vkp = v.at(k, p);
-                    double vkq = v.at(k, q);
-                    v.at(k, p) = c * vkp - s * vkq;
-                    v.at(k, q) = s * vkp + c * vkq;
-                }
-            }
-        }
-    }
-
-    eigvals->assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-        (*eigvals)[i] = w.at(i, i);
-    *eigvecs = std::move(v);
 }
 
 } // namespace libra

@@ -1,6 +1,6 @@
 /**
  * @file
- * Small dense linear-algebra kernel backing the projection and CMA-ES.
+ * Small dense linear-algebra kernel backing the projection.
  *
  * LIBRA's optimization problems are tiny (a handful of network dimensions
  * plus a handful of constraints), so a straightforward row-major matrix
@@ -25,15 +25,6 @@ double dot(const Vec& a, const Vec& b);
 /** Euclidean norm. */
 double norm(const Vec& a);
 
-/** a + s*b, elementwise. */
-Vec axpy(const Vec& a, double s, const Vec& b);
-
-/** a - b, elementwise. */
-Vec sub(const Vec& a, const Vec& b);
-
-/** s * a, elementwise. */
-Vec scale(double s, const Vec& a);
-
 /** Dense row-major matrix. */
 class Matrix
 {
@@ -42,9 +33,6 @@ class Matrix
 
     /** rows x cols zero matrix. */
     Matrix(std::size_t rows, std::size_t cols);
-
-    /** Identity of size n. */
-    static Matrix identity(std::size_t n);
 
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
@@ -98,18 +86,6 @@ class Matrix
  *         then hold a partial elimination).
  */
 bool luSolveInPlace(double* a, double* b, std::size_t n);
-
-/**
- * Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations:
- * a = eigvecs * diag(eigvals) * eigvecs'. Deterministic (fixed sweep
- * order) and exact to ~machine precision for the tiny matrices LIBRA
- * uses; the CMA-ES covariance update is the main client.
- *
- * @param a        Symmetric input (only the upper triangle is read).
- * @param eigvecs  Columns receive the eigenvectors.
- * @param eigvals  Receives the eigenvalues, aligned with the columns.
- */
-void symmetricEigen(const Matrix& a, Matrix* eigvecs, Vec* eigvals);
 
 } // namespace libra
 

@@ -29,14 +29,6 @@ mixSeed(std::uint64_t seed, std::uint64_t stream)
     return z ^ (z >> 31);
 }
 
-/**
- * Stream ids < `starts` draw the start points; stage streams live in a
- * disjoint block so a stochastic strategy can never replay a start
- * point's draws.
- */
-constexpr std::uint64_t kStageStreamBase = 0x10000;
-constexpr std::uint64_t kStageStreamStride = 64;
-
 /** Outcome of one restart's pipeline. */
 struct StartResult
 {
@@ -48,27 +40,19 @@ struct StartResult
 /**
  * Run the strategy pipeline from one point. Every stage receives the
  * previous stage's result (strategies guarantee "no worse than the
- * start", so chaining is monotone) plus its own deterministic RNG
- * stream and the start's shared evaluation budget.
+ * start", so chaining is monotone) and the start's shared evaluation
+ * budget.
  */
 StartResult
 searchFromStart(const ScalarObjective& f, const ConstraintSet& constraints,
                 const std::vector<const SearchStrategy*>& pipeline,
-                const Vec& x0, double scale, std::size_t start_index,
-                const MultistartOptions& options)
+                const Vec& x0, const MultistartOptions& options)
 {
     EvalBudget budget(options.maxEvalsPerStart);
     Vec x = x0;
     double value = std::numeric_limits<double>::infinity();
-    for (std::size_t stage = 0; stage < pipeline.size(); ++stage) {
-        StartPoint start;
-        start.x = std::move(x);
-        start.rngSeed = mixSeed(
-            options.seed, kStageStreamBase +
-                              start_index * kStageStreamStride + stage);
-        start.scale = scale;
-        SearchResult r =
-            pipeline[stage]->search(f, constraints, start, budget);
+    for (const SearchStrategy* stage : pipeline) {
+        SearchResult r = stage->search(f, constraints, x, budget);
         x = std::move(r.x);
         value = r.value;
     }
@@ -129,8 +113,8 @@ multistartMinimize(const ScalarObjective& f,
     // per-start slots, so the reduction below is order-independent.
     std::vector<StartResult> results(starts.size());
     auto runOne = [&](std::size_t i) {
-        results[i] = searchFromStart(f, constraints, pipeline,
-                                     starts[i], total, i, options);
+        results[i] =
+            searchFromStart(f, constraints, pipeline, starts[i], options);
     };
     ThreadPool::global().parallelFor(starts.size(), runOne);
 

@@ -8,18 +8,17 @@
  * deterministic random feasible points (plus the caller's hint) and
  * keeps the best feasible result. The default pipeline is the classic
  * subgradient -> pattern-search -> Nelder-Mead chain; study files and
- * the CLI can select any registered pipeline (e.g. "cmaes" or
- * "de,pattern-search") without touching the driver.
+ * the CLI can select any registered pipeline (e.g.
+ * "pattern-search,nelder-mead") without touching the driver.
  *
  * Restarts are independent, so they run concurrently on the global
  * thread pool. Each start draws its point from its own seeded RNG
  * stream (derived from `seed` and the start index), every pipeline
- * stage is deterministic given its StartPoint (stochastic strategies
- * seed from the same stream scheme), and the winner is selected in
- * start-index order with ties broken toward the lower index — so the
- * result is bit-identical at any thread count. Requires the objective
- * to be const-callable from multiple threads (true for all built-in
- * objectives).
+ * stage is a deterministic function of its start point, and the
+ * winner is selected in start-index order with ties broken toward the
+ * lower index — so the result is bit-identical at any thread count.
+ * Requires the objective to be const-callable from multiple threads
+ * (true for all built-in objectives).
  */
 
 #ifndef LIBRA_SOLVER_MULTISTART_HH

@@ -23,7 +23,7 @@ nelderMead(const ScalarObjective& f, const ConstraintSet& constraints,
             clipped[i] = std::max(x[i], 1e-9);
         return f(clipped) + options.penaltyWeight * v * v;
     };
-    // out = axpy(a, s, sub(b, c)), element by element.
+    // out = a + s * (b - c), element by element.
     auto combine = [n](Vec& out, const Vec& a, double s, const Vec& b,
                        const Vec& c) {
         for (std::size_t i = 0; i < n; ++i)

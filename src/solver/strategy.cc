@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "solver/cmaes.hh"
-#include "solver/differential_evolution.hh"
 #include "solver/nelder_mead.hh"
 #include "solver/pattern_search.hh"
 
@@ -28,22 +26,22 @@ class SubgradientStrategy final : public SearchStrategy
 
     SearchResult
     search(const ScalarObjective& f, const ConstraintSet& constraints,
-           const StartPoint& start, EvalBudget& budget) const override
+           const Vec& start, EvalBudget& budget) const override
     {
         // Each iteration costs a central-difference gradient (2n
         // evals) plus the step evaluation, after one initial f(x0)
         // score; clamp the iteration count so the worst case fits the
         // remaining budget exactly.
         const long long perIter =
-            2 * static_cast<long long>(start.x.size()) + 1;
+            2 * static_cast<long long>(start.size()) + 1;
         SubgradientOptions opt;
         opt.maxIterations = static_cast<int>(std::clamp<long long>(
             (budget.remaining() - 1) / perIter, 0,
             opt.maxIterations));
         if (opt.maxIterations == 0)
-            return SearchResult{start.x, f(start.x), 0};
+            return SearchResult{start, f(start), 0};
         SearchResult r =
-            projectedSubgradient(f, constraints, start.x, opt);
+            projectedSubgradient(f, constraints, start, opt);
         budget.charge(static_cast<long long>(r.iterations) * perIter +
                       1);
         return r;
@@ -65,7 +63,7 @@ class PatternSearchStrategy final : public SearchStrategy
 
     SearchResult
     search(const ScalarObjective& f, const ConstraintSet& constraints,
-           const StartPoint& start, EvalBudget& budget) const override
+           const Vec& start, EvalBudget& budget) const override
     {
         // One initial f(x0) score, then iterations == poll evals.
         // patternSearch can overshoot its cap by one poll (the +/-
@@ -74,8 +72,8 @@ class PatternSearchStrategy final : public SearchStrategy
         opt.maxIterations = static_cast<int>(std::clamp<long long>(
             budget.remaining() - 2, 0, opt.maxIterations));
         if (opt.maxIterations == 0)
-            return SearchResult{start.x, f(start.x), 0};
-        SearchResult r = patternSearch(f, constraints, start.x, opt);
+            return SearchResult{start, f(start), 0};
+        SearchResult r = patternSearch(f, constraints, start, opt);
         budget.charge(r.iterations + 1);
         return r;
     }
@@ -100,13 +98,13 @@ class NelderMeadStrategy final : public SearchStrategy
 
     SearchResult
     search(const ScalarObjective& f, const ConstraintSet& constraints,
-           const StartPoint& start, EvalBudget& budget) const override
+           const Vec& start, EvalBudget& budget) const override
     {
-        double startValue = f(start.x);
+        double startValue = f(start);
         // Worst case: the start comparison, n + 1 initial vertices,
         // up to 2 + n penalized evaluations per iteration (a shrink
         // re-scores every vertex), and the final projection's score.
-        const long long n = static_cast<long long>(start.x.size());
+        const long long n = static_cast<long long>(start.size());
         const long long fixed = n + 3;
         const long long perIter = n + 2;
         NelderMeadOptions opt;
@@ -114,72 +112,13 @@ class NelderMeadStrategy final : public SearchStrategy
             (budget.remaining() - fixed) / perIter, 0,
             opt.maxIterations));
         if (opt.maxIterations == 0)
-            return SearchResult{start.x, startValue, 0};
-        SearchResult r = nelderMead(f, constraints, start.x, opt);
+            return SearchResult{start, startValue, 0};
+        SearchResult r = nelderMead(f, constraints, start, opt);
         budget.charge(static_cast<long long>(r.iterations) * perIter +
                       fixed);
         if (r.value < startValue)
             return r;
-        return SearchResult{start.x, startValue, r.iterations};
-    }
-};
-
-/** CMA-ES with batched per-generation evaluation. */
-class CmaesStrategy final : public SearchStrategy
-{
-  public:
-    std::string name() const override { return "cmaes"; }
-
-    std::string
-    description() const override
-    {
-        return "CMA-ES global search (batched population evaluation, "
-               "repair by projection)";
-    }
-
-    SearchResult
-    search(const ScalarObjective& f, const ConstraintSet& constraints,
-           const StartPoint& start, EvalBudget& budget) const override
-    {
-        CmaesOptions opt;
-        opt.scale = start.scale;
-        opt.seed = start.rngSeed;
-        opt.maxEvals = budget.remaining();
-        if (opt.maxEvals == 0)
-            return SearchResult{start.x, f(start.x), 0};
-        SearchResult r = cmaesSearch(f, constraints, start.x, opt);
-        budget.charge(r.iterations); // iterations == evaluations.
-        return r;
-    }
-};
-
-/** Differential evolution with batched per-generation evaluation. */
-class DifferentialEvolutionStrategy final : public SearchStrategy
-{
-  public:
-    std::string name() const override { return "de"; }
-
-    std::string
-    description() const override
-    {
-        return "differential evolution rand/1/bin (batched trial "
-               "evaluation, repair by projection)";
-    }
-
-    SearchResult
-    search(const ScalarObjective& f, const ConstraintSet& constraints,
-           const StartPoint& start, EvalBudget& budget) const override
-    {
-        DifferentialEvolutionOptions opt;
-        opt.scale = start.scale;
-        opt.seed = start.rngSeed;
-        opt.maxEvals = budget.remaining();
-        if (opt.maxEvals == 0)
-            return SearchResult{start.x, f(start.x), 0};
-        SearchResult r =
-            differentialEvolutionSearch(f, constraints, start.x, opt);
-        budget.charge(r.iterations); // iterations == evaluations.
-        return r;
+        return SearchResult{start, startValue, r.iterations};
     }
 };
 
@@ -192,8 +131,6 @@ StrategyRegistry::registerBuiltins(StrategyRegistry& registry)
     registry.add(std::make_unique<SubgradientStrategy>());
     registry.add(std::make_unique<PatternSearchStrategy>());
     registry.add(std::make_unique<NelderMeadStrategy>());
-    registry.add(std::make_unique<CmaesStrategy>());
-    registry.add(std::make_unique<DifferentialEvolutionStrategy>());
 }
 
 std::vector<const SearchStrategy*>

@@ -2,33 +2,29 @@
  * @file
  * Pluggable search-strategy layer for the bandwidth optimizer.
  *
- * Every iterative search LIBRA knows — the classic subgradient /
- * pattern-search / Nelder-Mead chain plus the global CMA-ES and
- * differential-evolution solvers — implements one interface:
+ * Every iterative search LIBRA knows — the subgradient /
+ * pattern-search / Nelder-Mead chain — implements one interface:
  *
  *     search(objective, constraints, start, budget) -> SearchResult
  *
  * and registers itself in the process-wide StrategyRegistry under a
- * stable name ("subgradient", "pattern-search", "nelder-mead",
- * "cmaes", "de"). The multistart driver is generic over an ordered
- * pipeline of registered strategies, so adding a solver or comparing
- * solver quality per scenario never touches the driver again: study
+ * stable name ("subgradient", "pattern-search", "nelder-mead"). The
+ * multistart driver is generic over an ordered pipeline of registered
+ * strategies, so adding a solver never touches the driver: study
  * files select pipelines with `SOLVER <name>[,<name>...]` and the CLI
  * with `--solver`.
  *
  * Determinism contract (see docs/SOLVERS.md): a strategy must be
- * a pure function of (objective, constraints, start) — including
- * start.rngSeed for stochastic strategies — and must be bit-identical
- * at any thread count. Strategies are shared across concurrently
- * running starts, so search() must be const and carry no mutable
- * state; population evaluations may fan out on the global thread pool
- * but must write into per-candidate slots and reduce in index order.
+ * a pure function of (objective, constraints, start) and must be
+ * bit-identical at any thread count. Strategies are shared across
+ * concurrently running starts, so search() must be const and carry no
+ * mutable state; batched evaluations write into per-candidate slots
+ * and reduce in index order.
  */
 
 #ifndef LIBRA_SOLVER_STRATEGY_HH
 #define LIBRA_SOLVER_STRATEGY_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,14 +33,6 @@
 #include "solver/subgradient.hh"
 
 namespace libra {
-
-/** One restart's starting state, handed to every pipeline stage. */
-struct StartPoint
-{
-    Vec x;                      ///< Feasible starting point.
-    std::uint64_t rngSeed = 0;  ///< Deterministic per-start stream.
-    double scale = 1.0;         ///< Magnitude for sampling (~sum |x|).
-};
 
 /**
  * Objective-evaluation budget shared by the stages of one start's
@@ -68,8 +56,6 @@ class EvalBudget
     {
         return used_ >= limit_ ? 0 : limit_ - used_;
     }
-
-    bool exhausted() const { return remaining() == 0; }
 
     /** Record @p evals objective evaluations. */
     void charge(long long evals) { used_ += evals; }
@@ -98,14 +84,15 @@ class SearchStrategy
     virtual std::string description() const = 0;
 
     /**
-     * Minimize @p f over @p constraints from @p start within
-     * @p budget. Must return a feasible point no worse than the start
-     * (strategies that can wander, like Nelder-Mead, compare against
-     * f(start.x) internally and fall back to the start).
+     * Minimize @p f over @p constraints from the feasible point
+     * @p start within @p budget. Must return a feasible point no
+     * worse than the start (strategies that can wander, like
+     * Nelder-Mead, compare against f(start) internally and fall back
+     * to the start).
      */
     virtual SearchResult search(const ScalarObjective& f,
                                 const ConstraintSet& constraints,
-                                const StartPoint& start,
+                                const Vec& start,
                                 EvalBudget& budget) const = 0;
 };
 
@@ -122,8 +109,9 @@ std::vector<const SearchStrategy*>
 resolveStrategyPipeline(const std::vector<std::string>& names);
 
 /**
- * Parse a comma-separated solver spec ("cmaes,pattern-search") into
- * pipeline names. Validates every name against the global registry.
+ * Parse a comma-separated solver spec ("pattern-search,nelder-mead")
+ * into pipeline names. Validates every name against the global
+ * registry.
  * @throws FatalError on an empty spec or an unknown name.
  */
 std::vector<std::string> parseSolverSpec(const std::string& spec);

@@ -130,7 +130,7 @@ TEST(Rng, Deterministic)
     Rng a(42);
     Rng b(42);
     for (int i = 0; i < 100; ++i)
-        EXPECT_DOUBLE_EQ(a.uniform(0, 1), b.uniform(0, 1));
+        EXPECT_EQ(a.simplexPoint(3, 1.0), b.simplexPoint(3, 1.0));
 }
 
 TEST(Rng, DifferentSeedsDiffer)
@@ -139,28 +139,8 @@ TEST(Rng, DifferentSeedsDiffer)
     Rng b(2);
     bool anyDiff = false;
     for (int i = 0; i < 16 && !anyDiff; ++i)
-        anyDiff = a.uniform(0, 1) != b.uniform(0, 1);
+        anyDiff = a.simplexPoint(3, 1.0) != b.simplexPoint(3, 1.0);
     EXPECT_TRUE(anyDiff);
-}
-
-TEST(Rng, UniformRange)
-{
-    Rng rng(7);
-    for (int i = 0; i < 1000; ++i) {
-        double v = rng.uniform(2.0, 5.0);
-        EXPECT_GE(v, 2.0);
-        EXPECT_LT(v, 5.0);
-    }
-}
-
-TEST(Rng, UniformIntRange)
-{
-    Rng rng(7);
-    for (int i = 0; i < 1000; ++i) {
-        int v = rng.uniformInt(-3, 3);
-        EXPECT_GE(v, -3);
-        EXPECT_LE(v, 3);
-    }
 }
 
 TEST(Rng, SimplexPointSumsToTotal)

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "common/random.hh"
 #include "core/estimator.hh"
 #include "core/optimizer.hh"
@@ -20,42 +23,72 @@
 namespace libra {
 namespace {
 
+/** Uniform double in [lo, hi), one fresh distribution per draw. */
+double
+drawUniform(std::mt19937_64& rng, double lo, double hi)
+{
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+}
+
+/** Uniform integer in [lo, hi], one fresh distribution per draw. */
+int
+drawInt(std::mt19937_64& rng, int lo, int hi)
+{
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+}
+
+/** Rng::simplexPoint's draw, taken from @p rng's stream. */
+std::vector<double>
+drawSimplexPoint(std::mt19937_64& rng, std::size_t n, double total)
+{
+    std::exponential_distribution<double> dist(1.0);
+    std::vector<double> v(n);
+    double sum = 0.0;
+    for (double& x : v) {
+        x = dist(rng);
+        sum += x;
+    }
+    for (double& x : v)
+        x *= total / sum;
+    return v;
+}
+
 /** Random small workload over a given strategy. */
 Workload
-randomWorkload(Rng& rng, long tp, long dp)
+randomWorkload(std::mt19937_64& rng, long tp, long dp)
 {
     Workload w;
     w.name = "random";
     w.strategy = {tp, dp};
-    int layers = rng.uniformInt(1, 6);
+    int layers = drawInt(rng, 1, 6);
     for (int l = 0; l < layers; ++l) {
         Layer layer;
         // Append instead of `"L" + to_string(...)`: GCC 12's
         // -Wrestrict false-positives on that operator+ overload.
         layer.name = "L";
         layer.name += std::to_string(l);
-        layer.fwdCompute = rng.uniform(0.0, 5e-3);
-        layer.igCompute = rng.uniform(0.0, 5e-3);
-        layer.wgCompute = rng.uniform(0.0, 5e-3);
-        if (tp > 1 && rng.uniformInt(0, 1)) {
+        layer.fwdCompute = drawUniform(rng, 0.0, 5e-3);
+        layer.igCompute = drawUniform(rng, 0.0, 5e-3);
+        layer.wgCompute = drawUniform(rng, 0.0, 5e-3);
+        if (tp > 1 && drawInt(rng, 0, 1)) {
             layer.fwdComm.push_back({CollectiveType::AllReduce,
                                      CommScope::Tp,
-                                     rng.uniform(1e6, 5e8)});
+                                     drawUniform(rng, 1e6, 5e8)});
             layer.igComm.push_back({CollectiveType::AllReduce,
                                     CommScope::Tp,
-                                    rng.uniform(1e6, 5e8)});
+                                    drawUniform(rng, 1e6, 5e8)});
         }
         if (dp > 1) {
-            CollectiveType t = rng.uniformInt(0, 1)
+            CollectiveType t = drawInt(rng, 0, 1)
                                    ? CollectiveType::AllReduce
                                    : CollectiveType::ReduceScatter;
             layer.wgComm.push_back(
-                {t, CommScope::Dp, rng.uniform(1e6, 5e8)});
+                {t, CommScope::Dp, drawUniform(rng, 1e6, 5e8)});
         }
-        if (rng.uniformInt(0, 3) == 0) {
+        if (drawInt(rng, 0, 3) == 0) {
             layer.fwdComm.push_back({CollectiveType::AllToAll,
                                      CommScope::All,
-                                     rng.uniform(1e6, 1e8)});
+                                     drawUniform(rng, 1e6, 1e8)});
         }
         w.layers.push_back(std::move(layer));
     }
@@ -68,15 +101,16 @@ class RandomizedAgreement : public ::testing::TestWithParam<int>
 
 TEST_P(RandomizedAgreement, EstimatorVsTrainingSim)
 {
-    Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
+    std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 7919 +
+                        13);
     Network net = Network::parse("RI(4)_FC(4)_SW(4)"); // 64 NPUs.
 
     // Pick a valid HP split of 64.
     const long tps[] = {1, 4, 16};
-    long tp = tps[rng.uniformInt(0, 2)];
+    long tp = tps[drawInt(rng, 0, 2)];
     Workload w = randomWorkload(rng, tp, net.npus() / tp);
 
-    BwConfig bw = rng.simplexPoint(net.numDims(), 600.0);
+    BwConfig bw = drawSimplexPoint(rng, net.numDims(), 600.0);
     for (auto& b : bw)
         b = std::max(b, 5.0);
 

@@ -5,33 +5,41 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.hh"
+#include <random>
+
 #include "solver/matrix.hh"
 
 namespace libra {
 namespace {
 
-TEST(VecOps, DotNormAxpy)
+/** Identity of size @p n. */
+Matrix
+identity(std::size_t n)
+{
+    Matrix m(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+        m.at(i, i) = 1.0;
+    return m;
+}
+
+/** Uniform double in [lo, hi), one fresh distribution per draw. */
+double
+drawUniform(std::mt19937_64& rng, double lo, double hi)
+{
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+}
+
+TEST(VecOps, DotNorm)
 {
     Vec a{1.0, 2.0, 3.0};
     Vec b{4.0, 5.0, 6.0};
     EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
     EXPECT_DOUBLE_EQ(norm(Vec{3.0, 4.0}), 5.0);
-
-    Vec r = axpy(a, 2.0, b);
-    EXPECT_DOUBLE_EQ(r[0], 9.0);
-    EXPECT_DOUBLE_EQ(r[2], 15.0);
-
-    Vec d = sub(b, a);
-    EXPECT_DOUBLE_EQ(d[1], 3.0);
-
-    Vec s = scale(-1.0, a);
-    EXPECT_DOUBLE_EQ(s[0], -1.0);
 }
 
 TEST(Matrix, IdentitySolve)
 {
-    Matrix i = Matrix::identity(3);
+    Matrix i = identity(3);
     Vec b{1.0, -2.0, 5.0};
     bool ok = false;
     Vec x = i.solve(b, &ok);
@@ -134,7 +142,7 @@ TEST(Matrix, MatrixMatrixProduct)
     a.at(0, 1) = 2;
     a.at(1, 0) = 3;
     a.at(1, 1) = 4;
-    Matrix b = Matrix::identity(2);
+    Matrix b = identity(2);
     Matrix c = a.mul(b);
     EXPECT_DOUBLE_EQ(c.at(0, 1), 2.0);
     EXPECT_DOUBLE_EQ(c.at(1, 1), 4.0);
@@ -147,13 +155,13 @@ class MatrixRandomSolve : public ::testing::TestWithParam<int>
 TEST_P(MatrixRandomSolve, SolvesRandomSpdSystem)
 {
     const int n = 5;
-    Rng rng(static_cast<std::uint64_t>(GetParam()));
+    std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()));
     // A = R'R + n*I is SPD and well conditioned.
     Matrix r(n, n);
     for (int i = 0; i < n; ++i)
         for (int j = 0; j < n; ++j)
             r.at(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
-                rng.uniform(-1, 1);
+                drawUniform(rng, -1, 1);
     Matrix a = r.transposed().mul(r);
     for (int i = 0; i < n; ++i)
         a.at(static_cast<std::size_t>(i), static_cast<std::size_t>(i)) +=
@@ -161,7 +169,7 @@ TEST_P(MatrixRandomSolve, SolvesRandomSpdSystem)
 
     Vec want(n);
     for (double& v : want)
-        v = rng.uniform(-10, 10);
+        v = drawUniform(rng, -10, 10);
     Vec b = a.mul(want);
     bool ok = false;
     Vec got = a.solve(b, &ok);

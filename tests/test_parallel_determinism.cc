@@ -85,34 +85,31 @@ TEST(ParallelDeterminism, Fig16StyleTopologyPoint)
 }
 
 /**
- * The new global strategies batch population evaluations on the pool,
- * so they must uphold the same contract: selecting them via the
- * pipeline spec yields bit-identical designs at any thread count.
+ * Any selected pipeline must uphold the default chain's contract:
+ * selecting a non-default one via the pipeline spec yields
+ * bit-identical designs at any thread count.
  */
-TEST(ParallelDeterminism, CmaesAndDePipelinesAreThreadCountInvariant)
+TEST(ParallelDeterminism, NonDefaultPipelineIsThreadCountInvariant)
 {
     Network net = Network::parse("RI(4)_FC(4)_SW(4)");
     Workload w = wl::resnet50(net.npus());
 
-    for (const char* solver : {"cmaes", "de"}) {
-        SCOPED_TRACE(solver);
-        expectIdenticalAcrossThreadCounts([&] {
-            BwOptimizer opt(net, CostModel::defaultModel());
-            OptimizerConfig cfg;
-            cfg.totalBw = 300.0;
-            cfg.search.starts = 2;
-            cfg.search.pipeline = {solver, "pattern-search"};
-            cfg.objective = OptimizationObjective::PerfPerCostOpt;
-            return opt.optimize({{w, 1.0}}, cfg);
-        });
-    }
+    expectIdenticalAcrossThreadCounts([&] {
+        BwOptimizer opt(net, CostModel::defaultModel());
+        OptimizerConfig cfg;
+        cfg.totalBw = 300.0;
+        cfg.search.starts = 2;
+        cfg.search.pipeline = {"nelder-mead", "pattern-search"};
+        cfg.objective = OptimizationObjective::PerfPerCostOpt;
+        return opt.optimize({{w, 1.0}}, cfg);
+    });
 }
 
 /**
- * The compiled objective's batched facet fans fixed 32-candidate
- * blocks across the pool, so its output must be bit-identical at any
- * thread count — this is what makes the batched CMA-ES and DE
- * generations above thread-count invariant in the first place.
+ * The compiled objective's batched facet evaluates fixed 32-candidate
+ * blocks in order on the calling thread, so its output must not
+ * depend on the global pool's size: the subgradient's and pattern
+ * search's batched probes rely on that.
  */
 TEST(ParallelDeterminism, EvaluateBatchIsThreadCountInvariant)
 {

@@ -62,7 +62,7 @@ const char* kWireCorpus[] = {
     "NETWORK RI(4)_SW(8)\n"
     "STARTS 1\n"
     "MAX_EVALS 120\n"
-    "SOLVER cmaes\n"
+    "SOLVER pattern-search\n"
     "WORKLOAD resnet50\n",
     "NETWORK RI(4)_SW(8)\n"
     "MAX_EVALS 240\n"
@@ -74,8 +74,8 @@ const char* kWireCorpus[] = {
     "THREADS 8\n"
     "WORKLOAD msft1t WEIGHT 1.0\n",
     "NETWORK RI(4)_SW(8)\n"
-    "SOLVER cmaes\n"
-    "SOLVER de\n"
+    "SOLVER nelder-mead\n"
+    "SOLVER pattern-search\n"
     "WORKLOAD resnet50\n",
     "NETWORK RI(4)_SW(8)\n"
     "BACKEND analytical\n"

@@ -10,11 +10,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "solver/feasible.hh"
 #include "solver/qp.hh"
 
@@ -120,6 +120,39 @@ TEST(Projection, InfeasibleSetThrows)
     EXPECT_THROW(projectOntoConstraints(cs, {5.0, 5.0}), FatalError);
 }
 
+/** Uniform double in [lo, hi), one fresh distribution per draw. */
+double
+drawUniform(std::mt19937_64& rng, double lo, double hi)
+{
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+}
+
+/** Rng::simplexPoint's draw, taken from @p rng's stream. */
+std::vector<double>
+drawSimplexPoint(std::mt19937_64& rng, std::size_t n, double total)
+{
+    std::exponential_distribution<double> dist(1.0);
+    std::vector<double> v(n);
+    double sum = 0.0;
+    for (double& x : v) {
+        x = dist(rng);
+        sum += x;
+    }
+    for (double& x : v)
+        x *= total / sum;
+    return v;
+}
+
+/** Euclidean distance between @p a and @p b. */
+double
+euclidean(const Vec& a, const Vec& b)
+{
+    double s = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        s += (a[i] - b[i]) * (a[i] - b[i]);
+    return std::sqrt(s);
+}
+
 /**
  * Property: the projection is no farther from the query point than any
  * random feasible point (definition of Euclidean projection).
@@ -129,7 +162,7 @@ class ProjectionProperty : public ::testing::TestWithParam<int>
 
 TEST_P(ProjectionProperty, ClosestAmongSamples)
 {
-    Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 5);
+    std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 977 + 5);
     ConstraintSet cs(4);
     cs.addTotalBw(100.0);
     cs.addLowerBounds(0.1);
@@ -137,16 +170,16 @@ TEST_P(ProjectionProperty, ClosestAmongSamples)
 
     Vec q(4);
     for (double& v : q)
-        v = rng.uniform(-50.0, 150.0);
+        v = drawUniform(rng, -50.0, 150.0);
     Vec p = projectOntoConstraints(cs, q);
     ASSERT_LE(cs.maxViolation(p), 1e-5);
-    double dp = norm(sub(p, q));
+    double dp = euclidean(p, q);
 
     for (int s = 0; s < 50; ++s) {
-        Vec cand = rng.simplexPoint(4, 100.0);
+        Vec cand = drawSimplexPoint(rng, 4, 100.0);
         if (!cs.feasible(cand, 1e-9))
             continue;
-        EXPECT_LE(dp, norm(sub(cand, q)) + 1e-6);
+        EXPECT_LE(dp, euclidean(cand, q) + 1e-6);
     }
 }
 

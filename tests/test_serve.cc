@@ -372,11 +372,20 @@ TEST(Serve, RequestErrorsAreIsolatedFromTheServer)
             << dup.status.at("error").asString();
     }
 
-    // The server survived all six and still answers correctly.
+    // A deleted search strategy is an unknown name like any other.
+    ServeReply removed = serveRequest(
+        socket, "{\"scenario\": \"tbl1\", \"solver\": \"cmaes\"}");
+    EXPECT_FALSE(removed.status.at("ok").asBool());
+    EXPECT_NE(removed.status.at("error").asString().find(
+                  "unknown search strategy 'cmaes'"),
+              std::string::npos)
+        << removed.status.at("error").asString();
+
+    // The server survived all seven and still answers correctly.
     ServeReply ok = serveRequest(socket, "{\"scenario\": \"tbl1\"}");
     EXPECT_TRUE(ok.status.at("ok").asBool());
     EXPECT_EQ(ok.payload, oneShotJson("tbl1"));
-    EXPECT_EQ(server.stats().errors, 6u);
+    EXPECT_EQ(server.stats().errors, 7u);
 
     server.stop();
 }

@@ -36,13 +36,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <random>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "collective/mapping.hh"
 #include "collective/multi_rail.hh"
-#include "common/random.hh"
 #include "core/framework.hh"
 #include "core/timing_backend.hh"
 #include "sim/collective_sim.hh"
@@ -51,6 +51,20 @@
 
 namespace libra {
 namespace {
+
+/** Uniform double in [lo, hi), one fresh distribution per draw. */
+double
+drawUniform(std::mt19937_64& rng, double lo, double hi)
+{
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+}
+
+/** Uniform integer in [lo, hi], one fresh distribution per draw. */
+int
+drawInt(std::mt19937_64& rng, int lo, int hi)
+{
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+}
 
 constexpr double kRelTol = 1e-12;
 
@@ -340,37 +354,37 @@ drawPoint(std::uint64_t seed)
         CollectiveType::PointToPoint,
     };
 
-    Rng rng(seed);
+    std::mt19937_64 rng(seed);
     FuzzPoint p;
     p.seed = seed;
-    p.net = Network::parse(kShapes[rng.uniformInt(
-        0, static_cast<int>(std::size(kShapes)) - 1)]);
-    p.type = kTypes[rng.uniformInt(
-        0, static_cast<int>(std::size(kTypes)) - 1)];
-    p.size = rng.uniform(1.0 * kMB, 2.0 * kGB);
+    p.net = Network::parse(kShapes[drawInt(
+        rng, 0, static_cast<int>(std::size(kShapes)) - 1)]);
+    p.type = kTypes[drawInt(
+        rng, 0, static_cast<int>(std::size(kTypes)) - 1)];
+    p.size = drawUniform(rng, 1.0 * kMB, 2.0 * kGB);
 
     int dims = static_cast<int>(p.net.numDims());
     // Inner parallelism consumes dims [0, a); the group spans dims
     // [a, a+b) fully, optionally times a divisor of dim a+b.
-    int a = rng.uniformInt(0, dims - 1);
-    int b = rng.uniformInt(1, dims - a);
+    int a = drawInt(rng, 0, dims - 1);
+    int b = drawInt(rng, 1, dims - a);
     p.stride = p.net.prefixProduct(static_cast<std::size_t>(a));
     p.group = 1;
     for (int d = a; d < a + b; ++d)
         p.group *= p.net.dim(static_cast<std::size_t>(d)).size;
-    if (a + b < dims && rng.uniformInt(0, 1) == 1) {
+    if (a + b < dims && drawInt(rng, 0, 1) == 1) {
         int next = p.net.dim(static_cast<std::size_t>(a + b)).size;
         std::vector<int> divisors;
         for (int d = 2; d < next; ++d)
             if (next % d == 0)
                 divisors.push_back(d);
         if (!divisors.empty()) {
-            p.group *= divisors[rng.uniformInt(
-                0, static_cast<int>(divisors.size()) - 1)];
+            p.group *= divisors[drawInt(
+                rng, 0, static_cast<int>(divisors.size()) - 1)];
         }
     }
     for (std::size_t d = 0; d < p.net.numDims(); ++d)
-        p.bw.push_back(rng.uniform(5.0, 200.0));
+        p.bw.push_back(drawUniform(rng, 5.0, 200.0));
     return p;
 }
 

@@ -6,14 +6,15 @@
  * feasible set is a single point), a budget below the floors (an
  * infeasible polyhedron must produce a clean error, never NaN), and
  * the same cases end-to-end through BwOptimizer on real networks.
- * Every strategy — old chain members and the new global solvers —
- * must return a feasible projected point or throw FatalError; NaN or
- * negative bandwidth is always a bug.
+ * Every strategy must return a feasible projected point or throw
+ * FatalError; NaN or negative bandwidth is always a bug.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "core/optimizer.hh"
@@ -48,17 +49,26 @@ expectCleanPoint(const Vec& x, const ConstraintSet& cs,
     }
 }
 
+/** The default chain ("") plus every registered strategy alone. */
+std::vector<std::string>
+everyPipeline()
+{
+    std::vector<std::string> pipelines{""};
+    for (const auto& name : StrategyRegistry::global().names())
+        pipelines.push_back(name);
+    return pipelines;
+}
+
 /** Run one strategy from @p x0 and validate the result. */
 void
 runStrategy(const std::string& name, const ScalarObjective& f,
-            const ConstraintSet& cs, const Vec& x0, double scale)
+            const ConstraintSet& cs, const Vec& x0)
 {
     SCOPED_TRACE(name);
     const SearchStrategy* s = StrategyRegistry::global().find(name);
     ASSERT_NE(s, nullptr);
-    StartPoint start{x0, 0xED6Eull, scale};
     EvalBudget budget;
-    SearchResult r = s->search(f, cs, start, budget);
+    SearchResult r = s->search(f, cs, x0, budget);
     expectCleanPoint(r.x, cs, name);
     EXPECT_TRUE(std::isfinite(r.value)) << name;
     EXPECT_LE(r.value, f(x0) + 1e-9) << name << " worse than start";
@@ -73,11 +83,10 @@ TEST(SolverEdgeCases, OneDimensionIsAFixedPointForEveryStrategy)
     cs.addLowerBounds(0.1);
     auto f = inverseSum({7.0});
     for (const auto& name : StrategyRegistry::global().names()) {
-        runStrategy(name, f, cs, {120.0}, 120.0);
+        runStrategy(name, f, cs, {120.0});
         const SearchStrategy* s = StrategyRegistry::global().find(name);
-        StartPoint start{{120.0}, 0x1D1ull, 120.0};
         EvalBudget budget;
-        SearchResult r = s->search(f, cs, start, budget);
+        SearchResult r = s->search(f, cs, {120.0}, budget);
         EXPECT_NEAR(r.x[0], 120.0, 1e-6) << name;
     }
 }
@@ -92,11 +101,10 @@ TEST(SolverEdgeCases, BudgetExactlyAtFloorsPinsEveryDimension)
     auto f = inverseSum({4.0, 2.0, 1.0});
     Vec only{10.0, 10.0, 10.0};
     for (const auto& name : StrategyRegistry::global().names()) {
-        runStrategy(name, f, cs, only, 30.0);
+        runStrategy(name, f, cs, only);
         const SearchStrategy* s = StrategyRegistry::global().find(name);
-        StartPoint start{only, 0xF100ull, 30.0};
         EvalBudget budget;
-        SearchResult r = s->search(f, cs, start, budget);
+        SearchResult r = s->search(f, cs, only, budget);
         for (std::size_t i = 0; i < 3; ++i)
             EXPECT_NEAR(r.x[i], 10.0, 1e-4) << name << " dim " << i;
     }
@@ -117,9 +125,8 @@ TEST(SolverEdgeCases, BudgetBelowFloorsIsACleanErrorForEveryStrategy)
     for (const auto& name : StrategyRegistry::global().names()) {
         SCOPED_TRACE(name);
         const SearchStrategy* s = StrategyRegistry::global().find(name);
-        StartPoint start{hint, 0xBADull, 25.0};
         EvalBudget budget;
-        EXPECT_THROW(s->search(f, cs, start, budget), FatalError);
+        EXPECT_THROW(s->search(f, cs, hint, budget), FatalError);
     }
     EXPECT_THROW(multistartMinimize(f, cs, hint), FatalError);
 }
@@ -131,12 +138,12 @@ TEST(SolverEdgeCases, InfeasibleTextConstraintsErrorThroughOptimize)
     Network net = Network::parse("RI(4)_SW(4)");
     BwOptimizer opt(net, CostModel::defaultModel());
     Workload w = wl::resnet50(net.npus());
-    for (const char* solver : {"", "cmaes", "de"}) {
+    for (const std::string& solver : everyPipeline()) {
         SCOPED_TRACE(solver);
         OptimizerConfig cfg;
         cfg.totalBw = 200.0;
         cfg.search.starts = 1;
-        if (*solver)
+        if (!solver.empty())
             cfg.search.pipeline = {solver};
         cfg.constraints = {"B1 >= 150", "B2 >= 150"}; // Sum is 200.
         EXPECT_THROW(opt.optimize({{w, 1.0}}, cfg), FatalError);
@@ -150,13 +157,12 @@ TEST(SolverEdgeCases, OneDimensionNetworkOptimizesCleanlyPerSolver)
     Network net = Network::parse("SW(8)");
     BwOptimizer opt(net, CostModel::defaultModel());
     Workload w = wl::resnet50(net.npus());
-    for (const char* solver :
-         {"", "cmaes", "de", "pattern-search", "nelder-mead"}) {
+    for (const std::string& solver : everyPipeline()) {
         SCOPED_TRACE(solver);
         OptimizerConfig cfg;
         cfg.totalBw = 150.0;
         cfg.search.starts = 2;
-        if (*solver)
+        if (!solver.empty())
             cfg.search.pipeline = {solver};
         OptimizationResult r = opt.optimize({{w, 1.0}}, cfg);
         ASSERT_EQ(r.bw.size(), 1u);
@@ -173,13 +179,13 @@ TEST(SolverEdgeCases, TightFloorsThroughOptimizeStayFeasible)
     Network net = Network::parse("RI(4)_FC(4)_SW(4)");
     BwOptimizer opt(net, CostModel::defaultModel());
     Workload w = wl::resnet50(net.npus());
-    for (const char* solver : {"", "cmaes", "de"}) {
+    for (const std::string& solver : everyPipeline()) {
         SCOPED_TRACE(solver);
         OptimizerConfig cfg;
         cfg.totalBw = 30.0;
         cfg.minDimBw = 10.0;
         cfg.search.starts = 1;
-        if (*solver)
+        if (!solver.empty())
             cfg.search.pipeline = {solver};
         OptimizationResult r = opt.optimize({{w, 1.0}}, cfg);
         for (double b : r.bw) {

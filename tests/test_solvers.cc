@@ -19,8 +19,6 @@
 #include "core/objective.hh"
 #include "cost/cost_model.hh"
 #include "solver/batch_eval.hh"
-#include "solver/cmaes.hh"
-#include "solver/differential_evolution.hh"
 #include "solver/multistart.hh"
 #include "solver/nelder_mead.hh"
 #include "solver/pattern_search.hh"
@@ -193,12 +191,11 @@ TEST_P(PatternSearchRoutes, BatchedPollsRetraceThePerCallSearch)
         ASSERT_NE(strategy, nullptr);
         for (long long limit = 1; limit <= caps + 2; ++limit) {
             SCOPED_TRACE(limit);
-            StartPoint start{x0, 0, 400.0};
             EvalBudget budgetA(limit), budgetB(limit);
             const SearchResult a =
-                strategy->search(batched, cs, start, budgetA);
+                strategy->search(batched, cs, x0, budgetA);
             const SearchResult b =
-                strategy->search(plain, cs, start, budgetB);
+                strategy->search(plain, cs, x0, budgetB);
             expectSameBits(a, b);
             EXPECT_EQ(budgetA.used(), budgetB.used());
             EXPECT_LE(budgetA.used(), limit);
@@ -269,84 +266,11 @@ TEST(Multistart, DeterministicAcrossRuns)
                          r2.x[static_cast<std::size_t>(i)]);
 }
 
-TEST(Cmaes, FindsConstrainedMinimum)
-{
-    Vec a{16.0, 4.0, 1.0};
-    ConstraintSet cs(3);
-    cs.addTotalBw(70.0);
-    cs.addLowerBounds(0.1);
-    CmaesOptions opt;
-    opt.scale = 70.0;
-    SearchResult r =
-        cmaesSearch(inverseSum(a), cs, {70.0 / 3, 70.0 / 3, 70.0 / 3},
-                    opt);
-    Vec want = inverseSumOptimum(a, 70.0); // (40, 20, 10).
-    auto f = inverseSum(a);
-    EXPECT_NEAR(r.value, f(want), f(want) * 0.01);
-    EXPECT_TRUE(cs.feasible(r.x, 1e-5));
-}
-
-TEST(Cmaes, IsDeterministicPerSeedAndNeverWorseThanStart)
-{
-    Vec a{5.0, 1.0};
-    ConstraintSet cs(2);
-    cs.addTotalBw(40.0);
-    cs.addLowerBounds(0.1);
-    auto f = inverseSum(a);
-    CmaesOptions opt;
-    opt.scale = 40.0;
-    opt.seed = 77;
-    SearchResult r1 = cmaesSearch(f, cs, {20.0, 20.0}, opt);
-    SearchResult r2 = cmaesSearch(f, cs, {20.0, 20.0}, opt);
-    EXPECT_EQ(r1.value, r2.value);
-    EXPECT_EQ(r1.x, r2.x);
-    EXPECT_LE(r1.value, f({20.0, 20.0}) + 1e-12);
-}
-
-TEST(DifferentialEvolution, FindsConstrainedMinimum)
-{
-    Vec a{16.0, 4.0, 1.0};
-    ConstraintSet cs(3);
-    cs.addTotalBw(70.0);
-    cs.addLowerBounds(0.1);
-    DifferentialEvolutionOptions opt;
-    opt.scale = 70.0;
-    SearchResult r = differentialEvolutionSearch(
-        inverseSum(a), cs, {70.0 / 3, 70.0 / 3, 70.0 / 3}, opt);
-    Vec want = inverseSumOptimum(a, 70.0);
-    auto f = inverseSum(a);
-    EXPECT_NEAR(r.value, f(want), f(want) * 0.01);
-    EXPECT_TRUE(cs.feasible(r.x, 1e-5));
-}
-
-TEST(DifferentialEvolution, EscapesLocalMinimaOnNonconvex)
-{
-    // The Multistart bump landscape, solved by one DE run (no
-    // restarts): the population must not collapse into the poor
-    // basin at (1, 9).
-    auto f = [](const Vec& x) {
-        auto bump = [](double cx, double cy, double depth, const Vec& p) {
-            double dx = p[0] - cx;
-            double dy = p[1] - cy;
-            return -depth * std::exp(-(dx * dx + dy * dy) / 4.0);
-        };
-        return 2.0 + bump(1.0, 9.0, 1.0, x) + bump(9.0, 1.0, 2.0, x);
-    };
-    ConstraintSet cs(2);
-    cs.addTotalBw(10.0);
-    cs.addLowerBounds(0.0);
-    DifferentialEvolutionOptions opt;
-    opt.scale = 10.0;
-    SearchResult r = differentialEvolutionSearch(f, cs, {1.0, 9.0}, opt);
-    EXPECT_NEAR(r.x[0], 9.0, 0.5);
-    EXPECT_NEAR(r.x[1], 1.0, 0.5);
-}
-
 TEST(StrategyRegistry, BuiltinsAreRegisteredInOrder)
 {
     std::vector<std::string> names = StrategyRegistry::global().names();
     std::vector<std::string> want{"subgradient", "pattern-search",
-                                  "nelder-mead", "cmaes", "de"};
+                                  "nelder-mead"};
     EXPECT_EQ(names, want);
     for (const auto& name : names) {
         const SearchStrategy* s = StrategyRegistry::global().find(name);
@@ -361,12 +285,12 @@ TEST(StrategyRegistry, BuiltinsAreRegisteredInOrder)
 TEST(StrategyRegistry, SolverSpecParsesAndRejectsUnknownNames)
 {
     std::vector<std::string> spec =
-        parseSolverSpec("cmaes, pattern-search");
+        parseSolverSpec("nelder-mead, pattern-search");
     EXPECT_EQ(spec,
-              (std::vector<std::string>{"cmaes", "pattern-search"}));
-    EXPECT_EQ(solverSpecToString(spec), "cmaes,pattern-search");
+              (std::vector<std::string>{"nelder-mead", "pattern-search"}));
+    EXPECT_EQ(solverSpecToString(spec), "nelder-mead,pattern-search");
     EXPECT_THROW(parseSolverSpec(""), FatalError);
-    EXPECT_THROW(parseSolverSpec("cmaes,"), FatalError);
+    EXPECT_THROW(parseSolverSpec("nelder-mead,"), FatalError);
     EXPECT_THROW(parseSolverSpec("gradient-descent"), FatalError);
 }
 
@@ -429,8 +353,7 @@ TEST(StrategyPipeline, EvalBudgetCapsThePipeline)
         const SearchStrategy* s = StrategyRegistry::global().find(name);
         ASSERT_NE(s, nullptr);
         EvalBudget budget(40);
-        StartPoint start{{20.0, 20.0, 20.0}, 0xB06ull, 60.0};
-        SearchResult capped = s->search(f, cs, start, budget);
+        SearchResult capped = s->search(f, cs, {20.0, 20.0, 20.0}, budget);
         EXPECT_TRUE(cs.feasible(capped.x, 1e-5));
         EXPECT_LE(budget.used(), 40);
     }

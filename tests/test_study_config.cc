@@ -540,8 +540,7 @@ TEST(RegistryCli, ListSolversEmitsRegistrationOrder)
 {
     Json j = listJson("list-solvers", "solvers");
     EXPECT_EQ(entryStrings(j, "name"),
-              (Names{"subgradient", "pattern-search", "nelder-mead",
-                     "cmaes", "de"}));
+              (Names{"subgradient", "pattern-search", "nelder-mead"}));
     for (const std::string& d : entryStrings(j, "description"))
         EXPECT_FALSE(d.empty());
 }
@@ -572,12 +571,15 @@ TEST(RegistryCli, ListExplorersEmitsNamesAndParams)
 // --- Unknown flags -----------------------------------------------------
 
 // Flags the CLI does not take are refused by name, never silently
-// ignored. None of these reaches a server or a sweep: each command
-// stops at its flag parse.
+// ignored, and so are the names of deleted search strategies, whether
+// a flag or a study file selects them. None of these reaches a server
+// or a sweep: each command stops at its flag or study parse.
 TEST(UnknownFlagCli, EachFlagExitsOneNamingIt)
 {
     std::string study = ::testing::TempDir() + "libra_flags.study";
     std::ofstream(study) << cliOutput("--example");
+    std::string deSolver = ::testing::TempDir() + "libra_de.study";
+    std::ofstream(deSolver) << cliOutput("--example") << "SOLVER de\n";
     const std::pair<std::string, std::string> cases[] = {
         {"run-matrix tbl1 --checkpoint-chunk 4",
          "unknown run-matrix flag '--checkpoint-chunk'"},
@@ -587,6 +589,9 @@ TEST(UnknownFlagCli, EachFlagExitsOneNamingIt)
         {"serve --max-workers 2", "unknown serve flag '--max-workers'"},
         {"serve --fail-mode isolate", "unknown serve flag '--fail-mode'"},
         {study + " --explore prune", "unknown flag '--explore'"},
+        {"run-matrix tbl1 --solver cmaes",
+         "unknown search strategy 'cmaes'"},
+        {deSolver, "unknown search strategy 'de'"},
     };
     for (const auto& [args, needle] : cases)
         expectFatalExit(runCli(args), needle);

@@ -161,17 +161,18 @@ TEST(StudyCacheKey, SolverPipelineIsPartOfThePointIdentity)
     // Different pipelines produce different reports, so they must
     // never share a cache slot; the same spec must keep hitting.
     std::uint64_t base = studyCacheHash(miniInputs());
-    std::uint64_t cmaes = studyCacheHash(miniInputs("SOLVER cmaes\n"));
-    std::uint64_t de = studyCacheHash(miniInputs("SOLVER de\n"));
+    std::uint64_t nm = studyCacheHash(miniInputs("SOLVER nelder-mead\n"));
+    std::uint64_t ps =
+        studyCacheHash(miniInputs("SOLVER pattern-search\n"));
     std::uint64_t chain = studyCacheHash(
-        miniInputs("SOLVER cmaes,pattern-search\n"));
-    EXPECT_NE(base, cmaes);
-    EXPECT_NE(base, de);
-    EXPECT_NE(cmaes, de);
-    EXPECT_NE(cmaes, chain);
-    EXPECT_EQ(cmaes, studyCacheHash(miniInputs("SOLVER cmaes\n")));
-    EXPECT_EQ(canonicalStudyKey(miniInputs("SOLVER cmaes\n")),
-              canonicalStudyKey(miniInputs("SOLVER cmaes\n")));
+        miniInputs("SOLVER nelder-mead,pattern-search\n"));
+    EXPECT_NE(base, nm);
+    EXPECT_NE(base, ps);
+    EXPECT_NE(nm, ps);
+    EXPECT_NE(nm, chain);
+    EXPECT_EQ(nm, studyCacheHash(miniInputs("SOLVER nelder-mead\n")));
+    EXPECT_EQ(canonicalStudyKey(miniInputs("SOLVER nelder-mead\n")),
+              canonicalStudyKey(miniInputs("SOLVER nelder-mead\n")));
 
     // The default (empty) pipeline must keep the historical key text:
     // version-1 cache entries and goldens stay valid without a bump.
@@ -185,7 +186,7 @@ TEST(StudyCacheKey, SolverSpecRoundTripsThroughStoreAndLoad)
     std::filesystem::remove_all(dir);
     ResultCache cache(dir);
 
-    LibraInputs inputs = miniInputs("SOLVER de\n");
+    LibraInputs inputs = miniInputs("SOLVER pattern-search\n");
     LibraReport report = runLibra(inputs);
     std::string canonical = canonicalStudyKey(inputs);
     std::uint64_t key = studyCacheHash(inputs);
@@ -199,7 +200,8 @@ TEST(StudyCacheKey, SolverSpecRoundTripsThroughStoreAndLoad)
     // forced key collision must be detected and treated as a miss.
     setInformEnabled(false);
     EXPECT_FALSE(cache.load(
-        key, canonicalStudyKey(miniInputs("SOLVER cmaes\n")), &out));
+        key, canonicalStudyKey(miniInputs("SOLVER nelder-mead\n")),
+        &out));
     std::filesystem::remove_all(dir);
 }
 

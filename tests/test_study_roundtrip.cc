@@ -68,7 +68,7 @@ const char* kCorpus[] = {
     "NETWORK RI(4)_SW(8)\n"
     "STARTS 1\n"
     "MAX_EVALS 120\n"
-    "SOLVER cmaes\n"
+    "SOLVER pattern-search\n"
     "EXPLORE prune\n"
     "WORKLOAD resnet50\n",
     // Dollar cap (implies a relaxed BW budget) and threads.
@@ -77,12 +77,13 @@ const char* kCorpus[] = {
     "DOLLAR_CAP 1.5e7\n"
     "THREADS 8\n"
     "WORKLOAD msft1t WEIGHT 1.0\n",
-    // Solver pipelines: a single global strategy and a full chain.
+    // Solver pipelines: a single strategy, a two-stage pipeline and
+    // the full chain.
     "NETWORK RI(4)_SW(8)\n"
-    "SOLVER cmaes\n"
+    "SOLVER nelder-mead\n"
     "WORKLOAD resnet50\n",
     "NETWORK RI(4)_SW(8)\n"
-    "SOLVER de,pattern-search\n"
+    "SOLVER nelder-mead,pattern-search\n"
     "WORKLOAD resnet50\n",
     "NETWORK RI(4)_SW(8)\n"
     "SOLVER subgradient,pattern-search,nelder-mead\n"
@@ -181,12 +182,12 @@ TEST(StudyRoundTrip, EqualityIsDiscriminating)
                       "WORKLOAD resnet50\nCOST Pod LINK 9\n")));
     EXPECT_FALSE(studyInputsEqual(
         base, variant("NETWORK RI(4)_SW(8)\nTOTAL_BW 300\n"
-                      "WORKLOAD resnet50\nSOLVER cmaes\n")));
+                      "WORKLOAD resnet50\nSOLVER nelder-mead\n")));
     EXPECT_FALSE(studyInputsEqual(
         variant("NETWORK RI(4)_SW(8)\nTOTAL_BW 300\n"
-                "WORKLOAD resnet50\nSOLVER cmaes\n"),
+                "WORKLOAD resnet50\nSOLVER nelder-mead\n"),
         variant("NETWORK RI(4)_SW(8)\nTOTAL_BW 300\n"
-                "WORKLOAD resnet50\nSOLVER de\n")));
+                "WORKLOAD resnet50\nSOLVER pattern-search\n")));
     EXPECT_FALSE(studyInputsEqual(
         base, variant("NETWORK RI(4)_SW(8)\nTOTAL_BW 300\n"
                       "WORKLOAD resnet50\nMAX_EVALS 64\n")));

@@ -27,7 +27,8 @@
  *   --out FILE         write the emission/tables to FILE
  *   --solver SPEC      solver-pipeline override for every design point
  *                      (comma-separated strategy names; see
- *                      `list-solvers`), e.g. --solver cmaes,pattern-search
+ *                      `list-solvers`), e.g. --solver
+ *                      pattern-search,nelder-mead
  *   --backend NAME     timing-backend override for every design point
  *                      (see `list-backends`), e.g. --backend chunk-sim
  *                      to re-run a whole matrix under simulation
@@ -122,7 +123,7 @@ WORKLOAD gpt3
 WORKLOAD msft1t WEIGHT 1.0
 NORMALIZE_WEIGHTS
 # THREADS 8                # solver parallelism (deterministic)
-# SOLVER cmaes,pattern-search  # strategy pipeline (list-solvers)
+# SOLVER pattern-search,nelder-mead  # strategy pipeline (list-solvers)
 # BACKEND chunk-sim        # timing backend (list-backends)
 # EXPLORE prune,keep=0.25  # exploration strategy (list-explorers)
 # COST Pod LINK 7.8 SWITCH 18.0 NIC 31.6
@@ -793,10 +794,6 @@ runCli(int argc, char** argv)
         std::string solverSpec;
         std::string backend;
         for (std::size_t i = 0; i < args.size(); ++i) {
-            if (args[i] == "--example") {
-                std::cout << kTemplate;
-                return 0;
-            }
             if (args[i] == "--threads") {
                 if (i + 1 >= args.size()) {
                     std::cerr << "libra_cli: --threads needs a count\n";
