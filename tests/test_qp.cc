@@ -305,6 +305,33 @@ uniform(std::uint64_t* state, double lo, double hi)
                     0x1p-53;
 }
 
+/** Fold @p v's bits into the FNV-1a digest @p h. */
+void
+foldBits(std::uint64_t* h, const Vec& v)
+{
+    for (double x : v) {
+        std::uint64_t b;
+        std::memcpy(&b, &x, sizeof(b));
+        for (int byte = 0; byte < 8; ++byte) {
+            *h ^= (b >> (8 * byte)) & 0xffu;
+            *h *= 1099511628211ull;
+        }
+    }
+}
+
+/**
+ * A mantissa in [1, 2) times 2^e for e in @p lo..@p hi: a roughly
+ * log-uniform draw from 2^lo to 2^(hi + 1) that needs no libm call.
+ */
+double
+logUniform(std::uint64_t* state, int lo, int hi)
+{
+    const int e = lo + static_cast<int>(
+                           splitmix(state) %
+                           static_cast<std::uint64_t>(hi - lo + 1));
+    return std::ldexp(uniform(state, 1.0, 2.0), e);
+}
+
 /**
  * The projection's output bits for the corpus, captured as hexfloats:
  * any change to the phase-1 sweeps, the KKT assembly, the LU pivot and
@@ -376,17 +403,149 @@ TEST(ProjectionCorpus, RandomSweepDigestIsBitExact)
         Vec q(n);
         for (double& v : q)
             v = uniform(&state, -0.5 * total, 1.5 * total);
-        Vec p = projectOntoConstraints(cs, q);
-        for (double v : p) {
-            std::uint64_t b;
-            std::memcpy(&b, &v, sizeof(b));
-            for (int byte = 0; byte < 8; ++byte) {
-                h ^= (b >> (8 * byte)) & 0xffu;
-                h *= 1099511628211ull;
-            }
-        }
+        foldBits(&h, projectOntoConstraints(cs, q));
     }
     EXPECT_EQ(h, 0xf64fd208c2a40ff6ull) << std::hex << h;
+}
+
+/**
+ * One problem of the poll corpus: an Eq or Le budget of 2^-10..2^20
+ * (TOTAL_BW's 1e-3..1e6 range) over n = 2..6 or 16 dimensions, lower
+ * bounds, and one of: nothing, a cost-weighted Le cap, a Ge ordering,
+ * an all-zero equality row, or the budget again as an equality (the
+ * last two make the KKT system singular).
+ */
+ConstraintSet
+pollProblem(std::uint64_t* state, double* total)
+{
+    static const std::size_t kSizes[] = {2, 3, 4, 5, 6, 16};
+    const std::size_t n = kSizes[splitmix(state) % 6];
+    ConstraintSet cs(n);
+    *total = logUniform(state, -10, 19);
+    cs.addTotalBw(*total, splitmix(state) % 2 ? Relation::Eq : Relation::Le);
+    cs.addLowerBounds(uniform(state, 0.0, *total / (4.0 * n)));
+    switch (splitmix(state) % 5) {
+      case 0:
+        break;
+      case 1: {
+        Vec row(n);
+        for (double& v : row)
+            v = uniform(state, 0.5, 40.0);
+        const double lo = *std::min_element(row.begin(), row.end());
+        const double hi = *std::max_element(row.begin(), row.end());
+        cs.add(row, Relation::Le, (lo + 0.5 * hi) * *total, "cap");
+        break;
+      }
+      case 2:
+        cs.addParsed("B1 >= B2");
+        break;
+      case 3:
+        cs.add(Vec(n, 0.0), Relation::Eq, 0.0, "zero");
+        break;
+      case 4:
+        cs.addTotalBw(*total);
+        break;
+    }
+    return cs;
+}
+
+/**
+ * A solver-shaped query around a feasible point @p y: a pattern-search
+ * poll (y plus or minus a step along one axis) or a subgradient step (y
+ * minus a step along a random direction), with the step 2^-40..2^10
+ * (about 1e-12..1e3) times @p total.
+ */
+Vec
+pollQuery(std::uint64_t* state, const Vec& y, double total)
+{
+    const double step = total * logUniform(state, -40, 9);
+    Vec q = y;
+    if (splitmix(state) % 2) {
+        const std::size_t i = splitmix(state) % q.size();
+        q[i] += splitmix(state) % 2 ? step : -step;
+    } else {
+        for (double& v : q)
+            v -= step * uniform(state, -1.0, 1.0);
+    }
+    return q;
+}
+
+/**
+ * Projections shaped like the solvers' own inputs, digested over their
+ * output bits. Each problem projects a random start (as multistart
+ * does), then a query around that feasible point, in place as pattern
+ * search does.
+ */
+TEST(ProjectionCorpus, PollDigestIsBitExact)
+{
+    std::uint64_t state = 0x9011;
+    std::uint64_t h = 1469598103934665603ull;
+    for (int k = 0; k < 2000; ++k) {
+        double total = 0.0;
+        ConstraintSet cs = pollProblem(&state, &total);
+        Vec start(cs.numVars());
+        for (double& v : start)
+            v = uniform(&state, -0.5 * total, 1.5 * total);
+        const Vec y = projectOntoConstraints(cs, start);
+        foldBits(&h, y);
+        Vec q = pollQuery(&state, y, total);
+        projectOntoConstraints(cs, q, &q);
+        foldBits(&h, q);
+    }
+    EXPECT_EQ(h, 0x654e5127c085315eull) << std::hex << h;
+}
+
+/**
+ * Queries built so the first active-set step lands within 0.1x..10x of
+ * its 1e-9 stationarity tolerance: an Eq budget over lower bounds, an
+ * interior point y, and a query y + t (1, ..., 1) + e for a shift t of
+ * 2^14..2^28 along the budget row's normal and a nudge e of at most
+ * 2^-30 of the budget. Phase 1 lands near y + e with no bound active, so
+ * the step orthogonal to the budget row is phase 1's rounding, about
+ * 2^-53 |t|. Only queries whose step, computed from phase 1's point,
+ * falls in that window are kept: there a shortcut that decided on too
+ * loose an error bound would change the output first.
+ */
+TEST(ProjectionCorpus, BoundaryDigestIsBitExact)
+{
+    constexpr double kTol = 1e-9;
+    std::uint64_t state = 0xb0d4;
+    std::uint64_t h = 1469598103934665603ull;
+    int kept = 0;
+    for (int k = 0; k < 4000; ++k) {
+        static const std::size_t kSizes[] = {2, 3, 4, 5, 6, 16};
+        const std::size_t n = kSizes[splitmix(&state) % 6];
+        const double total = logUniform(&state, -10, 19);
+        const double lo = uniform(&state, 0.0, total / (4.0 * n));
+        ConstraintSet cs(n);
+        cs.addTotalBw(total);
+        cs.addLowerBounds(lo);
+        Vec w(n);
+        double sum = 0.0;
+        for (double& v : w)
+            sum += v = uniform(&state, 1.0, 2.0);
+        const double t = (splitmix(&state) % 2 ? 1.0 : -1.0) *
+                         logUniform(&state, 14, 27);
+        Vec q(n);
+        for (std::size_t i = 0; i < n; ++i)
+            q[i] = lo + (total - n * lo) * w[i] / sum + t +
+                   total * 0x1p-30 * uniform(&state, -1.0, 1.0);
+
+        Vec x = q;
+        findFeasiblePoint(cs, &x);
+        double mean = 0.0;
+        for (std::size_t i = 0; i < n; ++i)
+            mean += (q[i] - x[i]) / static_cast<double>(n);
+        double step = 0.0;
+        for (std::size_t i = 0; i < n; ++i)
+            step = std::max(step, std::abs(q[i] - x[i] - mean));
+        if (step < 0.1 * kTol || step > 10.0 * kTol)
+            continue;
+        ++kept;
+        foldBits(&h, projectOntoConstraints(cs, q));
+    }
+    EXPECT_EQ(kept, 448);
+    EXPECT_EQ(h, 0x8fbe37e1ad349813ull) << std::hex << h;
 }
 
 } // namespace
