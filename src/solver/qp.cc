@@ -140,14 +140,69 @@ assembleKkt(const QpView& qp, const double* x, const std::size_t* working,
 }
 
 /**
+ * True when the active set's first iteration from the phase-1 point @p x
+ * of a projection (Q = I, c = -point), with no working row, provably
+ * stops without moving x. Its step p solves K [p; lam] = [r; 0] with
+ * r = -(x + c), as assembleKkt() builds it. No equality row: K = I, the
+ * LU returns r bit for bit, and the test is exact. One row a with
+ * |a_j| <= 1: K = [I a; a' 0] keeps its diagonal pivots and first n
+ * rows, so the LU computes lam = a'r / a'a from two recursive sums and
+ * p_i = r_i - a_i lam, as done here. With u = eps / 2, each sum errs by
+ * at most nu / (1 - nu) times its magnitude sum, fused or not (Higham,
+ * Accuracy and Stability of Numerical Algorithms, 2nd ed., §3.1), so
+ * either evaluation's lam is within 3(n + 1)u ||a||_1 R / a'a of the
+ * exact one, R = ||r||_inf. The LU's |p_i| is then at most
+ * (1 + 4u)|p~_i| + (6n + 11)u ||a||_inf ||a||_1 R / a'a for the p~
+ * computed here: slack covers the second term and testing against
+ * kTol / 2 the rest, with this test's own rounding and underflow
+ * (a'a >= 1e-200). Any other case runs the active set.
+ */
+bool
+firstStepCannotMove(const QpView& qp, const double* x)
+{
+    const std::size_t n = qp.n;
+    const double* a = qp.me == 1 ? qp.a : nullptr;
+    double rInf = 0.0;
+    double aInf = 0.0;
+    double a1 = 0.0;
+    double aa = 0.0;
+    double ar = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+        const double r = -(x[j] + qp.c[j]);
+        if (!std::isfinite(r))
+            return false;
+        rInf = std::max(rInf, std::abs(r));
+        if (a) {
+            aInf = std::max(aInf, std::abs(a[j]));
+            a1 += std::abs(a[j]);
+            aa += a[j] * a[j];
+            ar += a[j] * r;
+        }
+    }
+    if (qp.me == 0)
+        return rInf <= kTol;
+    if (!a || aInf > 1.0 || !(aa >= 1e-200))
+        return false;
+    const double lam = ar / aa;
+    double pInf = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        pInf = std::max(pInf, std::abs(x[i] + qp.c[i] + a[i] * lam));
+    const double slack = 16.0 * static_cast<double>(n + 1) *
+                         std::numeric_limits<double>::epsilon() * aInf *
+                         a1 / aa * rInf;
+    return pInf + slack <= kTol / 2;
+}
+
+/**
  * Primal active-set iterations from the feasible point @p x, updated in
- * place.
+ * place, whose working set starts as the first @p mw rows of
+ * ws.rows(): the inequality rows active at x.
  *
  * @return true when an iteration stepped x (even by alpha = 0); false
  *         means x was never written.
  */
 bool
-runActiveSet(const QpView& qp, double* x, QpWorkspace& ws)
+runActiveSet(const QpView& qp, double* x, std::size_t mw, QpWorkspace& ws)
 {
     const std::size_t n = qp.n;
     const std::size_t me = qp.me;
@@ -155,15 +210,8 @@ runActiveSet(const QpView& qp, double* x, QpWorkspace& ws)
     double* k = ws.take(dimMax * dimMax);
     double* z = ws.take(dimMax);
     const double* p = z;
-
-    // Initialize the working set with inequality rows active at x0.
     std::size_t* working = ws.rows();
-    std::size_t mw = 0;
     bool moved = false;
-    for (std::size_t r = 0; r < qp.mi; ++r) {
-        if (std::abs(rowDot(qp.g + r * n, x, n) - qp.h[r]) <= 1e-8)
-            working[mw++] = r;
-    }
 
     for (int iter = 0; iter < kMaxIterations; ++iter) {
         // Step p and the working rows' multipliers mu.
@@ -265,13 +313,6 @@ projectOntoConstraints(const ConstraintSet& constraints, const Vec& point,
     if (!(residual <= 1e-5))
         fatal("constraint set is infeasible (residual ", residual, ")");
 
-    // Q = I stays an explicit matrix: assembleKkt's Q x sums run over
-    // every entry, zero terms included, and the pinned outputs rely on
-    // exactly those sums.
-    double* q = ws.take(n * n);
-    std::fill(q, q + n * n, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-        q[i * n + i] = 1.0;
     double* a = ws.take(qp.me * n);
     double* g = ws.take(qp.mi * n);
     double* h = ws.take(qp.mi);
@@ -293,18 +334,37 @@ projectOntoConstraints(const ConstraintSet& constraints, const Vec& point,
             break;
         }
     }
-    qp.q = q;
     qp.c = c;
     qp.a = a;
     qp.g = g;
     qp.h = h;
+
+    // The working set starts with the inequality rows active at x. With
+    // none, a first step that cannot move x leaves the projection at x.
+    std::size_t mw = 0;
+    for (std::size_t r = 0; r < qp.mi; ++r) {
+        if (std::abs(rowDot(g + r * n, x.data(), n) - h[r]) <= 1e-8)
+            ws.rows()[mw++] = r;
+    }
+    if (mw == 0 && firstStepCannotMove(qp, x.data()))
+        return;
+
+    // Q = I stays an explicit matrix: assembleKkt's Q x sums run over
+    // every entry, zero terms included, and the pinned outputs rely on
+    // exactly those sums.
+    double* q = ws.take(n * n);
+    std::fill(q, q + n * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+        q[i * n + i] = 1.0;
+    qp.q = q;
 
     // Fall back to the phase-1 point if the active set stepped out of
     // the polyhedron. Without a step x still equals that point bit for
     // bit, so the check could not change it.
     double* start = ws.take(n);
     std::copy(x.begin(), x.end(), start);
-    if (runActiveSet(qp, x.data(), ws) && !constraints.feasible(x, 1e-6))
+    if (runActiveSet(qp, x.data(), mw, ws) &&
+        !constraints.feasible(x, 1e-6))
         std::copy(start, start + n, x.begin());
 }
 

@@ -21,6 +21,7 @@
 #include "core/estimator.hh"
 #include "core/objective.hh"
 #include "cost/cost_model.hh"
+#include "solver/feasible.hh"
 #include "solver/nelder_mead.hh"
 #include "solver/pattern_search.hh"
 #include "solver/qp.hh"
@@ -98,30 +99,65 @@ struct Problem
     }
 };
 
-TEST(SolverAllocations, ProjectionIntoASizedBufferAllocatesNothing)
+/**
+ * Projects each of @p points into a sized buffer and in place (the
+ * buffer aliasing the point) and expects no allocation and the output
+ * of the allocating overload.
+ */
+void
+expectAllocationFreeProjections(const ConstraintSet& cs,
+                                const std::vector<Vec>& points)
 {
-    Problem p;
-    const std::vector<Vec> points{
-        {300.0, 200.0, 150.0, 50.0}, // Breaks the B2 + B3 cap.
-        p.x0,                        // Already feasible.
-        {-5.0, 900.0, 0.0, 1.0},     // Far outside, several rows.
-    };
-    Vec out(p.net.numDims());
+    Vec out(cs.numVars());
     for (const Vec& point : points) {
-        Vec want = projectOntoConstraints(p.cs, point);
+        Vec want = projectOntoConstraints(cs, point);
         EXPECT_EQ(allocationsOf([&] {
-                      projectOntoConstraints(p.cs, point, &out);
+                      projectOntoConstraints(cs, point, &out);
                   }),
                   0);
         EXPECT_EQ(out, want);
-        // In place: out aliases the point.
         out = point;
         EXPECT_EQ(allocationsOf([&] {
-                      projectOntoConstraints(p.cs, out, &out);
+                      projectOntoConstraints(cs, out, &out);
                   }),
                   0);
         EXPECT_EQ(out, want);
     }
+}
+
+TEST(SolverAllocations, ProjectionIntoASizedBufferAllocatesNothing)
+{
+    Problem p;
+    expectAllocationFreeProjections(
+        p.cs, {
+                  {300.0, 200.0, 150.0, 50.0}, // Breaks the B2 + B3 cap.
+                  p.x0,                        // Already feasible.
+                  {-5.0, 900.0, 0.0, 1.0},     // Far outside, several rows.
+              });
+}
+
+/**
+ * Both projection routes allocate nothing: a pattern-search poll whose
+ * phase-1 point has no active inequality, which the projection returns
+ * without an active-set solve, and a point whose phase-1 point sits on
+ * B1's lower bound, from which the active set runs.
+ */
+TEST(SolverAllocations, StationaryAndActiveSetProjectionsAllocateNothing)
+{
+    ConstraintSet cs(4);
+    cs.addTotalBw(700.0);
+    cs.addLowerBounds(1.0);
+    const Vec poll{310.0, 200.0, 150.0, 50.0};
+    const Vec belowBound{-5.0, 300.0, 200.0, 200.0};
+
+    Vec phase1 = poll;
+    findFeasiblePoint(cs, &phase1);
+    EXPECT_EQ(projectOntoConstraints(cs, poll), phase1);
+    phase1 = belowBound;
+    findFeasiblePoint(cs, &phase1);
+    EXPECT_NEAR(phase1[0], 1.0, 1e-8);
+
+    expectAllocationFreeProjections(cs, {poll, belowBound});
 }
 
 /**

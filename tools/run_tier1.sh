@@ -11,7 +11,13 @@
 #                  and themis backends; JSON byte-identical fresh at 2
 #                  and 4 threads and cached (BACKENDS.md).
 #               2. solver: cold fig13/14/17/18 JSON under the default
-#                  chain, byte-identical at 1 and 4 threads (SOLVERS.md).
+#                  chain, byte-identical at 1 and 4 threads; and four
+#                  example-study edits that take the projection's
+#                  general route (a duplicated budget row, an equality
+#                  chain B1 = B2 = B3 = B4, the binding ordering
+#                  B1 >= B2 + 499, DOLLAR_CAP 1.5e7), each with stdout
+#                  byte-identical at THREADS 1 and THREADS 4
+#                  (SOLVERS.md).
 #               3. warm-all: a 1-thread `run-matrix all` over the cache
 #                  a 4-thread run filled is byte-identical and serves
 #                  all 366 points from that cache, whose entries total
@@ -182,7 +188,31 @@ if [[ -z "${MODE}" ]]; then
     --emit json --cache-dir "${SMOKE_DIR}/ocache4" \
     --out "${SMOKE_DIR}/ofresh4.json" --threads 4
   cmp "${SMOKE_DIR}/ofresh1.json" "${SMOKE_DIR}/ofresh4.json"
-  echo "solver smoke: byte-identical matrix JSON (fresh 1t vs fresh 4t)"
+  # The same chain through the projection's general route, where the
+  # active set runs: edits of the example study add a duplicated budget
+  # row (a singular KKT system), an equality chain, a binding ordering
+  # and a dollar cap (the budget becomes a Le row). Each study's stdout
+  # must be byte-identical at THREADS 1 and THREADS 4.
+  "${BUILD_DIR}/libra_cli" --example > "${SMOKE_DIR}/solver.study"
+  for edit in 's/^CONSTRAINT B4 <= 50$/CONSTRAINT B1 + B2 + B3 + B4 = 500/' \
+      's/^CONSTRAINT B4 <= 50$/CONSTRAINT B1 = B2 = B3 = B4/' \
+      's/^CONSTRAINT B4 <= 50$/CONSTRAINT B1 >= B2 + 499/' \
+      's/^# DOLLAR_CAP 1.5e7$/DOLLAR_CAP 1.5e7/'; do
+    for threads in 1 4; do
+      sed "${edit};s/^# THREADS 8 .*/THREADS ${threads}/" \
+        "${SMOKE_DIR}/solver.study" > "${SMOKE_DIR}/edited${threads}.study"
+      if ! grep -q "^THREADS ${threads}$" "${SMOKE_DIR}/edited${threads}.study" ||
+          [[ "$(diff "${SMOKE_DIR}/solver.study" \
+                "${SMOKE_DIR}/edited${threads}.study" | grep -c '^>')" -ne 2 ]]; then
+        echo "solver smoke: '${edit}' no longer edits the example study" >&2
+        exit 1
+      fi
+      "${BUILD_DIR}/libra_cli" "${SMOKE_DIR}/edited${threads}.study" \
+        > "${SMOKE_DIR}/edited${threads}.out"
+    done
+    cmp "${SMOKE_DIR}/edited1.out" "${SMOKE_DIR}/edited4.out"
+  done
+  echo "solver smoke: byte-identical matrix JSON (fresh 1t vs fresh 4t) and study output (THREADS 1 vs 4) with a duplicated budget row, an equality chain, a binding ordering and a dollar cap"
 
   # Warm-all smoke: the warm read path (run-length workload keys, one
   # key hash per slot; docs/PERF.md). A cold 4-thread `all` fills a
