@@ -1,8 +1,8 @@
 /**
  * @file
- * The one name-keyed registry behind every pluggable layer: search
- * strategies (SOLVER), timing backends (BACKEND), exploration
- * strategies (EXPLORE) and scenarios are each a Registry<T>.
+ * The one name-keyed registry behind every pluggable layer: timing
+ * backends (BACKEND), exploration strategies (EXPLORE) and scenarios
+ * are each a Registry<T>.
  *
  * An entry type T supplies:
  *

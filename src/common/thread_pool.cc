@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "common/logging.hh"
@@ -115,21 +116,11 @@ ThreadPool::workerLoop()
 void
 ThreadPool::enqueue(std::function<void()> task)
 {
-    // Submitting from inside pool work must not queue-and-wait: the
-    // waiting worker may be the only one free, deadlocking the pool.
-    // Mirror parallelFor's nested behavior and run inline.
-    if (!insidePool()) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!workers_.empty() && !stop_) {
-            tasks_.push(std::move(task));
-            cv_.notify_one();
-            return;
-        }
-    }
-    // Inline execution happens outside the lock, so a task that
-    // itself submits work cannot relock mutex_.
-    PoolWorkScope scope;
-    task();
+    // Only parallelFor's pooled path queues, and it never runs nested
+    // or on a worker-less pool, so the task always has a worker.
+    std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push(std::move(task));
+    cv_.notify_one();
 }
 
 bool

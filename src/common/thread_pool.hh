@@ -2,16 +2,13 @@
  * @file
  * Fixed-size thread pool powering LIBRA's parallel evaluation engine.
  *
- * Two entry points:
- *
- *  - parallelFor(n, fn): run fn(0..n-1) across the pool. The calling
- *    thread participates, so a pool sized 1 degenerates to a plain
- *    serial loop with no queueing overhead. Nested calls (fn itself
- *    calling parallelFor, e.g. a parallel study sweep whose points run
- *    parallel multistart searches) execute inline in the calling
- *    worker — the outer level already saturates the pool, and inlining
- *    makes nesting deadlock-free by construction.
- *  - submit(fn): future-based one-shot task for irregular work.
+ * One entry point, parallelFor(n, fn): run fn(0..n-1) across the
+ * pool. The calling thread participates, so a pool sized 1 degenerates
+ * to a plain serial loop with no queueing overhead. Nested calls (fn
+ * itself calling parallelFor, e.g. a parallel study sweep whose points
+ * run parallel multistart searches) execute inline in the calling
+ * worker — the outer level already saturates the pool, and inlining
+ * makes nesting deadlock-free by construction.
  *
  * Determinism contract: parallelFor imposes no ordering, so callers
  * must write results into per-index slots and reduce them in index
@@ -28,12 +25,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace libra {
@@ -66,22 +60,6 @@ class ThreadPool
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)>& fn);
 
-    /**
-     * Queue one task; the future carries its result or exception.
-     * On a pool with no workers the task runs inline immediately.
-     */
-    template <typename Fn>
-    auto
-    submit(Fn fn) -> std::future<std::invoke_result_t<Fn>>
-    {
-        using R = std::invoke_result_t<Fn>;
-        auto task =
-            std::make_shared<std::packaged_task<R()>>(std::move(fn));
-        std::future<R> future = task->get_future();
-        enqueue([task] { (*task)(); });
-        return future;
-    }
-
     /** True when the current thread is executing pool work. */
     static bool insidePool();
 
@@ -100,6 +78,7 @@ class ThreadPool
   private:
     struct ForJob;
 
+    /** Queue @p task for a worker (parallelFor's helper lanes). */
     void enqueue(std::function<void()> task);
     void workerLoop();
 
@@ -115,22 +94,6 @@ inline void
 parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn)
 {
     ThreadPool::global().parallelFor(n, fn);
-}
-
-/**
- * Map @p fn over @p items on the global pool; results come back in
- * input order (the determinism pattern from the file comment). The
- * result type must be default-constructible.
- */
-template <typename T, typename Fn>
-auto
-parallelMap(const std::vector<T>& items, Fn fn)
-    -> std::vector<std::invoke_result_t<Fn, const T&>>
-{
-    std::vector<std::invoke_result_t<Fn, const T&>> out(items.size());
-    ThreadPool::global().parallelFor(
-        items.size(), [&](std::size_t i) { out[i] = fn(items[i]); });
-    return out;
 }
 
 } // namespace libra

@@ -13,7 +13,6 @@
 #include "common/parse_number.hh"
 #include "core/timing_backend.hh"
 #include "explore/explore.hh"
-#include "solver/strategy.hh"
 #include "workload/parser.hh"
 #include "workload/zoo.hh"
 
@@ -184,24 +183,6 @@ parseStudyConfig(std::istream& in)
             inputs.config.relaxTotalBw = true;
         } else if (keyword == "THREADS") {
             inputs.threads = number(1, 4096, "thread count");
-        } else if (keyword == "SOLVER") {
-            // Take the whole rest of the line (not one token) so
-            // `SOLVER pattern-search nelder-mead` errors loudly
-            // instead of silently running {pattern-search}; spaces
-            // around commas are tolerated.
-            std::string rest;
-            std::getline(line, rest);
-            auto first = rest.find_first_not_of(" \t");
-            if (first == std::string::npos)
-                fatal("study line ", lineNo,
-                      ": expected solver pipeline");
-            auto last = rest.find_last_not_of(" \t");
-            try {
-                inputs.config.search.pipeline = parseSolverSpec(
-                    rest.substr(first, last - first + 1));
-            } catch (const FatalError& e) {
-                refatalWithLine(lineNo, e);
-            }
         } else if (keyword == "BACKEND") {
             std::string name = wantToken("timing backend name");
             try {
@@ -211,20 +192,11 @@ parseStudyConfig(std::istream& in)
             }
             inputs.config.estimator.timingBackend = name;
         } else if (keyword == "EXPLORE") {
-            // Whole rest of the line, like SOLVER: parameters are
-            // comma-separated and may contain spaces around commas.
-            std::string rest;
-            std::getline(line, rest);
-            auto first = rest.find_first_not_of(" \t");
-            if (first == std::string::npos)
-                fatal("study line ", lineNo,
-                      ": expected exploration strategy");
-            auto last = rest.find_last_not_of(" \t");
+            std::string name = wantToken("exploration strategy");
             try {
-                // Canonicalize at parse time ("exhaustive" with
-                // default parameters normalizes to the "" default).
-                inputs.explore = canonicalExploreSpec(
-                    rest.substr(first, last - first + 1));
+                // Canonicalize at parse time ("exhaustive" normalizes
+                // to the "" default).
+                inputs.explore = canonicalExploreSpec(name);
             } catch (const FatalError& e) {
                 refatalWithLine(lineNo, e);
             }
@@ -261,6 +233,12 @@ parseStudyConfig(std::istream& in)
             fatal("study line ", lineNo, ": unknown keyword '", keyword,
                   "'");
         }
+        // Every directive has read all it takes (CONSTRAINT and COST
+        // read to the end of the line), so a token left over is an
+        // error rather than a value silently ignored.
+        std::string extra;
+        if (line >> extra)
+            fatal("study line ", lineNo, ": unexpected '", extra, "'");
     }
 
     if (!sawNetwork)
@@ -354,7 +332,6 @@ studyInputsEqual(const LibraInputs& a, const LibraInputs& b)
             canonicalExploreSpec(b.explore) ||
         ca.search.starts != cb.search.starts ||
         ca.search.seed != cb.search.seed ||
-        ca.search.pipeline != cb.search.pipeline ||
         ca.search.maxEvalsPerStart != cb.search.maxEvalsPerStart) {
         return false;
     }
@@ -416,9 +393,6 @@ studyConfigToString(const LibraInputs& inputs)
     out << "STARTS " << cfg.search.starts << "\n";
     if (cfg.search.maxEvalsPerStart != 0)
         out << "MAX_EVALS " << cfg.search.maxEvalsPerStart << "\n";
-    if (!cfg.search.pipeline.empty())
-        out << "SOLVER " << solverSpecToString(cfg.search.pipeline)
-            << "\n";
     if (timingBackendOrDefault(cfg.estimator.timingBackend) !=
         kAnalyticalTimingBackendName) {
         out << "BACKEND " << cfg.estimator.timingBackend << "\n";

@@ -19,22 +19,20 @@
  *     THREADS 8                 # solver parallelism (results are
  *                               # identical at any thread count)
  *     MAX_EVALS 240             # per-start objective-eval budget
- *                               # (0 = unlimited; screening rounds
- *                               # of EXPLORE prune use this)
- *     SOLVER pattern-search,nelder-mead  # search-strategy pipeline
- *                               # (`libra_cli list-solvers`; default
- *                               # is the subgradient/pattern/NM chain)
+ *                               # (0 = unlimited; the screening
+ *                               # pass of EXPLORE prune sets it)
  *     BACKEND chunk-sim         # collective-timing backend
  *                               # (`libra_cli list-backends`; default
  *                               # is the analytical model)
- *     EXPLORE prune,keep=0.25   # outer-loop exploration strategy
+ *     EXPLORE prune             # outer-loop exploration strategy
  *                               # (`libra_cli list-explorers`; default
  *                               # is exhaustive; inert for a single
  *                               # study point, stamps design-space
  *                               # candidates)
  *
  * Zoo names: turing-nlg, gpt3, msft1t, dlrm, resnet50 (each sized to
- * the network's NPU count).
+ * the network's NPU count). A token a directive does not take is an
+ * error naming its line.
  */
 
 #ifndef LIBRA_CORE_STUDY_CONFIG_HH

@@ -23,7 +23,7 @@
  *    (paper Fig. 19).
  *
  * Study files select backends with `BACKEND <name>` and the CLI with
- * `--backend` / `list-backends`, mirroring the SOLVER strategy layer.
+ * `--backend` / `list-backends`, mirroring the EXPLORE strategy layer.
  *
  * A backend the analytical model tracks within a documented bound
  * declares searchesAnalytically(), and the optimizer then searches

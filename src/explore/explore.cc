@@ -1,26 +1,12 @@
 #include "explore/explore.hh"
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/json.hh"
 #include "common/logging.hh"
-#include "common/parse_number.hh"
-#include "solver/multistart.hh"
 
 namespace libra {
 
 namespace {
-
-std::string
-trimmed(const std::string& s)
-{
-    auto begin = s.find_first_not_of(" \t");
-    if (begin == std::string::npos)
-        return "";
-    auto end = s.find_last_not_of(" \t");
-    return s.substr(begin, end - begin + 1);
-}
 
 /**
  * Objective strata in first-seen candidate order: objective values are
@@ -79,7 +65,6 @@ class ExhaustiveExplore : public ExploreStrategy
 
     ExploreResult
     explore(const std::vector<Candidate>& candidates,
-            const std::vector<double>&,
             const ExploreSweepFn& sweep) const override
     {
         std::vector<LibraInputs> batch;
@@ -91,17 +76,13 @@ class ExhaustiveExplore : public ExploreStrategy
     }
 };
 
-// --- Prune (successive halving) ----------------------------------------
+// --- Prune (one screening round) ---------------------------------------
 
-/** Parameter order defines the canonical spec order. */
-enum PruneParam
-{
-    kKeep = 0,        ///< Surviving fraction per stratum per round.
-    kRounds,          ///< Screening rounds before the full budget.
-    kScreenEvals,     ///< Round-0 objective evaluations per start.
-    kScreenStarts,    ///< Random starts besides the hint per screen.
-    kNumPruneParams,
-};
+/** Random starts besides the hint in the screening pass. */
+constexpr int kScreenStarts = 1;
+
+/** Objective evaluations per start in the screening pass. */
+constexpr long long kScreenEvals = 120;
 
 class PruneExplore : public ExploreStrategy
 {
@@ -111,91 +92,60 @@ class PruneExplore : public ExploreStrategy
     std::string
     description() const override
     {
-        return "successive halving: rank candidates with cheap "
-               "screening passes, promote the top fraction of each "
-               "objective stratum to the full budget";
-    }
-
-    std::vector<ExploreParamSpec>
-    params() const override
-    {
-        return {{"keep", 0.5, 1e-6, 1.0, false},
-                {"rounds", 1.0, 1.0, 8.0, true},
-                {"screen-evals", 120.0, 1.0, 1e9, true},
-                {"screen-starts", 1.0, 0.0, 64.0, true}};
+        return "rank candidates with one cheap screening pass, promote "
+               "the better half of each objective stratum to the full "
+               "budget";
     }
 
     ExploreResult
     explore(const std::vector<Candidate>& candidates,
-            const std::vector<double>& params,
             const ExploreSweepFn& sweep) const override
     {
-        const double keep = params[kKeep];
-        const int rounds = static_cast<int>(params[kRounds]);
-        const long long screenEvals =
-            static_cast<long long>(params[kScreenEvals]);
-        const int screenStarts = static_cast<int>(params[kScreenStarts]);
-
         ExploreResult result;
         result.outcomes.reserve(candidates.size());
         for (const auto& c : candidates)
-            result.outcomes.push_back({c, {}, false, 0});
+            result.outcomes.push_back({c, {}, false});
 
-        // Alive set, maintained in candidate-index order throughout so
-        // every reduction below is order-deterministic.
-        std::vector<std::size_t> alive(candidates.size());
-        for (std::size_t i = 0; i < alive.size(); ++i)
-            alive[i] = i;
-
-        for (int round = 0; round < rounds; ++round) {
-            // Screening budget doubles each round as the field narrows
-            // (classic successive halving: total screening cost stays
-            // roughly flat per round).
-            const long long evals = screenEvals << round;
+        // Screen every candidate at a fraction of its search budget,
+        // with the seed unchanged, so a screen explores a prefix of
+        // the same deterministic search the full budget would. The
+        // block frees the screening inputs before the full-budget
+        // sweep runs.
+        {
             std::vector<LibraInputs> batch;
-            batch.reserve(alive.size());
-            for (std::size_t i : alive) {
-                LibraInputs p = candidates[i].inputs;
-                p.config.search = screeningOptions(p.config.search,
-                                                   screenStarts, evals);
+            batch.reserve(candidates.size());
+            for (const auto& c : candidates) {
+                LibraInputs p = c.inputs;
+                p.config.search.starts = kScreenStarts;
+                p.config.search.maxEvalsPerStart = kScreenEvals;
                 batch.push_back(std::move(p));
             }
-            std::vector<LibraReport> reports = sweep(batch);
-            result.screenRuns += batch.size();
-            for (std::size_t k = 0; k < alive.size(); ++k)
-                result.outcomes[alive[k]].report = reports[k];
+            std::vector<LibraReport> screened = sweep(batch);
+            result.screenRuns = batch.size();
+            for (std::size_t i = 0; i < candidates.size(); ++i)
+                result.outcomes[i].report = std::move(screened[i]);
+        }
 
-            // Rank each objective stratum by screened objective value;
-            // keep the top fraction (at least one). Sorting (value,
-            // index) pairs keeps ties deterministic at the lower index.
-            std::vector<std::size_t> next;
-            for (OptimizationObjective obj :
-                 objectiveStrata(result.outcomes)) {
-                std::vector<std::pair<double, std::size_t>> ranked;
-                for (std::size_t i : alive) {
-                    if (candidates[i].objective == obj) {
-                        ranked.emplace_back(
-                            result.outcomes[i]
-                                .report.optimized.objectiveValue,
-                            i);
-                    }
-                }
-                if (ranked.empty())
-                    continue;
-                std::sort(ranked.begin(), ranked.end());
-                std::size_t kept = static_cast<std::size_t>(std::ceil(
-                    static_cast<double>(ranked.size()) * keep));
-                kept = std::max<std::size_t>(kept, 1);
-                kept = std::min(kept, ranked.size());
-                for (std::size_t k = 0; k < kept; ++k) {
-                    next.push_back(ranked[k].second);
-                    result.outcomes[ranked[k].second].roundsSurvived =
-                        round + 1;
+        // Rank each objective stratum by screened objective value and
+        // keep ceil(n / 2), which is at least one and at most n.
+        // Sorting (value, index) pairs keeps ties deterministic at the
+        // lower index; the survivors go back into index order.
+        std::vector<std::size_t> alive;
+        for (OptimizationObjective obj : objectiveStrata(result.outcomes)) {
+            std::vector<std::pair<double, std::size_t>> ranked;
+            for (std::size_t i = 0; i < candidates.size(); ++i) {
+                if (candidates[i].objective == obj) {
+                    ranked.emplace_back(
+                        result.outcomes[i].report.optimized.objectiveValue,
+                        i);
                 }
             }
-            std::sort(next.begin(), next.end());
-            alive = std::move(next);
+            std::sort(ranked.begin(), ranked.end());
+            const std::size_t kept = (ranked.size() + 1) / 2;
+            for (std::size_t k = 0; k < kept; ++k)
+                alive.push_back(ranked[k].second);
         }
+        std::sort(alive.begin(), alive.end());
 
         // Promote the survivors to their full search budget.
         std::vector<LibraInputs> finals;
@@ -203,7 +153,7 @@ class PruneExplore : public ExploreStrategy
         for (std::size_t i : alive)
             finals.push_back(candidates[i].inputs);
         std::vector<LibraReport> reports = sweep(finals);
-        result.fullRuns += finals.size();
+        result.fullRuns = finals.size();
         for (std::size_t k = 0; k < alive.size(); ++k) {
             result.outcomes[alive[k]].report = reports[k];
             result.outcomes[alive[k]].fullBudget = true;
@@ -227,7 +177,7 @@ exhaustiveResultFromReports(std::vector<Candidate> candidates,
     result.outcomes.reserve(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         result.outcomes.push_back(
-            {std::move(candidates[i]), reports[i], true, 0});
+            {std::move(candidates[i]), reports[i], true});
     }
     result.fullRuns = result.outcomes.size();
     result.winners = computeWinners(result.outcomes);
@@ -242,93 +192,26 @@ ExploreRegistry::registerBuiltins(ExploreRegistry& registry)
     registry.add(std::make_unique<PruneExplore>());
 }
 
-ExploreSpec
-parseExploreSpec(const std::string& text)
+namespace {
+
+/** The strategy @p text names; "" selects exhaustive. */
+const ExploreStrategy&
+exploreStrategy(const std::string& text)
 {
-    std::vector<std::string> tokens;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        tokens.push_back(trimmed(text.substr(pos, comma - pos)));
-        pos = comma + 1;
-    }
-
-    ExploreSpec spec;
-    const std::string name =
-        tokens.empty() || tokens[0].empty() ? kExhaustiveExploreName
-                                            : tokens[0];
-    spec.strategy = &ExploreRegistry::global().resolve(name);
-
-    const std::vector<ExploreParamSpec> declared =
-        spec.strategy->params();
-    spec.params.reserve(declared.size());
-    for (const auto& p : declared)
-        spec.params.push_back(p.defaultValue);
-
-    std::vector<bool> seen(declared.size(), false);
-    for (std::size_t t = 1; t < tokens.size(); ++t) {
-        const std::string& token = tokens[t];
-        if (token.empty())
-            fatal("empty parameter in explore spec '", text, "'");
-        std::size_t eq = token.find('=');
-        if (eq == std::string::npos)
-            fatal("explore parameter '", token,
-                  "' is not key=value in spec '", text, "'");
-        std::string key = trimmed(token.substr(0, eq));
-        std::string valueText = trimmed(token.substr(eq + 1));
-        std::size_t index = declared.size();
-        for (std::size_t d = 0; d < declared.size(); ++d) {
-            if (declared[d].key == key)
-                index = d;
-        }
-        if (index == declared.size()) {
-            std::string known;
-            for (const auto& p : declared)
-                known += known.empty() ? p.key : (", " + p.key);
-            fatal("strategy '", name, "' has no parameter '", key,
-                  "'", declared.empty()
-                          ? ""
-                          : (" (known: " + known + ")"));
-        }
-        if (seen[index])
-            fatal("duplicate explore parameter '", key, "' in spec '",
-                  text, "'");
-        seen[index] = true;
-
-        const ExploreParamSpec& p = declared[index];
-        const std::string what = "explore parameter " + key;
-        spec.params[index] =
-            p.integer ? static_cast<double>(parseNumber<long long>(
-                            valueText, static_cast<long long>(p.min),
-                            static_cast<long long>(p.max), what))
-                      : parseNumber(valueText, p.min, p.max, what);
-    }
-    return spec;
+    return ExploreRegistry::global().resolve(
+        text.empty() ? kExhaustiveExploreName : text);
 }
+
+} // namespace
 
 std::string
 canonicalExploreSpec(const std::string& text)
 {
-    ExploreSpec spec = parseExploreSpec(text);
-    const std::vector<ExploreParamSpec> declared =
-        spec.strategy->params();
-    std::string out;
-    for (std::size_t i = 0; i < declared.size(); ++i) {
-        if (spec.params[i] == declared[i].defaultValue)
-            continue;
-        out += ',';
-        out += declared[i].key;
-        out += '=';
-        out += jsonNumberToString(spec.params[i]);
-    }
-    // The default strategy at default parameters canonicalizes to ""
-    // (like the analytical BACKEND), keeping default cache keys and
-    // serializations byte-identical to the pre-explore engine.
-    if (out.empty() && spec.strategy->name() == kExhaustiveExploreName)
-        return "";
-    return spec.strategy->name() + out;
+    // The default strategy canonicalizes to "" (like the analytical
+    // BACKEND), keeping default cache keys and serializations
+    // byte-identical to the pre-explore engine.
+    std::string name = exploreStrategy(text).name();
+    return name == kExhaustiveExploreName ? "" : name;
 }
 
 ExploreResult
@@ -336,12 +219,11 @@ exploreCandidates(const std::vector<Candidate>& candidates,
                   const std::string& spec,
                   const ExploreSweepFn& sweep)
 {
-    ExploreSpec parsed = parseExploreSpec(spec);
-    ExploreResult result =
-        parsed.strategy->explore(candidates, parsed.params, sweep);
+    const ExploreStrategy& strategy = exploreStrategy(spec);
+    ExploreResult result = strategy.explore(candidates, sweep);
     if (result.outcomes.size() != candidates.size())
-        fatal("exploration strategy '", parsed.strategy->name(),
-              "' returned ", result.outcomes.size(), " outcomes for ",
+        fatal("exploration strategy '", strategy.name(), "' returned ",
+              result.outcomes.size(), " outcomes for ",
               candidates.size(), " candidates");
     return result;
 }

@@ -5,29 +5,28 @@
  * Every way LIBRA can search a discrete design space implements one
  * interface:
  *
- *     explore(candidates, params, sweep) -> ExploreResult
+ *     explore(candidates, sweep) -> ExploreResult
  *
  * and registers itself in the process-wide ExploreRegistry under a
- * stable name, mirroring the SOLVER (StrategyRegistry) and BACKEND
- * (TimingBackendRegistry) layers:
+ * stable name, mirroring the BACKEND (TimingBackendRegistry) layer:
  *
  *  - "exhaustive" (the default): every candidate runs at its full
  *    search budget in one sweep batch — bit-identical to the
  *    historical hand-enumerated scenarios, so golden figures and
  *    version-1 cache keys are untouched.
- *  - "prune": bound-based successive halving. Every candidate is
- *    ranked by a cheap screening pass (few starts, capped objective
- *    evaluations); only the surviving fraction of each objective
- *    stratum is promoted to the next round and, finally, to the
+ *  - "prune": one screening round, then the full budget. Every
+ *    candidate is ranked by a cheap screening pass (1 random start
+ *    besides the hint, 120 objective evaluations per start); the
+ *    better half of each objective stratum is promoted to the
  *    full-budget optimization. Reaches the exhaustive winner with a
- *    fraction of the full-budget optimize() calls (bench/micro_explore
- *    tracks this in BENCH_explore.json).
+ *    fraction of the full-budget optimize() calls. Its screen is
+ *    fixed: prune takes no parameters.
  *
- * Study files select strategies with `EXPLORE <name>[,key=value...]`
- * and the CLI with `--explore` / `list-explorers`.
+ * Study files select strategies with `EXPLORE <name>` and the CLI with
+ * `--explore` / `list-explorers`.
  *
  * Determinism contract (see docs/EXPLORE.md): a strategy must be a
- * pure function of (candidates, params, sweep results). All candidate
+ * pure function of (candidates, sweep results). All candidate
  * evaluation goes through the provided sweep function (which is the
  * deterministic, thread-count-independent runLibraSweep, optionally
  * wrapped with the study cache), rankings reduce in candidate-index
@@ -54,23 +53,6 @@ inline constexpr const char* kExhaustiveExploreName = "exhaustive";
 /** The successive-halving screening strategy. */
 inline constexpr const char* kPruneExploreName = "prune";
 
-/** One declared strategy parameter with its default and legal range. */
-struct ExploreParamSpec
-{
-    std::string key;
-    double defaultValue = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-
-    /**
-     * Reject fractional values. Integral parameters (round counts,
-     * eval budgets) would otherwise truncate silently while their
-     * fractional text still reaches the canonical spec — two tags for
-     * one behavior, defeating the cache.
-     */
-    bool integer = false;
-};
-
 /** Batch evaluator handed to strategies (runLibraSweep, maybe cached). */
 using ExploreSweepFn = std::function<std::vector<LibraReport>(
     const std::vector<LibraInputs>&)>;
@@ -79,9 +61,8 @@ using ExploreSweepFn = std::function<std::vector<LibraReport>(
 struct ExploreOutcome
 {
     Candidate candidate;
-    LibraReport report;   ///< Full-budget, or the last screening pass.
+    LibraReport report;   ///< Full-budget, or the screening pass.
     bool fullBudget = false;
-    int roundsSurvived = 0; ///< Screening rounds this candidate passed.
 };
 
 /** Result of exploring one design space. */
@@ -115,16 +96,11 @@ class ExploreStrategy
     /** One-line description for `libra_cli list-explorers`. */
     virtual std::string description() const = 0;
 
-    /** Declared parameters in canonical spec order (may be empty). */
-    virtual std::vector<ExploreParamSpec> params() const { return {}; }
-
     /**
      * Explore @p candidates, evaluating only through @p sweep.
-     * @p params is aligned with params(), defaults filled in.
      * Must return one outcome per candidate, in index order.
      */
     virtual ExploreResult explore(const std::vector<Candidate>& candidates,
-                                  const std::vector<double>& params,
                                   const ExploreSweepFn& sweep) const = 0;
 };
 
@@ -133,28 +109,12 @@ using ExploreRegistry = Registry<ExploreStrategy>;
 template <>
 void ExploreRegistry::registerBuiltins(ExploreRegistry& registry);
 
-/** A parsed `EXPLORE` spec: strategy plus its full parameter vector. */
-struct ExploreSpec
-{
-    const ExploreStrategy* strategy = nullptr;
-    std::vector<double> params; ///< Aligned with strategy->params().
-};
-
 /**
- * Parse an explore spec: `name[,key=value...]` with keys from the
- * strategy's declared parameters. An empty string selects exhaustive.
- * @throws FatalError on an unknown strategy, unknown/duplicate key,
- * or an out-of-range value.
- */
-ExploreSpec parseExploreSpec(const std::string& text);
-
-/**
- * Canonical text form of @p text: strategy name plus only the
- * non-default parameters, each rendered in shortest round-trip form,
- * in declared order — and "" for the default strategy with default
- * parameters. The canonical form is its own fixpoint; it is the
- * study-file serialization and the cache-key tag.
- * @throws FatalError on an invalid spec.
+ * Canonical text form of the explore spec @p text (a registered
+ * strategy name; "" selects exhaustive): the name itself, and "" for
+ * the default exhaustive strategy. The canonical form is its own
+ * fixpoint; it is the study-file serialization and the cache-key tag.
+ * @throws FatalError naming @p text when no strategy has that name.
  */
 std::string canonicalExploreSpec(const std::string& text);
 

@@ -13,7 +13,6 @@
 #include "core/timing_backend.hh"
 #include "serve/framing.hh"
 #include "explore/explore.hh"
-#include "solver/strategy.hh"
 #include "study/scenario.hh"
 
 namespace libra {
@@ -112,9 +111,8 @@ Server::handleLine(const std::string& line, bool* shutdown)
         // back to a default would serve the wrong matrix.
         for (const auto& [key, value] : req.members()) {
             (void)value;
-            if (key != "op" && key != "scenario" && key != "solver" &&
-                key != "backend" && key != "explore" && key != "emit" &&
-                key != "failMode") {
+            if (key != "op" && key != "scenario" && key != "backend" &&
+                key != "explore" && key != "emit" && key != "failMode") {
                 fatal("unknown request field '", key, "'");
             }
         }
@@ -166,9 +164,6 @@ Server::handleLine(const std::string& line, bool* shutdown)
 
         MatrixOptions options;
         options.store = &store_;
-        if (req.has("solver"))
-            options.solverPipeline =
-                parseSolverSpec(req.at("solver").asString());
         if (req.has("backend"))
             options.timingBackend = req.at("backend").asString();
         if (req.has("explore"))
@@ -252,7 +247,6 @@ Server::start()
     // first-request latency flat and failures (a broken registration)
     // at startup where they belong.
     ScenarioRegistry::global();
-    StrategyRegistry::global();
     TimingBackendRegistry::global();
     ExploreRegistry::global();
 

@@ -133,7 +133,7 @@ class Server
 
     /**
      * Bind the socket and start accepting. Also warms the scenario/
-     * strategy/backend/explore registries so concurrent first requests
+     * backend/explore registries so concurrent first requests
      * race on work, not on registration.
      * @throws FatalError when the socket cannot be bound.
      */

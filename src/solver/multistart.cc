@@ -7,9 +7,9 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
+#include "solver/nelder_mead.hh"
 #include "solver/pattern_search.hh"
 #include "solver/qp.hh"
-#include "solver/strategy.hh"
 
 namespace libra {
 
@@ -29,7 +29,7 @@ mixSeed(std::uint64_t seed, std::uint64_t stream)
     return z ^ (z >> 31);
 }
 
-/** Outcome of one restart's pipeline. */
+/** Outcome of one restart's chain. */
 struct StartResult
 {
     Vec x;
@@ -38,50 +38,88 @@ struct StartResult
 };
 
 /**
- * Run the strategy pipeline from one point. Every stage receives the
- * previous stage's result (strategies guarantee "no worse than the
- * start", so chaining is monotone) and the start's shared evaluation
- * budget.
+ * Run the chain from one point. Every stage receives the previous
+ * stage's result (stages are never worse than their start, so
+ * chaining is monotone) and the start's shared evaluation budget.
  */
 StartResult
 searchFromStart(const ScalarObjective& f, const ConstraintSet& constraints,
-                const std::vector<const SearchStrategy*>& pipeline,
                 const Vec& x0, const MultistartOptions& options)
 {
     EvalBudget budget(options.maxEvalsPerStart);
-    Vec x = x0;
-    double value = std::numeric_limits<double>::infinity();
-    for (const SearchStrategy* stage : pipeline) {
-        SearchResult r = stage->search(f, constraints, x, budget);
-        x = std::move(r.x);
-        value = r.value;
-    }
-    StartResult r;
-    r.x = std::move(x);
-    // Strategies return a value consistent with their point (f is
-    // pure), so the last stage's value is exactly f(r.x) — no
+    SearchResult r = subgradientStage(f, constraints, x0, budget);
+    r = patternSearchStage(f, constraints, r.x, budget);
+    r = nelderMeadStage(f, constraints, r.x, budget);
+    StartResult out;
+    out.x = std::move(r.x);
+    // Stages return a value consistent with their point (f is pure),
+    // so the last stage's value is exactly f(out.x) — no
     // re-evaluation needed.
-    r.value = value;
-    r.feasible = constraints.feasible(r.x, 1e-5);
-    return r;
+    out.value = r.value;
+    out.feasible = constraints.feasible(out.x, 1e-5);
+    return out;
 }
 
 } // namespace
 
-std::vector<std::string>
-multistartPipelineNames(const MultistartOptions& options)
+SearchResult
+subgradientStage(const ScalarObjective& f, const ConstraintSet& constraints,
+                 const Vec& start, EvalBudget& budget)
 {
-    if (!options.pipeline.empty())
-        return options.pipeline;
-    return {"subgradient", "pattern-search", "nelder-mead"};
+    // Each iteration costs a central-difference gradient (2n evals)
+    // plus the step evaluation, after one initial f(x0) score; clamp
+    // the iteration count so the worst case fits the remaining budget
+    // exactly.
+    const long long perIter = 2 * static_cast<long long>(start.size()) + 1;
+    SubgradientOptions opt;
+    opt.maxIterations = static_cast<int>(std::clamp<long long>(
+        (budget.remaining() - 1) / perIter, 0, opt.maxIterations));
+    if (opt.maxIterations == 0)
+        return SearchResult{start, f(start), 0};
+    SearchResult r = projectedSubgradient(f, constraints, start, opt);
+    budget.charge(static_cast<long long>(r.iterations) * perIter + 1);
+    return r;
 }
 
-MultistartOptions
-screeningOptions(MultistartOptions full, int starts, long long max_evals)
+SearchResult
+patternSearchStage(const ScalarObjective& f,
+                   const ConstraintSet& constraints, const Vec& start,
+                   EvalBudget& budget)
 {
-    full.starts = starts;
-    full.maxEvalsPerStart = max_evals;
-    return full;
+    // One initial f(x0) score, then iterations == poll evals.
+    // patternSearch can overshoot its cap by one poll (the +/- pair
+    // only re-checks between coordinates), so reserve two.
+    PatternSearchOptions opt;
+    opt.maxIterations = static_cast<int>(std::clamp<long long>(
+        budget.remaining() - 2, 0, opt.maxIterations));
+    if (opt.maxIterations == 0)
+        return SearchResult{start, f(start), 0};
+    SearchResult r = patternSearch(f, constraints, start, opt);
+    budget.charge(r.iterations + 1);
+    return r;
+}
+
+SearchResult
+nelderMeadStage(const ScalarObjective& f, const ConstraintSet& constraints,
+                const Vec& start, EvalBudget& budget)
+{
+    double startValue = f(start);
+    // Worst case: the start comparison, n + 1 initial vertices, up to
+    // 2 + n penalized evaluations per iteration (a shrink re-scores
+    // every vertex), and the final projection's score.
+    const long long n = static_cast<long long>(start.size());
+    const long long fixed = n + 3;
+    const long long perIter = n + 2;
+    NelderMeadOptions opt;
+    opt.maxIterations = static_cast<int>(std::clamp<long long>(
+        (budget.remaining() - fixed) / perIter, 0, opt.maxIterations));
+    if (opt.maxIterations == 0)
+        return SearchResult{start, startValue, 0};
+    SearchResult r = nelderMead(f, constraints, start, opt);
+    budget.charge(static_cast<long long>(r.iterations) * perIter + fixed);
+    if (r.value < startValue)
+        return r;
+    return SearchResult{start, startValue, r.iterations};
 }
 
 SearchResult
@@ -90,8 +128,6 @@ multistartMinimize(const ScalarObjective& f,
                    MultistartOptions options)
 {
     const std::size_t n = constraints.numVars();
-    const std::vector<const SearchStrategy*> pipeline =
-        resolveStrategyPipeline(multistartPipelineNames(options));
 
     double total = 0.0;
     for (double v : hint)
@@ -113,8 +149,7 @@ multistartMinimize(const ScalarObjective& f,
     // per-start slots, so the reduction below is order-independent.
     std::vector<StartResult> results(starts.size());
     auto runOne = [&](std::size_t i) {
-        results[i] =
-            searchFromStart(f, constraints, pipeline, starts[i], options);
+        results[i] = searchFromStart(f, constraints, starts[i], options);
     };
     ThreadPool::global().parallelFor(starts.size(), runOne);
 
@@ -135,7 +170,7 @@ multistartMinimize(const ScalarObjective& f,
 
     // Final polish from the overall winner. The polish is one extra
     // budgeted stage: without the cap it could spend up to its 4000
-    // default polls, dwarfing tightly budgeted pipelines.
+    // default polls, dwarfing a tightly budgeted chain.
     PatternSearchOptions polish;
     polish.initialStep = 0.02;
     if (options.maxEvalsPerStart > 0) {

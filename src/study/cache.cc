@@ -21,7 +21,6 @@
 #include "common/parse_number.hh"
 #include "core/timing_backend.hh"
 #include "explore/explore.hh"
-#include "solver/strategy.hh"
 
 namespace libra {
 
@@ -65,14 +64,9 @@ canonicalStudyKey(const LibraInputs& inputs)
     // The retired subgradient / Nelder-Mead toggles, always on: kept
     // as literals so every existing cache key stays valid.
     out += ",1,1) ";
-    // The solver pipeline and eval budget are appended only when
-    // non-default so every pre-existing cache key (and the golden
-    // figures pinned against version 1) stays byte-identical.
-    if (!cfg.search.pipeline.empty()) {
-        out += "solver(";
-        out += solverSpecToString(cfg.search.pipeline);
-        out += ") ";
-    }
+    // The eval budget is appended only when non-default so every
+    // pre-existing cache key (and the golden figures pinned against
+    // version 1) stays byte-identical.
     if (cfg.search.maxEvalsPerStart != 0) {
         out += "evals(";
         out += std::to_string(cfg.search.maxEvalsPerStart);
@@ -91,9 +85,9 @@ canonicalStudyKey(const LibraInputs& inputs)
         out += ") ";
     }
     // And the exploration strategy, same only-when-non-default rule:
-    // the canonical spec (name + non-default parameters) is the tag,
-    // so prune-screened candidates can never be served to (or poison)
-    // an exhaustive run, while default keys stay byte-identical.
+    // the canonical spec (the strategy's name) is the tag, so
+    // prune-screened candidates can never be served to (or poison) an
+    // exhaustive run, while default keys stay byte-identical.
     {
         std::string tag = canonicalExploreSpec(inputs.explore);
         if (!tag.empty()) {

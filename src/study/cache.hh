@@ -5,12 +5,11 @@
  * A study point is cached under a key derived from the *content* of its
  * LibraInputs — everything that can influence the resulting LibraReport:
  * the canonicalized network shape, budget/objective/loop/constraint
- * configuration, search options (including a non-default SOLVER
- * pipeline, appended next to the search block so default-pipeline keys
- * are unchanged), a non-default timing BACKEND (same only-when-set
- * rule — registered backends are deterministic, so their name is
- * sufficient content), a non-default EXPLORE strategy (same rule; the
- * canonical spec with its non-default parameters is the tag), the
+ * configuration, search options (a non-default MAX_EVALS budget is
+ * appended next to the search block so default keys are unchanged), a
+ * non-default timing BACKEND (same only-when-set rule — registered
+ * backends are deterministic, so their name is sufficient content), a
+ * non-default EXPLORE strategy (same rule; its name is the tag), the
  * full cost model, and the workload IR of every target (not just
  * names — programmatic scenarios build workloads with custom
  * strategies), its layers written as runs of identical layers.
@@ -44,7 +43,7 @@
  * uncreatable cache directory disables the cache instead of aborting.
  *
  * Every point is cacheable: a named timing backend's cacheKeyTag is
- * its content, exactly like a solver-pipeline selection.
+ * its content.
  */
 
 #ifndef LIBRA_STUDY_CACHE_HH

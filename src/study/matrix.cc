@@ -13,7 +13,6 @@
 #include "core/study_config.hh"
 #include "core/timing_backend.hh"
 #include "explore/explore.hh"
-#include "solver/strategy.hh"
 #include "study/cache.hh"
 #include "study/shard.hh"
 
@@ -239,19 +238,15 @@ buildMatrixPlan(const std::vector<std::string>& names,
         plan.scenarios.push_back(&ScenarioRegistry::global().resolve(name));
 
     // Validate overrides once, up front.
-    if (!options.solverPipeline.empty())
-        resolveStrategyPipeline(options.solverPipeline);
     if (!options.timingBackend.empty())
         resolveTimingBackend(options.timingBackend);
     const std::string exploreOverride =
         canonicalExploreSpec(options.exploreSpec);
 
-    // A solver or timing-backend override rewrites every point before
+    // A timing-backend override rewrites every point before
     // dedup/caching, so the cache keys (and therefore the stored
     // reports) are those of the overridden configuration.
     auto applyOverrides = [&](LibraInputs& p) {
-        if (!options.solverPipeline.empty())
-            p.config.search.pipeline = options.solverPipeline;
         if (!options.timingBackend.empty())
             p.config.estimator.timingBackend = options.timingBackend;
     };

@@ -65,13 +65,6 @@ struct MatrixOptions
     StudyStore* store = nullptr;
 
     /**
-     * Solver-pipeline override (registry names) applied to every
-     * design point before dedup/caching — the `--solver` flag. Empty
-     * keeps each point's own pipeline (the scenario default).
-     */
-    std::vector<std::string> solverPipeline;
-
-    /**
      * Timing-backend override (registry name) applied to every design
      * point before dedup/caching — the `--backend` flag, for re-running
      * whole matrices under simulation. Empty keeps each point's own
@@ -80,8 +73,8 @@ struct MatrixOptions
     std::string timingBackend;
 
     /**
-     * Exploration-strategy override (an `EXPLORE` spec, e.g.
-     * "prune,keep=0.25") applied to every design-space scenario in the
+     * Exploration-strategy override (an `EXPLORE` name, e.g.
+     * "prune") applied to every design-space scenario in the
      * run — the `--explore` flag. Empty keeps each scenario's own
      * default. Scenarios without a design space are unaffected (there
      * is no outer loop to search).

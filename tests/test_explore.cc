@@ -176,36 +176,20 @@ TEST(ExploreSpec, CanonicalizationNormalizesDefaults)
     EXPECT_EQ(canonicalExploreSpec(""), "");
     EXPECT_EQ(canonicalExploreSpec("exhaustive"), "");
     EXPECT_EQ(canonicalExploreSpec("prune"), "prune");
-    // Explicit defaults are elided; non-defaults keep declared order.
-    EXPECT_EQ(canonicalExploreSpec("prune,keep=0.5"), "prune");
-    EXPECT_EQ(canonicalExploreSpec("prune , keep = 0.25"),
-              "prune,keep=0.25");
-    EXPECT_EQ(canonicalExploreSpec("prune,rounds=2,keep=0.25"),
-              "prune,keep=0.25,rounds=2");
     // The canonical form is a fixpoint.
-    EXPECT_EQ(canonicalExploreSpec("prune,keep=0.25,rounds=2"),
-              canonicalExploreSpec(
-                  canonicalExploreSpec("prune,rounds=2,keep=0.25")));
+    EXPECT_EQ(canonicalExploreSpec(canonicalExploreSpec("prune")),
+              "prune");
 }
 
 TEST(ExploreSpec, RejectsMalformedSpecs)
 {
     EXPECT_THROW(canonicalExploreSpec("warp-drive"), FatalError);
-    EXPECT_THROW(canonicalExploreSpec("prune,warp=1"), FatalError);
-    EXPECT_THROW(canonicalExploreSpec("prune,keep"), FatalError);
-    EXPECT_THROW(canonicalExploreSpec("prune,keep=abc"), FatalError);
-    EXPECT_THROW(canonicalExploreSpec("prune,keep=0"), FatalError);
-    EXPECT_THROW(canonicalExploreSpec("prune,keep=2"), FatalError);
-    EXPECT_THROW(canonicalExploreSpec("prune,keep=0.5,keep=0.5"),
-                 FatalError);
-    // Integral parameters reject fractions: truncating silently would
-    // put two canonical tags on one behavior.
-    EXPECT_THROW(canonicalExploreSpec("prune,rounds=2.5"), FatalError);
-    EXPECT_THROW(canonicalExploreSpec("prune,screen-evals=80.5"),
-                 FatalError);
-    // Exhaustive declares no parameters at all.
+    // Strategies take no parameters: a spec is a name and nothing else.
+    EXPECT_THROW(canonicalExploreSpec("prune,keep=0.25"), FatalError);
+    EXPECT_THROW(canonicalExploreSpec("prune,rounds=2"), FatalError);
     EXPECT_THROW(canonicalExploreSpec("exhaustive,keep=0.5"),
                  FatalError);
+    EXPECT_THROW(canonicalExploreSpec(" prune"), FatalError);
 }
 
 TEST(ExploreRegistry, BuiltinsRegisteredAndDuplicatesRejected)
@@ -222,7 +206,6 @@ TEST(ExploreRegistry, BuiltinsRegisteredAndDuplicatesRejected)
         std::string description() const override { return ""; }
         ExploreResult
         explore(const std::vector<Candidate>&,
-                const std::vector<double>&,
                 const ExploreSweepFn&) const override
         {
             return {};
@@ -272,12 +255,11 @@ TEST(ExploreStrategies, PruneFindsExhaustiveWinnerWithFewerFullRuns)
         EXPECT_EQ(o.report.optimized.bw,
                   exhaustive.outcomes[o.candidate.index]
                       .report.optimized.bw);
-        EXPECT_EQ(o.roundsSurvived, 1);
     }
     EXPECT_LT(optimizeCalls, 2 * exhaustiveCalls);
 }
 
-TEST(ExploreStrategies, PruneKeepsAtLeastOnePerStratum)
+TEST(ExploreStrategies, PrunePromotesTheBetterHalfOfEachStratum)
 {
     DesignSpace space = miniSpace();
     space.objectives.push_back(OptimizationObjective::PerfPerCostOpt);
@@ -285,10 +267,11 @@ TEST(ExploreStrategies, PruneKeepsAtLeastOnePerStratum)
     ExploreSweepFn sweep = [](const std::vector<LibraInputs>& batch) {
         return runLibraSweep(batch);
     };
-    // keep=1e-6 floors at one survivor per objective stratum.
-    ExploreResult r =
-        exploreCandidates(candidates, "prune,keep=1e-06", sweep);
-    EXPECT_EQ(r.fullRuns, 2u);
+    ExploreResult r = exploreCandidates(candidates, "prune", sweep);
+    // Each objective stratum keeps 2 of its 4 candidates.
+    ASSERT_EQ(candidates.size(), 8u);
+    EXPECT_EQ(r.screenRuns, 8u);
+    EXPECT_EQ(r.fullRuns, 4u);
     EXPECT_EQ(r.winners.size(), 2u);
 }
 

@@ -85,27 +85,6 @@ TEST(ParallelDeterminism, Fig16StyleTopologyPoint)
 }
 
 /**
- * Any selected pipeline must uphold the default chain's contract:
- * selecting a non-default one via the pipeline spec yields
- * bit-identical designs at any thread count.
- */
-TEST(ParallelDeterminism, NonDefaultPipelineIsThreadCountInvariant)
-{
-    Network net = Network::parse("RI(4)_FC(4)_SW(4)");
-    Workload w = wl::resnet50(net.npus());
-
-    expectIdenticalAcrossThreadCounts([&] {
-        BwOptimizer opt(net, CostModel::defaultModel());
-        OptimizerConfig cfg;
-        cfg.totalBw = 300.0;
-        cfg.search.starts = 2;
-        cfg.search.pipeline = {"nelder-mead", "pattern-search"};
-        cfg.objective = OptimizationObjective::PerfPerCostOpt;
-        return opt.optimize({{w, 1.0}}, cfg);
-    });
-}
-
-/**
  * The compiled objective's batched facet evaluates fixed 32-candidate
  * blocks in order on the calling thread, so its output must not
  * depend on the global pool's size: the subgradient's and pattern

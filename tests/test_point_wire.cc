@@ -33,8 +33,8 @@ namespace {
 /**
  * Directive corpus for the wire fuzz — mirrors the round-trip corpus
  * in test_study_roundtrip.cc, with emphasis on the knobs adaptive
- * exploration actually perturbs (SEED, STARTS, MAX_EVALS, SOLVER,
- * EXPLORE) since those are what cross the wire during prune rounds.
+ * exploration actually perturbs (SEED, STARTS, MAX_EVALS, EXPLORE)
+ * since those are what cross the wire during prune's screening.
  */
 const char* kWireCorpus[] = {
     "NETWORK RI(4)_SW(8)\nWORKLOAD resnet50\n",
@@ -62,21 +62,17 @@ const char* kWireCorpus[] = {
     "NETWORK RI(4)_SW(8)\n"
     "STARTS 1\n"
     "MAX_EVALS 120\n"
-    "SOLVER pattern-search\n"
+    "EXPLORE prune\n"
     "WORKLOAD resnet50\n",
     "NETWORK RI(4)_SW(8)\n"
     "MAX_EVALS 240\n"
-    "EXPLORE prune,keep=0.25\n"
+    "EXPLORE prune\n"
     "WORKLOAD resnet50\n",
     "NETWORK RI(4)_SW(4)_SW(8)_SW(16)\n"
     "TOTAL_BW 800\n"
     "DOLLAR_CAP 1.5e7\n"
     "THREADS 8\n"
     "WORKLOAD msft1t WEIGHT 1.0\n",
-    "NETWORK RI(4)_SW(8)\n"
-    "SOLVER nelder-mead\n"
-    "SOLVER pattern-search\n"
-    "WORKLOAD resnet50\n",
     "NETWORK RI(4)_SW(8)\n"
     "BACKEND analytical\n"
     "SEED 1234567\n"

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the one name-keyed registry template (common/registry.hh)
- * and the four layers built on it: registration order, pointer
+ * and the three layers built on it: registration order, pointer
  * stability across later registrations, and the shared null / empty /
  * duplicate / unknown-name errors, each naming its layer.
  */
@@ -16,7 +16,6 @@
 #include "common/registry.hh"
 #include "core/timing_backend.hh"
 #include "explore/explore.hh"
-#include "solver/strategy.hh"
 #include "study/matrix.hh"
 #include "study/scenario.hh"
 
@@ -124,23 +123,6 @@ TEST(Registry, ScenarioValidationRunsOnAdd)
 
 // --- Each layer's unknown-name and duplicate errors --------------------
 
-class StubStrategy final : public SearchStrategy
-{
-  public:
-    explicit StubStrategy(std::string name) : name_(std::move(name)) {}
-    std::string name() const override { return name_; }
-    std::string description() const override { return "test only"; }
-    SearchResult
-    search(const ScalarObjective& f, const ConstraintSet&,
-           const Vec& start, EvalBudget&) const override
-    {
-        return SearchResult{start, f(start), 0};
-    }
-
-  private:
-    std::string name_;
-};
-
 class StubBackend final : public TimingBackend
 {
   public:
@@ -168,7 +150,7 @@ class StubExplore final : public ExploreStrategy
     std::string name() const override { return name_; }
     std::string description() const override { return "test only"; }
     ExploreResult
-    explore(const std::vector<Candidate>&, const std::vector<double>&,
+    explore(const std::vector<Candidate>&,
             const ExploreSweepFn&) const override
     {
         return {};
@@ -177,22 +159,6 @@ class StubExplore final : public ExploreStrategy
   private:
     std::string name_;
 };
-
-TEST(Registry, SolverLayerNamesItselfInErrors)
-{
-    expectFatalNaming([] { resolveStrategyPipeline({"no-such"}); },
-                      "unknown search strategy 'no-such' (registered: "
-                      "subgradient, pattern-search, nelder-mead)");
-    expectFatalNaming([] { parseSolverSpec("nelder-mead,no-such"); },
-                      "unknown search strategy 'no-such'");
-    expectFatalNaming(
-        [] {
-            StrategyRegistry::global().add(
-                std::make_unique<StubStrategy>("nelder-mead"));
-        },
-        "search strategy 'nelder-mead' is already registered");
-    EXPECT_EQ(StrategyRegistry::global().size(), 3u);
-}
 
 TEST(Registry, BackendLayerNamesItselfInErrors)
 {
@@ -210,7 +176,7 @@ TEST(Registry, BackendLayerNamesItselfInErrors)
 
 TEST(Registry, ExploreLayerNamesItselfInErrors)
 {
-    expectFatalNaming([] { parseExploreSpec("no-such,keep=0.5"); },
+    expectFatalNaming([] { canonicalExploreSpec("no-such"); },
                       "unknown exploration strategy 'no-such' "
                       "(registered: exhaustive, prune)");
     expectFatalNaming(

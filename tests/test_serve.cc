@@ -344,9 +344,10 @@ TEST(Serve, RequestErrorsAreIsolatedFromTheServer)
                   "unknown scenario"),
               std::string::npos);
 
-    // A typo'd field, and "workers" (serve never shards): refused by
-    // name, never silently ignored.
-    for (const char* field : {"\"emitt\": \"json\"", "\"workers\": 2"}) {
+    // A typo'd field, "workers" (serve never shards) and "solver" (the
+    // search chain is fixed): refused by name, never silently ignored.
+    for (const char* field : {"\"emitt\": \"json\"", "\"workers\": 2",
+                              "\"solver\": \"nelder-mead\""}) {
         ServeReply unknownField = serveRequest(
             socket, std::string("{\"scenario\": \"tbl1\", ") + field + "}");
         EXPECT_FALSE(unknownField.status.at("ok").asBool()) << field;
@@ -371,15 +372,6 @@ TEST(Serve, RequestErrorsAreIsolatedFromTheServer)
                   std::string::npos)
             << dup.status.at("error").asString();
     }
-
-    // A deleted search strategy is an unknown name like any other.
-    ServeReply removed = serveRequest(
-        socket, "{\"scenario\": \"tbl1\", \"solver\": \"cmaes\"}");
-    EXPECT_FALSE(removed.status.at("ok").asBool());
-    EXPECT_NE(removed.status.at("error").asString().find(
-                  "unknown search strategy 'cmaes'"),
-              std::string::npos)
-        << removed.status.at("error").asString();
 
     // The server survived all seven and still answers correctly.
     ServeReply ok = serveRequest(socket, "{\"scenario\": \"tbl1\"}");

@@ -1,12 +1,12 @@
 /**
  * @file
- * Degenerate-input coverage for every registered search strategy and
+ * Degenerate-input coverage for every stage of the search chain and
  * the multistart driver: 1-dimension problems (nothing to trade off),
  * a total budget exactly at the sum of the per-dimension floors (the
  * feasible set is a single point), a budget below the floors (an
  * infeasible polyhedron must produce a clean error, never NaN), and
  * the same cases end-to-end through BwOptimizer on real networks.
- * Every strategy must return a feasible projected point or throw
+ * Every stage must return a feasible projected point or throw
  * FatalError; NaN or negative bandwidth is always a bug.
  */
 
@@ -14,12 +14,12 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "core/optimizer.hh"
 #include "solver/multistart.hh"
-#include "solver/strategy.hh"
 #include "topology/network.hh"
 #include "workload/zoo.hh"
 
@@ -49,44 +49,39 @@ expectCleanPoint(const Vec& x, const ConstraintSet& cs,
     }
 }
 
-/** The default chain ("") plus every registered strategy alone. */
-std::vector<std::string>
-everyPipeline()
-{
-    std::vector<std::string> pipelines{""};
-    for (const auto& name : StrategyRegistry::global().names())
-        pipelines.push_back(name);
-    return pipelines;
-}
+/** The multistart chain's stages, in chain order. */
+using ChainStage = SearchResult (*)(const ScalarObjective&,
+                                    const ConstraintSet&, const Vec&,
+                                    EvalBudget&);
+const std::pair<const char*, ChainStage> kChainStages[] = {
+    {"subgradient", subgradientStage},
+    {"pattern-search", patternSearchStage},
+    {"nelder-mead", nelderMeadStage},
+};
 
-/** Run one strategy from @p x0 and validate the result. */
-void
-runStrategy(const std::string& name, const ScalarObjective& f,
-            const ConstraintSet& cs, const Vec& x0)
+/** Run one stage from @p x0, validate the result and return it. */
+SearchResult
+runStage(const char* name, ChainStage stage, const ScalarObjective& f,
+         const ConstraintSet& cs, const Vec& x0)
 {
-    SCOPED_TRACE(name);
-    const SearchStrategy* s = StrategyRegistry::global().find(name);
-    ASSERT_NE(s, nullptr);
     EvalBudget budget;
-    SearchResult r = s->search(f, cs, x0, budget);
+    SearchResult r = stage(f, cs, x0, budget);
     expectCleanPoint(r.x, cs, name);
     EXPECT_TRUE(std::isfinite(r.value)) << name;
     EXPECT_LE(r.value, f(x0) + 1e-9) << name << " worse than start";
+    return r;
 }
 
-TEST(SolverEdgeCases, OneDimensionIsAFixedPointForEveryStrategy)
+TEST(SolverEdgeCases, OneDimensionIsAFixedPointForEveryStage)
 {
     // With one variable pinned by the budget equality there is nothing
-    // to optimize; every strategy must hold the point exactly.
+    // to optimize; every stage must hold the point exactly.
     ConstraintSet cs(1);
     cs.addTotalBw(120.0);
     cs.addLowerBounds(0.1);
     auto f = inverseSum({7.0});
-    for (const auto& name : StrategyRegistry::global().names()) {
-        runStrategy(name, f, cs, {120.0});
-        const SearchStrategy* s = StrategyRegistry::global().find(name);
-        EvalBudget budget;
-        SearchResult r = s->search(f, cs, {120.0}, budget);
+    for (const auto& [name, stage] : kChainStages) {
+        SearchResult r = runStage(name, stage, f, cs, {120.0});
         EXPECT_NEAR(r.x[0], 120.0, 1e-6) << name;
     }
 }
@@ -100,11 +95,8 @@ TEST(SolverEdgeCases, BudgetExactlyAtFloorsPinsEveryDimension)
     cs.addLowerBounds(10.0);
     auto f = inverseSum({4.0, 2.0, 1.0});
     Vec only{10.0, 10.0, 10.0};
-    for (const auto& name : StrategyRegistry::global().names()) {
-        runStrategy(name, f, cs, only);
-        const SearchStrategy* s = StrategyRegistry::global().find(name);
-        EvalBudget budget;
-        SearchResult r = s->search(f, cs, only, budget);
+    for (const auto& [name, stage] : kChainStages) {
+        SearchResult r = runStage(name, stage, f, cs, only);
         for (std::size_t i = 0; i < 3; ++i)
             EXPECT_NEAR(r.x[i], 10.0, 1e-4) << name << " dim " << i;
     }
@@ -113,7 +105,7 @@ TEST(SolverEdgeCases, BudgetExactlyAtFloorsPinsEveryDimension)
     expectCleanPoint(driver.x, cs, "multistart");
 }
 
-TEST(SolverEdgeCases, BudgetBelowFloorsIsACleanErrorForEveryStrategy)
+TEST(SolverEdgeCases, BudgetBelowFloorsIsACleanErrorForEveryStage)
 {
     // sum B = 25 with B_i >= 10 is an empty polyhedron: projection
     // must throw FatalError — never return NaN or negative bandwidth.
@@ -122,11 +114,10 @@ TEST(SolverEdgeCases, BudgetBelowFloorsIsACleanErrorForEveryStrategy)
     cs.addLowerBounds(10.0);
     auto f = inverseSum({4.0, 2.0, 1.0});
     Vec hint{8.0, 8.0, 9.0};
-    for (const auto& name : StrategyRegistry::global().names()) {
+    for (const auto& [name, stage] : kChainStages) {
         SCOPED_TRACE(name);
-        const SearchStrategy* s = StrategyRegistry::global().find(name);
         EvalBudget budget;
-        EXPECT_THROW(s->search(f, cs, hint, budget), FatalError);
+        EXPECT_THROW(stage(f, cs, hint, budget), FatalError);
     }
     EXPECT_THROW(multistartMinimize(f, cs, hint), FatalError);
 }
@@ -134,64 +125,49 @@ TEST(SolverEdgeCases, BudgetBelowFloorsIsACleanErrorForEveryStrategy)
 TEST(SolverEdgeCases, InfeasibleTextConstraintsErrorThroughOptimize)
 {
     // Contradictory design constraints through the full optimizer
-    // stack, for each selectable pipeline.
+    // stack.
     Network net = Network::parse("RI(4)_SW(4)");
     BwOptimizer opt(net, CostModel::defaultModel());
     Workload w = wl::resnet50(net.npus());
-    for (const std::string& solver : everyPipeline()) {
-        SCOPED_TRACE(solver);
-        OptimizerConfig cfg;
-        cfg.totalBw = 200.0;
-        cfg.search.starts = 1;
-        if (!solver.empty())
-            cfg.search.pipeline = {solver};
-        cfg.constraints = {"B1 >= 150", "B2 >= 150"}; // Sum is 200.
-        EXPECT_THROW(opt.optimize({{w, 1.0}}, cfg), FatalError);
-    }
+    OptimizerConfig cfg;
+    cfg.totalBw = 200.0;
+    cfg.search.starts = 1;
+    cfg.constraints = {"B1 >= 150", "B2 >= 150"}; // Sum is 200.
+    EXPECT_THROW(opt.optimize({{w, 1.0}}, cfg), FatalError);
 }
 
-TEST(SolverEdgeCases, OneDimensionNetworkOptimizesCleanlyPerSolver)
+TEST(SolverEdgeCases, OneDimensionNetworkOptimizesCleanly)
 {
     // A single-dimension network end-to-end: the budget equality pins
-    // the solution, so every pipeline must return exactly totalBw.
+    // the solution, so the chain must return exactly totalBw.
     Network net = Network::parse("SW(8)");
     BwOptimizer opt(net, CostModel::defaultModel());
     Workload w = wl::resnet50(net.npus());
-    for (const std::string& solver : everyPipeline()) {
-        SCOPED_TRACE(solver);
-        OptimizerConfig cfg;
-        cfg.totalBw = 150.0;
-        cfg.search.starts = 2;
-        if (!solver.empty())
-            cfg.search.pipeline = {solver};
-        OptimizationResult r = opt.optimize({{w, 1.0}}, cfg);
-        ASSERT_EQ(r.bw.size(), 1u);
-        EXPECT_NEAR(r.bw[0], 150.0, 1e-6);
-        EXPECT_TRUE(std::isfinite(r.objectiveValue));
-        EXPECT_GT(r.weightedTime, 0.0);
-    }
+    OptimizerConfig cfg;
+    cfg.totalBw = 150.0;
+    cfg.search.starts = 2;
+    OptimizationResult r = opt.optimize({{w, 1.0}}, cfg);
+    ASSERT_EQ(r.bw.size(), 1u);
+    EXPECT_NEAR(r.bw[0], 150.0, 1e-6);
+    EXPECT_TRUE(std::isfinite(r.objectiveValue));
+    EXPECT_GT(r.weightedTime, 0.0);
 }
 
 TEST(SolverEdgeCases, TightFloorsThroughOptimizeStayFeasible)
 {
     // minDimBw floors that consume the whole budget leave exactly one
-    // feasible point for every pipeline.
+    // feasible point.
     Network net = Network::parse("RI(4)_FC(4)_SW(4)");
     BwOptimizer opt(net, CostModel::defaultModel());
     Workload w = wl::resnet50(net.npus());
-    for (const std::string& solver : everyPipeline()) {
-        SCOPED_TRACE(solver);
-        OptimizerConfig cfg;
-        cfg.totalBw = 30.0;
-        cfg.minDimBw = 10.0;
-        cfg.search.starts = 1;
-        if (!solver.empty())
-            cfg.search.pipeline = {solver};
-        OptimizationResult r = opt.optimize({{w, 1.0}}, cfg);
-        for (double b : r.bw) {
-            EXPECT_TRUE(std::isfinite(b));
-            EXPECT_NEAR(b, 10.0, 1e-4);
-        }
+    OptimizerConfig cfg;
+    cfg.totalBw = 30.0;
+    cfg.minDimBw = 10.0;
+    cfg.search.starts = 1;
+    OptimizationResult r = opt.optimize({{w, 1.0}}, cfg);
+    for (double b : r.bw) {
+        EXPECT_TRUE(std::isfinite(b));
+        EXPECT_NEAR(b, 10.0, 1e-4);
     }
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -23,13 +24,22 @@
 #include "solver/nelder_mead.hh"
 #include "solver/pattern_search.hh"
 #include "solver/qp.hh"
-#include "solver/strategy.hh"
 #include "solver/subgradient.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
 
 namespace libra {
 namespace {
+
+/** The multistart chain's stages, in chain order. */
+using ChainStage = SearchResult (*)(const ScalarObjective&,
+                                    const ConstraintSet&, const Vec&,
+                                    EvalBudget&);
+const std::pair<const char*, ChainStage> kChainStages[] = {
+    {"subgradient", subgradientStage},
+    {"pattern-search", patternSearchStage},
+    {"nelder-mead", nelderMeadStage},
+};
 
 /** Convex separable model: sum of a_i / x_i, the LIBRA time shape. */
 ScalarObjective
@@ -185,17 +195,15 @@ TEST_P(PatternSearchRoutes, BatchedPollsRetraceThePerCallSearch)
             EXPECT_EQ(calls, b.iterations + 1);
         }
 
-        // The strategy wrapper charges identically on both routes.
-        const SearchStrategy* strategy =
-            StrategyRegistry::global().find("pattern-search");
-        ASSERT_NE(strategy, nullptr);
+        // The chain's budgeted stage charges identically on both
+        // routes.
         for (long long limit = 1; limit <= caps + 2; ++limit) {
             SCOPED_TRACE(limit);
             EvalBudget budgetA(limit), budgetB(limit);
             const SearchResult a =
-                strategy->search(batched, cs, x0, budgetA);
+                patternSearchStage(batched, cs, x0, budgetA);
             const SearchResult b =
-                strategy->search(plain, cs, x0, budgetB);
+                patternSearchStage(plain, cs, x0, budgetB);
             expectSameBits(a, b);
             EXPECT_EQ(budgetA.used(), budgetB.used());
             EXPECT_LE(budgetA.used(), limit);
@@ -245,7 +253,6 @@ TEST(Multistart, EscapesLocalMinimaOnNonconvex)
 
     MultistartOptions opt;
     opt.starts = 12;
-    opt.pipeline = {"pattern-search", "nelder-mead"};
     SearchResult r = multistartMinimize(f, cs, {1.0, 9.0}, opt);
     EXPECT_NEAR(r.x[0], 9.0, 0.5);
     EXPECT_NEAR(r.x[1], 1.0, 0.5);
@@ -266,71 +273,6 @@ TEST(Multistart, DeterministicAcrossRuns)
                          r2.x[static_cast<std::size_t>(i)]);
 }
 
-TEST(StrategyRegistry, BuiltinsAreRegisteredInOrder)
-{
-    std::vector<std::string> names = StrategyRegistry::global().names();
-    std::vector<std::string> want{"subgradient", "pattern-search",
-                                  "nelder-mead"};
-    EXPECT_EQ(names, want);
-    for (const auto& name : names) {
-        const SearchStrategy* s = StrategyRegistry::global().find(name);
-        ASSERT_NE(s, nullptr);
-        EXPECT_EQ(s->name(), name);
-        EXPECT_FALSE(s->description().empty());
-    }
-    EXPECT_EQ(StrategyRegistry::global().find("no-such-strategy"),
-              nullptr);
-}
-
-TEST(StrategyRegistry, SolverSpecParsesAndRejectsUnknownNames)
-{
-    std::vector<std::string> spec =
-        parseSolverSpec("nelder-mead, pattern-search");
-    EXPECT_EQ(spec,
-              (std::vector<std::string>{"nelder-mead", "pattern-search"}));
-    EXPECT_EQ(solverSpecToString(spec), "nelder-mead,pattern-search");
-    EXPECT_THROW(parseSolverSpec(""), FatalError);
-    EXPECT_THROW(parseSolverSpec("nelder-mead,"), FatalError);
-    EXPECT_THROW(parseSolverSpec("gradient-descent"), FatalError);
-}
-
-TEST(StrategyPipeline, ExplicitDefaultChainMatchesImplicitBitExactly)
-{
-    // The refactor contract: spelling the default chain out as a
-    // pipeline must reproduce the hard-wired behavior bit for bit.
-    Vec a{4.0, 2.0, 1.0};
-    ConstraintSet cs(3);
-    cs.addTotalBw(30.0);
-    cs.addLowerBounds(0.1);
-    auto f = inverseSum(a);
-
-    MultistartOptions implicit;
-    SearchResult r1 = multistartMinimize(f, cs, {10, 10, 10}, implicit);
-
-    MultistartOptions explicitChain;
-    explicitChain.pipeline = {"subgradient", "pattern-search",
-                              "nelder-mead"};
-    SearchResult r2 =
-        multistartMinimize(f, cs, {10, 10, 10}, explicitChain);
-    EXPECT_EQ(r1.value, r2.value);
-    EXPECT_EQ(r1.x, r2.x);
-
-    EXPECT_EQ(multistartPipelineNames(implicit),
-              explicitChain.pipeline);
-}
-
-TEST(StrategyPipeline, UnknownStrategyInDriverIsAFatalError)
-{
-    Vec a{1.0, 1.0};
-    ConstraintSet cs(2);
-    cs.addTotalBw(10.0);
-    cs.addLowerBounds(0.1);
-    MultistartOptions opt;
-    opt.pipeline = {"not-a-strategy"};
-    EXPECT_THROW(multistartMinimize(inverseSum(a), cs, {5, 5}, opt),
-                 FatalError);
-}
-
 TEST(StrategyPipeline, EvalBudgetCapsThePipeline)
 {
     Vec a{9.0, 3.0, 1.0};
@@ -345,15 +287,13 @@ TEST(StrategyPipeline, EvalBudgetCapsThePipeline)
     SearchResult r = multistartMinimize(f, cs, {20, 20, 20}, tight);
     EXPECT_TRUE(cs.feasible(r.x, 1e-5));
 
-    // ...and no strategy may charge more than the budget allows —
-    // iteration clamping must account for each strategy's true
+    // ...and no stage may charge more than the budget allows —
+    // iteration clamping must account for each stage's true
     // per-iteration evaluation cost.
-    for (const auto& name : StrategyRegistry::global().names()) {
+    for (const auto& [name, stage] : kChainStages) {
         SCOPED_TRACE(name);
-        const SearchStrategy* s = StrategyRegistry::global().find(name);
-        ASSERT_NE(s, nullptr);
         EvalBudget budget(40);
-        SearchResult capped = s->search(f, cs, {20.0, 20.0, 20.0}, budget);
+        SearchResult capped = stage(f, cs, {20.0, 20.0, 20.0}, budget);
         EXPECT_TRUE(cs.feasible(capped.x, 1e-5));
         EXPECT_LE(budget.used(), 40);
     }

@@ -144,7 +144,9 @@ TEST(StudyConfig, NonFiniteNumbersAreRejectedWithTheirLine)
 }
 
 // Each numeric directive declares its range; a value outside it, or a
-// non-integer where an integer is due, is an error naming the line.
+// non-integer where an integer is due, is an error naming the line. So
+// is a token after the last one a directive takes (every directive but
+// CONSTRAINT and COST takes a fixed number).
 TEST(StudyConfig, OutOfRangeNumbersAreRejectedWithTheirLine)
 {
     const std::pair<const char*, const char*> cases[] = {
@@ -166,6 +168,21 @@ TEST(StudyConfig, OutOfRangeNumbersAreRejectedWithTheirLine)
         {"SEED -1", "bad seed '-1'"},
         {"SEED 18446744073709551616", "bad seed '18446744073709551616'"},
         {"SEED 1e3", "bad seed '1e3'"},
+        {"NETWORK RI(4) FC(8)", "unexpected 'FC(8)'"},
+        {"TOTAL_BW 500 900", "unexpected '900'"},
+        {"OBJECTIVE PERF PERF_PER_COST", "unexpected 'PERF_PER_COST'"},
+        {"LOOP NO_OVERLAP TP_DP_OVERLAP", "unexpected 'TP_DP_OVERLAP'"},
+        {"DOLLAR_CAP 1e7 2e7", "unexpected '2e7'"},
+        {"THREADS 2 4", "unexpected '4'"},
+        {"BACKEND analytical chunk-sim", "unexpected 'chunk-sim'"},
+        {"EXPLORE prune exhaustive", "unexpected 'exhaustive'"},
+        {"SEED 1 2", "unexpected '2'"},
+        {"STARTS 3 4", "unexpected '4'"},
+        {"MAX_EVALS 240 480", "unexpected '480'"},
+        {"NORMALIZE_WEIGHTS yes", "unexpected 'yes'"},
+        {"IN_NETWORK yes", "unexpected 'yes'"},
+        {"WORKLOAD dlrm WEIGHT 2 3", "unexpected '3'"},
+        {"WORKLOAD_FILE a.wl WEIGHT 2 3", "unexpected '3'"},
     };
     for (const auto& [line, error] : cases) {
         SCOPED_TRACE(line);
@@ -316,7 +333,7 @@ TEST(StudyConfigCli, NanLinkCostUnderPerfPerCostExitsOneNamingTheLine)
     expectFatalExit(
         runMutatedExample({{"OBJECTIVE PERF ", "OBJECTIVE PERF_PER_COST "},
                            {"# COST Pod LINK 7.8", "COST Pod LINK nan"}}),
-        "study line 14: bad cost value 'nan'");
+        "study line 13: bad cost value 'nan'");
 }
 
 // A finite 1e308 price under a DOLLAR_CAP used to crash the final
@@ -334,14 +351,15 @@ TEST(StudyConfigCli, HugeCostUnderDollarCapExitsOne)
                 {{"OBJECTIVE PERF ", "OBJECTIVE PERF_PER_COST "},
                  {"# COST Pod LINK 7.8 SWITCH 18.0 NIC 31.6", cost},
                  {"# DOLLAR_CAP", "DOLLAR_CAP"}}),
-            "fatal: study line 14: bad cost value '1e308'");
+            "fatal: study line 13: bad cost value '1e308'");
     }
 }
 
 // These edits used to exit 0 with a wrong answer (a negative weight
-// or price), reach a study that cannot be serialized (a DOLLAR_CAP of
-// 0 or -1), or cast an out-of-range double to int (STARTS). Each is
-// now outside its directive's range.
+// or price, a second TOTAL_BW or OBJECTIVE value), reach a study that
+// cannot be serialized (a DOLLAR_CAP of 0 or -1), or cast an
+// out-of-range double to int (STARTS). Each is now outside its
+// directive's range or arity.
 TEST(StudyConfigCli, OutOfRangeStudyNumbersExitOneNamingTheLine)
 {
     using Edits = std::vector<std::pair<std::string, std::string>>;
@@ -350,15 +368,19 @@ TEST(StudyConfigCli, OutOfRangeStudyNumbersExitOneNamingTheLine)
          "study line 7: bad weight '-1'"},
         {{{"OBJECTIVE PERF ", "OBJECTIVE PERF_PER_COST "},
           {"# COST Pod LINK 7.8", "COST Pod LINK -7"}},
-         "study line 14: bad cost value '-7'"},
+         "study line 13: bad cost value '-7'"},
         {{{"# DOLLAR_CAP 1.5e7", "DOLLAR_CAP 0"}},
-         "study line 15: bad dollar cap '0'"},
+         "study line 14: bad dollar cap '0'"},
         {{{"# DOLLAR_CAP 1.5e7", "DOLLAR_CAP -1"}},
-         "study line 15: bad dollar cap '-1'"},
+         "study line 14: bad dollar cap '-1'"},
         {{{"NORMALIZE_WEIGHTS\n", "NORMALIZE_WEIGHTS\nSTARTS -3\n"}},
          "study line 10: bad start count '-3'"},
         {{{"NORMALIZE_WEIGHTS\n", "NORMALIZE_WEIGHTS\nSTARTS 1e30\n"}},
          "study line 10: bad start count '1e30'"},
+        {{{"\nTOTAL_BW 500\n", "\nTOTAL_BW 500 900\n"}},
+         "study line 3: unexpected '900'"},
+        {{{"OBJECTIVE PERF ", "OBJECTIVE PERF PERF_PER_COST "}},
+         "study line 4: unexpected 'PERF_PER_COST'"},
     };
     for (const auto& [edits, error] : cases) {
         SCOPED_TRACE(error);
@@ -536,15 +558,6 @@ TEST(RegistryCli, ListEmitsScenariosInRegistrationOrder)
     }
 }
 
-TEST(RegistryCli, ListSolversEmitsRegistrationOrder)
-{
-    Json j = listJson("list-solvers", "solvers");
-    EXPECT_EQ(entryStrings(j, "name"),
-              (Names{"subgradient", "pattern-search", "nelder-mead"}));
-    for (const std::string& d : entryStrings(j, "description"))
-        EXPECT_FALSE(d.empty());
-}
-
 TEST(RegistryCli, ListBackendsEmitsNamesAndCacheTags)
 {
     Json j = listJson("list-backends", "backends");
@@ -554,32 +567,34 @@ TEST(RegistryCli, ListBackendsEmitsNamesAndCacheTags)
               (Names{"analytical", "chunk-sim/64/x1", "themis/64"}));
 }
 
-TEST(RegistryCli, ListExplorersEmitsNamesAndParams)
+TEST(RegistryCli, ListExplorersEmitsNamesAndDescriptions)
 {
     Json j = listJson("list-explorers", "explorers");
     EXPECT_EQ(entryStrings(j, "name"), (Names{"exhaustive", "prune"}));
-    const Json::Array& entries = j.at("entries").items();
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_TRUE(entries[0].at("params").items().empty());
-    Names pruneKeys;
-    for (const Json& p : entries[1].at("params").items())
-        pruneKeys.push_back(p.at("key").asString());
-    EXPECT_EQ(pruneKeys,
-              (Names{"keep", "rounds", "screen-evals", "screen-starts"}));
+    for (const std::string& d : entryStrings(j, "description"))
+        EXPECT_FALSE(d.empty());
+    for (const Json& e : j.at("entries").items())
+        EXPECT_FALSE(e.has("params"));
 }
 
 // --- Unknown flags -----------------------------------------------------
 
 // Flags the CLI does not take are refused by name, never silently
-// ignored, and so are the names of deleted search strategies, whether
-// a flag or a study file selects them. None of these reaches a server
-// or a sweep: each command stops at its flag or study parse.
+// ignored, and so are the retired search-chain selection (--solver,
+// list-solvers, a SOLVER line) and prune's retired parameters. None of
+// these reaches a server or a sweep: each command stops at its flag or
+// study parse.
 TEST(UnknownFlagCli, EachFlagExitsOneNamingIt)
 {
     std::string study = ::testing::TempDir() + "libra_flags.study";
     std::ofstream(study) << cliOutput("--example");
-    std::string deSolver = ::testing::TempDir() + "libra_de.study";
-    std::ofstream(deSolver) << cliOutput("--example") << "SOLVER de\n";
+    // The example study has 15 lines; each appended line is line 16.
+    std::string solverLine = ::testing::TempDir() + "libra_solver.study";
+    std::ofstream(solverLine) << cliOutput("--example")
+                              << "SOLVER nelder-mead\n";
+    std::string keepLine = ::testing::TempDir() + "libra_keep.study";
+    std::ofstream(keepLine) << cliOutput("--example")
+                            << "EXPLORE prune,keep=0.25\n";
     const std::pair<std::string, std::string> cases[] = {
         {"run-matrix tbl1 --checkpoint-chunk 4",
          "unknown run-matrix flag '--checkpoint-chunk'"},
@@ -589,9 +604,15 @@ TEST(UnknownFlagCli, EachFlagExitsOneNamingIt)
         {"serve --max-workers 2", "unknown serve flag '--max-workers'"},
         {"serve --fail-mode isolate", "unknown serve flag '--fail-mode'"},
         {study + " --explore prune", "unknown flag '--explore'"},
-        {"run-matrix tbl1 --solver cmaes",
-         "unknown search strategy 'cmaes'"},
-        {deSolver, "unknown search strategy 'de'"},
+        {"run-matrix tbl1 --solver nelder-mead",
+         "unknown run-matrix flag '--solver'"},
+        {"--solver nelder-mead " + study, "unknown flag '--solver'"},
+        {"list-solvers", "cannot open 'list-solvers'"},
+        {solverLine, "study line 16: unknown keyword 'SOLVER'"},
+        {keepLine, "study line 16: unknown exploration strategy "
+                   "'prune,keep=0.25'"},
+        {"run-matrix explore-frontier --explore prune,rounds=2",
+         "unknown exploration strategy 'prune,rounds=2'"},
     };
     for (const auto& [args, needle] : cases)
         expectFatalExit(runCli(args), needle);

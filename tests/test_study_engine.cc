@@ -142,6 +142,7 @@ TEST(StudyCacheKey, ResultRelevantFieldsChangeTheHash)
     EXPECT_NE(base, studyCacheHash(miniInputs("LOOP TP_DP_OVERLAP\n")));
     EXPECT_NE(base,
               studyCacheHash(miniInputs("OBJECTIVE PERF_PER_COST\n")));
+    EXPECT_NE(base, studyCacheHash(miniInputs("MAX_EVALS 64\n")));
 
     LibraInputs bw = miniInputs();
     bw.config.totalBw = 300.0;
@@ -156,55 +157,6 @@ TEST(StudyCacheKey, ResultRelevantFieldsChangeTheHash)
     EXPECT_NE(base, studyCacheHash(workload));
 }
 
-TEST(StudyCacheKey, SolverPipelineIsPartOfThePointIdentity)
-{
-    // Different pipelines produce different reports, so they must
-    // never share a cache slot; the same spec must keep hitting.
-    std::uint64_t base = studyCacheHash(miniInputs());
-    std::uint64_t nm = studyCacheHash(miniInputs("SOLVER nelder-mead\n"));
-    std::uint64_t ps =
-        studyCacheHash(miniInputs("SOLVER pattern-search\n"));
-    std::uint64_t chain = studyCacheHash(
-        miniInputs("SOLVER nelder-mead,pattern-search\n"));
-    EXPECT_NE(base, nm);
-    EXPECT_NE(base, ps);
-    EXPECT_NE(nm, ps);
-    EXPECT_NE(nm, chain);
-    EXPECT_EQ(nm, studyCacheHash(miniInputs("SOLVER nelder-mead\n")));
-    EXPECT_EQ(canonicalStudyKey(miniInputs("SOLVER nelder-mead\n")),
-              canonicalStudyKey(miniInputs("SOLVER nelder-mead\n")));
-
-    // The default (empty) pipeline must keep the historical key text:
-    // version-1 cache entries and goldens stay valid without a bump.
-    EXPECT_EQ(canonicalStudyKey(miniInputs())
-                  .find("solver("), std::string::npos);
-}
-
-TEST(StudyCacheKey, SolverSpecRoundTripsThroughStoreAndLoad)
-{
-    std::string dir = testing::TempDir() + "libra-cache-solver";
-    std::filesystem::remove_all(dir);
-    ResultCache cache(dir);
-
-    LibraInputs inputs = miniInputs("SOLVER pattern-search\n");
-    LibraReport report = runLibra(inputs);
-    std::string canonical = canonicalStudyKey(inputs);
-    std::uint64_t key = studyCacheHash(inputs);
-
-    cache.store(key, canonical, report);
-    LibraReport out;
-    ASSERT_TRUE(cache.load(key, canonical, &out));
-    EXPECT_EQ(report.optimized.bw, out.optimized.bw);
-
-    // A different solver spec is a different canonical text: even a
-    // forced key collision must be detected and treated as a miss.
-    setInformEnabled(false);
-    EXPECT_FALSE(cache.load(
-        key, canonicalStudyKey(miniInputs("SOLVER nelder-mead\n")),
-        &out));
-    std::filesystem::remove_all(dir);
-}
-
 TEST(StudyCacheKey, ExploreSpecFoldedOnlyWhenNonDefault)
 {
     // The default (and the explicit exhaustive default) must keep the
@@ -216,20 +168,14 @@ TEST(StudyCacheKey, ExploreSpecFoldedOnlyWhenNonDefault)
     EXPECT_EQ(base,
               studyCacheHash(miniInputs("EXPLORE exhaustive\n")));
 
-    // A non-default strategy — and each distinct parameterization —
-    // is its own point identity; identical specs keep hitting.
+    // A non-default strategy is its own point identity; identical
+    // specs keep hitting.
     std::uint64_t prune = studyCacheHash(miniInputs("EXPLORE prune\n"));
-    std::uint64_t tuned =
-        studyCacheHash(miniInputs("EXPLORE prune,keep=0.25\n"));
     EXPECT_NE(base, prune);
-    EXPECT_NE(prune, tuned);
     EXPECT_EQ(prune, studyCacheHash(miniInputs("EXPLORE prune\n")));
     EXPECT_NE(canonicalStudyKey(miniInputs("EXPLORE prune\n"))
                   .find("explore(prune)"),
               std::string::npos);
-    // Explicit defaults canonicalize away inside the tag too.
-    EXPECT_EQ(prune,
-              studyCacheHash(miniInputs("EXPLORE prune,keep=0.5\n")));
 }
 
 TEST(StudyCacheKey, ThreadCountDoesNotChangeTheHash)

@@ -25,7 +25,7 @@ namespace {
  * The directive corpus. Every keyword the parser understands appears
  * in at least one entry: NETWORK, TOTAL_BW, OBJECTIVE, LOOP,
  * CONSTRAINT, WORKLOAD (+WEIGHT), NORMALIZE_WEIGHTS, IN_NETWORK,
- * DOLLAR_CAP, THREADS, SEED, STARTS, MAX_EVALS, SOLVER, BACKEND, and
+ * DOLLAR_CAP, THREADS, SEED, STARTS, MAX_EVALS, BACKEND, EXPLORE, and
  * COST.
  */
 const char* kCorpus[] = {
@@ -68,7 +68,6 @@ const char* kCorpus[] = {
     "NETWORK RI(4)_SW(8)\n"
     "STARTS 1\n"
     "MAX_EVALS 120\n"
-    "SOLVER pattern-search\n"
     "EXPLORE prune\n"
     "WORKLOAD resnet50\n",
     // Dollar cap (implies a relaxed BW budget) and threads.
@@ -77,17 +76,6 @@ const char* kCorpus[] = {
     "DOLLAR_CAP 1.5e7\n"
     "THREADS 8\n"
     "WORKLOAD msft1t WEIGHT 1.0\n",
-    // Solver pipelines: a single strategy, a two-stage pipeline and
-    // the full chain.
-    "NETWORK RI(4)_SW(8)\n"
-    "SOLVER nelder-mead\n"
-    "WORKLOAD resnet50\n",
-    "NETWORK RI(4)_SW(8)\n"
-    "SOLVER nelder-mead,pattern-search\n"
-    "WORKLOAD resnet50\n",
-    "NETWORK RI(4)_SW(8)\n"
-    "SOLVER subgradient,pattern-search,nelder-mead\n"
-    "WORKLOAD resnet50\n",
     // Timing backends: the simulation backend and the (normalized-
     // away) explicit default.
     "NETWORK RI(4)_SW(8)\n"
@@ -96,14 +84,10 @@ const char* kCorpus[] = {
     "NETWORK RI(4)_SW(8)\n"
     "BACKEND analytical\n"
     "WORKLOAD resnet50\n",
-    // Exploration strategies: bare, parameterized (out-of-order keys
-    // and explicit defaults canonicalize), and the normalized-away
-    // explicit default.
+    // Exploration strategies: prune and the normalized-away explicit
+    // default.
     "NETWORK RI(4)_SW(8)\n"
     "EXPLORE prune\n"
-    "WORKLOAD resnet50\n",
-    "NETWORK RI(4)_SW(8)\n"
-    "EXPLORE prune, rounds=2, keep=0.25, screen-starts=1\n"
     "WORKLOAD resnet50\n",
     "NETWORK RI(4)_SW(8)\n"
     "EXPLORE exhaustive\n"
@@ -182,14 +166,6 @@ TEST(StudyRoundTrip, EqualityIsDiscriminating)
                       "WORKLOAD resnet50\nCOST Pod LINK 9\n")));
     EXPECT_FALSE(studyInputsEqual(
         base, variant("NETWORK RI(4)_SW(8)\nTOTAL_BW 300\n"
-                      "WORKLOAD resnet50\nSOLVER nelder-mead\n")));
-    EXPECT_FALSE(studyInputsEqual(
-        variant("NETWORK RI(4)_SW(8)\nTOTAL_BW 300\n"
-                "WORKLOAD resnet50\nSOLVER nelder-mead\n"),
-        variant("NETWORK RI(4)_SW(8)\nTOTAL_BW 300\n"
-                "WORKLOAD resnet50\nSOLVER pattern-search\n")));
-    EXPECT_FALSE(studyInputsEqual(
-        base, variant("NETWORK RI(4)_SW(8)\nTOTAL_BW 300\n"
                       "WORKLOAD resnet50\nMAX_EVALS 64\n")));
 }
 
@@ -224,14 +200,14 @@ TEST(StudyRoundTrip, MaxEvalsDirectiveValidatesAndDefaults)
 
 TEST(StudyRoundTrip, ExploreDirectiveCanonicalizesAndDiscriminates)
 {
-    // The parser stores the canonical spec, so explicit defaults and
-    // key order vanish before serialization.
+    // The parser stores the canonical spec, so an explicit default
+    // vanishes before serialization.
     LibraInputs in = parseStudyConfigString(
         "NETWORK RI(4)_SW(8)\n"
-        "EXPLORE prune, rounds=2, keep=0.5\n"
+        "EXPLORE prune\n"
         "WORKLOAD resnet50\n");
-    EXPECT_EQ(in.explore, "prune,rounds=2");
-    EXPECT_NE(studyConfigToString(in).find("EXPLORE prune,rounds=2\n"),
+    EXPECT_EQ(in.explore, "prune");
+    EXPECT_NE(studyConfigToString(in).find("EXPLORE prune\n"),
               std::string::npos);
 
     LibraInputs def = parseStudyConfigString(
@@ -264,18 +240,16 @@ TEST(StudyRoundTrip, UnknownExplorerIsReportedWithItsLine)
     }
 }
 
-TEST(StudyRoundTrip, UnknownSolverIsReportedWithItsLine)
+TEST(StudyRoundTrip, SolverLineIsAnUnknownKeywordWithItsLine)
 {
     try {
         parseStudyConfigString("NETWORK RI(4)_SW(8)\n"
-                               "SOLVER warp-drive\n"
+                               "SOLVER nelder-mead\n"
                                "WORKLOAD resnet50\n");
         FAIL() << "expected FatalError";
     } catch (const FatalError& e) {
-        EXPECT_NE(std::string(e.what()).find("line 2"),
-                  std::string::npos)
-            << e.what();
-        EXPECT_NE(std::string(e.what()).find("warp-drive"),
+        EXPECT_NE(std::string(e.what()).find(
+                      "study line 2: unknown keyword 'SOLVER'"),
                   std::string::npos)
             << e.what();
     }

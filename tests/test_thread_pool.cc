@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the parallel evaluation engine's thread pool: full index
- * coverage, exception propagation, futures, nesting, and the global
+ * coverage, exception propagation, nesting, and the global
  * pool knob.
  */
 
@@ -83,28 +83,6 @@ TEST(ThreadPool, SerialPathExceptionStillCoversAllIndices)
               static_cast<int>(n));
 }
 
-TEST(ThreadPool, SubmitFromInlineSubmitDoesNotDeadlock)
-{
-    ThreadPool pool(1);
-    int inner = 0;
-    auto future = pool.submit([&] {
-        pool.submit([&] { inner = 42; }).get();
-        return inner;
-    });
-    EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, SubmitFromBusyWorkerDoesNotDeadlock)
-{
-    // pool(2) has one worker; the outer task occupies it, so the
-    // inner submit must run inline rather than queue-and-wait.
-    ThreadPool pool(2);
-    auto future = pool.submit([&] {
-        return pool.submit([] { return 7; }).get() + 1;
-    });
-    EXPECT_EQ(future.get(), 8);
-}
-
 TEST(ThreadPool, NestedParallelForRunsInlineAndCovers)
 {
     ThreadPool pool(4);
@@ -117,41 +95,6 @@ TEST(ThreadPool, NestedParallelForRunsInlineAndCovers)
     });
     for (std::size_t k = 0; k < hits.size(); ++k)
         ASSERT_EQ(hits[k].load(), 1) << "slot " << k;
-}
-
-TEST(ThreadPool, SubmitReturnsValueThroughFuture)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit([] { return 6 * 7; });
-    EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture)
-{
-    ThreadPool pool(2);
-    auto future =
-        pool.submit([]() -> int { throw std::logic_error("bad"); });
-    EXPECT_THROW(future.get(), std::logic_error);
-}
-
-TEST(ThreadPool, SubmitRunsInlineWithoutWorkers)
-{
-    ThreadPool pool(1);
-    auto future = pool.submit([] { return std::string("inline"); });
-    EXPECT_EQ(future.get(), "inline");
-}
-
-TEST(ThreadPool, ParallelMapPreservesInputOrder)
-{
-    ThreadPool::setGlobalThreads(4);
-    std::vector<int> items(500);
-    std::iota(items.begin(), items.end(), 0);
-    std::vector<int> out =
-        parallelMap(items, [](const int& v) { return v * v; });
-    ASSERT_EQ(out.size(), items.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-        ASSERT_EQ(out[i], static_cast<int>(i * i));
-    ThreadPool::setGlobalThreads(1);
 }
 
 TEST(ThreadPool, GlobalKnobResizesPool)

@@ -4,10 +4,9 @@
  * scenario matrices.
  *
  * Usage:
- *   libra_cli [--threads N] [--solver SPEC] [--backend NAME] <study-file>
+ *   libra_cli [--threads N] [--backend NAME] <study-file>
  *   libra_cli --example        # print a template study file and exit
  *   libra_cli list             # list registered paper scenarios
- *   libra_cli list-solvers     # list registered search strategies
  *   libra_cli list-backends    # list registered timing backends
  *   libra_cli list-explorers   # list registered exploration strategies
  *   libra_cli run-matrix <names...|all|golden> [options]
@@ -25,14 +24,10 @@
  *   --emit json|csv    structured emission instead of tables (stats go
  *                      to stderr; stdout is byte-stable across runs)
  *   --out FILE         write the emission/tables to FILE
- *   --solver SPEC      solver-pipeline override for every design point
- *                      (comma-separated strategy names; see
- *                      `list-solvers`), e.g. --solver
- *                      pattern-search,nelder-mead
  *   --backend NAME     timing-backend override for every design point
  *                      (see `list-backends`), e.g. --backend chunk-sim
  *                      to re-run a whole matrix under simulation
- *   --explore SPEC     exploration-strategy override for every
+ *   --explore NAME     exploration-strategy override for every
  *                      design-space scenario in the run (see
  *                      `list-explorers`), e.g. --explore prune to
  *                      screen-and-promote instead of exhausting the
@@ -76,8 +71,8 @@
  * 2 internal error; 3 partial failure (an isolate-mode matrix run that
  * completed with failed design points).
  *
- * --solver / --backend on a single study file override its SOLVER /
- * BACKEND lines the same way --threads overrides THREADS.
+ * --backend on a single study file overrides its BACKEND line the same
+ * way --threads overrides THREADS.
  *
  * --threads N (or the LIBRA_THREADS environment variable, or a THREADS
  * line in the study file; flag wins) sizes the parallel evaluation
@@ -107,7 +102,6 @@
 #include "core/timing_backend.hh"
 #include "explore/explore.hh"
 #include "serve/server.hh"
-#include "solver/strategy.hh"
 #include "study/matrix.hh"
 #include "study/shard.hh"
 
@@ -123,17 +117,15 @@ WORKLOAD gpt3
 WORKLOAD msft1t WEIGHT 1.0
 NORMALIZE_WEIGHTS
 # THREADS 8                # solver parallelism (deterministic)
-# SOLVER pattern-search,nelder-mead  # strategy pipeline (list-solvers)
 # BACKEND chunk-sim        # timing backend (list-backends)
-# EXPLORE prune,keep=0.25  # exploration strategy (list-explorers)
+# EXPLORE prune            # exploration strategy (list-explorers)
 # COST Pod LINK 7.8 SWITCH 18.0 NIC 31.6
 # DOLLAR_CAP 1.5e7
 # WORKLOAD_FILE my_profiled_model.wl
 )";
 
 int
-runStudy(const std::string& path, int threads,
-         const std::string& solverSpec, const std::string& backend)
+runStudy(const std::string& path, int threads, const std::string& backend)
 {
     using namespace libra;
 
@@ -145,8 +137,6 @@ runStudy(const std::string& path, int threads,
     LibraInputs inputs = parseStudyConfig(file);
     if (threads > 0)
         inputs.threads = threads; // Flag wins over the THREADS line.
-    if (!solverSpec.empty())     // Flag wins over the SOLVER line.
-        inputs.config.search.pipeline = parseSolverSpec(solverSpec);
     if (!backend.empty()) {      // Flag wins over the BACKEND line.
         resolveTimingBackend(backend); // Validate.
         inputs.config.estimator.timingBackend = backend;
@@ -191,7 +181,7 @@ runStudy(const std::string& path, int threads,
 /**
  * Emit a registry listing as byte-stable JSON (insertion-ordered, the
  * registries' registration order) so external tooling can discover
- * scenarios/solvers/backends/explorers without scraping the tables.
+ * scenarios/backends/explorers without scraping the tables.
  */
 void
 emitRegistryJson(const char* registryName,
@@ -250,35 +240,6 @@ listScenarios(bool json)
 }
 
 int
-listSolvers(bool json)
-{
-    using namespace libra;
-    const StrategyRegistry& registry = StrategyRegistry::global();
-    std::vector<Json> entries;
-    for (const auto& name : registry.names()) {
-        Json e = Json::object();
-        e["name"] = name;
-        e["description"] = registry.find(name)->description();
-        entries.push_back(std::move(e));
-    }
-    if (json) {
-        emitRegistryJson("solvers", entries);
-        return 0;
-    }
-    Table t("registered search strategies");
-    t.header({"Name", "Description"});
-    for (const auto& e : entries)
-        t.row({e.at("name").asString(),
-               e.at("description").asString()});
-    t.print(std::cout);
-    std::cout
-        << "\nPipelines are ordered comma-separated specs (study-file "
-           "`SOLVER a,b` or `--solver a,b`);\nthe default is the "
-           "subgradient,pattern-search,nelder-mead chain.\n";
-    return 0;
-}
-
-int
 listBackends(bool json)
 {
     using namespace libra;
@@ -315,27 +276,10 @@ listExplorers(bool json)
     using namespace libra;
     const ExploreRegistry& registry = ExploreRegistry::global();
     std::vector<Json> entries;
-    std::vector<std::string> paramTexts;
     for (const auto& name : registry.names()) {
-        const ExploreStrategy* s = registry.find(name);
-        std::string params;
-        Json paramArr = Json::array();
-        for (const auto& p : s->params()) {
-            params += params.empty() ? "" : ", ";
-            params += p.key + "=" + jsonNumberToString(p.defaultValue);
-            Json pj = Json::object();
-            pj["key"] = p.key;
-            pj["default"] = p.defaultValue;
-            pj["min"] = p.min;
-            pj["max"] = p.max;
-            pj["integer"] = p.integer;
-            paramArr.push(std::move(pj));
-        }
-        paramTexts.push_back(params.empty() ? "-" : params);
         Json e = Json::object();
         e["name"] = name;
-        e["params"] = std::move(paramArr);
-        e["description"] = s->description();
+        e["description"] = registry.find(name)->description();
         entries.push_back(std::move(e));
     }
     if (json) {
@@ -343,15 +287,14 @@ listExplorers(bool json)
         return 0;
     }
     Table t("registered exploration strategies");
-    t.header({"Name", "Params (defaults)", "Description"});
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        t.row({entries[i].at("name").asString(), paramTexts[i],
-               entries[i].at("description").asString()});
-    }
+    t.header({"Name", "Description"});
+    for (const auto& e : entries)
+        t.row({e.at("name").asString(),
+               e.at("description").asString()});
     t.print(std::cout);
-    std::cout << "\nSpecs are `name[,key=value...]` (study-file "
-                 "`EXPLORE prune,keep=0.25` or `--explore`);\nthe "
-                 "default is exhaustive (see docs/EXPLORE.md).\n";
+    std::cout << "\nSelect with a study-file `EXPLORE name` line or "
+                 "`--explore name`;\nthe default is exhaustive (see "
+                 "docs/EXPLORE.md).\n";
     return 0;
 }
 
@@ -361,7 +304,6 @@ struct MatrixCliOptions
     std::string cacheDir;
     std::string emit;      // "", "json", or "csv".
     std::string outPath;
-    std::string solverSpec; // "" = per-point scenario default.
     std::string backend;    // "" = per-point scenario default.
     std::string explore;    // "" = per-scenario strategy default.
     bool updateGolden = false;
@@ -419,15 +361,9 @@ runMatrixCommand(const MatrixCliOptions& cli)
         return 1;
     }
 
-    // Goldens pin the default pipeline and timing model; rewriting
-    // them under another solver or backend would mask default-path
+    // Goldens pin the default timing model and exploration; rewriting
+    // them under another backend or strategy would mask default-path
     // regressions.
-    if (cli.updateGolden && !cli.solverSpec.empty()) {
-        std::cerr << "libra_cli: --update-golden cannot be combined "
-                     "with --solver (golden figures pin the default "
-                     "pipeline)\n";
-        return 1;
-    }
     if (cli.updateGolden && !cli.backend.empty()) {
         std::cerr << "libra_cli: --update-golden cannot be combined "
                      "with --backend (golden figures pin the "
@@ -452,8 +388,6 @@ runMatrixCommand(const MatrixCliOptions& cli)
 
     MatrixOptions options;
     options.cacheDir = cli.cacheDir;
-    if (!cli.solverSpec.empty())
-        options.solverPipeline = parseSolverSpec(cli.solverSpec);
     options.timingBackend = cli.backend;
     options.exploreSpec = cli.explore;
     options.failMode = cli.failMode;
@@ -646,19 +580,17 @@ void
 usage()
 {
     std::cerr
-        << "usage: libra_cli [--threads N] [--solver SPEC] "
-           "[--backend NAME] <study-file>\n"
+        << "usage: libra_cli [--threads N] [--backend NAME] "
+           "<study-file>\n"
         << "       libra_cli --example\n"
         << "       libra_cli list [--emit json]\n"
-        << "       libra_cli list-solvers [--emit json]\n"
         << "       libra_cli list-backends [--emit json]\n"
         << "       libra_cli list-explorers [--emit json]\n"
         << "       libra_cli run-matrix <names...|all|golden> "
            "[--threads N]\n"
         << "                 [--cache-dir DIR] [--emit json|csv] "
            "[--out FILE]\n"
-        << "                 [--solver SPEC] [--backend NAME] "
-           "[--explore SPEC]\n"
+        << "                 [--backend NAME] [--explore NAME]\n"
         << "                 [--fail-mode abort|isolate] "
            "[--faults SPEC]\n"
         << "                 [--workers N] [--worker-threads N]\n"
@@ -688,7 +620,7 @@ runCli(int argc, char** argv)
         return 0;
     }
 
-    // Shared `--emit json` handling for the four list commands.
+    // Shared `--emit json` handling for the three list commands.
     auto listEmit = [&](std::size_t argIndex) -> int {
         // 0 = human tables, 1 = json, -1 = bad flag.
         if (argIndex >= args.size())
@@ -703,15 +635,13 @@ runCli(int argc, char** argv)
 
     try {
         if (!args.empty() &&
-            (args[0] == "list" || args[0] == "list-solvers" ||
-             args[0] == "list-backends" || args[0] == "list-explorers")) {
+            (args[0] == "list" || args[0] == "list-backends" ||
+             args[0] == "list-explorers")) {
             int emit = listEmit(1);
             if (emit < 0)
                 return 1;
             if (args[0] == "list")
                 return listScenarios(emit == 1);
-            if (args[0] == "list-solvers")
-                return listSolvers(emit == 1);
             if (args[0] == "list-backends")
                 return listBackends(emit == 1);
             return listExplorers(emit == 1);
@@ -740,12 +670,10 @@ runCli(int argc, char** argv)
                     }
                 } else if (arg == "--out") {
                     cli.outPath = value("a file path");
-                } else if (arg == "--solver") {
-                    cli.solverSpec = value("a solver spec");
                 } else if (arg == "--backend") {
                     cli.backend = value("a backend name");
                 } else if (arg == "--explore") {
-                    cli.explore = value("an explore spec");
+                    cli.explore = value("a strategy name");
                 } else if (arg == "--fail-mode") {
                     std::string mode =
                         value("abort or isolate");
@@ -791,7 +719,6 @@ runCli(int argc, char** argv)
         // Legacy single-study mode.
         int threads = 0;
         std::string studyPath;
-        std::string solverSpec;
         std::string backend;
         for (std::size_t i = 0; i < args.size(); ++i) {
             if (args[i] == "--threads") {
@@ -800,12 +727,6 @@ runCli(int argc, char** argv)
                     return 1;
                 }
                 threads = parseThreads(args[++i]);
-            } else if (args[i] == "--solver") {
-                if (i + 1 >= args.size()) {
-                    std::cerr << "libra_cli: --solver needs a spec\n";
-                    return 1;
-                }
-                solverSpec = args[++i];
             } else if (args[i] == "--backend") {
                 if (i + 1 >= args.size()) {
                     std::cerr << "libra_cli: --backend needs a name\n";
@@ -827,7 +748,7 @@ runCli(int argc, char** argv)
             usage();
             return 1;
         }
-        return runStudy(studyPath, threads, solverSpec, backend);
+        return runStudy(studyPath, threads, backend);
     } catch (const libra::FatalError& e) {
         // User error: bad configuration, infeasible constraints.
         std::cerr << "libra_cli: " << e.what() << "\n";

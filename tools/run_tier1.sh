@@ -26,7 +26,8 @@
 #               4. hostile-number: nan/inf and out-of-range numbers in
 #                  a study file (a 1e308 price, a negative weight or
 #                  price, a DOLLAR_CAP of 0 or -1, STARTS -3 or 1e30),
-#                  out-of-range CONSTRAINT tokens and NETWORK sizes,
+#                  a second TOTAL_BW value, out-of-range CONSTRAINT
+#                  tokens and NETWORK sizes,
 #                  depths and NPU counts, and out-of-range WORKLOAD_FILE
 #                  numbers end the CLI with exit 1 and a named error,
 #                  never a signal (ROBUSTNESS.md).
@@ -40,9 +41,9 @@
 #                  every one of them (ROBUSTNESS.md).
 #               7. serve: a `serve` process answers the golden group
 #                  disk-served, LRU-served and after a nested-JSON bomb
-#                  and a refused `workers` request, each byte-identical
-#                  to the one-shot run; stats report schema v3
-#                  (SERVE.md).
+#                  and refused `workers` and `solver` requests, each
+#                  byte-identical to the one-shot run; stats report
+#                  schema v3 (SERVE.md).
 #               8. shard: `--workers 2` explore-frontier JSON equals the
 #                  single-process run, fresh and cached (SHARDING.md).
 #               9. resume: an in-process `run-matrix` SIGKILLed once
@@ -247,7 +248,8 @@ if [[ -z "${MODE}" ]]; then
   # Hostile-number smoke: nan and inf in a study file are user errors,
   # and so is every number outside its field's range: a 1e308 or
   # negative price, a negative weight, a DOLLAR_CAP of 0 or -1, STARTS
-  # -3 or 1e30, a constraint index or number, a NETWORK group size,
+  # -3 or 1e30, a second TOTAL_BW value (it used to be dropped
+  # silently), a constraint index or number, a NETWORK group size,
   # hierarchy depth or NPU count, and a WORKLOAD_FILE size, compute
   # time or parallelization size (a 1e18-byte collective used to
   # overflow chunk-sim's ticks with exit 0). Each edit of the example
@@ -274,7 +276,7 @@ END"
   CAPPED='s/^# DOLLAR_CAP/DOLLAR_CAP/'
   WL_FILE='s|^# WORKLOAD_FILE my_profiled_model.wl|WORKLOAD_FILE '"${SMOKE_DIR}"'/'
   NONFINITE="study line [0-9]+: bad .* '(nan|inf)'"
-  HUGE_COST="fatal: study line 14: bad cost value '1e308'"
+  HUGE_COST="fatal: study line 13: bad cost value '1e308'"
   CHUNK_SIM='s/^# BACKEND chunk-sim/BACKEND chunk-sim/'
   EDITS=(
     's/^TOTAL_BW 500$/TOTAL_BW nan/'
@@ -303,6 +305,7 @@ END"
     "${WL_FILE}huge-compute.wl|"
     "${WL_FILE}1e18-size.wl|;${CHUNK_SIM}"
     "${WL_FILE}1e308-size.wl|"
+    's/^TOTAL_BW 500$/TOTAL_BW 500 900/'
   )
   ERRORS=("${NONFINITE}" "${NONFINITE}" "${NONFINITE}" "${NONFINITE}"
           "${HUGE_COST}" "${HUGE_COST}" "${HUGE_COST}"
@@ -315,16 +318,17 @@ END"
           "workload line 5: bad collective size 'inf'"
           "workload line 4: bad compute time '-1'"
           "study line 7: bad weight '-1'"
-          "study line 14: bad cost value '-7'"
-          "study line 15: bad dollar cap '0'"
-          "study line 15: bad dollar cap '-1'"
+          "study line 13: bad cost value '-7'"
+          "study line 14: bad dollar cap '0'"
+          "study line 14: bad dollar cap '-1'"
           "study line 10: bad start count '-3'"
           "study line 10: bad start count '1e30'"
           "workload line 2: bad strategy size '16.5'"
           "workload line 2: bad strategy size '1e30'"
           "workload line 4: bad compute time '1e308'"
           "workload line 5: bad collective size '1e18'"
-          "workload line 5: bad collective size '1e308'")
+          "workload line 5: bad collective size '1e308'"
+          "study line 3: unexpected '900'")
   for i in "${!EDITS[@]}"; do
     edit="${EDITS[${i}]}"
     sed "${edit}" "${SMOKE_DIR}/example.study" > "${SMOKE_DIR}/hostile.study"
@@ -344,7 +348,7 @@ END"
       exit 1
     fi
   done
-  echo "hostile-number smoke: non-finite and out-of-range study, constraint, NETWORK and WORKLOAD_FILE numbers exit 1 with a named error"
+  echo "hostile-number smoke: non-finite, out-of-range and surplus study numbers and out-of-range constraint, NETWORK and WORKLOAD_FILE numbers exit 1 with a named error"
 
   # Explore smoke: the design-space layer end to end through the CLI.
   # The prune strategy's screening rounds and promotions must emit
@@ -449,17 +453,21 @@ conn.sendall(b'{"op":' + b"[" * depth + b"]" * depth + b"}\n")
 status = conn.makefile("rb").readline()
 assert b'"ok":false' in status, status
 PY
-  # Serve never shards: a request carrying "workers" is answered
-  # ok:false (unknown request field), and the third request's cmp
-  # below proves the server serves on.
-  if "${BUILD_DIR}/libra_cli" serve-request \
-      --socket "${SMOKE_DIR}/serve.sock" \
-      '{"scenario": "golden", "workers": 2}' \
-      > /dev/null 2> "${SMOKE_DIR}/sworkers.status"; then
-    echo "serve smoke: a request with a workers field was served" >&2
-    exit 1
-  fi
-  grep -q '"ok":false' "${SMOKE_DIR}/sworkers.status"
+  # Serve never shards and the search chain is fixed: a request
+  # carrying "workers" or "solver" is answered ok:false (unknown
+  # request field), and the third request's cmp below proves the
+  # server serves on.
+  for field in '"workers": 2' '"solver": "nelder-mead"'; do
+    if "${BUILD_DIR}/libra_cli" serve-request \
+        --socket "${SMOKE_DIR}/serve.sock" \
+        "{\"scenario\": \"golden\", ${field}}" \
+        > /dev/null 2> "${SMOKE_DIR}/sfield.status"; then
+      echo "serve smoke: a request with ${field} was served" >&2
+      exit 1
+    fi
+    grep -q '"ok":false,"error":"unknown request field' \
+      "${SMOKE_DIR}/sfield.status"
+  done
   "${BUILD_DIR}/libra_cli" serve-request --socket "${SMOKE_DIR}/serve.sock" \
     '{"scenario": "golden", "emit": "json"}' \
     > "${SMOKE_DIR}/sthird.json" 2> /dev/null
@@ -474,7 +482,7 @@ PY
   grep -q '"computed":0,' "${SMOKE_DIR}/ssecond.status"
   grep -Eq '"lruHits": [1-9]' "${SMOKE_DIR}/sstats.json"
   grep -q 'libra-serve-stats-v3' "${SMOKE_DIR}/sstats.json"
-  echo "serve smoke: byte-identical golden payloads (one-shot vs disk-served vs LRU-served, and after a nested-bomb and a workers-field request)"
+  echo "serve smoke: byte-identical golden payloads (one-shot vs disk-served vs LRU-served, and after a nested-bomb and workers- and solver-field requests)"
 
   # Sharded smoke: run-matrix --workers forks worker processes and
   # merges their results through the cache; the matrix JSON must be
