@@ -4,6 +4,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -12,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "study/cache.hh"
 #include "workload/dlrm.hh"
+#include "workload/parser.hh"
 #include "workload/resnet.hh"
 #include "workload/transformer.hh"
 #include "workload/zoo.hh"
@@ -348,6 +351,71 @@ TEST(WorkloadCanonicalText, SignedZerosShareOneText)
     Workload same = pos;
     same.layers[1] = pos.layers[0];
     EXPECT_EQ(canonicalText(mixed), canonicalText(same));
+}
+
+// Every cache key embeds this text, so its bytes are pinned here for
+// each zoo workload at two NPU counts, a parsed workload and an empty
+// one: a change in how the text is formed or where it is kept must not
+// move a byte. Lengths and FNV-1a digests were captured when layers
+// were still a plain vector re-walked on every call.
+TEST(WorkloadCanonicalText, ZooParsedAndEmptyTextsArePinned)
+{
+    struct Pin
+    {
+        const char* what;
+        Workload workload;
+        std::size_t bytes;
+        std::uint64_t fnv;
+    };
+    const std::vector<Pin> pins = {
+        {"turing-nlg/1024", wl::turingNlg(1024), 151, 0xa9c54355a473e923ull},
+        {"turing-nlg/4096", wl::turingNlg(4096), 151, 0xa08c7eaf3721ed47ull},
+        {"gpt3/1024", wl::gpt3(1024), 202, 0x6028f6770c5e0111ull},
+        {"gpt3/4096", wl::gpt3(4096), 203, 0x939c826a6d74a820ull},
+        {"gpt3-pp/16,8,32", wl::gpt3WithStrategy(16, 8, 32), 395,
+         0x1dcc0b2cbbb8183bull},
+        {"msft1t/1024", wl::msft1T(1024), 207, 0x2c542e6011c33560ull},
+        {"msft1t/4096", wl::msft1T(4096), 208, 0xb7471860a042176dull},
+        {"msft1t-hp/64,64", wl::msft1TWithStrategy(64, 64), 207,
+         0x72c7b4a0c5ce2489ull},
+        {"dlrm/1024", wl::dlrm(1024), 168, 0x187fa1ce04d43e03ull},
+        {"dlrm/4096", wl::dlrm(4096), 168, 0x8462dd61716fae8full},
+        {"resnet50/1024", wl::resnet50(1024), 606, 0xb618f3d02220d173ull},
+        {"resnet50/4096", wl::resnet50(4096), 606, 0xe916bb04d754c17full},
+        {"parsed", parseWorkloadString(R"(
+WORKLOAD parsed-demo
+PARAMS 1e9
+STRATEGY TP 4 PP 2 DP 8
+LAYER a
+  FWD_COMPUTE 0.5
+  IG_COMPUTE 0.25
+  WG_COMPUTE 0.125
+  FWD_COMM ALLREDUCE TP 1e8
+  WG_COMM REDUCESCATTER DP 2e7
+  WG_COMM ALLGATHER DP 2e7
+END
+LAYER b
+  FWD_COMPUTE 0.5
+  IG_COMPUTE 0.25
+  WG_COMPUTE 0.125
+  FWD_COMM ALLREDUCE TP 1e8
+  WG_COMM REDUCESCATTER DP 2e7
+  WG_COMM ALLGATHER DP 2e7
+END
+LAYER c
+  FWD_COMPUTE 0.75
+  FWD_COMM P2P PP 3.5e6
+  IG_COMM ALLTOALL ALL 5e6
+END
+)"),
+         154, 0xbdaedd848f0e5cadull},
+        {"empty", Workload{}, 23, 0x9af27f676d2a2959ull},
+    };
+    for (const Pin& pin : pins) {
+        const std::string text = canonicalText(pin.workload);
+        EXPECT_EQ(text.size(), pin.bytes) << pin.what;
+        EXPECT_EQ(studyCacheHashOfKey(text), pin.fnv) << pin.what;
+    }
 }
 
 TEST(CommScopeNames, Resolve)
