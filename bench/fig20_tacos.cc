@@ -40,7 +40,7 @@ run()
     arWorkload.strategy = {1, net.npus()};
     Layer l;
     l.wgComm.push_back({CollectiveType::AllReduce, CommScope::Dp, m});
-    arWorkload.layers.push_back(l);
+    arWorkload.layers = {l};
 
     BwOptimizer opt(net, cm);
     OptimizerConfig cfg;

@@ -31,7 +31,7 @@ main()
     ar.strategy = {1, net.npus()};
     Layer l;
     l.wgComm.push_back({CollectiveType::AllReduce, CommScope::Dp, m});
-    ar.layers.push_back(l);
+    ar.layers = {l};
 
     BwOptimizer opt(net, cm);
     OptimizerConfig cfg;

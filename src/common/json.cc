@@ -8,24 +8,29 @@
 
 namespace libra {
 
-std::string
-jsonNumberToString(double v)
+void
+appendJsonNumber(std::string& out, double v)
 {
     if (!std::isfinite(v))
         fatal("cannot serialize non-finite number to JSON");
+    char buf[32];
+    char* end;
     // Integers up to 2^53 print without an exponent or decimal point,
     // keeping labels and counts readable in emitted files.
-    if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-        char buf[32];
-        auto [end, ec] = std::to_chars(
-            buf, buf + sizeof(buf), static_cast<long long>(v));
-        (void)ec;
-        return std::string(buf, end);
-    }
-    char buf[32];
-    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    (void)ec;
-    return std::string(buf, end);
+    if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15)
+        end = std::to_chars(buf, buf + sizeof(buf),
+                            static_cast<long long>(v)).ptr;
+    else
+        end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    out.append(buf, end);
+}
+
+std::string
+jsonNumberToString(double v)
+{
+    std::string out;
+    appendJsonNumber(out, v);
+    return out;
 }
 
 bool
@@ -174,7 +179,7 @@ Json::dumpTo(std::string& out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         return;
       case Kind::Number:
-        out += jsonNumberToString(num_);
+        appendJsonNumber(out, num_);
         return;
       case Kind::String:
         appendEscaped(out, str_);

@@ -29,7 +29,10 @@
 
 namespace libra {
 
-/** Shortest string that strtod parses back to exactly @p v. */
+/** Append the shortest text that strtod parses back to exactly @p v. */
+void appendJsonNumber(std::string& out, double v);
+
+/** appendJsonNumber into a new string. */
 std::string jsonNumberToString(double v);
 
 /**
@@ -41,7 +44,7 @@ std::string jsonNumberToString(double v);
 inline void
 appendCanonicalNumber(std::string& out, double v)
 {
-    out += jsonNumberToString(v);
+    appendJsonNumber(out, v);
     out += ' ';
 }
 

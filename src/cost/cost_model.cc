@@ -115,12 +115,9 @@ appendCanonicalText(std::string& out, const CostModel& model)
          {PhysicalLevel::Chiplet, PhysicalLevel::Package,
           PhysicalLevel::Node, PhysicalLevel::Pod}) {
         ComponentCost c = model.levelCost(level);
-        out += jsonNumberToString(c.link);
-        out += ' ';
-        out += jsonNumberToString(c.switch_);
-        out += ' ';
-        out += jsonNumberToString(c.nic);
-        out += ' ';
+        appendCanonicalNumber(out, c.link);
+        appendCanonicalNumber(out, c.switch_);
+        appendCanonicalNumber(out, c.nic);
     }
 }
 

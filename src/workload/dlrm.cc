@@ -30,7 +30,8 @@ buildDlrm(const DlrmConfig& config)
         {CollectiveType::AllToAll, CommScope::All, a2aBytes});
     emb.igComm.push_back(
         {CollectiveType::AllToAll, CommScope::All, a2aBytes});
-    w.layers.push_back(std::move(emb));
+    std::vector<Layer> layers;
+    layers.push_back(std::move(emb));
 
     const double paramsPerLayer =
         config.mlpParameters / config.numMlpLayers;
@@ -46,8 +47,9 @@ buildDlrm(const DlrmConfig& config)
         layer.wgCompute = fwdT;
         layer.wgComm.push_back(
             {CollectiveType::AllReduce, CommScope::Dp, gradBytes});
-        w.layers.push_back(std::move(layer));
+        layers.push_back(std::move(layer));
     }
+    w.layers = std::move(layers);
     return w;
 }
 

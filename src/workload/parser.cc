@@ -66,6 +66,7 @@ Workload
 parseWorkload(std::istream& in)
 {
     Workload w;
+    std::vector<Layer> layers;
     Layer* layer = nullptr;
     Layer current;
     bool sawWorkload = false;
@@ -128,7 +129,7 @@ parseWorkload(std::istream& in)
         } else if (keyword == "END") {
             if (!layer)
                 fatal("workload line ", lineNo, ": END without LAYER");
-            w.layers.push_back(std::move(current));
+            layers.push_back(std::move(current));
             layer = nullptr;
         } else if (keyword == "FWD_COMPUTE" || keyword == "IG_COMPUTE" ||
                    keyword == "WG_COMPUTE") {
@@ -170,8 +171,9 @@ parseWorkload(std::istream& in)
         fatal("workload ended inside LAYER '", current.name, "'");
     if (!sawWorkload)
         fatal("workload text has no WORKLOAD header");
-    if (w.layers.empty())
+    if (layers.empty())
         fatal("workload '", w.name, "' has no layers");
+    w.layers = std::move(layers);
     return w;
 }
 

@@ -36,6 +36,7 @@ buildResnet(const ResnetConfig& config)
     w.parameters = config.parameters;
     w.strategy = {1, config.npus};
 
+    std::vector<Layer> layers;
     for (const auto& stage : kStages) {
         const double stageParams = config.parameters * stage.paramShare;
         const double stageFwdFlops = config.flopsPerImage *
@@ -52,9 +53,10 @@ buildResnet(const ResnetConfig& config)
             layer.wgComm.push_back(
                 {CollectiveType::AllReduce, CommScope::Dp,
                  stageParams / stage.blocks * kFp16Bytes});
-            w.layers.push_back(std::move(layer));
+            layers.push_back(std::move(layer));
         }
     }
+    w.layers = std::move(layers);
     return w;
 }
 

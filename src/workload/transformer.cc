@@ -50,6 +50,7 @@ buildTransformer(const TransformerConfig& config)
     // the layers a single NPU executes per iteration.
     const int layersPerStage = config.numLayers / static_cast<int>(pp);
 
+    std::vector<Layer> layers;
     for (int l = 0; l < layersPerStage; ++l) {
         Layer layer;
         layer.name = "decoder-" + std::to_string(l);
@@ -81,8 +82,9 @@ buildTransformer(const TransformerConfig& config)
             layer.wgComm.push_back({CollectiveType::AllGather,
                                     CommScope::Dp, gradBytes});
         }
-        w.layers.push_back(std::move(layer));
+        layers.push_back(std::move(layer));
     }
+    w.layers = std::move(layers);
     return w;
 }
 

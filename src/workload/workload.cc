@@ -1,5 +1,7 @@
 #include "workload/workload.hh"
 
+#include <algorithm>
+
 #include "common/json.hh"
 #include "common/logging.hh"
 
@@ -87,7 +89,46 @@ sameContent(const Layer& a, const Layer& b)
            a.igComm == b.igComm && a.wgComm == b.wgComm;
 }
 
+/** The layers as maximal runs of equal layers (see appendCanonicalText). */
+std::string
+runTextOf(const std::vector<Layer>& layers)
+{
+    std::string out;
+    // Transformer stacks repeat one layer tens of times: each run of
+    // equal layers is written once, behind its length.
+    for (std::size_t i = 0; i < layers.size();) {
+        const Layer& layer = layers[i];
+        std::size_t run = 1;
+        while (i + run < layers.size() && sameContent(layers[i + run], layer))
+            ++run;
+        out += std::to_string(run);
+        out += 'x';
+        appendCanonicalNumber(out, layer.fwdCompute);
+        appendCanonicalNumber(out, layer.igCompute);
+        appendCanonicalNumber(out, layer.wgCompute);
+        appendOps(out, layer.fwdComm);
+        appendOps(out, layer.igComm);
+        appendOps(out, layer.wgComm);
+        i += run;
+    }
+    return out;
+}
+
 } // namespace
+
+LayerList::LayerList(std::vector<Layer> layers)
+{
+    std::string text = runTextOf(layers);
+    body_ = std::make_shared<const Body>(
+        Body{std::move(layers), std::move(text)});
+}
+
+bool
+LayerList::operator==(const LayerList& other) const
+{
+    return body_ == other.body_ ||
+           std::equal(begin(), end(), other.begin(), other.end());
+}
 
 void
 appendCanonicalText(std::string& out, const Workload& w)
@@ -103,24 +144,7 @@ appendCanonicalText(std::string& out, const Workload& w)
     out += ") ";
     out += std::to_string(w.layers.size());
     out += "layers ";
-    // Transformer stacks repeat one layer tens of times: each run of
-    // equal layers is written once, behind its length.
-    for (std::size_t i = 0; i < w.layers.size();) {
-        const Layer& layer = w.layers[i];
-        std::size_t run = 1;
-        while (i + run < w.layers.size() &&
-               sameContent(w.layers[i + run], layer))
-            ++run;
-        out += std::to_string(run);
-        out += 'x';
-        appendCanonicalNumber(out, layer.fwdCompute);
-        appendCanonicalNumber(out, layer.igCompute);
-        appendCanonicalNumber(out, layer.wgCompute);
-        appendOps(out, layer.fwdComm);
-        appendOps(out, layer.igComm);
-        appendOps(out, layer.wgComm);
-        i += run;
-    }
+    out += w.layers.runText();
 }
 
 } // namespace libra

@@ -13,7 +13,10 @@
 #ifndef LIBRA_WORKLOAD_WORKLOAD_HH
 #define LIBRA_WORKLOAD_WORKLOAD_HH
 
+#include <initializer_list>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "collective/multi_rail.hh"
@@ -60,6 +63,51 @@ struct Layer
 };
 
 /**
+ * An immutable layer array shared by every copy: copying a workload, and
+ * so a design point, bumps one reference count instead of copying each
+ * layer's collectives. There is no in-place edit; build a vector and
+ * assign it. The shared body also keeps the layers' run-length canonical
+ * text (see appendCanonicalText), formatted once when the array is built.
+ */
+class LayerList
+{
+  public:
+    LayerList() = default;
+    LayerList(std::vector<Layer> layers);
+    LayerList(std::initializer_list<Layer> layers)
+        : LayerList(std::vector<Layer>(layers))
+    {}
+
+    std::size_t size() const { return body_ ? body_->layers.size() : 0; }
+    bool empty() const { return size() == 0; }
+    const Layer* begin() const
+    {
+        return body_ ? body_->layers.data() : nullptr;
+    }
+    const Layer* end() const { return begin() + size(); }
+    const Layer& operator[](std::size_t i) const { return begin()[i]; }
+    const Layer& front() const { return body_->layers.front(); }
+    const Layer& back() const { return body_->layers.back(); }
+
+    /** appendCanonicalText's layer runs; valid while a copy lives. */
+    std::string_view runText() const
+    {
+        return body_ ? std::string_view(body_->runText) : std::string_view();
+    }
+
+    /** Layer-wise content equality; one shared array is equal to itself. */
+    bool operator==(const LayerList& other) const;
+
+  private:
+    struct Body
+    {
+        std::vector<Layer> layers;
+        std::string runText;
+    };
+    std::shared_ptr<const Body> body_;
+};
+
+/**
  * Hybrid parallelization strategy HP-(tp, pp, dp): the model is sharded
  * tp-way (consecutive ranks), cut into pp pipeline stages above that,
  * and the dataset is split dp-way at the top. Plain HP-(tp, dp) is the
@@ -91,7 +139,7 @@ struct Workload
     std::string name;
     double parameters = 0.0; ///< Total model parameter count.
     Parallelization strategy;
-    std::vector<Layer> layers;
+    LayerList layers;
 
     /** Sum of compute seconds over all layers and phases. */
     Seconds totalCompute() const;

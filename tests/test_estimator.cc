@@ -46,7 +46,7 @@ toyWorkload(long tp, long dp)
         l.wgComm.push_back(
             {CollectiveType::AllReduce, CommScope::Dp, 1e9});
     }
-    w.layers.push_back(l);
+    w.layers = {l};
     return w;
 }
 
@@ -157,7 +157,7 @@ TEST(Estimator, UtilizationHitsOneOnBalancedSingleCollective)
     w.strategy = {1, 4};
     Layer l;
     l.wgComm.push_back({CollectiveType::AllReduce, CommScope::Dp, 1e9});
-    w.layers.push_back(l);
+    w.layers = {l};
     EstimateDetail d = est.detail(w, {10.0});
     EXPECT_NEAR(d.avgBwUtilization, 1.0, 1e-9);
 }
@@ -184,6 +184,7 @@ allDistinctWorkload(std::size_t n)
     Workload w;
     w.name = "all-distinct";
     w.strategy = {16, 4, 64};
+    std::vector<Layer> layers;
     for (std::size_t i = 0; i < n; ++i) {
         double base = 1e6 + 8.0 * static_cast<double>(i);
         Layer l;
@@ -195,8 +196,9 @@ allDistinctWorkload(std::size_t n)
         l.igComm = {{CollectiveType::ReduceScatter, CommScope::Tp, base + 2},
                     {CollectiveType::AllGather, CommScope::Pp, base + 3}};
         l.wgComm = {{CollectiveType::AllReduce, CommScope::Dp, base + 4}};
-        w.layers.push_back(std::move(l));
+        layers.push_back(std::move(l));
     }
+    w.layers = std::move(layers);
     return w;
 }
 
@@ -316,7 +318,7 @@ TEST(Estimator, CommTimeMatchesMultiRail)
     w.strategy = {128, 32};
     Layer l;
     l.fwdComm.push_back(op);
-    w.layers.push_back(l);
+    w.layers = {l};
     auto spans = est.spansFor(w.strategy, CommScope::Tp);
     EXPECT_NEAR(est.estimate(w, bw),
                 multiRailTime(op.type, op.size, spans, bw).time, 1e-15);
@@ -385,7 +387,7 @@ TEST(Estimator, RegisteredTestBackendIsUsed)
     w.strategy = {1, 4};
     Layer l;
     l.wgComm.push_back({CollectiveType::AllReduce, CommScope::Dp, 1e9});
-    w.layers.push_back(l);
+    w.layers = {l};
     EXPECT_NEAR(est.estimate(w, {10.0}), 42.0, 1e-12);
 }
 
@@ -402,7 +404,7 @@ TEST(Estimator, InvalidBackendTimingIsRejectedAtTheSeam)
     w.strategy = {1, 4};
     Layer l;
     l.wgComm.push_back({CollectiveType::AllReduce, CommScope::Dp, 1e9});
-    w.layers.push_back(l);
+    w.layers = {l};
 
     auto timingWith = [](Seconds time, Seconds per_dim) {
         return [time, per_dim](CollectiveType, Bytes,

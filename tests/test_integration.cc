@@ -60,8 +60,9 @@ randomWorkload(std::mt19937_64& rng, long tp, long dp)
     Workload w;
     w.name = "random";
     w.strategy = {tp, dp};
-    int layers = drawInt(rng, 1, 6);
-    for (int l = 0; l < layers; ++l) {
+    std::vector<Layer> layers;
+    const int count = drawInt(rng, 1, 6);
+    for (int l = 0; l < count; ++l) {
         Layer layer;
         // Append instead of `"L" + to_string(...)`: GCC 12's
         // -Wrestrict false-positives on that operator+ overload.
@@ -90,8 +91,9 @@ randomWorkload(std::mt19937_64& rng, long tp, long dp)
                                      CommScope::All,
                                      drawUniform(rng, 1e6, 1e8)});
         }
-        w.layers.push_back(std::move(layer));
+        layers.push_back(std::move(layer));
     }
+    w.layers = std::move(layers);
     return w;
 }
 

@@ -116,7 +116,7 @@ makeOneLayerWorkload(long npus)
 {
     Workload w = makeSyntheticWorkload(npus);
     w.name = "one-layer";
-    w.layers.resize(1);
+    w.layers = {w.layers[0]};
     return w;
 }
 

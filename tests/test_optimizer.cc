@@ -27,7 +27,7 @@ singleCollective(const Network& net, Bytes size)
     w.strategy = {1, net.npus()};
     Layer l;
     l.wgComm.push_back({CollectiveType::AllReduce, CommScope::Dp, size});
-    w.layers.push_back(l);
+    w.layers = {l};
     return w;
 }
 

@@ -57,7 +57,7 @@ TEST(ParallelDeterminism, Fig09StyleAllocation)
     Layer l;
     l.wgComm.push_back(
         {CollectiveType::AllReduce, CommScope::Dp, 1e9});
-    w.layers.push_back(l);
+    w.layers = {l};
 
     expectIdenticalAcrossThreadCounts([&] {
         BwOptimizer opt(net, CostModel::defaultModel());
@@ -151,7 +151,7 @@ TEST(ParallelDeterminism, MultiBlockGradientBatchIsThreadCountInvariant)
     l.fwdComm.push_back({CollectiveType::AllGather, CommScope::Tp, 3e8});
     l.wgComm.push_back({CollectiveType::AllReduce, CommScope::Dp, 5e8});
     l.wgComm.push_back({CollectiveType::AllToAll, CommScope::All, 1e8});
-    w.layers.push_back(l);
+    w.layers = {l};
 
     expectIdenticalAcrossThreadCounts([&] {
         BwOptimizer opt(net, CostModel::defaultModel());

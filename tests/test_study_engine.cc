@@ -153,7 +153,10 @@ TEST(StudyCacheKey, ResultRelevantFieldsChangeTheHash)
     EXPECT_NE(base, studyCacheHash(weights));
 
     LibraInputs workload = miniInputs();
-    workload.targets[0].workload.layers[0].fwdCompute += 1e-3;
+    LayerList& edited = workload.targets[0].workload.layers;
+    std::vector<Layer> layers(edited.begin(), edited.end());
+    layers[0].fwdCompute += 1e-3;
+    edited = std::move(layers);
     EXPECT_NE(base, studyCacheHash(workload));
 }
 
@@ -262,8 +265,11 @@ TEST(StudyCacheKey, LayerNamesReachNoReport)
         "NETWORK SW(16)_SW(8)_SW(4)\nTOTAL_BW 300\nSTARTS 2\n"
         "WORKLOAD gpt3\n");
     LibraInputs renamed = inputs;
-    for (Layer& l : renamed.targets[0].workload.layers)
+    LayerList& edited = renamed.targets[0].workload.layers;
+    std::vector<Layer> layers(edited.begin(), edited.end());
+    for (Layer& l : layers)
         l.name = "renamed-" + l.name;
+    edited = std::move(layers);
     ASSERT_FALSE(renamed.targets[0].workload == inputs.targets[0].workload);
     EXPECT_EQ(canonicalStudyKey(renamed), canonicalStudyKey(inputs));
     EXPECT_EQ(reportToJson(runLibra(renamed)).dump(),

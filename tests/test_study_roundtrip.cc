@@ -288,7 +288,10 @@ TEST(StudyRoundTrip, UnserializableInputsAreReported)
     // WORKLOAD_FILE / programmatic workloads have no study-file name.
     LibraInputs custom = parseStudyConfigString(
         "NETWORK RI(4)_SW(8)\nWORKLOAD resnet50\n");
-    custom.targets[0].workload.layers[0].fwdCompute += 1.0;
+    LayerList& edited = custom.targets[0].workload.layers;
+    std::vector<Layer> layers(edited.begin(), edited.end());
+    layers[0].fwdCompute += 1.0;
+    edited = std::move(layers);
     EXPECT_THROW(studyConfigToString(custom), FatalError);
 
     LibraInputs relax = parseStudyConfigString(

@@ -61,7 +61,7 @@ TEST(TrainingSim, ComputeOnlyWorkloadHasNoCommTime)
     l.fwdCompute = 1.0;
     l.igCompute = 0.5;
     l.wgCompute = 0.25;
-    w.layers.push_back(l);
+    w.layers = {l};
 
     TrainingSimResult r = TrainingSim(net).simulate(w, {10.0});
     EXPECT_NEAR(r.total, 1.75, 1e-12);

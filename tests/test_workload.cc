@@ -1,11 +1,18 @@
 /**
  * @file
  * Tests for the workload IR and the analytical model builders.
+ *
+ * This binary replaces the global operator new with a counting one, so
+ * a guard can pin that copying a workload allocates no per-layer
+ * storage.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
+#include "core/framework.hh"
 #include "study/cache.hh"
 #include "workload/dlrm.hh"
 #include "workload/parser.hh"
@@ -20,8 +29,50 @@
 #include "workload/transformer.hh"
 #include "workload/zoo.hh"
 
+namespace {
+
+std::atomic<bool> gArmed{false};
+std::atomic<long long> gAllocations{0};
+
+} // namespace
+
+// Out of line, so GCC's -Wmismatched-new-delete cannot see a free()
+// inlined against an operator new result.
+[[gnu::noinline]] void*
+operator new(std::size_t size)
+{
+    if (gArmed.load(std::memory_order_relaxed))
+        gAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
 namespace libra {
 namespace {
+
+/** Global operator new calls made by @p body. */
+long long
+allocationsOf(const std::function<void()>& body)
+{
+    gAllocations = 0;
+    gArmed = true;
+    body();
+    gArmed = false;
+    return gAllocations;
+}
 
 TEST(Transformer, ParameterCountsMatchTableTwo)
 {
@@ -224,6 +275,7 @@ textBase()
     w.name = "text-base";
     w.parameters = 1.5e9;
     w.strategy = Parallelization(2, 2, 4);
+    std::vector<Layer> layers;
     for (int i = 0; i < 2; ++i) {
         Layer l;
         l.name = "layer" + std::to_string(i);
@@ -236,9 +288,17 @@ textBase()
                             8192.0});
         l.wgComm.push_back({CollectiveType::ReduceScatter, CommScope::Dp,
                             1.25e6});
-        w.layers.push_back(std::move(l));
+        layers.push_back(std::move(l));
     }
+    w.layers = std::move(layers);
     return w;
+}
+
+/** A mutable copy of @p w's layers, to edit and assign back. */
+std::vector<Layer>
+layersOf(const Workload& w)
+{
+    return {w.layers.begin(), w.layers.end()};
 }
 
 std::string
@@ -251,44 +311,51 @@ canonicalText(const Workload& w)
 
 TEST(WorkloadCanonicalText, EveryResultFieldMutationChangesTheText)
 {
-    const std::vector<std::pair<const char*, std::function<void(Workload&)>>>
+    // Each mutation edits the workload or a copy of its layers, which
+    // is then assigned back.
+    using Layers = std::vector<Layer>;
+    const std::vector<
+        std::pair<const char*, std::function<void(Workload&, Layers&)>>>
         mutations = {
-            {"name", [](Workload& w) { w.name = "text-other"; }},
-            {"parameters", [](Workload& w) { w.parameters *= 2.0; }},
-            {"tp", [](Workload& w) { w.strategy.tp = 4; }},
-            {"pp", [](Workload& w) { w.strategy.pp = 1; }},
-            {"dp", [](Workload& w) { w.strategy.dp = 8; }},
+            {"name", [](Workload& w, Layers&) { w.name = "text-other"; }},
+            {"parameters",
+             [](Workload& w, Layers&) { w.parameters *= 2.0; }},
+            {"tp", [](Workload& w, Layers&) { w.strategy.tp = 4; }},
+            {"pp", [](Workload& w, Layers&) { w.strategy.pp = 1; }},
+            {"dp", [](Workload& w, Layers&) { w.strategy.dp = 8; }},
             {"fwdCompute",
-             [](Workload& w) { w.layers[1].fwdCompute += 1e-9; }},
+             [](Workload&, Layers& l) { l[1].fwdCompute += 1e-9; }},
             {"igCompute",
-             [](Workload& w) { w.layers[1].igCompute += 1e-9; }},
+             [](Workload&, Layers& l) { l[1].igCompute += 1e-9; }},
             {"wgCompute",
-             [](Workload& w) { w.layers[1].wgCompute += 1e-9; }},
+             [](Workload&, Layers& l) { l[1].wgCompute += 1e-9; }},
             {"op type",
-             [](Workload& w) {
-                 w.layers[1].wgComm[0].type = CollectiveType::AllReduce;
+             [](Workload&, Layers& l) {
+                 l[1].wgComm[0].type = CollectiveType::AllReduce;
              }},
             {"op scope",
-             [](Workload& w) {
-                 w.layers[1].wgComm[0].scope = CommScope::All;
+             [](Workload&, Layers& l) {
+                 l[1].wgComm[0].scope = CommScope::All;
              }},
             {"op size",
-             [](Workload& w) { w.layers[1].wgComm[0].size += 1.0; }},
+             [](Workload&, Layers& l) { l[1].wgComm[0].size += 1.0; }},
             {"fwdComm append",
-             [](Workload& w) { w.layers[0].fwdComm.push_back({}); }},
+             [](Workload&, Layers& l) { l[0].fwdComm.push_back({}); }},
             {"igComm append",
-             [](Workload& w) { w.layers[0].igComm.push_back({}); }},
+             [](Workload&, Layers& l) { l[0].igComm.push_back({}); }},
             {"wgComm append",
-             [](Workload& w) { w.layers[0].wgComm.push_back({}); }},
+             [](Workload&, Layers& l) { l[0].wgComm.push_back({}); }},
             {"layer append",
-             [](Workload& w) { w.layers.push_back(w.layers[0]); }},
+             [](Workload&, Layers& l) { l.push_back(l[0]); }},
         };
     const Workload base = textBase();
     const std::string baseText = canonicalText(base);
     std::vector<std::string> texts = {baseText};
     for (const auto& [what, mutate] : mutations) {
         Workload mutant = base;
-        mutate(mutant);
+        Layers layers = layersOf(base);
+        mutate(mutant, layers);
+        mutant.layers = std::move(layers);
         EXPECT_FALSE(mutant == base) << what;
         texts.push_back(canonicalText(mutant));
         EXPECT_NE(texts.back(), baseText) << what;
@@ -304,7 +371,9 @@ TEST(WorkloadCanonicalText, LayerNamesDoNotChangeTheText)
 {
     const Workload base = textBase();
     Workload renamed = base;
-    renamed.layers[1].name = "x";
+    std::vector<Layer> layers = layersOf(base);
+    layers[1].name = "x";
+    renamed.layers = std::move(layers);
     EXPECT_FALSE(renamed == base);
     EXPECT_EQ(canonicalText(renamed), canonicalText(base));
 }
@@ -338,18 +407,23 @@ TEST(WorkloadCanonicalText, SignedZerosShareOneText)
 {
     Workload pos = textBase();
     pos.parameters = 0.0;
-    pos.layers[0].fwdComm[0].size = 0.0;
+    std::vector<Layer> posLayers = layersOf(pos);
+    posLayers[0].fwdComm[0].size = 0.0;
+    pos.layers = posLayers;
     Workload neg = pos;
     neg.parameters = -0.0;
-    neg.layers[0].fwdComm[0].size = -0.0;
+    std::vector<Layer> negLayers = posLayers;
+    negLayers[0].fwdComm[0].size = -0.0;
+    neg.layers = negLayers;
     EXPECT_TRUE(pos == neg);
     EXPECT_EQ(canonicalText(pos), canonicalText(neg));
     // Across a run boundary too: +0 and -0 layers form one run.
     Workload mixed = pos;
-    mixed.layers[1] = pos.layers[0];
-    mixed.layers[1].fwdComm[0].size = -0.0;
+    Layer negZero = posLayers[0];
+    negZero.fwdComm[0].size = -0.0;
+    mixed.layers = {posLayers[0], negZero};
     Workload same = pos;
-    same.layers[1] = pos.layers[0];
+    same.layers = {posLayers[0], posLayers[0]};
     EXPECT_EQ(canonicalText(mixed), canonicalText(same));
 }
 
@@ -416,6 +490,86 @@ END
         EXPECT_EQ(text.size(), pin.bytes) << pin.what;
         EXPECT_EQ(studyCacheHashOfKey(text), pin.fnv) << pin.what;
     }
+}
+
+// --- Shared layer arrays -------------------------------------------------
+
+TEST(LayerList, CopiesShareOneArray)
+{
+    const Workload a = wl::gpt3(1024);
+    const Workload b = a;
+    ASSERT_EQ(b.layers.size(), 96u);
+    EXPECT_EQ(&a.layers[0], &b.layers[0]);
+    EXPECT_EQ(&a.layers.back(), &b.layers.back());
+}
+
+TEST(LayerList, EqualityComparesContent)
+{
+    // Two builds share no storage, yet compare equal layer by layer.
+    const Workload a = wl::gpt3(1024);
+    const Workload b = wl::gpt3(1024);
+    EXPECT_NE(&a.layers[0], &b.layers[0]);
+    EXPECT_TRUE(a == b);
+
+    // Assigning an edited copy of the layers leaves the source alone.
+    Workload edited = a;
+    std::vector<Layer> layers = layersOf(a);
+    layers.back().wgCompute += 1e-9;
+    edited.layers = std::move(layers);
+    EXPECT_FALSE(edited == a);
+    EXPECT_EQ(a.layers.back(), b.layers.back());
+
+    EXPECT_TRUE(LayerList() == LayerList(std::vector<Layer>{}));
+    EXPECT_FALSE(LayerList() == LayerList({a.layers[0]}));
+}
+
+// A point, a candidate and a serve request's build each copy their
+// workloads, so a copy must cost a reference count, not a layer walk.
+TEST(LayerList, CopyingAllocatesNoPerLayerStorage)
+{
+    const Workload msft = wl::msft1T(4096);
+    ASSERT_EQ(msft.layers.size(), 128u);
+    std::vector<Workload> workloads;
+    workloads.reserve(1);
+    // "MSFT-1T" fits the short-string buffer: nothing to allocate.
+    EXPECT_EQ(allocationsOf([&] { workloads.push_back(msft); }), 0);
+
+    LibraInputs full;
+    full.networkShape = "RI(4)_FC(8)_RI(4)_SW(32)";
+    full.targets = {{msft, 1.0}};
+    LibraInputs single = full;
+    single.targets[0].workload.layers = {msft.layers[0]};
+    std::vector<LibraInputs> copies;
+    copies.reserve(2);
+    const long long fullCount =
+        allocationsOf([&] { copies.push_back(full); });
+    const long long singleCount =
+        allocationsOf([&] { copies.push_back(single); });
+    EXPECT_EQ(fullCount, singleCount);
+    EXPECT_LE(fullCount, 8);
+}
+
+// Pool threads copy, read and drop copies of one workload while the
+// original lives on: the shared array's reference count is the only
+// thing they write.
+TEST(LayerList, PoolThreadsShareOneWorkload)
+{
+    const Workload original = wl::msft1T(4096);
+    std::string originalText;
+    appendCanonicalText(originalText, original);
+    const Seconds compute = original.totalCompute();
+
+    ThreadPool pool(4);
+    std::vector<int> ok(64, 0);
+    pool.parallelFor(ok.size(), [&](std::size_t i) {
+        Workload copy = original;
+        std::vector<Workload> more(i % 4 + 1, copy);
+        std::string text;
+        appendCanonicalText(text, more.back());
+        ok[i] = more.front() == original && text == originalText &&
+                copy.totalCompute() == compute;
+    });
+    EXPECT_EQ(std::count(ok.begin(), ok.end(), 1), 64);
 }
 
 TEST(CommScopeNames, Resolve)

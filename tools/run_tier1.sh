@@ -65,9 +65,11 @@
 #              scenario-matrix engine whose sweeps exercise
 #              runLibraSweep, the timing-backend layer, the
 #              explore layer whose prune rounds re-enter the sweep,
-#              the QP/solver tests, and the estimator and training
+#              the QP/solver tests, the estimator and training
 #              simulator, whose per-call timing tables and timeline
-#              memos live on each call's stack) under TSan.
+#              memos live on each call's stack, and the workload IR,
+#              whose copies share one layer array across pool threads)
+#              under TSan.
 #   --asan     AddressSanitizer (+UBSan) build in build-asan/; runs the
 #              full suite, examples and figure binaries included.
 #   --ubsan    Standalone UndefinedBehaviorSanitizer build in
@@ -128,8 +130,9 @@ case "${MODE}" in
     # solver layer whose projections and polls run on pool threads,
     # each with its own per-call workspace, and the estimator and
     # training simulator, whose per-call timing tables and timeline
-    # memos must stay per call.
-    CTEST_EXTRA+=(-R 'test_thread_pool|test_parallel_determinism|test_study_engine|test_timing_backend|test_sim_crossval|test_explore|test_cache_faults|test_cache_concurrency|test_serve|test_objective_kernels|test_shard|test_point_wire|test_qp|test_solvers|test_estimator|test_training_sim')
+    # memos must stay per call, and the workload IR, whose copies share
+    # one immutable layer array across threads.
+    CTEST_EXTRA+=(-R 'test_thread_pool|test_parallel_determinism|test_study_engine|test_timing_backend|test_sim_crossval|test_explore|test_cache_faults|test_cache_concurrency|test_serve|test_objective_kernels|test_shard|test_point_wire|test_qp|test_solvers|test_estimator|test_training_sim|test_workload')
     ;;
   asan)
     BUILD_DIR="build-asan"
